@@ -177,35 +177,11 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkFilteredScan is Ext-11: filtered full-table-scan rows/sec,
-// selectivity 0.1%..100%, vectorized batch executor vs the boxed
-// row-at-a-time baseline. Speedups are vectorized over boxed at the same
-// selectivity — this is the pure per-tuple CPU comparison (hot pool, no
-// zone pruning), so unlike Ext-9/10 it is meaningful on a single core.
-func BenchmarkFilteredScan(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.N = 200_000
-	for i := 0; i < b.N; i++ {
-		results, err := bench.FilteredScan(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			b.ReportMetric(r.RowsPerSec, "rows/sec:"+sanitize(r.Name))
-			if r.Vectorized {
-				b.ReportMetric(r.Speedup, "speedup:"+sanitize(r.Name))
-			}
-		}
-	}
-}
-
 // BenchmarkAggThroughput is Ext-13: pushed-down aggregation rows/sec —
 // count, sum, hash group-by and expression aggregates at 1% and 100%
-// selectivity, vectorized kernels (serial and morsel-parallel) vs the
-// boxed row-at-a-time oracle. Like Ext-11 it is a per-tuple CPU
-// comparison, meaningful on a single core; the parallel rows additionally
-// record GOMAXPROCS because their speedup is only meaningful beyond one
-// processor.
+// selectivity, on the serial block pipeline and the morsel-parallel one.
+// The parallel rows record GOMAXPROCS because their speedup is only
+// meaningful beyond one processor.
 func BenchmarkAggThroughput(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.N = 200_000
@@ -216,8 +192,8 @@ func BenchmarkAggThroughput(b *testing.B) {
 		}
 		for _, r := range results {
 			b.ReportMetric(r.RowsPerSec, "rows/sec:"+sanitize(r.Name))
-			if r.Mode != "boxed" {
-				b.ReportMetric(r.Speedup, "speedup:"+sanitize(r.Name))
+			if r.Mode == "parallel" {
+				b.ReportMetric(r.ParallelSpeedup, "speedup:"+sanitize(r.Name))
 			}
 		}
 	}

@@ -26,11 +26,11 @@ import (
 	"rodentstore/internal/bench"
 )
 
-var allExperiments = []string{"fig2", "curve", "cells", "pagesize", "codecs", "fold", "dsm", "advisor", "reorg", "throughput", "ingest", "filter", "agg", "scanio", "compact"}
+var allExperiments = []string{"fig2", "curve", "cells", "pagesize", "codecs", "fold", "dsm", "advisor", "reorg", "throughput", "ingest", "agg", "scanio", "compact"}
 
 func main() {
 	var (
-		exp      = flag.String("exp", "fig2", "experiment: fig2|curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|throughput|ingest|filter|agg|scanio|compact|all")
+		exp      = flag.String("exp", "fig2", "experiment: fig2|curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|throughput|ingest|agg|scanio|compact|all")
 		n        = flag.Int("n", 1_000_000, "number of observations (paper: 10000000)")
 		queries  = flag.Int("queries", 200, "number of window queries (paper: 200)")
 		area     = flag.Float64("area", 0.01, "query area fraction (paper: 0.01)")
@@ -76,8 +76,6 @@ func main() {
 			return bench.ConcurrentThroughput(cfg)
 		case "ingest":
 			return bench.IngestThroughput(cfg)
-		case "filter":
-			return bench.FilteredScan(cfg)
 		case "agg":
 			return bench.AggThroughput(cfg)
 		case "scanio":
@@ -165,10 +163,8 @@ func title(cfg bench.Config, name string) string {
 		return "Ext-9: concurrent read throughput (sharded pool, lock-free pager, parallel scan)"
 	case "ingest":
 		return "Ext-10: concurrent ingest throughput (group-commit WAL, staged inserts, background merge)"
-	case "filter":
-		return "Ext-11: filtered-scan selectivity sweep (vectorized batches vs boxed rows)"
 	case "agg":
-		return "Ext-13: aggregation throughput (vectorized kernels + morsel scheduler vs boxed rows)"
+		return "Ext-13: aggregation throughput (serial block pipeline vs morsel scheduler)"
 	case "scanio":
 		return "Ext-14: scan I/O pipeline (coalesced run reads + async prefetch + scan-resistant admission)"
 	case "compact":
@@ -193,8 +189,6 @@ func print(name string, data any) error {
 		return printThroughput(data.([]bench.ThroughputResult))
 	case "ingest":
 		return printIngest(data.([]bench.IngestResult))
-	case "filter":
-		return printFilter(data.([]bench.FilterResult))
 	case "agg":
 		return printAgg(data.([]bench.AggResult))
 	case "scanio":
@@ -246,29 +240,15 @@ func printScanIO(rep *bench.ScanIOReport) error {
 
 func printAgg(results []bench.AggResult) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\taggregate\tselectivity\tmode\tprocs\trows\tgroups\tms\trows/sec\tvs boxed\tvs serial")
+	fmt.Fprintln(w, "run\taggregate\tselectivity\tmode\tprocs\trows\tgroups\tms\trows/sec\tvs serial")
 	for _, r := range results {
 		procs, parSpeed := "", ""
 		if r.Mode == "parallel" {
 			procs = fmt.Sprintf("%d", r.Gomaxprocs)
 			parSpeed = fmt.Sprintf("%.2fx", r.ParallelSpeedup)
 		}
-		fmt.Fprintf(w, "%s\t%s\t%.0f%%\t%s\t%s\t%d\t%d\t%.1f\t%.0f\t%.2fx\t%s\n",
-			r.Name, r.Agg, r.Selectivity*100, r.Mode, procs, r.Rows, r.Groups, r.Ms, r.RowsPerSec, r.Speedup, parSpeed)
-	}
-	return w.Flush()
-}
-
-func printFilter(results []bench.FilterResult) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\tselectivity\texecutor\trows\tmatched\tms\trows/sec\tspeedup")
-	for _, r := range results {
-		mode := "boxed"
-		if r.Vectorized {
-			mode = "vectorized"
-		}
-		fmt.Fprintf(w, "%s\t%.1f%%\t%s\t%d\t%d\t%.1f\t%.0f\t%.2fx\n",
-			r.Name, r.Selectivity*100, mode, r.Rows, r.Matched, r.Ms, r.RowsPerSec, r.Speedup)
+		fmt.Fprintf(w, "%s\t%s\t%.0f%%\t%s\t%s\t%d\t%d\t%.1f\t%.0f\t%s\n",
+			r.Name, r.Agg, r.Selectivity*100, r.Mode, procs, r.Rows, r.Groups, r.Ms, r.RowsPerSec, parSpeed)
 	}
 	return w.Flush()
 }

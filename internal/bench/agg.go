@@ -13,16 +13,16 @@ import (
 )
 
 // AggResult is one aggregation measurement: full-table aggregate rows/sec
-// at a given predicate selectivity, through the vectorized kernels (serial
-// or morsel-parallel) or the boxed row-at-a-time oracle.
+// at a given predicate selectivity, on the serial block pipeline or the
+// morsel-parallel one.
 type AggResult struct {
-	// Name labels the run, e.g. "sum sel=1% vectorized".
+	// Name labels the run, e.g. "sum sel=1% serial".
 	Name string
 	// Agg names the aggregate shape: count, sum, group-by, or expr.
 	Agg string
 	// Selectivity is the fraction of rows the predicate matches.
 	Selectivity float64
-	// Mode is boxed, vectorized, or parallel.
+	// Mode is serial or parallel.
 	Mode string
 	// Gomaxprocs records runtime.GOMAXPROCS(0) for parallel runs (0
 	// otherwise) — a parallel speedup is only meaningful with >1.
@@ -35,11 +35,8 @@ type AggResult struct {
 	Ms float64
 	// RowsPerSec is scanned Rows / wall seconds.
 	RowsPerSec float64
-	// Speedup is RowsPerSec over the boxed run of the same aggregate at the
-	// same selectivity.
-	Speedup float64
-	// ParallelSpeedup is RowsPerSec over the serial vectorized run (set on
-	// parallel runs only).
+	// ParallelSpeedup is RowsPerSec over the serial run of the same
+	// aggregate at the same selectivity (set on parallel runs only).
 	ParallelSpeedup float64
 }
 
@@ -48,13 +45,14 @@ var AggSelectivities = []float64{0.01, 1.0}
 
 // AggThroughput (Ext-13) measures the pushed-down aggregation path: count,
 // sum, hash group-by, and an arithmetic-expression sum over a four-column
-// table, at 1% and 100% predicate selectivity. The boxed oracle runs the
-// same aggExec semantics row-at-a-time (NoVectorize); the vectorized run
-// uses the typed kernels; the parallel run adds the morsel scheduler. The
-// buffer pool is pre-warmed and zone pruning is left on (the aggregate
-// path prunes exactly like a scan), so differences are per-tuple CPU cost.
-// Results are bit-identical across all three executors by construction —
-// this experiment measures only the clock.
+// table, at 1% and 100% predicate selectivity, serially and through the
+// morsel scheduler. The buffer pool is pre-warmed and zone pruning is left
+// on (the aggregate path prunes exactly like a scan), so the rows are
+// per-tuple CPU cost. Serial and parallel results are bit-identical by
+// construction — this experiment measures only the clock. (The boxed
+// row-at-a-time baseline this experiment once compared against now lives
+// only in internal/table's tests, as the differential oracle; the gating
+// benchmark's scan_hot workload tracks these rates across commits.)
 func AggThroughput(cfg Config) ([]AggResult, error) {
 	const keySpace = 1 << 20
 	schema := value.MustSchema(
@@ -114,7 +112,7 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 	// Warm the pool with one full pass.
 	if warm, err := specOf([]string{"sum(v)"}, nil); err != nil {
 		return nil, err
-	} else if _, _, err := runAgg(e, warm, algebra.True, "vectorized"); err != nil {
+	} else if _, _, err := runAgg(e, warm, algebra.True, false); err != nil {
 		return nil, err
 	}
 
@@ -126,12 +124,12 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 		}
 		for _, sel := range AggSelectivities {
 			pred := algebra.True.And("k", algebra.OpLt, value.NewInt(int64(float64(keySpace)*sel)))
-			var boxedRPS, vecRPS float64
-			for _, mode := range []string{"boxed", "vectorized", "parallel"} {
+			var serialRPS float64
+			for _, mode := range []string{"serial", "parallel"} {
 				best := AggResult{Agg: shape.agg, Selectivity: sel, Mode: mode}
 				for rep := 0; rep < 3; rep++ {
 					start := time.Now()
-					groups, scanned, err := runAgg(e, spec, pred, mode)
+					groups, scanned, err := runAgg(e, spec, pred, mode == "parallel")
 					elapsed := time.Since(start)
 					if err != nil {
 						return nil, err
@@ -146,19 +144,13 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 				if secs := best.Ms / 1000.0; secs > 0 {
 					best.RowsPerSec = float64(best.Rows) / secs
 				}
-				switch mode {
-				case "boxed":
-					boxedRPS = best.RowsPerSec
-				case "vectorized":
-					vecRPS = best.RowsPerSec
-				case "parallel":
+				if mode == "serial" {
+					serialRPS = best.RowsPerSec
+				} else {
 					best.Gomaxprocs = runtime.GOMAXPROCS(0)
-					if vecRPS > 0 {
-						best.ParallelSpeedup = best.RowsPerSec / vecRPS
+					if serialRPS > 0 {
+						best.ParallelSpeedup = best.RowsPerSec / serialRPS
 					}
-				}
-				if boxedRPS > 0 {
-					best.Speedup = best.RowsPerSec / boxedRPS
 				}
 				best.Name = fmt.Sprintf("%s sel=%g%% %s", shape.agg, sel*100, mode)
 				out = append(out, best)
@@ -170,15 +162,8 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 
 // runAgg runs one aggregation over A, returning the group count and the
 // scanned (input) row count.
-func runAgg(e *env, spec *table.AggSpec, pred algebra.Predicate, mode string) (groups int, scanned int64, err error) {
-	opts := table.ScanOptions{Pred: pred, Aggregate: spec}
-	switch mode {
-	case "boxed":
-		opts.NoVectorize = true
-	case "parallel":
-		opts.Parallel = true
-	}
-	cur, err := e.eng.Scan("A", opts)
+func runAgg(e *env, spec *table.AggSpec, pred algebra.Predicate, parallel bool) (groups int, scanned int64, err error) {
+	cur, err := e.eng.Scan("A", table.ScanOptions{Pred: pred, Aggregate: spec, Parallel: parallel})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -115,7 +115,6 @@ func runIngest(cfg Config, batches [][]value.Row, writers int, gc, merge bool) (
 	}
 	defer e.close()
 	e.mgr.GroupCommit = gc
-	e.mgr.LockTimeout = 30 * time.Second // merge holds the table lock briefly
 	e.eng.SyncInserts = true
 	if merge {
 		e.eng.EnableAutoMerge(table.MergePolicy{MaxTails: ingestMergeTails})

@@ -21,6 +21,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,6 +58,10 @@ type frame struct {
 	// into the cache. Waiters block on the channel, which closes when the
 	// read completes (or fails and the frame is released).
 	pending chan struct{}
+	// stale marks a frame whose page was rewritten or freed underneath a
+	// pinned reader (see discard): it serves nobody new and is dropped when
+	// the last pin goes.
+	stale bool
 }
 
 // shard is one lock stripe of the pool: a private frame array with its own
@@ -128,7 +133,71 @@ func NewPool(file *pager.File, capacity int) (*Pool, error) {
 			index:  make(map[pager.PageID]int, c),
 		}
 	}
+	// Extents are written and freed through the pager directly (segment
+	// renders, tail publishes, folds), never through the pool: the pager
+	// tells the pool which pages just changed underneath it.
+	file.OnInvalidate(p.discard)
 	return p, nil
+}
+
+// discard forgets pages [start, start+n): their frames and ghost-ring
+// entries describe bytes the pager has since rewritten or freed. It is the
+// one seam that keeps the pool coherent with extent writes that bypass it —
+// without it a fold's freed extent, reused by a later insert, keeps being
+// served from its old frames.
+func (p *Pool) discard(start pager.PageID, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		id := start + pager.PageID(i)
+		p.shardOf(id).discard(id)
+	}
+}
+
+func (sh *shard) discard(id pager.PageID) {
+	for {
+		sh.mu.Lock()
+		delete(sh.ghostIdx, id) // the ring slot becomes a harmless tombstone
+		fi, ok := sh.index[id]
+		if !ok {
+			sh.mu.Unlock()
+			return
+		}
+		f := &sh.frames[fi]
+		if f.pending != nil {
+			// A read raced the rewrite and may install either version: let
+			// it land, then drop it.
+			ch := f.pending
+			sh.mu.Unlock()
+			<-ch
+			continue
+		}
+		if f.pins > 0 {
+			f.stale = true // a reader still holds the old bytes; unpin drops it
+		} else {
+			delete(sh.index, id)
+			*f = frame{}
+		}
+		sh.mu.Unlock()
+		return
+	}
+}
+
+// awaitFresh handles a hit on a pending or stale frame: it releases the
+// shard lock, waits for the in-flight read (or yields until the last reader
+// of the stale bytes unpins) and tells the caller to retry. Caller holds
+// sh.mu.
+func (sh *shard) awaitFresh(f *frame) bool {
+	switch {
+	case f.pending != nil:
+		ch := f.pending
+		sh.mu.Unlock()
+		<-ch
+	case f.stale:
+		sh.mu.Unlock()
+		runtime.Gosched()
+	default:
+		return false
+	}
+	return true
 }
 
 // shardOf maps a page to its shard with a Fibonacci hash, so sequential
@@ -154,11 +223,8 @@ func (p *Pool) Lease(id pager.PageID) (Lease, error) {
 		sh.mu.Lock()
 		if fi, ok := sh.index[id]; ok {
 			f := &sh.frames[fi]
-			if f.pending != nil {
-				ch := f.pending
-				sh.mu.Unlock()
-				<-ch // another goroutine's read is in flight
-				continue
+			if sh.awaitFresh(f) {
+				continue // another goroutine's read is in flight
 			}
 			sh.hits.Add(1)
 			f.pins++
@@ -238,11 +304,8 @@ func (p *Pool) GetForWrite(id pager.PageID) ([]byte, error) {
 		sh.mu.Lock()
 		if fi, ok := sh.index[id]; ok {
 			f := &sh.frames[fi]
-			if f.pending != nil {
-				ch := f.pending
-				sh.mu.Unlock()
-				<-ch // wait for the in-flight read before overwriting
-				continue
+			if sh.awaitFresh(f) {
+				continue // wait for the in-flight read before overwriting
 			}
 			f.pins++
 			f.refbit = true
@@ -324,20 +387,28 @@ func (sh *shard) unpin(id pager.PageID) error {
 	if !ok {
 		return fmt.Errorf("buffer: Unpin on non-resident page %d", id)
 	}
-	if sh.frames[fi].pins == 0 {
+	f := &sh.frames[fi]
+	if f.pins == 0 {
 		return fmt.Errorf("buffer: Unpin on unpinned page %d", id)
 	}
-	sh.frames[fi].pins--
+	f.pins--
+	if f.stale && f.pins == 0 {
+		delete(sh.index, id)
+		*f = frame{}
+	}
 	return nil
 }
 
-// FlushAll writes every dirty frame back to the pager (without evicting).
+// FlushAll writes every unpinned dirty frame back to the pager (without
+// evicting). A pinned dirty frame is still being written by its holder —
+// flushing it would persist a torn page — and is flushed by a later call or
+// by eviction once unpinned.
 func (p *Pool) FlushAll() error {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		for i := range sh.frames {
 			f := &sh.frames[i]
-			if f.occupied && f.dirty {
+			if f.occupied && f.dirty && f.pins == 0 {
 				if err := p.file.WritePage(f.id, f.data); err != nil {
 					sh.mu.Unlock()
 					return err

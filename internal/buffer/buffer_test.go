@@ -225,3 +225,62 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("accounting mismatch: %+v", s)
 	}
 }
+
+// TestPoolDropsRewrittenAndFreedExtents pins the pool's coherence seam:
+// extents are written and freed through the pager, never through the pool,
+// so the pool must forget a page the moment the pager rewrites or frees it —
+// including a page a reader still has pinned, which is dropped on its last
+// unpin and serves nobody new in between.
+func TestPoolDropsRewrittenAndFreedExtents(t *testing.T) {
+	p, f, start := newPoolT(t, 8, 4)
+	read := func(id pager.PageID) byte {
+		t.Helper()
+		l, err := p.Lease(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Release()
+		return l.Data()[0]
+	}
+	if got := read(start); got != 0 {
+		t.Fatalf("page %d: %d", start, got)
+	}
+	// Rewrite through the pager: the cached frame must not survive.
+	if err := f.WriteRun(start, []byte{42}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Resident(start) {
+		t.Fatal("rewritten page still resident")
+	}
+	if got := read(start); got != 42 {
+		t.Fatalf("pool served stale bytes after WriteRun: %d", got)
+	}
+	// A pinned frame goes stale instead of vanishing under its reader.
+	pinned, err := p.Lease(start + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteRun(start+1, []byte{43}); err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Data()[0] != 1 {
+		t.Fatal("pinned reader's bytes changed underneath it")
+	}
+	if err := pinned.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Resident(start + 1) {
+		t.Fatal("stale frame survived its last unpin")
+	}
+	if got := read(start + 1); got != 43 {
+		t.Fatalf("pool served stale bytes after pinned rewrite: %d", got)
+	}
+	// Free drops frames too.
+	read(start + 2)
+	if err := f.FreeRun(start+2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if p.Resident(start+2) || p.Resident(start+3) {
+		t.Fatal("freed pages still resident")
+	}
+}

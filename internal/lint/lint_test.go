@@ -29,7 +29,10 @@ func TestLockOrder(t *testing.T) {
 		{Path: path, Type: "Merger", Field: "mu", Name: "merge-queue", Level: 24},
 		{Path: path, Type: "Pager", Field: "stripes", Name: "pager-stripe", Level: 50},
 	}
-	linttest.Run(t, lint.NewLockOrder(table), dir)
+	rmw := &lint.GuardedRMW{
+		Path: path, Type: "Catalog", Reads: []string{"Get"}, Writes: []string{"Put", "PutBuffered"}, Guard: "withLock",
+	}
+	linttest.Run(t, lint.NewLockOrder(table, rmw), dir)
 }
 
 func TestErrWrapped(t *testing.T) {

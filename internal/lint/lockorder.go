@@ -17,9 +17,14 @@ type LockClass struct {
 }
 
 // DefaultLockOrder is the machine-readable form of the hierarchy documented
-// in DESIGN.md: catalog → table engine → merge registry → merge queue →
-// free queue → buffer shard → pager. Edit this table and DESIGN.md
-// together.
+// in DESIGN.md: table lock → catalog → table engine → merge registry →
+// merge queue → free queue → buffer shard → pager. Edit this table and
+// DESIGN.md together.
+//
+// The table lock (Engine.withLock) is the outermost: every catalog
+// read-modify-write and every cursor construction runs under it, so it is
+// held while everything below is acquired. Its registry mutex only guards
+// the name → lock map and is released before the table lock is taken.
 //
 // The three compaction-worker classes sit between the engine's compile
 // cache and the buffer/pager layers: the merge registry (Engine.mergeMu)
@@ -29,6 +34,8 @@ type LockClass struct {
 // two out of order, and all must be released before descending into the
 // pager.
 var DefaultLockOrder = []LockClass{
+	{Path: "rodentstore/internal/table", Type: "Engine", Field: "tableMu", Name: "table-lock-registry", Level: 4},
+	{Path: "rodentstore/internal/table", Type: "tableLock", Field: "mu", Name: "table-lock", Level: 6},
 	{Path: "rodentstore/internal/catalog", Type: "Catalog", Field: "mu", Name: "catalog", Level: 10},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mu", Name: "table-engine", Level: 20},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mergeMu", Name: "merge-registry", Level: 22},
@@ -50,7 +57,11 @@ var DefaultLockOrder = []LockClass{
 // Classed mutexes are matched both as direct selectors (c.mu.Lock()) and
 // through one level of local aliasing (lk := &p.pageLocks[i]; lk.Lock()),
 // which is how the pager's stripe locks are used.
-func NewLockOrder(table []LockClass) *Analyzer {
+//
+// rmw, when non-nil, adds the read-modify-write discipline of the lock at
+// the top of the hierarchy (see GuardedRMW): mutex ordering says nothing
+// about a store whose every call is individually locked.
+func NewLockOrder(table []LockClass, rmw *GuardedRMW) *Analyzer {
 	a := &Analyzer{
 		Name: "lockorder",
 		Doc:  "lock acquisitions must follow the documented hierarchy and never re-enter",
@@ -71,6 +82,9 @@ func NewLockOrder(table []LockClass) *Analyzer {
 				}
 				return true
 			})
+		}
+		if rmw != nil {
+			lo.checkRMW(rmw)
 		}
 		return nil
 	}
@@ -256,7 +270,7 @@ func (lo *lockOrder) walkExprLocks(e ast.Expr, st *held, aliases map[types.Objec
 			if st.count[ci] > 0 {
 				lo.p.Reportf(call.Pos(), "re-entrant acquisition of %s lock (already held on this path)", cls.Name)
 			} else if lvl, holding := st.maxLevel(lo.table); lvl >= cls.Level {
-				lo.p.Reportf(call.Pos(), "lock order violation: acquiring %s (level %d) while holding %s (level %d); the hierarchy is catalog → table engine → buffer shard → pager",
+				lo.p.Reportf(call.Pos(), "lock order violation: acquiring %s (level %d) while holding %s (level %d); the hierarchy is table lock → catalog → table engine → buffer shard → pager",
 					cls.Name, cls.Level, holding, lvl)
 			}
 			st.count[ci]++

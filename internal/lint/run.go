@@ -51,7 +51,7 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		LeaseLease(),
 		BatchLife(),
-		NewLockOrder(DefaultLockOrder),
+		NewLockOrder(DefaultLockOrder, DefaultCatalogRMW),
 		ErrWrapped(),
 		NewNoWallClock(DefaultDeterministicPackages),
 	}

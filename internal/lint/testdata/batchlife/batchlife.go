@@ -88,3 +88,40 @@ func parked(pool *vec.Pool, schema *value.Schema) int {
 	b := pool.Get(schema)
 	return b.Len()
 }
+
+// The single block stage: blockExec.run turns one block into a result value
+// that carries the decoded batch to whichever sink consumes it (cursor,
+// morsel promise, aggregate fold). These fixtures pin the handoff shapes.
+type blockResult struct {
+	batch *vec.Batch
+	err   error
+}
+
+// Near-miss: the stage decodes straight into the result it returns.
+func runStage(pool *vec.Pool, schema *value.Schema) blockResult {
+	var r blockResult
+	r.batch, r.err = decode(pool, schema)
+	return r
+}
+
+// Near-miss: the sink adopts a result's batch and recycles the one it
+// replaces (Cursor.advance).
+func (c *cursor) adopt(pool *vec.Pool, res blockResult) {
+	if res.batch != nil {
+		pool.Put(c.batch)
+		c.batch = res.batch
+	}
+}
+
+// Positive: a stage that decides to skip the block after decoding it must
+// recycle the batch, not drop it with the result.
+func runStageSkip(pool *vec.Pool, schema *value.Schema, skip bool) blockResult {
+	b, err := decode(pool, schema) // want `pooled batch may not be released`
+	if err != nil {
+		return blockResult{err: err}
+	}
+	if skip {
+		return blockResult{}
+	}
+	return blockResult{batch: b}
+}

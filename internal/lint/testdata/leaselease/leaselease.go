@@ -147,8 +147,8 @@ func discardRunLease(pf *runPrefetcher) ([]byte, error) {
 }
 
 // Near-miss: stored into a struct field — ownership transfers to the holder
-// (the runLoader shape: the loader releases the previous lease when the next
-// run is adopted and on close).
+// (the runLoader shape: a block executor's loader releases the previous
+// lease when the next run is adopted and when the executor closes).
 type runHolder struct{ release func() error }
 
 func storeRunLease(pf *runPrefetcher, h *runHolder) error {
@@ -229,7 +229,7 @@ func mergeRunsReleased(pool *buffer.Pool, runs []pager.PageID) ([]byte, error) {
 }
 
 // Near-miss: a deferred release covers every exit of the per-run closure,
-// the shape the morsel-parallel scan uses for its per-part workers.
+// the shape the block stage's load closure has inside blockExec.run.
 func perRunClosure(pool *buffer.Pool, runs []pager.PageID) error {
 	for _, id := range runs {
 		err := func() error {
@@ -247,5 +247,38 @@ func perRunClosure(pool *buffer.Pool, runs []pager.PageID) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// The single block stage: one executor per goroutine owns the loader that
+// holds the adopted run's lease, and the executor's close is the last
+// release point. These fixtures pin that ownership shape.
+type blockStage struct{ loader runHolder }
+
+// Near-miss: entering a run parks the new lease in the executor's loader
+// after releasing the one it replaces (runLoader.enter under blockExec.run).
+func (x *blockStage) enter(pf *runPrefetcher) error {
+	_, release, err := pf.LeaseRun()
+	if err != nil {
+		return err
+	}
+	if x.loader.release != nil {
+		_ = x.loader.release()
+	}
+	x.loader.release = release
+	return nil
+}
+
+// Positive: the stage takes a lease for a block it then decides to skip
+// (a quarantined block) and forgets to give it back.
+func (x *blockStage) enterSkipping(pf *runPrefetcher, skip bool) error {
+	_, release, err := pf.LeaseRun() // want `run lease \(release func\) may not be released`
+	if err != nil {
+		return err
+	}
+	if skip {
+		return nil // forgot release()
+	}
+	x.loader.release = release
 	return nil
 }

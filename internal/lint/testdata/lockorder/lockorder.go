@@ -113,3 +113,99 @@ func workerReentry(m *Merger) {
 	m.mu.Lock() // want `re-entrant acquisition`
 	m.mu.Unlock()
 }
+
+// The read-modify-write discipline: Catalog.Get … Catalog.Put is only sound
+// inside the region RMWEngine.withLock brackets. Every Catalog call locks
+// its own mutex, so neither the hierarchy above nor the race detector sees
+// an update lost between the two.
+type Record struct{ Tails int }
+
+func (c *Catalog) Get(name string) *Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return &Record{}
+}
+
+func (c *Catalog) Put(r *Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+}
+
+func (c *Catalog) PutBuffered(r *Record) { c.Put(r) }
+
+type RMWEngine struct{ cat *Catalog }
+
+func (e *RMWEngine) withLock(name string, fn func() error) error { return fn() }
+
+// Near-miss: the whole read-modify-write runs inside the guard.
+func (e *RMWEngine) appendGuarded(name string) error {
+	return e.withLock(name, func() error {
+		work := *e.cat.Get(name)
+		work.Tails++
+		e.cat.Put(&work)
+		return nil
+	})
+}
+
+// Near-miss: a helper whose every caller is inside the guard inherits it
+// (the publishTail shape), including through a second helper.
+func (e *RMWEngine) publish(name string) {
+	work := *e.cat.Get(name)
+	work.Tails++
+	e.cat.PutBuffered(&work)
+}
+
+func (e *RMWEngine) publishTwice(name string) {
+	e.publish(name)
+	e.publish(name)
+}
+
+func (e *RMWEngine) insert(name string) error {
+	return e.withLock(name, func() error {
+		e.publishTwice(name)
+		return nil
+	})
+}
+
+// Near-miss: a blind write reads nothing it could lose.
+func (e *RMWEngine) create(name string) {
+	e.cat.Put(&Record{})
+}
+
+// Positive: the fold path of a lock-less engine — exactly the lost update
+// that let a background merge drop a concurrent insert's tail batches.
+func (e *RMWEngine) foldUnguarded(name string) {
+	work := *e.cat.Get(name)
+	work.Tails = 0
+	e.cat.Put(&work) // want `read-modify-write outside withLock`
+}
+
+// Positive: one unguarded caller strips a helper of the guard its other
+// callers give it.
+func (e *RMWEngine) compact(name string) {
+	work := *e.cat.Get(name)
+	work.Tails = 0
+	e.cat.Put(&work) // want `read-modify-write outside withLock`
+}
+
+func (e *RMWEngine) compactGuarded(name string) error {
+	return e.withLock(name, func() error {
+		e.compact(name)
+		return nil
+	})
+}
+
+func (e *RMWEngine) mergeWorker(name string) {
+	e.compact(name)
+}
+
+// Positive: a goroutine started inside the guard outlives it.
+func (e *RMWEngine) spawnInsideGuard(name string) error {
+	return e.withLock(name, func() error {
+		go func() {
+			work := *e.cat.Get(name)
+			e.cat.PutBuffered(&work) // want `read-modify-write outside withLock`
+		}()
+		return nil
+	})
+}

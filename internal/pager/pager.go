@@ -158,6 +158,11 @@ type File struct {
 
 	stats counters
 
+	// invalidators are the page caches layered over this file (see
+	// OnInvalidate): a copy-on-write list, replaced under mu, read lock-free
+	// by the write and free paths.
+	invalidators atomic.Pointer[[]func(start PageID, n uint64)]
+
 	// seekMu orders seek-adjacency tracking. Serial callers see exactly the
 	// historical Seeks/SeekDistance accounting.
 	seekMu   sync.Mutex
@@ -539,9 +544,36 @@ func (p *File) FreeRun(start PageID, n uint64) error {
 		return fmt.Errorf("pager: bad free of %d pages at %d", n, start)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.freeLocked(start, n)
-	return p.writeHeader()
+	err := p.writeHeader()
+	p.mu.Unlock()
+	p.invalidate(start, n)
+	return err
+}
+
+// OnInvalidate registers fn to be told about every extent whose cached
+// copies just went stale: FreeRun's extent (its pages are dead) and
+// WriteRun's (its pages hold new bytes). Extents are written once between
+// allocation and free, so a cache over the file that drops the named pages
+// in fn can never serve a freed-and-reused page's previous contents. fn runs
+// with no pager lock held.
+func (p *File) OnInvalidate(fn func(start PageID, n uint64)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var fns []func(PageID, uint64)
+	if old := p.invalidators.Load(); old != nil {
+		fns = append(fns, *old...)
+	}
+	fns = append(fns, fn)
+	p.invalidators.Store(&fns)
+}
+
+func (p *File) invalidate(start PageID, n uint64) {
+	if fns := p.invalidators.Load(); fns != nil {
+		for _, fn := range *fns {
+			fn(start, n)
+		}
+	}
 }
 
 // noteRead updates seek-adjacency tracking for a read of page id.
@@ -771,6 +803,7 @@ func (p *File) WriteRun(start PageID, payload []byte) error {
 		return fmt.Errorf("pager: write run [%d,%d): %w", start, uint64(start)+npages, err)
 	}
 	p.stats.pageWrites.Add(npages)
+	p.invalidate(start, npages)
 	return nil
 }
 

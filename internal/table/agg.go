@@ -6,14 +6,11 @@ package table
 // no row is ever materialized, and a bare count(*) with no predicate reads
 // no data pages at all (block metadata carries the row counts).
 //
-// Determinism: every executor variant — serial or parallel, vectorized or
-// NoVectorize — produces bit-identical results, floats included. The
-// invariant that makes this true: each block folds into its own partial
-// state, and partials merge into the final state in stored block order, so
-// float sums always reduce in the same association. The parallel pipeline's
-// ordered merge provides exactly that order; the serial loop follows the
-// same two-level shape instead of folding rows straight into the final
-// state.
+// Determinism: serial and parallel scans produce bit-identical results,
+// floats included. The invariant that makes this true: each block folds
+// into its own partial state (blockExec.run), and partials merge into the
+// final state in stored block order (runAggregate), so float sums always
+// reduce in the same association whichever goroutine folded the block.
 //
 // Null semantics are SQL-ish: count(*) counts rows; count/sum/min/max/avg
 // over an expression skip null inputs and return null (count: 0) when no
@@ -163,29 +160,25 @@ func (s *AggSpec) ScanFields() []string {
 type aggItemExec struct {
 	fn   AggFunc
 	expr algebra.ScalarExpr    // nil for count(*)
-	ce   *algebra.CompiledExpr // vectorized evaluator; nil for count(*) or boxed mode
+	ce   *algebra.CompiledExpr // typed evaluator of expr; nil for count(*)
 	kind value.Kind            // expression result kind (Int/Float); Int for count(*)
 }
 
-// aggExec is an AggSpec compiled against a cursor's decoded schema.
+// aggExec is an AggSpec compiled against a plan's decoded schema.
 type aggExec struct {
-	spec      *AggSpec
 	decoded   *value.Schema
-	pred      algebra.Predicate
 	keyIdx    []int // group-by column positions in decoded
 	keySchema *value.Schema
 	items     []aggItemExec
 	out       *value.Schema
-	boxed     bool
 }
 
-// buildAggExec compiles spec against the decoded schema. boxed selects the
-// row-at-a-time oracle executor (ScanOptions.NoVectorize).
-func buildAggExec(spec *AggSpec, decoded *value.Schema, pred algebra.Predicate, boxed bool) (*aggExec, error) {
+// buildAggExec compiles spec against the decoded schema.
+func buildAggExec(spec *AggSpec, decoded *value.Schema) (*aggExec, error) {
 	if len(spec.Items) == 0 {
 		return nil, fmt.Errorf("table: aggregate spec has no items")
 	}
-	ex := &aggExec{spec: spec, decoded: decoded, pred: pred, boxed: boxed}
+	ex := &aggExec{decoded: decoded}
 	var outFields []value.Field
 	for _, name := range spec.GroupBy {
 		di := decoded.Index(name)
@@ -210,12 +203,8 @@ func buildAggExec(spec *AggSpec, decoded *value.Schema, pred algebra.Predicate, 
 				return nil, err
 			}
 			ie.kind = kind
-			if !boxed {
-				ce, err := algebra.CompileExpr(it.Expr, decoded)
-				if err != nil {
-					return nil, err
-				}
-				ie.ce = ce
+			if ie.ce, err = algebra.CompileExpr(it.Expr, decoded); err != nil {
+				return nil, err
 			}
 		} else if it.Func != AggCount {
 			return nil, fmt.Errorf("table: %s needs an expression", it.Func)
@@ -286,12 +275,8 @@ func (a *aggAcc) grow(it *aggItemExec, n int) {
 
 // aggState is one aggregation state: a per-block partial or the final fold.
 type aggState struct {
-	// gt holds the typed group table (vectorized grouped mode).
+	// gt holds the typed group table (nil when ungrouped).
 	gt *vec.GroupTable
-	// keys/kidx hold the boxed grouping (NoVectorize grouped mode): distinct
-	// key tuples in first-seen order and a hash index over them.
-	keys []value.Row
-	kidx map[uint64][]int32
 	// accs holds the per-item accumulators, parallel to exec.items.
 	accs []aggAcc
 }
@@ -300,11 +285,7 @@ type aggState struct {
 func (ex *aggExec) newState() *aggState {
 	st := &aggState{accs: make([]aggAcc, len(ex.items))}
 	if len(ex.keyIdx) > 0 {
-		if ex.boxed {
-			st.kidx = make(map[uint64][]int32)
-		} else {
-			st.gt = vec.NewGroupTable(ex.keySchema)
-		}
+		st.gt = vec.NewGroupTable(ex.keySchema)
 	} else {
 		// Ungrouped: exactly one group, present even with zero input rows.
 		for i := range st.accs {
@@ -319,9 +300,6 @@ func (st *aggState) ngroups(ex *aggExec) int {
 	if len(ex.keyIdx) == 0 {
 		return 1
 	}
-	if ex.boxed {
-		return len(st.keys)
-	}
 	return st.gt.Len()
 }
 
@@ -332,24 +310,15 @@ type aggScratch struct {
 	gids    []int32
 	mapping []int32
 	keyCols []*vec.Vector
-	keyBuf  value.Row
 }
 
-// observeBlock folds one block into a fresh partial state, choosing the
-// vectorized or boxed executor.
-func (ex *aggExec) observeBlock(p *part, readers []*segment.Reader, block int, filter *algebra.CompiledPred, vs *vecScratch, dec *rowDecoder, as *aggScratch) (*aggState, error) {
-	if ex.boxed {
-		return ex.observeBlockBoxed(p, readers, block, dec)
-	}
-	return ex.observeBlockVec(p, readers, block, filter, vs, as)
-}
-
-// observeBlockVec is the vectorized block fold: decode predicate columns,
+// observeBlock is the aggregating block fold: decode predicate columns,
 // filter to a selection vector, decode only the key/input columns, assign
-// group ids with the typed hash table, and run the typed kernels. Columns
-// nothing needs are never decoded; when nothing at all is needed (bare
-// count(*), no predicate) the block's pages are never read.
-func (ex *aggExec) observeBlockVec(p *part, readers []*segment.Reader, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch) (*aggState, error) {
+// group ids with the typed hash table, and run the typed kernels into a
+// fresh partial state. Columns nothing needs are never decoded; when nothing
+// at all is needed (bare count(*), no predicate) the block's pages are never
+// read.
+func (ex *aggExec) observeBlock(p *part, readers []*segment.Reader, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch) (*aggState, error) {
 	nrows := blockRowCount(p, block)
 	if cap(vs.views) < len(p.entries) {
 		vs.views = make([]*segment.BlockView, len(p.entries))
@@ -532,116 +501,6 @@ func (a *aggAcc) foldMinMaxF(g int, mn, mx float64, n int64) {
 	a.count[g] += n
 }
 
-// observeBlockBoxed is the row-at-a-time oracle fold: decode boxed rows,
-// filter with Predicate.Eval, evaluate expressions with EvalScalar, and
-// accumulate per row. Same results as observeBlockVec, bit for bit.
-func (ex *aggExec) observeBlockBoxed(p *part, readers []*segment.Reader, block int, dec *rowDecoder) (*aggState, error) {
-	rows, err := dec.decodeBlockRows(p, readers, block, ex.decoded, ex.pred, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	st := ex.newState()
-	var key value.Row
-	for _, row := range rows {
-		g := 0
-		if len(ex.keyIdx) > 0 {
-			key = key[:0]
-			for _, di := range ex.keyIdx {
-				key = append(key, row[di])
-			}
-			g = st.boxedGroupID(ex, key)
-		}
-		for ii := range ex.items {
-			it := &ex.items[ii]
-			acc := &st.accs[ii]
-			acc.grow(it, g+1)
-			if it.expr == nil {
-				acc.count[g]++
-				continue
-			}
-			v, err := algebra.EvalScalar(it.expr, ex.decoded, row)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			switch it.fn {
-			case AggCount:
-				acc.count[g]++
-			case AggSum, AggAvg:
-				if it.kind == value.Float {
-					acc.sumF[g] += v.Float()
-				} else {
-					acc.sumI[g] += v.Int()
-				}
-				acc.count[g]++
-			case AggMin, AggMax:
-				if it.kind == value.Float {
-					acc.foldMinMaxF(g, v.Float(), v.Float(), 1)
-				} else {
-					acc.foldMinMaxI(g, v.Int(), v.Int(), 1)
-				}
-			}
-		}
-	}
-	return st, nil
-}
-
-// boxedGroupID finds or inserts a boxed key tuple. Hashing canonicalizes
-// float keys (-0 -> +0, one NaN) so it is consistent with value.Equal.
-func (st *aggState) boxedGroupID(ex *aggExec, key value.Row) int {
-	h := boxedKeyHash(key)
-	for _, cand := range st.kidx[h] {
-		if rowsEqualKeys(st.keys[cand], key) {
-			return int(cand)
-		}
-	}
-	id := int32(len(st.keys))
-	st.keys = append(st.keys, key.Clone())
-	st.kidx[h] = append(st.kidx[h], id)
-	return int(id)
-}
-
-func rowsEqualKeys(a, b value.Row) bool {
-	for i := range a {
-		if !value.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// boxedKeyHash hashes a key tuple consistently with value.Equal: floats
-// canonicalize -0 and NaN; integral floats are distinct from ints only
-// across kinds, which cannot collide within one typed column.
-func boxedKeyHash(key value.Row) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range key {
-		var cell uint64
-		switch v.Kind() {
-		case value.Null:
-			cell = 0x9e3779b97f4a7c15
-		case value.Int, value.Bool:
-			cell = mixCell(uint64(v.Int()))
-		case value.Float:
-			cell = mixCell(vec.CanonicalFloatBits(v.Float()))
-		default:
-			cell = v.Hash()
-		}
-		h = mixCell(h ^ cell)
-	}
-	return h
-}
-
-// mixCell is the SplitMix64 finalizer (same mixing as vec's GroupTable).
-func mixCell(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // merge folds a partial state into st. Partials must be merged in stored
 // block order — that order is what makes float sums deterministic across
 // executors.
@@ -649,16 +508,6 @@ func (st *aggState) merge(ex *aggExec, part *aggState, as *aggScratch) {
 	if len(ex.keyIdx) == 0 {
 		for ii := range ex.items {
 			st.accs[ii].mergeGroup(&ex.items[ii], 0, &part.accs[ii], 0)
-		}
-		return
-	}
-	if ex.boxed {
-		for lg, key := range part.keys {
-			fg := st.boxedGroupID(ex, key)
-			for ii := range ex.items {
-				st.accs[ii].grow(&ex.items[ii], fg+1)
-				st.accs[ii].mergeGroup(&ex.items[ii], fg, &part.accs[ii], lg)
-			}
 		}
 		return
 	}
@@ -706,7 +555,7 @@ func (a *aggAcc) mergeGroup(it *aggItemExec, fg int, p *aggAcc, lg int) {
 // sorted ascending by the group key columns.
 func (ex *aggExec) resultRows(st *aggState) []value.Row {
 	n := st.ngroups(ex)
-	if len(ex.keyIdx) > 0 && !ex.boxed {
+	if len(ex.keyIdx) > 0 {
 		// Late-created groups may not have grown every accumulator.
 		for ii := range ex.items {
 			st.accs[ii].grow(&ex.items[ii], n)
@@ -716,11 +565,7 @@ func (ex *aggExec) resultRows(st *aggState) []value.Row {
 	for g := 0; g < n; g++ {
 		row := make(value.Row, ex.out.Arity())
 		for ki := range ex.keyIdx {
-			if ex.boxed {
-				row[ki] = st.keys[g][ki]
-			} else {
-				row[ki] = st.gt.Keys().Cols[ki].Value(g)
-			}
+			row[ki] = st.gt.Keys().Cols[ki].Value(g)
 		}
 		base := len(ex.keyIdx)
 		for ii := range ex.items {
@@ -780,56 +625,25 @@ func (it *aggItemExec) finalize(a *aggAcc, g int) value.Value {
 	return value.NullValue()
 }
 
-// runAggregate drains the cursor's blocks through the aggregation executor
-// and replaces the cursor's stream with the (sorted) result rows. Serial
-// and parallel paths merge per-block partials in stored block order;
-// quarantined blocks contribute nothing and are reported as usual.
+// runAggregate drains the cursor's block results into the final state and
+// replaces the cursor's stream with the (sorted) result rows. Partials
+// merge in stored block order whichever goroutine folded them; quarantined
+// blocks contribute nothing and are reported as usual.
 func (c *Cursor) runAggregate() error {
-	ex := c.agg
+	ex := c.plan.agg
 	final := ex.newState()
 	var as aggScratch
-	if c.par != nil {
-		for {
-			res, ok, err := c.par.next()
-			if err != nil {
-				c.exhausted = true
-				return err
-			}
-			if !ok {
-				break
-			}
-			if res.skipped || res.agg == nil {
-				continue
-			}
+	for {
+		res, ok := c.nextResult()
+		if !ok {
+			break
+		}
+		if res.err != nil {
+			c.exhausted = true
+			return res.err
+		}
+		if res.agg != nil {
 			final.merge(ex, res.agg, &as)
-		}
-	} else {
-		observe := func(ref blockRef) (*aggState, error) {
-			p := c.parts[ref.part]
-			if err := c.rl.ensure(ref, p.readers); err != nil {
-				return nil, err
-			}
-			return ex.observeBlock(p, p.readers, ref.block, c.filter, &c.vs, &c.dec, &as)
-		}
-		for _, ref := range c.blocks {
-			ref := ref
-			st, err := observe(ref)
-			if err != nil {
-				if c.quar == nil {
-					return err
-				}
-				skipped, qerr := c.quar.handle(c.parts[ref.part], ref, err, func() error {
-					st, err = observe(ref)
-					return err
-				})
-				if qerr != nil {
-					return qerr
-				}
-				if skipped {
-					continue
-				}
-			}
-			final.merge(ex, st, &as)
 		}
 	}
 	c.schema = ex.out

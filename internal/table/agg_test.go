@@ -229,10 +229,11 @@ func approxEqual(a, b value.Value) bool {
 }
 
 // TestAggregateDifferential pins every aggregate kernel and typed
-// expression to the boxed row oracle across serial/parallel ×
-// vectorized/NoVectorize × zone-prune on/off. All engine variants must be
-// bit-identical to each other (the block-partial merge order guarantees
-// it, floats included) and match the independent row-order oracle.
+// expression to two oracles across every executor variant (serial/morsel ×
+// plain/coalesce/prefetch × quarantine) × zone-prune on/off: bit for bit
+// to the boxed block-partial executor of oracle_test.go (same per-block
+// partials, same merge order, floats included), and within float tolerance
+// to the independent row-order aggOracle.
 func TestAggregateDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	rows := aggRows(r, 3000)
@@ -271,44 +272,24 @@ func TestAggregateDifferential(t *testing.T) {
 				for si, spec := range aggSpecs() {
 					spec := spec
 					want := aggOracle(t, spec, aggSchema(), input)
-					var exact []value.Row // first variant's rows: all others must match bit-for-bit
-					for _, v := range []struct {
-						name string
-						opts ScanOptions
-					}{
-						{"vec-serial", ScanOptions{Pred: pred, Aggregate: &spec}},
-						{"boxed-serial", ScanOptions{Pred: pred, Aggregate: &spec, NoVectorize: true}},
-						{"vec-parallel", ScanOptions{Pred: pred, Aggregate: &spec, Parallel: true, Workers: 4}},
-						{"boxed-parallel", ScanOptions{Pred: pred, Aggregate: &spec, Parallel: true, Workers: 4, NoVectorize: true}},
-						{"vec-serial-nozone", ScanOptions{Pred: pred, Aggregate: &spec, NoZonePrune: true}},
-						{"boxed-parallel-nozone", ScanOptions{Pred: pred, Aggregate: &spec, NoZonePrune: true, Parallel: true, Workers: 3, NoVectorize: true}},
-					} {
-						cur, err := e.Scan("T", v.opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := drain(t, cur)
-						cur.Close()
-						if len(got) != len(want) {
-							t.Fatalf("pred %d spec %d %s: %d groups, oracle %d", pi, si, v.name, len(got), len(want))
-						}
-						for i := range want {
-							for c := range want[i] {
-								if !approxEqual(got[i][c], want[i][c]) {
-									t.Fatalf("pred %d spec %d %s group %d col %d: %v, oracle %v",
-										pi, si, v.name, i, c, got[i][c], want[i][c])
-								}
+					for _, noZone := range []bool{false, true} {
+						base := ScanOptions{Pred: pred, Aggregate: &spec, NoZonePrune: noZone}
+						exact := oracleScan(t, e, "T", base)
+						for _, v := range scanVariants(base) {
+							cur, err := e.Scan("T", v.opts)
+							if err != nil {
+								t.Fatal(err)
 							}
-						}
-						if exact == nil {
-							exact = got
-							continue
-						}
-						for i := range exact {
-							for c := range exact[i] {
-								if !value.Equal(got[i][c], exact[i][c]) {
-									t.Fatalf("pred %d spec %d %s group %d col %d: %v, first variant %v (executor variants must be bit-identical)",
-										pi, si, v.name, i, c, got[i][c], exact[i][c])
+							got := drain(t, cur)
+							cur.Close()
+							what := fmt.Sprintf("pred %d spec %d %s noZone=%v", pi, si, v.name, noZone)
+							requireRows(t, what, got, exact)
+							for i := range want {
+								for c := range want[i] {
+									if !approxEqual(got[i][c], want[i][c]) {
+										t.Fatalf("%s group %d col %d: %v, row-order oracle %v",
+											what, i, c, got[i][c], want[i][c])
+									}
 								}
 							}
 						}

@@ -4,10 +4,13 @@ package table
 // (main rendering + several organized runs + leftover tails) must be
 // value-identical to the same rows held in one compacted rendering, under
 // every layout × predicate × executor variant. The oracle is the boxed
-// serial scan of the single-rendering table; the subject is every
-// combination of {serial, parallel} × {vectorized, boxed} × {zone prune
-// on/off} × {quarantine on/off} over the leveled table. Quarantine on clean
-// data must be a no-op (damage paths are covered by the fault tests).
+// executor (oracle_test.go) over the single-rendering table; the subject is
+// every combination of {serial, parallel} × {zone prune on/off} ×
+// {quarantine on/off} over the leveled table. Aggregates are additionally
+// pinned bit for bit to the boxed executor over the subject's own blocks
+// (float sums associate per block, so only the same block structure can be
+// bit-identical). Quarantine on clean data must be a no-op (damage paths are
+// covered by the fault tests).
 
 import (
 	"fmt"
@@ -87,19 +90,22 @@ func TestCompactDifferentialOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				cur, err := oracle.Scan("Traces", ScanOptions{Pred: pred, NoVectorize: true})
-				if err != nil {
-					t.Fatal(err)
+				want := sortedKeys(oracleScan(t, oracle, "Traces", ScanOptions{Pred: pred}))
+				var agg AggSpec
+				for _, src := range []string{"count", "sum(lat)", "avg(lon)", "min(lat - lon)"} {
+					item, err := ParseAggItem(src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					agg.Items = append(agg.Items, item)
 				}
-				want := sortedKeys(drain(t, cur))
 
-				for variant := 0; variant < 16; variant++ {
+				for variant := 0; variant < 8; variant++ {
 					opts := ScanOptions{
 						Pred:        pred,
 						Parallel:    variant&1 != 0,
-						NoVectorize: variant&2 != 0,
-						NoZonePrune: variant&4 != 0,
-						Quarantine:  variant&8 != 0,
+						NoZonePrune: variant&2 != 0,
+						Quarantine:  variant&4 != 0,
 					}
 					cur, err := subj.Scan("Traces", opts)
 					if err != nil {
@@ -116,6 +122,16 @@ func TestCompactDifferentialOracle(t *testing.T) {
 								predSrc, opts, i, got[i], want[i])
 						}
 					}
+					if q := cur.Report().Skipped; len(q) != 0 {
+						t.Fatalf("clean data quarantined extents: %v", q)
+					}
+					opts.Aggregate = &agg
+					cur, err = subj.Scan("Traces", opts)
+					if err != nil {
+						t.Fatalf("pred=%q variant=%#v: %v", predSrc, opts, err)
+					}
+					requireRows(t, fmt.Sprintf("aggregate pred=%q variant=%#v", predSrc, opts),
+						drain(t, cur), oracleScan(t, subj, "Traces", opts))
 					if q := cur.Report().Skipped; len(q) != 0 {
 						t.Fatalf("clean data quarantined extents: %v", q)
 					}

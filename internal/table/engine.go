@@ -51,9 +51,12 @@ const (
 
 // Engine is the storage backend over one page file.
 type Engine struct {
-	file  *pager.File
-	cat   *catalog.Catalog
-	locks *txn.Manager
+	file *pager.File
+	cat  *catalog.Catalog
+	// mgr is the durability manager (WAL logging, checkpoints, recovery
+	// hooks); nil runs the engine without a log. Table-level mutual
+	// exclusion does not depend on it — see tableLocks.
+	mgr *txn.Manager
 	// Source is where readers fetch pages: the pager itself (cold, exact
 	// page counts) or a buffer.Pool wrapped around it (warm).
 	Source segment.PageSource
@@ -65,8 +68,16 @@ type Engine struct {
 	// updated in memory only; recovery replays the images and rebuilds the
 	// catalog from the deltas, so an acknowledged insert survives a crash
 	// without the publish phase ever rewriting the whole catalog. Requires
-	// a lock manager; ignored without one.
+	// a durability manager; ignored without one.
 	SyncInserts bool
+
+	// tableMu guards tableLocks, the engine-owned table-level locks every
+	// catalog read-modify-write and every cursor construction runs under
+	// (withLock). They are intrinsic to the engine: foreground operations
+	// and the background merge pool exclude each other with or without a
+	// durability manager.
+	tableMu    sync.Mutex
+	tableLocks map[string]*tableLock
 
 	mu    sync.Mutex
 	specs map[string]*layout.Spec // compile cache keyed by expr text
@@ -102,37 +113,38 @@ type Engine struct {
 	statMergeBytes atomic.Int64
 }
 
-// NewEngine creates an engine over an open page file and catalog. lockMgr
-// may be nil to disable table-level locking (single-threaded use). With a
-// lock manager, the engine hooks the catalog into its checkpoint/recovery
+// NewEngine creates an engine over an open page file and catalog. mgr may
+// be nil to run without a log (no durable inserts, no deferred frees). With
+// a manager, the engine hooks the catalog into its checkpoint/recovery
 // protocol: buffered catalog updates flush before every checkpoint, and
 // WAL catalog deltas (durable tail appends) replay during recovery — so
 // create the engine before calling the manager's Recover.
-func NewEngine(file *pager.File, cat *catalog.Catalog, lockMgr *txn.Manager) *Engine {
+func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine {
 	e := &Engine{
 		file:        file,
 		cat:         cat,
-		locks:       lockMgr,
+		mgr:         mgr,
 		Source:      file,
 		Fold:        FoldHash,
+		tableLocks:  make(map[string]*tableLock),
 		specs:       make(map[string]*layout.Spec),
 		insertSnaps: make(map[string]insertSnapshot),
 	}
-	if lockMgr != nil {
+	if mgr != nil {
 		// Stage the deferred-free queue before the catalog flush: everything
 		// queued by then had its catalog update already written, so this
 		// checkpoint's file sync makes those updates durable and the staged
 		// extents safe to free afterwards. Extents queued mid-checkpoint wait
 		// for the next one.
-		lockMgr.BeforeCheckpoint = func() error {
+		mgr.BeforeCheckpoint = func() error {
 			e.freeMu.Lock()
 			e.stagedFrees = append(e.stagedFrees, e.deferredFrees...)
 			e.deferredFrees = nil
 			e.freeMu.Unlock()
 			return cat.Flush()
 		}
-		lockMgr.AfterCheckpoint = e.freeStaged
-		lockMgr.OnRecoverCatalog = cat.ApplyTailAppend
+		mgr.AfterCheckpoint = e.freeStaged
+		mgr.OnRecoverCatalog = cat.ApplyTailAppend
 		cat.DeferFree = e.deferFree
 	}
 	return e
@@ -142,7 +154,7 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, lockMgr *txn.Manager) *En
 // engine runs durably; without durability there is no WAL replay to guard
 // against, so it reports false and the caller frees inline.
 func (e *Engine) deferFree(ext pager.Extent) bool {
-	if !e.SyncInserts || e.locks == nil || ext.Count == 0 {
+	if !e.durable() || ext.Count == 0 {
 		return false
 	}
 	e.freeMu.Lock()
@@ -189,23 +201,83 @@ func (e *Engine) freeSegment(meta segment.Meta) error {
 // extents would stay unavailable until the next policy checkpoint — a delay,
 // never a leak.
 func (e *Engine) checkpointAfterFlip() error {
-	if !e.SyncInserts || e.locks == nil {
+	if !e.durable() {
 		return nil
 	}
-	return e.locks.Checkpoint()
+	return e.mgr.Checkpoint()
 }
 
-// withLock takes a table-level lock around fn.
+// durable reports whether inserts and catalog flips go through the WAL.
+func (e *Engine) durable() bool { return e.SyncInserts && e.mgr != nil }
+
+// tableLock is one table's shared/exclusive lock. Readers are admitted
+// whenever no writer holds it: a reader does not queue behind a writer that
+// is itself still waiting, so what a scan waits for beside a busy writer is
+// one critical section, never a fold plus the readers ahead of it. That
+// rule alone would let two overlapping readers starve a writer forever, so
+// the bypass is bounded: once maxReaderBypass readers have overtaken a
+// waiting writer, new readers wait for it. There is no timeout.
+type tableLock struct {
+	mu      sync.Mutex
+	free    sync.Cond // signaled on every release; L is &mu
+	readers int
+	writer  bool
+	waiting int // writers waiting
+	passed  int // readers admitted past a waiting writer since the last write
+}
+
+// maxReaderBypass is far above what a reader in a closed loop beside a
+// writer reaches (a writer there gets in within a few scans), so it only
+// engages under readers that leave no gap.
+const maxReaderBypass = 64
+
+func (l *tableLock) acquire(exclusive bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !exclusive {
+		for l.writer || (l.waiting > 0 && l.passed >= maxReaderBypass) {
+			l.free.Wait()
+		}
+		l.readers++
+		if l.waiting > 0 {
+			l.passed++
+		}
+		return
+	}
+	l.waiting++
+	for l.writer || l.readers > 0 {
+		l.free.Wait()
+	}
+	l.waiting--
+	l.writer, l.passed = true, 0
+}
+
+func (l *tableLock) release(exclusive bool) {
+	l.mu.Lock()
+	if exclusive {
+		l.writer = false
+	} else {
+		l.readers--
+	}
+	l.mu.Unlock()
+	l.free.Broadcast()
+}
+
+// withLock runs fn under the named table's lock: Shared for readers of the
+// catalog record and its extents, Exclusive for anything that replaces the
+// record or frees extents. It is the outermost lock of the hierarchy and is
+// never nested — fn must not call withLock again.
 func (e *Engine) withLock(name string, mode txn.LockMode, fn func() error) error {
-	if e.locks == nil {
-		return fn()
+	e.tableMu.Lock()
+	lk := e.tableLocks[name]
+	if lk == nil {
+		lk = &tableLock{}
+		lk.free.L = &lk.mu
+		e.tableLocks[name] = lk
 	}
-	t := e.locks.Begin()
-	if err := t.Lock(name, mode); err != nil {
-		t.Abort()
-		return err
-	}
-	defer t.Abort() // strict 2PL release; fn writes through the pager directly
+	e.tableMu.Unlock()
+	lk.acquire(mode == txn.Exclusive)
+	defer lk.release(mode == txn.Exclusive)
 	return fn()
 }
 
@@ -317,14 +389,14 @@ func (e *Engine) Drop(name string) error {
 // be replayed over the new content after a crash. A checkpoint makes the
 // applied pages durable and empties the log, closing the window.
 func (e *Engine) checkpointBeforeFree() error {
-	if !e.SyncInserts || e.locks == nil {
+	if !e.durable() {
 		return nil
 	}
 	// CheckpointBarrier, not Checkpoint: an insert that published before we
 	// took this table's lock may not have logged its images yet; the
 	// barrier makes its LogAppliedSince fall back to a checkpoint instead
 	// of logging images of extents we are about to free.
-	return e.locks.CheckpointBarrier()
+	return e.mgr.CheckpointBarrier()
 }
 
 // freeAll frees (or defers, in durable mode) every extent of a table
@@ -414,7 +486,7 @@ func (e *Engine) Insert(name string, rows []value.Row) error {
 		}
 		if pub.ok {
 			if len(pub.images) > 0 || len(pub.delta) > 0 {
-				if err := e.locks.LogAppliedSince(pub.barrier, pub.images, pub.delta); err != nil {
+				if err := e.mgr.LogAppliedSince(pub.barrier, pub.images, pub.delta); err != nil {
 					return err
 				}
 			}
@@ -580,7 +652,7 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 	if revalidate && tab.LayoutExpr != layoutExpr {
 		return published{}, nil // layout moved between prepare and publish
 	}
-	durable := e.SyncInserts && e.locks != nil
+	durable := e.durable()
 	batch := make([]catalog.SegmentEntry, 0, len(st.writers))
 	for i, w := range st.writers {
 		var meta segment.Meta
@@ -633,7 +705,7 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 		// Captured under the table lock: any checkpointBeforeFree that
 		// could free this batch's extents must take this lock first, so it
 		// is ordered strictly after this read and bumps the barrier.
-		pub.barrier = e.locks.Barrier()
+		pub.barrier = e.mgr.Barrier()
 	} else if err := e.cat.Put(&work); err != nil {
 		return published{}, err
 	}

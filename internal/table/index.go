@@ -241,36 +241,31 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 }
 
 // fetchPositions materializes the rows at the given stored positions
-// (ascending), reading each containing block once. The cursor must have
-// been built without pruning-affecting state consumed.
+// (ascending), reading each containing block once. The cursor must be a
+// fresh unfiltered one, so an in-block offset is a stored position.
 func (c *Cursor) fetchPositions(positions []int64) ([]value.Row, error) {
-	if len(c.parts) == 0 {
-		return nil, nil
-	}
 	var out []value.Row
 	pi := 0
 	// Walk blocks in order, draining positions that fall inside each.
 	var before int64
-	for _, ref := range c.blocks {
-		bm := c.parts[ref.part].entries[firstReadSeg(c.parts[ref.part])].Meta.Blocks[ref.block]
-		blockLo, blockHi := before, before+int64(bm.Rows)
-		before = blockHi
+	for bi, ref := range c.plan.blocks {
 		if pi >= len(positions) {
 			break
 		}
-		if positions[pi] >= blockHi {
+		blockLo := before
+		before += int64(blockRowCount(c.plan.parts[ref.part], ref.block))
+		if positions[pi] >= before {
 			continue
 		}
 		// Decode this block once and pick the requested offsets.
-		if err := c.loadBlock(ref); err != nil {
+		c.cur = bi
+		if err := c.advance(); err != nil {
 			return nil, err
 		}
-		for pi < len(positions) && positions[pi] < blockHi {
-			off := int(positions[pi] - blockLo)
-			if row, ok := c.blockRow(off); ok {
-				out = append(out, row)
+		for ; pi < len(positions) && positions[pi] < before; pi++ {
+			if off := int(positions[pi] - blockLo); off < c.batch.Len() {
+				out = append(out, c.batch.Row(off))
 			}
-			pi++
 		}
 	}
 	return out, nil

@@ -2,10 +2,12 @@ package table
 
 // The scan I/O pipeline: coalesced run reads and asynchronous prefetch.
 //
-// A scan's block list is planned into runs of physically adjacent blocks
-// (buildRuns). With ScanOptions.Coalesce the cursor fetches each run's bytes
+// This is the fetch stage of the block pipeline (see scan.go): a runLoader
+// belongs to one blockExec, whose run calls ensure before a block decodes.
+// The block sequence is planned into runs of physically adjacent blocks
+// (buildRuns). With ScanOptions.Coalesce the loader fetches each run's bytes
 // with one large positional read (segment.PreloadRun) instead of one range
-// read per block; with ScanOptions.Prefetch a per-scan prefetcher goroutine
+// read per block; with ScanOptions.Prefetch a per-loader prefetcher goroutine
 // additionally reads the NEXT run on cloned readers while the current one
 // decodes — classic double buffering, bounded to two buffer sets.
 //
@@ -167,15 +169,8 @@ func (pf *prefetcher) loop() {
 // keeps its verified prefix and the first error rides along for the loader
 // to surface on the first uncovered block.
 func (pf *prefetcher) fetch(r segRun, prev []segBuf) runFetch {
-	p := pf.parts[r.part]
 	if pf.clones[r.part] == nil {
-		rs := make([]*segment.Reader, len(p.readers))
-		for si, rd := range p.readers {
-			if rd != nil {
-				rs[si] = rd.Clone()
-			}
-		}
-		pf.clones[r.part] = rs
+		pf.clones[r.part] = cloneReaders(pf.parts[r.part].readers)
 	}
 	rf := runFetch{run: r, good: r.hi - r.lo}
 	k := 0
@@ -248,18 +243,19 @@ func (pf *prefetcher) close() {
 	}
 }
 
-// runLoader drives one scan goroutine's I/O pipeline: it plans runs over the
-// goroutine's block sequence, keeps the current run's bytes adopted in the
-// goroutine's readers, and (with prefetch) keeps the next run's fetch in
-// flight. The serial cursor owns one; each parallel worker owns its own.
+// runLoader drives one blockExec's I/O pipeline: it plans runs over the
+// executor's block sequence, keeps the current run's bytes adopted in the
+// executor's readers, and (with prefetch) keeps the next run's fetch in
+// flight. Only a coalescing scan has one; a nil loader (every method is a
+// no-op on it) leaves every block its own range read.
 type runLoader struct {
 	parts []*part
 	pf    *prefetcher // nil: synchronous coalescing only
 
 	runs    []segRun
-	cur     int // index into runs of the adopted run, -1 if none
-	reqd    int // index of the run requested from pf, -1 if none
-	covered int // leading blocks of runs[cur] served by adopted bytes
+	cur     int   // index into runs of the adopted run, -1 if none
+	reqd    int   // index of the run requested from pf, -1 if none
+	covered int   // leading blocks of runs[cur] served by adopted bytes
 	tailErr error // pending error for block runs[cur].lo+covered, delivered once
 
 	release func() error // lease on the adopted run's prefetched buffers
@@ -274,11 +270,14 @@ func newRunLoader(parts []*part, prefetch bool) *runLoader {
 }
 
 // setSeq plans runs over a new block sequence (a morsel, or the serial
-// cursor's whole block list) and starts the first prefetch. Any previous
+// executor's whole block list) and starts the first prefetch. Any previous
 // sequence must be fully decoded: its lease is released here, and readers'
 // stale adopted spans are only ever behind the scan position, so they are
 // never consulted again.
 func (rl *runLoader) setSeq(seq []blockRef) {
+	if rl == nil {
+		return
+	}
 	rl.releaseLease()
 	rl.runs = buildRuns(rl.runs, seq, rl.parts)
 	rl.cur, rl.reqd, rl.covered, rl.tailErr = -1, -1, 0, nil
@@ -298,6 +297,9 @@ func (rl *runLoader) releaseLease() {
 
 // close releases the current lease and stops the prefetcher.
 func (rl *runLoader) close() {
+	if rl == nil {
+		return
+	}
 	rl.releaseLease()
 	if rl.pf != nil {
 		rl.pf.close()
@@ -307,10 +309,9 @@ func (rl *runLoader) close() {
 // ensure makes ref's bytes resident in readers before the block decodes:
 // within the adopted run it is a bounds check; at a run boundary it adopts
 // the prefetched bytes (or fetches synchronously) and pipelines the next
-// run. A nil loader (pipeline off) is a no-op. Errors surface exactly on the
-// block that needs the failed bytes, so quarantine treats them like
-// per-block read errors — and its retry, which calls ensure again, re-reads
-// only the failed tail of the run.
+// run. Errors surface exactly on the block that needs the failed bytes, so
+// quarantine treats them like per-block read errors — and its retry, which
+// calls ensure again, re-reads only the failed tail of the run.
 func (rl *runLoader) ensure(ref blockRef, readers []*segment.Reader) error {
 	if rl == nil {
 		return nil

@@ -94,9 +94,9 @@ func quarExtent(p *part, err error) pager.Extent {
 // already-quarantined extents skip immediately; corruption quarantines
 // immediately; anything else is retried with capped backoff (via retry,
 // which must re-attempt the same load) and quarantined only if it keeps
-// failing. It returns skipped=true when the block was recorded and the scan
-// should move on.
-func (q *quarState) handle(p *part, ref blockRef, err error, retry func() error) (skipped bool, out error) {
+// failing. It reports whether the block was recorded as skipped; false
+// means a retry succeeded.
+func (q *quarState) handle(p *part, ref blockRef, err error, retry func() error) (skipped bool) {
 	q.mu.Lock()
 	_, known := q.index[quarExtent(p, err).Start]
 	q.mu.Unlock()
@@ -108,7 +108,7 @@ func (q *quarState) handle(p *part, ref blockRef, err error, retry func() error)
 				backoff = quarBackoffCap
 			}
 			if err = retry(); err == nil {
-				return false, nil
+				return false
 			}
 			if isCorrupt(err) {
 				break
@@ -116,7 +116,7 @@ func (q *quarState) handle(p *part, ref blockRef, err error, retry func() error)
 		}
 	}
 	q.record(p, ref, err)
-	return true, nil
+	return true
 }
 
 // record adds one skipped block to the report, aggregating per extent.

@@ -41,11 +41,6 @@ type ScanOptions struct {
 	// Workers bounds the parallel worker pool (0 = GOMAXPROCS). Ignored
 	// unless Parallel is set.
 	Workers int
-	// NoVectorize forces the boxed row-at-a-time block path instead of the
-	// vectorized (typed column batch) executor. Results are identical; the
-	// flag exists for differential tests and as the Ext-11 benchmark
-	// baseline.
-	NoVectorize bool
 	// Coalesce turns on coalesced run reads: physically adjacent blocks are
 	// fetched with one large positional read per segment instead of one
 	// range read per block (see prefetch.go). Results are identical; the
@@ -66,8 +61,8 @@ type ScanOptions struct {
 	// cursor yields one row per group instead of the matching rows, and no
 	// input row is ever materialized — blocks fold straight into typed
 	// accumulators. Mutually exclusive with Fields and Order (groups are
-	// always sorted by key). Results are bit-identical across
-	// serial/parallel and vectorized/NoVectorize executors.
+	// always sorted by key). Results are bit-identical between serial and
+	// parallel scans.
 	Aggregate *AggSpec
 }
 
@@ -104,67 +99,30 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 			needsReorg = true // reorganize needs the exclusive lock; retry below
 			return nil
 		}
-		so := storedScanOpts{
-			noZone: opts.NoZonePrune, noVec: opts.NoVectorize, quarantine: opts.Quarantine,
-			io: scanIO{coalesce: opts.Coalesce || opts.Prefetch, prefetch: opts.Prefetch},
-		}
+		fields := opts.Fields
 		if opts.Aggregate != nil {
-			if len(opts.Fields) > 0 {
-				return fmt.Errorf("table: Aggregate and Fields are mutually exclusive (group keys and aggregates define the output)")
-			}
-			if len(opts.Order) > 0 {
-				return fmt.Errorf("table: Aggregate and Order are mutually exclusive (groups are sorted by key)")
-			}
-			fields := opts.Aggregate.ScanFields()
-			if len(fields) == 0 {
-				// A bare count(*) reads no input columns, but the scan still
-				// needs a non-nil projection (nil means "all stored fields")
-				// and a part with a readable segment for block metadata.
-				// Anchor on a predicate field if there is one — it is decoded
-				// anyway — else the first stored column, whose pages are only
-				// read if something actually decodes them.
-				if pf := opts.Pred.Fields(); len(pf) > 0 {
-					fields = pf[:1]
-				} else {
-					stored, err := storedSchema(tab)
-					if err != nil {
-						return err
-					}
-					if stored.Arity() > 0 {
-						fields = stored.Names()[:1]
-					}
-				}
-			}
-			cur, err = e.scanStoredOpts(tab, fields, opts.Pred, so)
-			if err != nil {
+			if fields, err = aggScanFields(tab, opts); err != nil {
 				return err
 			}
-			cur.agg, err = buildAggExec(opts.Aggregate, cur.decoded, opts.Pred, opts.NoVectorize)
-			if err != nil {
-				return err
-			}
-			if opts.Parallel {
-				cur.startParallel(opts.Workers)
-			}
-			cur.setupScanIO()
-			if err := cur.runAggregate(); err != nil {
-				cur.Close()
-				return err
-			}
-			return nil
 		}
-		cur, err = e.scanStoredOpts(tab, opts.Fields, opts.Pred, so)
+		plan, err := e.planScan(tab, fields, opts.Pred, storedScanOpts{
+			noZone: opts.NoZonePrune, quarantine: opts.Quarantine, agg: opts.Aggregate,
+			io: scanIO{coalesce: opts.Coalesce || opts.Prefetch, prefetch: opts.Prefetch},
+		})
 		if err != nil {
 			return err
 		}
-		if opts.Parallel {
-			cur.startParallel(opts.Workers)
+		cur = newCursor(plan, opts.Parallel, opts.Workers)
+		switch {
+		case plan.agg != nil:
+			err = cur.runAggregate()
+		case len(opts.Order) > 0 && !e.orderMatchesStored(tab, opts.Order):
+			err = cur.materializeSort(opts.Order)
 		}
-		cur.setupScanIO()
-		if len(opts.Order) > 0 && !e.orderMatchesStored(tab, opts.Order) {
-			return cur.materializeSort(opts.Order)
+		if err != nil {
+			cur.Close()
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -176,6 +134,36 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 		return e.Scan(name, opts) // NeedsReorg is now clear; at most one retry
 	}
 	return cur, nil
+}
+
+// aggScanFields validates an aggregating scan's options and returns the
+// stored columns it decodes.
+func aggScanFields(tab *catalog.Table, opts ScanOptions) ([]string, error) {
+	if len(opts.Fields) > 0 {
+		return nil, fmt.Errorf("table: Aggregate and Fields are mutually exclusive (group keys and aggregates define the output)")
+	}
+	if len(opts.Order) > 0 {
+		return nil, fmt.Errorf("table: Aggregate and Order are mutually exclusive (groups are sorted by key)")
+	}
+	if fields := opts.Aggregate.ScanFields(); len(fields) > 0 {
+		return fields, nil
+	}
+	// A bare count(*) reads no input columns, but the scan still needs a
+	// non-nil projection (nil means "all stored fields") and a part with a
+	// readable segment for block metadata. Anchor on a predicate field if
+	// there is one — it is decoded anyway — else the first stored column,
+	// whose pages are only read if something actually decodes them.
+	if pf := opts.Pred.Fields(); len(pf) > 0 {
+		return pf[:1], nil
+	}
+	stored, err := storedSchema(tab)
+	if err != nil {
+		return nil, err
+	}
+	if stored.Arity() == 0 {
+		return nil, nil
+	}
+	return stored.Names()[:1], nil
 }
 
 // orderMatchesStored reports whether the requested order is a prefix of a
@@ -327,9 +315,8 @@ type blockRef struct {
 type part struct {
 	entries []catalog.SegmentEntry
 	readers []*segment.Reader // parallel to entries, only for needed segments (nil otherwise)
-	// outCols maps each decoded field to (segment index, column index).
+	// fieldSeg maps each decoded field to (segment index, column index).
 	fieldSeg map[string][2]int
-	rows     int64
 }
 
 // batchPool recycles column batches across blocks, cursors and parallel
@@ -337,95 +324,195 @@ type part struct {
 // sheds memory under GC pressure.
 var batchPool = vec.NewPool()
 
-// Cursor iterates rows of a scan (paper §4.1 next). Cursors are not safe
-// for concurrent use (the parallel scanner parallelizes *inside* one
-// cursor; concurrent queries each open their own).
+// The block pipeline. Every read path of the engine — streaming scans,
+// morsel workers, aggregation, positional access, index fetches, fold
+// read-back — is the same four stages over one block at a time:
 //
-// Two block executors live behind the cursor. The default vectorized path
-// decodes blocks into typed column batches (internal/vec), filters with a
-// compiled predicate over a selection vector, and late-materializes only
-// the projected columns of surviving rows; NextBatch exposes those batches
-// directly, and Next boxes one row at a time out of the current batch. The
-// boxed path (ScanOptions.NoVectorize) is the original row-at-a-time loop,
-// kept as the differential-test oracle and benchmark baseline. Both paths
-// issue identical page reads in identical order, so the paper-figure
-// page/seek accounting does not depend on the executor.
-type Cursor struct {
-	schema   *value.Schema // output schema (projection applied)
+//	planScan          which blocks: parts, grid/zone pruning       (scanPlan)
+//	runLoader.ensure  fetch: per-block range reads, or adopted runs (prefetch.go)
+//	decodeBlockVec    typed decode → compiled filter → projection   (batches)
+//	  or observeBlock typed decode → compiled filter → kernels      (aggregate state)
+//	quarState.handle  retry transient errors, skip damaged blocks   (quarantine.go)
+//
+// blockExec.run is the one place the stages are chained. The serial cursor
+// calls it inline; each morsel worker owns a blockExec over cloned readers;
+// the sinks (rows, batches, aggregate state) consume its blockResults in
+// stored block order from Cursor.nextResult.
+
+// scanPlan is the immutable half of a scan, shared by the cursor and its
+// morsel workers: what to read and how to turn a block into output.
+type scanPlan struct {
+	out      *value.Schema // output schema of decoded batches (projection applied)
 	decoded  *value.Schema // decoded schema (projection ∪ predicate fields)
-	outIdx   []int         // positions of output fields within decoded rows
+	outIdx   []int         // positions of output fields within decoded
 	identity bool          // outIdx is the identity over decoded
-	pred     algebra.Predicate
-	// filter is the compiled vectorized predicate; nil selects the boxed
-	// row-at-a-time path.
-	filter    *algebra.CompiledPred
-	parts     []*part
-	blocks    []blockRef
-	cur       int
-	buf       []value.Row
-	bufPos    int
-	batch     *vec.Batch // current block's batch (vectorized path)
-	batchPos  int
-	vs        vecScratch // reusable vectorized-decode scratch (serial path)
-	dec       rowDecoder // reusable boxed-decode scratch (serial path)
-	exhausted bool
-	// par, when non-nil, replaces the serial block loop with the ordered
-	// parallel pipeline.
-	par *parallelScan
-	// sorted, when non-nil, replaces streaming (materialized order-by, and
-	// the result rows of an aggregation).
-	sorted    []value.Row
-	sortedPos int
-	// agg, when non-nil, turns the scan into an aggregation: blocks fold
-	// into typed accumulators (runAggregate) instead of materializing.
+	filter   *algebra.CompiledPred
+	parts    []*part
+	blocks   []blockRef // surviving blocks in stored order
+	// agg, when non-nil, folds blocks into aggregate state instead of
+	// decoding output batches.
 	agg *aggExec
 	// quar, when non-nil, enables corruption quarantine: unreadable blocks
 	// are recorded here and skipped instead of failing the scan.
 	quar *quarState
-	// io are the scan I/O pipeline knobs; rl, when non-nil, drives the serial
-	// path's coalesced/prefetched run reads (parallel workers own their own
-	// loaders). See prefetch.go.
-	io scanIO
-	rl *runLoader
+	io   scanIO
 }
 
-// setupScanIO arms the serial scan I/O pipeline after the executor choice is
-// settled: the parallel pipeline gives each worker its own loader instead,
-// and a scan with no blocks has nothing to coalesce.
-func (c *Cursor) setupScanIO() {
-	if !c.io.coalesce || c.par != nil || len(c.blocks) == 0 || c.rl != nil {
-		return
+// blockResult is what one block turns into: an output batch, a partial
+// aggregate state, an error, or — for a block quarantine recorded and
+// skipped — nothing at all.
+type blockResult struct {
+	batch *vec.Batch
+	agg   *aggState
+	err   error
+}
+
+// blockExec is the per-goroutine half of a scan: the readers, run loader
+// and scratch one goroutine drives a plan's blocks through. Steady-state
+// blocks allocate nothing beyond pooled batches.
+type blockExec struct {
+	plan *scanPlan
+	// readers holds each part's readers as this goroutine uses them: the
+	// plan's own for the serial executor, private clones (made on a part's
+	// first block) for a morsel worker.
+	readers [][]*segment.Reader
+	clone   bool
+	rl      *runLoader // nil: per-block range reads
+	vs      vecScratch
+	as      aggScratch
+}
+
+func newBlockExec(plan *scanPlan, clone bool) *blockExec {
+	x := &blockExec{plan: plan, readers: make([][]*segment.Reader, len(plan.parts)), clone: clone}
+	if plan.io.coalesce {
+		x.rl = newRunLoader(plan.parts, plan.io.prefetch)
 	}
-	rl := newRunLoader(c.parts, c.io.prefetch)
-	rl.setSeq(c.blocks)
-	c.rl = rl
-	if rl.pf != nil {
-		// Like the parallel pipeline: an abandoned cursor must not leave the
-		// prefetch goroutine parked forever. Close still joins it first.
+	return x
+}
+
+// cloneReaders gives a goroutine its own readers over a part's segments.
+func cloneReaders(readers []*segment.Reader) []*segment.Reader {
+	out := make([]*segment.Reader, len(readers))
+	for si, r := range readers {
+		if r != nil {
+			out[si] = r.Clone()
+		}
+	}
+	return out
+}
+
+// run drives one block through the pipeline: fetch, then decode/filter into
+// a batch or fold into aggregate state, with the quarantine policy applied
+// to whatever fails. A quarantined block comes back empty, never as an
+// error.
+func (x *blockExec) run(ref blockRef) blockResult {
+	plan := x.plan
+	p := plan.parts[ref.part]
+	if x.readers[ref.part] == nil {
+		x.readers[ref.part] = p.readers
+		if x.clone {
+			x.readers[ref.part] = cloneReaders(p.readers)
+		}
+	}
+	readers := x.readers[ref.part]
+	load := func() (r blockResult) {
+		if r.err = x.rl.ensure(ref, readers); r.err != nil {
+			return r
+		}
+		if plan.agg != nil {
+			r.agg, r.err = plan.agg.observeBlock(p, readers, ref.block, plan.filter, &x.vs, &x.as)
+		} else {
+			r.batch, r.err = decodeBlockVec(p, readers, ref.block, plan, &x.vs)
+		}
+		return r
+	}
+	r := load()
+	if r.err != nil && plan.quar != nil {
+		if plan.quar.handle(p, ref, r.err, func() error {
+			r = load()
+			return r.err
+		}) {
+			r = blockResult{} // recorded and skipped: no output, no error
+		}
+	}
+	return r
+}
+
+// Cursor iterates rows of a scan (paper §4.1 next). Cursors are not safe
+// for concurrent use (the parallel scanner parallelizes *inside* one
+// cursor; concurrent queries each open their own).
+//
+// A cursor is a sink over the block pipeline: blocks decode into typed
+// column batches (internal/vec), filtered with a compiled predicate over a
+// selection vector, with only the projected columns of surviving rows
+// materialized. NextBatch hands those batches out directly; Next boxes one
+// row at a time out of the current batch. Serial and parallel scans issue
+// the same page reads per block, and the serial path issues them in stored
+// order on the caller's goroutine — the paper-figure page/seek accounting
+// rests on that.
+type Cursor struct {
+	schema *value.Schema // output schema
+	plan   *scanPlan     // nil for a cursor over materialized rows only
+	// exec is the serial executor; par, when non-nil, replaces it with the
+	// ordered morsel pipeline.
+	exec      *blockExec
+	par       *parallelScan
+	cur       int        // next block of plan.blocks (serial path)
+	batch     *vec.Batch // current block's batch
+	batchPos  int
+	exhausted bool
+	// sorted, when non-nil, replaces streaming (materialized order-by, index
+	// scans, and the result rows of an aggregation).
+	sorted    []value.Row
+	sortedPos int
+}
+
+// newCursor starts a plan: the morsel pipeline when parallel is asked for
+// and there is work to share, the inline serial executor otherwise.
+func newCursor(plan *scanPlan, parallel bool, workers int) *Cursor {
+	c := &Cursor{schema: plan.out, plan: plan}
+	if parallel && len(plan.blocks) > 0 {
+		c.par = startParallel(plan, workers)
+		// The workers never reference the cursor: one abandoned without
+		// Close becomes unreachable, and this cancels the pipeline (workers
+		// otherwise block forever on the ticket semaphore once the consumer
+		// stops releasing). Close still joins deterministically.
+		runtime.AddCleanup(c, func(ps *parallelScan) { ps.cancel() }, c.par)
+		return c
+	}
+	c.exec = newBlockExec(plan, false)
+	c.exec.rl.setSeq(plan.blocks)
+	if rl := c.exec.rl; rl != nil && rl.pf != nil {
+		// Likewise an abandoned cursor must not leave the prefetch goroutine
+		// parked forever.
 		runtime.AddCleanup(c, func(pf *prefetcher) { pf.close() }, rl.pf)
 	}
+	return c
 }
 
 // Report returns what a quarantined scan has skipped so far. Complete only
 // after the cursor is exhausted; always empty without ScanOptions.Quarantine.
-func (c *Cursor) Report() ScanReport { return c.quar.report() }
+func (c *Cursor) Report() ScanReport {
+	if c.plan == nil {
+		return ScanReport{}
+	}
+	return c.plan.quar.report()
+}
 
 // Schema returns the cursor's output schema.
 func (c *Cursor) Schema() *value.Schema { return c.schema }
 
-// Close releases cursor resources. Parallel workers are stopped and joined
-// before Close returns, so no goroutine of this cursor still touches the
-// pool or pager afterwards.
+// Close releases cursor resources. Parallel workers and the prefetcher are
+// stopped and joined before Close returns, so no goroutine of this cursor
+// still touches the pool or pager afterwards.
 func (c *Cursor) Close() {
 	if c.par != nil {
 		c.par.shutdown()
 	}
-	if c.rl != nil {
-		c.rl.close()
-		c.rl = nil
+	if c.exec != nil {
+		c.exec.rl.close()
 	}
 	c.exhausted = true
-	c.buf = nil
 	c.sorted = nil
 	batchPool.Put(c.batch)
 	c.batch = nil
@@ -442,18 +529,13 @@ func (c *Cursor) Next() (value.Row, bool, error) {
 		return r, true, nil
 	}
 	for {
-		if c.exhausted {
-			return nil, false, nil
-		}
-		if c.bufPos < len(c.buf) {
-			r := c.buf[c.bufPos]
-			c.bufPos++
-			return r, true, nil
-		}
 		if c.batch != nil && c.batchPos < c.batch.Len() {
 			r := c.batch.Row(c.batchPos)
 			c.batchPos++
 			return r, true, nil
+		}
+		if c.exhausted {
+			return nil, false, nil
 		}
 		if err := c.advance(); err != nil {
 			return nil, false, err
@@ -481,17 +563,6 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 		return b, true, nil
 	}
 	for {
-		if c.exhausted {
-			return nil, false, nil
-		}
-		if c.bufPos < len(c.buf) {
-			b, err := vec.FromRows(c.schema, c.buf[c.bufPos:])
-			c.bufPos = len(c.buf)
-			if err != nil {
-				return nil, false, err
-			}
-			return b, true, nil
-		}
 		if c.batch != nil && c.batchPos < c.batch.Len() {
 			if c.batchPos == 0 {
 				b := c.batch
@@ -510,106 +581,46 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 			}
 			return b, true, nil
 		}
+		if c.exhausted {
+			return nil, false, nil
+		}
 		if err := c.advance(); err != nil {
 			return nil, false, err
 		}
 	}
 }
 
-// advance fetches the next block's rows into c.buf or c.batch, marking the
-// cursor exhausted at the end of the block list (or parallel stream).
-func (c *Cursor) advance() error {
+// nextResult yields the next block's result in stored order: off the
+// ordered morsel pipeline, or by running the block inline on the caller's
+// goroutine. ok=false ends the stream; a result carrying an error ends it
+// too.
+func (c *Cursor) nextResult() (blockResult, bool) {
 	if c.par != nil {
-		res, ok, err := c.par.next()
-		if err != nil {
-			c.exhausted = true
-			return err
-		}
-		if !ok {
-			c.exhausted = true
-			return nil
-		}
-		if res.skipped {
-			return nil // quarantined block: Next's loop re-advances
-		}
-		if res.batch != nil {
-			batchPool.Put(c.batch)
-			c.batch, c.batchPos = res.batch, 0
-		} else {
-			c.buf, c.bufPos = res.rows, 0
-		}
-		return nil
+		return c.par.next()
 	}
-	if c.cur >= len(c.blocks) {
-		c.exhausted = true
-		return nil
+	if c.cur >= len(c.plan.blocks) {
+		return blockResult{}, false
 	}
-	ref := c.blocks[c.cur]
-	if err := c.loadBlock(ref); err != nil {
-		if c.quar == nil {
-			return err
-		}
-		// Quarantine: retry transient errors, then skip the block. The
-		// cursor's buf/batch are already exhausted (advance only runs then),
-		// so leaving them untouched makes Next's loop re-advance past it.
-		if _, qerr := c.quar.handle(c.parts[ref.part], ref, err, func() error {
-			return c.loadBlock(ref)
-		}); qerr != nil {
-			return qerr
-		}
-	}
+	res := c.exec.run(c.plan.blocks[c.cur])
 	c.cur++
-	return nil
+	return res, true
 }
 
-// loadBlock decodes one block, filters, and projects into c.batch
-// (vectorized path) or c.buf (boxed path).
-func (c *Cursor) loadBlock(ref blockRef) error {
-	p := c.parts[ref.part]
-	if err := c.rl.ensure(ref, p.readers); err != nil {
-		return err
+// advance makes the next block's batch current, marking the cursor
+// exhausted at the end of the stream or on an error. A quarantined block
+// leaves the (drained) current batch in place; the callers' loops advance
+// again.
+func (c *Cursor) advance() error {
+	res, ok := c.nextResult()
+	if !ok || res.err != nil {
+		c.exhausted = true
+		return res.err
 	}
-	if c.filter != nil {
-		batch, err := decodeBlockVec(p, p.readers, ref.block, c.decoded, c.schema, c.filter, c.outIdx, c.identity, &c.vs)
-		if err != nil {
-			return err
-		}
+	if res.batch != nil {
 		batchPool.Put(c.batch)
-		c.batch, c.batchPos = batch, 0
-		return nil
+		c.batch, c.batchPos = res.batch, 0
 	}
-	rows, err := c.dec.decodeBlockRows(p, p.readers, ref.block, c.decoded, c.pred, c.outIdx, c.identity)
-	if err != nil {
-		return err
-	}
-	c.buf, c.bufPos = rows, 0
 	return nil
-}
-
-// blockRow returns one row of the just-loaded block by in-block offset. It
-// abstracts over the batch/buf representations for the positional paths
-// (seekRow, fetchPositions), which always run with the true predicate, so
-// offset == stored position within the block.
-func (c *Cursor) blockRow(off int) (value.Row, bool) {
-	if c.batch != nil {
-		if off >= c.batch.Len() {
-			return nil, false
-		}
-		return c.batch.Row(off), true
-	}
-	if off >= len(c.buf) {
-		return nil, false
-	}
-	return c.buf[off], true
-}
-
-// skipTo positions the in-block read offset (after loadBlock).
-func (c *Cursor) skipTo(off int) {
-	if c.batch != nil {
-		c.batchPos = off
-	} else {
-		c.bufPos = off
-	}
 }
 
 // blockRowCount returns the metadata row count of one block of a part —
@@ -618,89 +629,25 @@ func blockRowCount(p *part, block int) int {
 	return p.entries[firstReadSeg(p)].Meta.Blocks[block].Rows
 }
 
-// rowDecoder is the boxed row-at-a-time block decoder. The struct holds
-// per-goroutine scratch (the per-segment column slabs) so steady-state
-// block decodes reuse buffers instead of reallocating them; the serial
-// cursor owns one and each parallel worker owns its own.
-type rowDecoder struct {
-	colsBySeg [][][]value.Value
-}
-
-// decodeBlockRows decodes one block of a part through the given readers
-// (which must belong to the calling goroutine), filters with pred, and
-// projects to the output columns. It is the boxed core of the serial and
-// parallel block paths. The row count comes from block metadata; a decoded
-// column of any other length — including a shorter column from another
-// segment of the part — is an error, never a silent truncation.
-func (d *rowDecoder) decodeBlockRows(p *part, readers []*segment.Reader, block int, decoded *value.Schema, pred algebra.Predicate, outIdx []int, identity bool) ([]value.Row, error) {
-	// Decode needed columns from each needed segment.
-	if cap(d.colsBySeg) < len(p.entries) {
-		d.colsBySeg = make([][][]value.Value, len(p.entries))
-	}
-	colsBySeg := d.colsBySeg[:len(p.entries)]
-	nrows := blockRowCount(p, block)
-	for si, r := range readers {
-		colsBySeg[si] = nil
-		if r == nil {
-			continue
-		}
-		want := segColumns(p, si, decoded)
-		cols, err := r.ReadBlock(block, want)
-		if err != nil {
-			return nil, err
-		}
-		colsBySeg[si] = cols
-		for _, w := range want {
-			if cols[w] != nil && len(cols[w]) != nrows {
-				return nil, fmt.Errorf("table: block %d: segment %d column %d holds %d rows, block metadata says %d",
-					block, si, w, len(cols[w]), nrows)
-			}
-		}
-	}
-	rows := make([]value.Row, 0, nrows)
-	for i := 0; i < nrows; i++ {
-		row := make(value.Row, decoded.Arity())
-		for fi, f := range decoded.Fields {
-			loc := p.fieldSeg[f.Name]
-			row[fi] = colsBySeg[loc[0]][loc[1]][i]
-		}
-		if !pred.IsTrue() && !pred.Eval(decoded, row) {
-			continue
-		}
-		if identity {
-			// The decoded row already is the output row; no second
-			// allocation-and-copy.
-			rows = append(rows, row)
-			continue
-		}
-		out := make(value.Row, len(outIdx))
-		for oi, di := range outIdx {
-			out[oi] = row[di]
-		}
-		rows = append(rows, out)
-	}
-	return rows, nil
-}
-
-// vecScratch is one goroutine's reusable vectorized-decode state: the
-// selection buffer, the per-segment view pointers and the decoded-column
-// marks. The serial cursor owns one and each parallel worker owns its own,
-// so steady-state block decodes allocate nothing beyond pooled batches.
+// vecScratch is one goroutine's reusable decode state: the selection
+// buffer, the per-segment view pointers and the decoded-column marks.
 type vecScratch struct {
 	sel   []int32
 	views []*segment.BlockView
 	done  []bool
 }
 
-// decodeBlockVec is the vectorized block decoder: one range read per
-// segment (same I/O accounting as the boxed path), typed column decode
-// with no per-cell boxing, selection-vector filtering, and late
-// materialization — predicate columns decode first, and when no row
-// survives the remaining columns are never decoded at all. When every row
-// survives, projected columns decode straight into the output batch (and
-// already-decoded predicate columns are swapped in), so the full-selection
-// path copies nothing. The returned batch comes from batchPool.
-func decodeBlockVec(p *part, readers []*segment.Reader, block int, decoded, outSchema *value.Schema, filter *algebra.CompiledPred, outIdx []int, identity bool, vs *vecScratch) (*vec.Batch, error) {
+// decodeBlockVec is the batch-producing block decoder: one range read per
+// segment, typed column decode with no per-cell boxing, selection-vector
+// filtering, and late materialization — predicate columns decode first, and
+// when no row survives the remaining columns are never decoded at all. When
+// every row survives, projected columns decode straight into the output
+// batch (and already-decoded predicate columns are swapped in), so the
+// full-selection path copies nothing. The row count comes from block
+// metadata; a segment whose block holds any other count is an error, never
+// a silent truncation. The returned batch comes from batchPool.
+func decodeBlockVec(p *part, readers []*segment.Reader, block int, plan *scanPlan, vs *vecScratch) (*vec.Batch, error) {
+	decoded, filter, outIdx := plan.decoded, plan.filter, plan.outIdx
 	nrows := blockRowCount(p, block)
 	// Fetch each needed segment's block bytes (views share the readers'
 	// reusable buffers; all decoding below happens before the next block).
@@ -755,10 +702,10 @@ func decodeBlockVec(p *part, readers []*segment.Reader, block int, decoded, outS
 	sel := vs.sel
 	if nsel == 0 {
 		batchPool.Put(dec)
-		return batchPool.Get(outSchema), nil // empty batch: projected columns never decoded
+		return batchPool.Get(plan.out), nil // empty batch: projected columns never decoded
 	}
 	full := nsel == nrows
-	if identity && full {
+	if plan.identity && full {
 		// Full selection, identity projection: decode the rest in place —
 		// the decoded batch is the output batch.
 		for _, di := range outIdx {
@@ -779,7 +726,7 @@ func decodeBlockVec(p *part, readers []*segment.Reader, block int, decoded, outS
 	// Phase 2: projected columns. Full selection decodes (or swaps) into
 	// the output batch directly; a partial selection decodes into the
 	// scratch batch and gathers only the selected rows.
-	out := batchPool.Get(outSchema)
+	out := batchPool.Get(plan.out)
 	fail := func(err error) (*vec.Batch, error) {
 		batchPool.Put(dec)
 		batchPool.Put(out)
@@ -813,21 +760,7 @@ func decodeBlockVec(p *part, readers []*segment.Reader, block int, decoded, outS
 	return out, nil
 }
 
-// blockResult is one decoded block (or its error) flowing through the
-// parallel pipeline: a batch on the vectorized path, boxed rows on the
-// boxed path, a partial aggregate state on the aggregation path.
-type blockResult struct {
-	rows  []value.Row
-	batch *vec.Batch
-	agg   *aggState
-	err   error
-	// skipped marks a quarantined block: the worker recorded it in the
-	// cursor's quarantine state and delivers an empty result so the ordered
-	// merge keeps flowing instead of canceling the pipeline.
-	skipped bool
-}
-
-// parallelScan runs the cursor's block list through a morsel-driven worker
+// parallelScan runs a plan's block list through a morsel-driven worker
 // pool: non-pruned blocks are coalesced into morsels (contiguous
 // row-count-targeted block ranges of one part) on a shared queue that
 // workers claim dynamically — a worker that drew cheap (pruned-thin,
@@ -893,8 +826,9 @@ func recycleResults(res []blockResult) {
 }
 
 // next returns the next block's result in stored order, awaiting morsel
-// promises in queue order and stepping through each morsel's blocks.
-func (ps *parallelScan) next() (blockResult, bool, error) {
+// promises in queue order and stepping through each morsel's blocks. A
+// result carrying an error cancels the pipeline.
+func (ps *parallelScan) next() (blockResult, bool) {
 	for {
 		if ps.have {
 			if ps.bufPos < len(ps.buf) {
@@ -902,9 +836,8 @@ func (ps *parallelScan) next() (blockResult, bool, error) {
 				ps.bufPos++
 				if res.err != nil {
 					ps.cancel()
-					return blockResult{}, false, res.err
 				}
-				return res, true, nil
+				return res, true
 			}
 			ps.have = false
 			ps.buf = nil
@@ -913,7 +846,7 @@ func (ps *parallelScan) next() (blockResult, bool, error) {
 		}
 		if ps.cur >= len(ps.morsels) {
 			ps.cancel()
-			return blockResult{}, false, nil
+			return blockResult{}, false
 		}
 		ps.buf, ps.bufPos, ps.have = <-ps.results[ps.cur], 0, true
 	}
@@ -953,21 +886,18 @@ func buildMorsels(blocks []blockRef, parts []*part, workers int) [][]blockRef {
 	return morsels
 }
 
-// startParallel switches the cursor to the parallel executor: workers
-// claim morsels (block ranges) off a shared queue, fetch/decode/filter (or
-// aggregate) them concurrently, and an ordered merge preserves stored
-// order. Each worker clones the part readers, so no reader state is
-// shared. Workers are capped at the morsel count — a small table or a
-// heavily zone-pruned scan spawns only as many goroutines as there is work
-// to claim, instead of idle workers contending on the merge.
-func (c *Cursor) startParallel(workers int) {
+// startParallel launches the morsel pipeline over a plan with at least one
+// block: workers claim morsels off a shared queue, run their blocks through
+// a blockExec of their own (cloned readers, own run loader and scratch),
+// and an ordered merge preserves stored order. Workers are capped at the
+// morsel count — a small table or a heavily zone-pruned scan spawns only as
+// many goroutines as there is work to claim, instead of idle workers
+// contending on the merge.
+func startParallel(plan *scanPlan, workers int) *parallelScan {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(c.blocks) == 0 || c.par != nil {
-		return
-	}
-	morsels := buildMorsels(c.blocks, c.parts, workers)
+	morsels := buildMorsels(plan.blocks, plan.parts, workers)
 	if workers > len(morsels) {
 		workers = len(morsels)
 	}
@@ -981,151 +911,76 @@ func (c *Cursor) startParallel(workers int) {
 		ps.results[i] = make(chan []blockResult, 1)
 	}
 	ps.wg.Add(workers)
-	// The goroutines capture copied fields, never the cursor itself: a
-	// cursor abandoned without Close must become unreachable so the cleanup
-	// below can cancel the pipeline (workers otherwise block forever on the
-	// ticket semaphore once the consumer stops releasing). Close still
-	// joins deterministically.
-	parts := c.parts
-	decoded, pred, outIdx := c.decoded, c.pred, c.outIdx
-	outSchema, filter, identity := c.schema, c.filter, c.identity
-	quar, agg, io := c.quar, c.agg, c.io
-	runtime.AddCleanup(c, func(ps *parallelScan) { ps.cancel() }, ps)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer ps.wg.Done()
-			// Per-worker scratch: cloned readers, decode scratch and the
-			// aggregation scratch are reused across this worker's morsels;
-			// batches come from the shared pool (the consumer recycles them).
-			cloned := make([][]*segment.Reader, len(parts))
-			var dec rowDecoder
-			var vs vecScratch
-			var as aggScratch
-			var rl *runLoader
-			if io.coalesce {
-				rl = newRunLoader(parts, io.prefetch)
-				defer rl.close()
-			}
-			for {
-				// Acquire a run-ahead ticket, then claim the next morsel.
-				select {
-				case ps.tickets <- struct{}{}:
-				case <-ps.done:
-					return
-				}
-				mi := int(ps.claim.Add(1)) - 1
-				if mi >= len(ps.morsels) {
-					return // queue drained; ticket is moot, nothing waits on it
-				}
-				res := make([]blockResult, 0, len(ps.morsels[mi]))
-				if rl != nil {
-					rl.setSeq(ps.morsels[mi])
-				}
-				for _, ref := range ps.morsels[mi] {
-					select {
-					case <-ps.done:
-						// Canceled mid-morsel: the results decoded so far
-						// will never reach the consumer — recycle them.
-						recycleResults(res)
-						return
-					default:
-					}
-					p := parts[ref.part]
-					if cloned[ref.part] == nil {
-						rs := make([]*segment.Reader, len(p.readers))
-						for si, r := range p.readers {
-							if r != nil {
-								rs[si] = r.Clone()
-							}
-						}
-						cloned[ref.part] = rs
-					}
-					load := func() blockResult {
-						var r blockResult
-						if r.err = rl.ensure(ref, cloned[ref.part]); r.err != nil {
-							return r
-						}
-						switch {
-						case agg != nil:
-							r.agg, r.err = agg.observeBlock(p, cloned[ref.part], ref.block, filter, &vs, &dec, &as)
-						case filter != nil:
-							r.batch, r.err = decodeBlockVec(p, cloned[ref.part], ref.block, decoded, outSchema, filter, outIdx, identity, &vs)
-						default:
-							r.rows, r.err = dec.decodeBlockRows(p, cloned[ref.part], ref.block, decoded, pred, outIdx, identity)
-						}
-						return r
-					}
-					r := load()
-					if r.err != nil && quar != nil {
-						// Quarantine in the worker: retry transient errors,
-						// then record the skip and deliver an empty result so
-						// next() does not cancel the pipeline.
-						skipped, qerr := quar.handle(p, ref, r.err, func() error {
-							r = load()
-							return r.err
-						})
-						if skipped {
-							r = blockResult{skipped: true}
-						} else if qerr != nil {
-							r = blockResult{err: qerr}
-						}
-					}
-					res = append(res, r)
-					if r.err != nil {
-						break // the consumer cancels on this; skip the rest
-					}
-				}
-				ps.results[mi] <- res // buffered(1): never blocks
-			}
-		}()
+		go ps.work(newBlockExec(plan, true))
 	}
-	c.par = ps
+	return ps
 }
 
-// segColumns lists the column indexes of segment si needed for the decoded
-// schema.
-func segColumns(p *part, si int, decoded *value.Schema) []int {
-	var out []int
-	for _, f := range decoded.Fields {
-		loc, ok := p.fieldSeg[f.Name]
-		if ok && loc[0] == si {
-			out = append(out, loc[1])
+// work is one morsel worker: claim, run the morsel's blocks, fulfill its
+// promise, until the queue drains or the scan is canceled.
+func (ps *parallelScan) work(x *blockExec) {
+	defer ps.wg.Done()
+	defer x.rl.close()
+	for {
+		// Acquire a run-ahead ticket, then claim the next morsel.
+		select {
+		case ps.tickets <- struct{}{}:
+		case <-ps.done:
+			return
 		}
+		mi := int(ps.claim.Add(1)) - 1
+		if mi >= len(ps.morsels) {
+			return // queue drained; ticket is moot, nothing waits on it
+		}
+		res := make([]blockResult, 0, len(ps.morsels[mi]))
+		x.rl.setSeq(ps.morsels[mi])
+		for _, ref := range ps.morsels[mi] {
+			select {
+			case <-ps.done:
+				// Canceled mid-morsel: the results decoded so far will
+				// never reach the consumer — recycle them.
+				recycleResults(res)
+				return
+			default:
+			}
+			r := x.run(ref)
+			res = append(res, r)
+			if r.err != nil {
+				break // the consumer cancels on this; skip the rest
+			}
+		}
+		ps.results[mi] <- res // buffered(1): never blocks
 	}
-	return out
 }
 
 // seekRow positions the cursor at global stored position pos.
 func (c *Cursor) seekRow(pos int64) error {
-	if !c.pred.IsTrue() {
+	if !c.plan.filter.Empty() {
 		return fmt.Errorf("table: seekRow with predicate unsupported")
 	}
 	var before int64
-	for bi, ref := range c.blocks {
-		bm := c.parts[ref.part].entries[firstReadSeg(c.parts[ref.part])].Meta.Blocks[ref.block]
-		if before+int64(bm.Rows) > pos {
+	for bi, ref := range c.plan.blocks {
+		rows := int64(blockRowCount(c.plan.parts[ref.part], ref.block))
+		if before+rows > pos {
 			c.cur = bi
-			if err := c.loadBlock(ref); err != nil {
+			if err := c.advance(); err != nil {
 				return err
 			}
-			c.cur++
-			c.skipTo(int(pos - before))
+			c.batchPos = int(pos - before)
 			return nil
 		}
-		before += int64(bm.Rows)
+		before += rows
 	}
 	return fmt.Errorf("table: position %d out of range [0,%d)", pos, before)
 }
 
 // seekCell positions the cursor at the first block of the given grid cell.
 func (c *Cursor) seekCell(cell uint64) error {
-	for bi, ref := range c.blocks {
-		bm := c.parts[ref.part].entries[firstReadSeg(c.parts[ref.part])].Meta.Blocks[ref.block]
-		if bm.Cell == cell {
+	for bi, ref := range c.plan.blocks {
+		p := c.plan.parts[ref.part]
+		if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
 			c.cur = bi
-			c.buf, c.bufPos = nil, 0
-			batchPool.Put(c.batch)
-			c.batch, c.batchPos = nil, 0
 			return nil
 		}
 	}
@@ -1177,22 +1032,31 @@ func boundsOf(tab *catalog.Table) []transforms.GridBounds {
 	return out
 }
 
-// storedScanOpts are the internal knobs of scanStoredOpts: raw bypasses
-// pruning (reorganization reads everything back), noZone disables zone-map
-// pruning only, noVec selects the boxed row-at-a-time executor.
+// storedScanOpts are the internal knobs of planScan: raw bypasses pruning
+// (reorganization reads everything back), noZone disables zone-map pruning
+// only, agg compiles an aggregation into the plan.
 type storedScanOpts struct {
-	raw, noZone, noVec, quarantine bool
-	io                             scanIO
+	raw, noZone, quarantine bool
+	io                      scanIO
+	agg                     *AggSpec
 }
 
-// scanStored builds a cursor over the stored representation. fields nil
-// selects all stored fields. When raw is true the scan bypasses pruning
-// (used by reorganization to read everything back).
+// scanStored opens a serial cursor over the stored representation, for the
+// engine's own reads (positional access, index builds and fetches, fold
+// read-back). fields nil selects all stored fields. When raw is true the
+// scan bypasses pruning.
 func (e *Engine) scanStored(tab *catalog.Table, fields []string, pred algebra.Predicate, raw bool) (*Cursor, error) {
-	return e.scanStoredOpts(tab, fields, pred, storedScanOpts{raw: raw})
+	plan, err := e.planScan(tab, fields, pred, storedScanOpts{raw: raw})
+	if err != nil {
+		return nil, err
+	}
+	return newCursor(plan, false, 0), nil
 }
 
-func (e *Engine) scanStoredOpts(tab *catalog.Table, fields []string, pred algebra.Predicate, so storedScanOpts) (*Cursor, error) {
+// planScan is the planner stage: it resolves the projection and predicate
+// against the stored schema, opens the parts, prunes blocks, and compiles
+// the filter (and aggregation, if any).
+func (e *Engine) planScan(tab *catalog.Table, fields []string, pred algebra.Predicate, so storedScanOpts) (*scanPlan, error) {
 	stored, err := storedSchema(tab)
 	if err != nil {
 		return nil, err
@@ -1276,28 +1140,29 @@ func (e *Engine) scanStoredOpts(tab *catalog.Table, fields []string, pred algebr
 			break
 		}
 	}
-	var filter *algebra.CompiledPred
-	if !so.noVec {
-		filter, err = algebra.CompilePred(pred, decoded)
-		if err != nil {
-			return nil, err
-		}
+	filter, err := algebra.CompilePred(pred, decoded)
+	if err != nil {
+		return nil, err
 	}
-	c := &Cursor{
-		schema:   outSchema,
+	plan := &scanPlan{
+		out:      outSchema,
 		decoded:  decoded,
 		outIdx:   outIdx,
 		identity: identity,
-		pred:     pred,
 		filter:   filter,
 		parts:    parts,
 		blocks:   blocks,
 		io:       so.io,
 	}
-	if so.quarantine {
-		c.quar = newQuarState()
+	if so.agg != nil {
+		if plan.agg, err = buildAggExec(so.agg, decoded); err != nil {
+			return nil, err
+		}
 	}
-	return c, nil
+	if so.quarantine {
+		plan.quar = newQuarState()
+	}
+	return plan, nil
 }
 
 // buildPart opens readers for the segments of one part that hold decoded
@@ -1328,9 +1193,6 @@ func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *valu
 			return nil, err
 		}
 		p.readers[si] = r
-		if entry.Meta.Rows > p.rows {
-			p.rows = entry.Meta.Rows
-		}
 	}
 	if firstReadSeg(p) >= len(p.readers) || p.readers[firstReadSeg(p)] == nil {
 		return nil, fmt.Errorf("table: no readable segment in part")

@@ -86,11 +86,12 @@ func vecProj(r *rand.Rand) []string {
 	}
 }
 
-// TestVectorizedScanDifferential is the differential property test of the
-// vectorized executor: across layouts, codecs, projections, predicates,
-// tails, zone pruning and parallelism, every execution strategy must return
-// rows identical to the boxed serial oracle, via Next and via NextBatch.
-func TestVectorizedScanDifferential(t *testing.T) {
+// TestScanDifferential is the differential property test of the block
+// pipeline: across layouts, codecs, projections, predicates, tails and zone
+// pruning, every remaining executor variant (serial/morsel × plain/coalesce/
+// prefetch × quarantine) must return exactly the boxed oracle's rows,
+// whether drained with Next, with NextBatch, or with the two interleaved.
+func TestScanDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	rows := vecRows(r, 3000)
 	for _, layoutExpr := range vecLayouts {
@@ -108,134 +109,75 @@ func TestVectorizedScanDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < 12; trial++ {
-				pred := vecPred(r)
-				fields := vecProj(r)
-				noZone := r.Intn(2) == 0
-				base := ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone}
-
-				oracleOpts := base
-				oracleOpts.NoVectorize = true
-				oracle, err := e.Scan("T", oracleOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := drain(t, oracle)
-				oracle.Close()
-
-				variants := []struct {
-					name  string
-					opts  ScanOptions
-					batch bool
-				}{
-					{"vec-serial-next", base, false},
-					{"vec-serial-batch", base, true},
-					{"vec-coalesce", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Coalesce: true}, false},
-					{"vec-prefetch", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Prefetch: true}, true},
-					{"boxed-coalesce", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Coalesce: true, NoVectorize: true}, false},
-					{"boxed-prefetch", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Prefetch: true, NoVectorize: true}, false},
-					{"vec-parallel-prefetch", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Parallel: true, Workers: 4, Prefetch: true}, true},
-					{"vec-parallel-next", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Parallel: true, Workers: 4}, false},
-					{"vec-parallel-batch", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Parallel: true, Workers: 4}, true},
-					{"boxed-parallel", ScanOptions{Fields: fields, Pred: pred, NoZonePrune: noZone, Parallel: true, Workers: 4, NoVectorize: true}, false},
-				}
-				for _, v := range variants {
+				base := ScanOptions{Fields: vecProj(r), Pred: vecPred(r), NoZonePrune: r.Intn(2) == 0}
+				want := oracleScan(t, e, "T", base)
+				for vi, v := range scanVariants(base) {
 					cur, err := e.Scan("T", v.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var got []value.Row
-					if v.batch {
-						for {
-							b, ok, err := cur.NextBatch()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !ok {
-								break
-							}
-							for i := 0; i < b.Len(); i++ {
-								got = append(got, b.Row(i))
-							}
-						}
-					} else {
+					drainMode := []string{"next", "batch", "mixed"}[(trial+vi)%3]
+					switch drainMode {
+					case "next":
 						got = drain(t, cur)
+					case "batch":
+						got = drainBatches(t, cur)
+					default:
+						got = drainMixed(t, cur, int64(trial))
+					}
+					if q := cur.Report().Skipped; len(q) != 0 {
+						t.Fatalf("clean data quarantined extents: %v", q)
 					}
 					cur.Close()
-					if len(got) != len(want) {
-						t.Fatalf("trial %d %s pred=%q fields=%v noZone=%v: %d rows, oracle %d",
-							trial, v.name, pred, fields, noZone, len(got), len(want))
-					}
-					for i := range want {
-						for c := range want[i] {
-							if !value.Equal(got[i][c], want[i][c]) {
-								t.Fatalf("trial %d %s pred=%q row %d col %d: %v != %v",
-									trial, v.name, pred, i, c, got[i][c], want[i][c])
-							}
-						}
-					}
+					requireRows(t, fmt.Sprintf("trial %d %s/%s pred=%q fields=%v noZone=%v",
+						trial, v.name, drainMode, base.Pred, base.Fields, base.NoZonePrune), got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestVectorizedScanMixedNextAndBatch drains a cursor alternating Next and
-// NextBatch and checks nothing is lost or duplicated at the seams.
-func TestVectorizedScanMixedNextAndBatch(t *testing.T) {
+// TestInterleavedNextAndNextBatch drains one cursor alternating Next and
+// NextBatch under every executor variant, over several interleavings: the
+// seams (a batch handed out whole, a batch Next has eaten into, a
+// quarantine-free empty block) must lose and duplicate nothing.
+func TestInterleavedNextAndNextBatch(t *testing.T) {
 	e, _, _ := newEngine(t)
 	if err := e.Create("T", vecSchema(), "chunk[64](rows(T))"); err != nil {
 		t.Fatal(err)
 	}
 	rows := vecRows(rand.New(rand.NewSource(5)), 1000)
-	if err := e.Load("T", rows); err != nil {
+	if err := e.Load("T", rows[:800]); err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := e.Scan("T", ScanOptions{})
-	if err != nil {
+	if err := e.Insert("T", rows[800:]); err != nil {
 		t.Fatal(err)
 	}
-	want := drain(t, oracle)
-	oracle.Close()
-
-	cur, err := e.Scan("T", ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	r := rand.New(rand.NewSource(6))
-	var got []value.Row
-	for {
-		if r.Intn(2) == 0 {
-			row, ok, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
+	for _, base := range []ScanOptions{
+		{},
+		{Fields: []string{"s", "t"}, Pred: algebra.True.And("x", algebra.OpLt, value.NewFloat(30))},
+	} {
+		want := oracleScan(t, e, "T", base)
+		for _, v := range scanVariants(base) {
+			for seed := int64(1); seed <= 4; seed++ {
+				cur, err := e.Scan("T", v.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainMixed(t, cur, seed)
+				cur.Close()
+				requireRows(t, fmt.Sprintf("%s seed %d pred=%q", v.name, seed, base.Pred), got, want)
 			}
-			if !ok {
-				break
-			}
-			got = append(got, row)
-			continue
 		}
-		b, ok, err := cur.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			got = append(got, b.Row(i))
-		}
-	}
-	if !rowsEqual(got, want) {
-		t.Fatalf("mixed iteration diverged: %d vs %d rows", len(got), len(want))
 	}
 }
 
-// TestVectorizedScanPagesIdentical checks the executor does not change I/O
-// accounting: vectorized and boxed serial scans read the same pages and
-// seeks — the invariant the paper-figure experiments stand on.
-func TestVectorizedScanPagesIdentical(t *testing.T) {
+// TestScanPagesMatchOracle checks the pipeline does not change I/O
+// accounting: a serial scan reads the same pages in the same seek pattern
+// as the boxed oracle's block-at-a-time ReadBlock loop — the invariant the
+// paper-figure experiments stand on.
+func TestScanPagesMatchOracle(t *testing.T) {
 	e, f, _ := newEngine(t)
 	if err := e.Create("T", vecSchema(), "chunk[64](zorder(grid[x,y; 8,8](rows(T))))"); err != nil {
 		t.Fatal(err)
@@ -243,27 +185,25 @@ func TestVectorizedScanPagesIdentical(t *testing.T) {
 	if err := e.Load("T", vecRows(rand.New(rand.NewSource(9)), 4000)); err != nil {
 		t.Fatal(err)
 	}
-	pred := algebra.True.
+	opts := ScanOptions{Fields: []string{"x", "y"}, Pred: algebra.True.
 		And("x", algebra.OpGe, value.NewFloat(20)).
-		And("x", algebra.OpLt, value.NewFloat(40))
-	measure := func(noVec bool) (uint64, uint64) {
-		f.ResetStats()
-		cur, err := e.Scan("T", ScanOptions{Fields: []string{"x", "y"}, Pred: pred, NoVectorize: noVec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drain(t, cur)
-		cur.Close()
-		s := f.Stats()
-		return s.PageReads, s.Seeks
+		And("x", algebra.OpLt, value.NewFloat(40))}
+	f.ResetStats()
+	oracleScan(t, e, "T", opts)
+	oracle := f.Stats()
+	f.ResetStats()
+	cur, err := e.Scan("T", opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	boxedPages, boxedSeeks := measure(true)
-	vecPages, vecSeeks := measure(false)
-	if boxedPages != vecPages || boxedSeeks != vecSeeks {
-		t.Fatalf("I/O accounting diverged: boxed %d pages/%d seeks, vectorized %d/%d",
-			boxedPages, boxedSeeks, vecPages, vecSeeks)
+	drain(t, cur)
+	cur.Close()
+	got := f.Stats()
+	if oracle.PageReads != got.PageReads || oracle.Seeks != got.Seeks {
+		t.Fatalf("I/O accounting diverged: oracle %d pages/%d seeks, scan %d/%d",
+			oracle.PageReads, oracle.Seeks, got.PageReads, got.Seeks)
 	}
-	if boxedPages == 0 {
+	if got.PageReads == 0 {
 		t.Fatal("measurement read no pages")
 	}
 }

@@ -124,9 +124,10 @@ func TestScanCoalescedReadAtCount(t *testing.T) {
 }
 
 // TestScanCoalescedQuarantineSubRange corrupts one page mid-extent and
-// checks the coalesced and prefetched quarantine scans skip exactly the rows
-// the per-block quarantine scan skips: the failed read retries only the
-// damaged tail, never discarding blocks whose bytes already read cleanly.
+// checks every quarantine variant (serial/morsel × plain/coalesce/prefetch)
+// returns exactly the rows the boxed oracle can decode and reports the same
+// skipped rows as the per-block scan: a failed coalesced read retries only
+// the damaged tail, never discarding blocks whose bytes already read cleanly.
 func TestScanCoalescedQuarantineSubRange(t *testing.T) {
 	e, f, fs := newFaultEngine(t)
 	nblocks := loadScanIOTable(t, e, 4096)
@@ -141,38 +142,31 @@ func TestScanCoalescedQuarantineSubRange(t *testing.T) {
 	pg := int64(meta.ExtentStart) + int64(bm.Off)/payload
 	fs.Corrupt("db.rdnt", pg*1024+4+int64(bm.Off)%payload, 8)
 
-	scanRows := func(opts ScanOptions) ([]value.Row, ScanReport) {
-		opts.Quarantine = true
-		cur, err := e.Scan("T", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		return drain(t, cur), cur.Report()
-	}
-	want, wantRep := scanRows(ScanOptions{})
+	// The boxed oracle skips exactly the blocks it cannot decode.
+	want := oracleScan(t, e, "T", ScanOptions{Quarantine: true})
 	if len(want) == 4096 || len(want) == 0 {
 		t.Fatalf("corruption not exercised: oracle returned %d rows", len(want))
 	}
-	for _, opts := range []ScanOptions{
-		{Coalesce: true},
-		{Prefetch: true},
-		{Prefetch: true, NoVectorize: true},
-		{Prefetch: true, Parallel: true, Workers: 3},
-	} {
-		got, rep := scanRows(opts)
-		if len(got) != len(want) {
-			t.Fatalf("opts %+v: %d rows, per-block quarantine oracle %d", opts, len(got), len(want))
+	var wantRep ScanReport
+	for vi, v := range scanVariants(ScanOptions{}) {
+		if !v.opts.Quarantine {
+			continue
 		}
-		for i := range want {
-			for c := range want[i] {
-				if !value.Equal(got[i][c], want[i][c]) {
-					t.Fatalf("opts %+v: row %d col %d: %v != %v", opts, i, c, got[i][c], want[i][c])
-				}
+		cur, err := e.Scan("T", v.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep := drain(t, cur), cur.Report()
+		cur.Close()
+		requireRows(t, v.name, got, want)
+		if vi == 1 { // serial-plain-quarantine: the per-block report the rest must match
+			wantRep = rep
+			if len(rep.Skipped) == 0 {
+				t.Fatal("per-block quarantine scan reported nothing skipped")
 			}
 		}
-		if len(rep.Skipped) != len(wantRep.Skipped) {
-			t.Fatalf("opts %+v: quarantined %d extents, oracle %d", opts, len(rep.Skipped), len(wantRep.Skipped))
+		if len(rep.Skipped) != len(wantRep.Skipped) || rep.Skipped[0].Rows != wantRep.Skipped[0].Rows {
+			t.Fatalf("%s: quarantined %+v, per-block scan %+v", v.name, rep.Skipped, wantRep.Skipped)
 		}
 	}
 	if n := prefetchInFlight.Load(); n != 0 {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
@@ -451,7 +450,6 @@ func TestConcurrentDurableInsertsWithCheckpoints(t *testing.T) {
 	e, f, log, mgr := durableEnv(t, path)
 	defer func() { log.Close(); f.Close() }()
 	mgr.CheckpointBytes = 8 << 10 // tiny: checkpoints fire throughout the run
-	mgr.LockTimeout = 30 * time.Second
 	if err := e.Create("Traces", tracesSchema(), "rows(Traces)"); err != nil {
 		t.Fatal(err)
 	}

@@ -424,10 +424,6 @@ func (g *GroupTable) hashRow(cols []*Vector, i int) uint64 {
 	return h
 }
 
-// HashKeyCell hashes one key cell the way GroupTable does — exported so the
-// boxed aggregation oracle groups under identical hashing rules.
-func HashKeyCell(col *Vector, i int) uint64 { return hashCell(col, i) }
-
 func hashCell(col *Vector, i int) uint64 {
 	if col.Nulls.Get(i) {
 		return 0x9e3779b97f4a7c15

@@ -1,8 +1,12 @@
 package rodentstore_test
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rodentstore"
@@ -497,5 +501,101 @@ func TestIndexAPI(t *testing.T) {
 	}
 	if err := db.DropIndex("Traces", "t"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolCoherentAcrossFoldAndReuse is the regression test for stale
+// buffer-pool frames: a fold frees extents, a later insert reuses the pages
+// through the pager, and a pool that missed the rewrite keeps serving the old
+// frames ("compress: bad block header", "block holds 0 rows, metadata says
+// 256"). A small pool over a leveled table takes durable inserts with
+// background folds while readers scan acknowledged ranges. Every scan asks
+// for an order the layout does not store, so it is materialized under the
+// table's shared lock and cannot race a fold for its extents — whatever it
+// reads wrong, it read from the pool.
+func TestPoolCoherentAcrossFoldAndReuse(t *testing.T) {
+	db := newDB(t, &rodentstore.Options{CachePages: 48, DurableInserts: true, AutoMergeTails: 2})
+	if err := db.CreateTable("Obs", tracesFields(), "leveled[2](chunk[64](orderby[t](Obs)))"); err != nil {
+		t.Fatal(err)
+	}
+	const batch, batches = 64, 160
+	latOf := func(ts int64) float64 { return 42 + float64(ts%1000)/1000 }
+	var acked atomic.Int64 // every row with t < acked is acknowledged
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				hi := acked.Load()
+				if hi == 0 {
+					continue
+				}
+				lo := rng.Int63n(hi)
+				if hi > lo+4*batch {
+					hi = lo + 4*batch
+				}
+				cur, err := db.Scan("Obs", rodentstore.Query{
+					Where:   fmt.Sprintf("t >= %d and t < %d", lo, hi),
+					OrderBy: "lat",
+				})
+				if err != nil {
+					t.Errorf("scan [%d,%d): %v", lo, hi, err)
+					return
+				}
+				rows, err := cur.All()
+				if err != nil {
+					t.Errorf("scan [%d,%d): %v", lo, hi, err)
+					return
+				}
+				if int64(len(rows)) != hi-lo {
+					t.Errorf("scan [%d,%d): %d rows", lo, hi, len(rows))
+					return
+				}
+				for _, row := range rows {
+					if ts := row[0].Int(); ts < lo || ts >= hi || row[1].Float() != latOf(ts) {
+						t.Errorf("scan [%d,%d): bad row %v", lo, hi, row)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for b := int64(0); b < batches; b++ {
+		rows := make([]rodentstore.Row, batch)
+		for i := range rows {
+			ts := b*batch + int64(i)
+			rows[i] = rodentstore.Row{
+				rodentstore.IntValue(ts), rodentstore.FloatValue(latOf(ts)),
+				rodentstore.FloatValue(-71), rodentstore.StringValue("car-1"),
+			}
+		}
+		if err := db.Insert("Obs", rows); err != nil {
+			t.Fatal(err)
+		}
+		acked.Store((b + 1) * batch)
+	}
+	close(done)
+	wg.Wait()
+	if err := db.WaitMerges(); err != nil {
+		t.Fatalf("background merge: %v", err)
+	}
+	if n, _ := db.RowCount("Obs"); n != batch*batches {
+		t.Fatalf("row count %d, want %d", n, batch*batches)
+	}
+	cur, err := db.Scan("Obs", rodentstore.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := cur.All()
+	if err != nil || len(rows) != batch*batches {
+		t.Fatalf("final scan: %d rows, err %v", len(rows), err)
 	}
 }
