@@ -200,6 +200,31 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 			}
 		}
 	case termBytes:
+		if ne := v.Entries(); len(v.Codes) != 0 && ne <= len(sel) {
+			// Dictionary form: compare each entry once, then select rows by
+			// code. The verdicts are a bitset on the stack for any
+			// dictionary a 4,096-row block can carry (the compiled predicate
+			// is shared by every worker, so it holds no scratch).
+			var stack [64]uint64
+			pass := stack[:]
+			if words := (ne + 63) / 64; words > len(pass) {
+				pass = make([]uint64, words)
+			}
+			for e := 0; e < ne; e++ {
+				if opOK(t.op, bytes.Compare(v.Entry(e), t.b)) {
+					pass[e>>6] |= 1 << (e & 63)
+				}
+			}
+			for _, i := range sel {
+				if nulls && v.IsNull(int(i)) {
+					continue
+				}
+				if c := v.Codes[i]; pass[c>>6]&(1<<(c&63)) != 0 {
+					out = append(out, i)
+				}
+			}
+			break
+		}
 		for _, i := range sel {
 			if nulls && v.IsNull(int(i)) {
 				continue

@@ -3,6 +3,7 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rodentstore/internal/value"
@@ -89,23 +90,51 @@ func TestCompiledPredMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel := cp.Filter(batch, vec.FillSel(nil, nrows))
 		var want []int32
 		for i, row := range rows {
 			if pred.Eval(schema, row) {
 				want = append(want, int32(i))
 			}
 		}
-		if len(sel) != len(want) {
-			t.Fatalf("trial %d: pred %q over %s: vec selected %d rows, boxed %d\nvec=%v\nboxed=%v",
-				trial, pred, schema, len(sel), len(want), sel, want)
-		}
-		for i := range want {
-			if sel[i] != want[i] {
-				t.Fatalf("trial %d: pred %q: selection diverges at %d: %v vs %v", trial, pred, i, sel, want)
+		// The same rows again with every Str/Bytes column in dictionary
+		// form: comparisons there run per entry and select by code.
+		for _, form := range []string{"flat", "dictionary"} {
+			if form == "dictionary" {
+				for c := range batch.Cols {
+					dictify(&batch.Cols[c])
+				}
+			}
+			sel := cp.Filter(batch, vec.FillSel(nil, nrows))
+			if !slices.Equal(sel, want) {
+				t.Fatalf("trial %d (%s form): pred %q over %s:\nvec=%v\nboxed=%v", trial, form, pred, schema, sel, want)
 			}
 		}
 	}
+}
+
+// dictify rewrites a flat Str/Bytes column into dictionary form over its
+// distinct values (null rows take the code of their zero-length bytes).
+func dictify(v *vec.Vector) {
+	if k := v.Kind(); k != value.Str && k != value.Bytes || v.Len() == 0 {
+		return
+	}
+	var data []byte
+	offs := []uint64{0}
+	codes := make([]uint32, v.Len())
+	index := map[string]uint32{}
+	for i := range codes {
+		s := string(v.BytesAt(i))
+		c, ok := index[s]
+		if !ok {
+			c = uint32(len(index))
+			index[s] = c
+			data = append(data, s...)
+			offs = append(offs, uint64(len(data)))
+		}
+		codes[i] = c
+	}
+	v.Data, v.Offs, v.Codes = data, offs, codes
+	v.SyncLen()
 }
 
 // TestCompiledPredTermOrder checks cheap terms run first regardless of the

@@ -298,16 +298,10 @@ func (Dict) Encode(dst []byte, k value.Kind, vals []value.Value) ([]byte, error)
 
 // Decode implements Codec.
 func (Dict) Decode(src []byte, k value.Kind) ([]value.Value, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
-		return nil, fmt.Errorf("compress: bad dict header")
+	n, nd, off, err := dictHeader(src)
+	if err != nil {
+		return nil, err
 	}
-	off := sz
-	nd, sz2 := binary.Uvarint(src[off:])
-	if sz2 <= 0 {
-		return nil, fmt.Errorf("compress: bad dict size")
-	}
-	off += sz2
 	dict := make([]value.Value, 0, nd)
 	for i := uint64(0); i < nd; i++ {
 		v, used, err := value.DecodeValue(src[off:], k)

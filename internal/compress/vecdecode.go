@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"rodentstore/internal/value"
 	"rodentstore/internal/vec"
@@ -35,10 +36,11 @@ type BoolDecoder interface {
 	DecodeBools(src []byte, dst []int64) ([]int64, error)
 }
 
-// BytesDecoder is the typed fast path for Str and Bytes columns: values are
-// appended to the vector's byte arena without string allocation.
+// BytesDecoder is the typed fast path for Str and Bytes columns: values go
+// into the vector's byte arena without string allocation.
 type BytesDecoder interface {
-	// DecodeBytesVec appends the chunk's values to dst.
+	// DecodeBytesVec decodes the chunk's values into dst, which holds no
+	// rows yet (a codec may leave it in dictionary form).
 	DecodeBytesVec(src []byte, dst *vec.Vector) error
 }
 
@@ -104,6 +106,13 @@ func chunkHeader(src []byte) (n uint64, off int, err error) {
 	return n, off, nil
 }
 
+// extend grows dst by n elements in one step and returns it with the new
+// tail, which a decoder that has validated n fills by index.
+func extend[T any](dst []T, n int) (all, tail []T) {
+	all = slices.Grow(dst, n)[:len(dst)+n]
+	return all, all[len(dst):]
+}
+
 // --- None ---
 
 // DecodeInt64s implements Int64Decoder.
@@ -115,9 +124,9 @@ func (None) DecodeInt64s(src []byte, dst []int64) ([]int64, error) {
 	if uint64(len(src)-off)/8 < n {
 		return nil, fmt.Errorf("compress: short int block")
 	}
-	for i := uint64(0); i < n; i++ {
-		dst = append(dst, int64(binary.LittleEndian.Uint64(src[off:])))
-		off += 8
+	dst, out := extend(dst, int(n))
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(src[off+8*i:]))
 	}
 	return dst, nil
 }
@@ -131,9 +140,9 @@ func (None) DecodeFloat64s(src []byte, dst []float64) ([]float64, error) {
 	if uint64(len(src)-off)/8 < n {
 		return nil, fmt.Errorf("compress: short float block")
 	}
-	for i := uint64(0); i < n; i++ {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(src[off:])))
-		off += 8
+	dst, out := extend(dst, int(n))
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[off+8*i:]))
 	}
 	return dst, nil
 }
@@ -178,55 +187,66 @@ func (None) DecodeBytesVec(src []byte, dst *vec.Vector) error {
 
 // --- Delta ---
 
-// deltaWords decodes the delta-of-delta stream into raw uint64 words.
-func deltaWords(src []byte, emit func(uint64)) error {
+// deltaDecode appends the chunk's delta-of-delta stream to dst: the first
+// word raw, the second as a first difference, the rest as second
+// differences, all in wrapping uint64 arithmetic. Words become int64s as
+// they are and float64s by their IEEE-754 bit pattern.
+func deltaDecode[T int64 | float64](src []byte, dst []T) ([]T, error) {
 	n, off, err := chunkHeader(src)
 	if err != nil {
-		return fmt.Errorf("compress: bad delta header")
+		return nil, fmt.Errorf("compress: bad delta header")
 	}
-	var prev, prevDelta uint64
-	for i := uint64(0); i < n; i++ {
-		var cur uint64
-		switch i {
-		case 0:
-			if len(src[off:]) < 8 {
-				return fmt.Errorf("compress: short delta block")
+	if n == 0 {
+		return dst, nil
+	}
+	// The first word takes eight bytes and every later one at least one.
+	if len(src)-off < 8 || uint64(len(src)-off-8) < n-1 {
+		return nil, fmt.Errorf("compress: short delta block")
+	}
+	var zero T
+	_, isFloat := any(zero).(float64)
+	dst, out := extend(dst, int(n))
+	cur := binary.LittleEndian.Uint64(src[off:])
+	off += 8
+	var delta uint64
+	for i := range out {
+		if i > 0 {
+			// Regular series have one-byte second differences: decode
+			// that case in line, everything else through binary.Varint.
+			var dd int64
+			if off < len(src) && src[off] < 0x80 {
+				dd = int64(src[off]>>1) ^ -int64(src[off]&1)
+				off++
+			} else {
+				var used int
+				dd, used = binary.Varint(src[off:])
+				if used <= 0 {
+					return nil, fmt.Errorf("compress: bad delta varint")
+				}
+				off += used
 			}
-			cur = binary.LittleEndian.Uint64(src[off:])
-			off += 8
-		case 1:
-			d, used := binary.Varint(src[off:])
-			if used <= 0 {
-				return fmt.Errorf("compress: bad delta varint")
-			}
-			off += used
-			prevDelta = uint64(d)
-			cur = prev + prevDelta
-		default:
-			dd, used := binary.Varint(src[off:])
-			if used <= 0 {
-				return fmt.Errorf("compress: bad delta varint")
-			}
-			off += used
-			prevDelta += uint64(dd)
-			cur = prev + prevDelta
+			delta += uint64(dd) // at i == 1 the stored value is the delta itself
+			cur += delta
 		}
-		prev = cur
-		emit(cur)
+		// Only the branch matching T runs; the other converts numerically
+		// and exists so both instantiations compile.
+		if isFloat {
+			out[i] = T(math.Float64frombits(cur))
+		} else {
+			out[i] = T(int64(cur))
+		}
 	}
-	return nil
+	return dst, nil
 }
 
 // DecodeInt64s implements Int64Decoder.
 func (Delta) DecodeInt64s(src []byte, dst []int64) ([]int64, error) {
-	err := deltaWords(src, func(u uint64) { dst = append(dst, int64(u)) })
-	return dst, err
+	return deltaDecode(src, dst)
 }
 
 // DecodeFloat64s implements Float64Decoder.
 func (Delta) DecodeFloat64s(src []byte, dst []float64) ([]float64, error) {
-	err := deltaWords(src, func(u uint64) { dst = append(dst, math.Float64frombits(u)) })
-	return dst, err
+	return deltaDecode(src, dst)
 }
 
 // --- RLE ---
@@ -328,7 +348,10 @@ func (RLE) DecodeBytesVec(src []byte, dst *vec.Vector) error {
 
 // --- Dict ---
 
-// dictHeader parses counts and returns the offset of the dictionary values.
+// dictHeader parses the row and dictionary counts and returns the offset of
+// the dictionary values. A dictionary entry and a code take at least one
+// byte each, so counts the rest of the chunk cannot hold are rejected here,
+// before any decoder sizes an allocation from them.
 func dictHeader(src []byte) (n, nd uint64, off int, err error) {
 	n, off, err = chunkHeader(src)
 	if err != nil {
@@ -338,7 +361,11 @@ func dictHeader(src []byte) (n, nd uint64, off int, err error) {
 	if sz <= 0 {
 		return 0, 0, 0, fmt.Errorf("compress: bad dict size")
 	}
-	return n, nd, off + sz, nil
+	off += sz
+	if rest := uint64(len(src) - off); nd > rest || n > rest-nd {
+		return 0, 0, 0, fmt.Errorf("compress: short dict block")
+	}
+	return n, nd, off, nil
 }
 
 // DecodeInt64s implements Int64Decoder.
@@ -389,30 +416,52 @@ func dictGather[T any](src []byte, n uint64, dict []T, dst []T) ([]T, error) {
 	return dst, nil
 }
 
-// DecodeBytesVec implements BytesDecoder.
+// DecodeBytesVec implements BytesDecoder. The vector comes out in
+// dictionary form — the chunk's nd entries copied into the arena once and n
+// codes — so nothing downstream pays per row for what the encoder already
+// found out per distinct value.
 func (Dict) DecodeBytesVec(src []byte, dst *vec.Vector) error {
 	n, nd, off, err := dictHeader(src)
 	if err != nil {
 		return err
 	}
-	dict := make([][]byte, nd)
-	for i := range dict {
+	dst.Data = dst.Data[:0]
+	dst.Offs = append(dst.Offs[:0], 0)
+	for e := uint64(0); e < nd; e++ {
 		l, sz := binary.Uvarint(src[off:])
 		if sz <= 0 || uint64(len(src)-off-sz) < l {
 			return fmt.Errorf("compress: short dict block")
 		}
 		off += sz
-		dict[i] = src[off : off+int(l)]
+		dst.Data = append(dst.Data, src[off:off+int(l)]...)
+		dst.Offs = append(dst.Offs, uint64(len(dst.Data)))
 		off += int(l)
 	}
-	for i := uint64(0); i < n; i++ {
-		idx, used := binary.Uvarint(src[off:])
-		if used <= 0 || idx >= uint64(len(dict)) {
+	all, codes := extend(dst.Codes[:0], int(n))
+	for i := range codes {
+		var idx uint64
+		if off < len(src) && src[off] < 0x80 {
+			idx = uint64(src[off])
+			off++
+		} else {
+			var used int
+			idx, used = binary.Uvarint(src[off:])
+			if used <= 0 {
+				return fmt.Errorf("compress: bad dict index")
+			}
+			off += used
+		}
+		if idx >= nd {
 			return fmt.Errorf("compress: bad dict index")
 		}
-		off += used
-		dst.AppendBytes(dict[idx])
+		codes[i] = uint32(idx)
 	}
+	dst.Codes = all
+	if n == 0 {
+		// No rows: an empty column, not a dictionary nobody names.
+		dst.Data, dst.Offs = dst.Data[:0], dst.Offs[:0]
+	}
+	dst.SyncLen()
 	return nil
 }
 

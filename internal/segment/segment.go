@@ -355,9 +355,9 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 			}
 			out = append(out, page[lo:hi]...)
 			if p == last {
-				buf := make([]byte, len(page))
-				copy(buf, page)
-				r.lastPage, r.lastBuf = id, buf
+				// lastBuf is the reader's own on this path (ReadPage never
+				// runs over a leasing source), so it is reused per block.
+				r.lastPage, r.lastBuf = id, append(r.lastBuf[:0], page...)
 			}
 			if err := release(); err != nil {
 				return nil, err

@@ -240,9 +240,7 @@ type aggAcc struct {
 
 // grow extends the accumulators to n groups (zero-valued).
 func (a *aggAcc) grow(it *aggItemExec, n int) {
-	for len(a.count) < n {
-		a.count = append(a.count, 0)
-	}
+	a.count = zeroExtend(a.count, n)
 	if it.expr == nil {
 		return
 	}
@@ -250,27 +248,25 @@ func (a *aggAcc) grow(it *aggItemExec, n int) {
 	switch it.fn {
 	case AggSum, AggAvg:
 		if isFloat {
-			for len(a.sumF) < n {
-				a.sumF = append(a.sumF, 0)
-			}
+			a.sumF = zeroExtend(a.sumF, n)
 		} else {
-			for len(a.sumI) < n {
-				a.sumI = append(a.sumI, 0)
-			}
+			a.sumI = zeroExtend(a.sumI, n)
 		}
 	case AggMin, AggMax:
 		if isFloat {
-			for len(a.minF) < n {
-				a.minF = append(a.minF, 0)
-				a.maxF = append(a.maxF, 0)
-			}
+			a.minF, a.maxF = zeroExtend(a.minF, n), zeroExtend(a.maxF, n)
 		} else {
-			for len(a.minI) < n {
-				a.minI = append(a.minI, 0)
-				a.maxI = append(a.maxI, 0)
-			}
+			a.minI, a.maxI = zeroExtend(a.minI, n), zeroExtend(a.maxI, n)
 		}
 	}
+}
+
+// zeroExtend lengthens s to n elements with zeros, in one step.
+func zeroExtend[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // aggState is one aggregation state: a per-block partial or the final fold.

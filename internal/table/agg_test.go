@@ -26,6 +26,7 @@ func aggSchema() *value.Schema {
 		value.Field{Name: "s", Type: value.Str},
 		value.Field{Name: "b", Type: value.Bool},
 		value.Field{Name: "big", Type: value.Int},
+		value.Field{Name: "k", Type: value.Bytes},
 	)
 }
 
@@ -53,6 +54,7 @@ func aggRows(r *rand.Rand, n int) []value.Row {
 			value.NewString(fmt.Sprintf("g%d", r.Intn(4))),
 			value.NewBool(r.Intn(2) == 0),
 			big,
+			value.NewBytes([]byte{'k', byte(r.Intn(6))}),
 		}
 	}
 	return rows
@@ -84,6 +86,9 @@ func aggSpecs() []AggSpec {
 		mk([]string{"a"}, "count", "min(t)", "max(t)"), // null group key
 		mk([]string{"s", "b"}, "count", "sum(t)"),
 		mk([]string{"x"}, "count", "max(y)"), // float keys: NaN, -0, nulls
+		mk([]string{"k"}, "count", "sum(x)"),
+		mk([]string{"s", "a"}, "count", "avg(y)"), // dict column with an Int column
+		mk([]string{"k", "s"}, "count", "max(t)"), // two dict columns
 	}
 }
 
@@ -242,10 +247,14 @@ func TestAggregateDifferential(t *testing.T) {
 		algebra.True.And("t", algebra.OpLt, value.NewInt(1500)),
 		algebra.True.And("t", algebra.OpLt, value.NewInt(-1)), // empty selection
 		algebra.True.And("x", algebra.OpGe, value.NewFloat(0)),
+		// String predicates: per entry and by code on the dict layouts.
+		algebra.True.And("s", algebra.OpGe, value.NewString("g2")).And("k", algebra.OpLt, value.NewBytes([]byte{'k', 4})),
+		algebra.True.And("s", algebra.OpEq, value.NewString("g1x")), // in no dictionary
 	}
 	layouts := []string{
 		"chunk[64](rows(T))",
 		"chunk[64](dict[s](rle[a](delta[t](cols(T)))))",
+		"chunk[64](dict[s,k](cols(T)))",
 		"chunk[64](orderby[s](rows(T)))",
 		"chunk[64](zorder(grid[t,big; 8,8](rows(T))))", // grid dims must be non-null
 	}

@@ -20,6 +20,7 @@ func vecSchema() *value.Schema {
 		value.Field{Name: "y", Type: value.Float},
 		value.Field{Name: "s", Type: value.Str},
 		value.Field{Name: "b", Type: value.Bool},
+		value.Field{Name: "k", Type: value.Bytes},
 	)
 }
 
@@ -33,6 +34,7 @@ func vecRows(r *rand.Rand, n int) []value.Row {
 			value.NewFloat(r.Float64() * 100),
 			value.NewString(fmt.Sprintf("s%d", r.Intn(5))),
 			value.NewBool(r.Intn(2) == 0),
+			value.NewBytes([]byte{'k', byte(r.Intn(9))}),
 		}
 	}
 	return rows
@@ -49,6 +51,23 @@ var vecLayouts = []string{
 	"chunk[64](delta[x,y](zorder(grid[x,y; 8,8](rows(T)))))",
 	"chunk[64](dict[s](rle[a](delta[t](cols(T)))))",
 	"chunk[64](bitpack[a](rows(T)))",
+	// Dictionary-form vectors, Str and Bytes, column- and row-major.
+	"chunk[64](dict[s,k](cols(T)))",
+	"chunk[64](dict[k](dict[s](orderby[t](rows(T)))))",
+}
+
+// dictPreds are the string comparisons every layout answers besides the
+// random ones; on the dict layouts they run once per dictionary entry and
+// select by code. "s2x" and {'k', 200} are in no dictionary.
+var dictPreds = []algebra.Predicate{
+	algebra.True.And("s", algebra.OpEq, value.NewString("s3")),
+	algebra.True.And("s", algebra.OpLt, value.NewString("s2")),
+	algebra.True.And("s", algebra.OpGe, value.NewString("s2x")),
+	algebra.True.And("s", algebra.OpEq, value.NewString("s2x")),
+	algebra.True.And("k", algebra.OpEq, value.NewBytes([]byte{'k', 4})),
+	algebra.True.And("k", algebra.OpLt, value.NewBytes([]byte{'k', 200})),
+	algebra.True.And("k", algebra.OpGe, value.NewBytes([]byte{'k', 7})).And("s", algebra.OpNe, value.NewString("s0")),
+	algebra.True.And("x", algebra.OpLt, value.NewFloat(2)).And("k", algebra.OpGt, value.NewBytes([]byte{'k', 1})),
 }
 
 // vecPreds samples the predicate space (conjunctions over every kind).
@@ -57,7 +76,7 @@ func vecPred(r *rand.Rand) algebra.Predicate {
 	p := algebra.True
 	for n := r.Intn(3); n >= 0; n-- {
 		op := ops[r.Intn(len(ops))]
-		switch r.Intn(5) {
+		switch r.Intn(6) {
 		case 0:
 			p = p.And("t", op, value.NewInt(int64(r.Intn(3000))))
 		case 1:
@@ -66,6 +85,8 @@ func vecPred(r *rand.Rand) algebra.Predicate {
 			p = p.And("x", op, value.NewFloat(r.Float64()*100))
 		case 3:
 			p = p.And("s", op, value.NewString(fmt.Sprintf("s%d", r.Intn(5))))
+		case 4:
+			p = p.And("k", op, value.NewBytes([]byte{'k', byte(r.Intn(10))}))
 		default:
 			p = p.And("b", op, value.NewBool(r.Intn(2) == 0))
 		}
@@ -74,13 +95,15 @@ func vecPred(r *rand.Rand) algebra.Predicate {
 }
 
 func vecProj(r *rand.Rand) []string {
-	switch r.Intn(4) {
+	switch r.Intn(5) {
 	case 0:
 		return nil // all fields
 	case 1:
 		return []string{"x", "y"}
 	case 2:
 		return []string{"s", "t"}
+	case 3:
+		return []string{"k", "s", "x"}
 	default:
 		return []string{"a"}
 	}
@@ -108,8 +131,11 @@ func TestScanDifferential(t *testing.T) {
 			if err := e.Insert("T", rows[2500:]); err != nil {
 				t.Fatal(err)
 			}
-			for trial := 0; trial < 12; trial++ {
+			for trial := 0; trial < 12+len(dictPreds); trial++ {
 				base := ScanOptions{Fields: vecProj(r), Pred: vecPred(r), NoZonePrune: r.Intn(2) == 0}
+				if trial >= 12 {
+					base.Pred = dictPreds[trial-12]
+				}
 				want := oracleScan(t, e, "T", base)
 				for vi, v := range scanVariants(base) {
 					cur, err := e.Scan("T", v.opts)

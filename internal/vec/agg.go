@@ -18,6 +18,7 @@ package vec
 import (
 	"bytes"
 	"math"
+	"slices"
 
 	"rodentstore/internal/value"
 )
@@ -340,12 +341,23 @@ func CountNonNullGroups(n int, nulls *Bitmap, sel []int32, gids []int32, counts 
 // null equals null, strings/bytes compare by content.
 type GroupTable struct {
 	keys *Batch
-	idx  map[uint64][]int32
+	// slots is the open-addressed index over the groups: a slot holds a
+	// group id + 1 (0 = empty), probed linearly from the tuple hash, at most
+	// half full. hashes[g] is group g's tuple hash: the first equality test
+	// of a probe and what growing the index re-inserts.
+	slots  []int32
+	hashes []uint64
+	// Scratch of one GroupIDs call over dictionary-form key columns:
+	// entryGID[e] is the group of the single key column's entry e (-1 until
+	// a row names it), entryHash[c][e] the cell hash of key column c's
+	// entry e (empty when column c is hashed row by row).
+	entryGID  []int32
+	entryHash [][]uint64
 }
 
 // NewGroupTable creates a table for key tuples of the given schema.
 func NewGroupTable(keySchema *value.Schema) *GroupTable {
-	return &GroupTable{keys: NewBatch(keySchema), idx: make(map[uint64][]int32)}
+	return &GroupTable{keys: NewBatch(keySchema), slots: make([]int32, 64)}
 }
 
 // Len returns the number of distinct groups seen.
@@ -369,7 +381,30 @@ func (g *GroupTable) KeyCols() []*Vector {
 // GroupIDs assigns a group id to each selected row of the key columns
 // (cols parallel to the key schema, each of length n), creating groups on
 // first sight, and appends the dense ids to gids (reused; pass gids[:0]).
+//
+// A dictionary-form key column is resolved per entry, not per row: a single
+// key column looks each entry up once and then assigns rows by code; with
+// several key columns each entry's bytes are hashed once.
 func (g *GroupTable) GroupIDs(cols []*Vector, sel []int32, n int, gids []int32) []int32 {
+	rows := n
+	if sel != nil {
+		rows = len(sel)
+	}
+	gids = slices.Grow(gids, rows)
+	byCode := len(cols) == 1 && len(cols[0].Codes) != 0 && cols[0].Entries() <= rows
+	g.entryHash = slices.Grow(g.entryHash[:0], len(cols))[:len(cols)]
+	for c, col := range cols {
+		eh := g.entryHash[c][:0]
+		if !byCode && len(col.Codes) != 0 && col.Entries() <= rows {
+			for e := range col.Entries() {
+				eh = append(eh, hashBytes(col.Entry(e)))
+			}
+		}
+		g.entryHash[c] = eh
+	}
+	if byCode {
+		return g.groupIDsByCode(cols, sel, n, gids)
+	}
 	if sel == nil {
 		for i := 0; i < n; i++ {
 			gids = append(gids, g.groupID(cols, i))
@@ -382,12 +417,54 @@ func (g *GroupTable) GroupIDs(cols []*Vector, sel []int32, n int, gids []int32) 
 	return gids
 }
 
+// groupIDsByCode is GroupIDs over one dictionary-form key column: an entry
+// is looked up when the first selected row names it — so groups appear in
+// the same first-seen order as row-by-row assignment, and entries no
+// selected row names create no group — and every later row naming it costs
+// one load. Null rows name no entry and take the row-by-row lookup.
+func (g *GroupTable) groupIDsByCode(cols []*Vector, sel []int32, n int, gids []int32) []int32 {
+	col := cols[0]
+	byEntry := g.entryGID[:0]
+	for range col.Entries() {
+		byEntry = append(byEntry, -1)
+	}
+	g.entryGID = byEntry
+	codes, nulls := col.Codes, col.Nulls.Any()
+	if sel == nil {
+		for i, c := range codes[:n] {
+			id := byEntry[c]
+			if nulls && col.Nulls.Get(i) {
+				id = g.groupID(cols, i)
+			} else if id < 0 {
+				id = g.groupID(cols, i)
+				byEntry[c] = id
+			}
+			gids = append(gids, id)
+		}
+		return gids
+	}
+	for _, i := range sel {
+		c := codes[i]
+		id := byEntry[c]
+		if nulls && col.Nulls.Get(int(i)) {
+			id = g.groupID(cols, int(i))
+		} else if id < 0 {
+			id = g.groupID(cols, int(i))
+			byEntry[c] = id
+		}
+		gids = append(gids, id)
+	}
+	return gids
+}
+
 // groupID finds or inserts the key tuple at row i.
 func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 	h := g.hashRow(cols, i)
-	for _, cand := range g.idx[h] {
-		if g.equalRow(cols, i, int(cand)) {
-			return cand
+	mask := uint64(len(g.slots) - 1)
+	p := h & mask
+	for ; g.slots[p] != 0; p = (p + 1) & mask {
+		if id := g.slots[p] - 1; g.hashes[id] == h && g.equalRow(cols, i, int(id)) {
+			return id
 		}
 	}
 	id := int32(g.keys.Len())
@@ -410,7 +487,19 @@ func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 		}
 	}
 	g.keys.n++
-	g.idx[h] = append(g.idx[h], id)
+	g.hashes = append(g.hashes, h)
+	g.slots[p] = id + 1
+	if 2*len(g.hashes) > len(g.slots) {
+		g.slots = make([]int32, 2*len(g.slots))
+		mask = uint64(len(g.slots) - 1)
+		for id, h := range g.hashes {
+			p := h & mask
+			for g.slots[p] != 0 {
+				p = (p + 1) & mask
+			}
+			g.slots[p] = int32(id) + 1
+		}
+	}
 	return id
 }
 
@@ -418,13 +507,15 @@ func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 // equality rules: float -0 and NaN are canonicalized, nulls hash to a tag.
 func (g *GroupTable) hashRow(cols []*Vector, i int) uint64 {
 	var h uint64 = 14695981039346656037 // FNV-64 offset basis
-	for _, col := range cols {
-		h = mix64(h, hashCell(col, i))
+	for c, col := range cols {
+		h = mix64(h, hashCell(col, i, g.entryHash[c]))
 	}
 	return h
 }
 
-func hashCell(col *Vector, i int) uint64 {
+// hashCell hashes row i of col; entryHash, when non-empty, holds the hashes
+// of a dictionary-form column's entries.
+func hashCell(col *Vector, i int, entryHash []uint64) uint64 {
 	if col.Nulls.Get(i) {
 		return 0x9e3779b97f4a7c15
 	}
@@ -434,6 +525,9 @@ func hashCell(col *Vector, i int) uint64 {
 	case value.Float:
 		return splitmix64(CanonicalFloatBits(col.Float64s[i]))
 	case value.Bytes:
+		if len(entryHash) != 0 {
+			return entryHash[col.Codes[i]]
+		}
 		return hashBytes(col.BytesAt(i))
 	default:
 		return col.Boxed[i].Hash()

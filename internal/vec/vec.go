@@ -15,6 +15,7 @@
 package vec
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -65,10 +66,14 @@ func (b *Bitmap) Any() bool { return b.set > 0 }
 //
 //	Int, Bool   -> Int64s (Bool stored 0/1)
 //	Float       -> Float64s
-//	Str, Bytes  -> Data arena + Offs (n+1 offsets)
+//	Str, Bytes  -> Data arena + Offs, one arena entry per row (flat form),
+//	               or one entry per distinct value + Codes (dictionary form)
 //	List, other -> Boxed (value.Value fallback)
 //
 // Null rows carry the representation's zero value and a set bit in Nulls.
+// Read Str/Bytes rows through BytesAt, which hides the form; a dict[...]
+// column stays in dictionary form from decode through filter, gather,
+// group-by and boxing, and Append* onto it materializes the flat form.
 // The typed slices are exported so codec fast paths can decode into them
 // directly; call SyncLen afterwards to restore the row count invariant.
 type Vector struct {
@@ -78,14 +83,24 @@ type Vector struct {
 	Int64s []int64
 	// Float64s holds Float columns.
 	Float64s []float64
-	// Data and Offs hold Str and Bytes columns: row i is
-	// Data[Offs[i]:Offs[i+1]]. Offs has n+1 entries (Offs[0] == 0).
+	// Data and Offs hold the arena of Str and Bytes columns: entry e is
+	// Data[Offs[e]:Offs[e+1]], and Offs has one more element than there are
+	// entries (Offs[0] == 0). With Codes empty, row i is entry i.
 	Data []byte
 	Offs []uint64
+	// Codes, when non-empty, puts the column in dictionary form: row i is
+	// entry Codes[i]. Every code indexes one of the len(Offs)-1 entries
+	// (a null row's code is any of them) and Len() == len(Codes).
+	Codes []uint32
 	// Boxed holds kinds without a native representation (List).
 	Boxed []value.Value
 	// Nulls marks null rows.
 	Nulls Bitmap
+
+	// memo caches each dictionary entry's boxed value, so Value allocates
+	// once per entry rather than once per row; the Null zero value marks an
+	// entry not boxed yet.
+	memo []value.Value
 
 	n int
 }
@@ -97,7 +112,9 @@ func (v *Vector) Reset(k value.Kind) {
 	v.Float64s = v.Float64s[:0]
 	v.Data = v.Data[:0]
 	v.Offs = v.Offs[:0]
+	v.Codes = v.Codes[:0]
 	v.Boxed = v.Boxed[:0]
+	v.memo = v.memo[:0]
 	v.Nulls.Reset()
 	v.n = 0
 }
@@ -134,10 +151,10 @@ func (v *Vector) SyncLen() {
 	case value.Float:
 		v.n = len(v.Float64s)
 	case value.Bytes:
-		if len(v.Offs) == 0 {
-			v.n = 0
+		if len(v.Codes) != 0 {
+			v.n = len(v.Codes)
 		} else {
-			v.n = len(v.Offs) - 1
+			v.n = v.Entries()
 		}
 	default:
 		v.n = len(v.Boxed)
@@ -158,6 +175,7 @@ func (v *Vector) AppendFloat64(x float64) {
 
 // AppendBytes appends one Str/Bytes row, copying b into the arena.
 func (v *Vector) AppendBytes(b []byte) {
+	v.materialize()
 	if len(v.Offs) == 0 {
 		v.Offs = append(v.Offs, 0)
 	}
@@ -167,7 +185,44 @@ func (v *Vector) AppendBytes(b []byte) {
 }
 
 // BytesAt returns the arena slice of row i (aliasing the arena).
-func (v *Vector) BytesAt(i int) []byte { return v.Data[v.Offs[i]:v.Offs[i+1]] }
+func (v *Vector) BytesAt(i int) []byte {
+	if len(v.Codes) != 0 {
+		i = int(v.Codes[i])
+	}
+	return v.Data[v.Offs[i]:v.Offs[i+1]]
+}
+
+// Entries returns the number of arena entries of a Str/Bytes column: the
+// dictionary size in dictionary form, the row count in flat form.
+func (v *Vector) Entries() int {
+	if len(v.Offs) == 0 {
+		return 0
+	}
+	return len(v.Offs) - 1
+}
+
+// Entry returns arena entry e (aliasing the arena). Kernels over a
+// dictionary-form column evaluate once per entry and then go by Codes.
+func (v *Vector) Entry(e int) []byte { return v.Data[v.Offs[e]:v.Offs[e+1]] }
+
+// materialize rewrites a dictionary-form column into the flat form in
+// place; appending rows needs it, since a new row's bytes may be no entry
+// of the dictionary.
+func (v *Vector) materialize() {
+	if len(v.Codes) == 0 {
+		return
+	}
+	data := make([]byte, 0, len(v.Data))
+	offs := make([]uint64, 1, len(v.Codes)+1)
+	for i, c := range v.Codes {
+		if !v.Nulls.Get(i) {
+			data = append(data, v.Entry(int(c))...)
+		}
+		offs = append(offs, uint64(len(data)))
+	}
+	v.Data, v.Offs, v.Codes = data, offs, v.Codes[:0]
+	v.memo = v.memo[:0]
+}
 
 // AppendNull appends a null row (representation zero value + null bit).
 func (v *Vector) AppendNull() {
@@ -177,6 +232,7 @@ func (v *Vector) AppendNull() {
 	case value.Float:
 		v.Float64s = append(v.Float64s, 0)
 	case value.Bytes:
+		v.materialize()
 		if len(v.Offs) == 0 {
 			v.Offs = append(v.Offs, 0)
 		}
@@ -228,6 +284,9 @@ func (v *Vector) AppendValue(val value.Value) error {
 }
 
 // Value boxes row i back into a value.Value (the late-materialization step).
+// On a dictionary-form column each entry is boxed once and the rows naming
+// it share that value — as the boxed Dict decoder's rows always have — which
+// makes Value a write to the vector there: box one batch from one goroutine.
 func (v *Vector) Value(i int) value.Value {
 	if v.Nulls.Get(i) {
 		return value.NullValue()
@@ -241,16 +300,28 @@ func (v *Vector) Value(i int) value.Value {
 	case value.Float:
 		return value.NewFloat(v.Float64s[i])
 	case value.Bytes:
-		b := v.BytesAt(i)
-		if v.kind == value.Str {
-			return value.NewString(string(b))
+		if len(v.Codes) == 0 {
+			return v.boxBytes(v.Entry(i))
 		}
-		out := make([]byte, len(b))
-		copy(out, b)
-		return value.NewBytes(out)
+		c := v.Codes[i]
+		if len(v.memo) == 0 {
+			v.memo = append(v.memo, make([]value.Value, v.Entries())...)
+		}
+		if v.memo[c].IsNull() {
+			v.memo[c] = v.boxBytes(v.Entry(int(c)))
+		}
+		return v.memo[c]
 	default:
 		return v.Boxed[i]
 	}
+}
+
+// boxBytes boxes one arena slice as the column's kind, copying it.
+func (v *Vector) boxBytes(b []byte) value.Value {
+	if v.kind == value.Str {
+		return value.NewString(string(b))
+	}
+	return value.NewBytes(bytes.Clone(b))
 }
 
 // AppendSel gathers the selected rows of src onto v (the gather step of
@@ -266,6 +337,19 @@ func (v *Vector) AppendSel(src *Vector, sel []int32) {
 			v.Float64s = append(v.Float64s, src.Float64s[i])
 		}
 	case value.Bytes:
+		if v.n == 0 && len(src.Codes) != 0 && len(sel) >= src.Entries() {
+			// The gather of a dictionary-form column into an empty one keeps
+			// the form: the dictionary is copied once and rows are gathered
+			// as codes. A selection smaller than the dictionary would copy
+			// entries no row names, so it takes the flat gather below.
+			v.Data = append(v.Data[:0], src.Data...)
+			v.Offs = append(v.Offs[:0], src.Offs...)
+			for _, i := range sel {
+				v.Codes = append(v.Codes, src.Codes[i])
+			}
+			break
+		}
+		v.materialize()
 		if len(v.Offs) == 0 {
 			v.Offs = append(v.Offs, 0)
 		}
