@@ -26,11 +26,11 @@ import (
 	"rodentstore/internal/bench"
 )
 
-var allExperiments = []string{"fig2", "curve", "cells", "pagesize", "codecs", "fold", "dsm", "advisor", "reorg", "throughput", "ingest", "agg", "scanio", "compact"}
+var allExperiments = []string{"fig2", "curve", "cells", "pagesize", "codecs", "fold", "dsm", "advisor", "reorg", "throughput", "ingest", "agg", "compact"}
 
 func main() {
 	var (
-		exp      = flag.String("exp", "fig2", "experiment: fig2|curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|throughput|ingest|agg|scanio|compact|all")
+		exp      = flag.String("exp", "fig2", "experiment: fig2|curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|throughput|ingest|agg|compact|all")
 		n        = flag.Int("n", 1_000_000, "number of observations (paper: 10000000)")
 		queries  = flag.Int("queries", 200, "number of window queries (paper: 200)")
 		area     = flag.Float64("area", 0.01, "query area fraction (paper: 0.01)")
@@ -78,8 +78,6 @@ func main() {
 			return bench.IngestThroughput(cfg)
 		case "agg":
 			return bench.AggThroughput(cfg)
-		case "scanio":
-			return bench.ScanIO(cfg)
 		case "compact":
 			return bench.SustainedCompaction(cfg)
 		default:
@@ -165,8 +163,6 @@ func title(cfg bench.Config, name string) string {
 		return "Ext-10: concurrent ingest throughput (group-commit WAL, staged inserts, background merge)"
 	case "agg":
 		return "Ext-13: aggregation throughput (serial block pipeline vs morsel scheduler)"
-	case "scanio":
-		return "Ext-14: scan I/O pipeline (coalesced run reads + async prefetch + scan-resistant admission)"
 	case "compact":
 		return "Ext-15: sustained ingest under leveled compaction (incremental folds vs full rewrites)"
 	}
@@ -191,8 +187,6 @@ func print(name string, data any) error {
 		return printIngest(data.([]bench.IngestResult))
 	case "agg":
 		return printAgg(data.([]bench.AggResult))
-	case "scanio":
-		return printScanIO(data.(*bench.ScanIOReport))
 	case "compact":
 		return printCompact(data.([]bench.CompactResult))
 	}
@@ -206,34 +200,6 @@ func printCompact(results []bench.CompactResult) error {
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.0f\t%.0f\t%d\t%.2f\t%.2f\n",
 			r.Name, r.Policy, r.Stage, r.TableRows, r.InsertRowsPerSec, r.ScanRowsPerSec,
 			r.Merges, float64(r.MergeBytes)/(1<<20), float64(r.BytesPerMerge)/(1<<20))
-	}
-	return w.Flush()
-}
-
-func printScanIO(rep *bench.ScanIOReport) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "table pages\t%d\tpool frames\t%d\tdevice\t%.0fus + %dMB/s per ReadAt\n",
-		rep.TablePages, rep.PoolFrames, rep.DevLatencyUs, rep.DevMBps)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\tpipeline\trows\tms\trows/sec\tReadAt ops\tMB read\tspeedup\top reduction\tbypassed\tadmitted")
-	for _, r := range rep.ColdScan {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.1f\t%.0f\t%d\t%.1f\t%.2fx\t%.1fx\t%d\t%d\n",
-			r.Name, r.Pipeline, r.Rows, r.Ms, r.RowsPerSec, r.ReadOps,
-			float64(r.ReadBytes)/(1<<20), r.Speedup, r.OpReduction,
-			r.Pool.Bypassed, r.Pool.Admitted)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\tpipeline\tlookups\thits\tmisses\thit rate\tbaseline\tbypassed\tadmitted")
-	for _, m := range rep.Mixed {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t%d\t%d\n",
-			m.Name, m.Pipeline, m.Lookups, m.LookupHits, m.LookupMisses,
-			m.HitRate*100, m.BaselineHitRate*100, m.Bypassed, m.Admitted)
 	}
 	return w.Flush()
 }

@@ -112,16 +112,6 @@ type Query struct {
 	// default — an unreadable extent fails the scan with a typed corruption
 	// error.
 	Quarantine bool
-	// Coalesce fetches runs of physically adjacent blocks with one large
-	// positional read instead of one read per page, and routes the run
-	// through the buffer pool's scan-resistant bypass lane (scan pages are
-	// not cached unless re-referenced). Results are identical; only the
-	// I/O pattern changes. Off by default.
-	Coalesce bool
-	// Prefetch additionally overlaps I/O with decode: the next run is
-	// fetched in the background while the current one is consumed. Implies
-	// Coalesce. Off by default.
-	Prefetch bool
 	// Aggregate turns the scan into an aggregation: the cursor yields one
 	// row per group (one row total without GroupBy) instead of matching
 	// rows, computed with the vectorized kernels — no input row is ever
@@ -149,8 +139,6 @@ func (q Query) toOptions() (table.ScanOptions, error) {
 	opts.Parallel = q.Parallel
 	opts.Workers = q.Workers
 	opts.Quarantine = q.Quarantine
-	opts.Coalesce = q.Coalesce
-	opts.Prefetch = q.Prefetch
 	if strings.TrimSpace(q.Where) != "" {
 		pred, err := algebra.ParsePredicate(q.Where)
 		if err != nil {

@@ -32,17 +32,12 @@ import (
 // shard is pinned; scan paths degrade to uncached reads instead of failing.
 var errShardPinned = errors.New("all frames in shard pinned")
 
-// Stats counts pool activity, aggregated over all shards. Bypassed and
-// Admitted account the scan-resistant lane (see scanread.go): pages a
-// coalesced scan read pulled around the CLOCK ring, and pages that ghost
-// re-reference promoted into it.
+// Stats counts pool activity, aggregated over all shards.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 	Flushes   uint64
-	Bypassed  uint64
-	Admitted  uint64
 }
 
 type frame struct {
@@ -76,17 +71,6 @@ type shard struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	flushes   atomic.Uint64
-	bypassed  atomic.Uint64
-	admitted  atomic.Uint64
-
-	// Ghost ring of the scan-resistant admission lane (see scanread.go): the
-	// page IDs of recent single-touch scan reads, sized like the frame array.
-	// A scan page found here on its next touch is deemed re-referenced and
-	// admitted to the CLOCK ring. Guarded by mu; allocated on first use so
-	// pools that never see coalesced scans pay nothing.
-	ghost    []pager.PageID
-	ghostIdx map[pager.PageID]bool
-	ghostPos int
 }
 
 // Pool is a fixed-capacity page cache. All methods are safe for concurrent
@@ -140,11 +124,10 @@ func NewPool(file *pager.File, capacity int) (*Pool, error) {
 	return p, nil
 }
 
-// discard forgets pages [start, start+n): their frames and ghost-ring
-// entries describe bytes the pager has since rewritten or freed. It is the
-// one seam that keeps the pool coherent with extent writes that bypass it —
-// without it a fold's freed extent, reused by a later insert, keeps being
-// served from its old frames.
+// discard forgets pages [start, start+n): their frames describe bytes the
+// pager has since rewritten or freed. It is the one seam that keeps the pool
+// coherent with extent writes that bypass it — without it a fold's freed
+// extent, reused by a later insert, keeps being served from its old frames.
 func (p *Pool) discard(start pager.PageID, n uint64) {
 	for i := uint64(0); i < n; i++ {
 		id := start + pager.PageID(i)
@@ -155,7 +138,6 @@ func (p *Pool) discard(start pager.PageID, n uint64) {
 func (sh *shard) discard(id pager.PageID) {
 	for {
 		sh.mu.Lock()
-		delete(sh.ghostIdx, id) // the ring slot becomes a harmless tombstone
 		fi, ok := sh.index[id]
 		if !ok {
 			sh.mu.Unlock()
@@ -447,10 +429,6 @@ func (p *Pool) Invalidate() error {
 			delete(sh.index, f.id)
 			f.occupied = false
 		}
-		// Forget single-touch history too: experiments expect Invalidate to
-		// restore a fully cold cache, and a stale ghost ring would promote
-		// the next scan's pages as if they were re-referenced.
-		sh.ghost, sh.ghostIdx, sh.ghostPos = nil, nil, 0
 		sh.mu.Unlock()
 	}
 	return nil
@@ -513,8 +491,6 @@ func (p *Pool) Stats() Stats {
 		s.Misses += sh.misses.Load()
 		s.Evictions += sh.evictions.Load()
 		s.Flushes += sh.flushes.Load()
-		s.Bypassed += sh.bypassed.Load()
-		s.Admitted += sh.admitted.Load()
 	}
 	return s
 }

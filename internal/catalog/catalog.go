@@ -3,11 +3,10 @@
 // by the algebra interpreter on open), rendered segment locations, grid
 // bounds and reorganization state.
 //
-// The catalog serializes to a compact binary form (see codec.go; legacy
-// JSON catalogs still load) and lives in its own page extent inside the
-// database file; pager meta slots record the extent. Updates write a fresh
-// extent before flipping the meta slots, so a crash mid-update leaves the
-// previous catalog intact.
+// The catalog serializes to a compact binary form (see codec.go) and lives
+// in its own page extent inside the database file; pager meta slots record
+// the extent. Updates write a fresh extent before flipping the meta slots,
+// so a crash mid-update leaves the previous catalog intact.
 package catalog
 
 import (
@@ -35,16 +34,16 @@ const (
 
 // FieldMeta is the serialized form of a schema field.
 type FieldMeta struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
+	Name string
+	Type string
 }
 
 // GridBoundsMeta records the rendered discretization of one grid dimension.
 type GridBoundsMeta struct {
-	Field string  `json:"field"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Cells int     `json:"cells"`
+	Field string
+	Min   float64
+	Max   float64
+	Cells int
 }
 
 // IndexMeta records one secondary B+tree index: the indexed field, the
@@ -53,17 +52,17 @@ type GridBoundsMeta struct {
 // positions, so the index survives them; IndexScan treats positions at or
 // past Rows as an unindexed suffix and scans them instead.
 type IndexMeta struct {
-	Field string `json:"field"`
-	Root  uint64 `json:"root"`
-	Rows  int64  `json:"rows,omitempty"`
+	Field string
+	Root  uint64
+	Rows  int64
 }
 
 // SegmentEntry pairs a vertical partition's definition with its rendered
 // extent.
 type SegmentEntry struct {
-	Fields []string     `json:"fields"`
-	Codecs []string     `json:"codecs"`
-	Meta   segment.Meta `json:"meta"`
+	Fields []string
+	Codecs []string
+	Meta   segment.Meta
 }
 
 // RunEntry is one organized rendering in a table's run hierarchy (leveled
@@ -73,28 +72,28 @@ type SegmentEntry struct {
 // layout (aligned with Table.Segments vertical partitioning); Rows is the
 // run's logical row count.
 type RunEntry struct {
-	Level    int            `json:"level"`
-	Rows     int64          `json:"rows"`
-	Segments []SegmentEntry `json:"segments"`
+	Level    int
+	Rows     int64
+	Segments []SegmentEntry
 }
 
 // Table is the catalog record of one table.
 type Table struct {
-	Name       string         `json:"name"`
-	Fields     []FieldMeta    `json:"schema"`
-	LayoutExpr string         `json:"layout"`
-	RowCount   int64          `json:"rows"`
-	Segments   []SegmentEntry `json:"segments,omitempty"`
+	Name       string
+	Fields     []FieldMeta
+	LayoutExpr string
+	RowCount   int64
+	Segments   []SegmentEntry
 	// Runs is the leveled run hierarchy between the bulk-loaded main
 	// rendering (Segments, the oldest data) and the unorganized Tails (the
 	// newest). Empty unless the table's layout carries a compaction policy.
-	Runs       []RunEntry       `json:"runs,omitempty"`
-	Tails      [][]SegmentEntry `json:"tails,omitempty"` // per insert batch, aligned with Segments
-	GridBounds []GridBoundsMeta `json:"grid,omitempty"`
-	Indexes    []IndexMeta      `json:"indexes,omitempty"`
-	NeedsReorg bool             `json:"needsReorg,omitempty"` // lazy reorganization pending
+	Runs       []RunEntry
+	Tails      [][]SegmentEntry // per insert batch, aligned with Segments
+	GridBounds []GridBoundsMeta
+	Indexes    []IndexMeta
+	NeedsReorg bool // lazy reorganization pending
 	// PendingExpr is the layout to apply on next access when NeedsReorg.
-	PendingExpr string `json:"pendingExpr,omitempty"`
+	PendingExpr string
 }
 
 // Schema reconstructs the value.Schema of the table's logical schema.
@@ -138,19 +137,16 @@ func Load(file *pager.File) (*Catalog, error) {
 	if start == pager.InvalidPage || pages == 0 {
 		return c, nil
 	}
-	payload := uint64(file.PayloadSize())
-	buf := make([]byte, 0, byteLen)
-	for p := uint64(0); p < pages; p++ {
-		page, err := file.ReadPage(start + pager.PageID(p))
-		if err != nil {
-			return nil, fmt.Errorf("catalog: read: %w", err)
-		}
-		need := byteLen - uint64(len(buf))
-		if need > payload {
-			need = payload
-		}
-		buf = append(buf, page[:need]...)
+	// One positional read for the whole extent; the last page's padding past
+	// byteLen is not catalog.
+	buf, err := file.ReadRunInto(nil, start, pages)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: read: %w", err)
 	}
+	if byteLen > uint64(len(buf)) {
+		return nil, fmt.Errorf("catalog: %d bytes recorded in a %d-byte extent", byteLen, len(buf))
+	}
+	buf = buf[:byteLen]
 	tables, err := decodeTables(buf)
 	if err != nil {
 		return nil, err

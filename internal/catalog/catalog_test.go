@@ -3,6 +3,7 @@ package catalog
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rodentstore/internal/pager"
@@ -200,5 +201,44 @@ func TestLargeCatalog(t *testing.T) {
 	got, _ := c2.Get("Traces")
 	if len(got.Segments[0].Meta.Blocks) != 2001 {
 		t.Errorf("blocks: %d", len(got.Segments[0].Meta.Blocks))
+	}
+}
+
+// TestLoadRejectsForeignCatalog stores payloads no encoder of this package
+// ever wrote — among them the JSON array form, which once loaded — and
+// checks Load turns each into an error rather than a panic or an empty
+// catalog.
+func TestLoadRejectsForeignCatalog(t *testing.T) {
+	good := encodeTables([]*Table{sampleTable()})
+	cases := []struct {
+		name    string
+		payload []byte
+		byteLen uint64 // 0 = len(payload)
+		want    string
+	}{
+		{name: "json array", payload: []byte(`[{"name":"Traces","rows":42}]`), want: "bad catalog header"},
+		{name: "json empty array", payload: []byte(`[]`), want: "bad catalog header"},
+		{name: "unknown version", payload: []byte{catMagic, 9, 0}, want: "bad catalog header"},
+		{name: "magic only", payload: []byte{catMagic}, want: "bad catalog header"},
+		{name: "length past extent", payload: good, byteLen: 1 << 20, want: "bytes recorded"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _ := newFile(t)
+			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, tc.payload, pager.Extent{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.byteLen != 0 {
+				f.MetaSet(slotByteLen, tc.byteLen)
+			}
+			c, err := Load(f)
+			if err == nil {
+				t.Fatalf("Load accepted the payload (%d tables)", len(c.Names()))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load error %q, want one mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -11,16 +10,11 @@ import (
 )
 
 // Binary catalog serialization. The catalog is rewritten on every DDL and
-// on every Insert's publish phase; at ingest rates the old JSON encoding was
-// the single largest serialized cost on the write path (it re-marshals
-// every tail batch's block metadata per insert). The binary form is a
-// straightforward length-prefixed little-endian encoding, several times
-// faster to produce and ~4x smaller on disk.
+// on every Insert's publish phase, re-encoding every tail batch's block
+// metadata per insert, so the form is a straightforward length-prefixed
+// little-endian encoding that is cheap to produce.
 //
 // Format: [catMagic u8][catVersion u8][uvarint ntables][table...]
-// Legacy catalogs (JSON arrays, first byte '[') are still decoded, so files
-// written before this encoding open cleanly; the first flush rewrites them
-// in binary form.
 
 // Version 1 is the original binary layout; version 2 appends each table's
 // leveled run list (Runs) after PendingExpr. The encoder emits version 1
@@ -92,29 +86,10 @@ func encodeTablesInto(buf []byte, tables []*Table) []byte {
 	return e.buf
 }
 
-// decodeTables deserializes a catalog payload, accepting both the binary
-// format and the legacy JSON array.
+// decodeTables deserializes a catalog payload.
 func decodeTables(buf []byte) ([]*Table, error) {
 	if len(buf) == 0 {
 		return nil, nil
-	}
-	if buf[0] == '[' {
-		var tables []*Table
-		if err := json.Unmarshal(buf, &tables); err != nil {
-			return nil, fmt.Errorf("catalog: decode legacy: %w", err)
-		}
-		// Legacy catalogs predate IndexMeta.Rows. The engine that wrote
-		// them dropped indexes on every insert, so a persisted index covers
-		// every stored row — leaving Rows at the zero value would make
-		// IndexScan treat the whole table as an unindexed suffix.
-		for _, t := range tables {
-			for i := range t.Indexes {
-				if t.Indexes[i].Rows == 0 {
-					t.Indexes[i].Rows = t.RowCount
-				}
-			}
-		}
-		return tables, nil
 	}
 	if len(buf) < 2 || buf[0] != catMagic || (buf[1] != catVersion && buf[1] != catVersionV2) {
 		return nil, fmt.Errorf("catalog: bad catalog header % x", buf[:min(len(buf), 2)])

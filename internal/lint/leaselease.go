@@ -12,7 +12,6 @@ import (
 const (
 	poolLeaseFunc = "(*rodentstore/internal/buffer.Pool).Lease"
 	leasePageName = "LeasePage"
-	leaseRunName  = "LeaseRun"
 )
 
 // LeaseLease builds the leaselease analyzer: every buffer lease and segment
@@ -26,9 +25,6 @@ const (
 //   - data, release, err := x.LeasePage(id) (any method named LeasePage whose
 //     results include a func() error): the obligation is the release func;
 //     calling it, deferring it, or returning it discharges.
-//   - rf, release, err := pf.LeaseRun() (any method named LeaseRun whose
-//     results include a func() error): the prefetcher's run-buffer handoff;
-//     same release-func obligation as LeasePage.
 func LeaseLease() *Analyzer {
 	a := &Analyzer{
 		Name: "leaselease",
@@ -53,13 +49,12 @@ func matchLeaseAcquire(p *Pass, call *ast.CallExpr) (obligIdx, errIdx int, what 
 	if fn.FullName() == poolLeaseFunc {
 		return 0, 1, "buffer lease", true
 	}
-	if fn.Name() != leasePageName && fn.Name() != leaseRunName {
+	if fn.Name() != leasePageName {
 		return 0, 0, "", false
 	}
-	// Any LeasePage or LeaseRun implementation or interface method qualifies
-	// when its results include a release func() error — this covers
-	// pager-backed leasers, the segment.PageLeaser interface, and the scan
-	// prefetcher's run-buffer handoff alike.
+	// Any LeasePage implementation or interface method qualifies when its
+	// results include a release func() error — this covers pager-backed
+	// leasers and the segment.PageLeaser interface alike.
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return 0, 0, "", false
@@ -79,11 +74,7 @@ func matchLeaseAcquire(p *Pass, call *ast.CallExpr) (obligIdx, errIdx int, what 
 	if relIdx < 0 {
 		return 0, 0, "", false
 	}
-	what = "page lease (release func)"
-	if fn.Name() == leaseRunName {
-		what = "run lease (release func)"
-	}
-	return relIdx, errAt, what, true
+	return relIdx, errAt, "page lease (release func)", true
 }
 
 // isReleaseFunc reports whether t is func() error.

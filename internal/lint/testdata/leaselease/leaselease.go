@@ -116,64 +116,6 @@ func pinned(pool *buffer.Pool, id pager.PageID) []byte {
 	return l.Data()
 }
 
-// runFetch and runPrefetcher mirror the scan prefetcher's run-buffer
-// handoff: LeaseRun returns the fetched run plus a release func() error that
-// recycles the buffers, the same obligation shape as LeasePage.
-type runFetch struct{ data []byte }
-
-type runPrefetcher struct{}
-
-func (*runPrefetcher) LeaseRun() (runFetch, func() error, error) {
-	return runFetch{}, func() error { return nil }, nil
-}
-
-// Positive: the run lease's release func is dropped on the early return.
-func leakRunLease(pf *runPrefetcher) []byte {
-	rf, release, err := pf.LeaseRun() // want `run lease \(release func\) may not be released`
-	if err != nil {
-		return nil
-	}
-	if len(rf.data) == 0 {
-		return nil // forgot release()
-	}
-	_ = release()
-	return rf.data
-}
-
-// Positive: the release obligation is discarded outright.
-func discardRunLease(pf *runPrefetcher) ([]byte, error) {
-	rf, _, err := pf.LeaseRun() // want `run lease \(release func\) is discarded`
-	return rf.data, err
-}
-
-// Near-miss: stored into a struct field — ownership transfers to the holder
-// (the runLoader shape: a block executor's loader releases the previous
-// lease when the next run is adopted and when the executor closes).
-type runHolder struct{ release func() error }
-
-func storeRunLease(pf *runPrefetcher, h *runHolder) error {
-	rf, release, err := pf.LeaseRun()
-	if err != nil {
-		return err
-	}
-	h.release = release
-	_ = rf.data
-	return nil
-}
-
-// Near-miss: released on every path, with the error checked.
-func checkedRunLease(pf *runPrefetcher) (int, error) {
-	rf, release, err := pf.LeaseRun()
-	if err != nil {
-		return 0, err
-	}
-	n := len(rf.data)
-	if rerr := release(); rerr != nil {
-		return 0, rerr
-	}
-	return n, nil
-}
-
 // Leveled-storage readers walk a table's run hierarchy part by part; each
 // run's blocks are leased from the pool, so a scan loop carries one open
 // obligation per run. These fixtures pin the per-run shapes.
@@ -191,22 +133,6 @@ func leakPerRunLease(pool *buffer.Pool, runs []pager.PageID) []byte {
 			return l.Data() // forgot l.Release() before returning
 		}
 		_ = l.Release()
-	}
-	return nil
-}
-
-// Positive: the run's release func is dropped when a later run in the same
-// iteration fails.
-func leakRunOnNextError(pf *runPrefetcher, n int) error {
-	for i := 0; i < n; i++ {
-		rf, release, err := pf.LeaseRun() // want `run lease \(release func\) may not be released`
-		if err != nil {
-			return err
-		}
-		if len(rf.data) == 0 {
-			return errEmpty // forgot release()
-		}
-		_ = release()
 	}
 	return nil
 }
@@ -247,38 +173,5 @@ func perRunClosure(pool *buffer.Pool, runs []pager.PageID) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// The single block stage: one executor per goroutine owns the loader that
-// holds the adopted run's lease, and the executor's close is the last
-// release point. These fixtures pin that ownership shape.
-type blockStage struct{ loader runHolder }
-
-// Near-miss: entering a run parks the new lease in the executor's loader
-// after releasing the one it replaces (runLoader.enter under blockExec.run).
-func (x *blockStage) enter(pf *runPrefetcher) error {
-	_, release, err := pf.LeaseRun()
-	if err != nil {
-		return err
-	}
-	if x.loader.release != nil {
-		_ = x.loader.release()
-	}
-	x.loader.release = release
-	return nil
-}
-
-// Positive: the stage takes a lease for a block it then decides to skip
-// (a quarantined block) and forgets to give it back.
-func (x *blockStage) enterSkipping(pf *runPrefetcher, skip bool) error {
-	_, release, err := pf.LeaseRun() // want `run lease \(release func\) may not be released`
-	if err != nil {
-		return err
-	}
-	if skip {
-		return nil // forgot release()
-	}
-	x.loader.release = release
 	return nil
 }

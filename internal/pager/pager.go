@@ -53,20 +53,13 @@ const (
 	// smallest power of two that holds them plus a few free extents (see
 	// freeListCap).
 	MinPageSize = 256
-	// legacyMinPageSize is the floor Open still accepts: files created
-	// when MinPageSize was 128 may carry page sizes in [160, 256) (sizes
-	// below 160 could never persist a header and so cannot exist on disk).
-	legacyMinPageSize = 128
 	// MaxPageSize bounds how large pages may be.
 	MaxPageSize = 1 << 20
 
 	pageHeaderSize = 4 // crc32 of payload
-	// magicV1 is the original header magic: no header checksum. Files
-	// carrying it still open; the first header write upgrades them to v2.
-	magicV1 = "RDNT0001"
-	// magic is the current header magic: the header page carries a crc32 of
-	// its contents in its last 4 bytes, so a torn header write is detected
-	// as corruption instead of being silently interpreted.
+	// magic is the header magic: the header page carries a crc32 of its
+	// contents in its last 4 bytes, so a torn header write is detected as
+	// corruption instead of being silently interpreted.
 	magic = "RDNT0002"
 	// metaSlots is the number of uint64 metadata slots exposed to upper
 	// layers (catalog roots, WAL cursors, ...).
@@ -217,13 +210,9 @@ func OpenAt(fsys vfs.FS, path string) (*File, error) {
 	// Read a maximal header prefix; the true page size is in the header.
 	buf := make([]byte, MaxPageSize)
 	n, err := f.ReadAt(buf, 0)
-	if n < legacyMinPageSize && err != nil {
+	if n < MinPageSize && err != nil {
 		f.Close()
 		return nil, fmt.Errorf("pager: read header of %s: %w", path, err)
-	}
-	if string(buf[:8]) != magic && string(buf[:8]) != magicV1 {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s is not a RodentStore file", path)
 	}
 	p := &File{f: f, path: path}
 	if err := p.parseHeader(buf); err != nil {
@@ -250,8 +239,7 @@ func OpenAt(fsys vfs.FS, path string) (*File, error) {
 // meta slots, extent count, trailing leak counter) plus 16 bytes per
 // extent, with the last 4 bytes of the page reserved for the header crc32.
 // freeLocked keeps len(p.free) within this, so writeHeader never overruns
-// the crc. (v1 files, without the reserved crc bytes, can carry one extent
-// more; parseHeader trims the overflow into the leak counter.)
+// the crc.
 func (p *File) freeListCap() int {
 	c := (p.pageSize - (len(magic) + 4 + 8 + metaSlots*8 + 4 + 8 + 4)) / 16
 	if c > maxFreeExtents {
@@ -264,8 +252,8 @@ func (p *File) freeListCap() int {
 }
 
 // header layout (after the 8-byte magic): pageSize u32, nextPage u64,
-// meta[16] u64, nfree u32, {start u64, count u64}*nfree, leaked u64, and —
-// since v2 — a crc32 of buf[:pageSize-4] in the page's last 4 bytes.
+// meta[16] u64, nfree u32, {start u64, count u64}*nfree, leaked u64, and a
+// crc32 of buf[:pageSize-4] in the page's last 4 bytes.
 // Caller holds p.mu.
 func (p *File) writeHeader() error {
 	buf := make([]byte, p.pageSize)
@@ -295,19 +283,22 @@ func (p *File) writeHeader() error {
 	return nil
 }
 
+// parseHeader validates a header page image — magic, page size, checksum,
+// free-list length — and restores the allocation state it records. Anything
+// else is a typed *ErrCorruptPage for page 0.
 func (p *File) parseHeader(buf []byte) error {
-	v1 := string(buf[:8]) == magicV1
+	if string(buf[:8]) != magic {
+		return &ErrCorruptPage{Page: 0, Detail: "bad magic (not a RodentStore file)"}
+	}
 	off := 8
 	p.pageSize = int(binary.LittleEndian.Uint32(buf[off:]))
 	off += 4
-	if p.pageSize < legacyMinPageSize || p.pageSize > MaxPageSize {
+	if p.pageSize < MinPageSize || p.pageSize > MaxPageSize || p.pageSize > len(buf) {
 		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("header page size %d", p.pageSize)}
 	}
-	if !v1 {
-		want := binary.LittleEndian.Uint32(buf[p.pageSize-4:])
-		if got := crc32.ChecksumIEEE(buf[:p.pageSize-4]); got != want {
-			return &ErrCorruptPage{Page: 0, Detail: "header checksum mismatch"}
-		}
+	want := binary.LittleEndian.Uint32(buf[p.pageSize-4:])
+	if got := crc32.ChecksumIEEE(buf[:p.pageSize-4]); got != want {
+		return &ErrCorruptPage{Page: 0, Detail: "header checksum mismatch"}
 	}
 	p.nextPage.Store(binary.LittleEndian.Uint64(buf[off:]))
 	off += 8
@@ -317,11 +308,7 @@ func (p *File) parseHeader(buf []byte) error {
 	}
 	nfree := binary.LittleEndian.Uint32(buf[off:])
 	off += 4
-	limit := p.freeListCap()
-	if v1 {
-		limit++ // v1 had no reserved crc bytes: one extra extent could fit
-	}
-	if int(nfree) > limit {
+	if int(nfree) > p.freeListCap() {
 		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("header lists %d free extents", nfree)}
 	}
 	p.free = make([]Extent, nfree)
@@ -332,14 +319,6 @@ func (p *File) parseHeader(buf []byte) error {
 		off += 8
 	}
 	p.stats.leakedPages.Store(binary.LittleEndian.Uint64(buf[off:]))
-	if len(p.free) > p.freeListCap() {
-		// A v1 free list one past the v2 cap: leak the overflow so the next
-		// header write (v2 format) fits.
-		for _, e := range p.free[p.freeListCap():] {
-			p.stats.leakedPages.Add(e.Count)
-		}
-		p.free = p.free[:p.freeListCap()]
-	}
 	return nil
 }
 
@@ -353,9 +332,6 @@ func (p *File) CheckHeader() error {
 	p.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("pager: read header: %w", err)
-	}
-	if string(buf[:8]) != magic && string(buf[:8]) != magicV1 {
-		return &ErrCorruptPage{Page: 0, Detail: "bad magic"}
 	}
 	check := &File{path: p.path}
 	return check.parseHeader(buf)
@@ -643,8 +619,8 @@ func (p *File) noteReadRun(start PageID, npages uint64) {
 // single positional read, verifying each page's checksum and appending the
 // payloads to dst. It is the read-side twin of WriteRun: functionally
 // equivalent to a ReadPage loop over the run — identical page-read and seek
-// statistics — but paying one syscall for the whole run, which is what makes
-// coalesced scan I/O cheap.
+// statistics — but paying one syscall for the whole run (catalog.Load reads
+// the catalog extent this way).
 //
 // On a checksum failure the payloads of the pages *before* the corrupt one
 // are still appended (a verified prefix callers may use) and the returned

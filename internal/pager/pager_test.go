@@ -1,6 +1,10 @@
 package pager
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -396,5 +400,129 @@ func BenchmarkReadPageSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ReadPage(start + PageID(i%pages))
+	}
+}
+
+// TestOpenRejectsForeignHeaders patches the header of a valid file into
+// shapes no writer of this package produces — among them the v1 magic
+// (no header checksum) and page sizes in [128, 256), both of which once
+// opened — and checks Open and CheckHeader return a typed *ErrCorruptPage
+// for page 0, never a panic.
+func TestOpenRejectsForeignHeaders(t *testing.T) {
+	reseal := func(raw []byte, pageSize int) {
+		binary.LittleEndian.PutUint32(raw[pageSize-4:], crc32.ChecksumIEEE(raw[:pageSize-4]))
+	}
+	setSize := func(size uint32) func(raw []byte) {
+		return func(raw []byte) {
+			binary.LittleEndian.PutUint32(raw[8:], size)
+			if int(size) <= len(raw) {
+				reseal(raw, int(size)) // a header that is self-consistent at its claimed size
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		patch func(raw []byte)
+	}{
+		{"v1 magic", func(raw []byte) { copy(raw, "RDNT0001") }},
+		{"v1 magic, resealed", func(raw []byte) { copy(raw, "RDNT0001"); reseal(raw, 1024) }},
+		{"page size 128", setSize(128)},
+		{"page size 160", setSize(160)},
+		{"page size 255", setSize(255)},
+		{"page size past file", setSize(MaxPageSize)},
+		{"torn header", func(raw []byte) { raw[40] ^= 0xff }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "h.rdnt")
+			p, err := Create(path, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.patch(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var corrupt *ErrCorruptPage
+			if q, err := Open(path); err == nil {
+				q.Close()
+				t.Error("Open accepted the header")
+			} else if !errors.As(err, &corrupt) || corrupt.Page != 0 {
+				t.Errorf("Open: %v, want *ErrCorruptPage for page 0", err)
+			}
+			// The integrity walker re-reads the same bytes into a buffer of
+			// the size the file was opened with.
+			if err := p.CheckHeader(); !errors.As(err, &corrupt) || corrupt.Page != 0 {
+				t.Errorf("CheckHeader: %v, want *ErrCorruptPage for page 0", err)
+			}
+		})
+	}
+}
+
+// TestReadRunIntoMatchesReadPageLoop pins ReadRunInto's contract: the same
+// bytes and the same page-read and seek statistics as a ReadPage loop over
+// the run, and on a corrupt page the verified prefix plus a typed error.
+func TestReadRunIntoMatchesReadPageLoop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.rdnt")
+	p, err := Create(path, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	start, _ := p.AllocateRun(10)
+	for i := uint64(0); i < 10; i++ {
+		if err := p.WritePage(start+PageID(i), []byte{byte(i), 0xAB}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two runs with a gap between them, then a backwards jump.
+	runs := [][2]uint64{{0, 4}, {6, 3}, {2, 5}}
+
+	p.ResetStats()
+	var want []byte
+	for _, r := range runs {
+		for i := uint64(0); i < r[1]; i++ {
+			page, err := p.ReadPage(start + PageID(r[0]+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, page...)
+		}
+	}
+	loop := p.Stats()
+
+	p.ResetStats()
+	var got []byte
+	for _, r := range runs {
+		if got, err = p.ReadRunInto(got, start+PageID(r[0]), r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := p.Stats()
+	if !bytes.Equal(got, want) {
+		t.Error("ReadRunInto returned different bytes than the ReadPage loop")
+	}
+	if run.PageReads != loop.PageReads || run.Seeks != loop.Seeks || run.SeekDistance != loop.SeekDistance {
+		t.Errorf("ReadRunInto stats %+v, ReadPage loop %+v", run, loop)
+	}
+
+	// Corrupt page 3 of the run: pages 0-2 still come back.
+	raw, _ := os.ReadFile(path)
+	raw[int(start+3)*1024+100] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := p.ReadRunInto(nil, start, 10)
+	var corrupt *ErrCorruptPage
+	if !errors.As(err, &corrupt) || corrupt.Page != start+3 {
+		t.Fatalf("ReadRunInto over a corrupt page: %v, want *ErrCorruptPage for page %d", err, start+3)
+	}
+	if !bytes.Equal(prefix, want[:3*p.PayloadSize()]) {
+		t.Errorf("verified prefix is %d bytes, want the first 3 pages", len(prefix))
 	}
 }

@@ -56,28 +56,28 @@ func (s Spec) Validate() error {
 
 // ZoneMap is the min/max of one numeric field within a block.
 type ZoneMap struct {
-	Field string  `json:"f"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
+	Field string
+	Min   float64
+	Max   float64
 }
 
 // BlockMeta locates one block inside the segment stream.
 type BlockMeta struct {
-	Off      uint64    `json:"off"`  // byte offset of the u32 length header
-	Len      uint32    `json:"len"`  // total bytes including the header
-	Rows     int       `json:"rows"` // row count
-	RowStart int64     `json:"rs"`   // cumulative rows before this block
-	Cell     uint64    `json:"cell"` // grid cell (NoCell when ungridded)
-	Zones    []ZoneMap `json:"z,omitempty"`
+	Off      uint64 // byte offset of the u32 length header
+	Len      uint32 // total bytes including the header
+	Rows     int    // row count
+	RowStart int64  // cumulative rows before this block
+	Cell     uint64 // grid cell (NoCell when ungridded)
+	Zones    []ZoneMap
 }
 
 // Meta is the persistent description of a rendered segment.
 type Meta struct {
-	ExtentStart pager.PageID `json:"start"`
-	ExtentPages uint64       `json:"pages"`
-	UsedBytes   uint64       `json:"used"`
-	Rows        int64        `json:"rows"`
-	Blocks      []BlockMeta  `json:"blocks"`
+	ExtentStart pager.PageID
+	ExtentPages uint64
+	UsedBytes   uint64
+	Rows        int64
+	Blocks      []BlockMeta
 }
 
 // Writer renders blocks into an in-memory stream and flushes them to a
@@ -273,14 +273,6 @@ type Reader struct {
 	// view, so steady-state block reads allocate nothing.
 	rawBuf []byte
 	view   BlockView
-	// Coalesced run state (see runread.go): blocks [runLo, runHi) are
-	// resident in runData, whose first byte is stream offset runOff. runOwn
-	// is the reader-owned buffer PreloadRun fetches into; runData may instead
-	// borrow a prefetcher's buffer via AdoptRun.
-	runLo, runHi int
-	runOff       uint64
-	runData      []byte
-	runOwn       []byte
 }
 
 // NewReader opens a segment for reading.
@@ -313,19 +305,14 @@ func (r *Reader) Clone() *Reader {
 // NumBlocks returns the number of blocks.
 func (r *Reader) NumBlocks() int { return len(r.meta.Blocks) }
 
-// readRange reads [off, off+n) from the segment stream via whole-page reads.
-// Over a PageLeaser source, bytes are copied straight out of the source's
+// readRangeInto appends [off, off+n) of the segment stream to out via
+// whole-page reads (View reuses one buffer across blocks). Over a
+// PageLeaser source, bytes are copied straight out of the source's
 // pinned frame (no full-page copy per access); only the range's final page
 // — the one the next sequential block may share — is retained in the
 // one-page lookbehind, so sequential block reads never touch a shared
 // boundary page twice no matter how small the source's cache is. Over a
 // plain PageSource, whole pages are read with the same lookbehind.
-func (r *Reader) readRange(off uint64, n uint32) ([]byte, error) {
-	return r.readRangeInto(make([]byte, 0, n), off, n)
-}
-
-// readRangeInto is readRange appending into a caller-supplied buffer (the
-// vectorized path reuses one buffer across blocks).
 func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error) {
 	if off+uint64(n) > r.meta.UsedBytes {
 		return nil, r.corrupt(-1, fmt.Errorf("range [%d,%d) beyond used bytes %d", off, off+uint64(n), r.meta.UsedBytes))

@@ -1,7 +1,7 @@
 package segment
 
 // Vectorized block reads: View fetches one block's bytes (a single
-// readRange, so page/seek accounting is identical to ReadBlock) and exposes
+// range read, so page/seek accounting is identical to ReadBlock) and exposes
 // the column chunks for lazy per-column typed decoding. The scan layer uses
 // it for late materialization — decode predicate columns, filter, and only
 // then decode the projected columns, or skip them entirely when no row
@@ -38,20 +38,11 @@ func (r *Reader) View(i int) (*BlockView, error) {
 		return nil, fmt.Errorf("segment: block %d out of range", i)
 	}
 	bm := r.meta.Blocks[i]
-	var raw []byte
-	if i >= r.runLo && i < r.runHi {
-		// Block is resident in the adopted coalesced run: slice it out with
-		// no I/O (see runread.go).
-		s := bm.Off - r.runOff
-		raw = r.runData[s : s+uint64(bm.Len)]
-	} else {
-		var err error
-		raw, err = r.readRangeInto(r.rawBuf[:0], bm.Off, bm.Len)
-		if err != nil {
-			return nil, err
-		}
-		r.rawBuf = raw
+	raw, err := r.readRangeInto(r.rawBuf[:0], bm.Off, bm.Len)
+	if err != nil {
+		return nil, err
 	}
+	r.rawBuf = raw
 	if len(raw) < 12 {
 		return nil, r.corrupt(i, fmt.Errorf("block truncated"))
 	}

@@ -235,7 +235,7 @@ func approxEqual(a, b value.Value) bool {
 
 // TestAggregateDifferential pins every aggregate kernel and typed
 // expression to two oracles across every executor variant (serial/morsel ×
-// plain/coalesce/prefetch × quarantine) × zone-prune on/off: bit for bit
+// quarantine) × zone-prune on/off: bit for bit
 // to the boxed block-partial executor of oracle_test.go (same per-block
 // partials, same merge order, floats included), and within float tolerance
 // to the independent row-order aggOracle.

@@ -291,20 +291,17 @@ func (st *boxedAggState) resultRows(ex *aggExec) []value.Row {
 	return rows
 }
 
-// scanVariants enumerates the production executor matrix that remains:
-// serial/morsel × plain/coalesce/prefetch × quarantine off/on. Every
-// variant must return exactly what oracleScan returns.
+// scanVariants enumerates the production executor matrix: serial/morsel ×
+// quarantine off/on. Every variant must return exactly what oracleScan
+// returns.
 func scanVariants(base ScanOptions) []scanVariant {
 	var out []scanVariant
 	for _, exec := range []string{"serial", "morsel"} {
-		for _, io := range []string{"plain", "coalesce", "prefetch"} {
-			for _, quar := range []string{"", "-quarantine"} {
-				o := base
-				o.Parallel, o.Workers = exec == "morsel", 4
-				o.Coalesce, o.Prefetch = io == "coalesce", io == "prefetch"
-				o.Quarantine = quar != ""
-				out = append(out, scanVariant{exec + "-" + io + quar, o})
-			}
+		for _, quar := range []string{"", "-quarantine"} {
+			o := base
+			o.Parallel, o.Workers = exec == "morsel", 4
+			o.Quarantine = quar != ""
+			out = append(out, scanVariant{exec + quar, o})
 		}
 	}
 	return out

@@ -41,16 +41,6 @@ type ScanOptions struct {
 	// Workers bounds the parallel worker pool (0 = GOMAXPROCS). Ignored
 	// unless Parallel is set.
 	Workers int
-	// Coalesce turns on coalesced run reads: physically adjacent blocks are
-	// fetched with one large positional read per segment instead of one
-	// range read per block (see prefetch.go). Results are identical; the
-	// paper-figure experiments keep it off so the serial path's page/seek
-	// accounting stays byte-identical.
-	Coalesce bool
-	// Prefetch implies Coalesce and additionally reads the next run
-	// asynchronously (double-buffered) while the current one decodes, hiding
-	// read latency behind decode time.
-	Prefetch bool
 	// Quarantine degrades gracefully on damaged data: blocks that cannot be
 	// read (after transient errors are retried with capped backoff) are
 	// skipped instead of aborting the scan, and the affected extents are
@@ -107,7 +97,6 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 		}
 		plan, err := e.planScan(tab, fields, opts.Pred, storedScanOpts{
 			noZone: opts.NoZonePrune, quarantine: opts.Quarantine, agg: opts.Aggregate,
-			io: scanIO{coalesce: opts.Coalesce || opts.Prefetch, prefetch: opts.Prefetch},
 		})
 		if err != nil {
 			return err
@@ -326,13 +315,16 @@ var batchPool = vec.NewPool()
 
 // The block pipeline. Every read path of the engine — streaming scans,
 // morsel workers, aggregation, positional access, index fetches, fold
-// read-back — is the same four stages over one block at a time:
+// read-back — is the same three stages over one block at a time:
 //
-//	planScan          which blocks: parts, grid/zone pruning       (scanPlan)
-//	runLoader.ensure  fetch: per-block range reads, or adopted runs (prefetch.go)
-//	decodeBlockVec    typed decode → compiled filter → projection   (batches)
-//	  or observeBlock typed decode → compiled filter → kernels      (aggregate state)
-//	quarState.handle  retry transient errors, skip damaged blocks   (quarantine.go)
+//	planScan          which blocks: parts, grid/zone pruning          (scanPlan)
+//	decodeBlockVec    fetch → typed decode → compiled filter → projection (batches)
+//	  or observeBlock fetch → typed decode → compiled filter → kernels    (aggregate state)
+//	quarState.handle  retry transient errors, skip damaged blocks      (quarantine.go)
+//
+// Fetch is segment.Reader.View: one range read per needed segment of the
+// block, with a one-page lookbehind so blocks sharing a boundary page read
+// it once. There is no other way a scan gets bytes.
 //
 // blockExec.run is the one place the stages are chained. The serial cursor
 // calls it inline; each morsel worker owns a blockExec over cloned readers;
@@ -355,7 +347,6 @@ type scanPlan struct {
 	// quar, when non-nil, enables corruption quarantine: unreadable blocks
 	// are recorded here and skipped instead of failing the scan.
 	quar *quarState
-	io   scanIO
 }
 
 // blockResult is what one block turns into: an output batch, a partial
@@ -367,9 +358,9 @@ type blockResult struct {
 	err   error
 }
 
-// blockExec is the per-goroutine half of a scan: the readers, run loader
-// and scratch one goroutine drives a plan's blocks through. Steady-state
-// blocks allocate nothing beyond pooled batches.
+// blockExec is the per-goroutine half of a scan: the readers and scratch
+// one goroutine drives a plan's blocks through. Steady-state blocks
+// allocate nothing beyond pooled batches.
 type blockExec struct {
 	plan *scanPlan
 	// readers holds each part's readers as this goroutine uses them: the
@@ -377,17 +368,12 @@ type blockExec struct {
 	// first block) for a morsel worker.
 	readers [][]*segment.Reader
 	clone   bool
-	rl      *runLoader // nil: per-block range reads
 	vs      vecScratch
 	as      aggScratch
 }
 
 func newBlockExec(plan *scanPlan, clone bool) *blockExec {
-	x := &blockExec{plan: plan, readers: make([][]*segment.Reader, len(plan.parts)), clone: clone}
-	if plan.io.coalesce {
-		x.rl = newRunLoader(plan.parts, plan.io.prefetch)
-	}
-	return x
+	return &blockExec{plan: plan, readers: make([][]*segment.Reader, len(plan.parts)), clone: clone}
 }
 
 // cloneReaders gives a goroutine its own readers over a part's segments.
@@ -401,7 +387,7 @@ func cloneReaders(readers []*segment.Reader) []*segment.Reader {
 	return out
 }
 
-// run drives one block through the pipeline: fetch, then decode/filter into
+// run drives one block through the pipeline: fetch and decode/filter into
 // a batch or fold into aggregate state, with the quarantine policy applied
 // to whatever fails. A quarantined block comes back empty, never as an
 // error.
@@ -416,9 +402,6 @@ func (x *blockExec) run(ref blockRef) blockResult {
 	}
 	readers := x.readers[ref.part]
 	load := func() (r blockResult) {
-		if r.err = x.rl.ensure(ref, readers); r.err != nil {
-			return r
-		}
 		if plan.agg != nil {
 			r.agg, r.err = plan.agg.observeBlock(p, readers, ref.block, plan.filter, &x.vs, &x.as)
 		} else {
@@ -481,12 +464,6 @@ func newCursor(plan *scanPlan, parallel bool, workers int) *Cursor {
 		return c
 	}
 	c.exec = newBlockExec(plan, false)
-	c.exec.rl.setSeq(plan.blocks)
-	if rl := c.exec.rl; rl != nil && rl.pf != nil {
-		// Likewise an abandoned cursor must not leave the prefetch goroutine
-		// parked forever.
-		runtime.AddCleanup(c, func(pf *prefetcher) { pf.close() }, rl.pf)
-	}
 	return c
 }
 
@@ -502,15 +479,12 @@ func (c *Cursor) Report() ScanReport {
 // Schema returns the cursor's output schema.
 func (c *Cursor) Schema() *value.Schema { return c.schema }
 
-// Close releases cursor resources. Parallel workers and the prefetcher are
-// stopped and joined before Close returns, so no goroutine of this cursor
-// still touches the pool or pager afterwards.
+// Close releases cursor resources. Parallel workers are stopped and joined
+// before Close returns, so no goroutine of this cursor still touches the
+// pool or pager afterwards.
 func (c *Cursor) Close() {
 	if c.par != nil {
 		c.par.shutdown()
-	}
-	if c.exec != nil {
-		c.exec.rl.close()
 	}
 	c.exhausted = true
 	c.sorted = nil
@@ -888,11 +862,11 @@ func buildMorsels(blocks []blockRef, parts []*part, workers int) [][]blockRef {
 
 // startParallel launches the morsel pipeline over a plan with at least one
 // block: workers claim morsels off a shared queue, run their blocks through
-// a blockExec of their own (cloned readers, own run loader and scratch),
-// and an ordered merge preserves stored order. Workers are capped at the
-// morsel count — a small table or a heavily zone-pruned scan spawns only as
-// many goroutines as there is work to claim, instead of idle workers
-// contending on the merge.
+// a blockExec of their own (cloned readers and scratch), and an ordered
+// merge preserves stored order. Workers are capped at the morsel count — a
+// small table or a heavily zone-pruned scan spawns only as many goroutines
+// as there is work to claim, instead of idle workers contending on the
+// merge.
 func startParallel(plan *scanPlan, workers int) *parallelScan {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -921,7 +895,6 @@ func startParallel(plan *scanPlan, workers int) *parallelScan {
 // promise, until the queue drains or the scan is canceled.
 func (ps *parallelScan) work(x *blockExec) {
 	defer ps.wg.Done()
-	defer x.rl.close()
 	for {
 		// Acquire a run-ahead ticket, then claim the next morsel.
 		select {
@@ -934,7 +907,6 @@ func (ps *parallelScan) work(x *blockExec) {
 			return // queue drained; ticket is moot, nothing waits on it
 		}
 		res := make([]blockResult, 0, len(ps.morsels[mi]))
-		x.rl.setSeq(ps.morsels[mi])
 		for _, ref := range ps.morsels[mi] {
 			select {
 			case <-ps.done:
@@ -1037,7 +1009,6 @@ func boundsOf(tab *catalog.Table) []transforms.GridBounds {
 // only, agg compiles an aggregation into the plan.
 type storedScanOpts struct {
 	raw, noZone, quarantine bool
-	io                      scanIO
 	agg                     *AggSpec
 }
 
@@ -1152,7 +1123,6 @@ func (e *Engine) planScan(tab *catalog.Table, fields []string, pred algebra.Pred
 		filter:   filter,
 		parts:    parts,
 		blocks:   blocks,
-		io:       so.io,
 	}
 	if so.agg != nil {
 		if plan.agg, err = buildAggExec(so.agg, decoded); err != nil {

@@ -111,8 +111,8 @@ func vecProj(r *rand.Rand) []string {
 
 // TestScanDifferential is the differential property test of the block
 // pipeline: across layouts, codecs, projections, predicates, tails and zone
-// pruning, every remaining executor variant (serial/morsel × plain/coalesce/
-// prefetch × quarantine) must return exactly the boxed oracle's rows,
+// pruning, every executor variant (serial/morsel × quarantine) must return
+// exactly the boxed oracle's rows,
 // whether drained with Next, with NextBatch, or with the two interleaved.
 func TestScanDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
