@@ -156,10 +156,10 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 }
 
 // BenchmarkIngestThroughput is Ext-10: durable concurrent insert rows/sec
-// at 1, 4 and 16 writer goroutines, with group commit and background tail
-// merging each toggled. Speedups are relative to the 1-writer run of the
-// same toggle setting; with group commit on they show fsync amortization
-// (and, on multi-core hosts, the lock-free prepare phase) scaling ingest.
+// at 1, 4 and 16 writer goroutines, with background tail merging toggled.
+// Speedups are relative to the 1-writer run of the same merge setting; they
+// show fsync amortization (and, on multi-core hosts, the lock-free prepare
+// phase) scaling ingest.
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.N = 30_000

@@ -263,17 +263,14 @@ func printReorg(results []bench.ReorgResult) error {
 
 func printIngest(results []bench.IngestResult) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\twriters\tgroup commit\tmerge\trows\tms\trows/sec\tspeedup\tfinal tails")
-	onOff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
-	}
+	fmt.Fprintln(w, "run\twriters\tmerge\trows\tms\trows/sec\tspeedup\tfinal tails")
 	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%d\t%.1f\t%.0f\t%.2fx\t%d\n",
-			r.Name, r.Writers, onOff(r.GroupCommit), onOff(r.AutoMerge),
-			r.Rows, r.Ms, r.RowsPerSec, r.Speedup, r.FinalTails)
+		merge := "off"
+		if r.AutoMerge {
+			merge = "on"
+		}
+		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%.1f\t%.0f\t%.2fx\t%d\n",
+			r.Name, r.Writers, merge, r.Rows, r.Ms, r.RowsPerSec, r.Speedup, r.FinalTails)
 	}
 	return w.Flush()
 }

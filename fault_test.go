@@ -19,7 +19,13 @@ const faultDBPath = "fault.rdnt"
 
 func faultDB(t *testing.T, fs *vfs.Fault) *DB {
 	t.Helper()
-	db, err := Create(faultDBPath, &Options{FS: fs})
+	return faultDBWith(t, &Options{FS: fs})
+}
+
+// faultDBWith creates the two-column table T on opts.FS.
+func faultDBWith(t *testing.T, opts *Options) *DB {
+	t.Helper()
+	db, err := Create(faultDBPath, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,6 @@ type Result struct {
 type env struct {
 	file *pager.File
 	eng  *table.Engine
-	mgr  *txn.Manager
 	cat  *catalog.Catalog
 	path string
 }
@@ -94,8 +93,7 @@ func newEnv(cfg Config, name string) (*env, error) {
 		file.Close()
 		return nil, err
 	}
-	mgr := txn.NewManager(file, log)
-	return &env{file: file, eng: table.NewEngine(file, cat, mgr), mgr: mgr, cat: cat, path: path}, nil
+	return &env{file: file, eng: table.NewEngine(file, cat, txn.NewManager(file, log)), cat: cat, path: path}, nil
 }
 
 func (e *env) close() {

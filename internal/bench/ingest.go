@@ -6,21 +6,17 @@ import (
 	"time"
 
 	"rodentstore/internal/cartel"
-	"rodentstore/internal/table"
 	"rodentstore/internal/value"
 )
 
 // IngestResult is one concurrent-write measurement: durable insert
-// throughput at a given number of writer goroutines, under one combination
-// of group commit and background tail merging.
+// throughput at a given number of writer goroutines, with or without
+// background tail merging.
 type IngestResult struct {
-	// Name labels the run, e.g. "ingest w=16 gc=on merge=off".
+	// Name labels the run, e.g. "ingest w=16 merge=off".
 	Name string
 	// Writers is the number of concurrent inserter goroutines.
 	Writers int
-	// GroupCommit reports whether WAL durability used the shared fsync
-	// ticket (on) or one fsync per commit (off).
-	GroupCommit bool
 	// AutoMerge reports whether the background tail-merge worker ran.
 	AutoMerge bool
 	// Batches and Rows are the total inserted batches and rows.
@@ -32,8 +28,7 @@ type IngestResult struct {
 	Ms float64
 	// RowsPerSec is Rows / wall seconds.
 	RowsPerSec float64
-	// Speedup is RowsPerSec over the 1-writer run of the same group-commit
-	// and merge setting.
+	// Speedup is RowsPerSec over the 1-writer run of the same merge setting.
 	Speedup float64
 	// FinalTails is the table's tail-batch count after the run (and after
 	// the merge queue drained, when merging): the read-amplification the
@@ -45,8 +40,8 @@ type IngestResult struct {
 var IngestWriterCounts = []int{1, 4, 16}
 
 // ingestBatchRows is the rows per Insert call. Small batches (an OLTP-ish
-// shape: a handful of rows per durable commit) make the per-commit fsync
-// the dominant cost, which is what group commit amortizes.
+// shape: a handful of rows per durable commit) make the commit fsync the
+// dominant cost, which is what the shared fsync ticket amortizes.
 const ingestBatchRows = 32
 
 // ingestMergeTails is the merge policy for the merge=on axis: fold tails
@@ -57,19 +52,16 @@ const ingestMergeTails = 64
 // IngestThroughput measures the concurrent write path end to end (Ext-10):
 // durable staged inserts (validate/transform/encode with no table lock,
 // publish under a short exclusive lock, tail pages WAL-logged) into one
-// table from 1/4/16 concurrent writers. Two ablation axes:
-//
-//   - group commit on/off: with it on, one fsync acknowledges every commit
-//     that arrived while the previous fsync was in flight; off restores one
-//     fsync per commit.
-//   - background merge on/off: with it on, accumulated tail batches are
-//     folded into the main rendering by the engine's worker off the insert
-//     path, so the catalog (and scan read-amplification) stays bounded; off
-//     lets tails pile up, the §5 "reorganize only new data" cost made
-//     visible.
+// table from 1/4/16 concurrent writers — one fsync acknowledges every
+// commit that arrived while the previous fsync was in flight, which is where
+// the multi-writer speedup comes from. One ablation axis, background merge
+// on/off: with it on, accumulated tail batches are folded into the main
+// rendering by the engine's worker off the insert path, so the catalog (and
+// scan read-amplification) stays bounded; off lets tails pile up, the §5
+// "reorganize only new data" cost made visible.
 //
 // Rows are pre-generated and pre-batched; the timer covers only Insert
-// calls. Speedups are relative to the 1-writer run of the same axes. Like
+// calls. Speedups are relative to the 1-writer run of the same axis. Like
 // Ext-9 this is a scaling probe: on a single core the speedup comes from
 // overlapping fsync latency with encode work, on multi-core hardware the
 // lock-free prepare phase adds CPU parallelism on top.
@@ -86,21 +78,19 @@ func IngestThroughput(cfg Config) ([]IngestResult, error) {
 
 	var out []IngestResult
 	for _, merge := range []bool{false, true} {
-		for _, gc := range []bool{true, false} {
-			var base float64
-			for _, w := range IngestWriterCounts {
-				r, err := runIngest(cfg, batches, w, gc, merge)
-				if err != nil {
-					return nil, err
-				}
-				if w == IngestWriterCounts[0] {
-					base = r.RowsPerSec
-				}
-				if base > 0 {
-					r.Speedup = r.RowsPerSec / base
-				}
-				out = append(out, r)
+		var base float64
+		for _, w := range IngestWriterCounts {
+			r, err := runIngest(cfg, batches, w, merge)
+			if err != nil {
+				return nil, err
 			}
+			if w == IngestWriterCounts[0] {
+				base = r.RowsPerSec
+			}
+			if base > 0 {
+				r.Speedup = r.RowsPerSec / base
+			}
+			out = append(out, r)
 		}
 	}
 	return out, nil
@@ -108,16 +98,15 @@ func IngestThroughput(cfg Config) ([]IngestResult, error) {
 
 // runIngest times one configuration: writers goroutines split the batch
 // list round-robin and insert into a fresh table.
-func runIngest(cfg Config, batches [][]value.Row, writers int, gc, merge bool) (IngestResult, error) {
+func runIngest(cfg Config, batches [][]value.Row, writers int, merge bool) (IngestResult, error) {
 	e, err := newEnv(cfg, "ingest")
 	if err != nil {
 		return IngestResult{}, err
 	}
 	defer e.close()
-	e.mgr.GroupCommit = gc
 	e.eng.SyncInserts = true
 	if merge {
-		e.eng.EnableAutoMerge(table.MergePolicy{MaxTails: ingestMergeTails})
+		e.eng.EnableAutoMerge(ingestMergeTails)
 		defer e.eng.DisableAutoMerge()
 	}
 	// chunk matches the insert batch size: one block per tail batch.
@@ -166,23 +155,19 @@ func runIngest(cfg Config, batches [][]value.Row, writers int, gc, merge bool) (
 	if secs > 0 {
 		rps = float64(rows) / secs
 	}
-	onOff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
+	mergeLabel := "off"
+	if merge {
+		mergeLabel = "on"
 	}
 	return IngestResult{
-		Name: fmt.Sprintf("ingest w=%d gc=%s merge=%s",
-			writers, onOff(gc), onOff(merge)),
-		Writers:     writers,
-		GroupCommit: gc,
-		AutoMerge:   merge,
-		Batches:     len(batches),
-		Rows:        rows,
-		Ms:          float64(elapsed.Microseconds()) / 1000.0,
-		RowsPerSec:  rps,
-		FinalTails:  tails,
+		Name:       fmt.Sprintf("ingest w=%d merge=%s", writers, mergeLabel),
+		Writers:    writers,
+		AutoMerge:  merge,
+		Batches:    len(batches),
+		Rows:       rows,
+		Ms:         float64(elapsed.Microseconds()) / 1000.0,
+		RowsPerSec: rps,
+		FinalTails: tails,
 	}, nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
@@ -318,6 +319,46 @@ func (t *Tree) Height() (int, error) {
 		h++
 		id = n.next
 	}
+}
+
+// Extents returns every page of the tree as sorted, coalesced extents — what
+// a caller dropping the tree hands back to the pager. A node that cannot be
+// read is still listed (the parent that names it read cleanly, so the page
+// is the tree's) but not descended into; the first such error comes back
+// with the extents that were reached, so the caller can free those and leak
+// the rest rather than keep a damaged tree forever.
+func (t *Tree) Extents() ([]pager.Extent, error) {
+	var pages []pager.PageID
+	var firstErr error
+	var walk func(id pager.PageID)
+	walk = func(id pager.PageID) {
+		pages = append(pages, id)
+		n, err := t.readNode(id)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			return
+		}
+		if n.isLeaf {
+			return
+		}
+		walk(n.next)
+		for _, child := range n.vals {
+			walk(pager.PageID(child))
+		}
+	}
+	walk(t.root)
+	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	var out []pager.Extent
+	for _, id := range pages {
+		if n := len(out); n > 0 && out[n-1].Start+pager.PageID(out[n-1].Count) == id {
+			out[n-1].Count++
+		} else {
+			out = append(out, pager.Extent{Start: id, Count: 1})
+		}
+	}
+	return out, firstErr
 }
 
 // EncodeKey builds an order-preserving binary key from a typed value:

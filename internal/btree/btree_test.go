@@ -285,3 +285,39 @@ func BenchmarkSearch(b *testing.B) {
 		tr.Search(EncodeKey(value.NewInt(int64(i % 100000))))
 	}
 }
+
+func TestExtentsCoverEveryAllocatedPage(t *testing.T) {
+	tr, f := newTree(t)
+	before := f.NumPages() - 1 // newTree allocated the root leaf
+	for _, i := range rand.New(rand.NewSource(3)).Perm(5000) {
+		if err := tr.Insert([]byte(fmt.Sprintf("k%08d", i)), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, _ := tr.Height(); h < 3 {
+		t.Fatalf("height %d: want internal levels above the leaves", h)
+	}
+	exts, err := tr.Extents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages uint64
+	for i, e := range exts {
+		pages += e.Count
+		if i > 0 && exts[i-1].Start+pager.PageID(exts[i-1].Count) >= e.Start {
+			t.Fatalf("extents %v and %v overlap or were left uncoalesced", exts[i-1], e)
+		}
+	}
+	if want := f.NumPages() - before; pages != want {
+		t.Fatalf("Extents lists %d pages, the tree allocated %d", pages, want)
+	}
+	// Handing them back leaves the file as it was before the tree existed.
+	for _, e := range exts {
+		if err := f.FreeRun(e.Start, e.Count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.NumPages(); got != before {
+		t.Fatalf("after freeing the tree %d pages stay allocated, want %d", got, before)
+	}
+}

@@ -96,6 +96,60 @@ type Table struct {
 	PendingExpr string
 }
 
+// PartKind names the storage shape a Part came from.
+type PartKind int
+
+// The three shapes a table's rows are stored in.
+const (
+	// PartMain is the bulk-rendered main segment list (the oldest data).
+	PartMain PartKind = iota
+	// PartRun is one organized run of the leveled hierarchy.
+	PartRun
+	// PartTail is one unorganized insert batch (the newest data).
+	PartTail
+)
+
+// Part is one aligned segment list of a table — the unit scans concatenate
+// and folds consume. Index is the part's position in Table.Runs or
+// Table.Tails (0 for main); Level is a run's level (0 otherwise).
+type Part struct {
+	Kind     PartKind
+	Index    int
+	Level    int
+	Segments []SegmentEntry
+}
+
+// String labels the part the way integrity reports address it.
+func (p Part) String() string {
+	switch p.Kind {
+	case PartRun:
+		return fmt.Sprintf("run[%d]L%d", p.Index, p.Level)
+	case PartTail:
+		return fmt.Sprintf("tail[%d]", p.Index)
+	default:
+		return "main"
+	}
+}
+
+// Parts lists the table's stored parts in chronological order, oldest data
+// first: the main rendering (when one exists), then the runs (kept oldest
+// first, which is highest level first), then the tail batches. Concatenated
+// in this order the parts give global insert order. Every reader of a
+// table's storage walks this list instead of the three fields.
+func (t *Table) Parts() []Part {
+	parts := make([]Part, 0, 1+len(t.Runs)+len(t.Tails))
+	if len(t.Segments) > 0 {
+		parts = append(parts, Part{Kind: PartMain, Segments: t.Segments})
+	}
+	for i, r := range t.Runs {
+		parts = append(parts, Part{Kind: PartRun, Index: i, Level: r.Level, Segments: r.Segments})
+	}
+	for i, batch := range t.Tails {
+		parts = append(parts, Part{Kind: PartTail, Index: i, Segments: batch})
+	}
+	return parts
+}
+
 // Schema reconstructs the value.Schema of the table's logical schema.
 func (t *Table) Schema() (*value.Schema, error) {
 	fields := make([]value.Field, len(t.Fields))

@@ -219,6 +219,7 @@ func TestLoadRejectsForeignCatalog(t *testing.T) {
 		{name: "json array", payload: []byte(`[{"name":"Traces","rows":42}]`), want: "bad catalog header"},
 		{name: "json empty array", payload: []byte(`[]`), want: "bad catalog header"},
 		{name: "unknown version", payload: []byte{catMagic, 9, 0}, want: "bad catalog header"},
+		{name: "run-less version 1", payload: []byte{catMagic, 1, 0}, want: "bad catalog header"},
 		{name: "magic only", payload: []byte{catMagic}, want: "bad catalog header"},
 		{name: "length past extent", payload: good, byteLen: 1 << 20, want: "bytes recorded"},
 	}

@@ -14,16 +14,13 @@ import (
 // metadata per insert, so the form is a straightforward length-prefixed
 // little-endian encoding that is cheap to produce.
 //
-// Format: [catMagic u8][catVersion u8][uvarint ntables][table...]
-
-// Version 1 is the original binary layout; version 2 appends each table's
-// leveled run list (Runs) after PendingExpr. The encoder emits version 1
-// whenever no table has runs — so stores that never enable a compaction
-// policy keep writing byte-identical catalogs — and version 2 otherwise.
+// Format: [catMagic u8][catVersion u8][uvarint ntables][table...], each
+// table record ending with its leveled run list (empty for tables without a
+// compaction policy). There is one record format; a payload carrying any
+// other version byte is refused.
 const (
-	catMagic     = 0xC7
-	catVersion   = 1
-	catVersionV2 = 2
+	catMagic   = 0xC7
+	catVersion = 2
 )
 
 // encodeTables serializes the catalog's table list.
@@ -35,15 +32,8 @@ func encodeTables(tables []*Table) []byte {
 // the encoded bytes. The catalog's flush keeps a scratch buffer so the
 // per-insert catalog rewrite does not reallocate its way up from empty.
 func encodeTablesInto(buf []byte, tables []*Table) []byte {
-	ver := byte(catVersion)
-	for _, t := range tables {
-		if len(t.Runs) > 0 {
-			ver = catVersionV2
-			break
-		}
-	}
 	e := &enc{buf: buf[:0]}
-	e.buf = append(e.buf, catMagic, ver)
+	e.buf = append(e.buf, catMagic, catVersion)
 	e.uvarint(uint64(len(tables)))
 	for _, t := range tables {
 		e.str(t.Name)
@@ -74,13 +64,11 @@ func encodeTablesInto(buf []byte, tables []*Table) []byte {
 		}
 		e.bool(t.NeedsReorg)
 		e.str(t.PendingExpr)
-		if ver >= catVersionV2 {
-			e.uvarint(uint64(len(t.Runs)))
-			for _, r := range t.Runs {
-				e.i64(int64(r.Level))
-				e.i64(r.Rows)
-				e.segments(r.Segments)
-			}
+		e.uvarint(uint64(len(t.Runs)))
+		for _, r := range t.Runs {
+			e.i64(int64(r.Level))
+			e.i64(r.Rows)
+			e.segments(r.Segments)
 		}
 	}
 	return e.buf
@@ -91,10 +79,9 @@ func decodeTables(buf []byte) ([]*Table, error) {
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	if len(buf) < 2 || buf[0] != catMagic || (buf[1] != catVersion && buf[1] != catVersionV2) {
+	if len(buf) < 2 || buf[0] != catMagic || buf[1] != catVersion {
 		return nil, fmt.Errorf("catalog: bad catalog header % x", buf[:min(len(buf), 2)])
 	}
-	ver := buf[1]
 	d := &dec{buf: buf[2:]}
 	n := d.uvarint()
 	tables := make([]*Table, 0, n)
@@ -125,13 +112,11 @@ func decodeTables(buf []byte) ([]*Table, error) {
 		}
 		t.NeedsReorg = d.bool()
 		t.PendingExpr = d.str()
-		if ver >= catVersionV2 {
-			nr := d.uvarint()
-			for j := uint64(0); j < nr && d.err == nil; j++ {
-				t.Runs = append(t.Runs, RunEntry{
-					Level: int(d.i64()), Rows: d.i64(), Segments: d.segments(),
-				})
-			}
+		nr := d.uvarint()
+		for j := uint64(0); j < nr && d.err == nil; j++ {
+			t.Runs = append(t.Runs, RunEntry{
+				Level: int(d.i64()), Rows: d.i64(), Segments: d.segments(),
+			})
 		}
 		tables = append(tables, t)
 	}

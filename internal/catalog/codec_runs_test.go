@@ -33,11 +33,7 @@ func runTable() *Table {
 
 func TestCodecRunsRoundtrip(t *testing.T) {
 	want := []*Table{runTable(), sampleTable()}
-	blob := encodeTables(want)
-	if blob[1] != catVersionV2 {
-		t.Fatalf("catalog with runs should encode as v%d, got v%d", catVersionV2, blob[1])
-	}
-	got, err := decodeTables(blob)
+	got, err := decodeTables(encodeTables(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,38 +42,55 @@ func TestCodecRunsRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCodecRunFreeTablesStayV1(t *testing.T) {
-	// A catalog without runs must keep emitting the version-1 format so
-	// default-path databases (and the paper figures built on them) stay
-	// byte-identical across this change.
+func TestCodecRunFreeRoundtrip(t *testing.T) {
+	// There is one record format: a catalog without runs carries the same
+	// version byte and an empty run list per table.
 	tables := []*Table{sampleTable(), sampleTable()}
 	tables[1].Name = "Other"
 	blob := encodeTables(tables)
-	if blob[1] != catVersion {
-		t.Fatalf("run-free catalog should encode as v%d, got v%d", catVersion, blob[1])
+	if blob[1] != catVersion || blob[1] != encodeTables([]*Table{runTable()})[1] {
+		t.Fatalf("run-free catalog encodes as v%d, want the one version v%d", blob[1], catVersion)
 	}
 	got, err := decodeTables(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, tables) {
-		t.Error("v1 roundtrip mismatch")
+		t.Error("run-free roundtrip mismatch")
 	}
 
-	// Dropping the runs from a v2 table must fall back to the v1 bytes
-	// exactly — the version bump is data-driven, not sticky.
+	// A table whose runs were folded away re-encodes exactly like one that
+	// never had any.
 	rt := runTable()
 	rt.Runs = nil
 	if !bytes.Equal(encodeTables([]*Table{rt}), encodeTables([]*Table{sampleTable()})) {
-		t.Error("table with cleared runs does not re-encode identically to v1")
+		t.Error("table with cleared runs does not re-encode like a run-free one")
 	}
 }
 
-func TestCodecV2Truncated(t *testing.T) {
+func TestCodecRunsTruncated(t *testing.T) {
 	blob := encodeTables([]*Table{runTable()})
 	for _, cut := range []int{len(blob) - 1, len(blob) / 2, 3} {
 		if _, err := decodeTables(blob[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
+	}
+}
+
+func TestPartsAreChronological(t *testing.T) {
+	tab := runTable() // main + runs at L2, L1 + whatever tails sampleTable has
+	tab.Tails = [][]SegmentEntry{tab.Segments, tab.Segments}
+	var labels []string
+	for _, p := range tab.Parts() {
+		labels = append(labels, p.String())
+	}
+	want := []string{"main", "run[0]L2", "run[1]L1", "tail[0]", "tail[1]"}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("Parts() = %v, want %v", labels, want)
+	}
+	// A table never bulk-loaded has no main part to enumerate.
+	tab.Segments = nil
+	if parts := tab.Parts(); len(parts) != 4 || parts[0].Kind != PartRun {
+		t.Fatalf("without main segments Parts() starts with %v", parts[0])
 	}
 }

@@ -410,11 +410,3 @@ func (r *Reader) BlockForRow(pos int64) (int, error) {
 	}
 	return lo, nil
 }
-
-// Free releases the segment's extent back to the page file.
-func Free(file *pager.File, meta Meta) error {
-	if meta.ExtentPages == 0 {
-		return nil
-	}
-	return file.FreeRun(meta.ExtentStart, meta.ExtentPages)
-}

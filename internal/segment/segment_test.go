@@ -284,20 +284,6 @@ func TestWriteBlockEmptyRowsNoop(t *testing.T) {
 	}
 }
 
-func TestFreeReturnsExtent(t *testing.T) {
-	f := newFile(t)
-	w, _ := NewWriter(f, traceSpec())
-	w.WriteBlock(NoCell, traceRows(1000))
-	meta, _ := w.Finish()
-	before := f.NumPages()
-	if err := Free(f, meta); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.NumPages(); got != before-meta.ExtentPages {
-		t.Errorf("pages after free: %d, want %d", got, before-meta.ExtentPages)
-	}
-}
-
 func TestFoldedListColumn(t *testing.T) {
 	// Fold output (trailing List column) must render and read back.
 	f := newFile(t)

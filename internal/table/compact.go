@@ -23,19 +23,14 @@ package table
 // mapping is inherently global (grid, fold, limit) are rejected with the
 // compaction directive at compile time.
 //
-// Durability rides the PR-6 protocol unchanged: new run segments are written
-// before the copy-on-write catalog swap, a checkpoint barrier precedes any
-// free, superseded extents are deferred to the next checkpoint in durable
-// mode, and a checkpoint after the flip drains them.
+// Durability is flip's (fold.go): new run segments are written before the
+// one copy-on-write catalog swap that ends a Compact, and everything the
+// folds superseded is reclaimed by that flip.
 
 import (
-	"fmt"
-
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/layout"
-	"rodentstore/internal/transforms"
-	"rodentstore/internal/txn"
 )
 
 // CompactStats counts background/foreground fold work since the engine
@@ -63,7 +58,7 @@ func (e *Engine) CompactStats() CompactStats {
 // change) fall back to a full Reorganize — Compact is always safe to call.
 // The background merge worker routes every triggered table through here.
 func (e *Engine) Compact(name string) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -73,7 +68,7 @@ func (e *Engine) Compact(name string) error {
 			return err
 		}
 		if tab.NeedsReorg || spec.Compaction == nil {
-			return e.reorganizeLocked(tab)
+			return e.reorganize(tab)
 		}
 		return e.compactLocked(tab, spec)
 	})
@@ -84,118 +79,69 @@ func (e *Engine) Compact(name string) error {
 func (e *Engine) compactLocked(tab *catalog.Table, spec *layout.Spec) error {
 	e.dropInsertSnap(tab.Name)
 	// Copy-on-write: all mutation happens on a private copy with fresh
-	// slices; the one Put below swaps it in, so a concurrent checkpoint
+	// slices; the one flip below swaps it in, so a concurrent checkpoint
 	// flush never encodes a half-folded table.
 	work := *tab
-	cur := &work
-	var freed []catalog.SegmentEntry
+	var superseded []catalog.Part
+	// foldInto folds work's parts [lo, hi) of one kind into one run at level
+	// and returns it.
+	foldInto := func(level int, kind catalog.PartKind, lo, hi int) (catalog.RunEntry, error) {
+		var chosen []catalog.Part
+		for _, p := range work.Parts() {
+			if p.Kind == kind && p.Index >= lo && p.Index < hi {
+				chosen = append(chosen, p)
+			}
+		}
+		out, err := e.fold(&work, chosen)
+		superseded = append(superseded, chosen...)
+		return catalog.RunEntry{Level: level, Rows: out.rows, Segments: out.entries}, err
+	}
 
 	// Level-0 fold: every current tail batch becomes one organized level-1
 	// run (the newest run, so it appends at the end of the hierarchy).
-	if len(cur.Tails) > 0 {
-		run, err := e.renderRun(cur, spec, nil, cur.Tails, 1)
+	if len(work.Tails) > 0 {
+		run, err := foldInto(1, catalog.PartTail, 0, len(work.Tails))
 		if err != nil {
 			return err
 		}
-		for _, batch := range cur.Tails {
-			freed = append(freed, batch...)
-		}
-		cur.Runs = append(append([]catalog.RunEntry(nil), cur.Runs...), run)
-		cur.Tails = nil
+		work.Runs = append(append([]catalog.RunEntry(nil), work.Runs...), run)
+		work.Tails = nil
 	}
 
 	// Cascade: fold whole levels into the next until the policy holds.
 	for {
-		lo, hi, level, ok := pickFold(cur.Runs, spec)
+		lo, hi, level, ok := pickFold(work.Runs, spec)
 		if !ok {
 			break
 		}
-		run, err := e.renderRun(cur, spec, cur.Runs[lo:hi], nil, level)
+		run, err := foldInto(level, catalog.PartRun, lo, hi)
 		if err != nil {
 			return err
 		}
-		for _, r := range cur.Runs[lo:hi] {
-			freed = append(freed, r.Segments...)
-		}
-		runs := append([]catalog.RunEntry(nil), cur.Runs[:lo]...)
+		runs := append([]catalog.RunEntry(nil), work.Runs[:lo]...)
 		runs = append(runs, run)
-		cur.Runs = append(runs, cur.Runs[hi:]...)
+		work.Runs = append(runs, work.Runs[hi:]...)
 	}
 
-	if len(freed) == 0 {
+	if len(superseded) == 0 {
 		return nil // nothing triggered; catalog untouched
 	}
 	// A fold reorders every position past the immutable main prefix, so
 	// indexes whose coverage extends beyond it describe stale positions.
 	var mainRows int64
-	if len(cur.Segments) > 0 {
-		mainRows = cur.Segments[0].Meta.Rows
+	if len(work.Segments) > 0 {
+		mainRows = work.Segments[0].Meta.Rows
 	}
-	var kept []catalog.IndexMeta
-	for _, ix := range cur.Indexes {
+	var kept, dropped []catalog.IndexMeta
+	for _, ix := range work.Indexes {
 		if ix.Rows <= mainRows {
 			kept = append(kept, ix)
+		} else {
+			dropped = append(dropped, ix)
 		}
 	}
-	cur.Indexes = kept
-
-	if err := e.checkpointBeforeFree(); err != nil {
-		return err
-	}
-	if err := e.cat.Put(cur); err != nil {
-		return err
-	}
-	for _, s := range freed {
-		if err := e.freeSegment(s.Meta); err != nil {
-			return err
-		}
-	}
-	return e.checkpointAfterFlip()
-}
-
-// renderRun reads the given runs and tail batches back in chronological
-// order, re-applies the layout pipeline, and writes one organized run at the
-// given level. It does not touch the catalog — the caller swaps the record.
-func (e *Engine) renderRun(tab *catalog.Table, spec *layout.Spec, runs []catalog.RunEntry, tails [][]catalog.SegmentEntry, level int) (catalog.RunEntry, error) {
-	view := *tab
-	view.Segments = nil
-	view.Runs = runs
-	view.Tails = tails
-	rows, readSchema, err := e.readAllRows(&view)
-	if err != nil {
-		return catalog.RunEntry{}, err
-	}
-	logical, err := tab.Schema()
-	if err != nil {
-		return catalog.RunEntry{}, err
-	}
-	if readSchema.String() != logical.String() {
-		// The stored form dropped attributes (e.g. project[lat,lon]); run
-		// the pipeline against what is actually stored, as Reorganize does.
-		spec, err = e.compileAgainst(tab.LayoutExpr, tab.Name, readSchema)
-		if err != nil {
-			return catalog.RunEntry{}, fmt.Errorf("table: compact %q: layout needs attributes the stored form dropped: %w", tab.Name, err)
-		}
-	}
-	rel := transforms.Relation{Schema: readSchema, Rows: rows}
-	rel, err = e.applySteps(rel, spec, false)
-	if err != nil {
-		return catalog.RunEntry{}, err
-	}
-	entries := make([]catalog.SegmentEntry, 0, len(spec.Segments))
-	var bytes uint64
-	for _, def := range spec.Segments {
-		entry, err := e.writeSegment(rel, def, spec.RowsPerBlock, nil)
-		if err != nil {
-			return catalog.RunEntry{}, err
-		}
-		bytes += entry.Meta.UsedBytes
-		entries = append(entries, entry)
-	}
-	e.statMerges.Add(1)
-	e.statMergeRows.Add(int64(len(rel.Rows)))
-	e.statMergeBytes.Add(int64(bytes))
-	return catalog.RunEntry{Level: level, Rows: int64(len(rel.Rows)), Segments: entries}, nil
+	work.Indexes = kept
+	return e.flip(&work, superseded, dropped)
 }
 
 // pickFold selects the next fold: the contiguous range runs[lo:hi) to merge
@@ -259,15 +205,4 @@ func targetRows(spec *layout.Spec, level int) int64 {
 		}
 	}
 	return t
-}
-
-// compactionOf returns the compaction policy of a layout expression, or nil
-// when the layout has none (or does not compile — callers surface compile
-// errors on their own paths).
-func (e *Engine) compactionOf(layoutExpr string) *layout.CompactionSpec {
-	spec, err := e.compile(layoutExpr)
-	if err != nil {
-		return nil
-	}
-	return spec.Compaction
 }

@@ -275,7 +275,7 @@ func TestCompactIntegrityAndEstimate(t *testing.T) {
 
 func TestAutoMergeCompactsPolicyTable(t *testing.T) {
 	e, _, _ := setup(t, "sizetiered[3](orderby[t](Traces))", 60)
-	e.EnableAutoMerge(MergePolicy{MaxTails: 100, Workers: 2})
+	e.EnableAutoMerge(100)
 	defer e.DisableAutoMerge()
 	want := insertBatches(t, e, 9, 10, 1000)
 	e.WaitMerges()
@@ -302,7 +302,7 @@ func TestAutoMergeCompactsPolicyTable(t *testing.T) {
 
 func TestMergeWorkerToleratesDroppedTable(t *testing.T) {
 	e, _, _ := setup(t, "sizetiered[2](rows(Traces))", 20)
-	e.EnableAutoMerge(MergePolicy{MaxTails: 100, Workers: 1})
+	e.EnableAutoMerge(100)
 	defer e.DisableAutoMerge()
 	insertBatches(t, e, 3, 10, 1000)
 	// Drop races the queued background fold; whichever side wins, a vanished

@@ -27,17 +27,6 @@ import (
 	"rodentstore/internal/zorder"
 )
 
-// FoldStrategy selects the fold rendering algorithm of §4.2.
-type FoldStrategy string
-
-// Fold rendering strategies.
-const (
-	// FoldHash is the hash-join-like rendering (default).
-	FoldHash FoldStrategy = "hash"
-	// FoldNestedLoop is the paper's Algorithm 1 (two nested for loops).
-	FoldNestedLoop FoldStrategy = "nestedloop"
-)
-
 // ReorgMode selects when a layout change is applied (paper §5).
 type ReorgMode string
 
@@ -60,8 +49,6 @@ type Engine struct {
 	// Source is where readers fetch pages: the pager itself (cold, exact
 	// page counts) or a buffer.Pool wrapped around it (warm).
 	Source segment.PageSource
-	// Fold selects the fold rendering strategy.
-	Fold FoldStrategy
 	// SyncInserts makes Insert durable: the tail's rendered pages are
 	// WAL-logged as images together with a catalog tail-append delta, and
 	// Insert returns only after the (group-committed) fsync. The catalog is
@@ -106,8 +93,8 @@ type Engine struct {
 	deferredFrees []pager.Extent // queued, awaiting a checkpoint
 	stagedFrees   []pager.Extent // covered by the in-progress checkpoint
 
-	// Fold counters for leveled-storage tables (see compact.go; Ext-15
-	// reports them as per-merge write amplification).
+	// Fold counters, moved only by fold (see fold.go; Ext-15 reports them as
+	// per-merge write amplification).
 	statMerges     atomic.Int64
 	statMergeRows  atomic.Int64
 	statMergeBytes atomic.Int64
@@ -125,7 +112,6 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine
 		cat:         cat,
 		mgr:         mgr,
 		Source:      file,
-		Fold:        FoldHash,
 		tableLocks:  make(map[string]*tableLock),
 		specs:       make(map[string]*layout.Spec),
 		insertSnaps: make(map[string]insertSnapshot),
@@ -154,7 +140,7 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine
 // engine runs durably; without durability there is no WAL replay to guard
 // against, so it reports false and the caller frees inline.
 func (e *Engine) deferFree(ext pager.Extent) bool {
-	if !e.durable() || ext.Count == 0 {
+	if !e.durable() {
 		return false
 	}
 	e.freeMu.Lock()
@@ -183,20 +169,8 @@ func (e *Engine) freeStaged() error {
 	return nil
 }
 
-// freeSegment frees one segment's extent — deferred to the next checkpoint
-// in durable mode, inline otherwise.
-func (e *Engine) freeSegment(meta segment.Meta) error {
-	if meta.ExtentPages == 0 {
-		return nil
-	}
-	if e.deferFree(pager.Extent{Start: meta.ExtentStart, Count: meta.ExtentPages}) {
-		return nil
-	}
-	return segment.Free(e.file, meta)
-}
-
 // checkpointAfterFlip runs right after a catalog update that unreferenced
-// extents (reorganize, drop) in durable mode: the checkpoint makes the new
+// extents (flip, Drop) in durable mode: the checkpoint makes the new
 // catalog durable and drains the deferred frees it queued. Without it the
 // extents would stay unavailable until the next policy checkpoint — a delay,
 // never a leak.
@@ -209,6 +183,17 @@ func (e *Engine) checkpointAfterFlip() error {
 
 // durable reports whether inserts and catalog flips go through the WAL.
 func (e *Engine) durable() bool { return e.SyncInserts && e.mgr != nil }
+
+// lockMode is how withLock takes a table's lock.
+type lockMode bool
+
+const (
+	// shared admits concurrent readers of the catalog record and its extents.
+	shared lockMode = false
+	// exclusive admits one holder: anything that replaces the record or
+	// frees extents.
+	exclusive lockMode = true
+)
 
 // tableLock is one table's shared/exclusive lock. Readers are admitted
 // whenever no writer holds it: a reader does not queue behind a writer that
@@ -263,11 +248,9 @@ func (l *tableLock) release(exclusive bool) {
 	l.free.Broadcast()
 }
 
-// withLock runs fn under the named table's lock: Shared for readers of the
-// catalog record and its extents, Exclusive for anything that replaces the
-// record or frees extents. It is the outermost lock of the hierarchy and is
-// never nested — fn must not call withLock again.
-func (e *Engine) withLock(name string, mode txn.LockMode, fn func() error) error {
+// withLock runs fn under the named table's lock. It is the outermost lock of
+// the hierarchy and is never nested — fn must not call withLock again.
+func (e *Engine) withLock(name string, mode lockMode, fn func() error) error {
 	e.tableMu.Lock()
 	lk := e.tableLocks[name]
 	if lk == nil {
@@ -276,8 +259,8 @@ func (e *Engine) withLock(name string, mode txn.LockMode, fn func() error) error
 		e.tableLocks[name] = lk
 	}
 	e.tableMu.Unlock()
-	lk.acquire(mode == txn.Exclusive)
-	defer lk.release(mode == txn.Exclusive)
+	lk.acquire(bool(mode))
+	defer lk.release(bool(mode))
 	return fn()
 }
 
@@ -290,6 +273,21 @@ func (e *Engine) compile(exprText string) (*layout.Spec, error) {
 		return spec, nil
 	}
 	e.mu.Unlock()
+	spec, err := e.compileAs(exprText, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.specs[exprText] = spec
+	e.mu.Unlock()
+	return spec, nil
+}
+
+// compileAs compiles exprText, uncached, with table name taken to have the
+// given schema instead of its catalog one (nil: no substitution): a table
+// being created has no catalog schema yet, and one whose stored form dropped
+// attributes is re-rendered from what it stores.
+func (e *Engine) compileAs(exprText, name string, as *value.Schema) (*layout.Spec, error) {
 	expr, err := algebra.Parse(exprText)
 	if err != nil {
 		return nil, err
@@ -298,14 +296,10 @@ func (e *Engine) compile(exprText string) (*layout.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := layout.Compile(expr, schemas)
-	if err != nil {
-		return nil, err
+	if as != nil {
+		schemas[name] = as
 	}
-	e.mu.Lock()
-	e.specs[exprText] = spec
-	e.mu.Unlock()
-	return spec, nil
+	return layout.Compile(expr, schemas)
 }
 
 // invalidateSpecCache drops cached plans (schemas changed).
@@ -331,22 +325,13 @@ func (e *Engine) dropInsertSnap(name string) {
 // Create registers a table with its logical schema and layout expression.
 // Nothing is rendered until Load.
 func (e *Engine) Create(name string, schema *value.Schema, layoutExpr string) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	return e.withLock(name, exclusive, func() error {
 		if e.cat.Has(name) {
 			return fmt.Errorf("table: %q already exists", name)
 		}
 		// Validate the layout against a catalog view that includes the new
 		// table.
-		schemas, err := e.cat.Schemas()
-		if err != nil {
-			return err
-		}
-		schemas[name] = schema
-		expr, err := algebra.Parse(layoutExpr)
-		if err != nil {
-			return err
-		}
-		spec, err := layout.Compile(expr, schemas)
+		spec, err := e.compileAs(layoutExpr, name, schema)
 		if err != nil {
 			return err
 		}
@@ -357,22 +342,25 @@ func (e *Engine) Create(name string, schema *value.Schema, layoutExpr string) er
 		return e.cat.Put(&catalog.Table{
 			Name:       name,
 			Fields:     catalog.FieldsOf(schema),
-			LayoutExpr: expr.String(),
+			LayoutExpr: spec.Expr,
 		})
 	})
 }
 
-// Drop removes a table and frees its extents.
+// Drop removes a table and frees its extents and index trees. It is flip's
+// one sibling: the same barrier → catalog update → checkpoint ordering, with
+// the record deleted instead of replaced.
 func (e *Engine) Drop(name string) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
 		}
+		exts := e.reclaimable(tab.Parts(), tab.Indexes)
 		if err := e.checkpointBeforeFree(); err != nil {
 			return err
 		}
-		if err := e.freeAll(tab); err != nil {
+		if err := e.free(exts); err != nil {
 			return err
 		}
 		e.invalidateSpecCache()
@@ -399,35 +387,10 @@ func (e *Engine) checkpointBeforeFree() error {
 	return e.mgr.CheckpointBarrier()
 }
 
-// freeAll frees (or defers, in durable mode) every extent of a table
-// snapshot.
-func (e *Engine) freeAll(tab *catalog.Table) error {
-	for _, s := range tab.Segments {
-		if err := e.freeSegment(s.Meta); err != nil {
-			return err
-		}
-	}
-	for _, run := range tab.Runs {
-		for _, s := range run.Segments {
-			if err := e.freeSegment(s.Meta); err != nil {
-				return err
-			}
-		}
-	}
-	for _, batch := range tab.Tails {
-		for _, s := range batch {
-			if err := e.freeSegment(s.Meta); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Load bulk-loads rows into an empty table, rendering the layout. Rows must
 // match the logical schema. Use Insert to add data afterwards.
 func (e *Engine) Load(name string, rows []value.Row) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -444,10 +407,14 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 				return fmt.Errorf("table: row %d: %w", i, err)
 			}
 		}
-		// Render into a private copy; Put swaps it in atomically so a
+		// Render into a private copy; the flip swaps it in atomically so a
 		// concurrent checkpoint flush never encodes a half-rendered table.
 		work := *tab
-		return e.render(&work, schema, rows)
+		out, err := e.render(&work, transforms.Relation{Schema: schema, Rows: rows})
+		if err != nil {
+			return err
+		}
+		return e.installMain(tab, &work, out)
 	})
 }
 
@@ -530,7 +497,7 @@ type published struct {
 // logged after the lock is released.
 func (e *Engine) insertOnce(name string, rows []value.Row, exclusivePrepare bool) (pub published, err error) {
 	if exclusivePrepare {
-		err = e.withLock(name, txn.Exclusive, func() error {
+		err = e.withLock(name, exclusive, func() error {
 			tab, err := e.cat.Get(name)
 			if err != nil {
 				return err
@@ -558,7 +525,7 @@ func (e *Engine) insertOnce(name string, rows []value.Row, exclusivePrepare bool
 	if err != nil {
 		return published{}, err
 	}
-	err = e.withLock(name, txn.Exclusive, func() error {
+	err = e.withLock(name, exclusive, func() error {
 		pub, err = e.publishTail(name, snap.layoutExpr, st, true)
 		return err
 	})
@@ -577,7 +544,7 @@ func (e *Engine) snapshotForInsert(name string) (insertSnapshot, error) {
 	if hit {
 		return snap, nil
 	}
-	err := e.withLock(name, txn.Shared, func() error {
+	err := e.withLock(name, shared, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -686,19 +653,7 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 	work := *tab
 	work.Tails = append(work.Tails, batch)
 	work.RowCount += st.rows
-	var tailRows int64
-	for _, b := range work.Tails {
-		if len(b) > 0 {
-			tailRows += b[0].Meta.Rows
-		}
-	}
-	if comp := e.compactionOf(work.LayoutExpr); comp != nil {
-		// Leveled-storage tables trigger their level-0 fold from the
-		// policy's fanout, not the generic tail-count policy.
-		pub.mergeNeeded = e.mergeActive() && len(work.Tails) >= comp.Fanout
-	} else {
-		pub.mergeNeeded = e.mergeTrigger(len(work.Tails), tailRows)
-	}
+	pub.mergeNeeded = e.mergeTrigger(len(work.Tails), work.LayoutExpr)
 	if durable {
 		pub.delta = catalog.EncodeTailAppend(name, batch, st.rows)
 		e.cat.PutBuffered(&work)
@@ -714,212 +669,57 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 }
 
 // AlterLayout changes the table's layout expression. ReorgEager re-renders
-// immediately; ReorgLazy defers to the next access (paper §5).
+// immediately; ReorgLazy defers to the next access (paper §5). Either way
+// the expression must be one the table's stored form can be re-rendered
+// under — a layout that needs an attribute the current one dropped is
+// refused here, before anything is recorded, not at the fold that would
+// otherwise fail on every later access.
 func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	if mode != ReorgEager && mode != ReorgLazy {
+		return fmt.Errorf("table: unknown reorg mode %q", mode)
+	}
+	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
 		}
-		expr, err := algebra.Parse(layoutExpr)
-		if err != nil {
-			return err
-		}
-		schemas, err := e.cat.Schemas()
-		if err != nil {
-			return err
-		}
-		spec, err := layout.Compile(expr, schemas)
+		spec, err := e.compile(layoutExpr)
 		if err != nil {
 			return err
 		}
 		if spec.Table != name {
 			return fmt.Errorf("table: layout %q is for table %q, not %q", layoutExpr, spec.Table, name)
 		}
-		work := *tab // copy-on-write; Put swaps the finished record in
-		switch mode {
-		case ReorgEager:
-			work.LayoutExpr = expr.String()
-			work.NeedsReorg = false
-			work.PendingExpr = ""
-			if err := e.cat.Put(&work); err != nil {
-				return err
-			}
-			return e.reorganizeLocked(&work)
-		case ReorgLazy:
-			work.PendingExpr = expr.String()
-			work.NeedsReorg = true
-			return e.cat.Put(&work)
-		default:
-			return fmt.Errorf("table: unknown reorg mode %q", mode)
+		stored, err := storedSchema(tab)
+		if err != nil {
+			return err
 		}
+		if _, err := e.specFor(tab, spec.Expr, stored); err != nil {
+			return err
+		}
+		// Both modes record the change the same way, on a private copy; eager
+		// folds that copy now (one flip, no intermediate Put), lazy publishes
+		// the mark and the next access folds.
+		work := *tab
+		work.PendingExpr = spec.Expr
+		work.NeedsReorg = true
+		if mode == ReorgEager {
+			return e.reorganize(&work)
+		}
+		return e.cat.Put(&work)
 	})
 }
 
 // Reorganize re-renders the table under its current (or pending) layout,
-// merging tail batches into the main segments.
+// merging runs and tail batches into the main segments.
 func (e *Engine) Reorganize(name string) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
 		}
-		return e.reorganizeLocked(tab)
+		return e.reorganize(tab)
 	})
-}
-
-// reorganizeLocked re-renders tab. Caller holds the table lock.
-func (e *Engine) reorganizeLocked(tab *catalog.Table) error {
-	e.dropInsertSnap(tab.Name) // the layout (pending expr) may flip below
-	// Work on a private copy: the shared record — which a concurrent
-	// checkpoint may flush to disk at any point — must never pair the new
-	// layout with the old segments. The render's Put swaps the finished
-	// copy in atomically.
-	work := *tab
-	tab = &work
-	schema, err := tab.Schema()
-	if err != nil {
-		return err
-	}
-	if tab.NeedsReorg && tab.PendingExpr != "" {
-		tab.LayoutExpr = tab.PendingExpr
-		tab.PendingExpr = ""
-	}
-	tab.NeedsReorg = false
-	// Read everything back in logical (base schema) form. Reorganization
-	// requires the stored representation to retain the full logical schema;
-	// projected layouts reorganize over their final schema instead.
-	rows, readSchema, err := e.readAllRows(tab)
-	if err != nil {
-		return err
-	}
-	if err := e.checkpointBeforeFree(); err != nil {
-		return err
-	}
-	old := *tab // snapshot for extent freeing after render
-	if readSchema.String() != schema.String() {
-		// The stored form dropped attributes (e.g. project[lat,lon]); the
-		// new layout is compiled against what is actually stored.
-		return e.renderNarrowed(tab, readSchema, rows, &old)
-	}
-	if err := e.render(tab, schema, rows); err != nil {
-		return err
-	}
-	if err := e.freeAll(&old); err != nil {
-		return err
-	}
-	e.noteFullMerge(&old, tab)
-	return e.checkpointAfterFlip()
-}
-
-// noteFullMerge counts a full re-render as a fold when it had tails or runs
-// to absorb, so CompactStats reports the O(table) rewrite cost the plain
-// path pays for the same merge schedule a compaction policy handles
-// incrementally (what Ext-15 compares).
-func (e *Engine) noteFullMerge(old, now *catalog.Table) {
-	if len(old.Tails) == 0 && len(old.Runs) == 0 {
-		return
-	}
-	var bytes uint64
-	for _, s := range now.Segments {
-		bytes += s.Meta.UsedBytes
-	}
-	e.statMerges.Add(1)
-	e.statMergeRows.Add(now.RowCount)
-	e.statMergeBytes.Add(int64(bytes))
-}
-
-// renderNarrowed handles reorganization of layouts whose stored schema is a
-// projection of the logical one: the pipeline runs against the stored
-// schema, so steps referencing dropped fields fail with a clear error.
-func (e *Engine) renderNarrowed(tab *catalog.Table, stored *value.Schema, rows []value.Row, old *catalog.Table) error {
-	spec, err := e.compileAgainst(tab.LayoutExpr, tab.Name, stored)
-	if err != nil {
-		return fmt.Errorf("table: reorganize %q: layout needs attributes the stored form dropped: %w", tab.Name, err)
-	}
-	if err := e.renderWithSpec(tab, stored, rows, spec); err != nil {
-		return err
-	}
-	if err := e.freeAll(old); err != nil {
-		return err
-	}
-	e.noteFullMerge(old, tab)
-	return e.checkpointAfterFlip()
-}
-
-// compileAgainst compiles exprText treating `name` as having the given
-// schema (bypassing the catalog's logical schema).
-func (e *Engine) compileAgainst(exprText, name string, schema *value.Schema) (*layout.Spec, error) {
-	expr, err := algebra.Parse(exprText)
-	if err != nil {
-		return nil, err
-	}
-	schemas, err := e.cat.Schemas()
-	if err != nil {
-		return nil, err
-	}
-	schemas[name] = schema
-	return layout.Compile(expr, schemas)
-}
-
-// render compiles the table's layout and materializes rows into segments,
-// replacing the catalog entry. It does NOT free old extents (callers that
-// re-render must snapshot and free).
-func (e *Engine) render(tab *catalog.Table, schema *value.Schema, rows []value.Row) error {
-	spec, err := e.compile(tab.LayoutExpr)
-	if err != nil {
-		return err
-	}
-	return e.renderWithSpec(tab, schema, rows, spec)
-}
-
-func (e *Engine) renderWithSpec(tab *catalog.Table, schema *value.Schema, rows []value.Row, spec *layout.Spec) error {
-	rel := transforms.Relation{Schema: schema, Rows: rows}
-	rel, err := e.applySteps(rel, spec, false)
-	if err != nil {
-		return err
-	}
-
-	var bounds []transforms.GridBounds
-	var ordered []cellRun
-	if spec.Grid != nil {
-		bounds, err = transforms.ComputeGridBounds(rel, spec.Grid.Dims)
-		if err != nil {
-			return err
-		}
-		cells, err := transforms.GridAssign(rel, bounds)
-		if err != nil {
-			return err
-		}
-		ordered, err = orderCells(cells, bounds, spec.Grid.Curve)
-		if err != nil {
-			return err
-		}
-	} else {
-		ordered = []cellRun{{cell: segment.NoCell, rows: rel.Rows}}
-	}
-
-	var entries []catalog.SegmentEntry
-	for _, def := range spec.Segments {
-		entry, err := e.writeSegment(rel, def, spec.RowsPerBlock, ordered)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, entry)
-	}
-
-	tab.Segments = entries
-	tab.Runs = nil // a full render collapses the run hierarchy
-	tab.Tails = nil
-	tab.RowCount = int64(len(rel.Rows))
-	dropIndexes(tab)
-	tab.GridBounds = nil
-	for _, b := range bounds {
-		tab.GridBounds = append(tab.GridBounds, catalog.GridBoundsMeta{
-			Field: b.Field, Min: b.Min, Max: b.Max, Cells: b.Cells,
-		})
-	}
-	return e.cat.Put(tab)
 }
 
 // cellRun is one grid cell's rows (or the whole stream for ungridded).
@@ -1085,11 +885,7 @@ func (e *Engine) applySteps(rel transforms.Relation, spec *layout.Spec, tailOnly
 			if tailOnly {
 				return rel, fmt.Errorf("table: cannot Insert into a folded layout; Reorganize instead")
 			}
-			if e.Fold == FoldNestedLoop {
-				rel, err = transforms.FoldNestedLoop(rel, st.Fields, st.By)
-			} else {
-				rel, err = transforms.FoldHash(rel, st.Fields, st.By)
-			}
+			rel, err = transforms.FoldHash(rel, st.Fields, st.By)
 		case layout.StepUnfold:
 			if tailOnly {
 				return rel, fmt.Errorf("table: cannot Insert into an unfold layout; Reorganize instead")
@@ -1105,28 +901,6 @@ func (e *Engine) applySteps(rel transforms.Relation, spec *layout.Spec, tailOnly
 	return rel, nil
 }
 
-// readAllRows reads the table's full stored content (main + tails) in
-// stored order, returning the stored schema.
-func (e *Engine) readAllRows(tab *catalog.Table) ([]value.Row, *value.Schema, error) {
-	cur, err := e.scanStored(tab, nil, algebra.True, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cur.Close()
-	var rows []value.Row
-	for {
-		row, ok, err := cur.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-	}
-	return rows, cur.Schema(), nil
-}
-
 // storedSchema reconstructs the final (stored) schema of the table from its
 // segment entries.
 func storedSchema(tab *catalog.Table) (*value.Schema, error) {
@@ -1134,12 +908,7 @@ func storedSchema(tab *catalog.Table) (*value.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := tab.Segments
-	if len(entries) == 0 && len(tab.Runs) > 0 {
-		// Never bulk-loaded: the oldest organized run carries the stored
-		// schema (all runs of a table share the layout's segmentation).
-		entries = tab.Runs[0].Segments
-	}
+	entries := organizedEntries(tab)
 	if len(entries) == 0 {
 		return logical, nil
 	}
@@ -1156,4 +925,17 @@ func storedSchema(tab *catalog.Table) (*value.Schema, error) {
 		}
 	}
 	return value.NewSchema(fields...)
+}
+
+// organizedEntries returns the segment list of the table's oldest organized
+// part — the main rendering, or for a table never bulk-loaded its oldest run
+// (every organized part of a table shares the layout's segmentation) — nil
+// when only unorganized tails exist.
+func organizedEntries(tab *catalog.Table) []catalog.SegmentEntry {
+	for _, p := range tab.Parts() {
+		if p.Kind != catalog.PartTail {
+			return p.Segments
+		}
+	}
+	return nil
 }

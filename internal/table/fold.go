@@ -1,0 +1,242 @@
+package table
+
+// The one fold. Every operation that writes an organized part — Load,
+// Reorganize, eager and lazy AlterLayout, Compact under either policy —
+// is made of the same three pieces:
+//
+//	render   layout pipeline → optional grid → one segment per vertical partition
+//	readBack the rows of a chosen set of parts, in stored order
+//	flip     barrier → copy-on-write catalog Put → free what was superseded → checkpoint
+//
+// flip is the only statement of that ordering besides Drop (which deletes the
+// record instead of replacing it). A plain layout is the degenerate policy
+// "fold every part into one main rendering"; a compaction policy folds a few
+// parts at a time and installs the result as a run.
+
+import (
+	"fmt"
+
+	"rodentstore/internal/algebra"
+	"rodentstore/internal/btree"
+	"rodentstore/internal/catalog"
+	"rodentstore/internal/layout"
+	"rodentstore/internal/pager"
+	"rodentstore/internal/segment"
+	"rodentstore/internal/transforms"
+	"rodentstore/internal/value"
+)
+
+// rendered is one organized part as render wrote it.
+type rendered struct {
+	entries []catalog.SegmentEntry
+	bounds  []catalog.GridBoundsMeta // nil when ungridded
+	rows    int64
+}
+
+// specFor compiles exprText for a table whose rows are in the given stored
+// schema. When that is the logical schema the cached catalog compile serves.
+// When the stored form dropped attributes (e.g. project[lat,lon]) the
+// expression is compiled against what is actually stored, and one that needs
+// a dropped attribute is refused — there is nothing to render it from.
+func (e *Engine) specFor(tab *catalog.Table, exprText string, stored *value.Schema) (*layout.Spec, error) {
+	logical, err := tab.Schema()
+	if err != nil {
+		return nil, err
+	}
+	if stored.String() == logical.String() {
+		return e.compile(exprText)
+	}
+	spec, err := e.compileAs(exprText, tab.Name, stored)
+	if err != nil {
+		return nil, fmt.Errorf("table: %q: layout needs attributes the stored form dropped: %w", tab.Name, err)
+	}
+	return spec, nil
+}
+
+// render runs tab's layout pipeline over rel and writes one organized part.
+// It allocates and writes extents but does not touch the catalog; a caller
+// that fails before its flip leaks them, never references them.
+func (e *Engine) render(tab *catalog.Table, rel transforms.Relation) (rendered, error) {
+	spec, err := e.specFor(tab, tab.LayoutExpr, rel.Schema)
+	if err != nil {
+		return rendered{}, err
+	}
+	rel, err = e.applySteps(rel, spec, false)
+	if err != nil {
+		return rendered{}, err
+	}
+	out := rendered{rows: int64(len(rel.Rows))}
+	ordered := []cellRun{{cell: segment.NoCell, rows: rel.Rows}}
+	if spec.Grid != nil {
+		bounds, err := transforms.ComputeGridBounds(rel, spec.Grid.Dims)
+		if err != nil {
+			return rendered{}, err
+		}
+		cells, err := transforms.GridAssign(rel, bounds)
+		if err != nil {
+			return rendered{}, err
+		}
+		if ordered, err = orderCells(cells, bounds, spec.Grid.Curve); err != nil {
+			return rendered{}, err
+		}
+		for _, b := range bounds {
+			out.bounds = append(out.bounds, catalog.GridBoundsMeta{
+				Field: b.Field, Min: b.Min, Max: b.Max, Cells: b.Cells,
+			})
+		}
+	}
+	for _, def := range spec.Segments {
+		entry, err := e.writeSegment(rel, def, spec.RowsPerBlock, ordered)
+		if err != nil {
+			return rendered{}, err
+		}
+		out.entries = append(out.entries, entry)
+	}
+	return out, nil
+}
+
+// readBack returns the rows of the chosen parts of tab, concatenated in the
+// order given, in the table's stored schema.
+func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part) (transforms.Relation, error) {
+	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{raw: true})
+	if err != nil {
+		return transforms.Relation{}, err
+	}
+	cur := newCursor(plan, false, 0)
+	defer cur.Close()
+	var rows []value.Row
+	for {
+		row, ok, err := cur.Next()
+		if err != nil {
+			return transforms.Relation{}, err
+		}
+		if !ok {
+			return transforms.Relation{Schema: cur.Schema(), Rows: rows}, nil
+		}
+		rows = append(rows, row)
+	}
+}
+
+// fold reads the chosen parts back and renders them as one organized part.
+// It is the one place CompactStats moves: a fold counts iff it absorbed at
+// least one tail or run — re-rendering a lone main part is a re-layout, not
+// a merge — and its cost is the rows and payload bytes it wrote.
+func (e *Engine) fold(tab *catalog.Table, parts []catalog.Part) (rendered, error) {
+	rel, err := e.readBack(tab, parts)
+	if err != nil {
+		return rendered{}, err
+	}
+	out, err := e.render(tab, rel)
+	if err != nil {
+		return rendered{}, err
+	}
+	for _, p := range parts {
+		if p.Kind != catalog.PartMain {
+			var bytes uint64
+			for _, s := range out.entries {
+				bytes += s.Meta.UsedBytes
+			}
+			e.statMerges.Add(1)
+			e.statMergeRows.Add(out.rows)
+			e.statMergeBytes.Add(int64(bytes))
+			break
+		}
+	}
+	return out, nil
+}
+
+// reorganize folds every part of tab into one main rendering under its
+// current — or, when one is pending, its new — layout. tab may be a private
+// copy carrying a pending expression no reader has seen (eager AlterLayout):
+// nothing reaches the catalog until the flip, so a failed fold leaves the
+// table exactly as it was. Caller holds the exclusive table lock.
+func (e *Engine) reorganize(tab *catalog.Table) error {
+	e.dropInsertSnap(tab.Name) // the layout may flip below
+	work := *tab
+	if work.NeedsReorg && work.PendingExpr != "" {
+		work.LayoutExpr = work.PendingExpr
+	}
+	work.NeedsReorg, work.PendingExpr = false, ""
+	out, err := e.fold(&work, tab.Parts())
+	if err != nil {
+		return err
+	}
+	return e.installMain(tab, &work, out)
+}
+
+// installMain makes out the whole of work's storage and flips it in over
+// old: every part and every index of old is superseded (an index maps keys to
+// positions in a rendering that no longer exists; rebuild with CreateIndex).
+func (e *Engine) installMain(old, work *catalog.Table, out rendered) error {
+	work.Segments, work.Runs, work.Tails = out.entries, nil, nil
+	work.RowCount = out.rows
+	work.GridBounds = out.bounds
+	work.Indexes = nil
+	return e.flip(work, old.Parts(), old.Indexes)
+}
+
+// reclaimable lists the extents behind superseded parts and index trees.
+// Walking a tree reads its pages, so this runs before anything is freed. A
+// tree that cannot be walked to the end is reclaimed as far as it could be
+// read and the rest leaks: an unreadable index page must not make a table
+// impossible to fold or drop.
+func (e *Engine) reclaimable(parts []catalog.Part, trees []catalog.IndexMeta) []pager.Extent {
+	var exts []pager.Extent
+	for _, p := range parts {
+		for _, s := range p.Segments {
+			if s.Meta.ExtentPages > 0 {
+				exts = append(exts, pager.Extent{Start: s.Meta.ExtentStart, Count: s.Meta.ExtentPages})
+			}
+		}
+	}
+	for _, ix := range trees {
+		reached, _ := btree.Open(e.file, pager.PageID(ix.Root)).Extents()
+		exts = append(exts, reached...)
+	}
+	return exts
+}
+
+// free releases extents — deferred to the next checkpoint in durable mode,
+// inline otherwise.
+func (e *Engine) free(exts []pager.Extent) error {
+	for _, ext := range exts {
+		if e.deferFree(ext) {
+			continue
+		}
+		if err := e.file.FreeRun(ext.Start, ext.Count); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flip publishes work as the table's catalog record and reclaims what it
+// supersedes. The order is the durability protocol:
+//
+//  1. checkpointBeforeFree — no log record may still name an extent about to
+//     be freed (and later reallocated);
+//  2. copy-on-write Put — readers and a concurrent checkpoint flush see the
+//     old record or the new one, never a mixture;
+//  3. free — inline without a log; with one, queued until a checkpoint has
+//     made the Put durable, so a crash leaks pages but never lets WAL replay
+//     write into an extent the rolled-back catalog still references;
+//  4. checkpointAfterFlip — makes the new record durable and drains the queue.
+//
+// A flip that supersedes nothing frees nothing and needs neither checkpoint.
+// Caller holds the exclusive table lock.
+func (e *Engine) flip(work *catalog.Table, parts []catalog.Part, trees []catalog.IndexMeta) error {
+	exts := e.reclaimable(parts, trees)
+	if len(exts) == 0 {
+		return e.cat.Put(work)
+	}
+	if err := e.checkpointBeforeFree(); err != nil {
+		return err
+	}
+	if err := e.cat.Put(work); err != nil {
+		return err
+	}
+	if err := e.free(exts); err != nil {
+		return err
+	}
+	return e.checkpointAfterFlip()
+}

@@ -8,7 +8,6 @@ import (
 	"rodentstore/internal/btree"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
-	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
 )
 
@@ -22,12 +21,13 @@ import (
 // rebuild with CreateIndex. Tail-only Inserts do NOT drop indexes — an
 // appended tail shifts no existing position, so the tree stays valid for
 // the prefix it covers (IndexMeta.Rows) and IndexScan post-scans the
-// unindexed suffix.
+// unindexed suffix. A dropped index's tree pages are reclaimed by the flip
+// that drops it, like any superseded segment.
 
 // CreateIndex builds a B+tree over the named field of the table's stored
 // rows. The field must be stored by the current layout.
 func (e *Engine) CreateIndex(tableName, field string) error {
-	return e.withLock(tableName, txn.Exclusive, func() error {
+	return e.withLock(tableName, exclusive, func() error {
 		tab, err := e.cat.Get(tableName)
 		if err != nil {
 			return err
@@ -86,7 +86,7 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 
 // DropIndex removes the index on the given field.
 func (e *Engine) DropIndex(tableName, field string) error {
-	return e.withLock(tableName, txn.Exclusive, func() error {
+	return e.withLock(tableName, exclusive, func() error {
 		tab, err := e.cat.Get(tableName)
 		if err != nil {
 			return err
@@ -95,7 +95,7 @@ func (e *Engine) DropIndex(tableName, field string) error {
 			if idx.Field == field {
 				work := *tab
 				work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes[:i]...), tab.Indexes[i+1:]...)
-				return e.cat.Put(&work)
+				return e.flip(&work, nil, []catalog.IndexMeta{idx})
 			}
 		}
 		return fmt.Errorf("table: no index on %s(%s)", tableName, field)
@@ -115,12 +115,6 @@ func (e *Engine) Indexes(tableName string) ([]string, error) {
 	return out, nil
 }
 
-// dropIndexes clears index metadata after a data rewrite (the tree pages
-// themselves leak into the file until the next Reorganize reclaims extents;
-// B+tree pages are single-page allocations, so they are simply abandoned —
-// bounded by rebuild frequency and documented behavior).
-func dropIndexes(tab *catalog.Table) { tab.Indexes = nil }
-
 // IndexScan runs a range lookup through the index on field and returns the
 // matching rows (post-filtered by pred, projected to fields). It reads only
 // the blocks containing matching positions — for selective predicates this
@@ -129,7 +123,7 @@ func dropIndexes(tab *catalog.Table) { tab.Indexes = nil }
 // its R-tree).
 func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predicate, indexField string) (*Cursor, error) {
 	var cur *Cursor
-	err := e.withLock(tableName, txn.Shared, func() error {
+	err := e.withLock(tableName, shared, func() error {
 		tab, err := e.cat.Get(tableName)
 		if err != nil {
 			return err

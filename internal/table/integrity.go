@@ -14,7 +14,6 @@ import (
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
-	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
 )
 
@@ -24,8 +23,8 @@ type IntegrityIssue struct {
 	// Table is the owning table ("" for store-level issues reported by
 	// callers that append pager/WAL findings).
 	Table string
-	// Part locates the segment list: "main", "tail[N]", or a store-level
-	// area name.
+	// Part locates the segment list (catalog.Part's label: "main",
+	// "run[N]L<level>", "tail[N]") or names a store-level area.
 	Part string
 	// Segment is the index within the part (-1 when not segment-scoped).
 	Segment int
@@ -65,17 +64,16 @@ type IntegrityReport struct {
 // OK reports whether the walk found no issues.
 func (r *IntegrityReport) OK() bool { return len(r.Issues) == 0 }
 
-// CheckIntegrity decodes every block of every table (main segments and tail
-// batches, all columns) and reports each one that cannot be read. Damage
-// does not stop the walk; only infrastructure failures (catalog unreadable,
-// lock manager shut down) return a non-nil error alongside the partial
-// report.
+// CheckIntegrity decodes every block of every table (every part, all
+// columns) and reports each one that cannot be read. Damage does not stop
+// the walk; only infrastructure failures (catalog unreadable) return a
+// non-nil error alongside the partial report.
 func (e *Engine) CheckIntegrity() (*IntegrityReport, error) {
 	rep := &IntegrityReport{}
 	names := e.cat.Names()
 	sort.Strings(names)
 	for _, name := range names {
-		err := e.withLock(name, txn.Shared, func() error {
+		err := e.withLock(name, shared, func() error {
 			tab, err := e.cat.Get(name)
 			if err != nil {
 				return err
@@ -88,12 +86,8 @@ func (e *Engine) CheckIntegrity() (*IntegrityReport, error) {
 				})
 				return nil
 			}
-			e.checkEntries(rep, name, "main", tab.Segments, stored)
-			for ri, run := range tab.Runs {
-				e.checkEntries(rep, name, fmt.Sprintf("run[%d]L%d", ri, run.Level), run.Segments, stored)
-			}
-			for ti, batch := range tab.Tails {
-				e.checkEntries(rep, name, fmt.Sprintf("tail[%d]", ti), batch, stored)
+			for _, p := range tab.Parts() {
+				e.checkEntries(rep, name, p.String(), p.Segments, stored)
 			}
 			return nil
 		})

@@ -20,39 +20,22 @@ import (
 // calling Reorganize or Compact explicitly — is unchanged, which is what
 // the paper experiments use.
 
-// MergePolicy decides when a table's accumulated tails are folded by the
-// background merge workers. Tables whose layout carries a compaction
-// directive ignore the tail thresholds: their level-0 fold triggers at the
-// policy's own fanout.
-type MergePolicy struct {
-	// MaxTails triggers a merge when the table has at least this many tail
-	// batches (0 disables the batch-count trigger).
-	MaxTails int
-	// MaxTailRows triggers a merge when the tails hold at least this many
-	// rows in total (0 disables the row-count trigger).
-	MaxTailRows int64
-	// Workers sizes the background pool (0 = defaultMergeWorkers). More
-	// workers let merges of distinct tables overlap; a single table's
-	// merges always serialize on its exclusive lock.
-	Workers int
-}
+// defaultMaxTails keeps read amplification bounded without merging on every
+// insert.
+const defaultMaxTails = 8
 
-// DefaultMergePolicy keeps read amplification bounded without merging on
-// every insert.
-var DefaultMergePolicy = MergePolicy{MaxTails: 8}
-
-// defaultMergeWorkers bounds background fold concurrency when the policy
-// does not: enough to keep a few tables' merges overlapping without
-// competing with query threads for the whole machine.
+// defaultMergeWorkers sizes the pool: enough to keep a few tables' merges
+// overlapping without competing with query threads for the whole machine.
+// A single table's merges always serialize on its exclusive lock.
 const defaultMergeWorkers = 4
 
 // merger is the engine-owned background worker pool. Tables are enqueued at
 // most once; a worker takes the oldest queued table that no other worker is
 // already folding.
 type merger struct {
-	e      *Engine
-	policy MergePolicy
-	wg     sync.WaitGroup
+	e        *Engine
+	maxTails int
+	wg       sync.WaitGroup
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -64,29 +47,26 @@ type merger struct {
 	lastErr  error
 }
 
-// EnableAutoMerge starts the background merge pool with the given policy
-// (zero-value trigger fields fall back to DefaultMergePolicy). Calling it
-// again replaces the policy, stopping and restarting the pool.
-func (e *Engine) EnableAutoMerge(p MergePolicy) {
-	if p.MaxTails <= 0 && p.MaxTailRows <= 0 {
-		workers := p.Workers
-		p = DefaultMergePolicy
-		p.Workers = workers
-	}
-	if p.Workers <= 0 {
-		p.Workers = defaultMergeWorkers
+// EnableAutoMerge starts the background merge pool: a table is queued for a
+// fold once it has accumulated maxTails tail batches (<= 0 means
+// defaultMaxTails). Tables whose layout carries a compaction directive
+// ignore maxTails: their level-0 fold triggers at the policy's own fanout.
+// Calling it again replaces the threshold, stopping and restarting the pool.
+func (e *Engine) EnableAutoMerge(maxTails int) {
+	if maxTails <= 0 {
+		maxTails = defaultMaxTails
 	}
 	e.DisableAutoMerge()
 	m := &merger{
-		e: e, policy: p,
+		e: e, maxTails: maxTails,
 		queued: make(map[string]bool), inflight: make(map[string]bool),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	e.mergeMu.Lock()
 	e.merge = m
 	e.mergeMu.Unlock()
-	m.wg.Add(p.Workers)
-	for i := 0; i < p.Workers; i++ {
+	m.wg.Add(defaultMergeWorkers)
+	for i := 0; i < defaultMergeWorkers; i++ {
 		go m.worker()
 	}
 }
@@ -139,26 +119,21 @@ func (e *Engine) MergeErr() error {
 	return m.lastErr
 }
 
-// mergeActive reports whether a background merge pool is running.
-func (e *Engine) mergeActive() bool {
-	e.mergeMu.Lock()
-	defer e.mergeMu.Unlock()
-	return e.merge != nil
-}
-
-// mergeTrigger reports whether tab's tails exceed the active policy. The
-// caller holds the exclusive table lock, so reading Tails is safe.
-func (e *Engine) mergeTrigger(tails int, tailRows int64) bool {
+// mergeTrigger reports whether a table that now has this many tail batches
+// should be queued for a background fold: at the pool's threshold, or — for
+// a layout with a compaction policy — at the policy's fanout. Always false
+// while no pool is running.
+func (e *Engine) mergeTrigger(tails int, layoutExpr string) bool {
 	e.mergeMu.Lock()
 	m := e.merge
 	e.mergeMu.Unlock()
 	if m == nil {
 		return false
 	}
-	if m.policy.MaxTails > 0 && tails >= m.policy.MaxTails {
-		return true
+	if spec, err := e.compile(layoutExpr); err == nil && spec.Compaction != nil {
+		return tails >= spec.Compaction.Fanout
 	}
-	return m.policy.MaxTailRows > 0 && tailRows >= m.policy.MaxTailRows
+	return tails >= m.maxTails
 }
 
 // maybeAutoMerge enqueues the table for a background merge. Called by

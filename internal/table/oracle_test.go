@@ -35,7 +35,7 @@ func oracleScan(t testing.TB, e *Engine, name string, opts ScanOptions) []value.
 			t.Fatal(err)
 		}
 	}
-	plan, err := e.planScan(tab, fields, opts.Pred, storedScanOpts{noZone: opts.NoZonePrune, agg: opts.Aggregate})
+	plan, err := e.planScan(tab, tab.Parts(), fields, opts.Pred, storedScanOpts{noZone: opts.NoZonePrune, agg: opts.Aggregate})
 	if err != nil {
 		t.Fatal(err)
 	}

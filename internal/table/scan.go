@@ -12,7 +12,6 @@ import (
 	"rodentstore/internal/cost"
 	"rodentstore/internal/segment"
 	"rodentstore/internal/transforms"
-	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vec"
 )
@@ -63,7 +62,7 @@ type ScanOptions struct {
 // same old extents (a double free). The re-check under the exclusive lock
 // makes the losers of that race no-ops.
 func (e *Engine) reorganizeIfNeeded(name string) error {
-	return e.withLock(name, txn.Exclusive, func() error {
+	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -71,7 +70,7 @@ func (e *Engine) reorganizeIfNeeded(name string) error {
 		if !tab.NeedsReorg {
 			return nil // another reader already reorganized
 		}
-		return e.reorganizeLocked(tab)
+		return e.reorganize(tab)
 	})
 }
 
@@ -80,7 +79,7 @@ func (e *Engine) reorganizeIfNeeded(name string) error {
 func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 	var cur *Cursor
 	var needsReorg bool
-	err := e.withLock(name, txn.Shared, func() error {
+	err := e.withLock(name, shared, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -95,7 +94,7 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 				return err
 			}
 		}
-		plan, err := e.planScan(tab, fields, opts.Pred, storedScanOpts{
+		plan, err := e.planScan(tab, tab.Parts(), fields, opts.Pred, storedScanOpts{
 			noZone: opts.NoZonePrune, quarantine: opts.Quarantine, agg: opts.Aggregate,
 		})
 		if err != nil {
@@ -160,14 +159,7 @@ func aggScanFields(tab *catalog.Table, opts ScanOptions) ([]string, error) {
 // under the layout's sort, but two sorted runs concatenated are not globally
 // sorted — so more than one organized part also re-sorts.
 func (e *Engine) orderMatchesStored(tab *catalog.Table, order []algebra.OrderKey) bool {
-	if len(tab.Tails) > 0 {
-		return false
-	}
-	organized := len(tab.Runs)
-	if len(tab.Segments) > 0 {
-		organized++
-	}
-	if organized > 1 {
+	if len(tab.Tails) > 0 || len(tab.Parts()) > 1 {
 		return false
 	}
 	spec, err := e.compile(tab.LayoutExpr)
@@ -200,7 +192,7 @@ func (e *Engine) orderMatchesStored(tab *catalog.Table, order []algebra.OrderKey
 func (e *Engine) GetElement(name string, fields []string, index []int64) (*Cursor, error) {
 	var cur *Cursor
 	var needsReorg bool
-	err := e.withLock(name, txn.Shared, func() error {
+	err := e.withLock(name, shared, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -1013,11 +1005,10 @@ type storedScanOpts struct {
 }
 
 // scanStored opens a serial cursor over the stored representation, for the
-// engine's own reads (positional access, index builds and fetches, fold
-// read-back). fields nil selects all stored fields. When raw is true the
+// engine's own reads (positional access, index builds and fetches). fields nil selects all stored fields. When raw is true the
 // scan bypasses pruning.
 func (e *Engine) scanStored(tab *catalog.Table, fields []string, pred algebra.Predicate, raw bool) (*Cursor, error) {
-	plan, err := e.planScan(tab, fields, pred, storedScanOpts{raw: raw})
+	plan, err := e.planScan(tab, tab.Parts(), fields, pred, storedScanOpts{raw: raw})
 	if err != nil {
 		return nil, err
 	}
@@ -1025,9 +1016,10 @@ func (e *Engine) scanStored(tab *catalog.Table, fields []string, pred algebra.Pr
 }
 
 // planScan is the planner stage: it resolves the projection and predicate
-// against the stored schema, opens the parts, prunes blocks, and compiles
-// the filter (and aggregation, if any).
-func (e *Engine) planScan(tab *catalog.Table, fields []string, pred algebra.Predicate, so storedScanOpts) (*scanPlan, error) {
+// against the stored schema, opens the given parts of tab (all of them for a
+// scan; a fold's read-back chooses), prunes blocks, and compiles the filter
+// (and aggregation, if any).
+func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []string, pred algebra.Predicate, so storedScanOpts) (*scanPlan, error) {
 	stored, err := storedSchema(tab)
 	if err != nil {
 		return nil, err
@@ -1065,26 +1057,11 @@ func (e *Engine) planScan(tab *catalog.Table, fields []string, pred algebra.Pred
 		outIdx[i] = decoded.Index(f)
 	}
 
-	// Build parts: main rendering, then organized runs (oldest level first —
-	// the catalog keeps Runs in chronological order), then each tail batch.
-	// The concatenation preserves global insert order across the hierarchy.
-	var parts []*part
-	if len(tab.Segments) > 0 {
-		p, err := e.buildPart(tab.Segments, stored, decoded)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, p)
-	}
-	for _, run := range tab.Runs {
-		p, err := e.buildPart(run.Segments, stored, decoded)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, p)
-	}
-	for _, batch := range tab.Tails {
-		p, err := e.buildPart(batch, stored, decoded)
+	// Concatenating a table's parts in catalog order preserves global insert
+	// order across the hierarchy.
+	parts := make([]*part, 0, len(from))
+	for _, cp := range from {
+		p, err := e.buildPart(cp.Segments, stored, decoded)
 		if err != nil {
 			return nil, err
 		}
@@ -1261,17 +1238,19 @@ func (e *Engine) EstimateScan(name string, opts ScanOptions) (cost.Estimate, err
 	prune := e.pruner(tab, opts.Pred, false, opts.NoZonePrune)
 	payload := e.file.PayloadSize()
 
-	var est cost.Estimate
-	addPart := func(entries []catalog.SegmentEntry) {
-		for _, entry := range entries {
-			read := false
-			for _, f := range entry.Fields {
-				if needed[f] {
-					read = true
-					break
-				}
+	reads := func(entry catalog.SegmentEntry) bool {
+		for _, f := range entry.Fields {
+			if needed[f] {
+				return true
 			}
-			if !read {
+		}
+		return false
+	}
+
+	var est cost.Estimate
+	for _, p := range tab.Parts() {
+		for _, entry := range p.Segments {
+			if !reads(entry) {
 				continue
 			}
 			// Collect page ranges of surviving blocks; merge adjacent runs.
@@ -1298,29 +1277,12 @@ func (e *Engine) EstimateScan(name string, opts ScanOptions) (cost.Estimate, err
 			}
 		}
 	}
-	addPart(tab.Segments)
-	for _, run := range tab.Runs {
-		addPart(run.Segments)
-	}
-	for _, batch := range tab.Tails {
-		addPart(batch)
-	}
 	// Rows were counted once per segment read; normalize to one copy.
 	nread := 0
-	countSegs := func(entries []catalog.SegmentEntry) {
-		for _, entry := range entries {
-			for _, f := range entry.Fields {
-				if needed[f] {
-					nread++
-					break
-				}
-			}
+	for _, entry := range organizedEntries(tab) {
+		if reads(entry) {
+			nread++
 		}
-	}
-	if len(tab.Segments) > 0 {
-		countSegs(tab.Segments)
-	} else if len(tab.Runs) > 0 {
-		countSegs(tab.Runs[0].Segments)
 	}
 	if nread > 1 && est.Rows > 0 {
 		est.Rows /= int64(nread)

@@ -9,6 +9,7 @@ import (
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
+	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
 )
 
@@ -608,7 +609,9 @@ func TestDropFreesPages(t *testing.T) {
 	}
 }
 
-func TestFoldStrategiesAgree(t *testing.T) {
+// TestFoldMatchesAlgorithm1 holds the engine's fold rendering to the paper's
+// Algorithm 1 (transforms.FoldNestedLoop, the reference implementation).
+func TestFoldMatchesAlgorithm1(t *testing.T) {
 	schema := value.MustSchema(
 		value.Field{Name: "area", Type: value.Int},
 		value.Field{Name: "zip", Type: value.Int},
@@ -618,27 +621,26 @@ func TestFoldStrategiesAgree(t *testing.T) {
 	for i := range rows {
 		rows[i] = value.Row{value.NewInt(int64(r.Intn(10))), value.NewInt(int64(r.Intn(100000)))}
 	}
-	run := func(strategy FoldStrategy) []value.Row {
-		e, _, _ := newEngine(t)
-		e.Fold = strategy
-		e.Create("Areas", schema, "fold[zip; area](Areas)")
-		if err := e.Load("Areas", rows); err != nil {
-			t.Fatal(err)
-		}
-		cur, err := e.Scan("Areas", ScanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return drain(t, cur)
+	e, _, _ := newEngine(t)
+	e.Create("Areas", schema, "fold[zip; area](Areas)")
+	if err := e.Load("Areas", rows); err != nil {
+		t.Fatal(err)
 	}
-	h := run(FoldHash)
-	nl := run(FoldNestedLoop)
-	if len(h) != len(nl) {
-		t.Fatalf("group counts differ: %d vs %d", len(h), len(nl))
+	cur, err := e.Scan("Areas", ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range h {
-		if rowKey(h[i]) != rowKey(nl[i]) {
-			t.Fatalf("row %d differs between strategies", i)
+	got := drain(t, cur)
+	want, err := transforms.FoldNestedLoop(transforms.Relation{Schema: schema, Rows: rows}, []string{"zip"}, []string{"area"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want.Rows) {
+		t.Fatalf("group counts differ: %d vs %d", len(got), len(want.Rows))
+	}
+	for i := range got {
+		if rowKey(got[i]) != rowKey(want.Rows[i]) {
+			t.Fatalf("row %d differs from Algorithm 1", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package torture is the crash-consistency torture harness: it drives a
 // randomized workload (durable inserts, reorganizations, leveled
-// compactions, drops, checkpoints, scans) against a database living on a
+// compactions, layout changes, drops, checkpoints, scans) against a database
+// living on a
 // fault-injecting in-memory file system, and at EVERY write and sync the
 // store issues it simulates a power cut — snapshotting what a crash at that
 // instant would leave on disk, reopening the snapshot through full
@@ -17,6 +18,9 @@
 //     during reorganizations, compactions or drops the recovered catalog
 //     must be wholly old or wholly new — a power cut mid-compaction must
 //     never lose acknowledged rows or resurface data from freed runs.
+//   - A layout change is all or nothing: the recovered layout is one the
+//     harness asked for, and an ordered scan delivers the order that layout
+//     advertises — never the new expression over bytes in the old order.
 //
 // Between operations the harness also power-cuts the live store itself
 // (cycling drop/keep semantics) and reopens it, verifying an exact match.
@@ -37,6 +41,9 @@ import (
 // dbPath is the database's name inside the fault FS namespace.
 const dbPath = "torture.rdnt"
 
+// narrowed is the table whose layouts project a column away.
+const narrowed = "delta"
+
 // maxRows caps a table's size: past it the next operation on the table is a
 // drop-and-recreate, keeping per-kill-point verification affordable (and
 // exercising the drop path).
@@ -52,7 +59,7 @@ type Config struct {
 
 // Stats counts what a run covered.
 type Stats struct {
-	Ops, Inserts, Reorgs, Compacts, Checkpoints, Drops, Scans, Crashes int
+	Ops, Inserts, Reorgs, Compacts, Alters, Checkpoints, Drops, Scans, Crashes int
 	// KillPoints is how many write/sync points were crash-checked.
 	KillPoints int
 }
@@ -71,7 +78,7 @@ type harness struct {
 	db       *rodentstore.DB
 	rng      *rand.Rand
 	model    map[string]map[int64]string // table -> id -> payload (committed)
-	layouts  map[string]string
+	layouts  map[string][2]string        // table -> the two layouts opAlter flips between; [0] at creation
 	cur      inflight
 	nextID   int64
 	nextKill int
@@ -90,14 +97,17 @@ func Run(cfg Config) (Stats, error) {
 		fs:    vfs.NewFault(cfg.Seed),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		model: make(map[string]map[int64]string),
-		layouts: map[string]string{
-			"alpha": "rows(alpha)",
-			"beta":  "cols(beta)",
+		layouts: map[string][2]string{
+			"alpha": {"rows(alpha)", "orderby[p](alpha)"},
+			"beta":  {"cols(beta)", "cols(orderby[p](beta))"},
 			// gamma keeps a leveled run hierarchy: tiny blocks (chunk[16])
 			// shrink the per-level row targets so tail folds, in-place merges
 			// and level promotions all happen within maxRows — kill points
 			// land inside every phase of a compaction.
-			"gamma": "leveled[2](chunk[16](rows(gamma)))",
+			"gamma": {"leveled[2](chunk[16](rows(gamma)))", "leveled[2](chunk[16](orderby[p](gamma)))"},
+			// narrowed's layouts both drop x, so once it has an organized part
+			// a layout that needs x is one its stored form cannot serve.
+			narrowed: {"project[id,p](" + narrowed + ")", "orderby[p](project[id,p](" + narrowed + "))"},
 		},
 	}
 	if err := h.setup(); err != nil {
@@ -153,7 +163,8 @@ func (h *harness) createTable(name string) error {
 	return h.db.CreateTable(name, []rodentstore.Field{
 		{Name: "id", Type: rodentstore.Int},
 		{Name: "p", Type: rodentstore.String},
-	}, h.layouts[name])
+		{Name: "x", Type: rodentstore.Int},
+	}, h.layouts[name][0])
 }
 
 func payloadOf(id int64) string { return fmt.Sprintf("row-%d-%x", id, id*2654435761) }
@@ -173,16 +184,18 @@ func (h *harness) loop() error {
 			switch p := h.rng.Intn(100); {
 			case p < 55:
 				err = h.opInsert(name)
-			case p < 68:
+			case p < 67:
 				err = h.opScan(name)
-			case p < 75:
+			case p < 73:
 				err = h.opCompact(name)
-			case p < 80:
+			case p < 78:
 				err = h.opReorganize(name)
-			case p < 88:
+			case p < 84:
+				err = h.opAlter(name)
+			case p < 90:
 				h.stats.Checkpoints++
 				err = h.db.Checkpoint()
-			case p < 95:
+			case p < 96:
 				err = h.opCrashReopen()
 			default:
 				err = h.opDrop(name)
@@ -208,7 +221,7 @@ func (h *harness) opInsert(name string) error {
 		id := h.nextID
 		h.nextID++
 		batch[id] = payloadOf(id)
-		rows = append(rows, rodentstore.Row{rodentstore.IntValue(id), rodentstore.StringValue(batch[id])})
+		rows = append(rows, rodentstore.Row{rodentstore.IntValue(id), rodentstore.StringValue(batch[id]), rodentstore.IntValue(-id)})
 	}
 	h.cur = inflight{kind: "insert", table: name, batch: batch}
 	err := h.db.Insert(name, rows)
@@ -229,7 +242,10 @@ func (h *harness) opScan(name string) error {
 	if err != nil {
 		return err
 	}
-	return diff(h.model[name], got, nil)
+	if err := diff(h.model[name], got, nil); err != nil {
+		return err
+	}
+	return h.checkLayout(h.db, name)
 }
 
 func (h *harness) opReorganize(name string) error {
@@ -243,6 +259,43 @@ func (h *harness) opReorganize(name string) error {
 func (h *harness) opCompact(name string) error {
 	h.stats.Compacts++
 	return h.db.Compact(name)
+}
+
+// opAlter flips the table to the other of its two layouts, eagerly (the fold
+// runs now, under live kill points) or lazily (a later access folds). Now and
+// then it first asks the narrowed table for a layout its stored form cannot
+// serve, which must be refused with nothing changed.
+func (h *harness) opAlter(name string) error {
+	h.stats.Alters++
+	eager := h.rng.Intn(2) == 0
+	if name == narrowed && h.rng.Intn(3) == 0 {
+		if err := h.alterUnservable(eager); err != nil {
+			return err
+		}
+	}
+	current, err := h.db.LayoutOf(name)
+	if err != nil {
+		return err
+	}
+	target := h.layouts[name][0]
+	if current == target {
+		target = h.layouts[name][1]
+	}
+	return h.db.AlterLayout(name, target, eager)
+}
+
+// alterUnservable gives the narrowed table an organized part (so its stored
+// form really has dropped x), then asks for a layout ordered by x. The scan
+// that follows checks the rows are intact and the layout is still one of the
+// table's two.
+func (h *harness) alterUnservable(eager bool) error {
+	if err := h.db.Reorganize(narrowed); err != nil {
+		return err
+	}
+	if err := h.db.AlterLayout(narrowed, "orderby[x]("+narrowed+")", eager); err == nil {
+		return fmt.Errorf("a layout the stored form cannot serve was accepted (eager=%v)", eager)
+	}
+	return h.opScan(narrowed)
 }
 
 func (h *harness) opDrop(name string) error {
@@ -291,6 +344,9 @@ func (h *harness) opCrashReopen() error {
 			return fmt.Errorf("scan %s after crash: %w", name, err)
 		}
 		if err := diff(h.model[name], got, nil); err != nil {
+			return fmt.Errorf("table %s after crash: %w", name, err)
+		}
+		if err := h.checkLayout(h.db, name); err != nil {
 			return fmt.Errorf("table %s after crash: %w", name, err)
 		}
 	}
@@ -353,6 +409,45 @@ func (h *harness) verifySnapshot(imgs map[string]vfs.Image) error {
 		}
 		if err := diff(want, got, pending); err != nil {
 			return fmt.Errorf("table %s: %w", name, err)
+		}
+		if err := h.checkLayout(db, name); err != nil {
+			return fmt.Errorf("table %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// checkLayout enforces the alter invariants on one table of a live or
+// recovered store: its layout is one of the two the harness ever asks for,
+// and when that layout advertises an order (only p here), a scan asking for
+// it comes back sorted — the scan streams if it trusts the stored order, so
+// a new expression over bytes still in the old order fails here.
+func (h *harness) checkLayout(db *rodentstore.DB, name string) error {
+	expr, err := db.LayoutOf(name)
+	if err != nil {
+		return err
+	}
+	if pair := h.layouts[name]; expr != pair[0] && expr != pair[1] {
+		return fmt.Errorf("layout %q is none the harness asked for", expr)
+	}
+	orders, err := db.OrderList(name)
+	if err != nil {
+		return err
+	}
+	for _, order := range orders {
+		cur, err := db.Scan(name, rodentstore.Query{Fields: []string{"p"}, OrderBy: order})
+		if err != nil {
+			return fmt.Errorf("scan ordered by %s: %w", order, err)
+		}
+		rows, err := cur.All()
+		cur.Close()
+		if err != nil {
+			return fmt.Errorf("scan ordered by %s: %w", order, err)
+		}
+		for i := 1; i < len(rows); i++ {
+			if rows[i-1][0].Str() > rows[i][0].Str() {
+				return fmt.Errorf("layout %s: scan ordered by %s is not sorted at row %d", expr, order, i)
+			}
 		}
 	}
 	return nil

@@ -63,11 +63,7 @@ func TestRecoveryTornWALTail(t *testing.T) {
 
 	p1, _ := f.Allocate()
 	p2, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(p1, []byte("first txn")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, p1, []byte("first txn")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,8 +89,8 @@ func TestRecoveryTornWALTail(t *testing.T) {
 		}
 		return vfs.OK
 	}
-	if err := l.Flush(); err == nil {
-		t.Fatal("flush over a torn write reported success")
+	if err := l.Sync(); err == nil {
+		t.Fatal("sync over a torn write reported success")
 	}
 	fs.Inject = nil
 
@@ -139,11 +135,7 @@ func TestRecoveryGroupCommitFsyncFailure(t *testing.T) {
 	m, f, _ := newFaultEnv(t, fs)
 
 	p0, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(p0, []byte("durable")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, p0, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,12 +159,7 @@ func TestRecoveryGroupCommitFsyncFailure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tx := m.Begin()
-			if err := tx.Write(pages[i], []byte("lost")); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = tx.Commit()
+			errs[i] = commit(m, f, pages[i], []byte("lost"))
 		}(i)
 	}
 	wg.Wait()
@@ -185,12 +172,8 @@ func TestRecoveryGroupCommitFsyncFailure(t *testing.T) {
 	// The latch holds: a later commit on the same log must fail without
 	// another injected fault.
 	armed.Store(false)
-	late := m.Begin()
-	if err := late.Write(p0, []byte("late")); err != nil {
-		t.Fatal(err)
-	}
 	var sf *wal.ErrSyncFailed
-	if err := late.Commit(); !errors.As(err, &sf) {
+	if err := commit(m, f, p0, []byte("late")); !errors.As(err, &sf) {
 		t.Fatalf("post-failure commit error %v is not ErrSyncFailed (latch broken)", err)
 	}
 
@@ -270,11 +253,7 @@ func TestRecoveryHealsCorruptPage(t *testing.T) {
 	m, f, _ := newFaultEnv(t, fs)
 
 	id, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(id, []byte("precious data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, id, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,77 +1,46 @@
-// Package txn implements RodentStore's transaction and lock management —
-// the facilities the paper argues (§1) should be built once and shared by
-// every physical layout rather than re-implemented per storage engine.
+// Package txn is RodentStore's durability manager: redo logging of page
+// writes that were already applied in place, plus the checkpoints that let
+// the log be truncated. It is one of the facilities the paper argues (§1)
+// should be built once and shared by every physical layout rather than
+// re-implemented per storage engine.
 //
-// Transactions follow a no-steal / force discipline over full page images:
-// writes are staged in a private write set, logged and fsync'd at commit,
-// then applied through the pager. Recovery (wal.Log.Recover) makes the
-// commit point atomic across crashes. Concurrency control is table-level
-// strict two-phase locking with shared/exclusive modes and timeout-based
-// deadlock resolution.
+// The one commit path: a writer applies its pages to the page file under its
+// own higher-level lock (the engine's table lock), releases that lock, then
+// calls LogAppliedSince, which appends the page images as one committed
+// record group and waits on the log's shared fsync ticket. Recovery
+// (wal.Log.RecoverFull) re-applies the images of committed groups, which is
+// idempotent. Mutual exclusion between writers is the caller's business —
+// this package holds no table locks.
 package txn
 
 import (
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/wal"
-)
-
-// ErrLockTimeout is returned when a lock cannot be acquired within the
-// manager's timeout (the deadlock-resolution mechanism).
-var ErrLockTimeout = errors.New("txn: lock wait timeout (possible deadlock)")
-
-// ErrTxnDone is returned when operating on a committed or aborted txn.
-var ErrTxnDone = errors.New("txn: transaction already finished")
-
-// LockMode is shared (readers) or exclusive (writers).
-type LockMode int
-
-const (
-	// Shared allows concurrent readers.
-	Shared LockMode = iota
-	// Exclusive allows one writer and no readers.
-	Exclusive
 )
 
 // DefaultCheckpointBytes is the log size at which a commit schedules a
 // checkpoint (page-file sync + log truncate) off its own durability path.
 const DefaultCheckpointBytes = 4 << 20
 
-// Manager coordinates transactions over one page file and one log.
+// Manager makes applied page writes durable over one page file and one log.
 type Manager struct {
-	mu          sync.Mutex
-	file        *pager.File
-	log         *wal.Log
-	nextTxn     uint64
-	locks       *lockTable
-	LockTimeout time.Duration
-
-	// GroupCommit makes Commit's log durability wait on a shared fsync
-	// ticket (wal.Log.Sync): one fsync absorbs every commit appended while
-	// the previous fsync was in flight. When false each commit pays its own
-	// fsync (wal.Log.Flush) — the pre-group-commit behavior, kept for the
-	// ingest benchmark's ablation axis.
-	GroupCommit bool
+	file    *pager.File
+	log     *wal.Log
+	nextTxn atomic.Uint64 // ids of logged record groups
 
 	// CheckpointBytes triggers a checkpoint when the log grows past it
-	// (0 disables the size trigger). CheckpointEvery triggers one when that
-	// much time has passed since the last checkpoint (0 disables the
-	// interval trigger). Checkpoints run opportunistically after a commit
-	// has already acknowledged, never on the commit's durability path.
+	// (0 disables the trigger). Checkpoints run opportunistically after a
+	// commit has already acknowledged, never on the commit's durability path.
 	CheckpointBytes int64
-	CheckpointEvery time.Duration
 
 	// BeforeCheckpoint, when set, runs at the start of every checkpoint
 	// (and after recovery replay), before the page file is synced and the
 	// log truncated. The engine hooks the catalog's Flush here so buffered
 	// catalog updates reach disk before the log records that could rebuild
-	// them are discarded. Set it before the first transaction.
+	// them are discarded. Set it before the first commit.
 	BeforeCheckpoint func() error
 
 	// AfterCheckpoint, when set, runs at the end of every successful
@@ -88,12 +57,11 @@ type Manager struct {
 	// hooks the catalog's ApplyTailAppend here. Set it before Recover.
 	OnRecoverCatalog func([]byte) error
 
-	// ckptMu orders checkpoints against in-flight commits: a committing
-	// transaction holds the read side from its first log append until its
-	// pages are applied, so a checkpoint (write side) never truncates a
-	// commit record whose pages have not reached the page file.
-	ckptMu   sync.RWMutex
-	lastCkpt time.Time // guarded by mu
+	// ckptMu orders checkpoints against in-flight commits: LogAppliedSince
+	// holds the read side from its barrier check to its last log append, so
+	// a checkpoint (write side) never truncates half a record group or lets
+	// a barrier slip between the check and the append.
+	ckptMu sync.RWMutex
 
 	// barrier counts CheckpointBarrier runs — checkpoints taken because
 	// extents are about to be freed. A bulk writer captures Barrier while
@@ -105,25 +73,16 @@ type Manager struct {
 	barrier atomic.Uint64
 }
 
-// NewManager creates a manager. Call Recover before the first transaction
-// when opening an existing database.
+// NewManager creates a manager. Call Recover before the first commit when
+// opening an existing database.
 func NewManager(file *pager.File, log *wal.Log) *Manager {
 	log.ReserveBuffer(file.PageSize() + 128)
-	return &Manager{
-		file:            file,
-		log:             log,
-		nextTxn:         1,
-		locks:           newLockTable(),
-		LockTimeout:     2 * time.Second,
-		GroupCommit:     true,
-		CheckpointBytes: DefaultCheckpointBytes,
-		lastCkpt:        time.Now(),
-	}
+	return &Manager{file: file, log: log, CheckpointBytes: DefaultCheckpointBytes}
 }
 
 // Checkpoint forces a checkpoint now: every applied page is made durable,
 // then the log is truncated. It waits for in-flight commits to finish
-// applying their pages first.
+// appending their records first.
 func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
@@ -157,9 +116,6 @@ func (m *Manager) checkpointLocked() error {
 	if err := m.log.Truncate(); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.lastCkpt = time.Now()
-	m.mu.Unlock()
 	if m.AfterCheckpoint != nil {
 		return m.AfterCheckpoint()
 	}
@@ -173,12 +129,12 @@ type PageImage struct {
 }
 
 // LogApplied makes already-applied page writes durable: the images are
-// appended to the log as one committed transaction and the log is synced
-// (sharing the group-commit fsync by default). Bulk writers use it to move
-// the fsync wait off their critical section — they write pages in place
-// under their own higher-level lock, release it, then call LogApplied, so
-// concurrent callers' fsyncs coalesce. Recovery re-applies the images,
-// which is idempotent.
+// appended to the log as one committed record group and the log is synced
+// (sharing the group-commit fsync). Writers use it to move the fsync wait
+// off their critical section — they write pages in place under their own
+// higher-level lock, release it, then call LogApplied, so concurrent
+// callers' fsyncs coalesce. Recovery re-applies the images, which is
+// idempotent.
 //
 // catalogDelta, when non-nil, is logged alongside the images as a
 // wal.RecCatalog record: recovery hands it to OnRecoverCatalog after
@@ -186,9 +142,9 @@ type PageImage struct {
 // append) becomes redo-durable in the same fsync without rewriting the
 // catalog itself.
 //
-// Callers that later rewrite or free those pages outside a transaction must
-// CheckpointBarrier first, so a stale image cannot be replayed over the new
-// content after a crash.
+// Callers that later rewrite or free those pages must CheckpointBarrier
+// first, so a stale image cannot be replayed over the new content after a
+// crash.
 func (m *Manager) LogApplied(images []PageImage, catalogDelta []byte) error {
 	return m.LogAppliedSince(m.barrier.Load(), images, catalogDelta)
 }
@@ -204,10 +160,7 @@ func (m *Manager) LogAppliedSince(barrier uint64, images []PageImage, catalogDel
 	if len(images) == 0 && catalogDelta == nil {
 		return nil
 	}
-	m.mu.Lock()
-	id := m.nextTxn
-	m.nextTxn++
-	m.mu.Unlock()
+	id := m.nextTxn.Add(1)
 	m.ckptMu.RLock()
 	if m.barrier.Load() != barrier {
 		m.ckptMu.RUnlock()
@@ -237,28 +190,17 @@ func (m *Manager) LogAppliedSince(barrier uint64, images []PageImage, catalogDel
 	if err != nil {
 		return err
 	}
-	if m.GroupCommit {
-		err = m.log.Sync()
-	} else {
-		err = m.log.Flush()
-	}
-	if err != nil {
+	if err := m.log.Sync(); err != nil {
 		return err
 	}
 	return m.maybeCheckpoint()
 }
 
-// maybeCheckpoint runs a checkpoint if the size or interval policy asks for
-// one and no other checkpoint or commit is in the way (contended attempts
-// are skipped — the policy re-triggers on a later commit).
+// maybeCheckpoint runs a checkpoint if the log has outgrown CheckpointBytes
+// and no other checkpoint or commit is in the way (contended attempts are
+// skipped — the trigger fires again on a later commit).
 func (m *Manager) maybeCheckpoint() error {
-	trigger := m.CheckpointBytes > 0 && m.log.Size() >= m.CheckpointBytes
-	if !trigger && m.CheckpointEvery > 0 {
-		m.mu.Lock()
-		trigger = time.Since(m.lastCkpt) >= m.CheckpointEvery
-		m.mu.Unlock()
-	}
-	if !trigger {
+	if m.CheckpointBytes <= 0 || m.log.Size() < m.CheckpointBytes {
 		return nil
 	}
 	if !m.ckptMu.TryLock() {
@@ -268,9 +210,9 @@ func (m *Manager) maybeCheckpoint() error {
 	return m.checkpointLocked()
 }
 
-// Recover replays committed transactions from the log into the page file
+// Recover replays committed record groups from the log into the page file
 // (catalog deltas go to OnRecoverCatalog) and truncates the log. It must
-// run before new transactions start, with both hooks already set.
+// run before the first commit, with both hooks already set.
 func (m *Manager) Recover() (int, error) {
 	n, err := m.log.RecoverFull(func(id pager.PageID, img []byte) error {
 		// RecoverPage, not WritePage: the stale header's allocation state
@@ -294,271 +236,5 @@ func (m *Manager) Recover() (int, error) {
 			return n, err
 		}
 	}
-	if err := m.log.Truncate(); err != nil {
-		return n, err
-	}
-	m.mu.Lock()
-	m.lastCkpt = time.Now()
-	m.mu.Unlock()
-	return n, nil
-}
-
-// Begin starts a transaction.
-func (m *Manager) Begin() *Txn {
-	m.mu.Lock()
-	id := m.nextTxn
-	m.nextTxn++
-	m.mu.Unlock()
-	return &Txn{
-		id:     id,
-		mgr:    m,
-		writes: make(map[pager.PageID][]byte),
-		order:  nil,
-		held:   make(map[string]LockMode),
-	}
-}
-
-// Txn is one transaction. A Txn is not safe for concurrent use by multiple
-// goroutines (like database/sql.Tx).
-type Txn struct {
-	id     uint64
-	mgr    *Manager
-	writes map[pager.PageID][]byte
-	order  []pager.PageID // write order for deterministic replay
-	held   map[string]LockMode
-	done   bool
-}
-
-// ID returns the transaction id.
-func (t *Txn) ID() uint64 { return t.id }
-
-// Lock acquires a named lock (by convention, the table name) in the given
-// mode, blocking up to the manager's timeout. Locks are held to commit or
-// abort (strict 2PL). Re-acquiring a held lock upgrades Shared→Exclusive
-// when possible.
-func (t *Txn) Lock(name string, mode LockMode) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if held, ok := t.held[name]; ok {
-		if held == Exclusive || mode == Shared {
-			return nil // already strong enough
-		}
-		if err := t.mgr.locks.upgrade(name, t.id, t.mgr.LockTimeout); err != nil {
-			return err
-		}
-		t.held[name] = Exclusive
-		return nil
-	}
-	if err := t.mgr.locks.acquire(name, t.id, mode, t.mgr.LockTimeout); err != nil {
-		return err
-	}
-	t.held[name] = mode
-	return nil
-}
-
-// Read returns the payload of a page as seen by this transaction: its own
-// staged write if present, otherwise the current durable page.
-func (t *Txn) Read(id pager.PageID) ([]byte, error) {
-	if t.done {
-		return nil, ErrTxnDone
-	}
-	if img, ok := t.writes[id]; ok {
-		out := make([]byte, len(img))
-		copy(out, img)
-		return out, nil
-	}
-	return t.mgr.file.ReadPage(id)
-}
-
-// Write stages a full page image in the transaction's private write set.
-func (t *Txn) Write(id pager.PageID, payload []byte) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if len(payload) > t.mgr.file.PayloadSize() {
-		return fmt.Errorf("txn: payload %d exceeds page payload %d", len(payload), t.mgr.file.PayloadSize())
-	}
-	img := make([]byte, len(payload))
-	copy(img, payload)
-	if _, seen := t.writes[id]; !seen {
-		t.order = append(t.order, id)
-	}
-	t.writes[id] = img
-	return nil
-}
-
-// Commit logs the write set, waits for log durability (a shared group-commit
-// fsync by default), applies the pages, and releases locks. After Commit
-// returns nil the transaction is durable: its images are in the fsync'd log,
-// and the applied pages are persisted by a later checkpoint (or replayed by
-// Recover after a crash). Commit itself never syncs the page file or
-// truncates the log — that is the Manager's checkpoint policy.
-func (t *Txn) Commit() error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.done = true
-	defer t.releaseLocks()
-	if len(t.writes) == 0 {
-		return nil // read-only
-	}
-	m := t.mgr
-	m.ckptMu.RLock()
-	err := t.commitShielded()
-	m.ckptMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return m.maybeCheckpoint()
-}
-
-// commitShielded logs, syncs and applies the write set. Caller holds the
-// manager's ckptMu read side so a concurrent checkpoint cannot truncate this
-// transaction's records before its pages are applied.
-func (t *Txn) commitShielded() error {
-	m := t.mgr
-	if err := m.log.Append(wal.Record{Type: wal.RecBegin, TxnID: t.id}); err != nil {
-		return err
-	}
-	for _, id := range t.order {
-		if err := m.log.Append(wal.Record{
-			Type: wal.RecPageImage, TxnID: t.id, PageID: id, Payload: t.writes[id],
-		}); err != nil {
-			return err
-		}
-	}
-	if err := m.log.Append(wal.Record{Type: wal.RecCommit, TxnID: t.id}); err != nil {
-		return err
-	}
-	if m.GroupCommit {
-		if err := m.log.Sync(); err != nil {
-			return err
-		}
-	} else if err := m.log.Flush(); err != nil {
-		return err
-	}
-	// The commit point has passed: apply to the main file. Failures here
-	// are repaired by Recover on next open.
-	for _, id := range t.order {
-		if err := m.file.WritePage(id, t.writes[id]); err != nil {
-			return fmt.Errorf("txn: post-commit apply (recoverable on reopen): %w", err)
-		}
-	}
-	return nil
-}
-
-// Abort discards the write set and releases locks.
-func (t *Txn) Abort() error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.done = true
-	t.releaseLocks()
-	t.writes = nil
-	return nil
-}
-
-func (t *Txn) releaseLocks() {
-	names := make([]string, 0, len(t.held))
-	for n := range t.held {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t.mgr.locks.release(n, t.id)
-	}
-	t.held = make(map[string]LockMode)
-}
-
-// lockTable is a simple S/X lock table with condition-variable waiting.
-type lockTable struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	locks map[string]*lockState
-}
-
-type lockState struct {
-	holders map[uint64]LockMode // txn -> mode
-}
-
-func newLockTable() *lockTable {
-	lt := &lockTable{locks: make(map[string]*lockState)}
-	lt.cond = sync.NewCond(&lt.mu)
-	return lt
-}
-
-func (lt *lockTable) state(name string) *lockState {
-	ls, ok := lt.locks[name]
-	if !ok {
-		ls = &lockState{holders: make(map[uint64]LockMode)}
-		lt.locks[name] = ls
-	}
-	return ls
-}
-
-// compatible reports whether txn may take mode given current holders.
-func (ls *lockState) compatible(txn uint64, mode LockMode) bool {
-	for holder, held := range ls.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == Exclusive || held == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-func (lt *lockTable) acquire(name string, txn uint64, mode LockMode, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	// Re-fetch the state after every wait: release deletes empty states, so
-	// a captured pointer can go stale while a fresh state takes its place.
-	for !lt.state(name).compatible(txn, mode) {
-		if !lt.waitUntil(deadline) {
-			return fmt.Errorf("%w: %s", ErrLockTimeout, name)
-		}
-	}
-	lt.state(name).holders[txn] = mode
-	return nil
-}
-
-func (lt *lockTable) upgrade(name string, txn uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for !lt.state(name).compatible(txn, Exclusive) {
-		if !lt.waitUntil(deadline) {
-			return fmt.Errorf("%w: upgrade %s", ErrLockTimeout, name)
-		}
-	}
-	lt.state(name).holders[txn] = Exclusive
-	return nil
-}
-
-func (lt *lockTable) release(name string, txn uint64) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if ls, ok := lt.locks[name]; ok {
-		delete(ls.holders, txn)
-		if len(ls.holders) == 0 {
-			delete(lt.locks, name)
-		}
-	}
-	lt.cond.Broadcast()
-}
-
-// waitUntil waits on the condition variable with a deadline, returning false
-// when the deadline passed. Caller holds lt.mu.
-func (lt *lockTable) waitUntil(deadline time.Time) bool {
-	if time.Now().After(deadline) {
-		return false
-	}
-	// cond.Wait has no timeout; poke waiters periodically.
-	timer := time.AfterFunc(10*time.Millisecond, func() { lt.cond.Broadcast() })
-	defer timer.Stop()
-	lt.cond.Wait()
-	return true
+	return n, m.log.Truncate()
 }

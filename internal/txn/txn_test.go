@@ -1,12 +1,10 @@
 package txn
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/wal"
@@ -28,14 +26,19 @@ func newEnv(t *testing.T) (*Manager, *pager.File, *wal.Log, string) {
 	return NewManager(f, l), f, l, dbPath
 }
 
+// commit is the production write path in miniature: apply the page in
+// place, then make it durable with LogApplied.
+func commit(m *Manager, f *pager.File, id pager.PageID, payload []byte) error {
+	if err := f.WritePage(id, payload); err != nil {
+		return err
+	}
+	return m.LogApplied([]PageImage{{ID: id, Payload: payload}}, nil)
+}
+
 func TestCommitDurable(t *testing.T) {
 	m, f, _, _ := newEnv(t)
 	id, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(id, []byte("committed data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, id, []byte("committed data")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := f.ReadPage(id)
@@ -47,62 +50,9 @@ func TestCommitDurable(t *testing.T) {
 	}
 }
 
-func TestAbortInvisible(t *testing.T) {
-	m, f, _, _ := newEnv(t)
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte("original"))
-	tx := m.Begin()
-	tx.Write(id, []byte("scribble"))
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := f.ReadPage(id)
-	if string(got[:8]) != "original" {
-		t.Error("aborted write leaked to disk")
-	}
-}
-
-func TestReadYourOwnWrites(t *testing.T) {
-	m, f, _, _ := newEnv(t)
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte("old"))
-	tx := m.Begin()
-	tx.Write(id, []byte("new"))
-	got, err := tx.Read(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:3]) != "new" {
-		t.Errorf("txn should see its own write, got %q", got[:3])
-	}
-	tx.Abort()
-}
-
-func TestTxnDoneErrors(t *testing.T) {
-	m, f, _, _ := newEnv(t)
-	id, _ := f.Allocate()
-	tx := m.Begin()
-	tx.Commit()
-	if err := tx.Write(id, []byte("x")); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("Write after commit: %v", err)
-	}
-	if _, err := tx.Read(id); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("Read after commit: %v", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("double Commit: %v", err)
-	}
-	if err := tx.Abort(); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("Abort after commit: %v", err)
-	}
-	if err := tx.Lock("t", Shared); !errors.Is(err, ErrTxnDone) {
-		t.Errorf("Lock after commit: %v", err)
-	}
-}
-
 func TestCrashRecovery(t *testing.T) {
-	// Simulate a crash after the commit record is durable but before pages
-	// are applied: write the WAL records directly, then recover.
+	// Simulate a crash after the commit record is durable but with the
+	// in-place page write lost: write the WAL records directly, then recover.
 	m, f, l, _ := newEnv(t)
 	id, _ := f.Allocate()
 	f.WritePage(id, []byte("before"))
@@ -110,7 +60,7 @@ func TestCrashRecovery(t *testing.T) {
 	l.Append(wal.Record{Type: wal.RecBegin, TxnID: 99})
 	l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 99, PageID: id, Payload: []byte("after crash image")})
 	l.Append(wal.Record{Type: wal.RecCommit, TxnID: 99})
-	l.Flush()
+	l.Sync()
 
 	n, err := m.Recover()
 	if err != nil {
@@ -134,7 +84,7 @@ func TestUncommittedNotRecovered(t *testing.T) {
 	f.WritePage(id, []byte("keep me"))
 	l.Append(wal.Record{Type: wal.RecBegin, TxnID: 5})
 	l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 5, PageID: id, Payload: []byte("drop me")})
-	l.Flush()
+	l.Sync()
 
 	if n, err := m.Recover(); err != nil || n != 0 {
 		t.Fatalf("n=%d err=%v", n, err)
@@ -146,18 +96,14 @@ func TestUncommittedNotRecovered(t *testing.T) {
 }
 
 func TestRecoveryAfterDeferredCheckpoint(t *testing.T) {
-	// Commit no longer syncs the page file or truncates the log; images stay
+	// A commit never syncs the page file or truncates the log; images stay
 	// in the log until the checkpoint policy fires. Simulate a crash that
 	// loses the in-place page writes (they were never synced) and verify the
 	// deferred log still repairs them.
 	m, f, l, _ := newEnv(t)
 	m.CheckpointBytes = 0 // disable the size trigger: nothing checkpoints
 	id, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(id, []byte("survives the crash")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, id, []byte("survives the crash")); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() == 0 {
@@ -190,11 +136,7 @@ func TestCheckpointSizePolicy(t *testing.T) {
 	m, f, l, _ := newEnv(t)
 	m.CheckpointBytes = 1
 	id, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(id, []byte("checkpointed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, id, []byte("checkpointed")); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() != 0 {
@@ -220,11 +162,7 @@ func TestRecoverIgnoresTornTailAfterCommit(t *testing.T) {
 	m, f, l, dbPath := newEnv(t)
 	m.CheckpointBytes = 0
 	id, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(id, []byte("good commit")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(m, f, id, []byte("good commit")); err != nil {
 		t.Fatal(err)
 	}
 	end := l.Size()
@@ -297,7 +235,7 @@ func TestRecoverHealsStaleHeader(t *testing.T) {
 	l.Append(wal.Record{Type: wal.RecBegin, TxnID: 7})
 	l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 7, PageID: beyond, Payload: []byte("beyond cursor")})
 	l.Append(wal.Record{Type: wal.RecCommit, TxnID: 7})
-	l.Flush()
+	l.Sync()
 	n, err := m.Recover()
 	if err != nil {
 		t.Fatalf("recovery must heal a stale header, got: %v", err)
@@ -349,11 +287,11 @@ func TestLogAppliedSinceBarrierFallback(t *testing.T) {
 }
 
 func TestConcurrentGroupCommitters(t *testing.T) {
-	// W goroutines commit to private pages concurrently with group commit
-	// on. Every commit must be durable and correctly applied, and the log
-	// must never issue more fsyncs than commits (the ticket protocol's
-	// amortization bound). Run under -race this also exercises the
-	// leader/waiter handoff in wal.Log.SyncTo.
+	// W goroutines commit to private pages concurrently. Every commit must
+	// be durable and correctly applied, and the log must never issue more
+	// fsyncs than commits (the ticket protocol's amortization bound). Run
+	// under -race this also exercises the leader/waiter handoff in
+	// wal.Log.Sync.
 	m, f, l, _ := newEnv(t)
 	const writers, rounds = 8, 10
 	ids := make([]pager.PageID, writers)
@@ -366,13 +304,7 @@ func TestConcurrentGroupCommitters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				tx := m.Begin()
-				payload := []byte{byte(w), byte(i)}
-				if err := tx.Write(ids[w], payload); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := tx.Commit(); err != nil {
+				if err := commit(m, f, ids[w], []byte{byte(w), byte(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -393,139 +325,4 @@ func TestConcurrentGroupCommitters(t *testing.T) {
 			t.Errorf("writer %d final page = %v, want [%d %d]", w, got[:2], w, rounds-1)
 		}
 	}
-}
-
-func TestSharedLocksCoexist(t *testing.T) {
-	m, _, _, _ := newEnv(t)
-	t1, t2 := m.Begin(), m.Begin()
-	if err := t1.Lock("traces", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Lock("traces", Shared); err != nil {
-		t.Fatal(err)
-	}
-	t1.Abort()
-	t2.Abort()
-}
-
-func TestExclusiveBlocksAndTimesOut(t *testing.T) {
-	m, _, _, _ := newEnv(t)
-	m.LockTimeout = 50 * time.Millisecond
-	t1, t2 := m.Begin(), m.Begin()
-	if err := t1.Lock("traces", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Lock("traces", Shared); !errors.Is(err, ErrLockTimeout) {
-		t.Errorf("expected timeout, got %v", err)
-	}
-	t1.Abort()
-	// After release the lock must be available.
-	if err := t2.Lock("traces", Exclusive); err != nil {
-		t.Errorf("lock after release: %v", err)
-	}
-	t2.Abort()
-}
-
-func TestLockHandoff(t *testing.T) {
-	m, _, _, _ := newEnv(t)
-	t1 := m.Begin()
-	t1.Lock("t", Exclusive)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	errCh := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		t2 := m.Begin()
-		errCh <- t2.Lock("t", Exclusive)
-		t2.Abort()
-	}()
-	time.Sleep(20 * time.Millisecond)
-	t1.Commit() // releases the lock; waiter must wake
-	wg.Wait()
-	if err := <-errCh; err != nil {
-		t.Errorf("waiter should acquire after release: %v", err)
-	}
-}
-
-func TestLockUpgrade(t *testing.T) {
-	m, _, _, _ := newEnv(t)
-	m.LockTimeout = 50 * time.Millisecond
-	t1 := m.Begin()
-	if err := t1.Lock("t", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.Lock("t", Exclusive); err != nil {
-		t.Fatalf("sole holder should upgrade: %v", err)
-	}
-	// Re-acquiring weaker/equal is a no-op.
-	if err := t1.Lock("t", Shared); err != nil {
-		t.Fatal(err)
-	}
-	// Upgrade blocked by another shared holder times out.
-	t2 := m.Begin()
-	if err := t2.Lock("u", Shared); err != nil {
-		t.Fatal(err)
-	}
-	t3 := m.Begin()
-	if err := t3.Lock("u", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Lock("u", Exclusive); !errors.Is(err, ErrLockTimeout) {
-		t.Errorf("expected upgrade timeout, got %v", err)
-	}
-	t1.Abort()
-	t2.Abort()
-	t3.Abort()
-}
-
-func TestConcurrentIncrements(t *testing.T) {
-	// Serialized read-modify-write under an exclusive lock must not lose
-	// updates.
-	m, f, _, _ := newEnv(t)
-	m.LockTimeout = 30 * time.Second // commits fsync; contention can be slow
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte{0})
-	const workers, rounds = 4, 10
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				tx := m.Begin()
-				if err := tx.Lock("counter", Exclusive); err != nil {
-					t.Error(err)
-					tx.Abort()
-					return
-				}
-				data, err := tx.Read(id)
-				if err != nil {
-					t.Error(err)
-					tx.Abort()
-					return
-				}
-				data[0]++
-				tx.Write(id, data)
-				if err := tx.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	got, _ := f.ReadPage(id)
-	if got[0] != workers*rounds {
-		t.Errorf("lost updates: counter = %d, want %d", got[0], workers*rounds)
-	}
-}
-
-func TestOversizeWriteRejected(t *testing.T) {
-	m, f, _, _ := newEnv(t)
-	id, _ := f.Allocate()
-	tx := m.Begin()
-	if err := tx.Write(id, make([]byte, f.PayloadSize()+1)); err == nil {
-		t.Error("expected error for oversized payload")
-	}
-	tx.Abort()
 }

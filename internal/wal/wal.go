@@ -3,10 +3,10 @@
 // lock, and memory management facilities"; RodentStore provides them once,
 // under every layout the algebra can express.
 //
-// The log is redo-only with full page images and a no-steal discipline: a
-// transaction's page writes are staged privately (see package txn), appended
-// to the log as images, fsync'd, and only then applied to the main page
-// file. Recovery replays the images of committed transactions in log order;
+// The log is redo-only with full page images: a writer applies its pages to
+// the main page file in place, then appends their images as one committed
+// record group and waits for the fsync (see package txn). Recovery replays
+// the images of committed groups in log order, which is idempotent;
 // uncommitted tails are ignored. After a checkpoint (all applied pages
 // durable) the log is truncated.
 //
@@ -31,7 +31,7 @@
 // having written them, so a retried fsync can report success while the data
 // never reached disk — the failure mode that cost PostgreSQL acknowledged
 // transactions ("fsyncgate", 2018). The log therefore latches the first
-// sync failure as ErrSyncFailed: every subsequent Sync/SyncTo/Flush returns
+// sync failure as ErrSyncFailed: every subsequent Sync returns
 // it without touching the file, no commit is ever acknowledged on a retried
 // fsync, and the only way forward is to close and reopen the log, which
 // re-reads the durable prefix from disk and re-establishes a truthful
@@ -91,8 +91,6 @@ const (
 	RecPageImage RecordType = 2
 	// RecCommit marks a transaction durable; its images must be replayed.
 	RecCommit RecordType = 3
-	// RecAbort marks a transaction rolled back; its images are ignored.
-	RecAbort RecordType = 4
 	// RecCatalog carries an opaque catalog delta (e.g. a tail-append blob);
 	// recovery hands committed deltas to the catalog callback in log order.
 	RecCatalog RecordType = 5
@@ -135,11 +133,11 @@ type Log struct {
 	syncing bool   // a leader's fsync is in flight
 	synced  uint64 // highest append ticket known durable
 	// syncErr latches the first fsync failure as *ErrSyncFailed (see "The
-	// fsyncgate rule" in the package comment); once set, every
-	// Sync/SyncTo/Flush fails until the log is reopened.
+	// fsyncgate rule" in the package comment); once set, every Sync fails
+	// until the log is reopened.
 	syncErr *ErrSyncFailed
 
-	// fsyncs counts physical fsync calls (group-commit leaders + Flush);
+	// fsyncs counts physical fsync calls (one per group-commit leader);
 	// comparing it with the number of commits shows the amortization.
 	fsyncs atomic.Uint64
 }
@@ -228,7 +226,7 @@ func (l *Log) ReserveBuffer(n int) {
 }
 
 // Append encodes one record into the pending buffer (not yet on disk; call
-// Sync or Flush for durability).
+// Sync for durability).
 // Framing: [total u32][crc u32][type u8][txn u64][page u64][payload].
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
@@ -263,19 +261,12 @@ func (l *Log) flushBufLocked() error {
 // Sync makes every record appended so far durable, using group commit: if
 // another caller's fsync is already in flight, this caller waits for the
 // next round and shares its fsync with every other waiter instead of
-// issuing one of its own.
+// issuing one of its own. At most one fsync is in flight at a time; each
+// covers every record appended before it started.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	seq := l.seq
+	seq := l.seq // the ticket of the caller's last Append
 	l.mu.Unlock()
-	return l.SyncTo(seq)
-}
-
-// SyncTo blocks until the record with append ticket seq (as observed by the
-// caller's own Append calls via Sync) is durable. At most one fsync is in
-// flight at a time; each fsync covers every record appended before it
-// started.
-func (l *Log) SyncTo(seq uint64) error {
 	l.gmu.Lock()
 	for {
 		if err := l.syncErr; err != nil {
@@ -321,41 +312,6 @@ func (l *Log) SyncTo(seq uint64) error {
 		err = l.syncErr // leader and waiters surface the same typed error
 	}
 	l.gcond.Broadcast()
-	l.gmu.Unlock()
-	return err
-}
-
-// Flush makes all appended records durable with an unconditional fsync of
-// its own (no group-commit ticket sharing). Kept for callers that want
-// per-call sync semantics; commit paths use Sync.
-func (l *Log) Flush() error {
-	l.gmu.Lock()
-	if err := l.syncErr; err != nil {
-		l.gmu.Unlock()
-		return err
-	}
-	l.gmu.Unlock()
-	l.mu.Lock()
-	top := l.seq
-	err := l.flushBufLocked()
-	l.mu.Unlock()
-	if err == nil {
-		l.fsyncs.Add(1)
-		if serr := l.f.Sync(); serr != nil {
-			err = fmt.Errorf("wal: flush: %w", serr)
-		}
-	}
-	l.gmu.Lock()
-	if err == nil {
-		if top > l.synced {
-			l.synced = top
-		}
-	} else {
-		if l.syncErr == nil {
-			l.syncErr = &ErrSyncFailed{Cause: err} // same latch as SyncTo
-		}
-		err = l.syncErr
-	}
 	l.gmu.Unlock()
 	return err
 }
@@ -520,17 +476,11 @@ func (l *Log) Verify() (VerifyReport, error) {
 	return rep, nil
 }
 
-// Recover replays the log: for every committed transaction, apply is called
-// with each page image in log order. It returns the number of transactions
-// replayed. Aborted and unfinished transactions are skipped, as are catalog
-// deltas (use RecoverFull to replay those too).
-func (l *Log) Recover(apply func(pager.PageID, []byte) error) (int, error) {
-	return l.RecoverFull(apply, nil)
-}
-
-// RecoverFull replays the log like Recover and additionally hands each
-// committed transaction's RecCatalog payloads to applyCatalog (nil to skip
-// them), interleaved with that transaction's page images in log order.
+// RecoverFull replays the log: for every committed record group, apply is
+// called with each page image and applyCatalog (nil to skip them) with each
+// RecCatalog payload, interleaved in log order. It returns the number of
+// groups replayed. A group with no commit record — the writer died, or its
+// fsync never happened — is skipped.
 func (l *Log) RecoverFull(apply func(pager.PageID, []byte) error, applyCatalog func([]byte) error) (int, error) {
 	recs, err := l.Scan()
 	if err != nil {
@@ -544,8 +494,6 @@ func (l *Log) RecoverFull(apply func(pager.PageID, []byte) error, applyCatalog f
 			pending[r.TxnID] = nil
 		case RecPageImage, RecCatalog:
 			pending[r.TxnID] = append(pending[r.TxnID], r)
-		case RecAbort:
-			delete(pending, r.TxnID)
 		case RecCommit:
 			for _, rec := range pending[r.TxnID] {
 				if rec.Type == RecCatalog {

@@ -33,7 +33,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Flush(); err != nil {
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := l.Scan()
@@ -58,7 +58,7 @@ func TestScanStopsAtTornTail(t *testing.T) {
 	l, path := newLog(t)
 	l.Append(Record{Type: RecBegin, TxnID: 1})
 	l.Append(Record{Type: RecCommit, TxnID: 1})
-	l.Flush()
+	l.Sync()
 	// Simulate a torn write: append garbage half-record.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestScanStopsAtCorruptRecord(t *testing.T) {
 	l.Append(Record{Type: RecBegin, TxnID: 1})
 	l.Append(Record{Type: RecPageImage, TxnID: 1, PageID: 3, Payload: []byte("abcdef")})
 	l.Append(Record{Type: RecCommit, TxnID: 1})
-	l.Flush()
+	l.Sync()
 	end := l.Size() // logical end: the file itself is preallocated longer
 	raw, _ := os.ReadFile(path)
 	raw[end-2] ^= 0xff // corrupt inside the commit record
@@ -102,22 +102,21 @@ func TestScanStopsAtCorruptRecord(t *testing.T) {
 
 func TestRecoverAppliesOnlyCommitted(t *testing.T) {
 	l, _ := newLog(t)
-	// txn 1 commits; txn 2 aborts; txn 3 never finishes.
+	// txn 1 commits; txns 2 and 3 never do.
 	l.Append(Record{Type: RecBegin, TxnID: 1})
 	l.Append(Record{Type: RecPageImage, TxnID: 1, PageID: 10, Payload: []byte("one")})
 	l.Append(Record{Type: RecBegin, TxnID: 2})
 	l.Append(Record{Type: RecPageImage, TxnID: 2, PageID: 20, Payload: []byte("two")})
 	l.Append(Record{Type: RecCommit, TxnID: 1})
-	l.Append(Record{Type: RecAbort, TxnID: 2})
 	l.Append(Record{Type: RecBegin, TxnID: 3})
 	l.Append(Record{Type: RecPageImage, TxnID: 3, PageID: 30, Payload: []byte("three")})
-	l.Flush()
+	l.Sync()
 
 	applied := map[pager.PageID]string{}
-	n, err := l.Recover(func(id pager.PageID, img []byte) error {
+	n, err := l.RecoverFull(func(id pager.PageID, img []byte) error {
 		applied[id] = string(img)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestRecoverAppliesOnlyCommitted(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	l, _ := newLog(t)
 	l.Append(Record{Type: RecBegin, TxnID: 1})
-	l.Flush()
+	l.Sync()
 	if l.Size() == 0 {
 		t.Fatal("log should be non-empty")
 	}
@@ -242,7 +241,7 @@ func TestReopenPreservesRecords(t *testing.T) {
 	l, _ := Open(path)
 	l.Append(Record{Type: RecBegin, TxnID: 9})
 	l.Append(Record{Type: RecCommit, TxnID: 9})
-	l.Flush()
+	l.Sync()
 	l.Close()
 
 	l2, err := Open(path)

@@ -203,7 +203,7 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 	db := &DB{file: file, log: log, mgr: mgr, cat: cat, eng: eng}
 	db.eng.SyncInserts = o.DurableInserts
 	if o.AutoMergeTails > 0 {
-		db.eng.EnableAutoMerge(table.MergePolicy{MaxTails: o.AutoMergeTails})
+		db.eng.EnableAutoMerge(o.AutoMergeTails)
 	}
 	if o.CachePages > 0 {
 		pool, err := buffer.NewPool(file, o.CachePages)
@@ -239,7 +239,7 @@ func (db *DB) Close() error {
 }
 
 // Checkpoint makes every applied page durable and truncates the write-ahead
-// log. Commits defer this work to the manager's size/interval policy; call
+// log. Commits defer this work to the manager's log-size trigger; call
 // it directly to force the log empty (e.g. before copying the database
 // file).
 func (db *DB) Checkpoint() error { return db.mgr.Checkpoint() }
@@ -274,7 +274,7 @@ func (db *DB) CheckIntegrity() (*IntegrityReport, error) {
 // table accumulates maxTails unorganized tail batches they are folded into
 // the main layout off the insert path.
 func (db *DB) EnableAutoMerge(maxTails int) {
-	db.eng.EnableAutoMerge(table.MergePolicy{MaxTails: maxTails})
+	db.eng.EnableAutoMerge(maxTails)
 }
 
 // DisableAutoMerge stops background tail merging, draining queued merges.
@@ -313,20 +313,6 @@ func (db *DB) InvalidateCache() error {
 		return nil
 	}
 	return db.pool.Invalidate()
-}
-
-// SetFoldStrategy selects the fold rendering algorithm of the paper's §4.2:
-// "hash" (default) or "nestedloop" (the paper's Algorithm 1).
-func (db *DB) SetFoldStrategy(strategy string) error {
-	switch strategy {
-	case "hash":
-		db.eng.Fold = table.FoldHash
-	case "nestedloop":
-		db.eng.Fold = table.FoldNestedLoop
-	default:
-		return fmt.Errorf("rodentstore: unknown fold strategy %q", strategy)
-	}
-	return nil
 }
 
 // CostModel returns the default device cost model used by ScanCost and

@@ -444,19 +444,6 @@ func TestAdviseAPI(t *testing.T) {
 	}
 }
 
-func TestFoldStrategyKnob(t *testing.T) {
-	db := newDB(t, nil)
-	if err := db.SetFoldStrategy("nestedloop"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetFoldStrategy("hash"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetFoldStrategy("quantum"); err == nil {
-		t.Error("unknown strategy should fail")
-	}
-}
-
 func TestValueConstructors(t *testing.T) {
 	r := rodentstore.Row{
 		rodentstore.IntValue(1),
