@@ -330,10 +330,10 @@ func (db *DB) ValidateLayout(name, layout string) error {
 }
 
 // CreateIndex builds a secondary B+tree index over a stored field (paper
-// §1: RodentStore includes B+trees as supporting machinery). Indexes
-// describe one rendering of the main segments: Reorganize, AlterLayout and
-// Load drop them — rebuild afterwards. Tail-only Inserts do not drop them;
-// IndexScan answers over both the indexed prefix and the unindexed tails.
+// §1: RodentStore includes B+trees as supporting machinery). An index covers
+// the rows stored when it was built. Inserts leave it as it is; Compact keeps
+// it for the data before the parts it folds; Reorganize, AlterLayout and
+// Load rewrite everything and drop it — rebuild afterwards.
 func (db *DB) CreateIndex(table, field string) error { return db.eng.CreateIndex(table, field) }
 
 // DropIndex removes a secondary index.
@@ -343,9 +343,11 @@ func (db *DB) DropIndex(table, field string) error { return db.eng.DropIndex(tab
 func (db *DB) Indexes(table string) ([]string, error) { return db.eng.Indexes(table) }
 
 // IndexScan answers a query through the secondary index on indexField: the
-// predicate's bounds on that field drive a B+tree range lookup, and only the
-// blocks holding matching rows are fetched. Other conjuncts are
-// post-filtered.
+// predicate's bounds on that field drive a B+tree range lookup, and of the
+// data the index covers only the blocks holding matching rows are fetched;
+// data stored since is scanned with zone-map and grid pruning. The whole
+// predicate filters the result, which comes back in stored order — the rows
+// Scan returns for the same query.
 func (db *DB) IndexScan(table string, q Query, indexField string) (*Cursor, error) {
 	opts, err := q.toOptions()
 	if err != nil {

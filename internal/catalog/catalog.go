@@ -48,9 +48,9 @@ type GridBoundsMeta struct {
 
 // IndexMeta records one secondary B+tree index: the indexed field, the
 // tree's root page, and how many stored rows (a prefix of stored order) the
-// tree covers. Tail-only inserts append rows beyond Rows without shifting
-// positions, so the index survives them; IndexScan treats positions at or
-// past Rows as an unindexed suffix and scans them instead.
+// tree covers. Inserts append rows beyond Rows without shifting positions;
+// a fold clamps Rows to the first position it replaced. Tree hits at or past
+// Rows are ignored; later parts are scanned with pruning.
 type IndexMeta struct {
 	Field string
 	Root  uint64

@@ -875,9 +875,22 @@ func (p *File) Sync() error {
 	return nil
 }
 
-// Close syncs and closes the file.
+// Close trims the file to the allocation cursor — growTo's preallocated
+// slack holds no page — then syncs and closes it. A crash between the trim
+// and the sync is harmless: the file still covers every allocated page, and
+// OpenAt re-extends one shorter than its header cursor.
 func (p *File) Close() error {
-	if err := p.Sync(); err != nil {
+	var err error
+	p.mu.Lock()
+	if next := p.nextPage.Load(); !p.readOnly && p.filePages > next {
+		err = p.f.Truncate(int64(next) * int64(p.pageSize))
+		p.filePages = next
+	}
+	p.mu.Unlock()
+	if err == nil {
+		err = p.Sync()
+	}
+	if err != nil {
 		p.f.Close()
 		return err
 	}

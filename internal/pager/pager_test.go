@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rodentstore/internal/vfs"
 )
 
 func newFile(t *testing.T, pageSize int) *File {
@@ -524,5 +526,142 @@ func TestReadRunIntoMatchesReadPageLoop(t *testing.T) {
 	}
 	if !bytes.Equal(prefix, want[:3*p.PayloadSize()]) {
 		t.Errorf("verified prefix is %d bytes, want the first 3 pages", len(prefix))
+	}
+}
+
+// fillPages writes n pages starting at start, page i holding its index.
+func fillPages(t *testing.T, p *File, start PageID, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := p.WritePage(start+PageID(i), binary.LittleEndian.AppendUint32(nil, uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkPages reads back what fillPages wrote.
+func checkPages(t *testing.T, p *File, start PageID, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		got, err := p.ReadPage(start + PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(got); v != uint32(i) {
+			t.Fatalf("page %d holds %d, want %d", start+PageID(i), v, i)
+		}
+	}
+}
+
+// TestCloseTrimsSlack: a cleanly closed file ends at the allocation cursor,
+// not at the end of the batch growTo preallocated, and reopens, allocates
+// and reads back.
+func TestCloseTrimsSlack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trim.rdnt")
+	p, err := Create(path, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ten extending allocations: the file grows in batches past the cursor.
+	var start PageID
+	for i := 0; i < 10; i++ {
+		id, err := p.AllocateRun(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			start = id
+		}
+	}
+	fillPages(t, p, start, 100)
+	next := p.nextPage.Load()
+	if p.filePages <= next {
+		t.Fatalf("no preallocated slack to trim: file %d pages, cursor %d", p.filePages, next)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != int64(next)*1024 {
+		t.Fatalf("closed file is %d bytes, want cursor %d x 1024", st.Size(), next)
+	}
+	q, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if err := q.CheckHeader(); err != nil {
+		t.Fatal(err)
+	}
+	checkPages(t, q, start, 100)
+	more, err := q.AllocateRun(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if more != PageID(next) {
+		t.Errorf("allocation after reopen at page %d, want the cursor %d", more, next)
+	}
+	fillPages(t, q, more, 10)
+	checkPages(t, q, more, 10)
+}
+
+// TestCloseTrimSurvivesPowerCut cuts power between Close's truncate and its
+// sync, under both crash modes: the image reopens with every synced page and
+// allocates past them.
+func TestCloseTrimSurvivesPowerCut(t *testing.T) {
+	for _, mode := range []vfs.CrashMode{vfs.CrashDrop, vfs.CrashKeep} {
+		fs := vfs.NewFault(1)
+		p, err := CreateAt(fs, "cut.rdnt", 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, err := p.AllocateRun(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, p, start, 100)
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		late, err := p.AllocateRun(5) // unsynced: lost under CrashDrop
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, p, late, 5)
+		var imgs map[string]vfs.Image
+		fs.OnOp = func(op vfs.Op) {
+			if op.Kind == vfs.OpTruncate {
+				imgs = fs.SnapshotCrash(mode)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if imgs == nil {
+			t.Fatal("Close issued no truncate")
+		}
+		q, err := OpenAt(vfs.NewFaultFromImages(1, imgs), "cut.rdnt")
+		if err != nil {
+			t.Fatalf("mode %d: reopen: %v", mode, err)
+		}
+		if err := q.CheckHeader(); err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		checkPages(t, q, start, 100)
+		if mode == vfs.CrashKeep {
+			checkPages(t, q, late, 5)
+		}
+		id, err := q.AllocateRun(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, q, id, 3)
+		checkPages(t, q, id, 3)
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

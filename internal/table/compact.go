@@ -126,22 +126,7 @@ func (e *Engine) compactLocked(tab *catalog.Table, spec *layout.Spec) error {
 	if len(superseded) == 0 {
 		return nil // nothing triggered; catalog untouched
 	}
-	// A fold reorders every position past the immutable main prefix, so
-	// indexes whose coverage extends beyond it describe stale positions.
-	var mainRows int64
-	if len(work.Segments) > 0 {
-		mainRows = work.Segments[0].Meta.Rows
-	}
-	var kept, dropped []catalog.IndexMeta
-	for _, ix := range work.Indexes {
-		if ix.Rows <= mainRows {
-			kept = append(kept, ix)
-		} else {
-			dropped = append(dropped, ix)
-		}
-	}
-	work.Indexes = kept
-	return e.flip(&work, superseded, dropped)
+	return e.flip(&work, superseded)
 }
 
 // pickFold selects the next fold: the contiguous range runs[lo:hi) to merge

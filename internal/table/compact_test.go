@@ -177,27 +177,56 @@ func TestCompactOrderedScanResorts(t *testing.T) {
 	}
 }
 
-func TestCompactDropsIndexesPastMain(t *testing.T) {
-	e, _, _ := setup(t, "sizetiered[4](rows(Traces))", 100)
-	// Index over main only: survives compaction.
-	if err := e.CreateIndex("Traces", "t"); err != nil {
-		t.Fatal(err)
-	}
-	insertBatches(t, e, 2, 20, 1000)
-	// Index covering the tails too: positions past main go stale on fold.
-	if err := e.CreateIndex("Traces", "lat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Compact("Traces"); err != nil {
-		t.Fatal(err)
-	}
-	tab, _ := e.cat.Get("Traces")
-	var fields []string
-	for _, ix := range tab.Indexes {
-		fields = append(fields, ix.Field)
-	}
-	if len(fields) != 1 || fields[0] != "t" {
-		t.Errorf("surviving indexes: %v (want [t])", fields)
+// TestCompactClampsIndexCoverage: a fold replaces the tails in place, so
+// every index keeps covering the part before them — the main rendering, or
+// for a table built by inserts its first run. One built over that part alone
+// stays as it was, one built after the inserts is clamped to its rows, and
+// IndexScan through either still equals the predicate scan.
+func TestCompactClampsIndexCoverage(t *testing.T) {
+	for _, loaded := range []bool{true, false} {
+		e, _, _ := newEngine(t)
+		if err := e.Create("Traces", tracesSchema(), "sizetiered[4](rows(Traces))"); err != nil {
+			t.Fatal(err)
+		}
+		if loaded {
+			if err := e.Load("Traces", traceRows(100)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			insertBatches(t, e, 5, 20, 0)
+			if err := e.Compact("Traces"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.CreateIndex("Traces", "t"); err != nil {
+			t.Fatal(err)
+		}
+		insertBatches(t, e, 2, 20, 1000)
+		if err := e.CreateIndex("Traces", "lat"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Compact("Traces"); err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := e.cat.Get("Traces")
+		if len(tab.Indexes) != 2 {
+			t.Fatalf("loaded=%v: surviving indexes %+v, want t and lat", loaded, tab.Indexes)
+		}
+		for _, ix := range tab.Indexes {
+			if ix.Rows != 100 {
+				t.Errorf("loaded=%v: index on %s covers %d rows, want the first part's 100", loaded, ix.Field, ix.Rows)
+			}
+		}
+		for _, where := range []string{"t >= 90 and t < 1010", "lat > 42.36"} {
+			pred, _ := algebra.ParsePredicate(where)
+			cur, err := e.IndexScan("Traces", nil, pred, pred.Fields()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drain(t, cur)
+			scan, _ := e.Scan("Traces", ScanOptions{Pred: pred})
+			requireRows(t, where, got, drain(t, scan))
+		}
 	}
 }
 

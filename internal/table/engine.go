@@ -599,9 +599,8 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 // rendered pages in place, append the tail entry and bump the catalog. The
 // caller holds the exclusive table lock. With revalidate, a layout mismatch
 // against the prepare-time snapshot returns ok=false so the caller can
-// re-prepare. Tail-only appends do not shift positions in the main
-// rendering, so secondary indexes survive (IndexScan post-scans the
-// unindexed suffix).
+// re-prepare. Tail-only appends shift no stored position, so secondary
+// indexes survive (IndexScan scans the parts past their coverage).
 //
 // In SyncInserts mode the written pages are also returned as WAL images,
 // with a catalog tail-append delta (catalog.EncodeTailAppend); the caller
@@ -901,41 +900,31 @@ func (e *Engine) applySteps(rel transforms.Relation, spec *layout.Spec, tailOnly
 	return rel, nil
 }
 
-// storedSchema reconstructs the final (stored) schema of the table from its
-// segment entries.
+// storedSchema reconstructs the final (stored) schema of the table from the
+// segment list of its oldest organized part — the main rendering, or for a
+// table never bulk-loaded its oldest run (every organized part of a table
+// shares the layout's segmentation). With only unorganized tails it is the
+// logical schema.
 func storedSchema(tab *catalog.Table) (*value.Schema, error) {
 	logical, err := tab.Schema()
 	if err != nil {
 		return nil, err
 	}
-	entries := organizedEntries(tab)
-	if len(entries) == 0 {
-		return logical, nil
-	}
 	var fields []value.Field
-	for _, seg := range entries {
-		for _, f := range seg.Fields {
-			i := logical.Index(f)
-			if i >= 0 {
-				fields = append(fields, logical.Fields[i])
-				continue
-			}
-			// Folded synthetic field.
-			fields = append(fields, value.Field{Name: f, Type: value.List})
-		}
-	}
-	return value.NewSchema(fields...)
-}
-
-// organizedEntries returns the segment list of the table's oldest organized
-// part — the main rendering, or for a table never bulk-loaded its oldest run
-// (every organized part of a table shares the layout's segmentation) — nil
-// when only unorganized tails exist.
-func organizedEntries(tab *catalog.Table) []catalog.SegmentEntry {
 	for _, p := range tab.Parts() {
-		if p.Kind != catalog.PartTail {
-			return p.Segments
+		if p.Kind == catalog.PartTail {
+			continue
 		}
+		for _, seg := range p.Segments {
+			for _, f := range seg.Fields {
+				if i := logical.Index(f); i >= 0 {
+					fields = append(fields, logical.Fields[i])
+				} else {
+					fields = append(fields, value.Field{Name: f, Type: value.List}) // folded synthetic field
+				}
+			}
+		}
+		return value.NewSchema(fields...)
 	}
-	return nil
+	return logical, nil
 }

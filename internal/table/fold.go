@@ -15,6 +15,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/btree"
@@ -98,7 +99,7 @@ func (e *Engine) render(tab *catalog.Table, rel transforms.Relation) (rendered, 
 // readBack returns the rows of the chosen parts of tab, concatenated in the
 // order given, in the table's stored schema.
 func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part) (transforms.Relation, error) {
-	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{raw: true})
+	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{})
 	if err != nil {
 		return transforms.Relation{}, err
 	}
@@ -165,14 +166,12 @@ func (e *Engine) reorganize(tab *catalog.Table) error {
 }
 
 // installMain makes out the whole of work's storage and flips it in over
-// old: every part and every index of old is superseded (an index maps keys to
-// positions in a rendering that no longer exists; rebuild with CreateIndex).
+// old, superseding every part of old.
 func (e *Engine) installMain(old, work *catalog.Table, out rendered) error {
 	work.Segments, work.Runs, work.Tails = out.entries, nil, nil
 	work.RowCount = out.rows
 	work.GridBounds = out.bounds
-	work.Indexes = nil
-	return e.flip(work, old.Parts(), old.Indexes)
+	return e.flip(work, old.Parts())
 }
 
 // reclaimable lists the extents behind superseded parts and index trees.
@@ -222,9 +221,44 @@ func (e *Engine) free(exts []pager.Extent) error {
 //     write into an extent the rolled-back catalog still references;
 //  4. checkpointAfterFlip — makes the new record durable and drains the queue.
 //
-// A flip that supersedes nothing frees nothing and needs neither checkpoint.
-// Caller holds the exclusive table lock.
-func (e *Engine) flip(work *catalog.Table, parts []catalog.Part, trees []catalog.IndexMeta) error {
+// flip alone decides which indexes stay valid. A fold replaces a contiguous
+// range of parts in place, so every stored position before the first part it
+// replaced still holds the row an index tree maps it to: each index's
+// coverage (Rows) is clamped to that position, and an index covering nothing
+// is dropped. Every tree the old record lists and work does not is reclaimed
+// with the superseded parts.
+//
+// A flip that frees nothing needs neither checkpoint. Caller holds the
+// exclusive table lock.
+func (e *Engine) flip(work *catalog.Table, parts []catalog.Part) error {
+	old, err := e.cat.Get(work.Name)
+	if err != nil {
+		return err
+	}
+	replaced := make(map[pager.PageID]bool) // by a part's first extent
+	for _, p := range parts {
+		replaced[p.Segments[0].Meta.ExtentStart] = true
+	}
+	var first int64
+	for _, p := range old.Parts() {
+		if replaced[p.Segments[0].Meta.ExtentStart] {
+			break
+		}
+		first += p.Segments[0].Meta.Rows
+	}
+	var kept []catalog.IndexMeta
+	for _, ix := range work.Indexes {
+		if ix.Rows = min(ix.Rows, first); ix.Rows > 0 {
+			kept = append(kept, ix)
+		}
+	}
+	work.Indexes = kept
+	var trees []catalog.IndexMeta
+	for _, ix := range old.Indexes {
+		if !slices.ContainsFunc(work.Indexes, func(w catalog.IndexMeta) bool { return w.Root == ix.Root }) {
+			trees = append(trees, ix)
+		}
+	}
 	exts := e.reclaimable(parts, trees)
 	if len(exts) == 0 {
 		return e.cat.Put(work)

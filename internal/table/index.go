@@ -2,7 +2,7 @@ package table
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/btree"
@@ -14,15 +14,17 @@ import (
 // Secondary B+tree indexes (paper §1: "RodentStore will include both
 // B+Trees as well as a variety of geo-spatial indices"; the paper explicitly
 // does not innovate here, and neither do we). An index maps one field's
-// values to row positions in the table's stored order.
+// values to row positions in the table's stored order, for the prefix of
+// positions it covers (IndexMeta.Rows).
 //
-// Indexes describe a specific rendering of the main segments: operations
-// that rewrite the stored order (Reorganize, AlterLayout, Load) drop them;
-// rebuild with CreateIndex. Tail-only Inserts do NOT drop indexes — an
-// appended tail shifts no existing position, so the tree stays valid for
-// the prefix it covers (IndexMeta.Rows) and IndexScan post-scans the
-// unindexed suffix. A dropped index's tree pages are reclaimed by the flip
-// that drops it, like any superseded segment.
+// Inserts append parts and shift no position, so they leave an index as it
+// is; IndexScan answers the parts past its coverage with a pruned predicate
+// scan. A fold replaces parts in place, and flip clamps every index's
+// coverage to the first position the fold replaced: Compact keeps an index
+// valid for the parts before the folded ones, while Reorganize, AlterLayout
+// and Load replace position 0 and so drop it (rebuild with CreateIndex). A
+// dropped index's tree pages are reclaimed by that flip, like any superseded
+// segment.
 
 // CreateIndex builds a B+tree over the named field of the table's stored
 // rows. The field must be stored by the current layout.
@@ -52,10 +54,11 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		if err != nil {
 			return err
 		}
-		cur, err := e.scanStored(tab, []string{field}, algebra.True, true)
+		plan, err := e.planScan(tab, tab.Parts(), []string{field}, algebra.True, storedScanOpts{})
 		if err != nil {
 			return err
 		}
+		cur := newCursor(plan, false, 0)
 		defer cur.Close()
 		pos := uint64(0)
 		for {
@@ -95,7 +98,7 @@ func (e *Engine) DropIndex(tableName, field string) error {
 			if idx.Field == field {
 				work := *tab
 				work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes[:i]...), tab.Indexes[i+1:]...)
-				return e.flip(&work, nil, []catalog.IndexMeta{idx})
+				return e.flip(&work, nil)
 			}
 		}
 		return fmt.Errorf("table: no index on %s(%s)", tableName, field)
@@ -116,11 +119,14 @@ func (e *Engine) Indexes(tableName string) ([]string, error) {
 }
 
 // IndexScan runs a range lookup through the index on field and returns the
-// matching rows (post-filtered by pred, projected to fields). It reads only
-// the blocks containing matching positions — for selective predicates this
-// touches far fewer pages than a scan, at the cost of index node reads and
-// seeks (the classic secondary-index trade the paper's Figure 2 probes with
-// its R-tree).
+// matching rows (filtered by the whole of pred, projected to fields) in
+// stored order. It is a block selection over planScan's plan: blocks wholly
+// inside the index's coverage are kept only when the tree range holds a hit
+// in them, and blocks of later parts are kept as the pruner left them. The
+// chosen blocks then run through the ordinary block pipeline — for selective
+// predicates far fewer pages than a scan, at the cost of index node reads
+// and seeks (the classic secondary-index trade the paper's Figure 2 probes
+// with its R-tree).
 func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predicate, indexField string) (*Cursor, error) {
 	var cur *Cursor
 	err := e.withLock(tableName, shared, func() error {
@@ -128,24 +134,17 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		if err != nil {
 			return err
 		}
-		var root pager.PageID
-		indexedRows := int64(0)
-		found := false
-		for _, idx := range tab.Indexes {
-			if idx.Field == indexField {
-				root = pager.PageID(idx.Root)
-				indexedRows = idx.Rows
-				found = true
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(tab.Indexes, func(ix catalog.IndexMeta) bool { return ix.Field == indexField })
+		if i < 0 {
 			return fmt.Errorf("table: no index on %s(%s)", tableName, indexField)
 		}
-		lo, hi, loOpen, hiOpen, ok := pred.Bounds(indexField)
+		ix := tab.Indexes[i]
+		lo, hi, _, _, ok := pred.Bounds(indexField)
 		if !ok {
 			return fmt.Errorf("table: predicate does not constrain indexed field %q", indexField)
 		}
-		tree := btree.Open(e.file, root)
+		// The tree range is inclusive; the compiled filter applies strict
+		// bounds and every other conjunct.
 		var loKey, hiKey []byte
 		if !lo.IsNull() {
 			loKey = btree.EncodeKey(lo)
@@ -153,114 +152,41 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		if !hi.IsNull() {
 			hiKey = btree.EncodeKey(hi)
 		}
-		var positions []int64
-		err = tree.Range(loKey, hiKey, func(key []byte, v uint64) bool {
-			positions = append(positions, int64(v))
+		var hits []int64
+		err = btree.Open(e.file, pager.PageID(ix.Root)).Range(loKey, hiKey, func(_ []byte, pos uint64) bool {
+			if int64(pos) < ix.Rows {
+				hits = append(hits, int64(pos))
+			}
 			return true
 		})
 		if err != nil {
 			return err
 		}
-		// Strict bounds re-checked by the predicate during materialization;
-		// loOpen/hiOpen only widen the candidate set.
-		_ = loOpen
-		_ = hiOpen
-		sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
-		// Rows appended since the index was built (tail batches) are not in
-		// the tree; add them as an unindexed suffix of candidates — the
-		// predicate post-filter below rejects non-matches. Every tree hit is
-		// below indexedRows, so the combined list stays sorted. This is one
-		// candidate per tail row, so the suffix cost grows with tail size:
-		// the merge policy (EnableAutoMerge) is what keeps it bounded. A
-		// future refinement could scan the tail batches directly with the
-		// predicate (zone maps apply) instead of materializing positions.
-		for p := indexedRows; p < tab.RowCount; p++ {
-			positions = append(positions, p)
-		}
-
-		// Fetch the raw rows at those positions (no predicate: filtering
-		// would compact block offsets and break the position mapping), then
-		// post-filter and project.
-		stored, err := storedSchema(tab)
+		slices.Sort(hits)
+		plan, err := e.planScan(tab, tab.Parts(), fields, pred, storedScanOpts{})
 		if err != nil {
 			return err
 		}
-		outFields := fields
-		if outFields == nil {
-			outFields = stored.Names()
-		}
-		needSet := map[string]bool{}
-		for _, f := range outFields {
-			needSet[f] = true
-		}
-		for _, f := range pred.Fields() {
-			needSet[f] = true
-		}
-		var decoded []string
-		for _, f := range stored.Names() {
-			if needSet[f] {
-				decoded = append(decoded, f)
+		kept := plan.blocks[:0]
+		for _, ref := range plan.blocks {
+			blo, bhi := plan.span(ref)
+			h, _ := slices.BinarySearch(hits, blo)
+			if bhi > ix.Rows || h < len(hits) && hits[h] < bhi {
+				kept = append(kept, ref)
 			}
 		}
-		raw, err := e.scanStored(tab, decoded, algebra.True, true)
-		if err != nil {
+		plan.blocks = kept
+		// Drained under the shared lock: nothing keeps a fold from freeing
+		// the blocks' extents once it is released.
+		cur = newCursor(plan, false, 0)
+		if err := cur.materialize(nil); err != nil {
+			cur.Close()
 			return err
 		}
-		rows, err := raw.fetchPositions(positions)
-		if err != nil {
-			return err
-		}
-		outSchema, outIdx, err := raw.schema.Project(outFields)
-		if err != nil {
-			return err
-		}
-		var final []value.Row
-		for _, r := range rows {
-			if !pred.Eval(raw.schema, r) {
-				continue
-			}
-			pr := make(value.Row, len(outIdx))
-			for i, c := range outIdx {
-				pr[i] = r[c]
-			}
-			final = append(final, pr)
-		}
-		cur = &Cursor{schema: outSchema, sorted: final}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return cur, nil
-}
-
-// fetchPositions materializes the rows at the given stored positions
-// (ascending), reading each containing block once. The cursor must be a
-// fresh unfiltered one, so an in-block offset is a stored position.
-func (c *Cursor) fetchPositions(positions []int64) ([]value.Row, error) {
-	var out []value.Row
-	pi := 0
-	// Walk blocks in order, draining positions that fall inside each.
-	var before int64
-	for bi, ref := range c.plan.blocks {
-		if pi >= len(positions) {
-			break
-		}
-		blockLo := before
-		before += int64(blockRowCount(c.plan.parts[ref.part], ref.block))
-		if positions[pi] >= before {
-			continue
-		}
-		// Decode this block once and pick the requested offsets.
-		c.cur = bi
-		if err := c.advance(); err != nil {
-			return nil, err
-		}
-		for ; pi < len(positions) && positions[pi] < before; pi++ {
-			if off := int(positions[pi] - blockLo); off < c.batch.Len() {
-				out = append(out, c.batch.Row(off))
-			}
-		}
-	}
-	return out, nil
 }

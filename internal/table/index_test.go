@@ -1,9 +1,12 @@
 package table
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"rodentstore/internal/algebra"
+	"rodentstore/internal/value"
 )
 
 func TestCreateIndexAndScan(t *testing.T) {
@@ -114,7 +117,7 @@ func TestIndexSurvivesInsertDroppedOnReorg(t *testing.T) {
 	e, _, _ := setup(t, "orderby[t](Traces)", 200)
 	e.CreateIndex("Traces", "t")
 	// Tail-only appends shift no positions in the main rendering: the index
-	// survives and IndexScan covers the unindexed suffix by post-scan.
+	// survives and IndexScan scans the tail past its coverage.
 	if err := e.Insert("Traces", traceRows(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,5 +163,163 @@ func TestIndexOnStringField(t *testing.T) {
 	}
 	if len(got) != want {
 		t.Errorf("string index: got %d want %d", len(got), want)
+	}
+}
+
+// TestIndexScanPagesFlatUnderIngest: the pages an index lookup reads do not
+// grow as tails and runs accumulate past the index's coverage — those parts
+// are pruned like a scan's, not walked row by row — and the rows equal the
+// predicate scan's.
+func TestIndexScanPagesFlatUnderIngest(t *testing.T) {
+	e, f, _ := setup(t, "leveled[4](chunk[256](orderby[t](Traces)))", 5000)
+	if err := e.CreateIndex("Traces", "t"); err != nil {
+		t.Fatal(err)
+	}
+	pred, _ := algebra.ParsePredicate("t = 1234")
+	var first uint64
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			insertBatches(t, e, 10, 256, 10000*round)
+			if round%2 == 0 {
+				if err := e.Compact("Traces"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f.ResetStats()
+		cur, err := e.IndexScan("Traces", nil, pred, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drain(t, cur)
+		pages := f.Stats().PageReads
+		scan, err := e.Scan("Traces", ScanOptions{Pred: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRows(t, fmt.Sprintf("round %d", round), got, drain(t, scan))
+		if len(got) != 1 {
+			t.Fatalf("round %d: %d rows, want 1", round, len(got))
+		}
+		if round == 0 {
+			first = pages
+		} else if pages != first {
+			t.Errorf("round %d: lookup read %d pages, %d before any insert", round, pages, first)
+		}
+	}
+}
+
+// indexPred draws a range on field — open or strict at each end, sometimes
+// one-sided or an equality — plus, half the time, a conjunct on a field the
+// index does not cover.
+func indexPred(r *rand.Rand, field string, lons []float64) algebra.Predicate {
+	var lo, hi value.Value
+	switch field {
+	case "t":
+		a := r.Intn(2200)
+		lo, hi = value.NewInt(int64(a)), value.NewInt(int64(a+r.Intn(600)))
+	case "lon":
+		a, b := lons[r.Intn(len(lons))], lons[r.Intn(len(lons))]
+		lo, hi = value.NewFloat(min(a, b)), value.NewFloat(max(a, b))
+	default:
+		a, b := r.Intn(5), r.Intn(5)
+		lo, hi = value.NewString(fmt.Sprintf("car-%d", min(a, b))), value.NewString(fmt.Sprintf("car-%d", max(a, b)))
+	}
+	p := algebra.True
+	switch r.Intn(5) {
+	case 0:
+		p = p.And(field, algebra.OpEq, lo)
+	case 1:
+		p = p.And(field, []algebra.CmpOp{algebra.OpGe, algebra.OpGt}[r.Intn(2)], lo)
+	case 2:
+		p = p.And(field, []algebra.CmpOp{algebra.OpLe, algebra.OpLt}[r.Intn(2)], hi)
+	default:
+		p = p.And(field, []algebra.CmpOp{algebra.OpGe, algebra.OpGt}[r.Intn(2)], lo).
+			And(field, []algebra.CmpOp{algebra.OpLe, algebra.OpLt}[r.Intn(2)], hi)
+	}
+	if r.Intn(2) == 0 {
+		if field == "id" {
+			p = p.And("t", algebra.OpLt, value.NewInt(int64(r.Intn(2200))))
+		} else {
+			p = p.And("id", algebra.OpNe, value.NewString("car-2"))
+		}
+	}
+	return p
+}
+
+// TestIndexScanDifferential: IndexScan returns exactly the predicate scan's
+// rows in the same order, across layouts (a heap, sorted, a non-first column
+// of a column layout, dictionary-coded, both compaction policies), part
+// mixes (main only; main, runs and tails; inserts only) and the moment the
+// index was built (before the inserts, after them, after a Compact). An
+// index flip dropped must be refused, not answered.
+func TestIndexScanDifferential(t *testing.T) {
+	layouts := []struct{ expr, field string }{
+		{"chunk[64](rows(Traces))", "t"},
+		{"chunk[64](orderby[t](Traces))", "t"},
+		{"chunk[64](cols(orderby[lon](Traces)))", "lon"},
+		{"chunk[64](dict[id](Traces))", "id"},
+		{"leveled[2](chunk[32](orderby[t](Traces)))", "t"},
+		{"sizetiered[2](chunk[64](rows(Traces)))", "t"},
+	}
+	var lons []float64
+	for _, row := range traceRows(400) {
+		lons = append(lons, row[2].Float())
+	}
+	r := rand.New(rand.NewSource(24))
+	for _, l := range layouts {
+		for _, mix := range []string{"main", "main+runs+tails", "inserts"} {
+			for _, when := range []string{"before inserts", "after inserts", "after compact"} {
+				t.Run(l.expr+"/"+mix+"/"+when, func(t *testing.T) {
+					e, _, _ := newEngine(t)
+					if err := e.Create("Traces", tracesSchema(), l.expr); err != nil {
+						t.Fatal(err)
+					}
+					index := func(at string) {
+						if at == when || mix == "main" && at == "before inserts" {
+							if err := e.CreateIndex("Traces", l.field); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if mix != "inserts" {
+						if err := e.Load("Traces", traceRows(400)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					index("before inserts")
+					if mix != "main" {
+						insertBatches(t, e, 3, 50, 1000)
+						index("after inserts")
+						if err := e.Compact("Traces"); err != nil {
+							t.Fatal(err)
+						}
+						index("after compact")
+						insertBatches(t, e, 2, 50, 2000)
+					}
+					indexed, _ := e.Indexes("Traces")
+					for trial := 0; trial < 10; trial++ {
+						pred := indexPred(r, l.field, lons)
+						fields := [][]string{nil, {l.field}, {"lat", "id"}}[r.Intn(3)]
+						cur, err := e.IndexScan("Traces", fields, pred, l.field)
+						if len(indexed) == 0 {
+							if err == nil {
+								t.Fatal("IndexScan answered through an index flip dropped")
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := drain(t, cur)
+						scan, err := e.Scan("Traces", ScanOptions{Fields: fields, Pred: pred})
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireRows(t, fmt.Sprintf("pred=%q fields=%v", pred, fields), got, drain(t, scan))
+					}
+				})
+			}
+		}
 	}
 }

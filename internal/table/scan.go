@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -88,15 +87,7 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 			needsReorg = true // reorganize needs the exclusive lock; retry below
 			return nil
 		}
-		fields := opts.Fields
-		if opts.Aggregate != nil {
-			if fields, err = aggScanFields(tab, opts); err != nil {
-				return err
-			}
-		}
-		plan, err := e.planScan(tab, tab.Parts(), fields, opts.Pred, storedScanOpts{
-			noZone: opts.NoZonePrune, quarantine: opts.Quarantine, agg: opts.Aggregate,
-		})
+		plan, err := e.planFor(tab, opts)
 		if err != nil {
 			return err
 		}
@@ -105,7 +96,7 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 		case plan.agg != nil:
 			err = cur.runAggregate()
 		case len(opts.Order) > 0 && !e.orderMatchesStored(tab, opts.Order):
-			err = cur.materializeSort(opts.Order)
+			err = cur.materialize(opts.Order)
 		}
 		if err != nil {
 			cur.Close()
@@ -122,6 +113,20 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 		return e.Scan(name, opts) // NeedsReorg is now clear; at most one retry
 	}
 	return cur, nil
+}
+
+// planFor plans the scan opts describes over every part of tab.
+func (e *Engine) planFor(tab *catalog.Table, opts ScanOptions) (*scanPlan, error) {
+	fields := opts.Fields
+	if opts.Aggregate != nil {
+		var err error
+		if fields, err = aggScanFields(tab, opts); err != nil {
+			return nil, err
+		}
+	}
+	return e.planScan(tab, tab.Parts(), fields, opts.Pred, storedScanOpts{
+		noZone: opts.NoZonePrune, quarantine: opts.Quarantine, agg: opts.Aggregate,
+	})
 }
 
 // aggScanFields validates an aggregating scan's options and returns the
@@ -201,30 +206,21 @@ func (e *Engine) GetElement(name string, fields []string, index []int64) (*Curso
 			needsReorg = true // reorganize needs the exclusive lock; retry below
 			return nil
 		}
-		switch {
-		case len(index) == 1:
-			cur, err = e.scanStored(tab, fields, algebra.True, false)
-			if err != nil {
-				return err
-			}
-			return cur.seekRow(index[0])
-		case len(index) == len(tab.GridBounds) && len(tab.GridBounds) > 1:
-			bounds := boundsOf(tab)
-			var cell uint64
-			for d, b := range bounds {
-				if index[d] < 0 || index[d] >= int64(b.Cells) {
-					return fmt.Errorf("table: cell index %d out of range [0,%d) in dimension %q", index[d], b.Cells, b.Field)
-				}
-				cell = cell*uint64(b.Cells) + uint64(index[d])
-			}
-			cur, err = e.scanStored(tab, fields, algebra.True, false)
-			if err != nil {
-				return err
-			}
-			return cur.seekCell(cell)
-		default:
-			return fmt.Errorf("table: index arity %d (table has %d grid dimensions)", len(index), len(tab.GridBounds))
+		plan, err := e.planScan(tab, tab.Parts(), fields, algebra.True, storedScanOpts{})
+		if err != nil {
+			return err
 		}
+		bi, off, err := plan.locate(tab, index)
+		if err != nil {
+			return err
+		}
+		cur = newCursor(plan, false, 0)
+		cur.cur = bi
+		if err := cur.advance(); err != nil {
+			return err
+		}
+		cur.batchPos = off
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -292,12 +288,15 @@ type blockRef struct {
 	block int
 }
 
-// part is one renderable unit: the main segments or one tail batch.
+// part is one renderable unit: the main segments, one run or one tail batch.
 type part struct {
 	entries []catalog.SegmentEntry
 	readers []*segment.Reader // parallel to entries, only for needed segments (nil otherwise)
 	// fieldSeg maps each decoded field to (segment index, column index).
 	fieldSeg map[string][2]int
+	// start is the stored position of the part's first row, counted from the
+	// first part the plan opened.
+	start int64
 }
 
 // batchPool recycles column batches across blocks, cursors and parallel
@@ -306,8 +305,9 @@ type part struct {
 var batchPool = vec.NewPool()
 
 // The block pipeline. Every read path of the engine — streaming scans,
-// morsel workers, aggregation, positional access, index fetches, fold
-// read-back — is the same three stages over one block at a time:
+// morsel workers, aggregation, positional access, index lookups, fold
+// read-back — is the same three stages over one block at a time, and the
+// cost estimates price the blocks the first stage chose:
 //
 //	planScan          which blocks: parts, grid/zone pruning          (scanPlan)
 //	decodeBlockVec    fetch → typed decode → compiled filter → projection (batches)
@@ -918,37 +918,45 @@ func (ps *parallelScan) work(x *blockExec) {
 	}
 }
 
-// seekRow positions the cursor at global stored position pos.
-func (c *Cursor) seekRow(pos int64) error {
-	if !c.plan.filter.Empty() {
-		return fmt.Errorf("table: seekRow with predicate unsupported")
-	}
-	var before int64
-	for bi, ref := range c.plan.blocks {
-		rows := int64(blockRowCount(c.plan.parts[ref.part], ref.block))
-		if before+rows > pos {
-			c.cur = bi
-			if err := c.advance(); err != nil {
-				return err
-			}
-			c.batchPos = int(pos - before)
-			return nil
-		}
-		before += rows
-	}
-	return fmt.Errorf("table: position %d out of range [0,%d)", pos, before)
+// span returns the stored positions [lo, hi) a block covers, counted from
+// the first part the plan opened.
+func (plan *scanPlan) span(ref blockRef) (lo, hi int64) {
+	p := plan.parts[ref.part]
+	bm := p.entries[firstReadSeg(p)].Meta.Blocks[ref.block]
+	return p.start + bm.RowStart, p.start + bm.RowStart + int64(bm.Rows)
 }
 
-// seekCell positions the cursor at the first block of the given grid cell.
-func (c *Cursor) seekCell(cell uint64) error {
-	for bi, ref := range c.plan.blocks {
-		p := c.plan.parts[ref.part]
-		if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
-			c.cur = bi
-			return nil
+// locate finds where a positional cursor starts (paper §4.1 getElement):
+// the plan block holding stored position index[0] and the row's offset in
+// it, or, for a multidimensional index on a gridded table, the first block
+// of the addressed cell. GetElement seeks there; EstimateGet prices it.
+func (plan *scanPlan) locate(tab *catalog.Table, index []int64) (bi, off int, err error) {
+	switch {
+	case len(index) == 1:
+		for bi, ref := range plan.blocks {
+			if lo, hi := plan.span(ref); index[0] >= lo && index[0] < hi {
+				return bi, int(index[0] - lo), nil
+			}
 		}
+		return 0, 0, fmt.Errorf("table: position %d out of range [0,%d)", index[0], tab.RowCount)
+	case len(index) == len(tab.GridBounds) && len(tab.GridBounds) > 1:
+		var cell uint64
+		for d, b := range tab.GridBounds {
+			if index[d] < 0 || index[d] >= int64(b.Cells) {
+				return 0, 0, fmt.Errorf("table: cell index %d out of range [0,%d) in dimension %q", index[d], b.Cells, b.Field)
+			}
+			cell = cell*uint64(b.Cells) + uint64(index[d])
+		}
+		for bi, ref := range plan.blocks {
+			p := plan.parts[ref.part]
+			if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
+				return bi, 0, nil
+			}
+		}
+		return 0, 0, fmt.Errorf("table: grid cell %d holds no data", cell)
+	default:
+		return 0, 0, fmt.Errorf("table: index arity %d (table has %d grid dimensions)", len(index), len(tab.GridBounds))
 	}
-	return fmt.Errorf("table: grid cell %d holds no data", cell)
 }
 
 func firstReadSeg(p *part) int {
@@ -960,8 +968,18 @@ func firstReadSeg(p *part) int {
 	return 0
 }
 
-// materializeSort drains the cursor and sorts the result.
-func (c *Cursor) materializeSort(order []algebra.OrderKey) error {
+// materialize drains the cursor into c.sorted, which Next and NextBatch
+// serve from then on, stably sorted by order (none keeps stored order).
+func (c *Cursor) materialize(order []algebra.OrderKey) error {
+	cols := make([]int, len(order))
+	desc := make([]bool, len(order))
+	for i, k := range order {
+		ci := c.schema.Index(k.Field)
+		if ci < 0 {
+			return fmt.Errorf("table: order field %q not in scan output", k.Field)
+		}
+		cols[i], desc[i] = ci, k.Desc
+	}
 	var rows []value.Row
 	for {
 		r, ok, err := c.Next()
@@ -972,15 +990,6 @@ func (c *Cursor) materializeSort(order []algebra.OrderKey) error {
 			break
 		}
 		rows = append(rows, r)
-	}
-	cols := make([]int, len(order))
-	desc := make([]bool, len(order))
-	for i, k := range order {
-		ci := c.schema.Index(k.Field)
-		if ci < 0 {
-			return fmt.Errorf("table: order field %q not in scan output", k.Field)
-		}
-		cols[i], desc[i] = ci, k.Desc
 	}
 	value.SortRows(rows, cols, desc)
 	c.sorted, c.sortedPos = rows, 0
@@ -996,29 +1005,18 @@ func boundsOf(tab *catalog.Table) []transforms.GridBounds {
 	return out
 }
 
-// storedScanOpts are the internal knobs of planScan: raw bypasses pruning
-// (reorganization reads everything back), noZone disables zone-map pruning
-// only, agg compiles an aggregation into the plan.
+// storedScanOpts are the internal knobs of planScan: noZone disables
+// zone-map pruning only, agg compiles an aggregation into the plan.
 type storedScanOpts struct {
-	raw, noZone, quarantine bool
-	agg                     *AggSpec
+	noZone, quarantine bool
+	agg                *AggSpec
 }
 
-// scanStored opens a serial cursor over the stored representation, for the
-// engine's own reads (positional access, index builds and fetches). fields nil selects all stored fields. When raw is true the
-// scan bypasses pruning.
-func (e *Engine) scanStored(tab *catalog.Table, fields []string, pred algebra.Predicate, raw bool) (*Cursor, error) {
-	plan, err := e.planScan(tab, tab.Parts(), fields, pred, storedScanOpts{raw: raw})
-	if err != nil {
-		return nil, err
-	}
-	return newCursor(plan, false, 0), nil
-}
-
-// planScan is the planner stage: it resolves the projection and predicate
-// against the stored schema, opens the given parts of tab (all of them for a
-// scan; a fold's read-back chooses), prunes blocks, and compiles the filter
-// (and aggregation, if any).
+// planScan is the planner stage and the only code that selects blocks: it
+// resolves the projection and predicate against the stored schema, opens the
+// given parts of tab (all of them for a scan; a fold's read-back chooses),
+// prunes blocks, and compiles the filter (and aggregation, if any). Index
+// lookups narrow the blocks it chose; the cost estimates price them.
 func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []string, pred algebra.Predicate, so storedScanOpts) (*scanPlan, error) {
 	stored, err := storedSchema(tab)
 	if err != nil {
@@ -1060,24 +1058,25 @@ func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []stri
 	// Concatenating a table's parts in catalog order preserves global insert
 	// order across the hierarchy.
 	parts := make([]*part, 0, len(from))
+	var start int64
 	for _, cp := range from {
 		p, err := e.buildPart(cp.Segments, stored, decoded)
 		if err != nil {
 			return nil, err
 		}
+		p.start = start
+		start += p.entries[firstReadSeg(p)].Meta.Rows
 		parts = append(parts, p)
 	}
 
 	// Candidate blocks with grid/zone pruning.
-	prune := e.pruner(tab, pred, so.raw, so.noZone)
+	prune := e.pruner(tab, pred, so.noZone)
 	var blocks []blockRef
 	for pi, p := range parts {
-		seg0 := firstReadSeg(p)
-		for bi, bm := range p.entries[seg0].Meta.Blocks {
-			if prune(bm) {
-				continue
+		for bi := range p.entries[firstReadSeg(p)].Meta.Blocks {
+			if !prune(p, bi) {
+				blocks = append(blocks, blockRef{part: pi, block: bi})
 			}
-			blocks = append(blocks, blockRef{part: pi, block: bi})
 		}
 	}
 
@@ -1147,10 +1146,13 @@ func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *valu
 	return p, nil
 }
 
-// pruner returns a block-skip function using grid cell ranges and zone maps.
-func (e *Engine) pruner(tab *catalog.Table, pred algebra.Predicate, raw, noZone bool) func(segment.BlockMeta) bool {
-	if raw || pred.IsTrue() {
-		return func(segment.BlockMeta) bool { return false }
+// pruner returns planScan's block-skip test: a block is skipped when the grid
+// cell or zone map of any of its decoded segments excludes the predicate.
+// The segments of a part share block boundaries, but each carries zone maps
+// for its own fields only.
+func (e *Engine) pruner(tab *catalog.Table, pred algebra.Predicate, noZone bool) func(p *part, block int) bool {
+	if pred.IsTrue() {
+		return func(*part, int) bool { return false }
 	}
 	bounds := boundsOf(tab)
 	// Per-dimension cell ranges implied by the predicate.
@@ -1187,7 +1189,7 @@ func (e *Engine) pruner(tab *catalog.Table, pred algebra.Predicate, raw, noZone 
 			}
 		}
 	}
-	return func(bm segment.BlockMeta) bool {
+	excludes := func(bm segment.BlockMeta) bool {
 		if bm.Cell != segment.NoCell && len(bounds) > 0 {
 			coords := transforms.CellCoords(bm.Cell, bounds)
 			for d, dr := range dimRanges {
@@ -1211,131 +1213,85 @@ func (e *Engine) pruner(tab *catalog.Table, pred algebra.Predicate, raw, noZone 
 		}
 		return false
 	}
-}
-
-// EstimateScan predicts the I/O footprint of a scan without reading pages
-// (the arithmetic behind scan_cost, paper §4.1/§5: bytes of I/O + seeks).
-func (e *Engine) EstimateScan(name string, opts ScanOptions) (cost.Estimate, error) {
-	tab, err := e.cat.Get(name)
-	if err != nil {
-		return cost.Estimate{}, err
-	}
-	stored, err := storedSchema(tab)
-	if err != nil {
-		return cost.Estimate{}, err
-	}
-	fields := opts.Fields
-	if fields == nil {
-		fields = stored.Names()
-	}
-	needed := make(map[string]bool)
-	for _, f := range fields {
-		needed[f] = true
-	}
-	for _, f := range opts.Pred.Fields() {
-		needed[f] = true
-	}
-	prune := e.pruner(tab, opts.Pred, false, opts.NoZonePrune)
-	payload := e.file.PayloadSize()
-
-	reads := func(entry catalog.SegmentEntry) bool {
-		for _, f := range entry.Fields {
-			if needed[f] {
+	return func(p *part, block int) bool {
+		for si, r := range p.readers {
+			if r != nil && excludes(p.entries[si].Meta.Blocks[block]) {
 				return true
 			}
 		}
 		return false
 	}
-
-	var est cost.Estimate
-	for _, p := range tab.Parts() {
-		for _, entry := range p.Segments {
-			if !reads(entry) {
-				continue
-			}
-			// Collect page ranges of surviving blocks; merge adjacent runs.
-			type run struct{ lo, hi uint64 }
-			var runs []run
-			for _, bm := range entry.Meta.Blocks {
-				if prune(bm) {
-					continue
-				}
-				lo := bm.Off / uint64(payload)
-				hi := (bm.Off + uint64(bm.Len) - 1) / uint64(payload)
-				if n := len(runs); n > 0 && lo <= runs[n-1].hi+1 {
-					if hi > runs[n-1].hi {
-						runs[n-1].hi = hi
-					}
-				} else {
-					runs = append(runs, run{lo, hi})
-				}
-				est.Rows += int64(bm.Rows)
-			}
-			for _, r := range runs {
-				est.Pages += r.hi - r.lo + 1
-				est.Seeks++
-			}
-		}
-	}
-	// Rows were counted once per segment read; normalize to one copy.
-	nread := 0
-	for _, entry := range organizedEntries(tab) {
-		if reads(entry) {
-			nread++
-		}
-	}
-	if nread > 1 && est.Rows > 0 {
-		est.Rows /= int64(nread)
-	}
-	return est, nil
 }
 
-// EstimateGet predicts the I/O footprint of a getElement call.
+// EstimateScan predicts the I/O footprint of a scan without reading pages
+// (the arithmetic behind scan_cost, paper §4.1/§5: bytes of I/O + seeks):
+// the pages and seeks of the blocks the scan's own plan chose.
+func (e *Engine) EstimateScan(name string, opts ScanOptions) (cost.Estimate, error) {
+	tab, err := e.cat.Get(name)
+	if err != nil {
+		return cost.Estimate{}, err
+	}
+	plan, err := e.planFor(tab, opts)
+	if err != nil {
+		return cost.Estimate{}, err
+	}
+	return plan.estimate(plan.blocks, uint64(e.file.PayloadSize())), nil
+}
+
+// EstimateGet predicts the I/O footprint of a getElement call: the block the
+// positional cursor reads first, found the way GetElement finds it.
 func (e *Engine) EstimateGet(name string, fields []string, index []int64) (cost.Estimate, error) {
 	tab, err := e.cat.Get(name)
 	if err != nil {
 		return cost.Estimate{}, err
 	}
-	stored, err := storedSchema(tab)
+	plan, err := e.planScan(tab, tab.Parts(), fields, algebra.True, storedScanOpts{})
 	if err != nil {
 		return cost.Estimate{}, err
 	}
-	if fields == nil {
-		fields = stored.Names()
+	bi, _, err := plan.locate(tab, index)
+	if err != nil {
+		return cost.Estimate{}, err
 	}
-	needed := make(map[string]bool)
-	for _, f := range fields {
-		needed[f] = true
-	}
-	payload := uint64(e.file.PayloadSize())
+	return plan.estimate(plan.blocks[bi:bi+1], uint64(e.file.PayloadSize())), nil
+}
+
+// estimate counts what a serial cold run of blocks (in plan order) reads:
+// per decoded segment, the pages the blocks span — a page two blocks share
+// is read once — and one seek per run of consecutive pages; and the rows
+// decoded, once per block.
+func (plan *scanPlan) estimate(blocks []blockRef, payload uint64) cost.Estimate {
 	var est cost.Estimate
-	for _, entry := range tab.Segments {
-		read := false
-		for _, f := range entry.Fields {
-			if needed[f] {
-				read = true
-				break
+	for len(blocks) > 0 {
+		n := 1
+		for n < len(blocks) && blocks[n].part == blocks[0].part {
+			n++
+		}
+		p := plan.parts[blocks[0].part]
+		for si, r := range p.readers {
+			if r == nil {
+				continue
 			}
-		}
-		if !read || len(entry.Meta.Blocks) == 0 {
-			continue
-		}
-		// One block read per needed segment (positional access).
-		var bm segment.BlockMeta
-		if len(index) == 1 {
-			i := sort.Search(len(entry.Meta.Blocks), func(i int) bool {
-				return entry.Meta.Blocks[i].RowStart > index[0]
-			})
-			if i == 0 {
-				i = 1
+			var lo, hi uint64
+			for i, ref := range blocks[:n] {
+				bm := p.entries[si].Meta.Blocks[ref.block]
+				first, last := bm.Off/payload, (bm.Off+uint64(bm.Len)-1)/payload
+				if i > 0 && first <= hi+1 {
+					hi = max(hi, last)
+					continue
+				}
+				if i > 0 {
+					est.Pages += hi - lo + 1
+				}
+				lo, hi = first, last
+				est.Seeks++
 			}
-			bm = entry.Meta.Blocks[i-1]
-		} else {
-			bm = entry.Meta.Blocks[0]
+			est.Pages += hi - lo + 1
 		}
-		est.Pages += uint64(bm.Len)/payload + 1
-		est.Seeks++
-		est.Rows++
+		for _, ref := range blocks[:n] {
+			est.Rows += int64(blockRowCount(p, ref.block))
+		}
+		blocks = blocks[n:]
 	}
-	return est, nil
+	return est
 }

@@ -436,22 +436,109 @@ func TestEstimateScanMatchesActual(t *testing.T) {
 	}
 }
 
-func TestEstimateGet(t *testing.T) {
-	e, f, _ := setup(t, "cols(Traces)", 2000)
-	est, err := e.EstimateGet("Traces", []string{"lat"}, []int64{1500})
+// TestPruneConsultsEveryDecodedSegment: on a column layout a range on one
+// column prunes the blocks of every decoded column — a lon range projecting
+// lat reads only the blocks whose lon zone overlaps it — and EstimateScan
+// prices that scan within a page per decoded segment.
+func TestPruneConsultsEveryDecodedSegment(t *testing.T) {
+	e, f, rows := setup(t, "chunk[64](cols(orderby[lon](Traces)))", 5000)
+	lons := make([]float64, len(rows))
+	for i, r := range rows {
+		lons[i] = r[2].Float()
+	}
+	sort.Float64s(lons)
+	lo, hi := lons[2500], lons[2560]
+	pred := algebra.True.And("lon", algebra.OpGe, value.NewFloat(lo)).And("lon", algebra.OpLe, value.NewFloat(hi))
+	opts := ScanOptions{Fields: []string{"lat"}, Pred: pred}
+
+	// The distinct pages of the lat and lon blocks whose lon zone overlaps.
+	tab, _ := e.cat.Get("Traces")
+	var match []int
+	for _, entry := range tab.Segments {
+		if entry.Fields[0] != "lon" {
+			continue
+		}
+		for bi, bm := range entry.Meta.Blocks {
+			for _, z := range bm.Zones {
+				if z.Field == "lon" && z.Max >= lo && z.Min <= hi {
+					match = append(match, bi)
+				}
+			}
+		}
+	}
+	payload := uint64(f.PayloadSize())
+	pages := make(map[pager.PageID]bool)
+	for _, entry := range tab.Segments {
+		if entry.Fields[0] != "lat" && entry.Fields[0] != "lon" {
+			continue
+		}
+		for _, bi := range match {
+			bm := entry.Meta.Blocks[bi]
+			for pg := bm.Off / payload; pg <= (bm.Off+uint64(bm.Len)-1)/payload; pg++ {
+				pages[entry.Meta.ExtentStart+pager.PageID(pg)] = true
+			}
+		}
+	}
+
+	est, err := e.EstimateScan("Traces", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.ResetStats()
-	cur, err := e.GetElement("Traces", []string{"lat"}, []int64{1500})
+	cur, err := e.Scan("Traces", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur.Next()
-	actual := f.Stats().PageReads
-	if est.Pages < actual {
-		t.Errorf("estimate %d < actual %d pages", est.Pages, actual)
+	if got := drain(t, cur); len(got) != 61 {
+		t.Errorf("%d rows, want 61", len(got))
 	}
+	actual := f.Stats().PageReads
+	if actual > uint64(len(pages)) {
+		t.Errorf("scan read %d pages; the %d matching blocks span %d", actual, len(match), len(pages))
+	}
+	if diff := int64(est.Pages) - int64(actual); diff < -2 || diff > 2 {
+		t.Errorf("estimated %d pages, read %d", est.Pages, actual)
+	}
+}
+
+// TestEstimateGet: the positional estimate covers what GetElement reads, in
+// the main rendering, in a run, in a tail, and on a table built by Insert.
+func TestEstimateGet(t *testing.T) {
+	covers := func(e *Engine, f *pager.File, fields []string, pos int64) {
+		t.Helper()
+		est, err := e.EstimateGet("Traces", fields, []int64{pos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ResetStats()
+		cur, err := e.GetElement("Traces", fields, []int64{pos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.Next()
+		if actual := f.Stats().PageReads; actual == 0 || est.Pages < actual {
+			t.Errorf("position %d: estimate %d pages, actual %d", pos, est.Pages, actual)
+		}
+	}
+	e, f, _ := setup(t, "cols(Traces)", 2000)
+	covers(e, f, []string{"lat"}, 1500)
+
+	// Main 0..499, a run 500..1099, a tail 1100..1399.
+	e, f, _ = setup(t, "sizetiered[4](cols(Traces))", 500)
+	insertBatches(t, e, 2, 300, 1000)
+	if err := e.Compact("Traces"); err != nil {
+		t.Fatal(err)
+	}
+	insertBatches(t, e, 1, 300, 5000)
+	covers(e, f, nil, 600)
+	covers(e, f, []string{"lat"}, 1200)
+
+	e, f, _ = newEngine(t)
+	if err := e.Create("Traces", tracesSchema(), "cols(Traces)"); err != nil {
+		t.Fatal(err)
+	}
+	insertBatches(t, e, 2, 200, 0)
+	covers(e, f, []string{"lat"}, 250)
 }
 
 func TestOrderListAndGridOrder(t *testing.T) {

@@ -21,6 +21,11 @@
 //   - A layout change is all or nothing: the recovered layout is one the
 //     harness asked for, and an ordered scan delivers the order that layout
 //     advertises — never the new expression over bytes in the old order.
+//   - An index answers what a scan answers: the levelled table carries an
+//     index on its key (built after its first inserts, now and then dropped
+//     and rebuilt; every fold's flip decides how much of it stays valid), and
+//     a lookup over a random key range returns exactly the rows the predicate
+//     scan returns, which are the committed model's.
 //
 // Between operations the harness also power-cuts the live store itself
 // (cycling drop/keep semantics) and reopens it, verifying an exact match.
@@ -31,6 +36,7 @@ package torture
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 
@@ -43,6 +49,9 @@ const dbPath = "torture.rdnt"
 
 // narrowed is the table whose layouts project a column away.
 const narrowed = "delta"
+
+// indexed is the table that carries an index on its key, id.
+const indexed = "gamma"
 
 // maxRows caps a table's size: past it the next operation on the table is a
 // drop-and-recreate, keeping per-kill-point verification affordable (and
@@ -60,6 +69,8 @@ type Config struct {
 // Stats counts what a run covered.
 type Stats struct {
 	Ops, Inserts, Reorgs, Compacts, Alters, Checkpoints, Drops, Scans, Crashes int
+	// Indexes is how many times the index on the indexed table was built.
+	Indexes int
 	// KillPoints is how many write/sync points were crash-checked.
 	KillPoints int
 }
@@ -77,6 +88,7 @@ type harness struct {
 	fs       *vfs.Fault
 	db       *rodentstore.DB
 	rng      *rand.Rand
+	probe    *rand.Rand                  // index lookup ranges, apart from rng so checks do not steer the workload
 	model    map[string]map[int64]string // table -> id -> payload (committed)
 	layouts  map[string][2]string        // table -> the two layouts opAlter flips between; [0] at creation
 	cur      inflight
@@ -96,6 +108,7 @@ func Run(cfg Config) (Stats, error) {
 		cfg:   cfg,
 		fs:    vfs.NewFault(cfg.Seed),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		probe: rand.New(rand.NewSource(cfg.Seed + 1)),
 		model: make(map[string]map[int64]string),
 		layouts: map[string][2]string{
 			"alpha": {"rows(alpha)", "orderby[p](alpha)"},
@@ -182,8 +195,10 @@ func (h *harness) loop() error {
 			err = h.opDrop(name)
 		default:
 			switch p := h.rng.Intn(100); {
-			case p < 55:
+			case p < 52:
 				err = h.opInsert(name)
+			case p < 55:
+				err = h.opReindex()
 			case p < 67:
 				err = h.opScan(name)
 			case p < 73:
@@ -233,7 +248,29 @@ func (h *harness) opInsert(name string) error {
 	for id, p := range batch {
 		h.model[name][id] = p
 	}
-	return nil
+	if name != indexed {
+		return nil
+	}
+	if have, err := h.db.Indexes(name); err != nil || len(have) > 0 {
+		return err
+	}
+	return h.opReindex() // its first inserts, or a flip dropped it
+}
+
+// opReindex drops the indexed table's index, if it has one, and builds it
+// again over whatever the table holds now.
+func (h *harness) opReindex() error {
+	have, err := h.db.Indexes(indexed)
+	if err != nil {
+		return err
+	}
+	if len(have) > 0 {
+		if err := h.db.DropIndex(indexed, "id"); err != nil {
+			return err
+		}
+	}
+	h.stats.Indexes++
+	return h.db.CreateIndex(indexed, "id")
 }
 
 func (h *harness) opScan(name string) error {
@@ -243,6 +280,9 @@ func (h *harness) opScan(name string) error {
 		return err
 	}
 	if err := diff(h.model[name], got, nil); err != nil {
+		return err
+	}
+	if err := h.checkIndex(h.db, name, got); err != nil {
 		return err
 	}
 	return h.checkLayout(h.db, name)
@@ -346,6 +386,9 @@ func (h *harness) opCrashReopen() error {
 		if err := diff(h.model[name], got, nil); err != nil {
 			return fmt.Errorf("table %s after crash: %w", name, err)
 		}
+		if err := h.checkIndex(h.db, name, got); err != nil {
+			return fmt.Errorf("table %s after crash: %w", name, err)
+		}
 		if err := h.checkLayout(h.db, name); err != nil {
 			return fmt.Errorf("table %s after crash: %w", name, err)
 		}
@@ -410,6 +453,9 @@ func (h *harness) verifySnapshot(imgs map[string]vfs.Image) error {
 		if err := diff(want, got, pending); err != nil {
 			return fmt.Errorf("table %s: %w", name, err)
 		}
+		if err := h.checkIndex(db, name, got); err != nil {
+			return fmt.Errorf("table %s: %w", name, err)
+		}
 		if err := h.checkLayout(db, name); err != nil {
 			return fmt.Errorf("table %s: %w", name, err)
 		}
@@ -453,9 +499,45 @@ func (h *harness) checkLayout(db *rodentstore.DB, name string) error {
 	return nil
 }
 
+// checkIndex holds a lookup through the indexed table's index, when the
+// store has one, to the predicate scan and to scanned, the table's rows the
+// caller already held to the committed model: over a random key range all
+// three agree.
+func (h *harness) checkIndex(db *rodentstore.DB, name string, scanned map[int64]string) error {
+	if name != indexed {
+		return nil
+	}
+	if have, err := db.Indexes(name); err != nil || len(have) == 0 {
+		return err
+	}
+	// The table holds recent ids only: it is dropped once it grows past
+	// maxRows, and other tables' inserts interleave with its own.
+	lo := h.nextID - h.probe.Int63n(min(h.nextID, 4*maxRows)+1)
+	hi := lo + 1 + h.probe.Int63n(64)
+	q := rodentstore.Query{Where: fmt.Sprintf("id >= %d and id < %d", lo, hi)}
+	byIndex, err := collect(db.IndexScan(name, q, "id"))
+	if err != nil {
+		return fmt.Errorf("index scan %s: %w", q.Where, err)
+	}
+	byScan, err := collect(db.Scan(name, q))
+	if err != nil {
+		return fmt.Errorf("scan %s: %w", q.Where, err)
+	}
+	want := maps.Clone(scanned)
+	maps.DeleteFunc(want, func(id int64, _ string) bool { return id < lo || id >= hi })
+	if !maps.Equal(byIndex, want) || !maps.Equal(byScan, want) {
+		return fmt.Errorf("%s: index scan %d rows, predicate scan %d, committed %d", q.Where, len(byIndex), len(byScan), len(want))
+	}
+	return nil
+}
+
 // scanAll drains one table into an id -> payload map.
 func scanAll(db *rodentstore.DB, name string) (map[int64]string, error) {
-	cur, err := db.Scan(name, rodentstore.Query{})
+	return collect(db.Scan(name, rodentstore.Query{}))
+}
+
+// collect drains a cursor of (id, p, ...) rows into an id -> payload map.
+func collect(cur *rodentstore.Cursor, err error) (map[int64]string, error) {
 	if err != nil {
 		return nil, err
 	}

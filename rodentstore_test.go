@@ -1,8 +1,10 @@
 package rodentstore_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -347,6 +349,57 @@ func TestPersistenceAPI(t *testing.T) {
 	if len(got) != len(rows) {
 		t.Errorf("rows after reopen: %d", len(got))
 	}
+}
+
+// TestClosedFileEndsAtAllocationCursor: a cleanly closed database file holds
+// no preallocated slack, so its size is what it stores; it reopens, allocates
+// and passes CheckIntegrity.
+func TestClosedFileEndsAtAllocationCursor(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trim.rdnt")
+	// The header is magic (8 bytes), page size (u32), allocation cursor (u64).
+	requireTrimmed := func() {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pageSize := int64(binary.LittleEndian.Uint32(raw[8:]))
+		cursor := int64(binary.LittleEndian.Uint64(raw[12:]))
+		if int64(len(raw)) != cursor*pageSize {
+			t.Fatalf("closed file is %d bytes, want cursor %d x page size %d", len(raw), cursor, pageSize)
+		}
+	}
+	db, err := rodentstore.Create(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := loadTraces(t, db, "cols(Traces)", 5000)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireTrimmed()
+
+	db, err = rodentstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Traces", rows[:2000]); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := db.CheckIntegrity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("integrity after reopen and insert: %v", rep.Issues)
+	}
+	if n, _ := db.RowCount("Traces"); n != 7000 {
+		t.Errorf("rows: %d, want 7000", n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireTrimmed()
 }
 
 func TestOpenWithOptionsDurableInserts(t *testing.T) {
