@@ -3,7 +3,9 @@
 // of geo-spatial indices" as supporting machinery; this is that B+tree. It
 // maps binary keys to 64-bit values (row positions), supports range scans
 // in key order, and stores its nodes in pager pages so index I/O is counted
-// by the same statistics as data I/O.
+// by the same statistics as data I/O. A tree is built in one pass from
+// sorted entries (Build) and read-only afterwards: an index covers a prefix
+// of a table's stored positions, and a rewrite of those positions drops it.
 //
 // Nodes occupy one page each. Keys are variable-length byte strings
 // compared lexicographically; callers encode typed values order-preservingly
@@ -43,18 +45,81 @@ type node struct {
 	vals   []uint64 // leaf: values; internal: child page ids
 }
 
-// New creates an empty tree (a single empty leaf).
-func New(file *pager.File) (*Tree, error) {
+// Build writes a tree mapping keys[i] to vals[i] and returns it. keys must
+// be sorted (entries with equal keys in any order). Leaves are packed full,
+// left to right, then each internal level over the one below it: every node
+// is written once. Equal keys may straddle a leaf boundary; Range descends
+// left of a separator equal to its lower bound and walks the leaf chain
+// rightward from there.
+func Build(file *pager.File, keys [][]byte, vals []uint64) (*Tree, error) {
 	t := &Tree{file: file}
-	id, err := file.Allocate()
+	payload := file.PayloadSize()
+	var nodes []*node
+	var firsts [][]byte // each node's first key
+	for lo := 0; lo < len(keys) || len(nodes) == 0; {
+		hi, used := lo, nodeHeader
+		for hi < len(keys) && used+entrySize(keys[hi]) <= payload {
+			used += entrySize(keys[hi])
+			hi++
+		}
+		if hi == lo && lo < len(keys) {
+			return nil, fmt.Errorf("btree: a %d-byte key does not fit a %d-byte page", len(keys[lo]), payload)
+		}
+		var first []byte // nil for the one empty leaf of an empty tree
+		if hi > lo {
+			first = keys[lo]
+		}
+		nodes = append(nodes, &node{isLeaf: true, keys: keys[lo:hi], vals: vals[lo:hi]})
+		firsts = append(firsts, first)
+		lo = hi
+	}
+	for {
+		start, err := t.writeLevel(nodes)
+		if err != nil {
+			return nil, err
+		}
+		if len(nodes) == 1 {
+			t.root = start
+			return t, nil
+		}
+		// An internal node's first child rides in next; each later child is
+		// keyed by its first key. A key that fit a leaf fits here beside
+		// one other, so every level is smaller than the one below.
+		var up []*node
+		var upFirsts [][]byte
+		for lo := 0; lo < len(nodes); {
+			n := &node{next: start + pager.PageID(lo)}
+			hi, used := lo+1, nodeHeader
+			for hi < len(nodes) && used+entrySize(firsts[hi]) <= payload {
+				used += entrySize(firsts[hi])
+				n.keys = append(n.keys, firsts[hi])
+				n.vals = append(n.vals, uint64(start+pager.PageID(hi)))
+				hi++
+			}
+			up = append(up, n)
+			upFirsts = append(upFirsts, firsts[lo])
+			lo = hi
+		}
+		nodes, firsts = up, upFirsts
+	}
+}
+
+// writeLevel writes one level's nodes to a fresh contiguous run, linking
+// each leaf to its right sibling, and returns the run's first page.
+func (t *Tree) writeLevel(nodes []*node) (pager.PageID, error) {
+	start, err := t.file.AllocateRun(uint64(len(nodes)))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if err := t.writeNode(id, &node{isLeaf: true}); err != nil {
-		return nil, err
+	for i, n := range nodes {
+		if n.isLeaf && i+1 < len(nodes) {
+			n.next = start + pager.PageID(i+1)
+		}
+		if err := t.writeNode(start+pager.PageID(i), n); err != nil {
+			return 0, err
+		}
 	}
-	t.root = id
-	return t, nil
+	return start, nil
 }
 
 // Open attaches to an existing tree rooted at root.
@@ -70,15 +135,16 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &node{isLeaf: buf[0] == 1}
 	nkeys := int(binary.LittleEndian.Uint16(buf[1:]))
+	n := &node{isLeaf: buf[0] == 1, keys: make([][]byte, 0, nkeys), vals: make([]uint64, 0, nkeys)}
 	n.next = pager.PageID(binary.LittleEndian.Uint64(buf[3:]))
 	off := nodeHeader
 	for i := 0; i < nkeys; i++ {
 		klen := int(binary.LittleEndian.Uint16(buf[off:]))
 		off += 2
-		key := make([]byte, klen)
-		copy(key, buf[off:off+klen])
+		// ReadPage hands over a fresh buffer: keys alias it, one
+		// allocation per node instead of one per key.
+		key := buf[off : off+klen : off+klen]
 		off += klen
 		val := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
@@ -111,117 +177,6 @@ func (t *Tree) writeNode(id pager.PageID, n *node) error {
 // entrySize returns the stored size of one entry.
 func entrySize(key []byte) int { return 2 + len(key) + 8 }
 
-// fits reports whether the node fits a page after adding key.
-func (t *Tree) fits(n *node, extraKey []byte) bool {
-	size := nodeHeader
-	for _, k := range n.keys {
-		size += entrySize(k)
-	}
-	size += entrySize(extraKey)
-	return size <= t.file.PayloadSize()
-}
-
-// Insert adds (key, val). Duplicate keys are allowed; entries with equal
-// keys are adjacent in scan order.
-func (t *Tree) Insert(key []byte, val uint64) error {
-	promoted, newChild, err := t.insert(t.root, key, val)
-	if err != nil {
-		return err
-	}
-	if newChild == 0 {
-		return nil
-	}
-	// Root split: new root with one key and two children.
-	rootID, err := t.file.Allocate()
-	if err != nil {
-		return err
-	}
-	newRoot := &node{isLeaf: false, next: t.root, keys: [][]byte{promoted}, vals: []uint64{uint64(newChild)}}
-	if err := t.writeNode(rootID, newRoot); err != nil {
-		return err
-	}
-	t.root = rootID
-	return nil
-}
-
-// insert descends; on child split it returns the promoted key and the new
-// right node's id.
-func (t *Tree) insert(id pager.PageID, key []byte, val uint64) ([]byte, pager.PageID, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n.isLeaf {
-		pos := lowerBound(n.keys, key)
-		n.keys = insertBytes(n.keys, pos, key)
-		n.vals = insertU64(n.vals, pos, val)
-		if t.fits(n, nil) {
-			return nil, 0, t.writeNode(id, n)
-		}
-		return t.splitLeaf(id, n)
-	}
-	// Internal: child i covers keys < keys[i]; rightmost child covers rest.
-	ci := lowerBound(n.keys, key)
-	// For duplicate keys equal to a separator, descend right of it.
-	for ci < len(n.keys) && bytes.Equal(n.keys[ci], key) {
-		ci++
-	}
-	child := n.next
-	if ci > 0 {
-		child = pager.PageID(n.vals[ci-1])
-	}
-	promoted, newChild, err := t.insert(child, key, val)
-	if err != nil || newChild == 0 {
-		return nil, 0, err
-	}
-	n.keys = insertBytes(n.keys, ci, promoted)
-	n.vals = insertU64(n.vals, ci, uint64(newChild))
-	if t.fits(n, nil) {
-		return nil, 0, t.writeNode(id, n)
-	}
-	return t.splitInternal(id, n)
-}
-
-func (t *Tree) splitLeaf(id pager.PageID, n *node) ([]byte, pager.PageID, error) {
-	mid := len(n.keys) / 2
-	rightID, err := t.file.Allocate()
-	if err != nil {
-		return nil, 0, err
-	}
-	right := &node{isLeaf: true, next: n.next, keys: n.keys[mid:], vals: n.vals[mid:]}
-	left := &node{isLeaf: true, next: rightID, keys: n.keys[:mid], vals: n.vals[:mid]}
-	if err := t.writeNode(rightID, right); err != nil {
-		return nil, 0, err
-	}
-	if err := t.writeNode(id, left); err != nil {
-		return nil, 0, err
-	}
-	return right.keys[0], rightID, nil
-}
-
-func (t *Tree) splitInternal(id pager.PageID, n *node) ([]byte, pager.PageID, error) {
-	mid := len(n.keys) / 2
-	promoted := n.keys[mid]
-	rightID, err := t.file.Allocate()
-	if err != nil {
-		return nil, 0, err
-	}
-	right := &node{
-		isLeaf: false,
-		next:   pager.PageID(n.vals[mid]),
-		keys:   append([][]byte{}, n.keys[mid+1:]...),
-		vals:   append([]uint64{}, n.vals[mid+1:]...),
-	}
-	left := &node{isLeaf: false, next: n.next, keys: n.keys[:mid], vals: n.vals[:mid]}
-	if err := t.writeNode(rightID, right); err != nil {
-		return nil, 0, err
-	}
-	if err := t.writeNode(id, left); err != nil {
-		return nil, 0, err
-	}
-	return promoted, rightID, nil
-}
-
 // lowerBound returns the first index with keys[i] >= key.
 func lowerBound(keys [][]byte, key []byte) int {
 	lo, hi := 0, len(keys)
@@ -234,20 +189,6 @@ func lowerBound(keys [][]byte, key []byte) int {
 		}
 	}
 	return lo
-}
-
-func insertBytes(xs [][]byte, i int, x []byte) [][]byte {
-	xs = append(xs, nil)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = x
-	return xs
-}
-
-func insertU64(xs []uint64, i int, x uint64) []uint64 {
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = x
-	return xs
 }
 
 // Search returns the values stored under key.
@@ -363,14 +304,21 @@ func (t *Tree) Extents() ([]pager.Extent, error) {
 
 // EncodeKey builds an order-preserving binary key from a typed value:
 // bytes.Compare on encoded keys agrees with value.Compare within a kind.
+// Null encodes to nil, any other value (the empty string too) to a non-nil
+// key, so a bound of Range is never taken for "unbounded" by mistake.
 func EncodeKey(v value.Value) []byte {
+	if v.IsNull() {
+		return nil
+	}
+	return AppendKey(make([]byte, 0, 8), v)
+}
+
+// AppendKey appends v's EncodeKey encoding to dst.
+func AppendKey(dst []byte, v value.Value) []byte {
 	switch v.Kind() {
 	case value.Int:
 		// Flip the sign bit so two's complement orders lexicographically.
-		u := uint64(v.Int()) ^ (1 << 63)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], u)
-		return b[:]
+		return binary.BigEndian.AppendUint64(dst, uint64(v.Int())^(1<<63))
 	case value.Float:
 		f := v.Float()
 		u := math.Float64bits(f)
@@ -379,19 +327,17 @@ func EncodeKey(v value.Value) []byte {
 		} else {
 			u = ^u
 		}
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], u)
-		return b[:]
+		return binary.BigEndian.AppendUint64(dst, u)
 	case value.Str:
-		return []byte(v.Str())
+		return append(dst, v.Str()...)
 	case value.Bytes:
-		return v.Bytes()
+		return append(dst, v.Bytes()...)
 	case value.Bool:
 		if v.Bool() {
-			return []byte{1}
+			return append(dst, 1)
 		}
-		return []byte{0}
+		return append(dst, 0)
 	default:
-		return nil
+		return dst
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -319,5 +320,100 @@ func TestExtentsCoverEveryAllocatedPage(t *testing.T) {
 	}
 	if got := f.NumPages(); got != before {
 		t.Fatalf("after freeing the tree %d pages stay allocated, want %d", got, before)
+	}
+}
+
+// TestBuildAnswersLikeInsert: a bulk-built tree and an insert-built one over
+// the same entries — random keys with heavy duplicates, one key repeated
+// across many leaves — answer every Search and Range with the same entries
+// in key order, and Extents lists exactly the pages Build allocated.
+func TestBuildAnswersLikeInsert(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	type kv struct {
+		key []byte
+		val uint64
+	}
+	byKeyVal := func(a, b kv) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return int(a.val) - int(b.val)
+	}
+	for _, n := range []int{0, 1, 7, 300, 5000} {
+		ins, f := newTree(t)
+		var ents []kv
+		for i := 0; i < n; i++ {
+			var key []byte
+			switch r.Intn(4) {
+			case 0:
+				key = []byte("dup")
+			case 1:
+				key = []byte(fmt.Sprintf("k%03d", r.Intn(20)))
+			default:
+				key = EncodeKey(value.NewInt(r.Int63n(1000) - 500))
+			}
+			ents = append(ents, kv{key, uint64(i)})
+			if err := ins.Insert(key, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sorted := slices.Clone(ents)
+		slices.SortFunc(sorted, byKeyVal)
+		keys := make([][]byte, n)
+		vals := make([]uint64, n)
+		for i, e := range sorted {
+			keys[i], vals[i] = e.key, e.val
+		}
+		before := f.NumPages()
+		built, err := Build(f, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, _ := built.Height(); n == 5000 && h < 3 {
+			t.Fatalf("height %d: want internal levels above the leaves", h)
+		}
+		exts, err := built.Extents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pages uint64
+		for _, e := range exts {
+			pages += e.Count
+		}
+		if want := f.NumPages() - before; pages != want {
+			t.Fatalf("n=%d: Extents lists %d pages, Build allocated %d", n, pages, want)
+		}
+
+		collect := func(tr *Tree, lo, hi []byte) []kv {
+			var out []kv
+			err := tr.Range(lo, hi, func(k []byte, v uint64) bool {
+				if len(out) > 0 && bytes.Compare(out[len(out)-1].key, k) > 0 {
+					t.Fatalf("n=%d: range [%x, %x] out of key order", n, lo, hi)
+				}
+				out = append(out, kv{slices.Clone(k), v})
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(out, byKeyVal)
+			return out
+		}
+		probes := [][]byte{nil, []byte("dup"), []byte("du"), []byte("k010"), []byte("zzz"), EncodeKey(value.NewInt(0))}
+		for _, e := range ents {
+			if r.Intn(20) == 0 {
+				probes = append(probes, e.key)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			lo, hi := probes[r.Intn(len(probes))], probes[r.Intn(len(probes))]
+			if i%4 == 0 {
+				hi = lo // Search's range
+			}
+			got, want := collect(built, lo, hi), collect(ins, lo, hi)
+			if !slices.EqualFunc(got, want, func(a, b kv) bool { return byKeyVal(a, b) == 0 }) {
+				t.Fatalf("n=%d: range [%x, %x]: built %d entries, insert-built %d", n, lo, hi, len(got), len(want))
+			}
+		}
 	}
 }

@@ -341,16 +341,12 @@ func (BitPack) Encode(dst []byte, k value.Kind, vals []value.Value) ([]byte, err
 	if len(vals) == 0 {
 		return dst, nil
 	}
-	lo, hi := vals[0].Int(), vals[0].Int()
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, v := range vals {
 		if v.IsNull() {
 			return nil, fmt.Errorf("compress: null value in bitpack block")
 		}
-		if x := v.Int(); x < lo {
-			lo = x
-		} else if x > hi {
-			hi = x
-		}
+		lo, hi = min(lo, v.Int()), max(hi, v.Int())
 	}
 	span := uint64(hi - lo)
 	width := 0

@@ -24,7 +24,7 @@ func TestForgedDictHeaderIsCorruptExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBlock(NoCell, traceRows(100)); err != nil {
+	if err := writeRows(w, NoCell, traceRows(100)); err != nil {
 		t.Fatal(err)
 	}
 	// Walk the block framing to the id column's chunk: body length, cell,

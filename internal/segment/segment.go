@@ -20,10 +20,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"rodentstore/internal/compress"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 // DefaultRowsPerBlock bounds block size for non-grid segments.
@@ -92,6 +94,9 @@ type Writer struct {
 	buf    []byte
 	blocks []BlockMeta
 	rows   int64
+	// gather is WriteBlock's per-field scratch: a block's rows are gathered
+	// into it, in block order, and encoded from there.
+	gather []vec.Vector
 }
 
 // NewWriter creates a segment writer.
@@ -107,83 +112,84 @@ func NewWriter(file *pager.File, spec Spec) (*Writer, error) {
 		}
 		codecs[i] = c
 	}
-	return &Writer{file: file, spec: spec, codecs: codecs}, nil
+	return &Writer{file: file, spec: spec, codecs: codecs, gather: make([]vec.Vector, len(spec.Fields))}, nil
 }
 
-// WriteBlock appends one block of rows belonging to the given cell
-// (NoCell for ungridded segments). Rows must match the spec's fields.
-func (w *Writer) WriteBlock(cell uint64, rows []value.Row) error {
+// WriteBlock appends one block belonging to the given cell (NoCell for
+// ungridded segments): rows, in the order given, of cols — one column per
+// spec field, of that field's kind. Each column chunk is encoded straight
+// from the typed vector (compress.EncodeVec); a null row is refused with the
+// codec's error.
+func (w *Writer) WriteBlock(cell uint64, cols []*vec.Vector, rows []int32) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	ncols := len(w.spec.Fields)
-	cols := make([][]value.Value, ncols)
-	for c := range cols {
-		col := make([]value.Value, len(rows))
-		for r, row := range rows {
-			if len(row) != ncols {
-				return fmt.Errorf("segment: row arity %d != %d fields", len(row), ncols)
-			}
-			col[r] = row[c]
-		}
-		cols[c] = col
+	if len(cols) != len(w.spec.Fields) {
+		return fmt.Errorf("segment: %d columns for %d fields", len(cols), len(w.spec.Fields))
 	}
-
-	body := make([]byte, 0, len(rows)*16)
-	body = binary.LittleEndian.AppendUint64(body, cell)
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-	for c, col := range cols {
-		chunk, err := w.codecs[c].Encode(nil, w.spec.Fields[c].Type, col)
+	start := len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0) // body length, set below
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, cell)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(rows)))
+	var zones []ZoneMap
+	for c, f := range w.spec.Fields {
+		g := &w.gather[c]
+		g.Reset(f.Type)
+		g.AppendSel(cols[c], rows)
+		at := len(w.buf)
+		buf, err := compress.EncodeVec(w.codecs[c], append(w.buf, 0, 0, 0, 0), f.Type, g)
 		if err != nil {
-			return fmt.Errorf("segment: field %q: %w", w.spec.Fields[c].Name, err)
+			w.buf = w.buf[:start]
+			return fmt.Errorf("segment: field %q: %w", f.Name, err)
 		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(chunk)))
-		body = append(body, chunk...)
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		w.buf = buf
+		if z, ok := zoneOf(f, g); ok {
+			zones = append(zones, z)
+		}
 	}
-
-	meta := BlockMeta{
-		Off:      uint64(len(w.buf)),
-		Len:      uint32(4 + len(body)),
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(w.buf)-start-4))
+	w.blocks = append(w.blocks, BlockMeta{
+		Off:      uint64(start),
+		Len:      uint32(len(w.buf) - start),
 		Rows:     len(rows),
 		RowStart: w.rows,
 		Cell:     cell,
-		Zones:    zones(w.spec.Fields, cols),
-	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(body)))
-	w.buf = append(w.buf, body...)
-	w.blocks = append(w.blocks, meta)
+		Zones:    zones,
+	})
 	w.rows += int64(len(rows))
 	return nil
 }
 
-// zones computes per-numeric-field min/max for a block.
-func zones(fields []value.Field, cols [][]value.Value) []ZoneMap {
-	var out []ZoneMap
-	for c, f := range fields {
-		if f.Type != value.Int && f.Type != value.Float {
-			continue
-		}
+// zoneOf is the min/max of a numeric block column (which holds no nulls:
+// its chunk encoded). Predicates order NaN below every number
+// (value.CompareFloats), so a NaN takes the minimum to -Inf: a bound that
+// admits NaN rows never prunes their block. An all-NaN block is [-Inf,-Inf].
+func zoneOf(f value.Field, v *vec.Vector) (ZoneMap, bool) {
+	switch f.Type {
+	case value.Int:
+		return ZoneMap{Field: f.Name, Min: float64(slices.Min(v.Int64s)), Max: float64(slices.Max(v.Int64s))}, true
+	case value.Float:
 		lo, hi := math.Inf(1), math.Inf(-1)
-		ok := true
-		for _, v := range cols[c] {
-			if v.IsNull() {
-				ok = false
-				break
-			}
-			x := v.Float()
-			if x < lo {
+		for _, x := range v.Float64s {
+			switch {
+			case math.IsNaN(x):
+				lo = math.Inf(-1)
+			case x < lo:
 				lo = x
 			}
 			if x > hi {
 				hi = x
 			}
 		}
-		if ok {
-			out = append(out, ZoneMap{Field: f.Name, Min: lo, Max: hi})
-		}
+		return ZoneMap{Field: f.Name, Min: lo, Max: hi}, true
 	}
-	return out
+	return ZoneMap{}, false
 }
+
+// Grow reserves room for n more bytes of stream, so a caller that can
+// estimate a segment's size spares the stream its regrowth copies.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Rows returns the number of rows written so far.
 func (w *Writer) Rows() int64 { return w.rows }

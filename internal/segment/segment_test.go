@@ -7,6 +7,7 @@ import (
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 func newFile(t *testing.T) *pager.File {
@@ -70,7 +71,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 		if j > len(rows) {
 			j = len(rows)
 		}
-		if err := w.WriteBlock(NoCell, rows[i:j]); err != nil {
+		if err := writeRows(w, NoCell, rows[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func TestCompressedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := traceRows(2000)
-	if err := w.WriteBlock(NoCell, rows); err != nil {
+	if err := writeRows(w, NoCell, rows); err != nil {
 		t.Fatal(err)
 	}
 	meta, err := w.Finish()
@@ -126,7 +127,7 @@ func TestCompressedColumns(t *testing.T) {
 
 	// Compare against uncompressed size: codecs must shrink this data.
 	w2, _ := NewWriter(f, traceSpec())
-	w2.WriteBlock(NoCell, rows)
+	writeRows(w2, NoCell, rows)
 	meta2, _ := w2.Finish()
 	if meta.UsedBytes >= meta2.UsedBytes {
 		t.Errorf("compressed %d >= raw %d", meta.UsedBytes, meta2.UsedBytes)
@@ -148,7 +149,7 @@ func TestColumnProjection(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(100)
-	w.WriteBlock(NoCell, rows)
+	writeRows(w, NoCell, rows)
 	meta, _ := w.Finish()
 
 	r, _ := NewReader(f, meta, traceSpec())
@@ -168,8 +169,8 @@ func TestCellsAndZoneMaps(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(100)
-	w.WriteBlock(7, rows[:50])
-	w.WriteBlock(9, rows[50:])
+	writeRows(w, 7, rows[:50])
+	writeRows(w, 9, rows[50:])
 	meta, _ := w.Finish()
 
 	if meta.Blocks[0].Cell != 7 || meta.Blocks[1].Cell != 9 {
@@ -196,7 +197,7 @@ func TestBlockForRow(t *testing.T) {
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(1000)
 	for i := 0; i < 1000; i += 100 {
-		w.WriteBlock(NoCell, rows[i:i+100])
+		writeRows(w, NoCell, rows[i:i+100])
 	}
 	meta, _ := w.Finish()
 	r, _ := NewReader(f, meta, traceSpec())
@@ -228,7 +229,7 @@ func TestSequentialScanCountsPagesOnce(t *testing.T) {
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(5000)
 	for i := 0; i < len(rows); i += 500 {
-		w.WriteBlock(NoCell, rows[i:i+500])
+		writeRows(w, NoCell, rows[i:i+500])
 	}
 	meta, _ := w.Finish()
 	r, _ := NewReader(f, meta, traceSpec())
@@ -251,9 +252,29 @@ func TestSequentialScanCountsPagesOnce(t *testing.T) {
 func TestRowArityMismatch(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
-	if err := w.WriteBlock(NoCell, []value.Row{{value.NewInt(1)}}); err == nil {
+	var t0 vec.Vector
+	t0.Reset(value.Int)
+	t0.AppendInt64(1)
+	if err := w.WriteBlock(NoCell, []*vec.Vector{&t0}, []int32{0}); err == nil {
 		t.Error("expected arity error")
 	}
+}
+
+// writeRows writes rows as one block, in order, through the vector writer.
+func writeRows(w *Writer, cell uint64, rows []value.Row) error {
+	schema, err := value.NewSchema(w.spec.Fields...)
+	if err != nil {
+		return err
+	}
+	b, err := vec.FromRows(schema, rows)
+	if err != nil {
+		return err
+	}
+	cols := make([]*vec.Vector, len(b.Cols))
+	for i := range cols {
+		cols[i] = &b.Cols[i]
+	}
+	return w.WriteBlock(cell, cols, vec.FillSel(nil, len(rows)))
 }
 
 func TestEmptySegment(t *testing.T) {
@@ -275,7 +296,7 @@ func TestEmptySegment(t *testing.T) {
 func TestWriteBlockEmptyRowsNoop(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
-	if err := w.WriteBlock(NoCell, nil); err != nil {
+	if err := writeRows(w, NoCell, nil); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := w.Finish()
@@ -302,7 +323,7 @@ func TestFoldedListColumn(t *testing.T) {
 		{value.NewInt(617), value.NewList(value.NewInt(2139), value.NewInt(2142))},
 		{value.NewInt(212), value.NewList(value.NewInt(10001))},
 	}
-	if err := w.WriteBlock(NoCell, rows); err != nil {
+	if err := writeRows(w, NoCell, rows); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := w.Finish()

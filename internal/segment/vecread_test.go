@@ -26,7 +26,7 @@ func writeTraceSegment(t *testing.T, codecs []string, n, perBlock int) (*Reader,
 		if j > len(rows) {
 			j = len(rows)
 		}
-		if err := w.WriteBlock(NoCell, rows[i:j]); err != nil {
+		if err := writeRows(w, NoCell, rows[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}

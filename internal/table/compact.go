@@ -92,7 +92,9 @@ func (e *Engine) compactLocked(tab *catalog.Table, spec *layout.Spec) error {
 				chosen = append(chosen, p)
 			}
 		}
-		out, err := e.fold(&work, chosen)
+		// Every run was rendered under work's layout: a pending layout
+		// change reorganizes instead (Compact).
+		out, err := e.fold(&work, chosen, true)
 		superseded = append(superseded, chosen...)
 		return catalog.RunEntry{Level: level, Rows: out.rows, Segments: out.entries}, err
 	}

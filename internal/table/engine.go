@@ -12,7 +12,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,10 +20,8 @@ import (
 	"rodentstore/internal/layout"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
-	"rodentstore/internal/transforms"
 	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
-	"rodentstore/internal/zorder"
 )
 
 // ReorgMode selects when a layout change is applied (paper §5).
@@ -407,10 +404,14 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 				return fmt.Errorf("table: row %d: %w", i, err)
 			}
 		}
+		rel, err := rowsRelation(schema, rows)
+		if err != nil {
+			return err
+		}
 		// Render into a private copy; the flip swaps it in atomically so a
 		// concurrent checkpoint flush never encodes a half-rendered table.
 		work := *tab
-		out, err := e.render(&work, transforms.Relation{Schema: schema, Rows: rows})
+		out, err := e.render(&work, rel)
 		if err != nil {
 			return err
 		}
@@ -565,9 +566,10 @@ func (e *Engine) snapshotForInsert(name string) (insertSnapshot, error) {
 	return snap, nil
 }
 
-// prepareTail validates rows, runs the per-row pipeline steps (project,
-// select — tails stay unorganized, see applySteps) and encodes the tail's
-// segment blocks into memory. No locks held, no page I/O.
+// prepareTail validates rows, appends them into vectors, runs the per-row
+// pipeline steps (project, select — tails stay unorganized, see
+// relation.applySteps) and encodes the tail's segment blocks into memory.
+// No locks held, no page I/O.
 func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail, error) {
 	for i, r := range rows {
 		if err := snap.schema.Validate(r); err != nil {
@@ -578,12 +580,14 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 	if err != nil {
 		return nil, err
 	}
-	rel := transforms.Relation{Schema: snap.schema, Rows: rows}
-	rel, err = e.applySteps(rel, spec, true)
+	rel, err := rowsRelation(snap.schema, rows)
 	if err != nil {
 		return nil, err
 	}
-	st := &stagedTail{rows: int64(len(rel.Rows))}
+	if err := rel.applySteps(spec, true); err != nil {
+		return nil, err
+	}
+	st := &stagedTail{rows: int64(len(rel.perm))}
 	for _, def := range spec.Segments {
 		w, err := e.stageSegment(rel, def, spec.RowsPerBlock, nil)
 		if err != nil {
@@ -719,185 +723,6 @@ func (e *Engine) Reorganize(name string) error {
 		}
 		return e.reorganize(tab)
 	})
-}
-
-// cellRun is one grid cell's rows (or the whole stream for ungridded).
-type cellRun struct {
-	cell uint64
-	rows []value.Row
-}
-
-// orderCells arranges cells along the layout's space-filling curve.
-func orderCells(cells map[uint64][]value.Row, bounds []transforms.GridBounds, curve algebra.CurveKind) ([]cellRun, error) {
-	maxCells := 0
-	for _, b := range bounds {
-		if b.Cells > maxCells {
-			maxCells = b.Cells
-		}
-	}
-	bits := 1
-	for (1 << bits) < maxCells {
-		bits++
-	}
-	curveKey := func(cell uint64) (uint64, error) {
-		coords := transforms.CellCoords(cell, bounds)
-		switch curve {
-		case algebra.CurveRowMajor, "":
-			return cell, nil
-		case algebra.CurveZOrder:
-			cs := make([]uint32, len(coords))
-			for i, c := range coords {
-				cs[i] = uint32(c)
-			}
-			return zorder.InterleaveN(cs, bits)
-		case algebra.CurveHilbert:
-			if len(coords) != 2 {
-				return 0, fmt.Errorf("table: hilbert needs 2 dims")
-			}
-			return zorder.Hilbert2(uint(bits), uint32(coords[0]), uint32(coords[1])), nil
-		default:
-			return 0, fmt.Errorf("table: unknown curve %q", curve)
-		}
-	}
-	type keyed struct {
-		key  uint64
-		cell uint64
-	}
-	ks := make([]keyed, 0, len(cells))
-	for cell := range cells {
-		k, err := curveKey(cell)
-		if err != nil {
-			return nil, err
-		}
-		ks = append(ks, keyed{k, cell})
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]cellRun, len(ks))
-	for i, k := range ks {
-		out[i] = cellRun{cell: k.cell, rows: cells[k.cell]}
-	}
-	return out, nil
-}
-
-// stageSegment encodes one vertical partition's blocks into an in-memory
-// segment writer (no extent allocated, no page I/O — that happens when the
-// caller Finishes the writer). ordered carries the cell-ordered row runs
-// (nil means "use rel.Rows as one run", used by Insert tails).
-func (e *Engine) stageSegment(rel transforms.Relation, def layout.SegmentDef, rowsPerBlock int, ordered []cellRun) (*segment.Writer, error) {
-	proj, idx, err := rel.Schema.Project(def.Fields)
-	if err != nil {
-		return nil, err
-	}
-	spec := segment.Spec{Fields: proj.Fields, Codecs: def.Codecs}
-	w, err := segment.NewWriter(e.file, spec)
-	if err != nil {
-		return nil, err
-	}
-	if ordered == nil {
-		ordered = []cellRun{{cell: segment.NoCell, rows: rel.Rows}}
-	}
-	if rowsPerBlock <= 0 {
-		rowsPerBlock = segment.DefaultRowsPerBlock
-	}
-	// A segment holding every field in schema order needs no per-row
-	// projection: pass the row slice through (WriteBlock only reads it).
-	// This is the common tail-insert shape (rows/chunk layouts) and saves a
-	// Row allocation per row on the ingest path.
-	identity := len(idx) == len(rel.Schema.Fields)
-	for i, c := range idx {
-		if c != i {
-			identity = false
-			break
-		}
-	}
-	projRow := func(r value.Row) value.Row {
-		out := make(value.Row, len(idx))
-		for i, c := range idx {
-			out[i] = r[c]
-		}
-		return out
-	}
-	for _, run := range ordered {
-		for lo := 0; lo < len(run.rows); lo += rowsPerBlock {
-			hi := lo + rowsPerBlock
-			if hi > len(run.rows) {
-				hi = len(run.rows)
-			}
-			block := run.rows[lo:hi]
-			if !identity {
-				block = make([]value.Row, hi-lo)
-				for i, r := range run.rows[lo:hi] {
-					block[i] = projRow(r)
-				}
-			}
-			if err := w.WriteBlock(run.cell, block); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return w, nil
-}
-
-// writeSegment renders one vertical partition: stage the blocks, then
-// allocate the extent and write the stream.
-func (e *Engine) writeSegment(rel transforms.Relation, def layout.SegmentDef, rowsPerBlock int, ordered []cellRun) (catalog.SegmentEntry, error) {
-	w, err := e.stageSegment(rel, def, rowsPerBlock, ordered)
-	if err != nil {
-		return catalog.SegmentEntry{}, err
-	}
-	meta, err := w.Finish()
-	if err != nil {
-		return catalog.SegmentEntry{}, err
-	}
-	return catalog.SegmentEntry{Fields: def.Fields, Codecs: def.Codecs, Meta: meta}, nil
-}
-
-// applySteps runs the layout pipeline over the relation. When tailOnly is
-// true, only per-row steps run (project/select/fold would corrupt tail
-// semantics differently: project and select apply; reordering steps are
-// skipped because tails are unorganized by design; fold/unfold/limit make
-// incremental inserts ill-defined and are rejected).
-func (e *Engine) applySteps(rel transforms.Relation, spec *layout.Spec, tailOnly bool) (transforms.Relation, error) {
-	for _, st := range spec.Steps {
-		var err error
-		switch st.Kind {
-		case layout.StepSelect:
-			rel, err = transforms.Select(rel, st.Pred)
-		case layout.StepProject:
-			rel, err = transforms.Project(rel, st.Fields)
-		case layout.StepOrderBy:
-			if tailOnly {
-				continue
-			}
-			rel, err = transforms.OrderBy(rel, st.Keys)
-		case layout.StepGroupBy:
-			if tailOnly {
-				continue
-			}
-			rel, err = transforms.GroupBy(rel, st.Fields)
-		case layout.StepLimit:
-			if tailOnly {
-				return rel, fmt.Errorf("table: cannot Insert into a limit[] layout; Reorganize instead")
-			}
-			rel = transforms.Limit(rel, st.N)
-		case layout.StepFold:
-			if tailOnly {
-				return rel, fmt.Errorf("table: cannot Insert into a folded layout; Reorganize instead")
-			}
-			rel, err = transforms.FoldHash(rel, st.Fields, st.By)
-		case layout.StepUnfold:
-			if tailOnly {
-				return rel, fmt.Errorf("table: cannot Insert into an unfold layout; Reorganize instead")
-			}
-			rel, err = transforms.Unfold(rel, st.Fields, st.Kinds)
-		default:
-			err = fmt.Errorf("table: unknown step %q", st.Kind)
-		}
-		if err != nil {
-			return rel, err
-		}
-	}
-	return rel, nil
 }
 
 // storedSchema reconstructs the final (stored) schema of the table from the

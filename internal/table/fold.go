@@ -12,6 +12,13 @@ package table
 // record instead of replacing it). A plain layout is the degenerate policy
 // "fold every part into one main rendering"; a compaction policy folds a few
 // parts at a time and installs the result as a run.
+//
+// readBack and render work on column vectors end to end (relation.go): the
+// parts' blocks are read back as batches, the layout's steps reorder a row
+// permutation over them, and segment.Writer encodes each block straight from
+// the vectors. Load and Insert append their boxed rows into vectors once and
+// render the same way. oracle_test.go keeps the boxed fold this replaced as
+// the byte-identical reference.
 
 import (
 	"fmt"
@@ -25,6 +32,7 @@ import (
 	"rodentstore/internal/segment"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 // rendered is one organized part as render wrote it.
@@ -57,27 +65,19 @@ func (e *Engine) specFor(tab *catalog.Table, exprText string, stored *value.Sche
 // render runs tab's layout pipeline over rel and writes one organized part.
 // It allocates and writes extents but does not touch the catalog; a caller
 // that fails before its flip leaks them, never references them.
-func (e *Engine) render(tab *catalog.Table, rel transforms.Relation) (rendered, error) {
-	spec, err := e.specFor(tab, tab.LayoutExpr, rel.Schema)
+func (e *Engine) render(tab *catalog.Table, rel *relation) (rendered, error) {
+	spec, err := e.specFor(tab, tab.LayoutExpr, rel.b.Schema())
 	if err != nil {
 		return rendered{}, err
 	}
-	rel, err = e.applySteps(rel, spec, false)
-	if err != nil {
+	if err := rel.applySteps(spec, false); err != nil {
 		return rendered{}, err
 	}
-	out := rendered{rows: int64(len(rel.Rows))}
-	ordered := []cellRun{{cell: segment.NoCell, rows: rel.Rows}}
+	out := rendered{rows: int64(len(rel.perm))}
+	var runs []cellRun // nil: the whole stream, ungridded
 	if spec.Grid != nil {
-		bounds, err := transforms.ComputeGridBounds(rel, spec.Grid.Dims)
-		if err != nil {
-			return rendered{}, err
-		}
-		cells, err := transforms.GridAssign(rel, bounds)
-		if err != nil {
-			return rendered{}, err
-		}
-		if ordered, err = orderCells(cells, bounds, spec.Grid.Curve); err != nil {
+		var bounds []transforms.GridBounds
+		if bounds, runs, err = rel.grid(spec.Grid); err != nil {
 			return rendered{}, err
 		}
 		for _, b := range bounds {
@@ -87,43 +87,108 @@ func (e *Engine) render(tab *catalog.Table, rel transforms.Relation) (rendered, 
 		}
 	}
 	for _, def := range spec.Segments {
-		entry, err := e.writeSegment(rel, def, spec.RowsPerBlock, ordered)
+		w, err := e.stageSegment(rel, def, spec.RowsPerBlock, runs)
 		if err != nil {
 			return rendered{}, err
 		}
-		out.entries = append(out.entries, entry)
+		meta, err := w.Finish()
+		if err != nil {
+			return rendered{}, err
+		}
+		out.entries = append(out.entries, catalog.SegmentEntry{Fields: def.Fields, Codecs: def.Codecs, Meta: meta})
 	}
 	return out, nil
 }
 
-// readBack returns the rows of the chosen parts of tab, concatenated in the
-// order given, in the table's stored schema.
-func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part) (transforms.Relation, error) {
+// stageSegment encodes one vertical partition's blocks into an in-memory
+// segment writer (no extent allocated, no page I/O — that happens when the
+// caller Finishes the writer): each cell run, or the whole stream when runs
+// is nil, cut into blocks of rowsPerBlock, encoded straight from rel's
+// columns.
+func (e *Engine) stageSegment(rel *relation, def layout.SegmentDef, rowsPerBlock int, runs []cellRun) (*segment.Writer, error) {
+	proj, idx, err := rel.b.Schema().Project(def.Fields)
+	if err != nil {
+		return nil, err
+	}
+	w, err := segment.NewWriter(e.file, segment.Spec{Fields: proj.Fields, Codecs: def.Codecs})
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*vec.Vector, len(idx))
+	for i, c := range idx {
+		cols[i] = &rel.b.Cols[c]
+	}
+	if runs == nil {
+		runs = []cellRun{{cell: segment.NoCell, rows: rel.perm}}
+	}
+	if rowsPerBlock <= 0 {
+		rowsPerBlock = segment.DefaultRowsPerBlock
+	}
+	grown := false
+	for _, run := range runs {
+		for lo := 0; lo < len(run.rows); lo += rowsPerBlock {
+			if err := w.WriteBlock(run.cell, cols, run.rows[lo:min(lo+rowsPerBlock, len(run.rows))]); err != nil {
+				return nil, err
+			}
+			if done := int(w.Rows()); !grown && done >= rowsPerBlock {
+				// Size the stream once, from the bytes per row of a block's
+				// worth of rows, instead of regrowing it as it fills.
+				w.Grow(len(w.Buf()) * (len(rel.perm) - done) / done)
+				grown = true
+			}
+		}
+	}
+	return w, nil
+}
+
+// readBack drains the chosen parts of tab, in the order given, into one
+// relation in the table's stored schema: each block's batch appended to the
+// columns, no row boxed. Each part is one input of the relation; settled
+// says the parts were rendered under tab's current layout, so an organized
+// one is already in its order (see relation.orderBy).
+func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part, settled bool) (*relation, error) {
 	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{})
 	if err != nil {
-		return transforms.Relation{}, err
+		return nil, err
+	}
+	rel := &relation{b: vec.NewBatch(plan.out)}
+	var rows int64
+	for _, p := range parts {
+		rel.inputs = append(rel.inputs, input{start: int(rows), sorted: settled && p.Kind != catalog.PartTail})
+		rows += p.Segments[0].Meta.Rows
+	}
+	for c := range rel.b.Cols {
+		rel.b.Cols[c].Grow(int(rows))
 	}
 	cur := newCursor(plan, false, 0)
 	defer cur.Close()
-	var rows []value.Row
+	var sel []int32
 	for {
-		row, ok, err := cur.Next()
+		b, ok, err := cur.NextBatch()
 		if err != nil {
-			return transforms.Relation{}, err
+			return nil, err
 		}
 		if !ok {
-			return transforms.Relation{Schema: cur.Schema(), Rows: rows}, nil
+			break
 		}
-		rows = append(rows, row)
+		sel = vec.FillSel(sel, b.Len())
+		for c := range b.Cols {
+			rel.b.Cols[c].AppendSel(&b.Cols[c], sel)
+		}
 	}
+	if err := rel.b.SetLen(int(rows)); err != nil {
+		return nil, fmt.Errorf("table: %q: read back of parts holding %d rows: %w", tab.Name, rows, err)
+	}
+	rel.perm = vec.FillSel(nil, int(rows))
+	return rel, nil
 }
 
 // fold reads the chosen parts back and renders them as one organized part.
 // It is the one place CompactStats moves: a fold counts iff it absorbed at
 // least one tail or run — re-rendering a lone main part is a re-layout, not
 // a merge — and its cost is the rows and payload bytes it wrote.
-func (e *Engine) fold(tab *catalog.Table, parts []catalog.Part) (rendered, error) {
-	rel, err := e.readBack(tab, parts)
+func (e *Engine) fold(tab *catalog.Table, parts []catalog.Part, settled bool) (rendered, error) {
+	rel, err := e.readBack(tab, parts, settled)
 	if err != nil {
 		return rendered{}, err
 	}
@@ -158,7 +223,8 @@ func (e *Engine) reorganize(tab *catalog.Table) error {
 		work.LayoutExpr = work.PendingExpr
 	}
 	work.NeedsReorg, work.PendingExpr = false, ""
-	out, err := e.fold(&work, tab.Parts())
+	// Every organized part was rendered under tab.LayoutExpr.
+	out, err := e.fold(&work, tab.Parts(), work.LayoutExpr == tab.LayoutExpr)
 	if err != nil {
 		return err
 	}

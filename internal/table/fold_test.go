@@ -1,11 +1,17 @@
 package table
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"rodentstore/internal/algebra"
+	"rodentstore/internal/catalog"
+	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
 )
 
@@ -181,5 +187,190 @@ func TestCompactStatsPinned(t *testing.T) {
 		if got := e.CompactStats(); got != tc.want {
 			t.Errorf("%s: CompactStats = %+v, want %+v", tc.layout, got, tc.want)
 		}
+	}
+}
+
+// renderRows draws n Traces rows that put a render's corner cases in every
+// batch: t repeats (orderby ties, which a merge must break toward the
+// earlier input), lat repeats and takes NaN and both zeros, id takes the
+// empty string.
+func renderRows(r *rand.Rand, n, base int) []value.Row {
+	rows := make([]value.Row, n)
+	for i := range rows {
+		lat := 42.36 + float64(r.Intn(40))*1e-4
+		switch r.Intn(20) {
+		case 0:
+			lat = math.NaN()
+		case 1:
+			lat = math.Copysign(0, -1)
+		case 2:
+			lat = 0
+		}
+		rows[i] = value.Row{
+			value.NewInt(int64(base + r.Intn(n))),
+			value.NewFloat(lat),
+			value.NewFloat(-71.09 + r.Float64()*1e-2),
+			value.NewString([]string{"car-1", "car-2", "", "car-3"}[r.Intn(4)]),
+		}
+	}
+	return rows
+}
+
+// TestRenderMatchesBoxedOracle: every part the engine writes — a Load's main
+// rendering, an Insert's tail, each run a Compact folds (cascades included),
+// a Reorganize and an eager AlterLayout — holds exactly the bytes, block
+// metadata and grid bounds of the boxed fold in oracle_test.go, over the
+// policy × layout cases of TestCompactDifferentialOracle, the layouts of
+// TestLayoutsRoundtripFullScan, and two whose parts are not in the order of
+// their orderby.
+func TestRenderMatchesBoxedOracle(t *testing.T) {
+	layouts := []string{
+		"sizetiered[2](rows(Traces))",
+		"sizetiered[3](cols(Traces))",
+		"leveled[2](chunk[100](colgroup[lat,lon](Traces)))",
+		"sizetiered[2](orderby[t](Traces))",
+		"leveled[3](chunk[100](groupby[id](Traces)))",
+		"sizetiered[2](dict[id](bitpack[t](rows(Traces))))",
+		"leveled[2](chunk[100](project[lat,lon](orderby[lat](Traces))))",
+		"rows(Traces)",
+		"cols(Traces)",
+		"colgroup[lat,lon](Traces)",
+		"orderby[t](Traces)",
+		"groupby[id](Traces)",
+		"orderby[t](groupby[id](Traces))",
+		"chunk[100](rows(Traces))",
+		"grid[lat,lon; 8,8](Traces)",
+		"zorder(grid[lat,lon; 8,8](Traces))",
+		"hilbert(grid[lat,lon; 8,8](Traces))",
+		"delta[lat,lon](zorder(grid[lat,lon; 8,8](Traces)))",
+		"dict[id](bitpack[t](rows(Traces)))",
+		// Sorted by t, but not stored in t order: parts must be re-sorted.
+		"groupby[id](orderby[t](Traces))",
+		"zorder(grid[lat,lon; 8,8](orderby[t](Traces)))",
+	}
+	for _, l := range layouts {
+		t.Run(l, func(t *testing.T) {
+			r := rand.New(rand.NewSource(25))
+			e, _, _ := newEngine(t)
+			if err := e.Create("Traces", tracesSchema(), l); err != nil {
+				t.Fatal(err)
+			}
+			get := func() *catalog.Table {
+				tab, err := e.cat.Get("Traces")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tab
+			}
+			rows := renderRows(r, 200, 0)
+			want := oracleRender(t, e, get(), transforms.Relation{Schema: tracesSchema(), Rows: rows}, false)
+			if err := e.Load("Traces", rows); err != nil {
+				t.Fatal(err)
+			}
+			tab := get()
+			requireRendered(t, e, "Load", tab.Segments, tab.GridBounds, want)
+
+			insert := func(what string, n int) {
+				batch := renderRows(r, n, 1000*len(get().Tails))
+				want := oracleRender(t, e, get(), transforms.Relation{Schema: tracesSchema(), Rows: batch}, true)
+				if err := e.Insert("Traces", batch); err != nil {
+					t.Fatal(err)
+				}
+				tab := get()
+				requireRendered(t, e, what, tab.Tails[len(tab.Tails)-1], nil, want)
+			}
+			// Reorganize (a plain layout's Compact too) leaves one main part.
+			reorganized := func(what string, want oraclePart) {
+				tab := get()
+				if len(tab.Runs) != 0 || len(tab.Tails) != 0 {
+					t.Fatalf("%s left %d runs and %d tails", what, len(tab.Runs), len(tab.Tails))
+				}
+				requireRendered(t, e, what, tab.Segments, tab.GridBounds, want)
+			}
+			for round := 0; round < 4; round++ {
+				insert(fmt.Sprintf("round %d insert", round), 35)
+				insert(fmt.Sprintf("round %d insert", round), 35+round)
+				before := get()
+				spec, err := e.compile(before.LayoutExpr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var runs []oracleRun
+				var main oraclePart
+				if spec.Compaction != nil {
+					runs = oracleCompact(t, e, before)
+				} else {
+					main = oracleFold(t, e, before, before.Parts())
+				}
+				if err := e.Compact("Traces"); err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("round %d Compact", round)
+				if spec.Compaction == nil {
+					reorganized(what, main)
+					continue
+				}
+				after := get()
+				if len(after.Runs) != len(runs) || len(after.Tails) != 0 {
+					t.Fatalf("%s: %d runs and %d tails, oracle %d runs", what, len(after.Runs), len(after.Tails), len(runs))
+				}
+				for i, run := range runs {
+					if after.Runs[i].Level != run.level || after.Runs[i].Rows != int64(len(run.rows)) {
+						t.Fatalf("%s: run %d is L%d with %d rows, oracle L%d with %d", what, i,
+							after.Runs[i].Level, after.Runs[i].Rows, run.level, len(run.rows))
+					}
+					if run.part != nil {
+						requireRendered(t, e, fmt.Sprintf("%s run %d", what, i), after.Runs[i].Segments, nil, *run.part)
+					}
+				}
+			}
+			insert("insert before Reorganize", 20)
+			before := get()
+			main := oracleFold(t, e, before, before.Parts())
+			if err := e.Reorganize("Traces"); err != nil {
+				t.Fatal(err)
+			}
+			reorganized("Reorganize", main)
+
+			// An eager alter re-sorts parts rendered under the old layout.
+			insert("insert before AlterLayout", 20)
+			const alt = "chunk[50](orderby[lon](Traces))"
+			work := *get()
+			work.LayoutExpr = alt
+			main = oracleFold(t, e, &work, work.Parts())
+			if err := e.AlterLayout("Traces", alt, ReorgEager); err != nil {
+				t.Fatal(err)
+			}
+			reorganized("eager AlterLayout", main)
+		})
+	}
+}
+
+// TestFoldAllocationsPerRow pins the memory a fold allocates per row it
+// writes: 182 bytes when this test was written (the read-back columns, the
+// permutation, the encoded stream and the page reads and writes), where
+// boxing each row and cloning it to sort took 1,665. Skipped under -race,
+// where sync.Pool drops pooled batches.
+func TestFoldAllocationsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over sync.Pool are not steady under -race")
+	}
+	e, _, _ := setup(t, "leveled[2](chunk[256](orderby[t](Traces)))", 1000)
+	insertBatches(t, e, 16, 256, 10_000)
+	before := e.CompactStats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := e.Compact("Traces"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	rows := e.CompactStats().Rows - before.Rows
+	if rows < 16*256*4 {
+		t.Fatalf("the Compact folded %d rows: want the tails folded and cascaded", rows)
+	}
+	perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(rows)
+	t.Logf("%.0f bytes allocated per folded row over %d rows", perRow, rows)
+	if perRow > 200 {
+		t.Errorf("a fold allocated %.0f bytes per row it wrote", perRow)
 	}
 }

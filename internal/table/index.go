@@ -1,7 +1,10 @@
 package table
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"rodentstore/internal/algebra"
@@ -50,31 +53,9 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		if stored.Fields[fi].Type == value.List {
 			return fmt.Errorf("table: cannot index folded field %q", field)
 		}
-		tree, err := btree.New(e.file)
+		tree, err := e.buildIndex(tab, field)
 		if err != nil {
 			return err
-		}
-		plan, err := e.planScan(tab, tab.Parts(), []string{field}, algebra.True, storedScanOpts{})
-		if err != nil {
-			return err
-		}
-		cur := newCursor(plan, false, 0)
-		defer cur.Close()
-		pos := uint64(0)
-		for {
-			row, ok, err := cur.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if !row[0].IsNull() {
-				if err := tree.Insert(btree.EncodeKey(row[0]), pos); err != nil {
-					return err
-				}
-			}
-			pos++
 		}
 		// Copy-on-write: Put swaps the finished record in under the catalog
 		// lock, so a concurrent checkpoint flush never encodes a half-updated
@@ -85,6 +66,60 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		})
 		return e.cat.Put(&work)
 	})
+}
+
+// buildIndex reads the field's column in stored order, batch by batch,
+// sorts its (key, position) entries and bulk-builds the tree over them. Null
+// values are not indexed.
+func (e *Engine) buildIndex(tab *catalog.Table, field string) (*btree.Tree, error) {
+	plan, err := e.planScan(tab, tab.Parts(), []string{field}, algebra.True, storedScanOpts{})
+	if err != nil {
+		return nil, err
+	}
+	cur := newCursor(plan, false, 0)
+	defer cur.Close()
+	type entry struct {
+		lo, hi int // the key, in arena
+		pos    uint64
+	}
+	var arena []byte
+	var entries []entry
+	var pos uint64
+	for {
+		b, ok, err := cur.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		col := &b.Cols[0]
+		for i := range b.Len() {
+			if !col.IsNull(i) {
+				lo := len(arena)
+				if k := col.Kind(); k == value.Str || k == value.Bytes {
+					arena = append(arena, col.BytesAt(i)...) // EncodeKey's encoding, unboxed
+				} else {
+					arena = btree.AppendKey(arena, col.Value(i))
+				}
+				entries = append(entries, entry{lo, len(arena), pos})
+			}
+			pos++
+		}
+	}
+	key := func(en entry) []byte { return arena[en.lo:en.hi] }
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := bytes.Compare(key(a), key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	keys := make([][]byte, len(entries))
+	vals := make([]uint64, len(entries))
+	for i, en := range entries {
+		keys[i], vals[i] = key(en), en.pos
+	}
+	return btree.Build(e.file, keys, vals)
 }
 
 // DropIndex removes the index on the given field.
@@ -143,30 +178,28 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		if !ok {
 			return fmt.Errorf("table: predicate does not constrain indexed field %q", indexField)
 		}
-		// The tree range is inclusive; the compiled filter applies strict
-		// bounds and every other conjunct.
-		var loKey, hiKey []byte
-		if !lo.IsNull() {
-			loKey = btree.EncodeKey(lo)
-		}
-		if !hi.IsNull() {
-			hiKey = btree.EncodeKey(hi)
-		}
-		var hits []int64
-		err = btree.Open(e.file, pager.PageID(ix.Root)).Range(loKey, hiKey, func(_ []byte, pos uint64) bool {
-			if int64(pos) < ix.Rows {
-				hits = append(hits, int64(pos))
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		slices.Sort(hits)
 		plan, err := e.planScan(tab, tab.Parts(), fields, pred, storedScanOpts{})
 		if err != nil {
 			return err
 		}
+		// The tree range is inclusive; the compiled filter applies strict
+		// bounds and every other conjunct.
+		kind := plan.decoded.Fields[plan.decoded.Index(indexField)].Type
+		loKey, noneLo := indexKey(kind, lo, true)
+		hiKey, noneHi := indexKey(kind, hi, false)
+		var hits []int64
+		if !noneLo && !noneHi {
+			err = btree.Open(e.file, pager.PageID(ix.Root)).Range(loKey, hiKey, func(_ []byte, pos uint64) bool {
+				if int64(pos) < ix.Rows {
+					hits = append(hits, int64(pos))
+				}
+				return true
+			})
+			if err != nil {
+				return err
+			}
+		}
+		slices.Sort(hits)
 		kept := plan.blocks[:0]
 		for _, ref := range plan.blocks {
 			blo, bhi := plan.span(ref)
@@ -189,4 +222,40 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		return nil, err
 	}
 	return cur, nil
+}
+
+// indexKey encodes a predicate bound for the tree of an index over a field
+// of kind k (nil: that end is open). EncodeKey orders keys within one kind,
+// so a literal of the other numeric kind is widened to k the way the
+// compiled filter compares it: an Int bound on a Float field as its float;
+// a Float bound on an Int field rounded inward, ceil for lo and floor for
+// hi (the filter still applies the exact bound). none reports a bound no
+// value of k satisfies. A NaN sorts below every number: as lo it bounds
+// nothing; as hi it admits only NaN rows — none in an Int field, and none a
+// Float index's key order finds by range — so that end is left open there
+// for the filter to decide.
+func indexKey(k value.Kind, v value.Value, lower bool) (key []byte, none bool) {
+	if v.IsNull() {
+		return nil, false
+	}
+	if v.Kind() == value.Float && math.IsNaN(v.Float()) {
+		return nil, k == value.Int && !lower
+	}
+	switch {
+	case k == value.Float && v.Kind() == value.Int:
+		v = value.NewFloat(v.Float())
+	case k == value.Int && v.Kind() == value.Float:
+		f := math.Floor(v.Float())
+		if lower {
+			f = math.Ceil(v.Float())
+		}
+		switch {
+		case f < math.MinInt64:
+			return nil, !lower
+		case f >= math.MaxInt64: // 2^63: beyond every int64
+			return nil, lower
+		}
+		v = value.NewInt(int64(f))
+	}
+	return btree.EncodeKey(v), false
 }

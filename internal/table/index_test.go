@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -211,16 +212,30 @@ func TestIndexScanPagesFlatUnderIngest(t *testing.T) {
 
 // indexPred draws a range on field — open or strict at each end, sometimes
 // one-sided or an equality — plus, half the time, a conjunct on a field the
-// index does not cover.
-func indexPred(r *rand.Rand, field string, lons []float64) algebra.Predicate {
+// index does not cover. A third of the numeric bounds take the other numeric
+// kind: a Float literal (integral or not) on the Int field t, an Int literal
+// on the Float fields lat and lon (whose values lie within one unit, so some
+// are equal to none and others bound the whole column). floats holds each
+// Float field's values.
+func indexPred(r *rand.Rand, field string, floats map[string][]float64) algebra.Predicate {
 	var lo, hi value.Value
 	switch field {
 	case "t":
-		a := r.Intn(2200)
-		lo, hi = value.NewInt(int64(a)), value.NewInt(int64(a+r.Intn(600)))
-	case "lon":
-		a, b := lons[r.Intn(len(lons))], lons[r.Intn(len(lons))]
+		a, b := r.Intn(2200), r.Intn(600)
+		lo, hi = value.NewInt(int64(a)), value.NewInt(int64(a+b))
+		if r.Intn(3) == 0 {
+			lo, hi = value.NewFloat(float64(a)-0.5*float64(r.Intn(2))), value.NewFloat(float64(a+b)+0.5)
+		}
+	case "lat", "lon":
+		vals := floats[field]
+		a, b := vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]
 		lo, hi = value.NewFloat(min(a, b)), value.NewFloat(max(a, b))
+		switch r.Intn(6) {
+		case 0:
+			lo = value.NewInt(int64(math.Floor(lo.Float())))
+		case 1:
+			hi = value.NewInt(int64(math.Ceil(hi.Float())))
+		}
 	default:
 		a, b := r.Intn(5), r.Intn(5)
 		lo, hi = value.NewString(fmt.Sprintf("car-%d", min(a, b))), value.NewString(fmt.Sprintf("car-%d", max(a, b)))
@@ -258,13 +273,15 @@ func TestIndexScanDifferential(t *testing.T) {
 		{"chunk[64](rows(Traces))", "t"},
 		{"chunk[64](orderby[t](Traces))", "t"},
 		{"chunk[64](cols(orderby[lon](Traces)))", "lon"},
+		{"chunk[64](rows(Traces))", "lat"},
 		{"chunk[64](dict[id](Traces))", "id"},
 		{"leveled[2](chunk[32](orderby[t](Traces)))", "t"},
 		{"sizetiered[2](chunk[64](rows(Traces)))", "t"},
 	}
-	var lons []float64
+	floats := map[string][]float64{}
 	for _, row := range traceRows(400) {
-		lons = append(lons, row[2].Float())
+		floats["lat"] = append(floats["lat"], row[1].Float())
+		floats["lon"] = append(floats["lon"], row[2].Float())
 	}
 	r := rand.New(rand.NewSource(24))
 	for _, l := range layouts {
@@ -299,7 +316,7 @@ func TestIndexScanDifferential(t *testing.T) {
 					}
 					indexed, _ := e.Indexes("Traces")
 					for trial := 0; trial < 10; trial++ {
-						pred := indexPred(r, l.field, lons)
+						pred := indexPred(r, l.field, floats)
 						fields := [][]string{nil, {l.field}, {"lat", "id"}}[r.Intn(3)]
 						cur, err := e.IndexScan("Traces", fields, pred, l.field)
 						if len(indexed) == 0 {

@@ -11,10 +11,20 @@ package table
 // what makes float results bit-identical to production's.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rodentstore/internal/algebra"
+	"rodentstore/internal/catalog"
+	"rodentstore/internal/compress"
+	"rodentstore/internal/layout"
+	"rodentstore/internal/segment"
+	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vec"
 )
@@ -377,5 +387,271 @@ func requireRows(t testing.TB, what string, got, want []value.Row) {
 				t.Fatalf("%s: row %d col %d: %v, oracle %v", what, i, c, got[i][c], want[i][c])
 			}
 		}
+	}
+}
+
+// The render oracle: the boxed fold the engine started with, kept as the
+// byte-identical reference for readBack + render. Rows are read back one
+// Cursor.Next at a time, the layout's steps run through transforms.* over
+// boxed rows, grid cells come from transforms.ComputeGridBounds/GridAssign,
+// and every block is encoded from boxed columns by the codecs' Encode, with
+// zone maps taken over boxed values. Only the cell order along the curve
+// (orderCells) is shared with production.
+
+// oraclePart is one part as the boxed fold writes it: per segment, the
+// stream and its block metadata; the grid bounds; the rows in stored order.
+type oraclePart struct {
+	streams [][]byte
+	blocks  [][]segment.BlockMeta
+	bounds  []catalog.GridBoundsMeta
+	rows    []value.Row
+}
+
+// oracleReadBack boxes the rows of the chosen parts, in the order given.
+func oracleReadBack(t *testing.T, e *Engine, tab *catalog.Table, parts []catalog.Part) transforms.Relation {
+	t.Helper()
+	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := newCursor(plan, false, 0)
+	defer cur.Close()
+	return transforms.Relation{Schema: cur.Schema(), Rows: drain(t, cur)}
+}
+
+// oracleSteps runs the layout pipeline over boxed rows (see
+// relation.applySteps for tailOnly).
+func oracleSteps(rel transforms.Relation, spec *layout.Spec, tailOnly bool) (transforms.Relation, error) {
+	for _, st := range spec.Steps {
+		var err error
+		switch st.Kind {
+		case layout.StepSelect:
+			rel, err = transforms.Select(rel, st.Pred)
+		case layout.StepProject:
+			rel, err = transforms.Project(rel, st.Fields)
+		case layout.StepOrderBy:
+			if !tailOnly {
+				rel, err = transforms.OrderBy(rel, st.Keys)
+			}
+		case layout.StepGroupBy:
+			if !tailOnly {
+				rel, err = transforms.GroupBy(rel, st.Fields)
+			}
+		case layout.StepLimit:
+			rel = transforms.Limit(rel, st.N)
+		case layout.StepFold:
+			rel, err = transforms.FoldHash(rel, st.Fields, st.By)
+		case layout.StepUnfold:
+			rel, err = transforms.Unfold(rel, st.Fields, st.Kinds)
+		}
+		if err != nil {
+			return rel, err
+		}
+	}
+	return rel, nil
+}
+
+// oracleRender lays rel out under tab's layout the boxed way: as an
+// organized part, or as an Insert tail (per-row steps only, no grid).
+func oracleRender(t *testing.T, e *Engine, tab *catalog.Table, rel transforms.Relation, tail bool) oraclePart {
+	t.Helper()
+	spec, err := e.specFor(tab, tab.LayoutExpr, rel.Schema)
+	if tail {
+		spec, err = e.compile(tab.LayoutExpr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel, err = oracleSteps(rel, spec, tail); err != nil {
+		t.Fatal(err)
+	}
+	type cellRows struct {
+		cell uint64
+		rows []value.Row
+	}
+	runs := []cellRows{{segment.NoCell, rel.Rows}}
+	var out oraclePart
+	if spec.Grid != nil && !tail {
+		bounds, err := transforms.ComputeGridBounds(rel, spec.Grid.Dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := transforms.GridAssign(rel, bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make([]uint64, 0, len(cells))
+		for cell := range cells {
+			order = append(order, cell)
+		}
+		if err := orderCells(order, bounds, spec.Grid.Curve); err != nil {
+			t.Fatal(err)
+		}
+		runs = runs[:0]
+		for _, cell := range order {
+			runs = append(runs, cellRows{cell, cells[cell]})
+		}
+		for _, b := range bounds {
+			out.bounds = append(out.bounds, catalog.GridBoundsMeta{Field: b.Field, Min: b.Min, Max: b.Max, Cells: b.Cells})
+		}
+	}
+	for _, run := range runs {
+		out.rows = append(out.rows, run.rows...)
+	}
+	for _, def := range spec.Segments {
+		proj, idx, err := rel.Schema.Project(def.Fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []byte
+		var blocks []segment.BlockMeta
+		var rowStart int64
+		for _, run := range runs {
+			for lo := 0; lo < len(run.rows); lo += spec.RowsPerBlock {
+				block := run.rows[lo:min(lo+spec.RowsPerBlock, len(run.rows))]
+				body := binary.LittleEndian.AppendUint64(nil, run.cell)
+				body = binary.AppendUvarint(body, uint64(len(block)))
+				var zones []segment.ZoneMap
+				for c, f := range proj.Fields {
+					col := make([]value.Value, len(block))
+					for i, row := range block {
+						col[i] = row[idx[c]]
+					}
+					codec, err := compress.Lookup(def.Codecs[c])
+					if err != nil {
+						t.Fatal(err)
+					}
+					chunk, err := codec.Encode(nil, f.Type, col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body = binary.LittleEndian.AppendUint32(body, uint32(len(chunk)))
+					body = append(body, chunk...)
+					if f.Type == value.Int || f.Type == value.Float {
+						zones = append(zones, oracleZone(f.Name, col))
+					}
+				}
+				blocks = append(blocks, segment.BlockMeta{
+					Off: uint64(len(stream)), Len: uint32(4 + len(body)), Rows: len(block),
+					RowStart: rowStart, Cell: run.cell, Zones: zones,
+				})
+				stream = append(binary.LittleEndian.AppendUint32(stream, uint32(len(body))), body...)
+				rowStart += int64(len(block))
+			}
+		}
+		out.streams = append(out.streams, stream)
+		out.blocks = append(out.blocks, blocks)
+	}
+	return out
+}
+
+// oracleZone is a block column's zone map over boxed values: NaN sorts
+// below every number, so it takes the minimum to -Inf.
+func oracleZone(field string, col []value.Value) segment.ZoneMap {
+	z := segment.ZoneMap{Field: field, Min: math.Inf(1), Max: math.Inf(-1)}
+	for _, v := range col {
+		x := v.Float()
+		if math.IsNaN(x) {
+			z.Min = math.Inf(-1)
+		}
+		if x < z.Min {
+			z.Min = x
+		}
+		if x > z.Max {
+			z.Max = x
+		}
+	}
+	return z
+}
+
+// oracleFold is readBack + render, boxed.
+func oracleFold(t *testing.T, e *Engine, tab *catalog.Table, parts []catalog.Part) oraclePart {
+	t.Helper()
+	return oracleRender(t, e, tab, oracleReadBack(t, e, tab, parts), false)
+}
+
+// oracleRun is one run of the hierarchy a Compact leaves: its level, its
+// stored rows and — when the Compact wrote it — the part the oracle expects.
+type oracleRun struct {
+	level int
+	rows  []value.Row
+	part  *oraclePart
+}
+
+// oracleCompact replays compactLocked's fold loop (the policy, pickFold, is
+// shared) with the boxed fold, and returns the runs tab holds afterwards.
+func oracleCompact(t *testing.T, e *Engine, tab *catalog.Table) []oracleRun {
+	t.Helper()
+	spec, err := e.compile(tab.LayoutExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []oracleRun
+	var tails []catalog.Part
+	for _, p := range tab.Parts() {
+		switch p.Kind {
+		case catalog.PartRun:
+			runs = append(runs, oracleRun{level: p.Level, rows: oracleReadBack(t, e, tab, []catalog.Part{p}).Rows})
+		case catalog.PartTail:
+			tails = append(tails, p)
+		}
+	}
+	stored, err := storedSchema(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(level int, rows []value.Row) oracleRun {
+		part := oracleRender(t, e, tab, transforms.Relation{Schema: stored, Rows: rows}, false)
+		return oracleRun{level: level, rows: part.rows, part: &part}
+	}
+	if len(tails) > 0 {
+		runs = append(runs, fold(1, oracleReadBack(t, e, tab, tails).Rows))
+	}
+	for {
+		entries := make([]catalog.RunEntry, len(runs))
+		for i, r := range runs {
+			entries[i] = catalog.RunEntry{Level: r.level, Rows: int64(len(r.rows))}
+		}
+		lo, hi, level, ok := pickFold(entries, spec)
+		if !ok {
+			return runs
+		}
+		var rows []value.Row
+		for _, r := range runs[lo:hi] {
+			rows = append(rows, r.rows...)
+		}
+		runs = slices.Concat(runs[:lo], []oracleRun{fold(level, rows)}, runs[hi:])
+	}
+}
+
+// requireRendered fails unless segs — a part the engine wrote — hold
+// exactly the oracle's streams, block metadata and grid bounds.
+func requireRendered(t *testing.T, e *Engine, what string, segs []catalog.SegmentEntry, bounds []catalog.GridBoundsMeta, want oraclePart) {
+	t.Helper()
+	if len(segs) != len(want.streams) {
+		t.Fatalf("%s: %d segments, oracle %d", what, len(segs), len(want.streams))
+	}
+	for i, seg := range segs {
+		stream, err := e.file.ReadRunInto(nil, seg.Meta.ExtentStart, seg.Meta.ExtentPages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = stream[:seg.Meta.UsedBytes]
+		if !bytes.Equal(stream, want.streams[i]) {
+			at := 0
+			for at < min(len(stream), len(want.streams[i])) && stream[at] == want.streams[i][at] {
+				at++
+			}
+			t.Fatalf("%s: segment %d: %d bytes, oracle %d, first difference at byte %d", what, i, len(stream), len(want.streams[i]), at)
+		}
+		if !reflect.DeepEqual(seg.Meta.Blocks, want.blocks[i]) {
+			t.Fatalf("%s: segment %d block metadata\n got %+v\nwant %+v", what, i, seg.Meta.Blocks, want.blocks[i])
+		}
+		if seg.Meta.Rows != int64(len(want.rows)) {
+			t.Fatalf("%s: segment %d holds %d rows, oracle %d", what, i, seg.Meta.Rows, len(want.rows))
+		}
+	}
+	if !reflect.DeepEqual(bounds, want.bounds) {
+		t.Fatalf("%s: grid bounds %+v, oracle %+v", what, bounds, want.bounds)
 	}
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -88,6 +89,52 @@ func TestNoZonePruneReadsEverything(t *testing.T) {
 	}
 	if prunedPages >= fullPages {
 		t.Errorf("zone maps should prune clustered data: pruned=%d full=%d", prunedPages, fullPages)
+	}
+}
+
+// TestZoneMapsKeepNaNRows: predicates order NaN below every number, so a
+// zone map must never prune a block whose NaN rows a bound admits. Over a
+// block mixing NaN and numbers, an all-NaN block and NaN-free ones, a pruned
+// scan, a NoZonePrune scan and Predicate.Eval agree for every comparison
+// against literals below, inside and above the data, of either numeric kind.
+func TestZoneMapsKeepNaNRows(t *testing.T) {
+	e, _, _ := newEngine(t)
+	schema := value.MustSchema(value.Field{Name: "lat", Type: value.Float})
+	if err := e.Create("T", schema, "chunk[4](rows(T))"); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	var rows []value.Row
+	for _, x := range []float64{nan, 10, 11, 12, nan, nan, nan, nan, 5, 6, nan, math.Inf(-1), 20, 21, 22, 23} {
+		rows = append(rows, value.Row{value.NewFloat(x)})
+	}
+	if err := e.Load("T", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []algebra.CmpOp{algebra.OpLt, algebra.OpLe, algebra.OpGt, algebra.OpGe} {
+		for _, lit := range []value.Value{
+			value.NewFloat(math.Inf(-1)), value.NewInt(0), value.NewFloat(5), value.NewInt(10),
+			value.NewFloat(15.5), value.NewInt(25),
+		} {
+			pred := algebra.True.And("lat", op, lit)
+			var want []value.Row
+			for _, row := range rows {
+				if pred.Eval(schema, row) {
+					want = append(want, row)
+				}
+			}
+			for _, noZone := range []bool{false, true} {
+				cur, err := e.Scan("T", ScanOptions{Pred: pred, NoZonePrune: noZone})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drain(t, cur)
+				if len(got) != len(want) {
+					t.Fatalf("%s (NoZonePrune %v): %d rows, Eval %d", pred, noZone, len(got), len(want))
+				}
+				sameMultiset(t, got, want)
+			}
+		}
 	}
 }
 

@@ -336,15 +336,20 @@ func (v Value) hashInto(h hasher) {
 		h.Write(tag[:])
 		writeUint64(h, uint64(v.i))
 	case Float:
-		// Hash integral floats identically to ints so Equal ⇒ same hash.
+		// Hash integral floats identically to ints, and every NaN alike, so
+		// Equal ⇒ same hash.
 		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
 			tag[0] = 2
 			h.Write(tag[:])
 			writeUint64(h, uint64(int64(v.f)))
 		} else {
+			bits := math.Float64bits(v.f)
+			if math.IsNaN(v.f) {
+				bits = math.Float64bits(math.NaN())
+			}
 			tag[0] = 3
 			h.Write(tag[:])
-			writeUint64(h, math.Float64bits(v.f))
+			writeUint64(h, bits)
 		}
 	case Str:
 		tag[0] = 4

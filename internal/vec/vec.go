@@ -17,6 +17,7 @@ package vec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rodentstore/internal/value"
@@ -158,6 +159,22 @@ func (v *Vector) SyncLen() {
 		}
 	default:
 		v.n = len(v.Boxed)
+	}
+}
+
+// Grow reserves room for n more rows in the column's per-row slices, so a
+// column filled from many batches is not copied as it grows (a Str/Bytes
+// arena still grows with what it holds).
+func (v *Vector) Grow(n int) {
+	switch native(v.kind) {
+	case value.Int:
+		v.Int64s = slices.Grow(v.Int64s, n)
+	case value.Float:
+		v.Float64s = slices.Grow(v.Float64s, n)
+	case value.Bytes:
+		v.Offs = slices.Grow(v.Offs, n+1)
+	default:
+		v.Boxed = slices.Grow(v.Boxed, n)
 	}
 }
 
