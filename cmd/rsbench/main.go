@@ -1,36 +1,32 @@
-// Command rsbench regenerates the paper's evaluation (Figure 2) and the
-// extension experiments indexed in DESIGN.md.
+// Command rsbench runs the paper's evaluation (Figure 2) and the ablation
+// experiments indexed in DESIGN.md — each experiment's one runner.
 //
 // Usage:
 //
 //	rsbench -exp fig2 -n 1000000 -queries 200
-//	rsbench -exp curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|throughput|all
-//	rsbench -exp fig2 -json > BENCH_fig2.json
+//	rsbench -exp curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|all
 //
 // The paper's full scale is -n 10000000 (10M observations, ~45 s generate +
 // load per layout); the default 1,000,000 reproduces the same shape in
 // seconds. Results print as aligned tables with the paper's reference
-// numbers where applicable, or as a JSON object with -json (one key per
-// experiment, plus the config) so benchmark trajectories can be recorded as
-// BENCH_*.json files across commits.
+// numbers where applicable. The engine's speed is tracked by the gating
+// benchmark (BENCHMARK.json, benchmark/), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"text/tabwriter"
 
 	"rodentstore/internal/bench"
 )
 
-var allExperiments = []string{"fig2", "curve", "cells", "pagesize", "codecs", "fold", "dsm", "advisor", "reorg", "throughput", "ingest", "agg", "compact"}
+var allExperiments = []string{"fig2", "curve", "cells", "pagesize", "codecs", "fold", "dsm", "advisor", "reorg"}
 
 func main() {
 	var (
-		exp      = flag.String("exp", "fig2", "experiment: fig2|curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|throughput|ingest|agg|compact|all")
+		exp      = flag.String("exp", "fig2", "experiment: fig2|curve|cells|pagesize|codecs|fold|dsm|advisor|reorg|all")
 		n        = flag.Int("n", 1_000_000, "number of observations (paper: 10000000)")
 		queries  = flag.Int("queries", 200, "number of window queries (paper: 200)")
 		area     = flag.Float64("area", 0.01, "query area fraction (paper: 0.01)")
@@ -38,20 +34,15 @@ func main() {
 		cells    = flag.Int("cells", 64, "grid cells per axis")
 		dir      = flag.String("dir", os.TempDir(), "scratch directory")
 		seed     = flag.Int64("seed", 1, "random seed")
-		jsonOut  = flag.Bool("json", false, "emit results as one JSON object instead of tables")
-		maxprocs = flag.Int("gomaxprocs", 0, "if > 0, set GOMAXPROCS before running (recorded in the -json header; on a single-core container values > 1 only add scheduler interleaving, not parallel speedup)")
 	)
 	flag.Parse()
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	}
 
 	cfg := bench.Config{
 		N: *n, Queries: *queries, AreaFraction: *area,
 		PageSize: *pageSize, GridCells: *cells, Dir: *dir, Seed: *seed,
 	}
 
-	// run executes one experiment, returning its raw results for -json.
+	// run executes one experiment, returning its raw results.
 	run := func(name string) (any, error) {
 		switch name {
 		case "fig2":
@@ -72,14 +63,6 @@ func main() {
 			return bench.AdvisorQuality(cfg)
 		case "reorg":
 			return bench.Reorg(cfg)
-		case "throughput":
-			return bench.ConcurrentThroughput(cfg)
-		case "ingest":
-			return bench.IngestThroughput(cfg)
-		case "agg":
-			return bench.AggThroughput(cfg)
-		case "compact":
-			return bench.SustainedCompaction(cfg)
 		default:
 			return nil, fmt.Errorf("unknown experiment %q", name)
 		}
@@ -92,45 +75,19 @@ func main() {
 		names = []string{*exp}
 	}
 
-	collected := make(map[string]any, len(names))
 	for _, name := range names {
-		if !*jsonOut {
-			// The title doubles as a progress marker: experiments can run
-			// for minutes at paper scale.
-			fmt.Println(title(cfg, name))
-		}
+		// The title doubles as a progress marker: experiments can run for
+		// minutes at paper scale.
+		fmt.Println(title(cfg, name))
 		data, err := run(name)
+		if err == nil {
+			err = print(name, data)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rsbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		collected[name] = data
-		if !*jsonOut {
-			if err := print(name, data); err != nil {
-				fmt.Fprintf(os.Stderr, "rsbench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Println()
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		// Parallel speedups are meaningless without knowing the processor
-		// budget of the machine that produced the file, so every BENCH_*.json
-		// records it.
-		payload := map[string]any{
-			"config": cfg,
-			"runtime": map[string]any{
-				"gomaxprocs": runtime.GOMAXPROCS(0),
-				"numcpu":     runtime.NumCPU(),
-			},
-			"experiments": collected,
-		}
-		if err := enc.Encode(payload); err != nil {
-			fmt.Fprintf(os.Stderr, "rsbench: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Println()
 	}
 }
 
@@ -157,14 +114,6 @@ func title(cfg bench.Config, name string) string {
 		return "Ext-7: storage design optimizer vs hand-tuned layouts"
 	case "reorg":
 		return "Ext-8: reorganization strategies (paper §5)"
-	case "throughput":
-		return "Ext-9: concurrent read throughput (sharded pool, lock-free pager, parallel scan)"
-	case "ingest":
-		return "Ext-10: concurrent ingest throughput (group-commit WAL, staged inserts, background merge)"
-	case "agg":
-		return "Ext-13: aggregation throughput (serial block pipeline vs morsel scheduler)"
-	case "compact":
-		return "Ext-15: sustained ingest under leveled compaction (incremental folds vs full rewrites)"
 	}
 	return name
 }
@@ -181,42 +130,8 @@ func print(name string, data any) error {
 		return printFold(data.([]bench.FoldResult))
 	case "reorg":
 		return printReorg(data.([]bench.ReorgResult))
-	case "throughput":
-		return printThroughput(data.([]bench.ThroughputResult))
-	case "ingest":
-		return printIngest(data.([]bench.IngestResult))
-	case "agg":
-		return printAgg(data.([]bench.AggResult))
-	case "compact":
-		return printCompact(data.([]bench.CompactResult))
 	}
 	return fmt.Errorf("no printer for %q", name)
-}
-
-func printCompact(results []bench.CompactResult) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\tpolicy\tstage\ttable rows\tinsert rows/sec\tscan rows/sec\tmerges\tMB rewritten\tMB/merge")
-	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.0f\t%.0f\t%d\t%.2f\t%.2f\n",
-			r.Name, r.Policy, r.Stage, r.TableRows, r.InsertRowsPerSec, r.ScanRowsPerSec,
-			r.Merges, float64(r.MergeBytes)/(1<<20), float64(r.BytesPerMerge)/(1<<20))
-	}
-	return w.Flush()
-}
-
-func printAgg(results []bench.AggResult) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\taggregate\tselectivity\tmode\tprocs\trows\tgroups\tms\trows/sec\tvs serial")
-	for _, r := range results {
-		procs, parSpeed := "", ""
-		if r.Mode == "parallel" {
-			procs = fmt.Sprintf("%d", r.Gomaxprocs)
-			parSpeed = fmt.Sprintf("%.2fx", r.ParallelSpeedup)
-		}
-		fmt.Fprintf(w, "%s\t%s\t%.0f%%\t%s\t%s\t%d\t%d\t%.1f\t%.0f\t%s\n",
-			r.Name, r.Agg, r.Selectivity*100, r.Mode, procs, r.Rows, r.Groups, r.Ms, r.RowsPerSec, parSpeed)
-	}
-	return w.Flush()
 }
 
 func printFig2(results []bench.Result) error {
@@ -257,34 +172,6 @@ func printReorg(results []bench.ReorgResult) error {
 	fmt.Fprintln(w, "state\tpages/query\treorg ms")
 	for _, r := range results {
 		fmt.Fprintf(w, "%s\t%.0f\t%.1f\n", r.Name, r.PagesQuery, r.ReorgMs)
-	}
-	return w.Flush()
-}
-
-func printIngest(results []bench.IngestResult) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\twriters\tmerge\trows\tms\trows/sec\tspeedup\tfinal tails")
-	for _, r := range results {
-		merge := "off"
-		if r.AutoMerge {
-			merge = "on"
-		}
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%.1f\t%.0f\t%.2fx\t%d\n",
-			r.Name, r.Writers, merge, r.Rows, r.Ms, r.RowsPerSec, r.Speedup, r.FinalTails)
-	}
-	return w.Flush()
-}
-
-func printThroughput(results []bench.ThroughputResult) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\tmode\tgoroutines\tpool\trows\tms\trows/sec\tspeedup")
-	for _, r := range results {
-		temp := "cold"
-		if r.Hot {
-			temp = "hot"
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%s\t%d\t%.1f\t%.0f\t%.2fx\n",
-			r.Name, r.Mode, r.Goroutines, temp, r.Rows, r.Ms, r.RowsPerSec, r.Speedup)
 	}
 	return w.Flush()
 }

@@ -1,10 +1,11 @@
-// Package bench implements RodentStore's experiment harness. Figure2
+// Package bench implements RodentStore's paper experiments. Figure2
 // regenerates the paper's only evaluation figure — average disk pages read
 // per query over the CarTel trajectory data for layouts N1..N4 and a
-// secondary R-tree (paper §6, Figure 2) — and the Ext-* functions run the
-// ablation experiments DESIGN.md indexes (curve choice, cell size, page
-// size, codecs, fold rendering, row vs column, advisor quality,
-// reorganization strategies).
+// secondary R-tree (paper §6, Figure 2) — and the Ext-1..8 functions run the
+// ablations DESIGN.md indexes (curve choice, cell size, page size, codecs,
+// fold rendering, row vs column, advisor quality, reorganization
+// strategies). cmd/rsbench is their one runner; the engine's speed is
+// tracked by the gating benchmark (BENCHMARK.json), not here.
 package bench
 
 import (
@@ -70,8 +71,8 @@ type Result struct {
 // env is one open database for an experiment.
 type env struct {
 	file *pager.File
+	log  *wal.Log
 	eng  *table.Engine
-	cat  *catalog.Catalog
 	path string
 }
 
@@ -83,20 +84,25 @@ func newEnv(cfg Config, name string) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	log, err := wal.Open(path + ".wal")
-	if err != nil {
-		file.Close()
+	e := &env{file: file, path: path}
+	if e.log, err = wal.Open(path + ".wal"); err != nil {
+		e.close()
 		return nil, err
 	}
 	cat, err := catalog.Load(file)
 	if err != nil {
-		file.Close()
+		e.close()
 		return nil, err
 	}
-	return &env{file: file, eng: table.NewEngine(file, cat, txn.NewManager(file, log)), cat: cat, path: path}, nil
+	e.eng = table.NewEngine(file, cat, txn.NewManager(file, e.log))
+	return e, nil
 }
 
+// close releases the database and its log and removes both files.
 func (e *env) close() {
+	if e.log != nil {
+		e.log.Close()
+	}
 	e.file.Close()
 	os.Remove(e.path)
 	os.Remove(e.path + ".wal")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"testing"
 )
 
@@ -13,6 +14,31 @@ func smallConfig(t *testing.T) Config {
 	cfg.Queries = 10
 	cfg.GridCells = 32
 	return cfg
+}
+
+// TestEnvClosesItsFiles holds newEnv/close to releasing every descriptor
+// they open — the database file and its write-ahead log — on the success
+// path; a leak would otherwise last until the GC ran finalizers.
+func TestEnvClosesItsFiles(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(fds)
+	}
+	cfg := smallConfig(t)
+	before := openFDs()
+	for i := 0; i < 20; i++ {
+		e, err := newEnv(cfg, "fds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.close()
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("open descriptors: %d before 20 newEnv/close cycles, %d after", before, after)
+	}
 }
 
 func TestFigure2Shape(t *testing.T) {

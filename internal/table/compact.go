@@ -8,7 +8,8 @@ package table
 // level-1 run; compaction folds whole levels into the next. Every fold is
 // O(the folded runs), never O(table), so write amplification under sustained
 // ingest stays bounded by the hierarchy depth instead of growing linearly
-// with table size (the degradation Ext-15 measures on the default path).
+// with table size, as it does on the default path
+// (TestCompactPolicyBoundsBytesPerMerge holds the difference).
 //
 // Invariant: catalog.Table.Runs is kept in chronological order, oldest data
 // first, which coincides with non-increasing levels (a level-L run is always
@@ -36,7 +37,8 @@ import (
 // CompactStats counts background/foreground fold work since the engine
 // opened: incremental run folds, plus full re-renders that absorbed tails
 // or runs (the plain path's O(table) merge). Bytes is the payload written
-// by those folds — the write amplification Ext-15 reports per merge.
+// by those folds — the write amplification per merge that the gating
+// benchmark reports as table.merge_bytes.
 type CompactStats struct {
 	Merges int64 // folds performed (tail folds + level folds)
 	Rows   int64 // rows written into rendered runs

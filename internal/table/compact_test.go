@@ -125,6 +125,67 @@ func TestLeveledKeepsOneRunPerLevel(t *testing.T) {
 	sameMultiset(t, drain(t, cur), append(append([]value.Row{}, rows...), extra...))
 }
 
+// TestCompactPolicyBoundsBytesPerMerge: as a table grows 8× past its fold
+// threshold, the plain layout's fold re-renders the whole table, so its bytes
+// per merge grow with the table; under sizetiered[k] or leveled[k] even the
+// worst fold of the late half (cascades included) rewrites less than the
+// plain layout's last one. Fold bytes are deterministic: nothing is timed.
+func TestCompactPolicyBoundsBytesPerMerge(t *testing.T) {
+	const (
+		fanout = 4  // compaction fanout, and tail batches per fold
+		batch  = 64 // rows per insert
+		stages = 8  // two folds each; the table ends 8× its first-stage size
+	)
+	// bytesPerMerge grows a fresh table stage by stage, folding
+	// synchronously, and returns each stage's bytes rewritten per merge.
+	bytesPerMerge := func(policy string) []int64 {
+		e, _, _ := newEngine(t)
+		layout := fmt.Sprintf("chunk[%d](orderby[t](Traces))", batch)
+		if policy != "" {
+			layout = fmt.Sprintf("%s[%d](%s)", policy, fanout, layout)
+		}
+		if err := e.Create("Traces", tracesSchema(), layout); err != nil {
+			t.Fatal(err)
+		}
+		var out []int64
+		var prev CompactStats
+		next := 0
+		for stage := 0; stage < stages; stage++ {
+			for fold := 0; fold < 2; fold++ {
+				insertBatches(t, e, fanout, batch, next)
+				next += fanout * batch
+				if err := e.Compact("Traces"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := e.CompactStats()
+			if st.Merges == prev.Merges || st.Bytes == prev.Bytes {
+				t.Fatalf("%s stage %d: no fold work recorded: %+v", layout, stage+1, st)
+			}
+			out = append(out, (st.Bytes-prev.Bytes)/(st.Merges-prev.Merges))
+			prev = st
+		}
+		if n, err := e.RowCount("Traces"); err != nil || n != int64(next) {
+			t.Fatalf("%s: RowCount = %d, %v; want %d", layout, n, err, next)
+		}
+		return out
+	}
+
+	full := bytesPerMerge("")
+	if full[stages-1] < 4*full[0] {
+		t.Fatalf("plain bytes/merge should grow with the table: first stage %d, last %d", full[0], full[stages-1])
+	}
+	for _, policy := range []string{"sizetiered", "leveled"} {
+		var worst int64
+		for _, b := range bytesPerMerge(policy)[stages/2:] {
+			worst = max(worst, b)
+		}
+		if worst >= full[stages-1] {
+			t.Errorf("%s: worst late bytes/merge %d not below the full rewrite's %d", policy, worst, full[stages-1])
+		}
+	}
+}
+
 func TestCompactFallsBackToReorganize(t *testing.T) {
 	e, _, rows := setup(t, "orderby[t](Traces)", 100)
 	extra := insertBatches(t, e, 2, 20, 1000)

@@ -90,8 +90,8 @@ type Engine struct {
 	deferredFrees []pager.Extent // queued, awaiting a checkpoint
 	stagedFrees   []pager.Extent // covered by the in-progress checkpoint
 
-	// Fold counters, moved only by fold (see fold.go; Ext-15 reports them as
-	// per-merge write amplification).
+	// Fold counters, moved only by fold (see fold.go; the gating benchmark
+	// reports them as table.merges/merge_rows/merge_bytes).
 	statMerges     atomic.Int64
 	statMergeRows  atomic.Int64
 	statMergeBytes atomic.Int64

@@ -492,40 +492,65 @@ func TestConcurrentDurableInsertsWithCheckpoints(t *testing.T) {
 	// Durable inserts update the catalog in memory; the checkpoint policy
 	// flushes it from whatever goroutine trips the size trigger — racing
 	// the copy-on-write publish path. Run under -race this guards the
-	// record-swap discipline (catalog.Catalog.Get).
-	path := filepath.Join(t.TempDir(), "ckpt.rdnt")
-	e, f, log, mgr := durableEnv(t, path)
-	defer func() { log.Close(); f.Close() }()
-	mgr.CheckpointBytes = 8 << 10 // tiny: checkpoints fire throughout the run
-	if err := e.Create("Traces", tracesSchema(), "rows(Traces)"); err != nil {
-		t.Fatal(err)
+	// record-swap discipline (catalog.Catalog.Get). The levelled case adds
+	// the background merge pool, folding runs beside the writers.
+	cases := []struct {
+		layout    string
+		autoMerge bool
+	}{
+		{"rows(Traces)", false},
+		{"leveled[4](orderby[t](Traces))", true},
 	}
-	const writers, rounds, batch = 4, 25, 10
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if err := e.Insert("Traces", traceRows(batch)); err != nil {
-					errCh <- err
-					return
+	for _, tc := range cases {
+		t.Run(tc.layout, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ckpt.rdnt")
+			e, f, log, mgr := durableEnv(t, path)
+			defer func() { log.Close(); f.Close() }()
+			mgr.CheckpointBytes = 8 << 10 // tiny: checkpoints fire throughout the run
+			if err := e.Create("Traces", tracesSchema(), tc.layout); err != nil {
+				t.Fatal(err)
+			}
+			if tc.autoMerge {
+				e.EnableAutoMerge(0) // the policy's own fanout triggers folds
+				defer e.DisableAutoMerge()
+			}
+			const writers, rounds, batch = 4, 25, 10
+			var wg sync.WaitGroup
+			errCh := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						if err := e.Insert("Traces", traceRows(batch)); err != nil {
+							errCh <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatal(err)
+			}
+			if tc.autoMerge {
+				e.WaitMerges()
+				if err := e.MergeErr(); err != nil {
+					t.Fatalf("background merge: %v", err)
+				}
+				if st := e.CompactStats(); st.Merges == 0 {
+					t.Errorf("no background fold ran: %+v", st)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	want := int64(writers * rounds * batch)
-	if rc, _ := e.RowCount("Traces"); rc != want {
-		t.Errorf("RowCount: %d, want %d", rc, want)
-	}
-	if got := countRows(t, e, "Traces"); int64(got) != want {
-		t.Errorf("scanned rows: %d, want %d", got, want)
+			want := int64(writers * rounds * batch)
+			if rc, _ := e.RowCount("Traces"); rc != want {
+				t.Errorf("RowCount: %d, want %d", rc, want)
+			}
+			if got := countRows(t, e, "Traces"); int64(got) != want {
+				t.Errorf("scanned rows: %d, want %d", got, want)
+			}
+		})
 	}
 }
 
