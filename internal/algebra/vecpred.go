@@ -11,6 +11,7 @@ package algebra
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"rodentstore/internal/value"
@@ -181,6 +182,9 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 		}
 	case termIntFloat:
 		xs, c := v.Int64s, t.f
+		if !nulls && !math.IsNaN(c) {
+			return filterFloats(xs, t.op, c, sel, out)
+		}
 		for _, i := range sel {
 			if nulls && v.IsNull(int(i)) {
 				continue
@@ -191,6 +195,9 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 		}
 	case termFloatFloat:
 		xs, c := v.Float64s, t.f
+		if !nulls && !math.IsNaN(c) {
+			return filterFloats(xs, t.op, c, sel, out)
+		}
 		for _, i := range sel {
 			if nulls && v.IsNull(int(i)) {
 				continue
@@ -240,6 +247,53 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 				continue
 			}
 			if opOK(t.op, value.Compare(x, t.v)) {
+				out = append(out, i)
+			}
+		}
+	}
+	return out
+}
+
+// filterFloats is the float comparison over a null-free column and a
+// constant that is not NaN: one loop per operator, with cmpF's order written
+// into the IEEE comparison. A NaN row sorts below every number, so it
+// satisfies <, <= and != and nothing else: `!(x >= c)` is `x < c || x != x`,
+// and `!(x > c)` is `x <= c || x != x`. −0 == +0 holds in both orders.
+func filterFloats[T int64 | float64](xs []T, op CmpOp, c float64, sel, out []int32) []int32 {
+	switch op {
+	case OpLt:
+		for _, i := range sel {
+			if !(float64(xs[i]) >= c) {
+				out = append(out, i)
+			}
+		}
+	case OpLe:
+		for _, i := range sel {
+			if !(float64(xs[i]) > c) {
+				out = append(out, i)
+			}
+		}
+	case OpGt:
+		for _, i := range sel {
+			if float64(xs[i]) > c {
+				out = append(out, i)
+			}
+		}
+	case OpGe:
+		for _, i := range sel {
+			if float64(xs[i]) >= c {
+				out = append(out, i)
+			}
+		}
+	case OpEq:
+		for _, i := range sel {
+			if float64(xs[i]) == c {
+				out = append(out, i)
+			}
+		}
+	case OpNe:
+		for _, i := range sel {
+			if !(float64(xs[i]) == c) {
 				out = append(out, i)
 			}
 		}

@@ -215,36 +215,49 @@ func (p *Pool) Lease(id pager.PageID) (Lease, error) {
 			sh.mu.Unlock()
 			return Lease{sh: sh, id: id, data: data}, nil
 		}
-		// Miss: claim a frame, mark the read in flight, and do the I/O
-		// without holding the shard lock.
-		sh.misses.Add(1)
-		fi, err := sh.victim(p.file)
+		f, err := p.load(sh, id)
 		if err != nil {
-			sh.mu.Unlock()
 			return Lease{}, err
 		}
-		ch := make(chan struct{})
-		sh.frames[fi] = frame{id: id, pins: 1, refbit: true, occupied: true, pending: ch}
-		sh.index[id] = fi
+		data := f.data
 		sh.mu.Unlock()
-
-		data, err := p.file.ReadPage(id)
-
-		sh.mu.Lock()
-		f := &sh.frames[fi]
-		if err != nil {
-			delete(sh.index, id)
-			*f = frame{}
-			sh.mu.Unlock()
-			close(ch)
-			return Lease{}, err
-		}
-		f.data = data
-		f.pending = nil
-		sh.mu.Unlock()
-		close(ch)
 		return Lease{sh: sh, id: id, data: data}, nil
 	}
+}
+
+// load is the miss path of Lease and AppendPage. It claims a frame for id
+// and publishes it in the index (pinned once, read pending), reads the page
+// with the shard lock dropped, and returns the filled frame with sh.mu held
+// again. The caller holds sh.mu on entry; on error load returns with it
+// released and no frame claimed.
+func (p *Pool) load(sh *shard, id pager.PageID) (*frame, error) {
+	sh.misses.Add(1)
+	fi, err := sh.victim(p.file)
+	if err != nil {
+		sh.mu.Unlock()
+		return nil, err
+	}
+	ch := make(chan struct{})
+	sh.frames[fi] = frame{id: id, pins: 1, refbit: true, occupied: true, pending: ch}
+	sh.index[id] = fi
+	sh.mu.Unlock()
+
+	data, err := p.file.ReadPage(id)
+
+	sh.mu.Lock()
+	f := &sh.frames[fi]
+	if err != nil {
+		delete(sh.index, id)
+		*f = frame{}
+		sh.mu.Unlock()
+		close(ch)
+		return nil, err
+	}
+	// A pending frame is never marked stale (discard waits for the read), so
+	// the frame is still this page's.
+	f.data, f.pending = data, nil
+	close(ch)
+	return f, nil
 }
 
 // Lease is a pinned, zero-copy view of one cached page.
@@ -373,12 +386,18 @@ func (sh *shard) unpin(id pager.PageID) error {
 	if f.pins == 0 {
 		return fmt.Errorf("buffer: Unpin on unpinned page %d", id)
 	}
+	sh.drop(f)
+	return nil
+}
+
+// drop releases one pin on a pinned frame, forgetting the frame when it was
+// the last pin on stale bytes. Caller holds sh.mu.
+func (sh *shard) drop(f *frame) {
 	f.pins--
 	if f.stale && f.pins == 0 {
-		delete(sh.index, id)
+		delete(sh.index, f.id)
 		*f = frame{}
 	}
-	return nil
 }
 
 // FlushAll writes every unpinned dirty frame back to the pager (without
@@ -443,41 +462,53 @@ func (p *Pool) Resident(id pager.PageID) bool {
 	return ok
 }
 
-// ReadPage returns a copy of the page payload, going through the cache.
-// It adapts the pool to segment.PageSource so table scans can run warm.
-// (Scans that can tolerate pinned zero-copy access use LeasePage instead.)
-// Like LeasePage, it degrades to an uncached read when the page's shard is
-// momentarily out of evictable frames.
+// ReadPage returns a copy of the page payload, going through the cache. It
+// adapts the pool to segment.PageSource so table scans can run warm.
 func (p *Pool) ReadPage(id pager.PageID) ([]byte, error) {
-	data, release, err := p.LeasePage(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	if err := release(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	n := p.file.PayloadSize()
+	return p.AppendPage(make([]byte, 0, n), id, 0, n)
 }
 
-// LeasePage adapts the pool to segment.PageLeaser: pinned zero-copy page
-// access for scan paths. If the page's shard is momentarily out of
-// evictable frames (every frame pinned by concurrent scans), the read
-// degrades to an uncached pager read instead of failing the scan.
-func (p *Pool) LeasePage(id pager.PageID) ([]byte, func() error, error) {
-	l, err := p.Lease(id)
-	if err == nil {
-		return l.data, l.Release, nil
+// AppendPage appends bytes [lo, hi) of page id's payload to dst, going
+// through the cache; it is the pool's segment.PageAppender, the scan path's
+// fetch. A hit copies the range under the shard lock, so it takes no pin
+// and leaves nothing to release. A miss reads the page into a claimed frame
+// as Lease does, then copies the range and drops the claim's pin in the
+// same critical section. If the page's shard is momentarily out of
+// evictable frames (every frame pinned by concurrent leases), the read
+// degrades to an uncached pager read instead of failing the scan. On error
+// nothing is appended.
+func (p *Pool) AppendPage(dst []byte, id pager.PageID, lo, hi int) ([]byte, error) {
+	sh := p.shardOf(id)
+	for {
+		sh.mu.Lock()
+		if fi, ok := sh.index[id]; ok {
+			f := &sh.frames[fi]
+			if sh.awaitFresh(f) {
+				continue // another goroutine's read is in flight
+			}
+			sh.hits.Add(1)
+			f.refbit = true
+			dst = append(dst, f.data[lo:hi]...)
+			sh.mu.Unlock()
+			return dst, nil
+		}
+		f, err := p.load(sh, id)
+		if err == nil {
+			dst = append(dst, f.data[lo:hi]...)
+			sh.drop(f)
+			sh.mu.Unlock()
+			return dst, nil
+		}
+		if !errors.Is(err, errShardPinned) {
+			return dst, err
+		}
+		page, err := p.file.ReadPage(id)
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, page[lo:hi]...), nil
 	}
-	if !errors.Is(err, errShardPinned) {
-		return nil, nil, err
-	}
-	data, err := p.file.ReadPage(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, func() error { return nil }, nil
 }
 
 // PayloadSize returns the underlying file's page payload size.

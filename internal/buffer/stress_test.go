@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -56,25 +57,54 @@ func TestLeaseZeroCopy(t *testing.T) {
 	}
 }
 
-func TestLeasePageAdapter(t *testing.T) {
-	p, _, start := newPoolT(t, 8, 4)
-	data, release, err := p.LeasePage(start)
+// TestAppendPage pins the scan fetch: a miss and a hit each append exactly
+// the asked range onto dst, a hit reads nothing from the pager, neither
+// leaves a pin behind, and a shard whose every frame is pinned degrades to
+// an uncached read.
+func TestAppendPage(t *testing.T) {
+	p, f, start := newPoolT(t, 1, 4)
+	if err := f.WriteRun(start, []byte{7, 8, 9, 10}); err != nil {
+		t.Fatal(err)
+	}
+	read := func(wantReads uint64) {
+		t.Helper()
+		before := f.Stats().PageReads
+		got, err := p.AppendPage([]byte{1}, start, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, []byte{1, 8, 9}) {
+			t.Fatalf("AppendPage = %v, want [1 8 9]", got)
+		}
+		if reads := f.Stats().PageReads - before; reads != wantReads {
+			t.Fatalf("%d pager reads, want %d", reads, wantReads)
+		}
+	}
+	read(1) // miss
+	read(0) // hit
+	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want one hit and one miss", s)
+	}
+	if err := p.Invalidate(); err != nil {
+		t.Fatalf("AppendPage left a pin: %v", err)
+	}
+	// The one frame pinned by a lease: another page still reads, uncached.
+	l, err := p.Lease(start + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[0] != 0 {
-		t.Errorf("wrong content: %d", data[0])
+	defer l.Release()
+	got, err := p.AppendPage(nil, start+2, 0, 1)
+	if err != nil {
+		t.Fatalf("all-pinned shard: %v", err)
 	}
-	if err := release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Invalidate(); err != nil {
-		t.Errorf("lease released, Invalidate should succeed: %v", err)
+	if got[0] != 2 || p.Resident(start+2) {
+		t.Fatalf("degraded read = %v, resident %v", got, p.Resident(start+2))
 	}
 }
 
 // TestShardedPoolStress hammers a multi-shard pool from many goroutines
-// with reads (Get/Lease), private-page writes (GetForWrite + MarkDirty),
+// with reads (Get/Lease/AppendPage), private-page writes (GetForWrite + MarkDirty),
 // and periodic FlushAll. Run under -race. Afterwards it checks stat
 // consistency (every access is exactly one hit or one miss), that no pins
 // leaked, and that all written data survived eviction traffic.
@@ -158,6 +188,18 @@ func TestShardedPoolStress(t *testing.T) {
 						errs <- err
 						return
 					}
+				case 3: // copied range, no pin
+					id := start + pager.PageID(r.Intn(readPages))
+					d, err := p.AppendPage(nil, id, 0, 1)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if d[0] != byte(id-start) {
+						errs <- fmt.Errorf("page %d: bad content %d", id, d[0])
+						return
+					}
+					accesses[w]++
 				default: // pinned read
 					id := start + pager.PageID(r.Intn(readPages))
 					d, err := p.Get(id)
@@ -185,7 +227,7 @@ func TestShardedPoolStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Read accesses (Get + Lease) each count exactly one hit or miss;
+	// Read accesses (Get, Lease, AppendPage) each count exactly one hit or miss;
 	// GetForWrite takes neither counter.
 	var reads uint64
 	for _, a := range accesses {

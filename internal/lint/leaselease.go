@@ -6,29 +6,22 @@ import (
 	"strings"
 )
 
-// Fully qualified names of the acquiring calls leaselease tracks. Matching is
-// by name rather than object identity because the source importer
-// type-checks its own instance of each dependency package.
-const (
-	poolLeaseFunc = "(*rodentstore/internal/buffer.Pool).Lease"
-	leasePageName = "LeasePage"
-)
+// poolLeaseFunc is the fully qualified name of the acquiring call
+// leaselease tracks. Matching is by name rather than object identity because
+// the source importer type-checks its own instance of each dependency
+// package.
+const poolLeaseFunc = "(*rodentstore/internal/buffer.Pool).Lease"
 
-// LeaseLease builds the leaselease analyzer: every buffer lease and segment
-// page lease must be released on all paths, including error returns.
+// LeaseLease builds the leaselease analyzer: every buffer lease must be
+// released on all paths, including error returns.
 //
-// Two acquisition shapes are recognized:
-//
-//   - l, err := pool.Lease(id): the obligation is the Lease value; it is
-//     discharged by l.Release(), defer l.Release(), returning l (ownership
-//     transfer), or passing l to any call.
-//   - data, release, err := x.LeasePage(id) (any method named LeasePage whose
-//     results include a func() error): the obligation is the release func;
-//     calling it, deferring it, or returning it discharges.
+// The acquisition shape is l, err := pool.Lease(id): the obligation is the
+// Lease value; it is discharged by l.Release(), defer l.Release(), returning
+// l (ownership transfer), or passing l to any call.
 func LeaseLease() *Analyzer {
 	a := &Analyzer{
 		Name: "leaselease",
-		Doc:  "buffer/page leases must be released on every path, including error returns",
+		Doc:  "buffer leases must be released on every path, including error returns",
 	}
 	spec := &obligSpec{
 		matchAcquire:   matchLeaseAcquire,
@@ -42,48 +35,10 @@ func LeaseLease() *Analyzer {
 }
 
 func matchLeaseAcquire(p *Pass, call *ast.CallExpr) (obligIdx, errIdx int, what string, ok bool) {
-	fn := p.CalleeFunc(call)
-	if fn == nil {
-		return 0, 0, "", false
-	}
-	if fn.FullName() == poolLeaseFunc {
+	if fn := p.CalleeFunc(call); fn != nil && fn.FullName() == poolLeaseFunc {
 		return 0, 1, "buffer lease", true
 	}
-	if fn.Name() != leasePageName {
-		return 0, 0, "", false
-	}
-	// Any LeasePage implementation or interface method qualifies when its
-	// results include a release func() error — this covers pager-backed
-	// leasers and the segment.PageLeaser interface alike.
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return 0, 0, "", false
-	}
-	res := sig.Results()
-	relIdx := -1
-	errAt := -1
-	for i := 0; i < res.Len(); i++ {
-		t := res.At(i).Type()
-		if isReleaseFunc(t) {
-			relIdx = i
-		}
-		if isErrorType(t) {
-			errAt = i
-		}
-	}
-	if relIdx < 0 {
-		return 0, 0, "", false
-	}
-	return relIdx, errAt, "page lease (release func)", true
-}
-
-// isReleaseFunc reports whether t is func() error.
-func isReleaseFunc(t types.Type) bool {
-	sig, ok := t.Underlying().(*types.Signature)
-	if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-		return false
-	}
-	return isErrorType(sig.Results().At(0).Type())
+	return 0, 0, "", false
 }
 
 // isErrorType reports whether t is the built-in error interface.

@@ -1,5 +1,5 @@
-// Fixture for the leaselease analyzer: buffer leases and page leases must
-// be released on every path. This package type-checks but is never run.
+// Fixture for the leaselease analyzer: buffer leases must be released on
+// every path. This package type-checks but is never run.
 package leaselease
 
 import (
@@ -42,19 +42,6 @@ func discard(pool *buffer.Pool, id pager.PageID) error {
 	return err
 }
 
-// Positive: a page lease's release func is called on one path only.
-func leakRelease(pool *buffer.Pool, id pager.PageID) []byte {
-	data, release, err := pool.LeasePage(id) // want `page lease \(release func\) may not be released`
-	if err != nil {
-		return nil
-	}
-	if len(data) > 0 {
-		_ = release()
-		return data
-	}
-	return nil // release never called here
-}
-
 // Near-miss: deferred release covers every path.
 func deferRelease(pool *buffer.Pool, id pager.PageID) []byte {
 	l, err := pool.Lease(id)
@@ -63,20 +50,6 @@ func deferRelease(pool *buffer.Pool, id pager.PageID) []byte {
 	}
 	defer l.Release()
 	return append([]byte(nil), l.Data()...)
-}
-
-// Near-miss: the error guard exempts the failure path; the success path
-// releases with an error check.
-func checkedRelease(pool *buffer.Pool, id pager.PageID) (int, error) {
-	data, release, err := pool.LeasePage(id)
-	if err != nil {
-		return 0, err
-	}
-	n := len(data)
-	if rerr := release(); rerr != nil {
-		return 0, rerr
-	}
-	return n, nil
 }
 
 // Near-miss: ownership transfers to the caller through the return.
@@ -96,8 +69,7 @@ func handoff(pool *buffer.Pool, id pager.PageID) error {
 
 func consume(l buffer.Lease) error { return l.Release() }
 
-// Near-miss: the release obligation is returned as a method value — the
-// shape of buffer.Pool.LeasePage itself.
+// Near-miss: the release obligation is returned as a method value.
 func leaseBytes(pool *buffer.Pool, id pager.PageID) ([]byte, func() error, error) {
 	l, err := pool.Lease(id)
 	if err != nil {

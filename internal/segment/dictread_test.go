@@ -62,18 +62,16 @@ func TestForgedDictHeaderIsCorruptExtent(t *testing.T) {
 }
 
 // TestViewOverWarmPoolReusesLookbehind pins what a block fetch over a warm
-// leasing source allocates at nothing: the one-page lookbehind is a buffer
-// the reader keeps, not one made per block. The source is the pool behind a
-// lease that hands out one shared release func, because Pool.LeasePage
-// itself allocates a bound func per page — the buffer layer's cost, not the
-// reader's.
+// pool allocates at nothing: the pool copies page ranges out without a pin
+// or a release func, and the one-page lookbehind is a buffer the reader
+// keeps, not one made per block.
 func TestViewOverWarmPoolReusesLookbehind(t *testing.T) {
 	r, _ := writeTraceSegment(t, []string{"delta", "delta", "dict"}, 4000, 256)
 	pool, err := buffer.NewPool(r.file.(*pager.File), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewReader(sharedRelease{pool}, r.meta, r.spec)
+	warm, err := NewReader(pool, r.meta, r.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +89,4 @@ func TestViewOverWarmPoolReusesLookbehind(t *testing.T) {
 	if st := pool.Stats(); st.Misses > uint64(r.meta.ExtentPages) {
 		t.Fatalf("pool was not warm: %d misses over %d pages", st.Misses, r.meta.ExtentPages)
 	}
-}
-
-// sharedRelease leases pool pages without holding the pin: fit for a test
-// whose pool keeps every page resident, and free of LeasePage's per-call
-// func value.
-type sharedRelease struct{ *buffer.Pool }
-
-var releaseNothing = func() error { return nil }
-
-func (s sharedRelease) LeasePage(id pager.PageID) ([]byte, func() error, error) {
-	l, err := s.Pool.Lease(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l.Data(), releaseNothing, l.Release()
 }

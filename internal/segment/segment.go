@@ -255,12 +255,12 @@ type PageSource interface {
 	PayloadSize() int
 }
 
-// PageLeaser is an optional PageSource extension offering pinned, zero-copy
-// page access: the returned slice is the source's own cached frame, valid
-// until release is called. *buffer.Pool implements it; readers over a
-// leasing source skip the full-page copy ReadPage pays per access.
-type PageLeaser interface {
-	LeasePage(pager.PageID) (data []byte, release func() error, err error)
+// PageAppender is an optional PageSource extension: AppendPage appends
+// bytes [lo, hi) of a page's payload to dst and, on error, appends nothing.
+// *buffer.Pool implements it by copying the range out of its cached frame,
+// so readers over it skip the full-page copy ReadPage pays per access.
+type PageAppender interface {
+	AppendPage(dst []byte, id pager.PageID, lo, hi int) ([]byte, error)
 }
 
 // Reader decodes blocks of a rendered segment, counting page I/O through
@@ -313,9 +313,9 @@ func (r *Reader) NumBlocks() int { return len(r.meta.Blocks) }
 
 // readRangeInto appends [off, off+n) of the segment stream to out via
 // whole-page reads (View reuses one buffer across blocks). Over a
-// PageLeaser source, bytes are copied straight out of the source's
-// pinned frame (no full-page copy per access); only the range's final page
-// — the one the next sequential block may share — is retained in the
+// PageAppender source, bytes are copied straight out of the source's cached
+// page (no full-page copy per access); only the range's final page — the
+// one the next sequential block may share — is copied whole into the
 // one-page lookbehind, so sequential block reads never touch a shared
 // boundary page twice no matter how small the source's cache is. Over a
 // plain PageSource, whole pages are read with the same lookbehind.
@@ -326,7 +326,7 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 	payload := uint64(r.file.PayloadSize())
 	first := off / payload
 	last := (off + uint64(n) - 1) / payload
-	leaser, _ := r.file.(PageLeaser)
+	appender, _ := r.file.(PageAppender)
 	for p := first; p <= last; p++ {
 		id := r.meta.ExtentStart + pager.PageID(p)
 		lo := uint64(0)
@@ -341,23 +341,22 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 			out = append(out, r.lastBuf[lo:hi]...)
 			continue
 		}
-		if leaser != nil {
-			page, release, err := leaser.LeasePage(id)
-			if err != nil {
+		if appender != nil && p != last {
+			var err error
+			if out, err = appender.AppendPage(out, id, int(lo), int(hi)); err != nil {
 				return nil, r.classifyReadErr(-1, err)
-			}
-			out = append(out, page[lo:hi]...)
-			if p == last {
-				// lastBuf is the reader's own on this path (ReadPage never
-				// runs over a leasing source), so it is reused per block.
-				r.lastPage, r.lastBuf = id, append(r.lastBuf[:0], page...)
-			}
-			if err := release(); err != nil {
-				return nil, err
 			}
 			continue
 		}
-		page, err := r.file.ReadPage(id)
+		var page []byte
+		var err error
+		if appender != nil {
+			// lastBuf is the reader's own on this path (ReadPage never runs
+			// over an appending source), so it is reused per block.
+			page, err = appender.AppendPage(r.lastBuf[:0], id, 0, int(payload))
+		} else {
+			page, err = r.file.ReadPage(id)
+		}
 		if err != nil {
 			return nil, r.classifyReadErr(-1, err)
 		}

@@ -354,10 +354,7 @@ func (r *relation) bucketSort(ids []int32, n int) []int {
 // boxed runs a transform with no column form over the stream's rows boxed,
 // and takes its result back into vectors as the whole stream.
 func (r *relation) boxed(transform func(transforms.Relation) (transforms.Relation, error)) error {
-	rows := make([]value.Row, len(r.perm))
-	for k, i := range r.perm {
-		rows[k] = r.b.Row(int(i))
-	}
+	rows := r.b.AppendRows(make([]value.Row, 0, len(r.perm)), r.perm)
 	out, err := transform(transforms.Relation{Schema: r.b.Schema(), Rows: rows})
 	if err != nil {
 		return err

@@ -420,11 +420,11 @@ func (x *blockExec) run(ref blockRef) blockResult {
 // A cursor is a sink over the block pipeline: blocks decode into typed
 // column batches (internal/vec), filtered with a compiled predicate over a
 // selection vector, with only the projected columns of surviving rows
-// materialized. NextBatch hands those batches out directly; Next boxes one
-// row at a time out of the current batch. Serial and parallel scans issue
-// the same page reads per block, and the serial path issues them in stored
-// order on the caller's goroutine — the paper-figure page/seek accounting
-// rests on that.
+// materialized. NextBatch hands those batches out directly; Next boxes the
+// current batch's rows a chunk at a time and hands them out one by one.
+// Serial and parallel scans issue the same page reads per block, and the
+// serial path issues them in stored order on the caller's goroutine — the
+// paper-figure page/seek accounting rests on that.
 type Cursor struct {
 	schema *value.Schema // output schema
 	plan   *scanPlan     // nil for a cursor over materialized rows only
@@ -434,8 +434,14 @@ type Cursor struct {
 	par       *parallelScan
 	cur       int        // next block of plan.blocks (serial path)
 	batch     *vec.Batch // current block's batch
-	batchPos  int
+	batchPos  int        // next row of batch to hand out
 	exhausted bool
+	// rows[rowPos:] are boxed rows of batch from batchPos on: Next boxes
+	// rowChunk rows at a time, out of shared slabs (Batch.AppendRows), and
+	// span is the position scratch it and NextBatch gather with.
+	rows   []value.Row
+	rowPos int
+	span   []int32
 	// sorted, when non-nil, replaces streaming (materialized order-by, index
 	// scans, and the result rows of an aggregation).
 	sorted    []value.Row
@@ -482,6 +488,20 @@ func (c *Cursor) Close() {
 	c.sorted = nil
 	batchPool.Put(c.batch)
 	c.batch = nil
+	c.rows, c.rowPos = nil, 0
+}
+
+// rowChunk is how many rows Next boxes at a time.
+const rowChunk = 64
+
+// positions returns the batch positions [lo, hi) as a selection, in the
+// cursor's scratch.
+func (c *Cursor) positions(lo, hi int) []int32 {
+	c.span = c.span[:0]
+	for i := lo; i < hi; i++ {
+		c.span = append(c.span, int32(i))
+	}
+	return c.span
 }
 
 // Next returns the next row, reporting ok=false at the end (paper §4.1).
@@ -496,7 +516,12 @@ func (c *Cursor) Next() (value.Row, bool, error) {
 	}
 	for {
 		if c.batch != nil && c.batchPos < c.batch.Len() {
-			r := c.batch.Row(c.batchPos)
+			if c.rowPos == len(c.rows) {
+				hi := min(c.batchPos+rowChunk, c.batch.Len())
+				c.rows, c.rowPos = c.batch.AppendRows(c.rows[:0], c.positions(c.batchPos, hi)), 0
+			}
+			r := c.rows[c.rowPos]
+			c.rowPos++
 			c.batchPos++
 			return r, true, nil
 		}
@@ -535,16 +560,20 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 				c.batchPos = b.Len()
 				return b, true, nil
 			}
-			// Next consumed a prefix; hand out the boxed remainder.
-			rem := make([]value.Row, 0, c.batch.Len()-c.batchPos)
-			for i := c.batchPos; i < c.batch.Len(); i++ {
-				rem = append(rem, c.batch.Row(i))
+			// Next consumed a prefix: gather the rest by column into a
+			// pooled batch, which becomes the current one.
+			rest := c.positions(c.batchPos, c.batch.Len())
+			b := batchPool.Get(c.batch.Schema())
+			for i := range b.Cols {
+				b.Cols[i].AppendSel(&c.batch.Cols[i], rest)
 			}
-			c.batchPos = c.batch.Len()
-			b, err := vec.FromRows(c.batch.Schema(), rem)
-			if err != nil {
+			if err := b.SetLen(len(rest)); err != nil {
+				batchPool.Put(b)
 				return nil, false, err
 			}
+			batchPool.Put(c.batch)
+			c.batch, c.batchPos = b, b.Len()
+			c.rows, c.rowPos = c.rows[:0], 0
 			return b, true, nil
 		}
 		if c.exhausted {
@@ -585,6 +614,7 @@ func (c *Cursor) advance() error {
 	if res.batch != nil {
 		batchPool.Put(c.batch)
 		c.batch, c.batchPos = res.batch, 0
+		c.rows, c.rowPos = c.rows[:0], 0
 	}
 	return nil
 }
@@ -758,10 +788,10 @@ func (ps *parallelScan) cancel() {
 }
 
 // shutdown cancels and then joins every pipeline goroutine, so no worker
-// still holds page leases or issues reads after it returns. It then
-// recycles every batch the consumer never took — the rest of the current
-// morsel and any delivered-but-unread morsel promises — so an error or an
-// early Close hands each pooled batch to exactly one owner.
+// still issues reads after it returns. It then recycles every batch the
+// consumer never took — the rest of the current morsel and any
+// delivered-but-unread morsel promises — so an error or an early Close
+// hands each pooled batch to exactly one owner.
 func (ps *parallelScan) shutdown() {
 	ps.cancel()
 	ps.wg.Wait()

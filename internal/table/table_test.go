@@ -13,7 +13,7 @@ import (
 	"rodentstore/internal/value"
 )
 
-func newEngine(t *testing.T) (*Engine, *pager.File, string) {
+func newEngine(t testing.TB) (*Engine, *pager.File, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "db.rdnt")
 	f, err := pager.Create(path, 1024)

@@ -333,6 +333,31 @@ func (v *Vector) Value(i int) value.Value {
 	}
 }
 
+// boxInto boxes the rows of v at sel into dst[0], dst[stride], ... — one
+// column of a row-major slab — with the kind's loop chosen once.
+func (v *Vector) boxInto(dst []value.Value, stride int, sel []int32) {
+	if v.Nulls.Any() {
+		for k, i := range sel {
+			dst[k*stride] = v.Value(int(i))
+		}
+		return
+	}
+	switch v.kind {
+	case value.Int:
+		for k, i := range sel {
+			dst[k*stride] = value.NewInt(v.Int64s[i])
+		}
+	case value.Float:
+		for k, i := range sel {
+			dst[k*stride] = value.NewFloat(v.Float64s[i])
+		}
+	default:
+		for k, i := range sel {
+			dst[k*stride] = v.Value(int(i))
+		}
+	}
+}
+
 // boxBytes boxes one arena slice as the column's kind, copying it.
 func (v *Vector) boxBytes(b []byte) value.Value {
 	if v.kind == value.Str {
@@ -447,6 +472,32 @@ func (b *Batch) Row(i int) value.Row {
 		out[c] = b.Cols[c].Value(i)
 	}
 	return out
+}
+
+// slabValues bounds the values AppendRows carves from one allocation: 256
+// values stay under the allocator's 32 KiB large-object size.
+const slabValues = 256
+
+// AppendRows boxes the rows of b at sel onto dst. The rows are carved out
+// of shared slabs of up to slabValues values, one allocation per slab
+// rather than per row, and each row's capacity ends at its arity, so an
+// append to one row never writes into the next. The rows share nothing with
+// b and stay valid after it is reset or recycled.
+func (b *Batch) AppendRows(dst []value.Row, sel []int32) []value.Row {
+	a := len(b.Cols)
+	per := max(1, slabValues/max(a, 1))
+	for len(sel) > 0 {
+		n := min(len(sel), per)
+		slab := make([]value.Value, n*a)
+		for c := range b.Cols {
+			b.Cols[c].boxInto(slab[c:], a, sel[:n])
+		}
+		for k := 0; k < n; k++ {
+			dst = append(dst, slab[k*a:(k+1)*a:(k+1)*a])
+		}
+		sel = sel[n:]
+	}
+	return dst
 }
 
 // AppendRow appends one boxed row across all columns.

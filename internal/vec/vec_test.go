@@ -99,6 +99,53 @@ func TestBatchRowsAndSetLen(t *testing.T) {
 	}
 }
 
+// TestAppendRowsMatchesRow holds the slab boxing to Row: over every kind,
+// with and without nulls, across several slabs and in selection order,
+// AppendRows appends exactly Row's rows after what dst holds, each capped
+// at its arity.
+func TestAppendRowsMatchesRow(t *testing.T) {
+	kinds := []value.Kind{value.Int, value.Float, value.Str, value.Bytes, value.Bool, value.List, value.Int, value.Float}
+	fields := make([]value.Field, len(kinds))
+	for c, k := range kinds {
+		fields[c] = value.Field{Name: string(rune('a' + c)), Type: k}
+	}
+	b := NewBatch(value.MustSchema(fields...))
+	const n = 300
+	for i := 0; i < n; i++ {
+		row := value.Row{value.NewInt(int64(i)), value.NewFloat(float64(i) / 4), value.NewString(string(rune('a' + i%26))),
+			value.NewBytes([]byte{byte(i)}), value.NewBool(i%3 == 0), value.NewList(value.NewInt(int64(i))),
+			value.NewInt(-int64(i)), value.NewFloat(-float64(i))}
+		if i%7 == 0 { // the last two columns stay null-free
+			for c := 0; c < 6; c++ {
+				row[c] = value.NullValue()
+			}
+		}
+		if err := b.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel := make([]int32, 0, n)
+	for i := n - 1; i >= 0; i -= 2 {
+		sel = append(sel, int32(i))
+	}
+	head := value.Row{value.NewInt(-1)}
+	got := b.AppendRows([]value.Row{head}, sel)
+	if len(got) != 1+len(sel) || len(got[0]) != 1 || got[0][0].Int() != -1 {
+		t.Fatalf("AppendRows returned %d rows or lost dst's", len(got))
+	}
+	for k, i := range sel {
+		row, want := got[1+k], b.Row(int(i))
+		if len(row) != len(want) || cap(row) != len(want) {
+			t.Fatalf("row %d: len %d cap %d, arity %d", i, len(row), cap(row), len(want))
+		}
+		for c := range want {
+			if !value.Equal(row[c], want[c]) || row[c].Kind() != want[c].Kind() {
+				t.Fatalf("row %d col %d: %v, Row gives %v", i, c, row[c], want[c])
+			}
+		}
+	}
+}
+
 func TestPoolReuseResetsState(t *testing.T) {
 	p := NewPool()
 	s1 := value.MustSchema(value.Field{Name: "a", Type: value.Int})
