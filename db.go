@@ -68,6 +68,13 @@ func (db *DB) Reorganize(name string) error { return db.eng.Reorganize(name) }
 // layouts without a compaction policy, Compact behaves like Reorganize.
 // The background merge worker (Options.AutoMergeTails) calls this
 // automatically when a policy table accumulates fanout tail batches.
+//
+// With DurableInserts, Compact does not wait for its result to be durable:
+// the new runs become durable, and the space of what they replaced free, at
+// the next checkpoint — the size trigger (which counts that space, and which
+// Compact checks on its way out), Checkpoint or Close. A crash before it
+// recovers the table as it was stored before: the same rows. A pending lazy
+// layout change is applied as Reorganize applies it, durably.
 func (db *DB) Compact(name string) error { return db.eng.Compact(name) }
 
 // CompactStats reports fold work done since open: merge count, rows and

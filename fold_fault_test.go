@@ -6,11 +6,13 @@ package rodentstore
 // index trees reclaimed by a flip leak under a crash but never corrupt.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
+	"rodentstore/internal/pager"
 	"rodentstore/internal/vfs"
 )
 
@@ -67,9 +69,15 @@ func durableFaultDB(t *testing.T, fs *vfs.Fault) *DB {
 	return faultDBWith(t, &Options{FS: fs, DurableInserts: true})
 }
 
+// dropKeep cycles the two crash modes that keep or lose every unsynced write.
+var dropKeep = []vfs.CrashMode{vfs.CrashDrop, vfs.CrashKeep}
+
 // atEveryKillPoint runs op with a power cut simulated at each write and sync
-// it issues, handing every recovered snapshot to check.
-func atEveryKillPoint(t *testing.T, fs *vfs.Fault, op func() error, check func(kill int, db *DB)) {
+// it issues, cycling through modes, and hands every recovered snapshot to
+// check. Under CrashTorn a header write torn mid-header leaves a store that
+// does not open (a known limitation, DESIGN.md "Failure model"): such kill
+// points are skipped, and their count returned.
+func atEveryKillPoint(t *testing.T, fs *vfs.Fault, modes []vfs.CrashMode, op func() error, check func(kill int, db *DB)) (tornHeaders int) {
 	t.Helper()
 	kill := 0
 	fs.OnOp = func(o vfs.Op) {
@@ -77,12 +85,14 @@ func atEveryKillPoint(t *testing.T, fs *vfs.Fault, op func() error, check func(k
 			return
 		}
 		kill++
-		mode := vfs.CrashDrop
-		if kill%2 == 0 {
-			mode = vfs.CrashKeep
-		}
+		mode := modes[kill%len(modes)]
 		snap := vfs.NewFaultFromImages(1, fs.SnapshotCrash(mode))
 		db, err := OpenWithOptions(faultDBPath, &Options{FS: snap, DurableInserts: true})
+		var corrupt *pager.ErrCorruptPage
+		if mode == vfs.CrashTorn && errors.As(err, &corrupt) && corrupt.Page == 0 {
+			tornHeaders++
+			return
+		}
 		if err != nil {
 			t.Errorf("kill point %d (%v %s): recovery failed: %v", kill, o.Kind, o.Path, err)
 			return
@@ -95,9 +105,10 @@ func atEveryKillPoint(t *testing.T, fs *vfs.Fault, op func() error, check func(k
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kill == 0 {
-		t.Fatal("no kill points exercised")
+	if kill == 0 || tornHeaders == kill {
+		t.Fatalf("%d kill points exercised, %d of them lost to a torn header", kill, tornHeaders)
 	}
+	return tornHeaders
 }
 
 func TestEagerAlterIsCrashAtomic(t *testing.T) {
@@ -126,7 +137,7 @@ func TestEagerAlterIsCrashAtomic(t *testing.T) {
 	sort.Strings(sorted)
 
 	olds, news := 0, 0
-	atEveryKillPoint(t, fs, func() error { return db.AlterLayout("T", newExpr, true) }, func(kill int, snap *DB) {
+	atEveryKillPoint(t, fs, dropKeep, func() error { return db.AlterLayout("T", newExpr, true) }, func(kill int, snap *DB) {
 		expr, err := snap.LayoutOf("T")
 		if err != nil {
 			t.Errorf("kill point %d: %v", kill, err)
@@ -192,7 +203,7 @@ func TestReclaimedIndexTreeLeaksNeverCorrupts(t *testing.T) {
 		}
 		return db.Reorganize("T")
 	}
-	atEveryKillPoint(t, fs, op, func(kill int, snap *DB) {
+	atEveryKillPoint(t, fs, dropKeep, op, func(kill int, snap *DB) {
 		rep, err := snap.CheckIntegrity()
 		if err != nil || !rep.OK() {
 			t.Errorf("kill point %d: integrity: %v %v", kill, err, rep.Issues)
@@ -227,4 +238,223 @@ func TestReclaimedIndexTreeLeaksNeverCorrupts(t *testing.T) {
 	if got := db.file.NumPages(); got != base {
 		t.Errorf("allocated pages after another create/drop: %d, want %d", got, base)
 	}
+}
+
+// levelledL adds the levelled table L beside T and checkpoints, and returns
+// an insert that appends the next 16 consecutive ids to it. next is the id
+// the next batch starts at; acked is one past the last acknowledged id.
+func levelledL(t *testing.T, db *DB) (insert func() error, next, acked *int64) {
+	t.Helper()
+	if err := db.CreateTable("L", []Field{{Name: "id", Type: Int}, {Name: "p", Type: String}},
+		"leveled[2](chunk[16](rows(L)))"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	next, acked = new(int64), new(int64)
+	insert = func() error {
+		batch := make([]Row, 16)
+		for i := range batch {
+			batch[i] = Row{IntValue(*next), StringValue(fmt.Sprintf("p-%d", *next))}
+			*next++
+		}
+		if err := db.Insert("L", batch); err != nil {
+			return err
+		}
+		*acked = *next
+		return nil
+	}
+	return insert, next, acked
+}
+
+// runPages maps each run of L to its pages, by first extent.
+func runPages(t *testing.T, db *DB) map[uint64]uint64 {
+	t.Helper()
+	tab, err := db.cat.Get("L")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[uint64]uint64)
+	for _, r := range tab.Runs {
+		for _, seg := range r.Segments {
+			out[uint64(r.Segments[0].Meta.ExtentStart)] += seg.Meta.ExtentPages
+		}
+	}
+	return out
+}
+
+// partPages lists every page of L's parts.
+func partPages(t *testing.T, db *DB) map[pager.PageID]bool {
+	t.Helper()
+	tab, err := db.cat.Get("L")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[pager.PageID]bool)
+	for _, p := range tab.Parts() {
+		for _, seg := range p.Segments {
+			for i := range seg.Meta.ExtentPages {
+				out[seg.Meta.ExtentStart+pager.PageID(i)] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestCompactLeavesItsDurabilityToACheckpoint: with a log, Compact publishes
+// its runs in memory and neither syncs nor frees, so everything they
+// replaced stays allocated until the next checkpoint frees it.
+func TestCompactLeavesItsDurabilityToACheckpoint(t *testing.T) {
+	fs := vfs.NewFault(14)
+	db := durableFaultDB(t, fs)
+	insert, _, _ := levelledL(t, db)
+	var old map[pager.PageID]bool // L's pages while a Compact runs
+	freed := 0
+	db.file.OnInvalidate(func(start pager.PageID, n uint64) {
+		for i := range n {
+			if old[start+pager.PageID(i)] {
+				freed++ // nothing writes into a stored part: this is a free
+				return
+			}
+		}
+	})
+	compact := func(round int) {
+		t.Helper()
+		for range 4 {
+			if err := insert(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, pages := runPages(t, db), db.file.NumPages()
+		syncs := 0
+		fs.OnOp = func(o vfs.Op) {
+			if o.Kind == vfs.OpSync {
+				syncs++
+			}
+		}
+		old, freed = partPages(t, db), 0
+		err := db.Compact("L")
+		fs.OnOp, old = nil, nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if syncs != 0 || freed != 0 {
+			t.Errorf("round %d: Compact issued %d syncs and freed %d parts, want none", round, syncs, freed)
+		}
+		want := pages
+		for id, n := range runPages(t, db) {
+			if _, ok := before[id]; !ok {
+				want += n
+			}
+		}
+		if got := db.file.NumPages(); got < want {
+			t.Errorf("round %d: allocated pages %d after Compact, want at least %d (the new runs beside what they replaced)", round, got, want)
+		}
+	}
+	checkpoint := func() {
+		t.Helper()
+		withGarbage := db.file.NumPages()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.file.NumPages(); got >= withGarbage {
+			t.Errorf("allocated pages %d after the checkpoint, %d before: the queued frees did not run", got, withGarbage)
+		}
+	}
+	compact(1)
+	compact(2) // a cascade: level 1 fills and folds into level 2
+	checkpoint()
+	compact(3)
+	compact(4)
+	checkpoint()
+	if n, err := db.RowCount("L"); err != nil || n != 4*64 {
+		t.Errorf("RowCount %d (err %v), want %d", n, err, 4*64)
+	}
+}
+
+// TestBufferedCompactRecoversEveryRowOnce power-cuts at every write and sync
+// of inserts, Compacts, a DDL whose full catalog flush persists a run while
+// the log still holds the deltas of the tails it absorbed, and the checkpoint
+// that finally frees what the runs replaced. Every recovery must hold each
+// acknowledged row exactly once — never the run and its tails both — the
+// in-flight batch whole or not at all, and an intact store: the replaced
+// parts leak, never corrupt. The torn case keeps a random prefix of each
+// unsynced write, so a header can reach disk without the run pages it names
+// unless the flush that writes it syncs them first.
+func TestBufferedCompactRecoversEveryRowOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		modes []vfs.CrashMode
+	}{
+		{"drop-keep", dropKeep},
+		{"torn", []vfs.CrashMode{vfs.CrashTorn}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { bufferedCompactAtEveryKillPoint(t, tc.modes) })
+	}
+}
+
+func bufferedCompactAtEveryKillPoint(t *testing.T, modes []vfs.CrashMode) {
+	fs := vfs.NewFault(15)
+	db := durableFaultDB(t, fs)
+	insert, next, acked := levelledL(t, db)
+	op := func() error {
+		for round := 0; round < 3; round++ {
+			for range 4 {
+				if err := insert(); err != nil {
+					return err
+				}
+			}
+			if err := db.Compact("L"); err != nil {
+				return err
+			}
+			if round == 0 {
+				if err := db.CreateTable("M", []Field{{Name: "id", Type: Int}}, "rows(M)"); err != nil {
+					return err
+				}
+			}
+		}
+		for range 2 {
+			if err := insert(); err != nil {
+				return err
+			}
+		}
+		return db.Checkpoint()
+	}
+	atEveryKillPoint(t, fs, modes, op, func(kill int, snap *DB) {
+		cur, err := snap.Scan("L", Query{Fields: []string{"id"}})
+		if err != nil {
+			t.Errorf("kill point %d: %v", kill, err)
+			return
+		}
+		defer cur.Close()
+		rows, err := cur.All()
+		if err != nil {
+			t.Errorf("kill point %d: %v", kill, err)
+			return
+		}
+		seen := make(map[int64]bool, len(rows))
+		for _, r := range rows {
+			id := r[0].Int()
+			if seen[id] {
+				t.Errorf("kill point %d: row %d recovered twice", kill, id)
+				return
+			}
+			seen[id] = true
+		}
+		n := int64(len(seen))
+		if n != *acked && n != *next {
+			t.Errorf("kill point %d: %d rows, want the %d acknowledged (or %d with the batch in flight)", kill, n, *acked, *next)
+			return
+		}
+		for id := int64(0); id < n; id++ {
+			if !seen[id] {
+				t.Errorf("kill point %d: row %d lost", kill, id)
+				return
+			}
+		}
+		if rep, err := snap.CheckIntegrity(); err != nil || !rep.OK() {
+			t.Errorf("kill point %d: integrity: %v %v", kill, err, rep.Issues)
+		}
+	})
 }

@@ -30,6 +30,9 @@ const (
 	slotExtentStart = 0
 	slotExtentPages = 1
 	slotByteLen     = 2
+	// slotReflects holds the highest commit id whose catalog delta the
+	// persisted catalog already contains (see Catalog.Issued).
+	slotReflects = 3
 )
 
 // FieldMeta is the serialized form of a schema field.
@@ -171,6 +174,21 @@ type Catalog struct {
 	extent segment.Meta // current catalog extent (reuses segment.Meta fields)
 	encBuf []byte       // reusable flush encode buffer (guarded by mu)
 	dirty  bool         // buffered updates not yet persisted (see PutBuffered)
+	// unsynced: a buffered record names pages no sync has covered yet (see
+	// PutUnsynced).
+	unsynced bool
+	// reflects is the commit id recorded with the persisted catalog.
+	reflects uint64
+
+	// Issued, when set, reports the highest commit id the durability manager
+	// has handed out. Every flush records it, in the header write that
+	// publishes the new extent, as the commits the flushed catalog reflects:
+	// a writer updates the in-memory catalog before its commit gets an id,
+	// so every delta numbered at or below the recorded value is already in
+	// the encoded tables, and recovery skips it (txn.Manager.ResumeAfter).
+	// Without that, a catalog flushed after a fold absorbed a logged tail
+	// would get the tail back from the log. Set before first use.
+	Issued func() uint64
 
 	// DeferFree, when set, is offered the previous catalog extent on every
 	// flush instead of it being freed inline with the meta-slot flip. A true
@@ -191,6 +209,7 @@ func Load(file *pager.File) (*Catalog, error) {
 	if start == pager.InvalidPage || pages == 0 {
 		return c, nil
 	}
+	c.reflects = file.MetaGet(slotReflects)
 	// One positional read for the whole extent; the last page's padding past
 	// byteLen is not catalog.
 	buf, err := file.ReadRunInto(nil, start, pages)
@@ -215,6 +234,11 @@ func Load(file *pager.File) (*Catalog, error) {
 // flush serializes and writes the catalog, then flips the meta slots.
 // Caller holds c.mu.
 func (c *Catalog) flush() error {
+	// The id is read before anything is encoded (see Issued).
+	var reflects uint64
+	if c.Issued != nil {
+		reflects = c.Issued()
+	}
 	tables := make([]*Table, 0, len(c.tables))
 	for _, t := range c.tables {
 		tables = append(tables, t)
@@ -230,13 +254,23 @@ func (c *Catalog) flush() error {
 	if old.Count > 0 && c.DeferFree != nil && c.DeferFree(old) {
 		old = pager.Extent{Start: pager.InvalidPage}
 	}
-	ext, err := c.file.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, buf, old)
+	ext, err := c.file.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, reflects,
+		buf, old, c.unsynced)
 	if err != nil {
 		return err
 	}
 	c.extent = segment.Meta{ExtentStart: ext.Start, ExtentPages: ext.Count, UsedBytes: uint64(len(buf))}
-	c.dirty = false // a full flush persists buffered updates too
+	c.reflects = reflects
+	c.dirty, c.unsynced = false, false // a full flush persists buffered updates too
 	return nil
+}
+
+// Reflects returns the commit id recorded with the persisted catalog: every
+// commit numbered at or below it is already in the catalog's contents.
+func (c *Catalog) Reflects() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reflects
 }
 
 // Get returns the table record, or an error if absent. Records are
@@ -293,6 +327,18 @@ func (c *Catalog) PutBuffered(t *Table) {
 	c.mu.Lock()
 	c.tables[t.Name] = t
 	c.dirty = true
+	c.mu.Unlock()
+}
+
+// PutUnsynced is PutBuffered for a record naming pages that were written
+// since the file's last sync and that no log record can restore (a
+// Compact's runs): the flush that persists it syncs the file before its
+// header write names them, so a crash cannot keep the header and lose the
+// pages.
+func (c *Catalog) PutUnsynced(t *Table) {
+	c.mu.Lock()
+	c.tables[t.Name] = t
+	c.dirty, c.unsynced = true, true
 	c.mu.Unlock()
 }
 

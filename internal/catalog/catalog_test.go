@@ -177,6 +177,46 @@ func TestRepeatedFlushReclaimsSpace(t *testing.T) {
 	}
 }
 
+func TestFlushRecordsReflectedCommit(t *testing.T) {
+	// Every flush records the commit id Issued reports, in the header write
+	// that publishes the new extent; Load reads it back. A catalog flushed
+	// without the hook records 0: it reflects nothing of a log.
+	f, path := newFile(t)
+	c, _ := Load(f)
+	issued := uint64(41)
+	c.Issued = func() uint64 { return issued }
+	if err := c.Put(sampleTable()); err != nil {
+		t.Fatal(err)
+	}
+	issued = 42
+	c.PutBuffered(sampleTable())
+	if got := c.Reflects(); got != 41 {
+		t.Fatalf("buffered update moved Reflects to %d, want 41", got)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := pager.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	c2, err := Load(f2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.Reflects(); got != 42 {
+		t.Fatalf("reloaded catalog reflects commit %d, want 42", got)
+	}
+	c2.Put(sampleTable())
+	if got := c2.Reflects(); got != 0 {
+		t.Fatalf("flush without Issued recorded %d, want 0", got)
+	}
+}
+
 func TestLargeCatalog(t *testing.T) {
 	// A catalog spanning many pages (large block lists) roundtrips.
 	f, path := newFile(t)
@@ -220,13 +260,14 @@ func TestLoadRejectsForeignCatalog(t *testing.T) {
 		{name: "json empty array", payload: []byte(`[]`), want: "bad catalog header"},
 		{name: "unknown version", payload: []byte{catMagic, 9, 0}, want: "bad catalog header"},
 		{name: "run-less version 1", payload: []byte{catMagic, 1, 0}, want: "bad catalog header"},
+		{name: "version 2, no reflected commit", payload: []byte{catMagic, 2, 0}, want: "bad catalog header"},
 		{name: "magic only", payload: []byte{catMagic}, want: "bad catalog header"},
 		{name: "length past extent", payload: good, byteLen: 1 << 20, want: "bytes recorded"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, _ := newFile(t)
-			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, tc.payload, pager.Extent{})
+			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, 0, tc.payload, pager.Extent{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

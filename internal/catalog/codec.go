@@ -17,10 +17,12 @@ import (
 // Format: [catMagic u8][catVersion u8][uvarint ntables][table...], each
 // table record ending with its leveled run list (empty for tables without a
 // compaction policy). There is one record format; a payload carrying any
-// other version byte is refused.
+// other version byte is refused. Version 3 goes with the pager meta slot
+// that records the commit id the catalog reflects (slotReflects): a binary
+// that would neither set nor honour it must not write over such a file.
 const (
 	catMagic   = 0xC7
-	catVersion = 2
+	catVersion = 3
 )
 
 // encodeTables serializes the catalog's table list.

@@ -22,10 +22,11 @@ type GuardedRMW struct {
 }
 
 // DefaultCatalogRMW is the engine's instance: a catalog Get followed by a
-// Put/PutBuffered is only sound under the table lock Engine.withLock takes.
+// Put/PutBuffered/PutUnsynced is only sound under the table lock
+// Engine.withLock takes.
 var DefaultCatalogRMW = &GuardedRMW{
 	Path: "rodentstore/internal/catalog", Type: "Catalog",
-	Reads: []string{"Get"}, Writes: []string{"Put", "PutBuffered"},
+	Reads: []string{"Get"}, Writes: []string{"Put", "PutBuffered", "PutUnsynced"},
 	Guard: "withLock",
 }
 

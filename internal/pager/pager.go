@@ -818,12 +818,16 @@ func (p *File) lockRunStripes(start PageID, npages uint64) []*sync.RWMutex {
 // ReplaceMetaExtent is the crash-safe "write new extent, flip pointers,
 // free old" pattern: it allocates a fresh extent for payload, writes it
 // (one positional write), points the three meta slots at it (start page,
-// page count, byte length), frees the old extent, and persists the header
-// once. A crash before the header write leaves the previous state fully
-// intact; after it, the new state. Compared to composing AllocateRun +
-// WritePage* + MetaSet*3 + FreeRun, this pays one header write instead of
-// five — it is the catalog's flush primitive.
-func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen int, payload []byte, old Extent) (Extent, error) {
+// page count, byte length), sets slotTag to tag, frees the old extent, and
+// persists the header once. A crash before the header write leaves the
+// previous state fully intact; after it, the new state — tag included, so a
+// value describing the payload never pairs with another payload. With
+// syncFirst the file is fsynced between the payload write and the header
+// write, so the header cannot reach disk ahead of the payload or of any
+// page written before the call. Compared to composing AllocateRun +
+// WritePage* + MetaSet*4 + FreeRun, this pays one header write instead of
+// six — it is the catalog's flush primitive.
+func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag uint64, payload []byte, old Extent, syncFirst bool) (Extent, error) {
 	if p.readOnly {
 		return Extent{}, fmt.Errorf("pager: file is read-only")
 	}
@@ -841,11 +845,17 @@ func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen int, payload []by
 	if err := p.WriteRun(start, payload); err != nil {
 		return Extent{}, err
 	}
+	if syncFirst {
+		if err := p.f.Sync(); err != nil {
+			return Extent{}, fmt.Errorf("pager: sync: %w", err)
+		}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.meta[slotStart] = uint64(start)
 	p.meta[slotPages] = npages
 	p.meta[slotLen] = uint64(len(payload))
+	p.meta[slotTag] = tag
 	if old.Start != InvalidPage && old.Count > 0 {
 		p.freeLocked(old.Start, old.Count)
 	}

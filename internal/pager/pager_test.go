@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rodentstore/internal/vfs"
@@ -661,6 +662,53 @@ func TestCloseTrimSurvivesPowerCut(t *testing.T) {
 		fillPages(t, q, id, 3)
 		checkPages(t, q, id, 3)
 		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReplaceMetaExtentSyncFirst: with syncFirst the file is fsynced between
+// the payload write and the header write that names it, so the header cannot
+// reach disk ahead of the payload or of pages written before the call;
+// without it the call issues no sync.
+func TestReplaceMetaExtentSyncFirst(t *testing.T) {
+	for _, syncFirst := range []bool{false, true} {
+		fs := vfs.NewFault(1)
+		p, err := CreateAt(fs, "meta.rdnt", 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, err := p.AllocateRun(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, p, start, 2)
+		var ops []string
+		fs.OnOp = func(op vfs.Op) {
+			switch {
+			case op.Kind == vfs.OpSync:
+				ops = append(ops, "sync")
+			case op.Kind == vfs.OpWrite && op.Off == 0:
+				ops = append(ops, "header")
+			case op.Kind == vfs.OpWrite:
+				ops = append(ops, "payload")
+			}
+		}
+		if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 42, []byte("payload"), Extent{Start: InvalidPage}, syncFirst); err != nil {
+			t.Fatal(err)
+		}
+		fs.OnOp = nil
+		want := []string{"payload", "header"}
+		if syncFirst {
+			want = []string{"payload", "sync", "header"}
+		}
+		if !slices.Equal(ops, want) {
+			t.Errorf("syncFirst %v: ops %v, want %v", syncFirst, ops, want)
+		}
+		if got := p.MetaGet(3); got != 42 {
+			t.Errorf("syncFirst %v: tag slot holds %d, want 42", syncFirst, got)
+		}
+		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

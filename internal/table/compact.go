@@ -26,7 +26,10 @@ package table
 //
 // Durability is flip's (fold.go): new run segments are written before the
 // one copy-on-write catalog swap that ends a Compact, and everything the
-// folds superseded is reclaimed by that flip.
+// folds superseded is reclaimed by that flip. A Compact changes how rows are
+// stored, never which rows or under what layout, so its flip is buffered:
+// the run is published in memory and the next checkpoint persists it and
+// frees what it replaced.
 
 import (
 	"rodentstore/internal/algebra"
@@ -59,8 +62,12 @@ func (e *Engine) CompactStats() CompactStats {
 // whose layout has no compaction directive (or with a pending lazy layout
 // change) fall back to a full Reorganize — Compact is always safe to call.
 // The background merge worker routes every triggered table through here.
+//
+// With a log, a Compact that applies no pending layout change is durable at
+// the next checkpoint, not when it returns (flip). It runs one itself, off
+// the table lock, once the frees it queued are worth one (MaybeCheckpoint).
 func (e *Engine) Compact(name string) error {
-	return e.withLock(name, exclusive, func() error {
+	err := e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
@@ -70,10 +77,14 @@ func (e *Engine) Compact(name string) error {
 			return err
 		}
 		if tab.NeedsReorg || spec.Compaction == nil {
-			return e.reorganize(tab)
+			return e.reorganize(tab, !tab.NeedsReorg)
 		}
 		return e.compactLocked(tab, spec)
 	})
+	if err != nil || !e.durable() {
+		return err
+	}
+	return e.mgr.MaybeCheckpoint()
 }
 
 // compactLocked runs the fold loop. Caller holds the exclusive table lock
@@ -130,7 +141,7 @@ func (e *Engine) compactLocked(tab *catalog.Table, spec *layout.Spec) error {
 	if len(superseded) == 0 {
 		return nil // nothing triggered; catalog untouched
 	}
-	return e.flip(&work, superseded)
+	return e.flip(&work, superseded, true)
 }
 
 // pickFold selects the next fold: the contiguous range runs[lo:hi) to merge

@@ -89,6 +89,11 @@ type Engine struct {
 	freeMu        sync.Mutex
 	deferredFrees []pager.Extent // queued, awaiting a checkpoint
 	stagedFrees   []pager.Extent // covered by the in-progress checkpoint
+	// queuedPages counts the pages free() queued since the last checkpoint
+	// began (backlog). The catalog's own old extent is left out: every
+	// checkpoint's flush queues one again, so counting it could make each
+	// commit due for a checkpoint.
+	queuedPages uint64
 
 	// Fold counters, moved only by fold (see fold.go; the gating benchmark
 	// reports them as table.merges/merge_rows/merge_bytes).
@@ -122,13 +127,16 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine
 		mgr.BeforeCheckpoint = func() error {
 			e.freeMu.Lock()
 			e.stagedFrees = append(e.stagedFrees, e.deferredFrees...)
-			e.deferredFrees = nil
+			e.deferredFrees, e.queuedPages = nil, 0
 			e.freeMu.Unlock()
 			return cat.Flush()
 		}
 		mgr.AfterCheckpoint = e.freeStaged
+		mgr.Backlog = e.backlog
 		mgr.OnRecoverCatalog = cat.ApplyTailAppend
+		mgr.ResumeAfter(cat.Reflects())
 		cat.DeferFree = e.deferFree
+		cat.Issued = mgr.Issued
 	}
 	return e
 }
@@ -144,6 +152,15 @@ func (e *Engine) deferFree(ext pager.Extent) bool {
 	e.deferredFrees = append(e.deferredFrees, ext)
 	e.freeMu.Unlock()
 	return true
+}
+
+// backlog reports the bytes of the extents free() queued for the next
+// checkpoint (the Manager's Backlog hook), so folds that only queue frees
+// still bring that checkpoint on.
+func (e *Engine) backlog() int64 {
+	e.freeMu.Lock()
+	defer e.freeMu.Unlock()
+	return int64(e.queuedPages) * int64(e.file.PageSize())
 }
 
 // freeStaged releases the extents staged by the checkpoint that just made
@@ -167,10 +184,10 @@ func (e *Engine) freeStaged() error {
 }
 
 // checkpointAfterFlip runs right after a catalog update that unreferenced
-// extents (flip, Drop) in durable mode: the checkpoint makes the new
-// catalog durable and drains the deferred frees it queued. Without it the
-// extents would stay unavailable until the next policy checkpoint — a delay,
-// never a leak.
+// extents (a checkpointed flip, Drop) in durable mode: the checkpoint makes
+// the new catalog durable and drains the deferred frees it queued. Without
+// it the extents would stay unavailable until the next policy checkpoint — a
+// delay, never a leak.
 func (e *Engine) checkpointAfterFlip() error {
 	if !e.durable() {
 		return nil
@@ -415,7 +432,7 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 		if err != nil {
 			return err
 		}
-		return e.installMain(tab, &work, out)
+		return e.installMain(tab, &work, out, false)
 	})
 }
 
@@ -707,7 +724,7 @@ func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
 		work.PendingExpr = spec.Expr
 		work.NeedsReorg = true
 		if mode == ReorgEager {
-			return e.reorganize(&work)
+			return e.reorganize(&work, false)
 		}
 		return e.cat.Put(&work)
 	})
@@ -721,7 +738,7 @@ func (e *Engine) Reorganize(name string) error {
 		if err != nil {
 			return err
 		}
-		return e.reorganize(tab)
+		return e.reorganize(tab, false)
 	})
 }
 

@@ -7,6 +7,8 @@ package table
 //	render   layout pipeline → optional grid → one segment per vertical partition
 //	readBack the rows of a chosen set of parts, in stored order
 //	flip     barrier → copy-on-write catalog Put → free what was superseded → checkpoint
+//	         (a Compact's flip stops at the Put, in memory, and leaves the rest
+//	         to the next checkpoint)
 //
 // flip is the only statement of that ordering besides Drop (which deletes the
 // record instead of replacing it). A plain layout is the degenerate policy
@@ -215,8 +217,10 @@ func (e *Engine) fold(tab *catalog.Table, parts []catalog.Part, settled bool) (r
 // current — or, when one is pending, its new — layout. tab may be a private
 // copy carrying a pending expression no reader has seen (eager AlterLayout):
 // nothing reaches the catalog until the flip, so a failed fold leaves the
-// table exactly as it was. Caller holds the exclusive table lock.
-func (e *Engine) reorganize(tab *catalog.Table) error {
+// table exactly as it was. buffered selects flip's form; a caller sets it
+// only when no layout change is pending. Caller holds the exclusive table
+// lock.
+func (e *Engine) reorganize(tab *catalog.Table, buffered bool) error {
 	e.dropInsertSnap(tab.Name) // the layout may flip below
 	work := *tab
 	if work.NeedsReorg && work.PendingExpr != "" {
@@ -228,16 +232,16 @@ func (e *Engine) reorganize(tab *catalog.Table) error {
 	if err != nil {
 		return err
 	}
-	return e.installMain(tab, &work, out)
+	return e.installMain(tab, &work, out, buffered)
 }
 
 // installMain makes out the whole of work's storage and flips it in over
 // old, superseding every part of old.
-func (e *Engine) installMain(old, work *catalog.Table, out rendered) error {
+func (e *Engine) installMain(old, work *catalog.Table, out rendered, buffered bool) error {
 	work.Segments, work.Runs, work.Tails = out.entries, nil, nil
 	work.RowCount = out.rows
 	work.GridBounds = out.bounds
-	return e.flip(work, old.Parts())
+	return e.flip(work, old.Parts(), buffered)
 }
 
 // reclaimable lists the extents behind superseded parts and index trees.
@@ -264,10 +268,16 @@ func (e *Engine) reclaimable(parts []catalog.Part, trees []catalog.IndexMeta) []
 // free releases extents — deferred to the next checkpoint in durable mode,
 // inline otherwise.
 func (e *Engine) free(exts []pager.Extent) error {
-	for _, ext := range exts {
-		if e.deferFree(ext) {
-			continue
+	if e.durable() {
+		e.freeMu.Lock()
+		defer e.freeMu.Unlock()
+		for _, ext := range exts {
+			e.deferredFrees = append(e.deferredFrees, ext)
+			e.queuedPages += ext.Count
 		}
+		return nil
+	}
+	for _, ext := range exts {
 		if err := e.file.FreeRun(ext.Start, ext.Count); err != nil {
 			return err
 		}
@@ -276,16 +286,28 @@ func (e *Engine) free(exts []pager.Extent) error {
 }
 
 // flip publishes work as the table's catalog record and reclaims what it
-// supersedes. The order is the durability protocol:
+// supersedes. Without a log that is a Put and inline frees. With one, the
+// order is the durability protocol:
 //
 //  1. checkpointBeforeFree — no log record may still name an extent about to
 //     be freed (and later reallocated);
 //  2. copy-on-write Put — readers and a concurrent checkpoint flush see the
 //     old record or the new one, never a mixture;
-//  3. free — inline without a log; with one, queued until a checkpoint has
-//     made the Put durable, so a crash leaks pages but never lets WAL replay
-//     write into an extent the rolled-back catalog still references;
+//  3. free — queued until a checkpoint has made the Put durable, so a crash
+//     leaks pages but never lets WAL replay write into an extent the
+//     rolled-back catalog still references;
 //  4. checkpointAfterFlip — makes the new record durable and drains the queue.
+//
+// A buffered flip (Compact: the same rows under the same layout, stored
+// differently) keeps only the ordering and leaves the work to the next
+// checkpoint, whatever triggers it: it advances the free barrier instead of
+// checkpointing, swaps the record in memory (PutUnsynced) and queues the
+// frees; that checkpoint's flush syncs the new runs, then persists the
+// record, before its frees run. A crash before it recovers the replaced
+// parts, still allocated, and the log's tail-append deltas replay onto them.
+// A catalog flushed in between (by a DDL Put) syncs the runs too and records
+// the commits it reflects, and recovery skips their deltas, so the tails the
+// fold absorbed do not come back beside its run.
 //
 // flip alone decides which indexes stay valid. A fold replaces a contiguous
 // range of parts in place, so every stored position before the first part it
@@ -296,7 +318,7 @@ func (e *Engine) free(exts []pager.Extent) error {
 //
 // A flip that frees nothing needs neither checkpoint. Caller holds the
 // exclusive table lock.
-func (e *Engine) flip(work *catalog.Table, parts []catalog.Part) error {
+func (e *Engine) flip(work *catalog.Table, parts []catalog.Part, buffered bool) error {
 	old, err := e.cat.Get(work.Name)
 	if err != nil {
 		return err
@@ -324,6 +346,11 @@ func (e *Engine) flip(work *catalog.Table, parts []catalog.Part) error {
 		if !slices.ContainsFunc(work.Indexes, func(w catalog.IndexMeta) bool { return w.Root == ix.Root }) {
 			trees = append(trees, ix)
 		}
+	}
+	if buffered && e.durable() {
+		e.mgr.AdvanceBarrier()
+		e.cat.PutUnsynced(work)
+		return e.free(e.reclaimable(parts, trees))
 	}
 	exts := e.reclaimable(parts, trees)
 	if len(exts) == 0 {

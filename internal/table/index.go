@@ -133,7 +133,7 @@ func (e *Engine) DropIndex(tableName, field string) error {
 			if idx.Field == field {
 				work := *tab
 				work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes[:i]...), tab.Indexes[i+1:]...)
-				return e.flip(&work, nil)
+				return e.flip(&work, nil, false)
 			}
 		}
 		return fmt.Errorf("table: no index on %s(%s)", tableName, field)

@@ -69,7 +69,7 @@ func (e *Engine) reorganizeIfNeeded(name string) error {
 		if !tab.NeedsReorg {
 			return nil // another reader already reorganized
 		}
-		return e.reorganize(tab)
+		return e.reorganize(tab, false)
 	})
 }
 

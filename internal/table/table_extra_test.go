@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -488,27 +489,60 @@ func TestDurableInsertCrashRecovery(t *testing.T) {
 	}
 }
 
+func TestSmallDurableInsertsDoNotCheckpointEachCommit(t *testing.T) {
+	// The checkpoint trigger counts the frees flips queue, not the catalog's
+	// old extent, which every checkpoint's flush queues again: counting it,
+	// a catalog at its share of the file would make every commit checkpoint
+	// (a full catalog rewrite and two fsyncs each).
+	path := filepath.Join(t.TempDir(), "small.rdnt")
+	e, f, log, mgr := durableEnv(t, path)
+	defer func() { log.Close(); f.Close() }()
+	mgr.CheckpointBytes = 16 << 10 // the catalog passes 1/32 of it within a few dozen tails
+	if err := e.Create("Traces", tracesSchema(), "rows(Traces)"); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 0
+	after := mgr.AfterCheckpoint
+	mgr.AfterCheckpoint = func() error {
+		checkpoints++
+		return after()
+	}
+	const inserts = 300
+	for i := 0; i < inserts; i++ {
+		if err := e.Insert("Traces", traceRows(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if checkpoints > inserts/10 {
+		t.Errorf("%d inserts of one tail each ran %d checkpoints, want at most %d", inserts, checkpoints, inserts/10)
+	}
+}
+
 func TestConcurrentDurableInsertsWithCheckpoints(t *testing.T) {
 	// Durable inserts update the catalog in memory; the checkpoint policy
 	// flushes it from whatever goroutine trips the size trigger — racing
 	// the copy-on-write publish path. Run under -race this guards the
 	// record-swap discipline (catalog.Catalog.Get). The levelled case adds
-	// the background merge pool, folding runs beside the writers.
+	// the background merge pool, folding runs of two tables at once beside
+	// the writers (buffered flips share the engine's free queue).
 	cases := []struct {
-		layout    string
+		layout    string // %s is the table's name
 		autoMerge bool
 	}{
-		{"rows(Traces)", false},
-		{"leveled[4](orderby[t](Traces))", true},
+		{"rows(%s)", false},
+		{"leveled[4](orderby[t](%s))", true},
 	}
+	tables := []string{"Traces", "Other"}
 	for _, tc := range cases {
-		t.Run(tc.layout, func(t *testing.T) {
+		t.Run(fmt.Sprintf(tc.layout, "Traces"), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ckpt.rdnt")
 			e, f, log, mgr := durableEnv(t, path)
 			defer func() { log.Close(); f.Close() }()
 			mgr.CheckpointBytes = 8 << 10 // tiny: checkpoints fire throughout the run
-			if err := e.Create("Traces", tracesSchema(), tc.layout); err != nil {
-				t.Fatal(err)
+			for _, name := range tables {
+				if err := e.Create(name, tracesSchema(), fmt.Sprintf(tc.layout, name)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if tc.autoMerge {
 				e.EnableAutoMerge(0) // the policy's own fanout triggers folds
@@ -522,7 +556,7 @@ func TestConcurrentDurableInsertsWithCheckpoints(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < rounds; i++ {
-						if err := e.Insert("Traces", traceRows(batch)); err != nil {
+						if err := e.Insert(tables[w%len(tables)], traceRows(batch)); err != nil {
 							errCh <- err
 							return
 						}
@@ -543,12 +577,14 @@ func TestConcurrentDurableInsertsWithCheckpoints(t *testing.T) {
 					t.Errorf("no background fold ran: %+v", st)
 				}
 			}
-			want := int64(writers * rounds * batch)
-			if rc, _ := e.RowCount("Traces"); rc != want {
-				t.Errorf("RowCount: %d, want %d", rc, want)
-			}
-			if got := countRows(t, e, "Traces"); int64(got) != want {
-				t.Errorf("scanned rows: %d, want %d", got, want)
+			want := int64(writers / len(tables) * rounds * batch)
+			for _, name := range tables {
+				if rc, _ := e.RowCount(name); rc != want {
+					t.Errorf("%s: RowCount %d, want %d", name, rc, want)
+				}
+				if got := countRows(t, e, name); int64(got) != want {
+					t.Errorf("%s: scanned rows %d, want %d", name, got, want)
+				}
 			}
 		})
 	}

@@ -245,6 +245,42 @@ func TestRecoveryCatalogDeltaBeforeCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverySkipsDeltasTheCatalogReflects: a catalog flushed after some
+// commits reflects them, and recovery must not hand their deltas back — a
+// fold may have absorbed the tails they append. Commits after the recorded
+// id replay, and new commits are numbered past it.
+func TestRecoverySkipsDeltasTheCatalogReflects(t *testing.T) {
+	fs := vfs.NewFault(5)
+	m, _, _ := newFaultEnv(t, fs)
+	for _, delta := range []string{"one", "two", "three"} {
+		if err := m.LogApplied(nil, []byte(delta)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reflects := m.Issued() - 1 // a flush after the second commit
+	fs.Crash(vfs.CrashDrop)
+
+	m2, _, _ := reopenFaultEnv(t, fs)
+	var deltas []string
+	m2.OnRecoverCatalog = func(b []byte) error {
+		deltas = append(deltas, string(b))
+		return nil
+	}
+	m2.ResumeAfter(reflects)
+	if _, err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != 1 || deltas[0] != "three" {
+		t.Fatalf("replayed deltas %q, want only the one after the flush", deltas)
+	}
+	if err := m2.LogApplied(nil, []byte("four")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Issued(); got != reflects+1 {
+		t.Fatalf("first commit after resuming got id %d, want %d", got, reflects+1)
+	}
+}
+
 // TestRecoveryHealsCorruptPage corrupts a committed page's durable bytes:
 // ReadPage must fail with a typed, page-addressed error, and recovery must
 // heal the page from its WAL image.

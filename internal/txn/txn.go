@@ -25,16 +25,31 @@ import (
 // checkpoint (page-file sync + log truncate) off its own durability path.
 const DefaultCheckpointBytes = 4 << 20
 
+// backlogShare bounds the space extents waiting on a checkpoint to be freed
+// (Backlog) hold, and so what deferring frees adds to the file: a checkpoint
+// is due once they reach 1/backlogShare of the pages in use, or of
+// CheckpointBytes while the file holds less than that.
+const backlogShare = 32
+
 // Manager makes applied page writes durable over one page file and one log.
 type Manager struct {
 	file    *pager.File
 	log     *wal.Log
 	nextTxn atomic.Uint64 // ids of logged record groups
+	// reflected is the id ResumeAfter was given: the catalog already holds
+	// every commit numbered at or below it, so Recover skips their deltas.
+	reflected uint64
 
-	// CheckpointBytes triggers a checkpoint when the log grows past it
-	// (0 disables the trigger). Checkpoints run opportunistically after a
-	// commit has already acknowledged, never on the commit's durability path.
+	// CheckpointBytes triggers a checkpoint when the log grows past it (0
+	// disables the triggers, the Backlog's included). Checkpoints run
+	// opportunistically after a commit has already acknowledged, never on
+	// the commit's durability path.
 	CheckpointBytes int64
+
+	// Backlog, when set, reports the bytes of the extents queued to be freed
+	// by the next checkpoint: space the file cannot reuse until then. It
+	// triggers a checkpoint at its share of the file (backlogShare).
+	Backlog func() int64
 
 	// BeforeCheckpoint, when set, runs at the start of every checkpoint
 	// (and after recovery replay), before the page file is synced and the
@@ -53,8 +68,9 @@ type Manager struct {
 	AfterCheckpoint func() error
 
 	// OnRecoverCatalog, when set, receives each committed catalog delta
-	// (wal.RecCatalog payload) during Recover, in log order. The engine
-	// hooks the catalog's ApplyTailAppend here. Set it before Recover.
+	// (wal.RecCatalog payload) during Recover, in log order, except those of
+	// commits the catalog already reflects (ResumeAfter). The engine hooks
+	// the catalog's ApplyTailAppend here. Set it before Recover.
 	OnRecoverCatalog func([]byte) error
 
 	// ckptMu orders checkpoints against in-flight commits: LogAppliedSince
@@ -63,9 +79,9 @@ type Manager struct {
 	// a barrier slip between the check and the append.
 	ckptMu sync.RWMutex
 
-	// barrier counts CheckpointBarrier runs — checkpoints taken because
-	// extents are about to be freed. A bulk writer captures Barrier while
-	// its pages cannot yet have been freed (it still holds the lock that
+	// barrier counts CheckpointBarrier and AdvanceBarrier calls — each made
+	// because extents are about to be freed. A bulk writer captures Barrier
+	// while its pages cannot yet have been freed (it still holds the lock that
 	// orders it against the freeing path) and passes it to LogAppliedSince,
 	// which refuses to log images whose extents may have been freed (and
 	// reallocated) in between — replaying those after a crash would clobber
@@ -91,6 +107,29 @@ func (m *Manager) Checkpoint() error {
 
 // Barrier returns the current free-barrier value, for LogAppliedSince.
 func (m *Manager) Barrier() uint64 { return m.barrier.Load() }
+
+// AdvanceBarrier moves the free barrier without a checkpoint, for a caller
+// that only queues extents for the next checkpoint to free. An insert that
+// captured an older value checkpoints instead of logging images: every
+// checkpoint that could free the queued extents truncates the log under
+// ckptMu's write side, so an insert's append either lands before it (and is
+// truncated with it) or checks the barrier after the advance.
+func (m *Manager) AdvanceBarrier() { m.barrier.Add(1) }
+
+// Issued returns the highest commit id handed out so far (catalog.Issued).
+func (m *Manager) Issued() uint64 { return m.nextTxn.Load() }
+
+// ResumeAfter tells the manager that the catalog already reflects every
+// commit numbered at or below id (catalog.Reflects): new commits are
+// numbered after it, and Recover skips the catalog deltas of those it
+// covers — a catalog flushed after a fold absorbed a logged tail must not
+// get the tail back from the log. Call it before Recover.
+func (m *Manager) ResumeAfter(id uint64) {
+	m.reflected = id
+	if m.nextTxn.Load() < id {
+		m.nextTxn.Store(id)
+	}
+}
 
 // CheckpointBarrier is Checkpoint for callers about to free extents that
 // may appear in not-yet-logged page images: it advances the free barrier
@@ -143,15 +182,15 @@ type PageImage struct {
 // catalog itself.
 //
 // Callers that later rewrite or free those pages must CheckpointBarrier
-// first, so a stale image cannot be replayed over the new content after a
-// crash.
+// (or AdvanceBarrier, and free only at a checkpoint) first, so a stale
+// image cannot be replayed over the new content after a crash.
 func (m *Manager) LogApplied(images []PageImage, catalogDelta []byte) error {
 	return m.LogAppliedSince(m.barrier.Load(), images, catalogDelta)
 }
 
 // LogAppliedSince is LogApplied guarded by the free barrier: barrier is the
 // Barrier() value the caller captured while it still held the lock that
-// orders it against extent frees. If a CheckpointBarrier has run since,
+// orders it against extent frees. If the barrier has moved since,
 // some of the images' extents may already be freed — and reallocated — so
 // logging them could replay stale bytes over new content after a crash.
 // In that case nothing is logged; a fresh checkpoint makes everything the
@@ -193,14 +232,15 @@ func (m *Manager) LogAppliedSince(barrier uint64, images []PageImage, catalogDel
 	if err := m.log.Sync(); err != nil {
 		return err
 	}
-	return m.maybeCheckpoint()
+	return m.MaybeCheckpoint()
 }
 
-// maybeCheckpoint runs a checkpoint if the log has outgrown CheckpointBytes
-// and no other checkpoint or commit is in the way (contended attempts are
-// skipped — the trigger fires again on a later commit).
-func (m *Manager) maybeCheckpoint() error {
-	if m.CheckpointBytes <= 0 || m.log.Size() < m.CheckpointBytes {
+// MaybeCheckpoint runs a checkpoint if one is due — the log has outgrown
+// CheckpointBytes, or the Backlog its share of the file — and no other
+// checkpoint or commit is in the way (contended attempts are skipped — the
+// trigger fires again on a later commit).
+func (m *Manager) MaybeCheckpoint() error {
+	if m.CheckpointBytes <= 0 || !m.checkpointDue() {
 		return nil
 	}
 	if !m.ckptMu.TryLock() {
@@ -210,16 +250,38 @@ func (m *Manager) maybeCheckpoint() error {
 	return m.checkpointLocked()
 }
 
+// checkpointDue reports whether the log or the Backlog calls for a
+// checkpoint (MaybeCheckpoint).
+func (m *Manager) checkpointDue() bool {
+	if m.log.Size() >= m.CheckpointBytes {
+		return true
+	}
+	if m.Backlog == nil {
+		return false
+	}
+	inUse := int64(m.file.NumPages()) * int64(m.file.PageSize())
+	return m.Backlog()*backlogShare >= max(inUse, m.CheckpointBytes)
+}
+
 // Recover replays committed record groups from the log into the page file
 // (catalog deltas go to OnRecoverCatalog) and truncates the log. It must
 // run before the first commit, with both hooks already set.
 func (m *Manager) Recover() (int, error) {
+	var onCatalog func(uint64, []byte) error
+	if m.OnRecoverCatalog != nil {
+		onCatalog = func(txn uint64, delta []byte) error {
+			if txn <= m.reflected {
+				return nil // the catalog was flushed after this commit
+			}
+			return m.OnRecoverCatalog(delta)
+		}
+	}
 	n, err := m.log.RecoverFull(func(id pager.PageID, img []byte) error {
 		// RecoverPage, not WritePage: the stale header's allocation state
 		// may not cover WAL-logged pages yet (the cursor and free list are
 		// only durable as of the last checkpoint).
 		return m.file.RecoverPage(id, img)
-	}, m.OnRecoverCatalog)
+	}, onCatalog)
 	if err != nil {
 		return n, err
 	}

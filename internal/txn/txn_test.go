@@ -260,29 +260,65 @@ func TestRecoverHealsStaleHeader(t *testing.T) {
 }
 
 func TestLogAppliedSinceBarrierFallback(t *testing.T) {
-	// A writer that captured the barrier before a CheckpointBarrier ran
-	// must not log its images — their extents may have been freed and
-	// reallocated, and replaying them after a crash would clobber the new
-	// contents. The fallback checkpoint keeps the applied state durable.
-	m, f, l, _ := newEnv(t)
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte("applied"))
-	b := m.Barrier()
-	if err := m.CheckpointBarrier(); err != nil {
-		t.Fatal(err)
+	// A writer that captured the barrier before it moved — by a
+	// CheckpointBarrier, or by an AdvanceBarrier whose frees wait for a
+	// checkpoint — must not log its images: their extents may have been
+	// freed and reallocated, and replaying them after a crash would clobber
+	// the new contents. The fallback checkpoint keeps the applied state
+	// durable.
+	for name, move := range map[string]func(*Manager) error{
+		"checkpoint": (*Manager).CheckpointBarrier,
+		"advance":    func(m *Manager) error { m.AdvanceBarrier(); return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, f, l, _ := newEnv(t)
+			id, _ := f.Allocate()
+			f.WritePage(id, []byte("applied"))
+			b := m.Barrier()
+			if err := move(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LogAppliedSince(b, []PageImage{{ID: id, Payload: []byte("stale image")}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if l.Size() != 0 {
+				t.Error("stale images must not reach the log (fallback should checkpoint instead)")
+			}
+			got, _ := f.ReadPage(id)
+			if string(got[:7]) != "applied" {
+				t.Error("applied page lost")
+			}
+			if n, err := m.Recover(); err != nil || n != 0 {
+				t.Errorf("recovery after fallback: n=%d err=%v", n, err)
+			}
+		})
 	}
-	if err := m.LogAppliedSince(b, []PageImage{{ID: id, Payload: []byte("stale image")}}, nil); err != nil {
+}
+
+func TestBacklogTriggersCheckpoint(t *testing.T) {
+	// Queued frees bring a checkpoint on at their share of the file (of
+	// CheckpointBytes, for a file smaller than that), whatever the log's
+	// size.
+	m, f, l, _ := newEnv(t)
+	var backlog int64
+	m.Backlog = func() int64 { return backlog }
+	m.CheckpointBytes = 1 << 20
+	id, _ := f.Allocate()
+	for _, b := range []int64{0, m.CheckpointBytes/backlogShare - 1} {
+		backlog = b
+		if err := commit(m, f, id, []byte("small")); err != nil {
+			t.Fatal(err)
+		}
+		if l.Size() == 0 {
+			t.Fatalf("a small commit with a backlog of %d bytes checkpointed", b)
+		}
+	}
+	backlog = m.CheckpointBytes / backlogShare
+	if err := m.MaybeCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() != 0 {
-		t.Error("stale images must not reach the log (fallback should checkpoint instead)")
-	}
-	got, _ := f.ReadPage(id)
-	if string(got[:7]) != "applied" {
-		t.Error("applied page lost")
-	}
-	if n, err := m.Recover(); err != nil || n != 0 {
-		t.Errorf("recovery after fallback: n=%d err=%v", n, err)
+		t.Error("a backlog at its share did not checkpoint")
 	}
 }
 

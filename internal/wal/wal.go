@@ -478,10 +478,10 @@ func (l *Log) Verify() (VerifyReport, error) {
 
 // RecoverFull replays the log: for every committed record group, apply is
 // called with each page image and applyCatalog (nil to skip them) with each
-// RecCatalog payload, interleaved in log order. It returns the number of
-// groups replayed. A group with no commit record — the writer died, or its
-// fsync never happened — is skipped.
-func (l *Log) RecoverFull(apply func(pager.PageID, []byte) error, applyCatalog func([]byte) error) (int, error) {
+// RecCatalog payload and its group's id, interleaved in log order. It
+// returns the number of groups replayed. A group with no commit record — the
+// writer died, or its fsync never happened — is skipped.
+func (l *Log) RecoverFull(apply func(pager.PageID, []byte) error, applyCatalog func(txn uint64, payload []byte) error) (int, error) {
 	recs, err := l.Scan()
 	if err != nil {
 		return 0, err
@@ -500,7 +500,7 @@ func (l *Log) RecoverFull(apply func(pager.PageID, []byte) error, applyCatalog f
 					if applyCatalog == nil {
 						continue
 					}
-					if err := applyCatalog(rec.Payload); err != nil {
+					if err := applyCatalog(r.TxnID, rec.Payload); err != nil {
 						return replayed, fmt.Errorf("wal: replay txn %d catalog delta: %w", r.TxnID, err)
 					}
 					continue
