@@ -30,8 +30,8 @@ const (
 	slotExtentStart = 0
 	slotExtentPages = 1
 	slotByteLen     = 2
-	// slotReflects holds the highest commit id whose catalog delta the
-	// persisted catalog already contains (see Catalog.Issued).
+	// slotReflects holds the highest commit id whose update the persisted
+	// catalog already contains (see Catalog.issued).
 	slotReflects = 3
 )
 
@@ -174,28 +174,19 @@ type Catalog struct {
 	extent segment.Meta // current catalog extent (reuses segment.Meta fields)
 	encBuf []byte       // reusable flush encode buffer (guarded by mu)
 	dirty  bool         // buffered updates not yet persisted (see PutBuffered)
-	// unsynced: a buffered record names pages no sync has covered yet (see
-	// PutUnsynced).
-	unsynced bool
-	// reflects is the commit id recorded with the persisted catalog.
-	reflects uint64
-
-	// Issued, when set, reports the highest commit id the durability manager
-	// has handed out. Every flush records it, in the header write that
-	// publishes the new extent, as the commits the flushed catalog reflects:
-	// a writer updates the in-memory catalog before its commit gets an id,
-	// so every delta numbered at or below the recorded value is already in
-	// the encoded tables, and recovery skips it (txn.Manager.ResumeAfter).
-	// Without that, a catalog flushed after a fold absorbed a logged tail
-	// would get the tail back from the log. Set before first use.
-	Issued func() uint64
+	// issued is the id of the last commit PutBuffered handed out; reflects
+	// is the one recorded with the persisted catalog. Both move under mu, in
+	// the same critical sections as the records, so "the persisted catalog
+	// holds commit id's update" is exactly "id <= reflects": recovery skips
+	// the tail records of such commits (ApplyTailAppend).
+	issued, reflects uint64
 
 	// DeferFree, when set, is offered the previous catalog extent on every
 	// flush instead of it being freed inline with the meta-slot flip. A true
 	// return means the hook took ownership (the engine queues it to be freed
 	// only after the flip is made durable by a checkpoint — reusing it
-	// earlier would let WAL replay clobber a catalog a crash rolled back
-	// to). A false return keeps the inline free. Set before first use; the
+	// earlier would let a crash roll back to a catalog whose bytes were
+	// overwritten). A false return keeps the inline free. Set before first use; the
 	// hook is called with the catalog lock held and must not reenter it.
 	DeferFree func(pager.Extent) bool
 }
@@ -210,6 +201,7 @@ func Load(file *pager.File) (*Catalog, error) {
 		return c, nil
 	}
 	c.reflects = file.MetaGet(slotReflects)
+	c.issued = c.reflects
 	// One positional read for the whole extent; the last page's padding past
 	// byteLen is not catalog.
 	buf, err := file.ReadRunInto(nil, start, pages)
@@ -234,11 +226,6 @@ func Load(file *pager.File) (*Catalog, error) {
 // flush serializes and writes the catalog, then flips the meta slots.
 // Caller holds c.mu.
 func (c *Catalog) flush() error {
-	// The id is read before anything is encoded (see Issued).
-	var reflects uint64
-	if c.Issued != nil {
-		reflects = c.Issued()
-	}
 	tables := make([]*Table, 0, len(c.tables))
 	for _, t := range c.tables {
 		tables = append(tables, t)
@@ -254,23 +241,15 @@ func (c *Catalog) flush() error {
 	if old.Count > 0 && c.DeferFree != nil && c.DeferFree(old) {
 		old = pager.Extent{Start: pager.InvalidPage}
 	}
-	ext, err := c.file.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, reflects,
-		buf, old, c.unsynced)
+	ext, err := c.file.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, c.issued,
+		buf, old)
 	if err != nil {
 		return err
 	}
 	c.extent = segment.Meta{ExtentStart: ext.Start, ExtentPages: ext.Count, UsedBytes: uint64(len(buf))}
-	c.reflects = reflects
-	c.dirty, c.unsynced = false, false // a full flush persists buffered updates too
+	c.reflects = c.issued
+	c.dirty = false // a full flush persists buffered updates too
 	return nil
-}
-
-// Reflects returns the commit id recorded with the persisted catalog: every
-// commit numbered at or below it is already in the catalog's contents.
-func (c *Catalog) Reflects() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reflects
 }
 
 // Get returns the table record, or an error if absent. Records are
@@ -316,30 +295,21 @@ func (c *Catalog) Put(t *Table) error {
 	return c.flush()
 }
 
-// PutBuffered inserts or replaces a table record in memory only; the change
-// is persisted by the next Flush (or by any full flush from Put/Delete).
-// Durable tail inserts use it: each insert's catalog rewrite is O(catalog
-// size), the single largest serialized cost on the ingest path, while the
-// tail delta itself is already redo-logged in the WAL (see EncodeTailAppend)
-// — so persistence can wait for the checkpoint that makes the pages durable
-// anyway.
-func (c *Catalog) PutBuffered(t *Table) {
+// PutBuffered inserts or replaces a table record in memory only and returns
+// a fresh commit id; the change is persisted by the next Flush (or by any
+// full flush from Put/Delete), which syncs the file first, so pages the
+// record names need no sync of their own. Durable tail inserts log their
+// record under the id (EncodeTailAppend): each insert's catalog rewrite
+// would be O(catalog size), the single largest serialized cost on the
+// ingest path, while the tail record is O(batch). Folds publish through it
+// too and leave persistence to the next checkpoint.
+func (c *Catalog) PutBuffered(t *Table) uint64 {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.tables[t.Name] = t
 	c.dirty = true
-	c.mu.Unlock()
-}
-
-// PutUnsynced is PutBuffered for a record naming pages that were written
-// since the file's last sync and that no log record can restore (a
-// Compact's runs): the flush that persists it syncs the file before its
-// header write names them, so a crash cannot keep the header and lose the
-// pages.
-func (c *Catalog) PutUnsynced(t *Table) {
-	c.mu.Lock()
-	c.tables[t.Name] = t
-	c.dirty, c.unsynced = true, true
-	c.mu.Unlock()
+	c.issued++
+	return c.issued
 }
 
 // Flush persists buffered updates; it is a no-op when the catalog is clean.

@@ -178,20 +178,19 @@ func TestRepeatedFlushReclaimsSpace(t *testing.T) {
 }
 
 func TestFlushRecordsReflectedCommit(t *testing.T) {
-	// Every flush records the commit id Issued reports, in the header write
-	// that publishes the new extent; Load reads it back. A catalog flushed
-	// without the hook records 0: it reflects nothing of a log.
+	// Every flush records the id of the last commit PutBuffered handed out,
+	// in the header write that publishes the new extent; Load reads it back
+	// and numbers new commits after it.
 	f, path := newFile(t)
 	c, _ := Load(f)
-	issued := uint64(41)
-	c.Issued = func() uint64 { return issued }
 	if err := c.Put(sampleTable()); err != nil {
 		t.Fatal(err)
 	}
-	issued = 42
-	c.PutBuffered(sampleTable())
-	if got := c.Reflects(); got != 41 {
-		t.Fatalf("buffered update moved Reflects to %d, want 41", got)
+	if id := c.PutBuffered(sampleTable()); id != 1 {
+		t.Fatalf("first buffered put got commit id %d, want 1", id)
+	}
+	if c.reflects != 0 {
+		t.Fatalf("buffered update moved reflects to %d, want 0", c.reflects)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -208,12 +207,66 @@ func TestFlushRecordsReflectedCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.Reflects(); got != 42 {
-		t.Fatalf("reloaded catalog reflects commit %d, want 42", got)
+	if c2.reflects != 1 {
+		t.Fatalf("reloaded catalog reflects commit %d, want 1", c2.reflects)
 	}
-	c2.Put(sampleTable())
-	if got := c2.Reflects(); got != 0 {
-		t.Fatalf("flush without Issued recorded %d, want 0", got)
+	if id := c2.PutBuffered(sampleTable()); id != 2 {
+		t.Fatalf("first commit after reload got id %d, want 2", id)
+	}
+}
+
+// TestApplyTailAppendWritesAFreshExtent: a replayed tail record lands on a
+// newly allocated extent — never the one it names, which another part may
+// own by now — and records the catalog reflects, or for a dropped table, are
+// skipped.
+func TestApplyTailAppendWritesAFreshExtent(t *testing.T) {
+	f, _ := newFile(t)
+	c, _ := Load(f)
+	if err := c.Put(sampleTable()); err != nil {
+		t.Fatal(err)
+	}
+	stream := []byte(strings.Repeat("tail bytes ", 200))
+	owned, err := f.AllocateRun(3) // the extent the record names, reused since
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []SegmentEntry{{
+		Fields: []string{"t", "lat", "id"}, Codecs: []string{"", "", ""},
+		Meta: segment.Meta{ExtentStart: owned, ExtentPages: 3, UsedBytes: uint64(len(stream)), Rows: 7},
+	}}
+	rec := EncodeTailAppend("Traces", batch, 7, [][]byte{stream})
+	c.reflects = 4
+	for _, id := range []uint64{3, 4} {
+		if err := c.ApplyTailAppend(id, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.ApplyTailAppend(5, EncodeTailAppend("Gone", batch, 7, [][]byte{stream})); err != nil {
+		t.Fatal(err)
+	}
+	if tab, _ := c.Get("Traces"); len(tab.Tails) != 0 || c.dirty {
+		t.Fatalf("records at or below the watermark, or of a dropped table, applied: %d tails", len(tab.Tails))
+	}
+	if err := c.ApplyTailAppend(6, rec); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := c.Get("Traces")
+	if len(tab.Tails) != 1 || tab.RowCount != 42+7 {
+		t.Fatalf("%d tails, %d rows after replay; want 1 and %d", len(tab.Tails), tab.RowCount, 42+7)
+	}
+	m := tab.Tails[0][0].Meta
+	if m.ExtentStart == owned {
+		t.Fatal("replay wrote into the extent the record names")
+	}
+	got, err := f.ReadRunInto(nil, m.ExtentStart, m.ExtentPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:len(stream)]) != string(stream) {
+		t.Fatal("replayed extent does not hold the logged stream")
+	}
+	if c.issued != 6 {
+		t.Fatalf("issued %d after replaying commit 6", c.issued)
 	}
 }
 
@@ -261,13 +314,14 @@ func TestLoadRejectsForeignCatalog(t *testing.T) {
 		{name: "unknown version", payload: []byte{catMagic, 9, 0}, want: "bad catalog header"},
 		{name: "run-less version 1", payload: []byte{catMagic, 1, 0}, want: "bad catalog header"},
 		{name: "version 2, no reflected commit", payload: []byte{catMagic, 2, 0}, want: "bad catalog header"},
+		{name: "version 3, logs of page images", payload: []byte{catMagic, 3, 0}, want: "bad catalog header"},
 		{name: "magic only", payload: []byte{catMagic}, want: "bad catalog header"},
 		{name: "length past extent", payload: good, byteLen: 1 << 20, want: "bytes recorded"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, _ := newFile(t)
-			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, 0, tc.payload, pager.Extent{}, false)
+			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, 0, tc.payload, pager.Extent{})
 			if err != nil {
 				t.Fatal(err)
 			}

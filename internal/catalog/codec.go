@@ -17,12 +17,13 @@ import (
 // Format: [catMagic u8][catVersion u8][uvarint ntables][table...], each
 // table record ending with its leveled run list (empty for tables without a
 // compaction policy). There is one record format; a payload carrying any
-// other version byte is refused. Version 3 goes with the pager meta slot
-// that records the commit id the catalog reflects (slotReflects): a binary
-// that would neither set nor honour it must not write over such a file.
+// other version byte is refused. Version 3 went with the pager meta slot
+// that records the commit id the catalog reflects (slotReflects); version 4
+// goes with the tail record (EncodeTailAppend) its logs hold: a binary that
+// would skip those records in recovery must not open such a file.
 const (
 	catMagic   = 0xC7
-	catVersion = 3
+	catVersion = 4
 )
 
 // encodeTables serializes the catalog's table list.
@@ -128,32 +129,40 @@ func decodeTables(buf []byte) ([]*Table, error) {
 	return tables, nil
 }
 
-// tailMagic tags a tail-append delta blob (EncodeTailAppend), distinct from
+// tailMagic tags a tail record (EncodeTailAppend), distinct from
 // the full-catalog magic so a mixed-up payload fails loudly.
 const tailMagic = 0xC8
 
-// EncodeTailAppend serializes one insert's catalog delta — "append this tail
-// batch to table name, adding rows to its count" — for redo logging. The
-// blob is O(one batch), not O(catalog): durable inserts log it in the WAL
-// instead of rewriting the whole catalog, and recovery replays it with
-// ApplyTailAppend.
-func EncodeTailAppend(name string, batch []SegmentEntry, rows int64) []byte {
-	e := &enc{}
+// EncodeTailAppend serializes one durable insert as a tail record for redo
+// logging: "append this tail batch to table name, adding rows to its
+// count", with each segment's stream bytes. The record is O(one batch), not
+// O(catalog), and names no page: recovery replays it with ApplyTailAppend,
+// which writes the streams to fresh extents.
+func EncodeTailAppend(name string, batch []SegmentEntry, rows int64, streams [][]byte) []byte {
+	n := 64 + len(name)
+	for _, b := range streams {
+		n += binary.MaxVarintLen64 + len(b)
+	}
+	e := &enc{buf: make([]byte, 0, n)}
 	e.buf = append(e.buf, tailMagic, catVersion)
 	e.str(name)
 	e.i64(rows)
 	e.segments(batch)
+	for _, b := range streams {
+		e.uvarint(uint64(len(b)))
+		e.buf = append(e.buf, b...)
+	}
 	return e.buf
 }
 
-// ApplyTailAppend decodes a tail-append delta and applies it to the
-// in-memory catalog, marking it dirty (the next Flush persists it). The
-// apply is idempotent: a batch whose extent the table already references is
-// skipped, so replaying a delta that a full catalog flush already captured
-// (e.g. a DDL flushed between the insert and the crash) cannot duplicate
-// rows. Deltas for tables that no longer exist are skipped too (the table
-// was dropped after the insert; its extents were freed under a checkpoint).
-func (c *Catalog) ApplyTailAppend(blob []byte) error {
+// ApplyTailAppend replays the tail record of commit id during recovery. A
+// commit the persisted catalog reflects is skipped (a fold may since have
+// absorbed its tail), as is one for a table that no longer exists. Any
+// other gets a fresh extent per segment, its stream written there, and its
+// tail appended, marking the catalog dirty (the next Flush persists it). It
+// never writes a page an existing part may own: at worst, the extent the
+// insert wrote before the crash leaks.
+func (c *Catalog) ApplyTailAppend(id uint64, blob []byte) error {
 	if len(blob) < 2 || blob[0] != tailMagic || blob[1] != catVersion {
 		return fmt.Errorf("catalog: bad tail-append header % x", blob[:min(len(blob), 2)])
 	}
@@ -161,19 +170,41 @@ func (c *Catalog) ApplyTailAppend(blob []byte) error {
 	name := d.str()
 	rows := d.i64()
 	batch := d.segments()
+	streams := make([][]byte, len(batch))
+	for i := range streams {
+		n := d.uvarint()
+		if d.err == nil && uint64(len(d.buf)) < n {
+			d.fail()
+		}
+		if d.err == nil {
+			streams[i], d.buf = d.buf[:n], d.buf[n:]
+		}
+	}
 	if d.err != nil {
 		return fmt.Errorf("catalog: decode tail-append: %w", d.err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.issued = max(c.issued, id)
 	t, ok := c.tables[name]
-	if !ok || len(batch) == 0 {
+	if id <= c.reflects || !ok || len(batch) == 0 {
 		return nil
 	}
-	for _, existing := range t.Tails {
-		if len(existing) > 0 && existing[0].Meta.ExtentStart == batch[0].Meta.ExtentStart {
-			return nil // already applied (captured by a full flush pre-crash)
+	for i := range batch {
+		m := &batch[i].Meta
+		if m.UsedBytes != uint64(len(streams[i])) {
+			return fmt.Errorf("catalog: tail-append segment %d: %d stream bytes, %d recorded", i, len(streams[i]), m.UsedBytes)
 		}
+		payload := uint64(c.file.PayloadSize())
+		m.ExtentPages = max((m.UsedBytes+payload-1)/payload, 1)
+		start, err := c.file.AllocateRun(m.ExtentPages)
+		if err != nil {
+			return err
+		}
+		if err := c.file.WriteRun(start, streams[i]); err != nil {
+			return err
+		}
+		m.ExtentStart = start
 	}
 	t.Tails = append(t.Tails, batch)
 	t.RowCount += rows

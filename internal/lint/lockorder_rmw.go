@@ -22,11 +22,10 @@ type GuardedRMW struct {
 }
 
 // DefaultCatalogRMW is the engine's instance: a catalog Get followed by a
-// Put/PutBuffered/PutUnsynced is only sound under the table lock
-// Engine.withLock takes.
+// Put/PutBuffered is only sound under the table lock Engine.withLock takes.
 var DefaultCatalogRMW = &GuardedRMW{
 	Path: "rodentstore/internal/catalog", Type: "Catalog",
-	Reads: []string{"Get"}, Writes: []string{"Put", "PutBuffered", "PutUnsynced"},
+	Reads: []string{"Get"}, Writes: []string{"Put", "PutBuffered"},
 	Guard: "withLock",
 }
 

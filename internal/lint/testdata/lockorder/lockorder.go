@@ -131,7 +131,7 @@ func (c *Catalog) Put(r *Record) {
 	defer c.mu.Unlock()
 }
 
-func (c *Catalog) PutBuffered(r *Record) { c.Put(r) }
+func (c *Catalog) PutBuffered(r *Record) uint64 { c.Put(r); return 1 }
 
 type RMWEngine struct{ cat *Catalog }
 

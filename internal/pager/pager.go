@@ -426,52 +426,6 @@ func (p *File) allocateLocked(n uint64) (PageID, error) {
 	return start, nil
 }
 
-// RecoverPage writes a page image during WAL recovery. The header — with
-// the allocation cursor and free list — only reaches disk at checkpoints,
-// so after a crash it can lag the fsync'd WAL: a replayed page may sit
-// past the cursor, or inside an extent the stale header still lists as
-// free. RecoverPage heals both (advancing the cursor over id and carving
-// id out of the free list) so a replayed page is neither rejected as out
-// of range nor handed out again by a later allocation. Recovery persists
-// the healed header with Sync once replay finishes.
-func (p *File) RecoverPage(id PageID, payload []byte) error {
-	if id == InvalidPage {
-		return fmt.Errorf("pager: recover invalid page")
-	}
-	p.mu.Lock()
-	if uint64(id) >= p.nextPage.Load() {
-		if err := p.growTo(uint64(id) + 1); err != nil {
-			p.mu.Unlock()
-			return err
-		}
-		p.nextPage.Store(uint64(id) + 1)
-	}
-	p.carveLocked(id)
-	p.mu.Unlock()
-	return p.WritePage(id, payload)
-}
-
-// carveLocked removes page id from whichever free extent covers it, if
-// any, splitting the extent around it. Caller holds p.mu.
-func (p *File) carveLocked(id PageID) {
-	for i, e := range p.free {
-		if id < e.Start || id >= e.Start+PageID(e.Count) {
-			continue
-		}
-		out := make([]Extent, 0, len(p.free)+1)
-		out = append(out, p.free[:i]...)
-		if n := uint64(id - e.Start); n > 0 {
-			out = append(out, Extent{e.Start, n})
-		}
-		if n := uint64(e.Start+PageID(e.Count)-id) - 1; n > 0 {
-			out = append(out, Extent{id + 1, n})
-		}
-		out = append(out, p.free[i+1:]...)
-		p.free = out
-		return
-	}
-}
-
 // AllocateRun allocates n contiguous pages, reusing a free extent when one
 // fits (first fit) and extending the file otherwise.
 func (p *File) AllocateRun(n uint64) (PageID, error) {
@@ -819,15 +773,15 @@ func (p *File) lockRunStripes(start PageID, npages uint64) []*sync.RWMutex {
 // free old" pattern: it allocates a fresh extent for payload, writes it
 // (one positional write), points the three meta slots at it (start page,
 // page count, byte length), sets slotTag to tag, frees the old extent, and
-// persists the header once. A crash before the header write leaves the
-// previous state fully intact; after it, the new state — tag included, so a
-// value describing the payload never pairs with another payload. With
-// syncFirst the file is fsynced between the payload write and the header
-// write, so the header cannot reach disk ahead of the payload or of any
-// page written before the call. Compared to composing AllocateRun +
-// WritePage* + MetaSet*4 + FreeRun, this pays one header write instead of
-// six — it is the catalog's flush primitive.
-func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag uint64, payload []byte, old Extent, syncFirst bool) (Extent, error) {
+// persists the header once. The file is fsynced between the payload write
+// and the header write, so the header cannot reach disk ahead of the
+// payload or of any page written before the call. A crash before the
+// header write leaves the previous state fully intact; after it, the new
+// state — tag included, so a value describing the payload never pairs with
+// another payload. Compared to composing AllocateRun + WritePage* +
+// MetaSet*4 + FreeRun, this pays one header write instead of six — it is
+// the catalog's flush primitive.
+func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag uint64, payload []byte, old Extent) (Extent, error) {
 	if p.readOnly {
 		return Extent{}, fmt.Errorf("pager: file is read-only")
 	}
@@ -845,10 +799,8 @@ func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag
 	if err := p.WriteRun(start, payload); err != nil {
 		return Extent{}, err
 	}
-	if syncFirst {
-		if err := p.f.Sync(); err != nil {
-			return Extent{}, fmt.Errorf("pager: sync: %w", err)
-		}
+	if err := p.f.Sync(); err != nil {
+		return Extent{}, fmt.Errorf("pager: sync: %w", err)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

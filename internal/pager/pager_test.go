@@ -343,41 +343,6 @@ func TestFreeListBoundedByHeaderPage(t *testing.T) {
 	}
 }
 
-func TestRecoverPageCarvesFreeList(t *testing.T) {
-	// WAL replay can reference pages a stale header still lists as free
-	// (the free was never checkpointed, or the allocation that reused the
-	// extent was lost). RecoverPage must carve the page out of the free
-	// list so later allocations cannot clobber the replayed content.
-	p := newFile(t, 1024)
-	id, err := p.AllocateRun(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.FreeRun(id, 4); err != nil {
-		t.Fatal(err)
-	}
-	target := id + 1
-	if err := p.RecoverPage(target, []byte("replayed")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		a, err := p.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a == target {
-			t.Fatalf("allocation %d handed out the recovered page", i)
-		}
-	}
-	got, err := p.ReadPage(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:8]) != "replayed" {
-		t.Error("recovered page content lost")
-	}
-}
-
 func BenchmarkWritePage(b *testing.B) {
 	dir := b.TempDir()
 	p, _ := Create(filepath.Join(dir, "bench.rdnt"), 1024)
@@ -667,49 +632,42 @@ func TestCloseTrimSurvivesPowerCut(t *testing.T) {
 	}
 }
 
-// TestReplaceMetaExtentSyncFirst: with syncFirst the file is fsynced between
-// the payload write and the header write that names it, so the header cannot
-// reach disk ahead of the payload or of pages written before the call;
-// without it the call issues no sync.
+// TestReplaceMetaExtentSyncFirst: the file is fsynced between the payload
+// write and the header write that names it, so the header cannot reach disk
+// ahead of the payload or of pages written before the call.
 func TestReplaceMetaExtentSyncFirst(t *testing.T) {
-	for _, syncFirst := range []bool{false, true} {
-		fs := vfs.NewFault(1)
-		p, err := CreateAt(fs, "meta.rdnt", 1024)
-		if err != nil {
-			t.Fatal(err)
+	fs := vfs.NewFault(1)
+	p, err := CreateAt(fs, "meta.rdnt", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := p.AllocateRun(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPages(t, p, start, 2)
+	var ops []string
+	fs.OnOp = func(op vfs.Op) {
+		switch {
+		case op.Kind == vfs.OpSync:
+			ops = append(ops, "sync")
+		case op.Kind == vfs.OpWrite && op.Off == 0:
+			ops = append(ops, "header")
+		case op.Kind == vfs.OpWrite:
+			ops = append(ops, "payload")
 		}
-		start, err := p.AllocateRun(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillPages(t, p, start, 2)
-		var ops []string
-		fs.OnOp = func(op vfs.Op) {
-			switch {
-			case op.Kind == vfs.OpSync:
-				ops = append(ops, "sync")
-			case op.Kind == vfs.OpWrite && op.Off == 0:
-				ops = append(ops, "header")
-			case op.Kind == vfs.OpWrite:
-				ops = append(ops, "payload")
-			}
-		}
-		if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 42, []byte("payload"), Extent{Start: InvalidPage}, syncFirst); err != nil {
-			t.Fatal(err)
-		}
-		fs.OnOp = nil
-		want := []string{"payload", "header"}
-		if syncFirst {
-			want = []string{"payload", "sync", "header"}
-		}
-		if !slices.Equal(ops, want) {
-			t.Errorf("syncFirst %v: ops %v, want %v", syncFirst, ops, want)
-		}
-		if got := p.MetaGet(3); got != 42 {
-			t.Errorf("syncFirst %v: tag slot holds %d, want 42", syncFirst, got)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 42, []byte("payload"), Extent{Start: InvalidPage}); err != nil {
+		t.Fatal(err)
+	}
+	fs.OnOp = nil
+	if want := []string{"payload", "sync", "header"}; !slices.Equal(ops, want) {
+		t.Errorf("ops %v, want %v", ops, want)
+	}
+	if got := p.MetaGet(3); got != 42 {
+		t.Errorf("tag slot holds %d, want 42", got)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

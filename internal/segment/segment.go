@@ -194,50 +194,22 @@ func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 // Rows returns the number of rows written so far.
 func (w *Writer) Rows() int64 { return w.rows }
 
-// Buf returns the writer's encoded stream — the bytes FinishChunks hands
-// out as per-page chunks — for callers that write the extent themselves.
+// Buf returns the writer's encoded stream: after Finish, the bytes its
+// extent holds.
 func (w *Writer) Buf() []byte { return w.buf }
 
 // Finish allocates a contiguous extent, writes the stream (one positional
 // write for the whole extent), and returns the segment metadata. The writer
-// must not be reused afterwards.
+// must not be reused afterwards, but Buf stays valid.
 func (w *Writer) Finish() (Meta, error) {
-	meta, _, err := w.FinishChunks()
-	if err != nil {
-		return Meta{}, err
-	}
-	if err := w.file.WriteRun(meta.ExtentStart, w.buf); err != nil {
-		return Meta{}, err
-	}
-	return meta, nil
-}
-
-// FinishChunks allocates the extent and returns the metadata plus the
-// per-page payload chunks (aliasing the writer's buffer) WITHOUT writing
-// them. Callers that need both the write and the page images — durable
-// staged inserts write the extent with WriteRun and log the chunks as WAL
-// records — use this to avoid a second pass over the stream. The writer
-// must not be reused afterwards.
-func (w *Writer) FinishChunks() (Meta, [][]byte, error) {
 	payload := uint64(w.file.PayloadSize())
-	npages := (uint64(len(w.buf)) + payload - 1) / payload
-	if npages == 0 {
-		npages = 1
-	}
+	npages := max((uint64(len(w.buf))+payload-1)/payload, 1)
 	start, err := w.file.AllocateRun(npages)
 	if err != nil {
-		return Meta{}, nil, err
+		return Meta{}, err
 	}
-	chunks := make([][]byte, npages)
-	for i := uint64(0); i < npages; i++ {
-		lo := i * payload
-		hi := lo + payload
-		if hi > uint64(len(w.buf)) {
-			hi = uint64(len(w.buf))
-		}
-		if lo < uint64(len(w.buf)) {
-			chunks[i] = w.buf[lo:hi]
-		}
+	if err := w.file.WriteRun(start, w.buf); err != nil {
+		return Meta{}, err
 	}
 	return Meta{
 		ExtentStart: start,
@@ -245,7 +217,7 @@ func (w *Writer) FinishChunks() (Meta, [][]byte, error) {
 		UsedBytes:   uint64(len(w.buf)),
 		Rows:        w.rows,
 		Blocks:      w.blocks,
-	}, chunks, nil
+	}, nil
 }
 
 // PageSource supplies page payloads to a Reader. *pager.File implements it

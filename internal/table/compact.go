@@ -27,9 +27,9 @@ package table
 // Durability is flip's (fold.go): new run segments are written before the
 // one copy-on-write catalog swap that ends a Compact, and everything the
 // folds superseded is reclaimed by that flip. A Compact changes how rows are
-// stored, never which rows or under what layout, so its flip is buffered:
-// the run is published in memory and the next checkpoint persists it and
-// frees what it replaced.
+// stored, never which rows or under what layout, so it leaves the flip's
+// durability to the next checkpoint, which persists the run and frees what
+// it replaced.
 
 import (
 	"rodentstore/internal/algebra"
@@ -66,6 +66,7 @@ func (e *Engine) CompactStats() CompactStats {
 // With a log, a Compact that applies no pending layout change is durable at
 // the next checkpoint, not when it returns (flip). It runs one itself, off
 // the table lock, once the frees it queued are worth one (MaybeCheckpoint).
+// A pending layout change is applied as Reorganize applies it, durably.
 func (e *Engine) Compact(name string) error {
 	err := e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
@@ -77,7 +78,10 @@ func (e *Engine) Compact(name string) error {
 			return err
 		}
 		if tab.NeedsReorg || spec.Compaction == nil {
-			return e.reorganize(tab, !tab.NeedsReorg)
+			if err := e.reorganize(tab); err != nil || !tab.NeedsReorg {
+				return err
+			}
+			return e.checkpoint()
 		}
 		return e.compactLocked(tab, spec)
 	})
@@ -141,7 +145,7 @@ func (e *Engine) compactLocked(tab *catalog.Table, spec *layout.Spec) error {
 	if len(superseded) == 0 {
 		return nil // nothing triggered; catalog untouched
 	}
-	return e.flip(&work, superseded, true)
+	return e.flip(&work, superseded)
 }
 
 // pickFold selects the next fold: the contiguous range runs[lo:hi) to merge

@@ -46,13 +46,14 @@ type Engine struct {
 	// Source is where readers fetch pages: the pager itself (cold, exact
 	// page counts) or a buffer.Pool wrapped around it (warm).
 	Source segment.PageSource
-	// SyncInserts makes Insert durable: the tail's rendered pages are
-	// WAL-logged as images together with a catalog tail-append delta, and
-	// Insert returns only after the (group-committed) fsync. The catalog is
-	// updated in memory only; recovery replays the images and rebuilds the
-	// catalog from the deltas, so an acknowledged insert survives a crash
-	// without the publish phase ever rewriting the whole catalog. Requires
-	// a durability manager; ignored without one.
+	// SyncInserts makes Insert durable: the tail is WAL-logged as one tail
+	// record (catalog.EncodeTailAppend: its segment entries and stream
+	// bytes), and Insert returns only after the (group-committed) fsync. The
+	// catalog is updated in memory only; recovery writes each logged tail
+	// to a fresh extent and appends it, so an acknowledged insert survives a
+	// crash without the publish phase ever rewriting the whole catalog. It
+	// also makes every flip buffered (flip). Requires a durability manager;
+	// ignored without one.
 	SyncInserts bool
 
 	// tableMu guards tableLocks, the engine-owned table-level locks every
@@ -81,8 +82,8 @@ type Engine struct {
 	// freeMu guards the deferred-free queue. In durable (SyncInserts) mode,
 	// extents a catalog update stopped referencing are not freed inline:
 	// until the update is durable, a crash rolls the catalog back to a
-	// version that still references them, and a reallocated extent rewritten
-	// by WAL replay would corrupt that old catalog's data. Queued extents
+	// version that still references them, and a reallocated extent
+	// rewritten since would corrupt that old catalog's data. Queued extents
 	// are staged when a checkpoint begins and freed once it has synced the
 	// file and truncated the log (the AfterCheckpoint hook), so the worst
 	// crash outcome is a leaked extent.
@@ -106,8 +107,8 @@ type Engine struct {
 // be nil to run without a log (no durable inserts, no deferred frees). With
 // a manager, the engine hooks the catalog into its checkpoint/recovery
 // protocol: buffered catalog updates flush before every checkpoint, and
-// WAL catalog deltas (durable tail appends) replay during recovery — so
-// create the engine before calling the manager's Recover.
+// logged tail records replay during recovery — so create the engine before
+// calling the manager's Recover.
 func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine {
 	e := &Engine{
 		file:        file,
@@ -133,17 +134,15 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine
 		}
 		mgr.AfterCheckpoint = e.freeStaged
 		mgr.Backlog = e.backlog
-		mgr.OnRecoverCatalog = cat.ApplyTailAppend
-		mgr.ResumeAfter(cat.Reflects())
+		mgr.OnRecover = cat.ApplyTailAppend
 		cat.DeferFree = e.deferFree
-		cat.Issued = mgr.Issued
 	}
 	return e
 }
 
 // deferFree queues an extent to be freed by the next checkpoint when the
-// engine runs durably; without durability there is no WAL replay to guard
-// against, so it reports false and the caller frees inline.
+// engine runs durably; without durability there is no crash state to guard,
+// so it reports false and the caller frees inline.
 func (e *Engine) deferFree(ext pager.Extent) bool {
 	if !e.durable() {
 		return false
@@ -183,12 +182,12 @@ func (e *Engine) freeStaged() error {
 	return nil
 }
 
-// checkpointAfterFlip runs right after a catalog update that unreferenced
-// extents (a checkpointed flip, Drop) in durable mode: the checkpoint makes
-// the new catalog durable and drains the deferred frees it queued. Without
-// it the extents would stay unavailable until the next policy checkpoint — a
-// delay, never a leak.
-func (e *Engine) checkpointAfterFlip() error {
+// checkpoint makes a flip durable before its caller returns, in durable
+// mode: it persists the buffered record and drains the frees the flip
+// queued. A flip that moves the layout must call it before releasing the
+// table lock, so no tail rendered under the new layout is logged while the
+// persisted catalog still holds the old one.
+func (e *Engine) checkpoint() error {
 	if !e.durable() {
 		return nil
 	}
@@ -362,7 +361,7 @@ func (e *Engine) Create(name string, schema *value.Schema, layoutExpr string) er
 }
 
 // Drop removes a table and frees its extents and index trees. It is flip's
-// one sibling: the same barrier → catalog update → checkpoint ordering, with
+// one sibling: the same catalog update → free → checkpoint ordering, with
 // the record deleted instead of replaced.
 func (e *Engine) Drop(name string) error {
 	return e.withLock(name, exclusive, func() error {
@@ -371,34 +370,15 @@ func (e *Engine) Drop(name string) error {
 			return err
 		}
 		exts := e.reclaimable(tab.Parts(), tab.Indexes)
-		if err := e.checkpointBeforeFree(); err != nil {
+		e.invalidateSpecCache()
+		if err := e.cat.Delete(name); err != nil {
 			return err
 		}
 		if err := e.free(exts); err != nil {
 			return err
 		}
-		e.invalidateSpecCache()
-		if err := e.cat.Delete(name); err != nil {
-			return err
-		}
-		return e.checkpointAfterFlip()
+		return e.checkpoint()
 	})
-}
-
-// checkpointBeforeFree forces a WAL checkpoint before extents are freed
-// when durable inserts are on: freed extents can be reallocated and
-// rewritten outside the log, and a stale tail image left in the log would
-// be replayed over the new content after a crash. A checkpoint makes the
-// applied pages durable and empties the log, closing the window.
-func (e *Engine) checkpointBeforeFree() error {
-	if !e.durable() {
-		return nil
-	}
-	// CheckpointBarrier, not Checkpoint: an insert that published before we
-	// took this table's lock may not have logged its images yet; the
-	// barrier makes its LogAppliedSince fall back to a checkpoint instead
-	// of logging images of extents we are about to free.
-	return e.mgr.CheckpointBarrier()
 }
 
 // Load bulk-loads rows into an empty table, rendering the layout. Rows must
@@ -432,7 +412,10 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 		if err != nil {
 			return err
 		}
-		return e.installMain(tab, &work, out, false)
+		if err := e.installMain(tab, &work, out); err != nil {
+			return err
+		}
+		return e.checkpoint()
 	})
 }
 
@@ -452,13 +435,13 @@ const insertRetries = 4
 // exclusive lock. If the table's layout changes between the two phases the
 // stage is thrown away and re-prepared.
 //
-// With SyncInserts, durability also stays off the lock: the published tail
-// pages and the catalog tail-append delta are logged to the WAL and fsync'd
-// (group commit) after the lock is released, so concurrent inserters'
-// fsyncs coalesce. Insert then returns only once the batch is redo-durable.
-// Because deltas are logged after the lock drops, two batches published in
-// one order can commit in the other; recovery then rebuilds the tails in
-// commit order — a permutation of unorganized batches, never a loss.
+// With SyncInserts, durability also stays off the lock: the published
+// tail's record is logged to the WAL and fsync'd (group commit) after the
+// lock is released, so concurrent inserters' fsyncs coalesce. Insert then
+// returns only once the batch is redo-durable. Because records are logged
+// after the lock drops, two batches published in one order can commit in
+// the other; recovery then rebuilds the tails in commit order — a
+// permutation of unorganized batches, never a loss.
 func (e *Engine) Insert(name string, rows []value.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -470,8 +453,8 @@ func (e *Engine) Insert(name string, rows []value.Row) error {
 			return err
 		}
 		if pub.ok {
-			if len(pub.images) > 0 || len(pub.delta) > 0 {
-				if err := e.mgr.LogAppliedSince(pub.barrier, pub.images, pub.delta); err != nil {
+			if pub.record != nil {
+				if err := e.mgr.Commit(pub.id, pub.record); err != nil {
 					return err
 				}
 			}
@@ -497,22 +480,20 @@ type stagedTail struct {
 
 // published is the outcome of one publish phase: whether it installed the
 // tail (ok=false means the layout moved and the caller must re-prepare),
-// whether the merge policy fired, and — in SyncInserts mode — the page
-// images, catalog delta and free-barrier value for LogAppliedSince.
+// whether the merge policy fired, and — in SyncInserts mode — the tail
+// record and the commit id its catalog update got, for Manager.Commit.
 type published struct {
 	ok          bool
 	mergeNeeded bool
-	images      []txn.PageImage
-	delta       []byte
-	barrier     uint64
+	id          uint64
+	record      []byte
 }
 
 // insertOnce runs one prepare/publish round. With exclusivePrepare the
 // whole round holds the exclusive table lock (the snapshot cannot go stale);
 // otherwise prepare runs lock-free and publish revalidates the layout,
-// returning ok=false when it moved. In SyncInserts mode the published page
-// images and the catalog tail-append delta come back to the caller, to be
-// logged after the lock is released.
+// returning ok=false when it moved. In SyncInserts mode the tail record
+// comes back to the caller, to be logged after the lock is released.
 func (e *Engine) insertOnce(name string, rows []value.Row, exclusivePrepare bool) (pub published, err error) {
 	if exclusivePrepare {
 		err = e.withLock(name, exclusive, func() error {
@@ -623,14 +604,12 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 // re-prepare. Tail-only appends shift no stored position, so secondary
 // indexes survive (IndexScan scans the parts past their coverage).
 //
-// In SyncInserts mode the written pages are also returned as WAL images,
-// with a catalog tail-append delta (catalog.EncodeTailAppend); the caller
-// logs and fsyncs both once the lock is dropped, keeping the durability
-// wait off the table's critical section. The catalog itself is only updated
-// in memory (PutBuffered) — rewriting the whole catalog per insert is
-// O(catalog size) of serialized work, while the logged delta is O(batch)
-// and replays on recovery. The image payloads alias the staged writers'
-// buffers, which st keeps alive.
+// In SyncInserts mode the tail is also returned as a tail record
+// (catalog.EncodeTailAppend), which the caller logs and fsyncs once the
+// lock is dropped, keeping the durability wait off the table's critical
+// section. The catalog itself is only updated in memory (publish) —
+// rewriting the whole catalog per insert is O(catalog size) of serialized
+// work, while the logged record is O(batch) and replays on recovery.
 func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate bool) (pub published, err error) {
 	tab, err := e.cat.Get(name)
 	if err != nil {
@@ -639,25 +618,9 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 	if revalidate && tab.LayoutExpr != layoutExpr {
 		return published{}, nil // layout moved between prepare and publish
 	}
-	durable := e.durable()
 	batch := make([]catalog.SegmentEntry, 0, len(st.writers))
 	for i, w := range st.writers {
-		var meta segment.Meta
-		var err error
-		if durable {
-			var chunks [][]byte
-			meta, chunks, err = w.FinishChunks()
-			if err == nil {
-				err = e.file.WriteRun(meta.ExtentStart, w.Buf())
-				for j, chunk := range chunks {
-					pub.images = append(pub.images, txn.PageImage{
-						ID: meta.ExtentStart + pager.PageID(j), Payload: chunk,
-					})
-				}
-			}
-		} else {
-			meta, err = w.Finish()
-		}
+		meta, err := w.Finish()
 		if err != nil {
 			return published{}, err
 		}
@@ -665,24 +628,24 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 			Fields: st.defs[i].Fields, Codecs: st.defs[i].Codecs, Meta: meta,
 		})
 	}
-	// Copy-on-write: the append builds a new record and Put/PutBuffered
-	// swaps it in under the catalog lock, so a concurrent checkpoint flush
-	// never encodes a half-applied append. Appending to the copied slice
-	// only ever writes past the shared prefix's length, which readers of
-	// the old record never reach.
+	// Copy-on-write: the append builds a new record and publish swaps it in
+	// under the catalog lock, so a concurrent checkpoint flush never encodes
+	// a half-applied append. Appending to the copied slice only ever writes
+	// past the shared prefix's length, which readers of the old record never
+	// reach.
 	work := *tab
 	work.Tails = append(work.Tails, batch)
 	work.RowCount += st.rows
 	pub.mergeNeeded = e.mergeTrigger(len(work.Tails), work.LayoutExpr)
-	if durable {
-		pub.delta = catalog.EncodeTailAppend(name, batch, st.rows)
-		e.cat.PutBuffered(&work)
-		// Captured under the table lock: any checkpointBeforeFree that
-		// could free this batch's extents must take this lock first, so it
-		// is ordered strictly after this read and bumps the barrier.
-		pub.barrier = e.mgr.Barrier()
-	} else if err := e.cat.Put(&work); err != nil {
+	if pub.id, err = e.publish(&work); err != nil {
 		return published{}, err
+	}
+	if e.durable() {
+		streams := make([][]byte, len(st.writers))
+		for i, w := range st.writers {
+			streams[i] = w.Buf()
+		}
+		pub.record = catalog.EncodeTailAppend(name, batch, st.rows, streams)
 	}
 	pub.ok = true
 	return pub, nil
@@ -724,9 +687,14 @@ func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
 		work.PendingExpr = spec.Expr
 		work.NeedsReorg = true
 		if mode == ReorgEager {
-			return e.reorganize(&work, false)
+			err = e.reorganize(&work)
+		} else {
+			_, err = e.publish(&work)
 		}
-		return e.cat.Put(&work)
+		if err != nil {
+			return err
+		}
+		return e.checkpoint()
 	})
 }
 
@@ -738,7 +706,10 @@ func (e *Engine) Reorganize(name string) error {
 		if err != nil {
 			return err
 		}
-		return e.reorganize(tab, false)
+		if err := e.reorganize(tab); err != nil {
+			return err
+		}
+		return e.checkpoint()
 	})
 }
 

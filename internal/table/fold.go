@@ -6,9 +6,9 @@ package table
 //
 //	render   layout pipeline → optional grid → one segment per vertical partition
 //	readBack the rows of a chosen set of parts, in stored order
-//	flip     barrier → copy-on-write catalog Put → free what was superseded → checkpoint
-//	         (a Compact's flip stops at the Put, in memory, and leaves the rest
-//	         to the next checkpoint)
+//	flip     copy-on-write catalog put → free what was superseded; with a log
+//	         the put is buffered and the frees queued for the next checkpoint,
+//	         which DDL callers run before they return
 //
 // flip is the only statement of that ordering besides Drop (which deletes the
 // record instead of replacing it). A plain layout is the degenerate policy
@@ -217,10 +217,10 @@ func (e *Engine) fold(tab *catalog.Table, parts []catalog.Part, settled bool) (r
 // current — or, when one is pending, its new — layout. tab may be a private
 // copy carrying a pending expression no reader has seen (eager AlterLayout):
 // nothing reaches the catalog until the flip, so a failed fold leaves the
-// table exactly as it was. buffered selects flip's form; a caller sets it
-// only when no layout change is pending. Caller holds the exclusive table
-// lock.
-func (e *Engine) reorganize(tab *catalog.Table, buffered bool) error {
+// table exactly as it was. A caller that applies a pending layout change
+// must checkpoint before releasing the table lock (Engine.checkpoint).
+// Caller holds the exclusive table lock.
+func (e *Engine) reorganize(tab *catalog.Table) error {
 	e.dropInsertSnap(tab.Name) // the layout may flip below
 	work := *tab
 	if work.NeedsReorg && work.PendingExpr != "" {
@@ -232,16 +232,16 @@ func (e *Engine) reorganize(tab *catalog.Table, buffered bool) error {
 	if err != nil {
 		return err
 	}
-	return e.installMain(tab, &work, out, buffered)
+	return e.installMain(tab, &work, out)
 }
 
 // installMain makes out the whole of work's storage and flips it in over
 // old, superseding every part of old.
-func (e *Engine) installMain(old, work *catalog.Table, out rendered, buffered bool) error {
+func (e *Engine) installMain(old, work *catalog.Table, out rendered) error {
 	work.Segments, work.Runs, work.Tails = out.entries, nil, nil
 	work.RowCount = out.rows
 	work.GridBounds = out.bounds
-	return e.flip(work, old.Parts(), buffered)
+	return e.flip(work, old.Parts())
 }
 
 // reclaimable lists the extents behind superseded parts and index trees.
@@ -286,39 +286,24 @@ func (e *Engine) free(exts []pager.Extent) error {
 }
 
 // flip publishes work as the table's catalog record and reclaims what it
-// supersedes. Without a log that is a Put and inline frees. With one, the
-// order is the durability protocol:
-//
-//  1. checkpointBeforeFree — no log record may still name an extent about to
-//     be freed (and later reallocated);
-//  2. copy-on-write Put — readers and a concurrent checkpoint flush see the
-//     old record or the new one, never a mixture;
-//  3. free — queued until a checkpoint has made the Put durable, so a crash
-//     leaks pages but never lets WAL replay write into an extent the
-//     rolled-back catalog still references;
-//  4. checkpointAfterFlip — makes the new record durable and drains the queue.
-//
-// A buffered flip (Compact: the same rows under the same layout, stored
-// differently) keeps only the ordering and leaves the work to the next
-// checkpoint, whatever triggers it: it advances the free barrier instead of
-// checkpointing, swaps the record in memory (PutUnsynced) and queues the
-// frees; that checkpoint's flush syncs the new runs, then persists the
-// record, before its frees run. A crash before it recovers the replaced
-// parts, still allocated, and the log's tail-append deltas replay onto them.
-// A catalog flushed in between (by a DDL Put) syncs the runs too and records
-// the commits it reflects, and recovery skips their deltas, so the tails the
-// fold absorbed do not come back beside its run.
+// supersedes: publish, then free. Without a log that is a Put and inline
+// frees. With one, the Put is buffered and the frees queued, and the next
+// checkpoint, whatever triggers it, persists the record — its flush syncs
+// the new parts before the header write that names them — and only then
+// frees what it replaced. A crash before that checkpoint recovers the
+// replaced parts, still allocated, and the log's tail records replay onto
+// them; a catalog flushed in between records the commits it reflects, and
+// recovery skips those records, so tails a fold absorbed do not come back
+// beside its run. A caller that must be durable on return checkpoints
+// (Engine.checkpoint) before releasing the table lock.
 //
 // flip alone decides which indexes stay valid. A fold replaces a contiguous
 // range of parts in place, so every stored position before the first part it
 // replaced still holds the row an index tree maps it to: each index's
 // coverage (Rows) is clamped to that position, and an index covering nothing
 // is dropped. Every tree the old record lists and work does not is reclaimed
-// with the superseded parts.
-//
-// A flip that frees nothing needs neither checkpoint. Caller holds the
-// exclusive table lock.
-func (e *Engine) flip(work *catalog.Table, parts []catalog.Part, buffered bool) error {
+// with the superseded parts. Caller holds the exclusive table lock.
+func (e *Engine) flip(work *catalog.Table, parts []catalog.Part) error {
 	old, err := e.cat.Get(work.Name)
 	if err != nil {
 		return err
@@ -347,23 +332,19 @@ func (e *Engine) flip(work *catalog.Table, parts []catalog.Part, buffered bool) 
 			trees = append(trees, ix)
 		}
 	}
-	if buffered && e.durable() {
-		e.mgr.AdvanceBarrier()
-		e.cat.PutUnsynced(work)
-		return e.free(e.reclaimable(parts, trees))
-	}
 	exts := e.reclaimable(parts, trees)
-	if len(exts) == 0 {
-		return e.cat.Put(work)
-	}
-	if err := e.checkpointBeforeFree(); err != nil {
+	if _, err := e.publish(work); err != nil {
 		return err
 	}
-	if err := e.cat.Put(work); err != nil {
-		return err
+	return e.free(exts)
+}
+
+// publish swaps work in as its table's catalog record: buffered in durable
+// mode, where it returns the commit id the update got (the next checkpoint
+// persists it), and flushed now otherwise.
+func (e *Engine) publish(work *catalog.Table) (uint64, error) {
+	if e.durable() {
+		return e.cat.PutBuffered(work), nil
 	}
-	if err := e.free(exts); err != nil {
-		return err
-	}
-	return e.checkpointAfterFlip()
+	return 0, e.cat.Put(work)
 }

@@ -57,14 +57,17 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		if err != nil {
 			return err
 		}
-		// Copy-on-write: Put swaps the finished record in under the catalog
-		// lock, so a concurrent checkpoint flush never encodes a half-updated
-		// table (see catalog.Catalog.Get).
+		// Copy-on-write: publish swaps the finished record in under the
+		// catalog lock, so a concurrent checkpoint flush never encodes a
+		// half-updated table (see catalog.Catalog.Get).
 		work := *tab
 		work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes...), catalog.IndexMeta{
 			Field: field, Root: uint64(tree.Root()), Rows: tab.RowCount,
 		})
-		return e.cat.Put(&work)
+		if _, err := e.publish(&work); err != nil {
+			return err
+		}
+		return e.checkpoint()
 	})
 }
 
@@ -133,7 +136,10 @@ func (e *Engine) DropIndex(tableName, field string) error {
 			if idx.Field == field {
 				work := *tab
 				work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes[:i]...), tab.Indexes[i+1:]...)
-				return e.flip(&work, nil, false)
+				if err := e.flip(&work, nil); err != nil {
+					return err
+				}
+				return e.checkpoint()
 			}
 		}
 		return fmt.Errorf("table: no index on %s(%s)", tableName, field)

@@ -69,7 +69,10 @@ func (e *Engine) reorganizeIfNeeded(name string) error {
 		if !tab.NeedsReorg {
 			return nil // another reader already reorganized
 		}
-		return e.reorganize(tab, false)
+		if err := e.reorganize(tab); err != nil {
+			return err
+		}
+		return e.checkpoint()
 	})
 }
 

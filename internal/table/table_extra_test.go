@@ -442,10 +442,9 @@ func countRows(t *testing.T, e *Engine, name string) int {
 }
 
 func TestDurableInsertCrashRecovery(t *testing.T) {
-	// Durable inserts log tail pages plus a catalog tail-append delta; the
-	// catalog itself is only updated in memory until a checkpoint. A crash
-	// before any checkpoint must lose nothing: recovery replays the images
-	// and rebuilds the catalog from the deltas.
+	// Durable inserts log one tail record each; the catalog itself is only
+	// updated in memory until a checkpoint. A crash before any checkpoint
+	// must lose nothing: recovery rebuilds the tails from the records.
 	path := filepath.Join(t.TempDir(), "crash.rdnt")
 	e, f, log, _ := durableEnv(t, path)
 	if err := e.Create("Traces", tracesSchema(), "rows(Traces)"); err != nil {

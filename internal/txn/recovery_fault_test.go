@@ -2,7 +2,7 @@ package txn
 
 // Recovery-path tests driven by the fault-injecting VFS: each test builds a
 // specific failure the design claims to survive — a torn WAL tail, a failed
-// group-commit fsync, a power cut between a catalog delta and its
+// group-commit fsync, a power cut between a tail record and its
 // checkpoint, a corrupt durable page — and verifies the recovery contract:
 // every acknowledged commit survives, nothing unacknowledged is replayed.
 
@@ -23,10 +23,10 @@ const (
 	crashWAL = "crash.rdnt.wal"
 )
 
-// newFaultEnv creates a manager over a fault file system. Handles are not
-// registered for cleanup: crash tests abandon them, as a killed process
-// would.
-func newFaultEnv(t *testing.T, fs *vfs.Fault) (*Manager, *pager.File, *wal.Log) {
+// newFaultEnv creates a tail env over a fault file system, table T made
+// durable. Handles are not registered for cleanup: crash tests abandon
+// them, as a killed process would.
+func newFaultEnv(t *testing.T, fs *vfs.Fault) *tailEnv {
 	t.Helper()
 	f, err := pager.CreateAt(fs, crashDB, 1024)
 	if err != nil {
@@ -36,11 +36,14 @@ func newFaultEnv(t *testing.T, fs *vfs.Fault) (*Manager, *pager.File, *wal.Log) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(f, l), f, l
+	e := attach(t, f, l)
+	e.create(t)
+	return e
 }
 
-// reopenFaultEnv reopens the store after a (simulated) crash.
-func reopenFaultEnv(t *testing.T, fs *vfs.Fault) (*Manager, *pager.File, *wal.Log) {
+// reopenFaultEnv reopens the store after a (simulated) crash, recovery not
+// yet run.
+func reopenFaultEnv(t *testing.T, fs *vfs.Fault) *tailEnv {
 	t.Helper()
 	f, err := pager.OpenAt(fs, crashDB)
 	if err != nil {
@@ -50,7 +53,7 @@ func reopenFaultEnv(t *testing.T, fs *vfs.Fault) (*Manager, *pager.File, *wal.Lo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(f, l), f, l
+	return attach(t, f, l)
 }
 
 // TestRecoveryTornWALTail tears the WAL's file write mid-record: a synced
@@ -59,29 +62,27 @@ func reopenFaultEnv(t *testing.T, fs *vfs.Fault) (*Manager, *pager.File, *wal.Lo
 // Verify must classify the residue as a crash tail, not mid-log corruption.
 func TestRecoveryTornWALTail(t *testing.T) {
 	fs := vfs.NewFault(1)
-	m, f, l := newFaultEnv(t, fs)
-
-	p1, _ := f.Allocate()
-	p2, _ := f.Allocate()
-	if err := commit(m, f, p1, []byte("first txn")); err != nil {
+	e := newFaultEnv(t, fs)
+	if err := e.insert(t, "first txn"); err != nil {
 		t.Fatal(err)
 	}
 
 	// Append a second transaction and tear its file write at the sector
-	// boundary: the begin frame fits in the surviving prefix, the page image
-	// is cut mid-body.
-	if err := l.Append(wal.Record{Type: wal.RecBegin, TxnID: 99}); err != nil {
-		t.Fatal(err)
-	}
+	// boundary: the begin frame fits in the surviving prefix, the tail
+	// record is cut mid-body.
 	img := make([]byte, 900)
 	for i := range img {
 		img[i] = byte(i)
 	}
-	if err := l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 99, PageID: p2, Payload: img}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(wal.Record{Type: wal.RecCommit, TxnID: 99}); err != nil {
-		t.Fatal(err)
+	_, id, rec := e.apply(t, string(img))
+	for _, r := range []wal.Record{
+		{Type: wal.RecBegin, TxnID: id},
+		{Type: wal.RecTail, TxnID: id, Payload: rec},
+		{Type: wal.RecCommit, TxnID: id},
+	} {
+		if err := e.l.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fs.Inject = func(op vfs.Op) vfs.Decision {
 		if op.Kind == vfs.OpWrite && strings.HasSuffix(op.Path, ".wal") {
@@ -89,7 +90,7 @@ func TestRecoveryTornWALTail(t *testing.T) {
 		}
 		return vfs.OK
 	}
-	if err := l.Sync(); err == nil {
+	if err := e.l.Sync(); err == nil {
 		t.Fatal("sync over a torn write reported success")
 	}
 	fs.Inject = nil
@@ -97,31 +98,22 @@ func TestRecoveryTornWALTail(t *testing.T) {
 	// Power cut that persists the torn state.
 	fs.Crash(vfs.CrashKeep)
 
-	m2, f2, l2 := reopenFaultEnv(t, fs)
-	rep, verr := l2.Verify()
+	back := reopenFaultEnv(t, fs)
+	rep, verr := back.l.Verify()
 	if verr != nil {
 		t.Fatalf("torn tail misclassified as mid-log corruption: %v", verr)
 	}
 	if rep.TailBytes == 0 {
 		t.Fatal("expected a non-empty crash tail after the torn write")
 	}
-	n, err := m2.Recover()
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("recovered %d txns, want only the synced one", n)
 	}
-	got, err := f2.ReadPage(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:9]) != "first txn" {
-		t.Fatalf("synced commit lost: page reads %q", got[:9])
-	}
-	if _, err := f2.ReadPage(p2); err == nil {
-		t.Fatal("torn, unsynced txn's page was replayed")
-	}
+	back.wantTails(t, "first txn") // the torn, unsynced txn is not replayed
 }
 
 // TestRecoveryGroupCommitFsyncFailure fails the WAL fsync under concurrent
@@ -132,10 +124,8 @@ func TestRecoveryTornWALTail(t *testing.T) {
 // round.
 func TestRecoveryGroupCommitFsyncFailure(t *testing.T) {
 	fs := vfs.NewFault(2)
-	m, f, _ := newFaultEnv(t, fs)
-
-	p0, _ := f.Allocate()
-	if err := commit(m, f, p0, []byte("durable")); err != nil {
+	e := newFaultEnv(t, fs)
+	if err := e.insert(t, "durable"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,17 +139,13 @@ func TestRecoveryGroupCommitFsyncFailure(t *testing.T) {
 	armed.Store(true)
 
 	const writers = 4
-	pages := make([]pager.PageID, writers)
-	for i := range pages {
-		pages[i], _ = f.Allocate()
-	}
 	errs := make([]error, writers)
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = commit(m, f, pages[i], []byte("lost"))
+			errs[i] = e.insert(t, "lost")
 		}(i)
 	}
 	wg.Wait()
@@ -173,46 +159,28 @@ func TestRecoveryGroupCommitFsyncFailure(t *testing.T) {
 	// another injected fault.
 	armed.Store(false)
 	var sf *wal.ErrSyncFailed
-	if err := commit(m, f, p0, []byte("late")); !errors.As(err, &sf) {
+	if err := e.insert(t, "late"); !errors.As(err, &sf) {
 		t.Fatalf("post-failure commit error %v is not ErrSyncFailed (latch broken)", err)
 	}
 
 	// Power cut: un-synced data is gone. The acked commit must recover; the
 	// failed round must not.
 	fs.Crash(vfs.CrashDrop)
-	m2, f2, _ := reopenFaultEnv(t, fs)
-	if _, err := m2.Recover(); err != nil {
+	back := reopenFaultEnv(t, fs)
+	if _, err := back.m.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f2.ReadPage(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:7]) != "durable" {
-		t.Fatalf("acked commit lost: page reads %q", got[:7])
-	}
-	for i, id := range pages {
-		if payload, err := f2.ReadPage(id); err == nil && string(payload[:4]) == "lost" {
-			t.Fatalf("writer %d: unacknowledged commit survived the crash", i)
-		}
-	}
+	back.wantTails(t, "durable")
 }
 
 // TestRecoveryCatalogDeltaBeforeCheckpoint cuts power between an
-// acknowledged LogApplied (page images + catalog tail-append delta) and the
-// checkpoint that would have persisted them: recovery must replay the pages
-// and hand the delta to OnRecoverCatalog.
+// acknowledged Commit (a tail record) and the checkpoint that would have
+// persisted its catalog update: recovery must rebuild the tail from the
+// record, and persist it.
 func TestRecoveryCatalogDeltaBeforeCheckpoint(t *testing.T) {
 	fs := vfs.NewFault(3)
-	m, f, _ := newFaultEnv(t, fs)
-
-	id, _ := f.Allocate()
-	payload := []byte("tail batch page")
-	if err := f.WritePage(id, payload); err != nil {
-		t.Fatal(err)
-	}
-	delta := []byte("catalog tail-append delta")
-	if err := m.LogApplied([]PageImage{{ID: id, Payload: payload}}, delta); err != nil {
+	e := newFaultEnv(t, fs)
+	if err := e.insert(t, "tail batch page"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,85 +188,68 @@ func TestRecoveryCatalogDeltaBeforeCheckpoint(t *testing.T) {
 	// vanish; only the WAL survives.
 	fs.Crash(vfs.CrashDrop)
 
-	m2, f2, _ := reopenFaultEnv(t, fs)
-	var deltas [][]byte
-	m2.OnRecoverCatalog = func(b []byte) error {
-		deltas = append(deltas, append([]byte(nil), b...))
-		return nil
-	}
-	n, err := m2.Recover()
+	back := reopenFaultEnv(t, fs)
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("recovered %d txns, want 1", n)
 	}
-	if len(deltas) != 1 || string(deltas[0]) != string(delta) {
-		t.Fatalf("catalog delta not replayed: got %q", deltas)
-	}
-	got, err := f2.ReadPage(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:len(payload)]) != string(payload) {
-		t.Fatalf("page not replayed: reads %q", got[:len(payload)])
-	}
+	back.wantTails(t, "tail batch page")
+	fs.Crash(vfs.CrashDrop) // recovery left nothing for the log to redo
+	reopenFaultEnv(t, fs).wantTails(t, "tail batch page")
 }
 
 // TestRecoverySkipsDeltasTheCatalogReflects: a catalog flushed after some
-// commits reflects them, and recovery must not hand their deltas back — a
+// commits reflects them, and recovery must not replay their records — a
 // fold may have absorbed the tails they append. Commits after the recorded
 // id replay, and new commits are numbered past it.
 func TestRecoverySkipsDeltasTheCatalogReflects(t *testing.T) {
 	fs := vfs.NewFault(5)
-	m, _, _ := newFaultEnv(t, fs)
-	for _, delta := range []string{"one", "two", "three"} {
-		if err := m.LogApplied(nil, []byte(delta)); err != nil {
+	e := newFaultEnv(t, fs)
+	for _, tail := range []string{"one", "two", "three"} {
+		if err := e.insert(t, tail); err != nil {
 			t.Fatal(err)
 		}
+		if tail == "two" { // a flush after the second commit
+			if err := e.cat.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	reflects := m.Issued() - 1 // a flush after the second commit
 	fs.Crash(vfs.CrashDrop)
 
-	m2, _, _ := reopenFaultEnv(t, fs)
-	var deltas []string
-	m2.OnRecoverCatalog = func(b []byte) error {
-		deltas = append(deltas, string(b))
-		return nil
+	back := reopenFaultEnv(t, fs)
+	if n, err := back.m.Recover(); err != nil || n != 3 {
+		t.Fatalf("recovered %d txns (err %v), want 3", n, err)
 	}
-	m2.ResumeAfter(reflects)
-	if _, err := m2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 1 || deltas[0] != "three" {
-		t.Fatalf("replayed deltas %q, want only the one after the flush", deltas)
-	}
-	if err := m2.LogApplied(nil, []byte("four")); err != nil {
-		t.Fatal(err)
-	}
-	if got := m2.Issued(); got != reflects+1 {
-		t.Fatalf("first commit after resuming got id %d, want %d", got, reflects+1)
+	back.wantTails(t, "one", "two", "three")
+	if _, id, _ := back.apply(t, "four"); id != 4 {
+		t.Fatalf("first commit after recovery got id %d, want 4", id)
 	}
 }
 
-// TestRecoveryHealsCorruptPage corrupts a committed page's durable bytes:
+// TestRecoveryHealsCorruptPage corrupts a committed tail's durable bytes:
 // ReadPage must fail with a typed, page-addressed error, and recovery must
-// heal the page from its WAL image.
+// heal the tail from its logged record.
 func TestRecoveryHealsCorruptPage(t *testing.T) {
 	fs := vfs.NewFault(4)
-	m, f, _ := newFaultEnv(t, fs)
-
-	id, _ := f.Allocate()
-	if err := commit(m, f, id, []byte("precious data")); err != nil {
+	e := newFaultEnv(t, fs)
+	id, cid, rec := e.apply(t, "precious data")
+	if err := e.m.Commit(cid, rec); err != nil {
 		t.Fatal(err)
 	}
 
 	// At-rest corruption inside the page's payload (past the checksum).
-	off := int64(id) * int64(f.PageSize())
+	off := int64(id) * int64(e.f.PageSize())
 	if n := fs.Corrupt(crashDB, off+8, 32); n != 32 {
 		t.Fatalf("corrupted %d bytes, want 32", n)
 	}
-	_, err := f.ReadPage(id)
+	_, err := e.f.ReadPage(id)
 	var cp *pager.ErrCorruptPage
 	if !errors.As(err, &cp) {
 		t.Fatalf("read of corrupt page returned %v, want ErrCorruptPage", err)
@@ -307,16 +258,10 @@ func TestRecoveryHealsCorruptPage(t *testing.T) {
 		t.Fatalf("error names page %d, corrupted %d", cp.Page, id)
 	}
 
-	// Restart: recovery replays the commit's image over the damage.
-	m2, f2, _ := reopenFaultEnv(t, fs)
-	if _, err := m2.Recover(); err != nil {
+	// Restart: recovery rewrites the tail from its record.
+	back := reopenFaultEnv(t, fs)
+	if _, err := back.m.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f2.ReadPage(id)
-	if err != nil {
-		t.Fatalf("page not healed: %v", err)
-	}
-	if string(got[:13]) != "precious data" {
-		t.Fatalf("healed page reads %q", got[:13])
-	}
+	back.wantTails(t, "precious data")
 }

@@ -1,21 +1,23 @@
-// Package txn is RodentStore's durability manager: redo logging of page
-// writes that were already applied in place, plus the checkpoints that let
-// the log be truncated. It is one of the facilities the paper argues (§1)
-// should be built once and shared by every physical layout rather than
-// re-implemented per storage engine.
+// Package txn is RodentStore's durability manager: redo logging of writes
+// that were already applied in place, plus the checkpoints that let the log
+// be truncated. It is one of the facilities the paper argues (§1) should be
+// built once and shared by every physical layout rather than re-implemented
+// per storage engine.
 //
-// The one commit path: a writer applies its pages to the page file under its
-// own higher-level lock (the engine's table lock), releases that lock, then
-// calls LogAppliedSince, which appends the page images as one committed
-// record group and waits on the log's shared fsync ticket. Recovery
-// (wal.Log.RecoverFull) re-applies the images of committed groups, which is
-// idempotent. Mutual exclusion between writers is the caller's business —
-// this package holds no table locks.
+// The one commit path: a writer applies its pages to the page file and its
+// update to the in-memory catalog under its own higher-level lock (the
+// engine's table lock), taking a commit id from the catalog as it does;
+// releases that lock; then calls Commit, which appends the writer's logical
+// record (a tail record: no page ids) as one committed group under that id
+// and waits on the log's shared fsync ticket. Recovery hands each committed
+// record to OnRecover, which writes what it describes to freshly allocated
+// pages, so a record can never replay over a page a later write owns.
+// Mutual exclusion between writers is the caller's business — this package
+// holds no table locks.
 package txn
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/wal"
@@ -31,14 +33,10 @@ const DefaultCheckpointBytes = 4 << 20
 // CheckpointBytes while the file holds less than that.
 const backlogShare = 32
 
-// Manager makes applied page writes durable over one page file and one log.
+// Manager makes applied writes durable over one page file and one log.
 type Manager struct {
-	file    *pager.File
-	log     *wal.Log
-	nextTxn atomic.Uint64 // ids of logged record groups
-	// reflected is the id ResumeAfter was given: the catalog already holds
-	// every commit numbered at or below it, so Recover skips their deltas.
-	reflected uint64
+	file *pager.File
+	log  *wal.Log
 
 	// CheckpointBytes triggers a checkpoint when the log grows past it (0
 	// disables the triggers, the Backlog's included). Checkpoints run
@@ -62,37 +60,25 @@ type Manager struct {
 	// checkpoint, after the page file is synced and the log truncated. The
 	// engine hooks deferred extent freeing here: an extent a catalog update
 	// stopped referencing may only be reused once that update is durable —
-	// otherwise a crash could leave the old catalog authoritative while WAL
-	// replay rewrites the reallocated extent. Freeing after the checkpoint
-	// makes the failure mode a page leak, never corruption.
+	// otherwise a crash could leave the old catalog authoritative over an
+	// extent since rewritten. Freeing after the checkpoint makes the failure
+	// mode a page leak, never corruption.
 	AfterCheckpoint func() error
 
-	// OnRecoverCatalog, when set, receives each committed catalog delta
-	// (wal.RecCatalog payload) during Recover, in log order, except those of
-	// commits the catalog already reflects (ResumeAfter). The engine hooks
-	// the catalog's ApplyTailAppend here. Set it before Recover.
-	OnRecoverCatalog func([]byte) error
+	// OnRecover, when set, receives each committed record (with its commit
+	// id) during Recover, in log order. The engine hooks the catalog's
+	// ApplyTailAppend here. Set it before Recover.
+	OnRecover func(id uint64, record []byte) error
 
-	// ckptMu orders checkpoints against in-flight commits: LogAppliedSince
-	// holds the read side from its barrier check to its last log append, so
-	// a checkpoint (write side) never truncates half a record group or lets
-	// a barrier slip between the check and the append.
+	// ckptMu orders checkpoints against in-flight commits: Commit holds the
+	// read side across its appends, so a checkpoint (write side) never
+	// truncates half a record group.
 	ckptMu sync.RWMutex
-
-	// barrier counts CheckpointBarrier and AdvanceBarrier calls — each made
-	// because extents are about to be freed. A bulk writer captures Barrier
-	// while its pages cannot yet have been freed (it still holds the lock that
-	// orders it against the freeing path) and passes it to LogAppliedSince,
-	// which refuses to log images whose extents may have been freed (and
-	// reallocated) in between — replaying those after a crash would clobber
-	// the extents' new contents.
-	barrier atomic.Uint64
 }
 
 // NewManager creates a manager. Call Recover before the first commit when
 // opening an existing database.
 func NewManager(file *pager.File, log *wal.Log) *Manager {
-	log.ReserveBuffer(file.PageSize() + 128)
 	return &Manager{file: file, log: log, CheckpointBytes: DefaultCheckpointBytes}
 }
 
@@ -102,43 +88,6 @@ func NewManager(file *pager.File, log *wal.Log) *Manager {
 func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
-	return m.checkpointLocked()
-}
-
-// Barrier returns the current free-barrier value, for LogAppliedSince.
-func (m *Manager) Barrier() uint64 { return m.barrier.Load() }
-
-// AdvanceBarrier moves the free barrier without a checkpoint, for a caller
-// that only queues extents for the next checkpoint to free. An insert that
-// captured an older value checkpoints instead of logging images: every
-// checkpoint that could free the queued extents truncates the log under
-// ckptMu's write side, so an insert's append either lands before it (and is
-// truncated with it) or checks the barrier after the advance.
-func (m *Manager) AdvanceBarrier() { m.barrier.Add(1) }
-
-// Issued returns the highest commit id handed out so far (catalog.Issued).
-func (m *Manager) Issued() uint64 { return m.nextTxn.Load() }
-
-// ResumeAfter tells the manager that the catalog already reflects every
-// commit numbered at or below id (catalog.Reflects): new commits are
-// numbered after it, and Recover skips the catalog deltas of those it
-// covers — a catalog flushed after a fold absorbed a logged tail must not
-// get the tail back from the log. Call it before Recover.
-func (m *Manager) ResumeAfter(id uint64) {
-	m.reflected = id
-	if m.nextTxn.Load() < id {
-		m.nextTxn.Store(id)
-	}
-}
-
-// CheckpointBarrier is Checkpoint for callers about to free extents that
-// may appear in not-yet-logged page images: it advances the free barrier
-// so any LogAppliedSince holding an older barrier value falls back to a
-// checkpoint instead of logging stale images.
-func (m *Manager) CheckpointBarrier() error {
-	m.ckptMu.Lock()
-	defer m.ckptMu.Unlock()
-	m.barrier.Add(1)
 	return m.checkpointLocked()
 }
 
@@ -161,70 +110,22 @@ func (m *Manager) checkpointLocked() error {
 	return nil
 }
 
-// PageImage pairs a page id with its payload, for LogApplied.
-type PageImage struct {
-	ID      pager.PageID
-	Payload []byte
-}
-
-// LogApplied makes already-applied page writes durable: the images are
-// appended to the log as one committed record group and the log is synced
-// (sharing the group-commit fsync). Writers use it to move the fsync wait
-// off their critical section — they write pages in place under their own
-// higher-level lock, release it, then call LogApplied, so concurrent
-// callers' fsyncs coalesce. Recovery re-applies the images, which is
-// idempotent.
-//
-// catalogDelta, when non-nil, is logged alongside the images as a
-// wal.RecCatalog record: recovery hands it to OnRecoverCatalog after
-// re-applying the images, so metadata describing the pages (a catalog tail
-// append) becomes redo-durable in the same fsync without rewriting the
-// catalog itself.
-//
-// Callers that later rewrite or free those pages must CheckpointBarrier
-// (or AdvanceBarrier, and free only at a checkpoint) first, so a stale
-// image cannot be replayed over the new content after a crash.
-func (m *Manager) LogApplied(images []PageImage, catalogDelta []byte) error {
-	return m.LogAppliedSince(m.barrier.Load(), images, catalogDelta)
-}
-
-// LogAppliedSince is LogApplied guarded by the free barrier: barrier is the
-// Barrier() value the caller captured while it still held the lock that
-// orders it against extent frees. If the barrier has moved since,
-// some of the images' extents may already be freed — and reallocated — so
-// logging them could replay stale bytes over new content after a crash.
-// In that case nothing is logged; a fresh checkpoint makes everything the
-// caller applied durable instead (same guarantee, no redo records).
-func (m *Manager) LogAppliedSince(barrier uint64, images []PageImage, catalogDelta []byte) error {
-	if len(images) == 0 && catalogDelta == nil {
-		return nil
-	}
-	id := m.nextTxn.Add(1)
+// Commit makes an applied write durable: record, the write's logical
+// description, is appended to the log as one committed group under id (the
+// commit id the caller's catalog update got) and the log is synced, sharing
+// the group-commit fsync. Writers apply in place under their own lock,
+// release it, then call Commit, so concurrent callers' fsyncs coalesce.
+// A checkpoint that runs first already persisted the update (the catalog
+// flush covers id), and recovery skips the record then.
+func (m *Manager) Commit(id uint64, record []byte) error {
 	m.ckptMu.RLock()
-	if m.barrier.Load() != barrier {
-		m.ckptMu.RUnlock()
-		return m.Checkpoint()
+	err := m.log.Append(wal.Record{Type: wal.RecBegin, TxnID: id})
+	if err == nil {
+		err = m.log.Append(wal.Record{Type: wal.RecTail, TxnID: id, Payload: record})
 	}
-	err := func() error {
-		if err := m.log.Append(wal.Record{Type: wal.RecBegin, TxnID: id}); err != nil {
-			return err
-		}
-		for _, img := range images {
-			if err := m.log.Append(wal.Record{
-				Type: wal.RecPageImage, TxnID: id, PageID: img.ID, Payload: img.Payload,
-			}); err != nil {
-				return err
-			}
-		}
-		if catalogDelta != nil {
-			if err := m.log.Append(wal.Record{
-				Type: wal.RecCatalog, TxnID: id, Payload: catalogDelta,
-			}); err != nil {
-				return err
-			}
-		}
-		return m.log.Append(wal.Record{Type: wal.RecCommit, TxnID: id})
-	}()
+	if err == nil {
+		err = m.log.Append(wal.Record{Type: wal.RecCommit, TxnID: id})
+	}
 	m.ckptMu.RUnlock()
 	if err != nil {
 		return err
@@ -263,31 +164,22 @@ func (m *Manager) checkpointDue() bool {
 	return m.Backlog()*backlogShare >= max(inUse, m.CheckpointBytes)
 }
 
-// Recover replays committed record groups from the log into the page file
-// (catalog deltas go to OnRecoverCatalog) and truncates the log. It must
-// run before the first commit, with both hooks already set.
+// Recover replays committed records from the log (each goes to OnRecover)
+// and truncates the log. It must run before the first commit, with the
+// hooks already set.
 func (m *Manager) Recover() (int, error) {
-	var onCatalog func(uint64, []byte) error
-	if m.OnRecoverCatalog != nil {
-		onCatalog = func(txn uint64, delta []byte) error {
-			if txn <= m.reflected {
-				return nil // the catalog was flushed after this commit
-			}
-			return m.OnRecoverCatalog(delta)
+	n, err := m.log.Replay(func(id uint64, record []byte) error {
+		if m.OnRecover == nil {
+			return nil
 		}
-	}
-	n, err := m.log.RecoverFull(func(id pager.PageID, img []byte) error {
-		// RecoverPage, not WritePage: the stale header's allocation state
-		// may not cover WAL-logged pages yet (the cursor and free list are
-		// only durable as of the last checkpoint).
-		return m.file.RecoverPage(id, img)
-	}, onCatalog)
+		return m.OnRecover(id, record)
+	})
 	if err != nil {
 		return n, err
 	}
 	if n > 0 {
-		// Persist the replayed state — including catalog updates rebuilt
-		// from deltas (BeforeCheckpoint flushes them) — before the log that
+		// Persist the replayed state — the catalog updates rebuilt from
+		// records (BeforeCheckpoint flushes them) — before the log that
 		// could rebuild it again is discarded.
 		if m.BeforeCheckpoint != nil {
 			if err := m.BeforeCheckpoint(); err != nil {

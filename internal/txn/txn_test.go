@@ -3,17 +3,54 @@ package txn
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
+	"rodentstore/internal/segment"
 	"rodentstore/internal/wal"
 )
 
-func newEnv(t *testing.T) (*Manager, *pager.File, *wal.Log, string) {
+// tailEnv is the engine's durable insert path in miniature: a catalog with
+// one table, T, whose tails are single-segment byte streams, and a manager
+// that logs their tail records and replays them into the catalog.
+type tailEnv struct {
+	m   *Manager
+	f   *pager.File
+	l   *wal.Log
+	cat *catalog.Catalog
+	mu  sync.Mutex // the table lock: publish is a read-modify-write of T
+}
+
+// attach loads the catalog persisted in f and hooks it to a new manager.
+func attach(t *testing.T, f *pager.File, l *wal.Log) *tailEnv {
 	t.Helper()
-	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.rdnt")
+	cat, err := catalog.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(f, l)
+	m.OnRecover = cat.ApplyTailAppend
+	m.BeforeCheckpoint = cat.Flush
+	return &tailEnv{m: m, f: f, l: l, cat: cat}
+}
+
+// create adds the empty table T and makes it durable.
+func (e *tailEnv) create(t *testing.T) {
+	t.Helper()
+	if err := e.cat.Put(&catalog.Table{Name: "T", Fields: []catalog.FieldMeta{{Name: "b", Type: "bytes"}}, LayoutExpr: "rows(T)"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newEnv(t *testing.T) (*tailEnv, string) {
+	t.Helper()
+	dbPath := filepath.Join(t.TempDir(), "db.rdnt")
 	f, err := pager.Create(dbPath, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -23,150 +60,214 @@ func newEnv(t *testing.T) (*Manager, *pager.File, *wal.Log, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close(); f.Close() })
-	return NewManager(f, l), f, l, dbPath
+	e := attach(t, f, l)
+	e.create(t)
+	return e, dbPath
 }
 
-// commit is the production write path in miniature: apply the page in
-// place, then make it durable with LogApplied.
-func commit(m *Manager, f *pager.File, id pager.PageID, payload []byte) error {
-	if err := f.WritePage(id, payload); err != nil {
-		return err
-	}
-	return m.LogApplied([]PageImage{{ID: id, Payload: payload}}, nil)
-}
-
-func TestCommitDurable(t *testing.T) {
-	m, f, _, _ := newEnv(t)
-	id, _ := f.Allocate()
-	if err := commit(m, f, id, []byte("committed data")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.ReadPage(id)
+// apply writes stream in place as a new tail of T and publishes it in
+// memory, as the engine's publish phase does, returning the extent written,
+// the commit id and the tail record — not yet logged.
+func (e *tailEnv) apply(t *testing.T, stream string) (pager.PageID, uint64, []byte) {
+	t.Helper()
+	pages := uint64(len(stream)+e.f.PayloadSize()-1) / uint64(e.f.PayloadSize())
+	start, err := e.f.AllocateRun(max(pages, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got[:14]) != "committed data" {
-		t.Errorf("got %q", got[:14])
+	if err := e.f.WriteRun(start, []byte(stream)); err != nil {
+		t.Fatal(err)
 	}
+	batch := []catalog.SegmentEntry{{Fields: []string{"b"}, Codecs: []string{""}, Meta: segment.Meta{
+		ExtentStart: start, ExtentPages: max(pages, 1), UsedBytes: uint64(len(stream)), Rows: 1,
+	}}}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tab, err := e.cat.Get("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := *tab
+	work.Tails = append(append([][]catalog.SegmentEntry(nil), tab.Tails...), batch)
+	work.RowCount++
+	id := e.cat.PutBuffered(&work)
+	return start, id, catalog.EncodeTailAppend("T", batch, 1, [][]byte{[]byte(stream)})
+}
+
+// insert is apply, then Commit: the one commit path.
+func (e *tailEnv) insert(t *testing.T, stream string) error {
+	t.Helper()
+	_, id, rec := e.apply(t, stream)
+	return e.m.Commit(id, rec)
+}
+
+// tails reads T's tails back from the page file, oldest first.
+func (e *tailEnv) tails(t *testing.T) []string {
+	t.Helper()
+	tab, err := e.cat.Get("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, batch := range tab.Tails {
+		m := batch[0].Meta
+		buf, err := e.f.ReadRunInto(nil, m.ExtentStart, m.ExtentPages)
+		if err != nil {
+			t.Fatalf("tail at %d: %v", m.ExtentStart, err)
+		}
+		out = append(out, string(buf[:m.UsedBytes]))
+	}
+	return out
+}
+
+// wantTails fails unless T's tails read back as want.
+func (e *tailEnv) wantTails(t *testing.T, want ...string) {
+	t.Helper()
+	if got := e.tails(t); !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+		t.Fatalf("tails %q, want %q", got, want)
+	}
+}
+
+// lose overwrites a tail's first page, as a crash that loses the unsynced
+// in-place write does.
+func lose(t *testing.T, f *pager.File, id pager.PageID) {
+	t.Helper()
+	if err := f.WritePage(id, make([]byte, f.PayloadSize())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// logTail appends a tail record group by hand; commit=false leaves it
+// without its commit record.
+func logTail(t *testing.T, l *wal.Log, id uint64, rec []byte, commit bool) {
+	t.Helper()
+	l.Append(wal.Record{Type: wal.RecBegin, TxnID: id})
+	l.Append(wal.Record{Type: wal.RecTail, TxnID: id, Payload: rec})
+	if commit {
+		l.Append(wal.Record{Type: wal.RecCommit, TxnID: id})
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCommitDurable(t *testing.T) {
+	e, _ := newEnv(t)
+	if err := e.insert(t, "committed data"); err != nil {
+		t.Fatal(err)
+	}
+	e.wantTails(t, "committed data")
 }
 
 func TestCrashRecovery(t *testing.T) {
 	// Simulate a crash after the commit record is durable but with the
-	// in-place page write lost: write the WAL records directly, then recover.
-	m, f, l, _ := newEnv(t)
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte("before"))
+	// in-place page write and the in-memory catalog lost: write the WAL
+	// records directly, then recover into the persisted catalog.
+	e, _ := newEnv(t)
+	start, id, rec := e.apply(t, "after crash image")
+	logTail(t, e.l, id, rec, true)
+	lose(t, e.f, start)
 
-	l.Append(wal.Record{Type: wal.RecBegin, TxnID: 99})
-	l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 99, PageID: id, Payload: []byte("after crash image")})
-	l.Append(wal.Record{Type: wal.RecCommit, TxnID: 99})
-	l.Sync()
-
-	n, err := m.Recover()
+	back := attach(t, e.f, e.l)
+	back.wantTails(t) // the buffered append never reached disk
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("recovered %d txns, want 1", n)
 	}
-	got, _ := f.ReadPage(id)
-	if string(got[:17]) != "after crash image" {
-		t.Error("recovery did not apply committed image")
-	}
-	if l.Size() != 0 {
+	back.wantTails(t, "after crash image")
+	if e.l.Size() != 0 {
 		t.Error("log not truncated after recovery")
 	}
 }
 
 func TestUncommittedNotRecovered(t *testing.T) {
-	m, f, l, _ := newEnv(t)
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte("keep me"))
-	l.Append(wal.Record{Type: wal.RecBegin, TxnID: 5})
-	l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 5, PageID: id, Payload: []byte("drop me")})
-	l.Sync()
+	e, _ := newEnv(t)
+	keep, _ := e.f.Allocate()
+	e.f.WritePage(keep, []byte("keep me"))
+	_, id, rec := e.apply(t, "drop me")
+	logTail(t, e.l, id, rec, false)
 
-	if n, err := m.Recover(); err != nil || n != 0 {
+	back := attach(t, e.f, e.l)
+	if n, err := back.m.Recover(); err != nil || n != 0 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
-	got, _ := f.ReadPage(id)
+	back.wantTails(t)
+	got, _ := e.f.ReadPage(keep)
 	if string(got[:7]) != "keep me" {
-		t.Error("uncommitted image applied")
+		t.Error("uncommitted record written over a page")
 	}
 }
 
 func TestRecoveryAfterDeferredCheckpoint(t *testing.T) {
-	// A commit never syncs the page file or truncates the log; images stay
+	// A commit never syncs the page file or truncates the log; records stay
 	// in the log until the checkpoint policy fires. Simulate a crash that
 	// loses the in-place page writes (they were never synced) and verify the
 	// deferred log still repairs them.
-	m, f, l, _ := newEnv(t)
-	m.CheckpointBytes = 0 // disable the size trigger: nothing checkpoints
-	id, _ := f.Allocate()
-	if err := commit(m, f, id, []byte("survives the crash")); err != nil {
+	e, _ := newEnv(t)
+	e.m.CheckpointBytes = 0 // disable the size trigger: nothing checkpoints
+	start, id, rec := e.apply(t, "survives the crash")
+	if err := e.m.Commit(id, rec); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() == 0 {
+	if e.l.Size() == 0 {
 		t.Fatal("commit should leave its records in the log until a checkpoint")
 	}
 	// Crash: the applied (but unsynced) page content is lost; the fsync'd
 	// log survives.
-	f.WritePage(id, make([]byte, 18))
-	n, err := m.Recover()
+	lose(t, e.f, start)
+	back := attach(t, e.f, e.l)
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("recovered %d txns, want 1", n)
 	}
-	got, _ := f.ReadPage(id)
-	if string(got[:18]) != "survives the crash" {
-		t.Error("deferred-checkpoint image not replayed")
-	}
-	if l.Size() != 0 {
+	back.wantTails(t, "survives the crash")
+	if e.l.Size() != 0 {
 		t.Error("log not truncated after recovery")
 	}
 }
 
 func TestCheckpointSizePolicy(t *testing.T) {
 	// With a tiny CheckpointBytes every commit trips the size trigger: the
-	// log is truncated off the commit path and the applied pages are durable
-	// in the page file, so a subsequent recovery replays nothing and loses
+	// log is truncated off the commit path and the catalog naming the tail
+	// is durable, so a subsequent recovery replays nothing and loses
 	// nothing.
-	m, f, l, _ := newEnv(t)
-	m.CheckpointBytes = 1
-	id, _ := f.Allocate()
-	if err := commit(m, f, id, []byte("checkpointed")); err != nil {
+	e, _ := newEnv(t)
+	e.m.CheckpointBytes = 1
+	if err := e.insert(t, "checkpointed"); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 0 {
-		t.Errorf("size-triggered checkpoint should truncate the log, size=%d", l.Size())
+	if e.l.Size() != 0 {
+		t.Errorf("size-triggered checkpoint should truncate the log, size=%d", e.l.Size())
 	}
-	n, err := m.Recover()
+	back := attach(t, e.f, e.l)
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Errorf("recovery after checkpoint replayed %d txns, want 0", n)
 	}
-	got, _ := f.ReadPage(id)
-	if string(got[:12]) != "checkpointed" {
-		t.Error("checkpointed page lost")
-	}
+	back.wantTails(t, "checkpointed")
 }
 
 func TestRecoverIgnoresTornTailAfterCommit(t *testing.T) {
 	// A crash can tear the record being appended when the machine died; the
 	// commits fsync'd before it must still replay. Write a commit, append
 	// garbage at the log's logical end, reopen, and recover.
-	m, f, l, dbPath := newEnv(t)
-	m.CheckpointBytes = 0
-	id, _ := f.Allocate()
-	if err := commit(m, f, id, []byte("good commit")); err != nil {
+	e, dbPath := newEnv(t)
+	e.m.CheckpointBytes = 0
+	start, id, rec := e.apply(t, "good commit")
+	if err := e.m.Commit(id, rec); err != nil {
 		t.Fatal(err)
 	}
-	end := l.Size()
-	if err := l.Close(); err != nil {
+	end := e.l.Size()
+	if err := e.l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	walPath := dbPath + ".wal"
@@ -184,114 +285,44 @@ func TestRecoverIgnoresTornTailAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	m2 := NewManager(f, l2)
-	f.WritePage(id, make([]byte, 11)) // lose the applied page
-	n, err := m2.Recover()
+	lose(t, e.f, start)
+	back := attach(t, e.f, l2)
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("recovered %d txns, want 1", n)
 	}
-	got, _ := f.ReadPage(id)
-	if string(got[:11]) != "good commit" {
-		t.Error("commit before the torn tail not replayed")
-	}
+	back.wantTails(t, "good commit")
 }
 
 func TestLogAppliedRecovery(t *testing.T) {
-	// Bulk writers write pages in place, then LogApplied makes them durable
-	// after the fact. A crash that loses the in-place writes must be
-	// repaired by replaying the logged images.
-	m, f, _, _ := newEnv(t)
-	m.CheckpointBytes = 0
-	id, _ := f.Allocate()
-	f.WritePage(id, []byte("bulk written"))
-	if err := m.LogApplied([]PageImage{{ID: id, Payload: []byte("bulk written")}}, nil); err != nil {
+	// Writers apply in place, then log what they applied (Commit). By then
+	// the tail's extent may have been freed by a fold and reused by another
+	// writer: recovery writes the record to a fresh extent, so the reused one
+	// keeps its new contents.
+	e, _ := newEnv(t)
+	e.m.CheckpointBytes = 0
+	start, id, rec := e.apply(t, "bulk written")
+	if err := e.f.WritePage(start, []byte("reused")); err != nil {
 		t.Fatal(err)
 	}
-	f.WritePage(id, make([]byte, 12)) // crash loses the unsynced write
-	n, err := m.Recover()
+	if err := e.m.Commit(id, rec); err != nil {
+		t.Fatal(err)
+	}
+	back := attach(t, e.f, e.l)
+	n, err := back.m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("recovered %d txns, want 1", n)
 	}
-	got, _ := f.ReadPage(id)
-	if string(got[:12]) != "bulk written" {
-		t.Error("LogApplied image not replayed")
-	}
-}
-
-func TestRecoverHealsStaleHeader(t *testing.T) {
-	// The page-file header (allocation cursor, free list) is only durable
-	// as of the last checkpoint, so after a crash the fsync'd WAL can
-	// reference pages the reopened header does not cover yet. Recovery
-	// must accept those images, heal the cursor, and never hand the healed
-	// pages out again.
-	m, f, l, _ := newEnv(t)
-	beyond := pager.PageID(f.NumPages()) + 3 // past the header's cursor
-	l.Append(wal.Record{Type: wal.RecBegin, TxnID: 7})
-	l.Append(wal.Record{Type: wal.RecPageImage, TxnID: 7, PageID: beyond, Payload: []byte("beyond cursor")})
-	l.Append(wal.Record{Type: wal.RecCommit, TxnID: 7})
-	l.Sync()
-	n, err := m.Recover()
-	if err != nil {
-		t.Fatalf("recovery must heal a stale header, got: %v", err)
-	}
-	if n != 1 {
-		t.Errorf("recovered %d txns, want 1", n)
-	}
-	got, err := f.ReadPage(beyond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:13]) != "beyond cursor" {
-		t.Error("replayed page content lost")
-	}
-	id, err := f.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id <= beyond {
-		t.Errorf("allocation handed out healed page range: got %d, cursor should be past %d", id, beyond)
-	}
-}
-
-func TestLogAppliedSinceBarrierFallback(t *testing.T) {
-	// A writer that captured the barrier before it moved — by a
-	// CheckpointBarrier, or by an AdvanceBarrier whose frees wait for a
-	// checkpoint — must not log its images: their extents may have been
-	// freed and reallocated, and replaying them after a crash would clobber
-	// the new contents. The fallback checkpoint keeps the applied state
-	// durable.
-	for name, move := range map[string]func(*Manager) error{
-		"checkpoint": (*Manager).CheckpointBarrier,
-		"advance":    func(m *Manager) error { m.AdvanceBarrier(); return nil },
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, f, l, _ := newEnv(t)
-			id, _ := f.Allocate()
-			f.WritePage(id, []byte("applied"))
-			b := m.Barrier()
-			if err := move(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.LogAppliedSince(b, []PageImage{{ID: id, Payload: []byte("stale image")}}, nil); err != nil {
-				t.Fatal(err)
-			}
-			if l.Size() != 0 {
-				t.Error("stale images must not reach the log (fallback should checkpoint instead)")
-			}
-			got, _ := f.ReadPage(id)
-			if string(got[:7]) != "applied" {
-				t.Error("applied page lost")
-			}
-			if n, err := m.Recover(); err != nil || n != 0 {
-				t.Errorf("recovery after fallback: n=%d err=%v", n, err)
-			}
-		})
+	back.wantTails(t, "bulk written")
+	got, _ := e.f.ReadPage(start)
+	if string(got[:6]) != "reused" {
+		t.Error("recovery wrote over the extent the record names")
 	}
 }
 
@@ -299,17 +330,17 @@ func TestBacklogTriggersCheckpoint(t *testing.T) {
 	// Queued frees bring a checkpoint on at their share of the file (of
 	// CheckpointBytes, for a file smaller than that), whatever the log's
 	// size.
-	m, f, l, _ := newEnv(t)
+	e, _ := newEnv(t)
+	m := e.m
 	var backlog int64
 	m.Backlog = func() int64 { return backlog }
 	m.CheckpointBytes = 1 << 20
-	id, _ := f.Allocate()
 	for _, b := range []int64{0, m.CheckpointBytes/backlogShare - 1} {
 		backlog = b
-		if err := commit(m, f, id, []byte("small")); err != nil {
+		if err := e.insert(t, "small"); err != nil {
 			t.Fatal(err)
 		}
-		if l.Size() == 0 {
+		if e.l.Size() == 0 {
 			t.Fatalf("a small commit with a backlog of %d bytes checkpointed", b)
 		}
 	}
@@ -317,30 +348,25 @@ func TestBacklogTriggersCheckpoint(t *testing.T) {
 	if err := m.MaybeCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 0 {
+	if e.l.Size() != 0 {
 		t.Error("a backlog at its share did not checkpoint")
 	}
 }
 
 func TestConcurrentGroupCommitters(t *testing.T) {
-	// W goroutines commit to private pages concurrently. Every commit must
-	// be durable and correctly applied, and the log must never issue more
-	// fsyncs than commits (the ticket protocol's amortization bound). Run
-	// under -race this also exercises the leader/waiter handoff in
-	// wal.Log.Sync.
-	m, f, l, _ := newEnv(t)
+	// W goroutines insert concurrently. Every commit must be durable and
+	// recover from the log, and the log must never issue more fsyncs than
+	// commits (the ticket protocol's amortization bound). Run under -race
+	// this also exercises the leader/waiter handoff in wal.Log.Sync.
+	e, _ := newEnv(t)
 	const writers, rounds = 8, 10
-	ids := make([]pager.PageID, writers)
-	for w := range ids {
-		ids[w], _ = f.Allocate()
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := commit(m, f, ids[w], []byte{byte(w), byte(i)}); err != nil {
+				if err := e.insert(t, string([]byte{byte(w), byte(i)})); err != nil {
 					t.Error(err)
 					return
 				}
@@ -349,16 +375,23 @@ func TestConcurrentGroupCommitters(t *testing.T) {
 	}
 	wg.Wait()
 	commits := uint64(writers * rounds)
-	if fs := l.Fsyncs(); fs == 0 || fs > commits {
+	if fs := e.l.Fsyncs(); fs == 0 || fs > commits {
 		t.Errorf("fsyncs = %d, want in [1, %d]", fs, commits)
 	}
-	for w := 0; w < writers; w++ {
-		got, err := f.ReadPage(ids[w])
-		if err != nil {
-			t.Fatal(err)
+	back := attach(t, e.f, e.l)
+	if n, err := back.m.Recover(); err != nil || n != int(commits) {
+		t.Fatalf("recovered %d txns (err %v), want %d", n, err, commits)
+	}
+	next := make([]byte, writers) // each writer's tails come back in its order
+	for _, s := range back.tails(t) {
+		if w := s[0]; s[1] != next[w] {
+			t.Fatalf("writer %d: tail %d recovered where %d was due", w, s[1], next[w])
 		}
-		if got[0] != byte(w) || got[1] != byte(rounds-1) {
-			t.Errorf("writer %d final page = %v, want [%d %d]", w, got[:2], w, rounds-1)
+		next[s[0]]++
+	}
+	for w, n := range next {
+		if n != rounds {
+			t.Errorf("writer %d: %d tails recovered, want %d", w, n, rounds)
 		}
 	}
 }

@@ -3,18 +3,20 @@
 // lock, and memory management facilities"; RodentStore provides them once,
 // under every layout the algebra can express.
 //
-// The log is redo-only with full page images: a writer applies its pages to
-// the main page file in place, then appends their images as one committed
-// record group and waits for the fsync (see package txn). Recovery replays
-// the images of committed groups in log order, which is idempotent;
-// uncommitted tails are ignored. After a checkpoint (all applied pages
-// durable) the log is truncated.
+// The log is redo-only and logical: a writer applies its pages to the main
+// page file in place, then appends one record describing what it applied —
+// a durable insert's tail, with the bytes of its segment streams — as a
+// committed record group, and waits for the fsync (see package txn).
+// Records name no page: recovery hands each committed payload, in log
+// order, to a callback that decides where it goes; uncommitted groups are
+// ignored. After a checkpoint (all applied pages durable) the log is
+// truncated.
 //
 // Two mechanisms keep the append path cheap under concurrency:
 //
 //   - Appends are encoded into a pending in-memory buffer under the log
 //     mutex and written to the file in one positional write when durability
-//     is requested — a one-page commit (begin + image + commit) is a single
+//     is requested — a commit (begin + tail + commit) is a single
 //     write syscall, and the encode path reuses the buffer's capacity
 //     instead of allocating per record.
 //
@@ -87,19 +89,21 @@ type RecordType uint8
 const (
 	// RecBegin marks the start of a transaction.
 	RecBegin RecordType = 1
-	// RecPageImage carries the full after-image of one page.
+	// RecPageImage is written only by benchmark/probes.go, to time page-sized appends.
 	RecPageImage RecordType = 2
-	// RecCommit marks a transaction durable; its images must be replayed.
+	// RecCommit marks a transaction durable; its records must be replayed.
 	RecCommit RecordType = 3
-	// RecCatalog carries an opaque catalog delta (e.g. a tail-append blob);
-	// recovery hands committed deltas to the catalog callback in log order.
-	RecCatalog RecordType = 5
+	// RecTail carries one durable insert's tail record (opaque here: the
+	// catalog encodes and replays it); Replay hands committed ones over in
+	// log order.
+	RecTail RecordType = 6
 )
 
 // Record is one log entry.
 type Record struct {
-	Type    RecordType
-	TxnID   uint64
+	Type  RecordType
+	TxnID uint64
+	// PageID is framed but unused by the engine; benchmark/probes.go sets it.
 	PageID  pager.PageID
 	Payload []byte
 }
@@ -182,7 +186,11 @@ func OpenAt(fsys vfs.FS, path string) (*Log, error) {
 // incrementally and stops at the first bad frame, so opening a log never
 // reads the (mostly zero) preallocated region into memory.
 func logicalSize(f vfs.File) (int64, error) {
-	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, 1<<62), 64<<10)
+	size, err := f.Size()
+	if err != nil {
+		return 0, err
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
 	var off int64
 	var hdr [8]byte
 	var body []byte
@@ -192,9 +200,9 @@ func logicalSize(f vfs.File) (int64, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:]))
 		crc := binary.LittleEndian.Uint32(hdr[4:])
-		// A frame holds at most a page image plus fixed fields; a length
-		// wildly past that is crash garbage, not a record to buffer.
-		if n < 17 || n > 64<<20 {
+		// A length past the file's end is crash garbage, not a record to
+		// buffer.
+		if n < 17 || off+8+int64(n) > size {
 			return off, nil
 		}
 		if cap(body) < n {
@@ -208,20 +216,6 @@ func logicalSize(f vfs.File) (int64, error) {
 			return off, nil // corrupt tail
 		}
 		off += int64(8 + n)
-	}
-}
-
-// ReserveBuffer grows the pending append buffer to at least n bytes of
-// capacity (a no-op if it is already that large), so commits up to that size
-// encode without reallocation. Callers that know the page size reserve one
-// page plus record framing.
-func (l *Log) ReserveBuffer(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cap(l.wbuf)-len(l.wbuf) < n {
-		grown := make([]byte, len(l.wbuf), len(l.wbuf)+n)
-		copy(grown, l.wbuf)
-		l.wbuf = grown
 	}
 }
 
@@ -435,7 +429,7 @@ func (l *Log) Verify() (VerifyReport, error) {
 	off := 0
 	for off+8 <= len(data) {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n < 17 || n > 64<<20 || off+8+n > len(data) {
+		if n < 17 || off+8+n > len(data) {
 			break
 		}
 		if crc32.ChecksumIEEE(data[off+8:off+8+n]) != binary.LittleEndian.Uint32(data[off+4:]) {
@@ -463,7 +457,7 @@ func (l *Log) Verify() (VerifyReport, error) {
 	}
 	for cand := off + 1; cand+8 <= limit; cand++ {
 		n := int(binary.LittleEndian.Uint32(data[cand:]))
-		if n < 17 || n > 64<<20 || cand+8+n > len(data) {
+		if n < 17 || cand+8+n > len(data) {
 			continue
 		}
 		if crc32.ChecksumIEEE(data[cand+8:cand+8+n]) == binary.LittleEndian.Uint32(data[cand+4:]) {
@@ -476,37 +470,27 @@ func (l *Log) Verify() (VerifyReport, error) {
 	return rep, nil
 }
 
-// RecoverFull replays the log: for every committed record group, apply is
-// called with each page image and applyCatalog (nil to skip them) with each
-// RecCatalog payload and its group's id, interleaved in log order. It
-// returns the number of groups replayed. A group with no commit record — the
+// Replay walks the log and calls apply with the payload of every RecTail
+// record of a committed group, and the group's id, in log order. It returns
+// the number of groups committed. A group with no commit record — the
 // writer died, or its fsync never happened — is skipped.
-func (l *Log) RecoverFull(apply func(pager.PageID, []byte) error, applyCatalog func(txn uint64, payload []byte) error) (int, error) {
+func (l *Log) Replay(apply func(txn uint64, payload []byte) error) (int, error) {
 	recs, err := l.Scan()
 	if err != nil {
 		return 0, err
 	}
-	pending := make(map[uint64][]Record)
+	pending := make(map[uint64][][]byte)
 	replayed := 0
 	for _, r := range recs {
 		switch r.Type {
 		case RecBegin:
 			pending[r.TxnID] = nil
-		case RecPageImage, RecCatalog:
-			pending[r.TxnID] = append(pending[r.TxnID], r)
+		case RecTail:
+			pending[r.TxnID] = append(pending[r.TxnID], r.Payload)
 		case RecCommit:
-			for _, rec := range pending[r.TxnID] {
-				if rec.Type == RecCatalog {
-					if applyCatalog == nil {
-						continue
-					}
-					if err := applyCatalog(r.TxnID, rec.Payload); err != nil {
-						return replayed, fmt.Errorf("wal: replay txn %d catalog delta: %w", r.TxnID, err)
-					}
-					continue
-				}
-				if err := apply(rec.PageID, rec.Payload); err != nil {
-					return replayed, fmt.Errorf("wal: replay txn %d page %d: %w", r.TxnID, rec.PageID, err)
+			for _, payload := range pending[r.TxnID] {
+				if err := apply(r.TxnID, payload); err != nil {
+					return replayed, fmt.Errorf("wal: replay txn %d: %w", r.TxnID, err)
 				}
 			}
 			delete(pending, r.TxnID)

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"rodentstore/internal/pager"
 )
 
 func newLog(t *testing.T) (*Log, string) {
@@ -24,8 +22,8 @@ func TestAppendScanRoundtrip(t *testing.T) {
 	l, _ := newLog(t)
 	recs := []Record{
 		{Type: RecBegin, TxnID: 1},
-		{Type: RecPageImage, TxnID: 1, PageID: 7, Payload: []byte("page seven")},
-		{Type: RecPageImage, TxnID: 1, PageID: 8, Payload: []byte{}},
+		{Type: RecTail, TxnID: 1, Payload: []byte("tail seven")},
+		{Type: RecTail, TxnID: 1, PageID: 8, Payload: []byte{}},
 		{Type: RecCommit, TxnID: 1},
 	}
 	for _, r := range recs {
@@ -84,7 +82,7 @@ func TestScanStopsAtTornTail(t *testing.T) {
 func TestScanStopsAtCorruptRecord(t *testing.T) {
 	l, path := newLog(t)
 	l.Append(Record{Type: RecBegin, TxnID: 1})
-	l.Append(Record{Type: RecPageImage, TxnID: 1, PageID: 3, Payload: []byte("abcdef")})
+	l.Append(Record{Type: RecTail, TxnID: 1, Payload: []byte("abcdef")})
 	l.Append(Record{Type: RecCommit, TxnID: 1})
 	l.Sync()
 	end := l.Size() // logical end: the file itself is preallocated longer
@@ -104,33 +102,33 @@ func TestRecoverAppliesOnlyCommitted(t *testing.T) {
 	l, _ := newLog(t)
 	// txn 1 commits; txns 2 and 3 never do.
 	l.Append(Record{Type: RecBegin, TxnID: 1})
-	l.Append(Record{Type: RecPageImage, TxnID: 1, PageID: 10, Payload: []byte("one")})
+	l.Append(Record{Type: RecTail, TxnID: 1, Payload: []byte("one")})
 	l.Append(Record{Type: RecBegin, TxnID: 2})
-	l.Append(Record{Type: RecPageImage, TxnID: 2, PageID: 20, Payload: []byte("two")})
+	l.Append(Record{Type: RecTail, TxnID: 2, Payload: []byte("two")})
 	l.Append(Record{Type: RecCommit, TxnID: 1})
 	l.Append(Record{Type: RecBegin, TxnID: 3})
-	l.Append(Record{Type: RecPageImage, TxnID: 3, PageID: 30, Payload: []byte("three")})
+	l.Append(Record{Type: RecTail, TxnID: 3, Payload: []byte("three")})
 	l.Sync()
 
-	applied := map[pager.PageID]string{}
-	n, err := l.RecoverFull(func(id pager.PageID, img []byte) error {
-		applied[id] = string(img)
+	applied := map[uint64]string{}
+	n, err := l.Replay(func(txn uint64, payload []byte) error {
+		applied[txn] = string(payload)
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("replayed %d txns, want 1", n)
 	}
-	if applied[10] != "one" {
-		t.Error("committed image not applied")
+	if applied[1] != "one" {
+		t.Error("committed record not applied")
 	}
-	if _, ok := applied[20]; ok {
-		t.Error("aborted image applied")
+	if _, ok := applied[2]; ok {
+		t.Error("aborted record applied")
 	}
-	if _, ok := applied[30]; ok {
-		t.Error("unfinished image applied")
+	if _, ok := applied[3]; ok {
+		t.Error("unfinished record applied")
 	}
 }
 

@@ -101,9 +101,10 @@ type Options struct {
 	// which is what the paper's experiments measure.
 	CachePages int
 	// DurableInserts routes Insert's publish phase through the write-ahead
-	// log: tail pages are logged as images and group-committed (one fsync
-	// absorbs concurrent inserters) before being applied. Off by default —
-	// the paper's experiments measure non-durable bulk ingest.
+	// log: each applied tail is logged as one tail record and
+	// group-committed (one fsync absorbs concurrent inserters) before Insert
+	// returns. Off by default — the paper's experiments measure non-durable
+	// bulk ingest.
 	DurableInserts bool
 	// AutoMergeTails enables the background tail-merge worker: when a table
 	// accumulates this many unorganized tail batches they are folded into
@@ -187,7 +188,7 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 	// The catalog loads before recovery (its extent is flushed in place,
 	// never WAL-logged, so replay cannot change it) and the engine is
 	// created before Recover so its catalog hooks — checkpoint flush and
-	// tail-append delta replay — are in place for the replay itself.
+	// tail record replay — are in place for the replay itself.
 	cat, err := catalog.Load(file)
 	if err != nil {
 		log.Close()
