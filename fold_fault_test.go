@@ -483,7 +483,9 @@ func TestTornCatalogFlushRecovers(t *testing.T) {
 				}
 				return db.Insert("T", rows[1900:])
 			}
-			atEveryKillPoint(t, fs, []vfs.CrashMode{vfs.CrashTorn}, op, func(kill int, snap *DB) {
+			checked := 0
+			torn := atEveryKillPoint(t, fs, []vfs.CrashMode{vfs.CrashTorn}, op, func(kill int, snap *DB) {
+				checked++
 				cur, err := snap.Scan("T", Query{Fields: []string{"id"}})
 				if err != nil {
 					t.Errorf("kill point %d: %v", kill, err)
@@ -495,6 +497,9 @@ func TestTornCatalogFlushRecovers(t *testing.T) {
 					t.Errorf("kill point %d: %d rows (err %v), want 0, 1900 or 2000", kill, n, err)
 				}
 			})
+			if checked == 0 {
+				t.Fatalf("every kill point (%d) tore the header; nothing checked", torn)
+			}
 		})
 	}
 }

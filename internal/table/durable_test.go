@@ -103,7 +103,8 @@ func TestLateTailRecordAfterFoldFreeAndReuse(t *testing.T) {
 		if !reused {
 			t.Fatalf("no insert into B reused the late tail's extent [%d,+%d)", late.ExtentStart, late.ExtentPages)
 		}
-		if err := e.mgr.Commit(pub.id, pub.record); err != nil {
+		record := catalog.EncodeTailAppend("A", pub.batch, pub.rows, pub.streams)
+		if err := e.mgr.Commit(pub.id, record); err != nil {
 			t.Fatal(err)
 		}
 

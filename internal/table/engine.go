@@ -453,8 +453,9 @@ func (e *Engine) Insert(name string, rows []value.Row) error {
 			return err
 		}
 		if pub.ok {
-			if pub.record != nil {
-				if err := e.mgr.Commit(pub.id, pub.record); err != nil {
+			if pub.streams != nil {
+				record := catalog.EncodeTailAppend(name, pub.batch, pub.rows, pub.streams)
+				if err := e.mgr.Commit(pub.id, record); err != nil {
 					return err
 				}
 			}
@@ -480,13 +481,16 @@ type stagedTail struct {
 
 // published is the outcome of one publish phase: whether it installed the
 // tail (ok=false means the layout moved and the caller must re-prepare),
-// whether the merge policy fired, and — in SyncInserts mode — the tail
-// record and the commit id its catalog update got, for Manager.Commit.
+// whether the merge policy fired, and — in SyncInserts mode — what the
+// tail record is encoded from (the batch, its row count and the writers'
+// streams) and the commit id its catalog update got, for Manager.Commit.
 type published struct {
 	ok          bool
 	mergeNeeded bool
 	id          uint64
-	record      []byte
+	batch       []catalog.SegmentEntry
+	rows        int64
+	streams     [][]byte
 }
 
 // insertOnce runs one prepare/publish round. With exclusivePrepare the
@@ -604,10 +608,10 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 // re-prepare. Tail-only appends shift no stored position, so secondary
 // indexes survive (IndexScan scans the parts past their coverage).
 //
-// In SyncInserts mode the tail is also returned as a tail record
-// (catalog.EncodeTailAppend), which the caller logs and fsyncs once the
-// lock is dropped, keeping the durability wait off the table's critical
-// section. The catalog itself is only updated in memory (publish) —
+// In SyncInserts mode the batch and its streams are also returned; the
+// caller encodes them as a tail record (catalog.EncodeTailAppend), logs it
+// and fsyncs once the lock is dropped, keeping the copy and the durability
+// wait off the table's critical section. The catalog itself is only updated in memory (publish) —
 // rewriting the whole catalog per insert is O(catalog size) of serialized
 // work, while the logged record is O(batch) and replays on recovery.
 func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate bool) (pub published, err error) {
@@ -641,11 +645,11 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 		return published{}, err
 	}
 	if e.durable() {
-		streams := make([][]byte, len(st.writers))
+		pub.batch, pub.rows = batch, st.rows
+		pub.streams = make([][]byte, len(st.writers))
 		for i, w := range st.writers {
-			streams[i] = w.Buf()
+			pub.streams[i] = w.Buf()
 		}
-		pub.record = catalog.EncodeTailAppend(name, batch, st.rows, streams)
 	}
 	pub.ok = true
 	return pub, nil

@@ -441,7 +441,7 @@ func (h *harness) onOp(op vfs.Op) {
 	h.nextKill++
 	h.stats.KillPoints++
 	imgs := h.fs.SnapshotCrash(mode)
-	if err := h.verifySnapshot(imgs); tornHeader(err) {
+	if err := h.verifySnapshot(imgs); mode == vfs.CrashTorn && tornHeader(err) {
 		h.stats.TornHeaders++
 	} else if err != nil {
 		h.checkErr = fmt.Errorf("kill point at op %d (%v %s off=%d len=%d, mode=%d): %w",

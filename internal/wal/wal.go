@@ -470,30 +470,28 @@ func (l *Log) Verify() (VerifyReport, error) {
 	return rep, nil
 }
 
-// Replay walks the log and calls apply with the payload of every RecTail
-// record of a committed group, and the group's id, in log order. It returns
-// the number of groups committed. A group with no commit record — the
-// writer died, or its fsync never happened — is skipped.
+// Replay walks the log and calls apply with the RecTail payload of every
+// committed group, and the group's id, in commit order. It returns the
+// number of groups committed. A group with no commit record — the writer
+// died, or its fsync never happened — is skipped.
 func (l *Log) Replay(apply func(txn uint64, payload []byte) error) (int, error) {
 	recs, err := l.Scan()
 	if err != nil {
 		return 0, err
 	}
-	pending := make(map[uint64][][]byte)
+	pending := make(map[uint64][]byte) // a group's one tail record
 	replayed := 0
 	for _, r := range recs {
 		switch r.Type {
-		case RecBegin:
-			pending[r.TxnID] = nil
 		case RecTail:
-			pending[r.TxnID] = append(pending[r.TxnID], r.Payload)
+			pending[r.TxnID] = r.Payload
 		case RecCommit:
-			for _, payload := range pending[r.TxnID] {
+			if payload, ok := pending[r.TxnID]; ok {
 				if err := apply(r.TxnID, payload); err != nil {
 					return replayed, fmt.Errorf("wal: replay txn %d: %w", r.TxnID, err)
 				}
+				delete(pending, r.TxnID)
 			}
-			delete(pending, r.TxnID)
 			replayed++
 		}
 	}
