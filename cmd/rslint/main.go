@@ -1,6 +1,8 @@
 // Command rslint runs RodentStore's repo-specific static analyzers — the
 // buffer-lease, batch-lifetime, lock-order, error-wrapping and
-// deterministic-clock invariants — over the module's packages.
+// deterministic-clock invariants, and the dead-export check — over the
+// module's packages. The dead-export check runs only for ./..., the one
+// pattern under which it sees every reference.
 //
 // Usage:
 //

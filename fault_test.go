@@ -8,7 +8,9 @@ package rodentstore
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
@@ -208,5 +210,57 @@ func TestQuarantineRetriesTransientErrors(t *testing.T) {
 	}
 	if rep := cur.Report(); len(rep.Skipped) != 0 {
 		t.Fatalf("transient errors were quarantined: %v", rep.Skipped)
+	}
+}
+
+// TestInvalidateCacheDuringMiss drops the buffer pool while a scan's page
+// read is in flight: InvalidateCache succeeds, the scan completes, and the
+// next scan reads cold.
+func TestInvalidateCacheDuringMiss(t *testing.T) {
+	fs := vfs.NewFault(7)
+	var armed atomic.Bool
+	blocked, release := make(chan struct{}), make(chan struct{})
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpRead && op.Path == faultDBPath && armed.CompareAndSwap(true, false) {
+			close(blocked)
+			<-release
+		}
+		return vfs.OK
+	}
+	db := faultDBWith(t, &Options{FS: fs, CachePages: 64})
+	loadRows(t, db, 200)
+	scan := func() error {
+		cur, err := db.Scan("T", Query{})
+		if err != nil {
+			return err
+		}
+		defer cur.Close()
+		rows, err := cur.All()
+		if err == nil && len(rows) != 200 {
+			err = fmt.Errorf("got %d rows, want 200", len(rows))
+		}
+		return err
+	}
+
+	armed.Store(true)
+	scanned := make(chan error, 1)
+	go func() { scanned <- scan() }()
+	<-blocked
+	// The read stays blocked until after InvalidateCache has started.
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	if err := db.InvalidateCache(); err != nil {
+		t.Fatalf("InvalidateCache with a read in flight: %v", err)
+	}
+	if err := <-scanned; err != nil {
+		t.Fatal(err)
+	}
+
+	db.InvalidateCache()
+	db.ResetIOStats()
+	if err := scan(); err != nil {
+		t.Fatal(err)
+	}
+	if db.IOStats().PageReads == 0 {
+		t.Fatal("scan after InvalidateCache read no pages")
 	}
 }

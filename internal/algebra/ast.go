@@ -42,16 +42,6 @@ const (
 	CurveHilbert CurveKind = "hilbert"
 )
 
-// SortOrder is an orderby direction.
-type SortOrder bool
-
-const (
-	// Asc sorts ascending.
-	Asc SortOrder = false
-	// Desc sorts descending.
-	Desc SortOrder = true
-)
-
 // OrderKey is one orderby key.
 type OrderKey struct {
 	Field string

@@ -191,16 +191,6 @@ func lowerBound(keys [][]byte, key []byte) int {
 	return lo
 }
 
-// Search returns the values stored under key.
-func (t *Tree) Search(key []byte) ([]uint64, error) {
-	var out []uint64
-	err := t.Range(key, key, func(k []byte, v uint64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out, err
-}
-
 // Range visits entries with lo <= key <= hi in key order. fn returns false
 // to stop early. hi nil means unbounded.
 func (t *Tree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error {
@@ -243,23 +233,6 @@ func (t *Tree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error 
 		id = n.next
 	}
 	return nil
-}
-
-// Height returns the tree height (1 = single leaf).
-func (t *Tree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return 0, err
-		}
-		if n.isLeaf {
-			return h, nil
-		}
-		h++
-		id = n.next
-	}
 }
 
 // Extents returns every page of the tree as sorted, coalesced extents — what

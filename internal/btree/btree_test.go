@@ -28,6 +28,33 @@ func newTree(t *testing.T) (*Tree, *pager.File) {
 	return tr, f
 }
 
+// Search returns the values stored under key.
+func (t *Tree) Search(key []byte) ([]uint64, error) {
+	var out []uint64
+	err := t.Range(key, key, func(k []byte, v uint64) bool {
+		out = append(out, v)
+		return true
+	})
+	return out, err
+}
+
+// Height returns the tree height (1 = single leaf).
+func (t *Tree) Height() (int, error) {
+	h := 1
+	id := t.root
+	for {
+		n, err := t.readNode(id)
+		if err != nil {
+			return 0, err
+		}
+		if n.isLeaf {
+			return h, nil
+		}
+		h++
+		id = n.next
+	}
+}
+
 func TestInsertSearchSmall(t *testing.T) {
 	tr, _ := newTree(t)
 	for i := 0; i < 10; i++ {

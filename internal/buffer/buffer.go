@@ -3,8 +3,11 @@
 // "transaction, lock, and memory management facilities"; the buffer pool is
 // the memory-management facility shared by every layout RodentStore renders.
 //
-// The pool caches page payloads above the pager with CLOCK (second-chance)
-// eviction, pin counts, dirty tracking and write-back. To scale with
+// The pool is a read-only cache of page payloads above the pager, with
+// CLOCK (second-chance) eviction and pin counts. Every page write goes
+// through the pager, which tells the pool what it rewrote or freed
+// (pager.File.OnInvalidate), so no frame is ever dirty and the pool never
+// writes: eviction and invalidation do no I/O. To scale with
 // concurrent readers, frames are split into lock-striped shards keyed by a
 // hash of the PageID: each shard has its own mutex, frame array, CLOCK hand
 // and atomic hit/miss counters, so scans on different goroutines contend
@@ -37,21 +40,20 @@ type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Flushes   uint64
 }
 
 type frame struct {
 	id       pager.PageID
 	data     []byte
 	pins     int
-	dirty    bool
 	refbit   bool // CLOCK second-chance bit
 	occupied bool
 	// pending is non-nil while the frame's disk read is in flight: the
 	// frame is claimed (pinned, indexed) before the shard lock drops, so a
-	// concurrent write+evict of the same page can never race a stale copy
-	// into the cache. Waiters block on the channel, which closes when the
-	// read completes (or fails and the frame is released).
+	// concurrent rewrite of the same page (see discard) waits for the read
+	// instead of racing a stale copy into the cache. Waiters block on the
+	// channel, which closes when the read completes (or fails and the frame
+	// is released).
 	pending chan struct{}
 	// stale marks a frame whose page was rewritten or freed underneath a
 	// pinned reader (see discard): it serves nobody new and is dropped when
@@ -70,7 +72,6 @@ type shard struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	flushes   atomic.Uint64
 }
 
 // Pool is a fixed-capacity page cache. All methods are safe for concurrent
@@ -190,13 +191,13 @@ func (p *Pool) shardOf(id pager.PageID) *shard {
 
 // Lease pins page id and returns a zero-copy view of its cached payload,
 // reading through the pager on a miss. The returned Lease's Data slice is
-// the cached frame itself: callers that modify it must MarkDirty before
-// Release, and must not retain the slice after Release.
+// the cached frame itself: callers must not modify it or retain it after
+// Release.
 //
 // A miss claims a frame and publishes it in the index (pinned, pending)
-// *before* dropping the shard lock for the disk read, so the page can
-// never be concurrently rewritten and evicted behind the reader's back —
-// the interleaving that would otherwise install a stale copy. Concurrent
+// *before* dropping the shard lock for the disk read, so a concurrent
+// rewrite of the page waits for the read and then drops the frame — the
+// interleaving that would otherwise install a stale copy. Concurrent
 // accessors of an in-flight page wait for the read instead of duplicating
 // it.
 func (p *Pool) Lease(id pager.PageID) (Lease, error) {
@@ -232,7 +233,7 @@ func (p *Pool) Lease(id pager.PageID) (Lease, error) {
 // released and no frame claimed.
 func (p *Pool) load(sh *shard, id pager.PageID) (*frame, error) {
 	sh.misses.Add(1)
-	fi, err := sh.victim(p.file)
+	fi, err := sh.victim()
 	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
@@ -278,55 +279,9 @@ func (l Lease) Release() error {
 	return l.sh.unpin(l.id)
 }
 
-// Get returns the payload of page id, reading it through the pager on a
-// miss, and pins the frame. Callers must Unpin when done. The returned
-// slice is the cached frame: callers that modify it must call MarkDirty
-// before Unpin.
-func (p *Pool) Get(id pager.PageID) ([]byte, error) {
-	//lint:allow leaselease pin is transferred to the caller, who must Unpin
-	l, err := p.Lease(id)
-	if err != nil {
-		return nil, err
-	}
-	return l.data, nil
-}
-
-// GetForWrite returns a pinned, writable frame for page id without reading
-// it from disk (for freshly allocated pages). The frame starts dirty.
-func (p *Pool) GetForWrite(id pager.PageID) ([]byte, error) {
-	sh := p.shardOf(id)
-	for {
-		sh.mu.Lock()
-		if fi, ok := sh.index[id]; ok {
-			f := &sh.frames[fi]
-			if sh.awaitFresh(f) {
-				continue // wait for the in-flight read before overwriting
-			}
-			f.pins++
-			f.refbit = true
-			f.dirty = true
-			data := f.data
-			sh.mu.Unlock()
-			return data, nil
-		}
-		fi, err := sh.victim(p.file)
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-		data := make([]byte, p.file.PayloadSize())
-		sh.frames[fi] = frame{id: id, data: data, pins: 1, dirty: true, refbit: true, occupied: true}
-		sh.index[id] = fi
-		sh.mu.Unlock()
-		return data, nil
-	}
-}
-
-// victim finds a free or evictable frame with the CLOCK policy, flushing a
-// dirty victim. Caller holds sh.mu. (The dirty flush is the one place page
-// I/O happens under a shard lock; it is rare on read-mostly paths and only
-// stalls this shard, not the pool.)
-func (sh *shard) victim(file *pager.File) (int, error) {
+// victim finds a free or evictable frame with the CLOCK policy. Caller
+// holds sh.mu.
+func (sh *shard) victim() (int, error) {
 	n := len(sh.frames)
 	for spin := 0; spin < 2*n+1; spin++ {
 		fi := sh.hand
@@ -342,12 +297,6 @@ func (sh *shard) victim(file *pager.File) (int, error) {
 			f.refbit = false
 			continue
 		}
-		if f.dirty {
-			if err := file.WritePage(f.id, f.data); err != nil {
-				return 0, err
-			}
-			sh.flushes.Add(1)
-		}
 		delete(sh.index, f.id)
 		sh.evictions.Add(1)
 		f.occupied = false
@@ -356,35 +305,16 @@ func (sh *shard) victim(file *pager.File) (int, error) {
 	return 0, fmt.Errorf("buffer: %w (%d frames)", errShardPinned, n)
 }
 
-// MarkDirty flags the page's frame as modified. The page must be resident
-// and pinned.
-func (p *Pool) MarkDirty(id pager.PageID) error {
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fi, ok := sh.index[id]
-	if !ok {
-		return fmt.Errorf("buffer: MarkDirty on non-resident page %d", id)
-	}
-	sh.frames[fi].dirty = true
-	return nil
-}
-
-// Unpin releases one pin on page id.
-func (p *Pool) Unpin(id pager.PageID) error {
-	return p.shardOf(id).unpin(id)
-}
-
 func (sh *shard) unpin(id pager.PageID) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	fi, ok := sh.index[id]
 	if !ok {
-		return fmt.Errorf("buffer: Unpin on non-resident page %d", id)
+		return fmt.Errorf("buffer: Release on non-resident page %d", id)
 	}
 	f := &sh.frames[fi]
 	if f.pins == 0 {
-		return fmt.Errorf("buffer: Unpin on unpinned page %d", id)
+		return fmt.Errorf("buffer: Release on unpinned page %d", id)
 	}
 	sh.drop(f)
 	return nil
@@ -400,66 +330,22 @@ func (sh *shard) drop(f *frame) {
 	}
 }
 
-// FlushAll writes every unpinned dirty frame back to the pager (without
-// evicting). A pinned dirty frame is still being written by its holder —
-// flushing it would persist a torn page — and is flushed by a later call or
-// by eviction once unpinned.
-func (p *Pool) FlushAll() error {
+// Invalidate forgets every cached page, so the next access is a cold read.
+// Experiments call this between queries to reproduce the paper's
+// cold-cache page counts. It drops pages as discard does: an in-flight
+// read lands first, and a leased page keeps its bytes until Release.
+func (p *Pool) Invalidate() {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if f.occupied && f.dirty && f.pins == 0 {
-				if err := p.file.WritePage(f.id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				f.dirty = false
-				sh.flushes.Add(1)
-			}
+		ids := make([]pager.PageID, 0, len(sh.index))
+		for id := range sh.index {
+			ids = append(ids, id)
 		}
 		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// Invalidate drops every unpinned frame (flushing dirty ones), so the next
-// access is a cold read. Experiments call this between queries to reproduce
-// the paper's cold-cache page counts. It fails if any frame is pinned.
-func (p *Pool) Invalidate() error {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if !f.occupied {
-				continue
-			}
-			if f.pins > 0 {
-				sh.mu.Unlock()
-				return fmt.Errorf("buffer: Invalidate with pinned page %d", f.id)
-			}
-			if f.dirty {
-				if err := p.file.WritePage(f.id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				sh.flushes.Add(1)
-			}
-			delete(sh.index, f.id)
-			f.occupied = false
+		for _, id := range ids {
+			sh.discard(id)
 		}
-		sh.mu.Unlock()
 	}
-	return nil
-}
-
-// Resident reports whether page id is cached (for tests).
-func (p *Pool) Resident(id pager.PageID) bool {
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.index[id]
-	return ok
 }
 
 // ReadPage returns a copy of the page payload, going through the cache. It
@@ -521,9 +407,22 @@ func (p *Pool) Stats() Stats {
 		s.Hits += sh.hits.Load()
 		s.Misses += sh.misses.Load()
 		s.Evictions += sh.evictions.Load()
-		s.Flushes += sh.flushes.Load()
 	}
 	return s
+}
+
+// Pinned returns the number of pins held: leases not yet released and
+// misses whose read is in flight. An idle pool has none.
+func (p *Pool) Pinned() int {
+	n := 0
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		for i := range sh.frames {
+			n += sh.frames[i].pins
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Capacity returns the total number of frames across shards.

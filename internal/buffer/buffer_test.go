@@ -37,23 +37,43 @@ func TestNewPoolRejectsZeroCapacity(t *testing.T) {
 	}
 }
 
-func TestGetCachesPages(t *testing.T) {
-	p, f, start := newPoolT(t, 4, 8)
-	d1, err := p.Get(start)
+// Resident reports whether page id is cached.
+func (p *Pool) Resident(id pager.PageID) bool {
+	sh := p.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.index[id]
+	return ok
+}
+
+// touch leases page id and releases it at once.
+func touch(t *testing.T, p *Pool, id pager.PageID) {
+	t.Helper()
+	l, err := p.Lease(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1[0] != 0 {
-		t.Errorf("wrong content: %d", d1[0])
-	}
-	p.Unpin(start)
-	before := f.Stats().PageReads
-	if _, err := p.Get(start); err != nil {
+	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	p.Unpin(start)
+}
+
+func TestGetCachesPages(t *testing.T) {
+	p, f, start := newPoolT(t, 4, 8)
+	l, err := p.Lease(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Data()[0] != 0 {
+		t.Errorf("wrong content: %d", l.Data()[0])
+	}
+	l.Release()
+	before := f.Stats().PageReads
+	if _, err := p.AppendPage(nil, start, 0, 1); err != nil {
+		t.Fatal(err)
+	}
 	if got := f.Stats().PageReads; got != before {
-		t.Errorf("second Get should hit cache: reads %d -> %d", before, got)
+		t.Errorf("second read should hit cache: reads %d -> %d", before, got)
 	}
 	s := p.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
@@ -61,42 +81,15 @@ func TestGetCachesPages(t *testing.T) {
 	}
 }
 
-func TestEvictionWritesBackDirty(t *testing.T) {
-	p, f, start := newPoolT(t, 2, 8)
-	// Dirty page 0.
-	d, _ := p.Get(start)
-	d[0] = 0xaa
-	p.MarkDirty(start)
-	p.Unpin(start)
-	// Touch enough pages to evict page 0 (capacity 2).
-	for i := 1; i < 6; i++ {
-		if _, err := p.Get(start + pager.PageID(i)); err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(start + pager.PageID(i))
-	}
-	if p.Resident(start) {
-		t.Fatal("page 0 should have been evicted")
-	}
-	got, err := f.ReadPage(start)
+func TestPinnedPagesNotEvicted(t *testing.T) {
+	p, _, start := newPoolT(t, 2, 8)
+	l, err := p.Lease(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 0xaa {
-		t.Error("dirty page not written back on eviction")
-	}
-}
-
-func TestPinnedPagesNotEvicted(t *testing.T) {
-	p, _, start := newPoolT(t, 2, 8)
-	if _, err := p.Get(start); err != nil { // pinned, never unpinned
-		t.Fatal(err)
-	}
+	defer l.Release()
 	for i := 1; i < 6; i++ {
-		if _, err := p.Get(start + pager.PageID(i)); err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(start + pager.PageID(i))
+		touch(t, p, start+pager.PageID(i))
 	}
 	if !p.Resident(start) {
 		t.Error("pinned page was evicted")
@@ -105,88 +98,77 @@ func TestPinnedPagesNotEvicted(t *testing.T) {
 
 func TestAllPinnedFails(t *testing.T) {
 	p, _, start := newPoolT(t, 2, 8)
-	p.Get(start)
-	p.Get(start + 1)
-	if _, err := p.Get(start + 2); err == nil {
+	for i := 0; i < 2; i++ {
+		l, err := p.Lease(start + pager.PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Release()
+	}
+	if l, err := p.Lease(start + 2); err == nil {
+		l.Release()
 		t.Error("expected error when all frames pinned")
 	}
 }
 
 func TestUnpinErrors(t *testing.T) {
 	p, _, start := newPoolT(t, 2, 8)
-	if err := p.Unpin(start); err == nil {
-		t.Error("expected error unpinning non-resident page")
+	if err := (Lease{sh: p.shardOf(start), id: start}).Release(); err == nil {
+		t.Error("expected error releasing non-resident page")
 	}
-	p.Get(start)
-	p.Unpin(start)
-	if err := p.Unpin(start); err == nil {
-		t.Error("expected error unpinning unpinned page")
+	l, err := p.Lease(start)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := p.MarkDirty(start + 5); err == nil {
-		t.Error("expected error marking non-resident page")
+	if err := l.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Release(); err == nil {
+		t.Error("expected error releasing unpinned page")
+	}
+	var zero Lease
+	if err := zero.Release(); err == nil {
+		t.Error("zero Lease Release should error")
 	}
 }
 
-func TestGetForWrite(t *testing.T) {
-	p, f, _ := newPoolT(t, 4, 2)
-	id, err := f.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := p.GetForWrite(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(d, "fresh page")
-	p.Unpin(id)
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.ReadPage(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:10]) != "fresh page" {
-		t.Errorf("got %q", got[:10])
-	}
-}
-
+// TestInvalidate pins Invalidate's contract: every page is forgotten, and a
+// leased page keeps its bytes until Release, which drops it.
 func TestInvalidate(t *testing.T) {
-	p, f, start := newPoolT(t, 4, 4)
-	d, _ := p.Get(start)
-	d[0] = 0x55
-	p.MarkDirty(start)
-	p.Unpin(start)
-	if err := p.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
+	p, _, start := newPoolT(t, 4, 4)
+	touch(t, p, start)
+	p.Invalidate()
 	if p.Resident(start) {
 		t.Error("page still resident after Invalidate")
 	}
-	got, _ := f.ReadPage(start)
-	if got[0] != 0x55 {
-		t.Error("dirty page lost by Invalidate")
+	l, err := p.Lease(start)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Invalidate with a pinned page must fail.
-	p.Get(start)
-	if err := p.Invalidate(); err == nil {
-		t.Error("expected error invalidating with pinned page")
+	p.Invalidate()
+	if l.Data()[0] != 0 {
+		t.Error("leased page's bytes changed under Invalidate")
 	}
-	p.Unpin(start)
+	if err := l.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Resident(start) {
+		t.Error("invalidated leased page survived its Release")
+	}
+	if n := p.Pinned(); n != 0 {
+		t.Errorf("%d pins left", n)
+	}
 }
 
 func TestClockSecondChance(t *testing.T) {
 	// A frequently touched page should survive a scan of cold pages.
 	p, _, start := newPoolT(t, 3, 16)
 	hot := start
-	p.Get(hot)
-	p.Unpin(hot)
+	touch(t, p, hot)
 	for i := 1; i < 16; i++ {
-		p.Get(start + pager.PageID(i))
-		p.Unpin(start + pager.PageID(i))
+		touch(t, p, start+pager.PageID(i))
 		// Re-touch the hot page so its refbit stays set.
-		p.Get(hot)
-		p.Unpin(hot)
+		touch(t, p, hot)
 	}
 	if !p.Resident(hot) {
 		t.Error("hot page evicted despite constant touches")
@@ -201,13 +183,20 @@ func TestConcurrentAccess(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
 				id := start + pager.PageID(r.Intn(32))
-				d, err := p.Get(id)
+				if i%2 == 0 {
+					if _, err := p.AppendPage(nil, id, 0, 1); err != nil {
+						done <- err
+						return
+					}
+					continue
+				}
+				l, err := p.Lease(id)
 				if err != nil {
 					done <- err
 					return
 				}
-				_ = d[0]
-				if err := p.Unpin(id); err != nil {
+				_ = l.Data()[0]
+				if err := l.Release(); err != nil {
 					done <- err
 					return
 				}

@@ -35,25 +35,21 @@ func TestLeaseZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.Get(start) // same frame while leased
+	l2, err := p.Lease(start) // same frame while leased
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &l.Data()[0] != &d[0] {
-		t.Error("Lease and Get should expose the same frame memory")
+	if &l.Data()[0] != &l2.Data()[0] {
+		t.Error("two leases of one page should expose the same frame memory")
 	}
-	if err := p.Unpin(start); err != nil {
+	if err := l2.Release(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Invalidate(); err != nil {
-		t.Errorf("all pins released, Invalidate should succeed: %v", err)
-	}
-	var zero Lease
-	if err := zero.Release(); err == nil {
-		t.Error("zero Lease Release should error")
+	if n := p.Pinned(); n != 0 {
+		t.Errorf("all leases released, %d pins left", n)
 	}
 }
 
@@ -85,8 +81,8 @@ func TestAppendPage(t *testing.T) {
 	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("stats %+v, want one hit and one miss", s)
 	}
-	if err := p.Invalidate(); err != nil {
-		t.Fatalf("AppendPage left a pin: %v", err)
+	if n := p.Pinned(); n != 0 {
+		t.Fatalf("AppendPage left %d pins", n)
 	}
 	// The one frame pinned by a lease: another page still reads, uncached.
 	l, err := p.Lease(start + 1)
@@ -104,10 +100,12 @@ func TestAppendPage(t *testing.T) {
 }
 
 // TestShardedPoolStress hammers a multi-shard pool from many goroutines
-// with reads (Get/Lease/AppendPage), private-page writes (GetForWrite + MarkDirty),
-// and periodic FlushAll. Run under -race. Afterwards it checks stat
-// consistency (every access is exactly one hit or one miss), that no pins
-// leaked, and that all written data survived eviction traffic.
+// with reads (Lease/AppendPage), rewrites of private pages through the pager
+// (which the pool hears of through OnInvalidate), and an occasional
+// Invalidate.
+// Run under -race. Afterwards it checks stat consistency (every access is
+// exactly one hit or one miss), that no pins leaked, and that no read ever
+// saw a private page older than its owner's last rewrite.
 func TestShardedPoolStress(t *testing.T) {
 	const (
 		readPages  = 96
@@ -124,7 +122,7 @@ func TestShardedPoolStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < readPages; i++ {
+	for i := 0; i < readPages+workers*writePages; i++ {
 		if err := f.WritePage(start+pager.PageID(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -147,26 +145,49 @@ func TestShardedPoolStress(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
 			mine := start + pager.PageID(readPages+w*writePages)
+			var last [writePages]byte // what each private page holds now
+			for i := range last {
+				last[i] = byte(readPages + w*writePages + i)
+			}
 			for i := 0; i < iters; i++ {
+				if w == 0 && i%300 == 299 {
+					// Rare enough that the pool fills up and evicts in between.
+					p.Invalidate()
+				}
 				switch r.Intn(10) {
-				case 0: // write a private page
-					id := mine + pager.PageID(r.Intn(writePages))
-					d, err := p.GetForWrite(id)
+				case 0: // rewrite a private page, then read it back
+					k := r.Intn(writePages)
+					last[k] = byte(i)
+					if err := f.WriteRun(mine+pager.PageID(k), []byte{last[k]}); err != nil {
+						errs <- err
+						return
+					}
+					fallthrough
+				case 1: // read a private page: never older than the last rewrite
+					k := r.Intn(writePages)
+					d, err := p.AppendPage(nil, mine+pager.PageID(k), 0, 1)
 					if err != nil {
 						errs <- err
 						return
 					}
-					d[0] = byte(w)
-					d[1] = byte(i)
-					if err := p.MarkDirty(id); err != nil {
+					if d[0] != last[k] {
+						errs <- fmt.Errorf("private page %d: read %d after writing %d", mine+pager.PageID(k), d[0], last[k])
+						return
+					}
+					accesses[w]++
+				case 2, 3: // copied range, no pin
+					id := start + pager.PageID(r.Intn(readPages))
+					d, err := p.AppendPage(nil, id, 0, 1)
+					if err != nil {
 						errs <- err
 						return
 					}
-					if err := p.Unpin(id); err != nil {
-						errs <- err
+					if d[0] != byte(id-start) {
+						errs <- fmt.Errorf("page %d: bad content %d", id, d[0])
 						return
 					}
-				case 1: // zero-copy lease
+					accesses[w]++
+				default: // zero-copy lease
 					id := start + pager.PageID(r.Intn(readPages))
 					l, err := p.Lease(id)
 					if err != nil {
@@ -183,40 +204,6 @@ func TestShardedPoolStress(t *testing.T) {
 						return
 					}
 					accesses[w]++
-				case 2:
-					if err := p.FlushAll(); err != nil {
-						errs <- err
-						return
-					}
-				case 3: // copied range, no pin
-					id := start + pager.PageID(r.Intn(readPages))
-					d, err := p.AppendPage(nil, id, 0, 1)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if d[0] != byte(id-start) {
-						errs <- fmt.Errorf("page %d: bad content %d", id, d[0])
-						return
-					}
-					accesses[w]++
-				default: // pinned read
-					id := start + pager.PageID(r.Intn(readPages))
-					d, err := p.Get(id)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if d[0] != byte(id-start) {
-						errs <- fmt.Errorf("page %d: bad content %d", id, d[0])
-						p.Unpin(id)
-						return
-					}
-					if err := p.Unpin(id); err != nil {
-						errs <- err
-						return
-					}
-					accesses[w]++
 				}
 			}
 		}(w)
@@ -227,8 +214,7 @@ func TestShardedPoolStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Read accesses (Get, Lease, AppendPage) each count exactly one hit or miss;
-	// GetForWrite takes neither counter.
+	// Every read access (Lease, AppendPage) counts exactly one hit or miss.
 	var reads uint64
 	for _, a := range accesses {
 		reads += a
@@ -240,24 +226,8 @@ func TestShardedPoolStress(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Error("working set exceeds capacity; expected evictions")
 	}
-
-	// No lost pins: Invalidate flushes and drops everything or errors on a
-	// leaked pin.
-	if err := p.Invalidate(); err != nil {
-		t.Fatalf("pins leaked: %v", err)
-	}
-	// Every worker's last private write must have survived write-back.
-	for w := 0; w < workers; w++ {
-		for i := 0; i < writePages; i++ {
-			id := start + pager.PageID(readPages+w*writePages+i)
-			d, err := f.ReadPage(id)
-			if err != nil {
-				continue // page never written by this worker's random walk
-			}
-			if d[0] != byte(w) {
-				t.Errorf("page %d: owner byte %d, want %d", id, d[0], w)
-			}
-		}
+	if n := p.Pinned(); n != 0 {
+		t.Fatalf("%d pins leaked", n)
 	}
 }
 
@@ -274,15 +244,15 @@ func TestConcurrentMissSamePage(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				d, err := p.Get(start)
+				l, err := p.Lease(start)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if d[0] != 0 {
-					errs <- fmt.Errorf("bad content %d", d[0])
+				if l.Data()[0] != 0 {
+					errs <- fmt.Errorf("bad content %d", l.Data()[0])
 				}
-				errs <- p.Unpin(start)
+				errs <- l.Release()
 			}()
 		}
 		wg.Wait()
@@ -301,8 +271,8 @@ func TestConcurrentMissSamePage(t *testing.T) {
 		if s.Misses != 1 {
 			t.Fatalf("round %d: %d misses, want 1 (read not deduplicated)", round, s.Misses)
 		}
-		if err := p.Invalidate(); err != nil {
-			t.Fatalf("round %d: pins leaked: %v", round, err)
+		if n := p.Pinned(); n != 0 {
+			t.Fatalf("round %d: %d pins leaked", round, n)
 		}
 	}
 }

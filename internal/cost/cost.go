@@ -37,12 +37,3 @@ type Estimate struct {
 func (m Model) Ms(e Estimate) float64 {
 	return float64(e.Seeks)*m.SeekMs + float64(e.Pages)*m.PageReadMs + float64(e.Rows)*m.CPURowMs
 }
-
-// PagesForBytes returns how many whole pages cover n bytes with the given
-// page payload size.
-func PagesForBytes(n uint64, payload int) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return (n + uint64(payload) - 1) / uint64(payload)
-}

@@ -30,22 +30,3 @@ func TestMsMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPagesForBytes(t *testing.T) {
-	cases := []struct {
-		n       uint64
-		payload int
-		want    uint64
-	}{
-		{0, 1020, 0},
-		{1, 1020, 1},
-		{1020, 1020, 1},
-		{1021, 1020, 2},
-		{10200, 1020, 10},
-	}
-	for _, c := range cases {
-		if got := PagesForBytes(c.n, c.payload); got != c.want {
-			t.Errorf("PagesForBytes(%d,%d) = %d, want %d", c.n, c.payload, got, c.want)
-		}
-	}
-}

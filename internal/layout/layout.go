@@ -82,8 +82,8 @@ type Spec struct {
 
 // Compile interprets an algebra expression against the base-table schemas
 // and produces the physical plan. It rejects compositions the backend does
-// not materialize (multiple grids, fold+grid, prejoin — prejoin is executed
-// by the transforms layer at load time).
+// not materialize (multiple grids, fold+grid) and the operators a table
+// layout does not support (prejoin, transpose).
 func Compile(expr algebra.Expr, schemas map[string]*value.Schema) (*Spec, error) {
 	final, err := algebra.Infer(expr, schemas)
 	if err != nil {
@@ -91,7 +91,7 @@ func Compile(expr algebra.Expr, schemas map[string]*value.Schema) (*Spec, error)
 	}
 	table, err := algebra.BaseOf(expr)
 	if err != nil {
-		return nil, fmt.Errorf("layout: %w (hint: materialize prejoin via transforms.Prejoin and load the result)", err)
+		return nil, fmt.Errorf("layout: %w (prejoin is not supported in a table layout)", err)
 	}
 
 	c := &compiler{schemas: schemas}
@@ -289,9 +289,9 @@ func (c *compiler) walk(e algebra.Expr) error {
 		c.hasFold = false
 		return nil
 	case *algebra.Prejoin:
-		return fmt.Errorf("layout: prejoin is materialized at load time (use transforms.Prejoin); it cannot appear in a table layout")
+		return fmt.Errorf("layout: prejoin is not supported in a table layout")
 	case *algebra.Transpose:
-		return fmt.Errorf("layout: transpose applies to array nestings (use transforms.Transpose); it cannot appear in a table layout")
+		return fmt.Errorf("layout: transpose is not supported in a table layout")
 	case *algebra.Compress:
 		if err := c.walk(n.Input); err != nil {
 			return err

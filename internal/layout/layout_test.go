@@ -2,6 +2,7 @@ package layout
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"rodentstore/internal/algebra"
@@ -166,8 +167,11 @@ func TestCompileErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		if _, err := Compile(e, schemas()); err == nil {
+		_, err = Compile(e, schemas())
+		if err == nil {
 			t.Errorf("Compile(%q) should fail", src)
+		} else if strings.Contains(err.Error(), "transforms.") {
+			t.Errorf("Compile(%q) refusal names an internal package: %v", src, err)
 		}
 	}
 }

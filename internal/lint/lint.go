@@ -2,7 +2,12 @@
 // go/analysis-style framework plus repo-specific analyzers that mechanically
 // enforce the engine's concurrency and resource invariants — buffer-lease
 // release, pooled-batch lifetimes, the documented lock hierarchy, typed-error
-// wrapping, and wall-clock-free replay paths.
+// wrapping, and wall-clock-free replay paths — and find exported code in
+// internal/ packages that nothing outside their own tests references.
+//
+// Most analyzers look at one package at a time (Analyzer.Run). One that
+// needs the whole module (Analyzer.RunModule) runs after every package is
+// loaded, and only when the patterns cover the whole module.
 //
 // The framework is deliberately self-contained (go/ast + go/types + the
 // standard library's source importer) so the suite builds and runs with no
@@ -41,6 +46,11 @@ type Analyzer struct {
 	Doc string
 	// Run reports findings on one package through pass.Reportf.
 	Run func(pass *Pass) error
+	// RunModule, if set, reports findings that need every package of the
+	// module at once, through a pass with Root and Pkgs set instead of one
+	// package's fields. The driver calls it after the per-package loop, and
+	// only when the patterns cover the whole module.
+	RunModule func(pass *Pass) error
 }
 
 // Pass carries one analyzer's view of one package.
@@ -50,6 +60,10 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Root (the module root directory) and Pkgs (every loaded package) are
+	// set for RunModule only.
+	Root string
+	Pkgs []*Package
 
 	diags *[]Diagnostic
 }
@@ -174,6 +188,9 @@ func applyAllows(idx allowIndex, diags []Diagnostic) {
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
@@ -187,6 +204,36 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	applyAllows(buildAllowIndex(pkg.Fset, pkg.Files), diags)
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
+// runModuleAnalyzers applies each analyzer's RunModule to every loaded
+// package of the module rooted at root.
+func runModuleAnalyzers(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		pass := &Pass{Analyzer: a, Fset: pkgs[0].Fset, Root: root, Pkgs: pkgs, diags: &diags}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	applyAllows(buildAllowIndex(pkgs[0].Fset, files), diags)
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -197,5 +244,4 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Column < b.Column
 	})
-	return diags, nil
 }

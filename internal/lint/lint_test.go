@@ -44,6 +44,22 @@ func TestNoWallClock(t *testing.T) {
 	linttest.Run(t, lint.NewNoWallClock([]string{linttest.FixturePath(dir)}), dir)
 }
 
+func TestDeadExport(t *testing.T) {
+	dir := fixture("deadexport")
+	linttest.RunModule(t, lint.DeadExport(), dir)
+
+	// A pattern narrower than the module skips the check: it cannot see
+	// every reference, so it reports nothing rather than false findings.
+	root, modPath := linttest.FixtureModule(t, dir)
+	_, diags, err := lint.Check(root, modPath, []string{"./internal/dead"}, []*lint.Analyzer{lint.DeadExport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("narrow pattern reported %s", d)
+	}
+}
+
 // TestRepoClean is the smoke test behind `go run ./cmd/rslint ./...`: the
 // full production suite over every package of the module must report zero
 // findings (suppressions via //lint:allow are allowed and counted).

@@ -12,6 +12,8 @@
 package linttest
 
 import (
+	"go/ast"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -42,8 +44,50 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
 	}
+	match(t, diags, collectWants(t, pkg.Fset, pkg.Files))
+}
 
-	wants := collectWants(t, pkg)
+// FixtureModule returns the absolute path of the fixture tree in dir and
+// the import path its root resolves under, so its packages can import one
+// another by their real paths.
+func FixtureModule(t *testing.T, dir string) (root, modPath string) {
+	t.Helper()
+	root, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modRoot, mod, err := lint.ModuleRoot(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(modRoot, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root, mod + "/" + filepath.ToSlash(rel)
+}
+
+// RunModule loads the fixture tree in dir as a module of its own, applies
+// the analyzer to every package of it ("./..."), module-wide check
+// included, and matches the diagnostics against the // want expectations
+// of the tree's non-test files.
+func RunModule(t *testing.T, a *lint.Analyzer, dir string) {
+	t.Helper()
+	root, modPath := FixtureModule(t, dir)
+	pkgs, diags, err := lint.Check(root, modPath, []string{"./..."}, []*lint.Analyzer{a})
+	if err != nil {
+		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	match(t, diags, collectWants(t, pkgs[0].Fset, files))
+}
+
+// match reports any mismatch between diagnostics and expectations.
+func match(t *testing.T, diags []lint.Diagnostic, wants []want) {
+	t.Helper()
 	var reported []lint.Diagnostic
 	for _, d := range diags {
 		if !d.Suppressed {
@@ -84,10 +128,10 @@ type want struct {
 var wantRE = regexp.MustCompile("`([^`]+)`")
 
 // collectWants scans fixture comments for // want expectations.
-func collectWants(t *testing.T, pkg *lint.Package) []want {
+func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []want {
 	t.Helper()
 	var wants []want
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -95,7 +139,7 @@ func collectWants(t *testing.T, pkg *lint.Package) []want {
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				ms := wantRE.FindAllStringSubmatch(rest, -1)
 				if len(ms) == 0 {
 					t.Fatalf("%s:%d: malformed want comment (expect backquoted regexps): %s", pos.Filename, pos.Line, c.Text)

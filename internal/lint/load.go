@@ -46,9 +46,6 @@ func NewLoader() *Loader {
 	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
-// Fset returns the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadDir parses the non-test Go files of dir (honoring build constraints
 // for the current platform) and type-checks them as importPath.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
@@ -141,25 +138,17 @@ type Target struct {
 	Path string
 }
 
-// ExpandPatterns resolves command-line patterns to package directories.
-// Supported forms are "./..." (every package under the module root),
-// "./dir/..." (every package under dir) and "./dir" (one package); all are
-// interpreted relative to the module enclosing the working directory, so
-// `rslint ./...` means the same thing from any directory inside the module.
-func ExpandPatterns(patterns []string) ([]Target, error) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	root, modPath, err := ModuleRoot(wd)
-	if err != nil {
-		return nil, err
-	}
+// expand resolves command-line patterns to package directories of the
+// module rooted at root. Supported forms are "./..." (every package under
+// the module root), "./dir/..." (every package under dir) and "./dir" (one
+// package); all are interpreted relative to root, so `rslint ./...` means
+// the same thing from any directory inside the module. whole reports
+// whether some pattern covers the entire module.
+func expand(root, modPath string, patterns []string) (targets []Target, whole bool, err error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	seen := make(map[string]bool)
-	var targets []Target
 	add := func(dir string) error {
 		names, err := goFilesIn(dir)
 		if err != nil || len(names) == 0 {
@@ -196,29 +185,37 @@ func ExpandPatterns(patterns []string) ([]Target, error) {
 		}
 		if !recursive {
 			if err := add(base); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			continue
 		}
-		err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			// testdata holds analyzer fixtures (deliberately violating the
-			// invariants), and dot/underscore dirs are ignored by the go tool.
-			if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return add(p)
-		})
-		if err != nil {
-			return nil, err
+		if base == root {
+			whole = true
+		}
+		if err := walkPackageDirs(base, add); err != nil {
+			return nil, false, err
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Path < targets[j].Path })
-	return targets, nil
+	return targets, whole, nil
+}
+
+// walkPackageDirs calls visit on base and every directory below it that
+// the go tool would consider: testdata holds analyzer fixtures
+// (deliberately violating the invariants), and dot/underscore dirs are
+// ignored by the go tool.
+func walkPackageDirs(base string, visit func(dir string) error) error {
+	return filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		return visit(p)
+	})
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"io"
+	"os"
 )
 
 // Result summarizes one Run.
@@ -16,35 +17,63 @@ type Result struct {
 // printing reported findings (and a suppression summary) to out. It is the
 // engine behind cmd/rslint and the repo smoke test.
 func Run(patterns []string, analyzers []*Analyzer, out io.Writer) (Result, error) {
-	targets, err := ExpandPatterns(patterns)
+	wd, err := os.Getwd()
 	if err != nil {
 		return Result{}, err
 	}
+	root, modPath, err := ModuleRoot(wd)
+	if err != nil {
+		return Result{}, err
+	}
+	pkgs, diags, err := Check(root, modPath, patterns, analyzers)
+	res := Result{Packages: len(pkgs)}
+	for _, d := range diags {
+		if d.Suppressed {
+			res.Suppressed++
+			continue
+		}
+		res.Findings++
+		fmt.Fprintln(out, d)
+	}
+	return res, err
+}
+
+// Check expands patterns against the module rooted at root (import path
+// modPath), loads each package and applies the analyzers: first each one's
+// per-package Run, then, if the patterns cover the whole module, each
+// one's RunModule over every package at once. It returns the packages
+// loaded and every diagnostic, suppressed ones included.
+func Check(root, modPath string, patterns []string, analyzers []*Analyzer) ([]*Package, []Diagnostic, error) {
+	targets, whole, err := expand(root, modPath, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
 	loader := NewLoader()
-	var res Result
+	var diags []Diagnostic
+	var pkgs []*Package
 	for _, t := range targets {
 		pkg, err := loader.LoadDir(t.Dir, t.Path)
 		if err != nil {
-			return res, err
+			return pkgs, diags, err
 		}
-		diags, err := RunAnalyzers(pkg, analyzers)
+		ds, err := RunAnalyzers(pkg, analyzers)
 		if err != nil {
-			return res, err
+			return pkgs, diags, err
 		}
-		res.Packages++
-		for _, d := range diags {
-			if d.Suppressed {
-				res.Suppressed++
-				continue
-			}
-			res.Findings++
-			fmt.Fprintln(out, d)
-		}
+		pkgs = append(pkgs, pkg)
+		diags = append(diags, ds...)
 	}
-	return res, nil
+	if whole {
+		ds, err := runModuleAnalyzers(root, pkgs, analyzers)
+		if err != nil {
+			return pkgs, diags, err
+		}
+		diags = append(diags, ds...)
+	}
+	return pkgs, diags, nil
 }
 
-// DefaultAnalyzers returns the production-configured suite: the five
+// DefaultAnalyzers returns the production-configured suite: the six
 // repo-specific analyzers over RodentStore's real lock table, lease/batch
 // APIs and deterministic-path package list.
 func DefaultAnalyzers() []*Analyzer {
@@ -54,5 +83,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewLockOrder(DefaultLockOrder, DefaultCatalogRMW),
 		ErrWrapped(),
 		NewNoWallClock(DefaultDeterministicPackages),
+		DeadExport(),
 	}
 }

@@ -78,9 +78,10 @@ func leaseBytes(pool *buffer.Pool, id pager.PageID) ([]byte, func() error, error
 	return l.Data(), l.Release, nil
 }
 
-// Suppressed: an intentional pin-transfer, annotated with the reason.
+// Suppressed: a pin deliberately held past the return (so the bytes stay
+// valid), annotated with the reason.
 func pinned(pool *buffer.Pool, id pager.PageID) []byte {
-	//lint:allow leaselease pin is transferred to the caller, released via Pool.Unpin
+	//lint:allow leaselease pin is deliberately held for the pool's lifetime
 	l, err := pool.Lease(id)
 	if err != nil {
 		return nil

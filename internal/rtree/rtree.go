@@ -7,9 +7,9 @@
 // chunks in it, reproducing the paper's observation that dense trajectory
 // data yields many overlapping boxes, each requiring a random I/O).
 //
-// Construction supports both one-at-a-time insertion (Guttman's quadratic
-// split) and Sort-Tile-Recursive bulk loading. Nodes live in pager pages so
-// index I/O is measured by the same counters as data I/O.
+// A tree is built once, by Sort-Tile-Recursive bulk loading, and then only
+// searched. Nodes live in pager pages so index I/O is measured by the same
+// counters as data I/O.
 package rtree
 
 import (
@@ -34,11 +34,6 @@ func (r Rect) Intersects(o Rect) bool {
 	return r.MinX <= o.MaxX && o.MinX <= r.MaxX && r.MinY <= o.MaxY && o.MinY <= r.MaxY
 }
 
-// Contains reports whether r fully contains o.
-func (r Rect) Contains(o Rect) bool {
-	return r.MinX <= o.MinX && o.MaxX <= r.MaxX && r.MinY <= o.MinY && o.MaxY <= r.MaxY
-}
-
 // Union returns the smallest rect covering both.
 func (r Rect) Union(o Rect) Rect {
 	return Rect{
@@ -46,12 +41,6 @@ func (r Rect) Union(o Rect) Rect {
 		math.Max(r.MaxX, o.MaxX), math.Max(r.MaxY, o.MaxY),
 	}
 }
-
-// Area returns the rect's area.
-func (r Rect) Area() float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
-
-// Enlargement returns the area growth of r needed to cover o.
-func (r Rect) Enlargement(o Rect) float64 { return r.Union(o).Area() - r.Area() }
 
 // Entry is one node slot: a box plus either a child page (internal) or an
 // opaque reference (leaf).
@@ -63,7 +52,6 @@ type Entry struct {
 const (
 	nodeHeader = 1 + 2   // isLeaf + count
 	entrySize  = 4*8 + 8 // four float64 + ref
-	emptyRoot  = pager.PageID(0)
 )
 
 // Tree is a disk-backed R-tree.
@@ -78,25 +66,6 @@ type node struct {
 	entries []Entry
 }
 
-// New creates an empty tree.
-func New(file *pager.File) (*Tree, error) {
-	t := &Tree{file: file, max: maxEntries(file)}
-	id, err := file.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	if err := t.writeNode(id, &node{isLeaf: true}); err != nil {
-		return nil, err
-	}
-	t.root = id
-	return t, nil
-}
-
-// Open attaches to an existing tree.
-func Open(file *pager.File, root pager.PageID) *Tree {
-	return &Tree{file: file, root: root, max: maxEntries(file)}
-}
-
 func maxEntries(file *pager.File) int {
 	m := (file.PayloadSize() - nodeHeader) / entrySize
 	if m < 4 {
@@ -104,12 +73,6 @@ func maxEntries(file *pager.File) int {
 	}
 	return m
 }
-
-// Root returns the root page id (persist to reopen).
-func (t *Tree) Root() pager.PageID { return t.root }
-
-// MaxEntries returns the node fan-out.
-func (t *Tree) MaxEntries() int { return t.max }
 
 func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	buf, err := t.file.ReadPage(id)
@@ -153,44 +116,6 @@ func (t *Tree) writeNode(id pager.PageID, n *node) error {
 	return t.file.WritePage(id, buf)
 }
 
-// Insert adds one entry (Guttman: choose-leaf by least enlargement,
-// quadratic split on overflow).
-func (t *Tree) Insert(rect Rect, ref uint64) error {
-	split, err := t.insert(t.root, Entry{rect, ref})
-	if err != nil {
-		return err
-	}
-	if split == nil {
-		return nil
-	}
-	// Root split.
-	oldRootRect, err := t.nodeRect(t.root)
-	if err != nil {
-		return err
-	}
-	newRootID, err := t.file.Allocate()
-	if err != nil {
-		return err
-	}
-	newRoot := &node{isLeaf: false, entries: []Entry{
-		{oldRootRect, uint64(t.root)},
-		*split,
-	}}
-	if err := t.writeNode(newRootID, newRoot); err != nil {
-		return err
-	}
-	t.root = newRootID
-	return nil
-}
-
-func (t *Tree) nodeRect(id pager.PageID) (Rect, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return Rect{}, err
-	}
-	return coverOf(n.entries), nil
-}
-
 func coverOf(entries []Entry) Rect {
 	if len(entries) == 0 {
 		return Rect{}
@@ -200,106 +125,6 @@ func coverOf(entries []Entry) Rect {
 		r = r.Union(e.Rect)
 	}
 	return r
-}
-
-// insert returns a new sibling entry if the node split.
-func (t *Tree) insert(id pager.PageID, e Entry) (*Entry, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return nil, err
-	}
-	if n.isLeaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) <= t.max {
-			return nil, t.writeNode(id, n)
-		}
-		return t.split(id, n)
-	}
-	// Choose subtree with least enlargement (ties: smaller area).
-	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
-	for i, c := range n.entries {
-		enl := c.Rect.Enlargement(e.Rect)
-		area := c.Rect.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	child := pager.PageID(n.entries[best].Ref)
-	split, err := t.insert(child, e)
-	if err != nil {
-		return nil, err
-	}
-	r, err := t.nodeRect(child)
-	if err != nil {
-		return nil, err
-	}
-	n.entries[best].Rect = r
-	if split != nil {
-		n.entries = append(n.entries, *split)
-	}
-	if len(n.entries) <= t.max {
-		return nil, t.writeNode(id, n)
-	}
-	return t.split(id, n)
-}
-
-// split performs a quadratic split of an overflowing node, writing the left
-// half back to id and the right half to a new page; it returns the new
-// sibling's entry.
-func (t *Tree) split(id pager.PageID, n *node) (*Entry, error) {
-	// Pick seeds: the pair wasting the most area together.
-	worst, s1, s2 := math.Inf(-1), 0, 1
-	for i := 0; i < len(n.entries); i++ {
-		for j := i + 1; j < len(n.entries); j++ {
-			waste := n.entries[i].Rect.Union(n.entries[j].Rect).Area() -
-				n.entries[i].Rect.Area() - n.entries[j].Rect.Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	left := &node{isLeaf: n.isLeaf, entries: []Entry{n.entries[s1]}}
-	right := &node{isLeaf: n.isLeaf, entries: []Entry{n.entries[s2]}}
-	lRect, rRect := n.entries[s1].Rect, n.entries[s2].Rect
-	minFill := t.max / 4
-	var rest []Entry
-	for i, e := range n.entries {
-		if i != s1 && i != s2 {
-			rest = append(rest, e)
-		}
-	}
-	for i, e := range rest {
-		remaining := len(rest) - i
-		// Force assignment if a side must take everything to reach min fill.
-		if len(left.entries)+remaining <= minFill {
-			left.entries = append(left.entries, e)
-			lRect = lRect.Union(e.Rect)
-			continue
-		}
-		if len(right.entries)+remaining <= minFill {
-			right.entries = append(right.entries, e)
-			rRect = rRect.Union(e.Rect)
-			continue
-		}
-		if lRect.Enlargement(e.Rect) <= rRect.Enlargement(e.Rect) {
-			left.entries = append(left.entries, e)
-			lRect = lRect.Union(e.Rect)
-		} else {
-			right.entries = append(right.entries, e)
-			rRect = rRect.Union(e.Rect)
-		}
-	}
-	rightID, err := t.file.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	if err := t.writeNode(rightID, right); err != nil {
-		return nil, err
-	}
-	if err := t.writeNode(id, left); err != nil {
-		return nil, err
-	}
-	return &Entry{rRect, uint64(rightID)}, nil
 }
 
 // Search visits every leaf entry whose box intersects query. fn returns
@@ -329,31 +154,18 @@ func (t *Tree) Search(query Rect, fn func(Entry) bool) error {
 	return nil
 }
 
-// Height returns the tree height (1 = single leaf).
-func (t *Tree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return 0, err
-		}
-		if n.isLeaf || len(n.entries) == 0 {
-			return h, nil
-		}
-		h++
-		id = pager.PageID(n.entries[0].Ref)
-	}
-}
-
 // BulkLoad builds a tree from entries with Sort-Tile-Recursive packing:
 // sort by center X, tile into vertical slices of √(n/capacity) nodes, sort
-// each slice by center Y, pack. Much better clustering than repeated
-// inserts for static data.
+// each slice by center Y, pack.
 func BulkLoad(file *pager.File, entries []Entry) (*Tree, error) {
 	t := &Tree{file: file, max: maxEntries(file)}
 	if len(entries) == 0 {
-		return New(file)
+		id, err := file.Allocate()
+		if err != nil {
+			return nil, err
+		}
+		t.root = id
+		return t, t.writeNode(id, &node{isLeaf: true})
 	}
 	level := make([]Entry, len(entries))
 	copy(level, entries)
@@ -375,7 +187,7 @@ func BulkLoad(file *pager.File, entries []Entry) (*Tree, error) {
 // packLevel groups entries into nodes STR-style and writes them, returning
 // the parent-level entries and the node ids.
 func (t *Tree) packLevel(entries []Entry, isLeaf bool) ([]Entry, []pager.PageID, error) {
-	cap := t.max * 3 / 4 // leave slack for later inserts
+	cap := t.max * 3 / 4 // Figure 2's golden page counts assume this fill
 	if cap < 1 {
 		cap = 1
 	}

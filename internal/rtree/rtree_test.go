@@ -35,17 +35,7 @@ func TestRectOps(t *testing.T) {
 	if u != (Rect{0, 0, 3, 3}) {
 		t.Errorf("union: %+v", u)
 	}
-	if a.Area() != 4 {
-		t.Errorf("area: %f", a.Area())
-	}
-	if got := a.Enlargement(b); got != 5 {
-		t.Errorf("enlargement: %f", got)
-	}
-	if !u.Contains(a) || a.Contains(u) {
-		t.Error("contains wrong")
-	}
-	p := Point(1, 1)
-	if p.Area() != 0 || !a.Contains(p) {
+	if p := Point(1, 1); p != (Rect{1, 1, 1, 1}) || !a.Intersects(p) {
 		t.Error("point rect wrong")
 	}
 }
@@ -67,6 +57,20 @@ func randomPoints(n int, seed int64) []Rect {
 		pts[i] = Point(r.Float64()*100, r.Float64()*100)
 	}
 	return pts
+}
+
+// bulkLoad builds a tree over rects, each referenced by its index.
+func bulkLoad(t *testing.T, rects []Rect) *Tree {
+	t.Helper()
+	entries := make([]Entry, len(rects))
+	for i, r := range rects {
+		entries[i] = Entry{r, uint64(i)}
+	}
+	tr, err := BulkLoad(newFile(t), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func checkQueries(t *testing.T, tr *Tree, pts []Rect, seed int64) {
@@ -95,89 +99,27 @@ func checkQueries(t *testing.T, tr *Tree, pts []Rect, seed int64) {
 	}
 }
 
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
-	f := newFile(t)
-	tr, err := New(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := randomPoints(2000, 7)
-	for i, p := range pts {
-		if err := tr.Insert(p, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkQueries(t, tr, pts, 8)
-}
-
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
-	f := newFile(t)
 	pts := randomPoints(5000, 9)
-	entries := make([]Entry, len(pts))
-	for i, p := range pts {
-		entries[i] = Entry{p, uint64(i)}
-	}
-	tr, err := BulkLoad(f, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkQueries(t, tr, pts, 10)
-}
-
-func TestBulkLoadBetterClusteringThanInsert(t *testing.T) {
-	// STR packing should answer window queries with fewer node reads than
-	// repeated-insert construction on the same data.
-	pts := randomPoints(4000, 11)
-	query := Rect{40, 40, 50, 50}
-
-	fIns := newFile(t)
-	trIns, _ := New(fIns)
-	for i, p := range pts {
-		trIns.Insert(p, uint64(i))
-	}
-	fIns.ResetStats()
-	trIns.Search(query, func(Entry) bool { return true })
-	insReads := fIns.Stats().PageReads
-
-	fBulk := newFile(t)
-	entries := make([]Entry, len(pts))
-	for i, p := range pts {
-		entries[i] = Entry{p, uint64(i)}
-	}
-	trBulk, _ := BulkLoad(fBulk, entries)
-	fBulk.ResetStats()
-	trBulk.Search(query, func(Entry) bool { return true })
-	bulkReads := fBulk.Stats().PageReads
-
-	if bulkReads > insReads {
-		t.Errorf("bulk-loaded tree reads more pages: bulk=%d insert=%d", bulkReads, insReads)
-	}
+	checkQueries(t, bulkLoad(t, pts), pts, 10)
 }
 
 func TestEmptyTree(t *testing.T) {
-	f := newFile(t)
-	tr, _ := New(f)
-	count := 0
-	tr.Search(Rect{0, 0, 100, 100}, func(Entry) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("empty tree returned %d", count)
-	}
-	if h, _ := tr.Height(); h != 1 {
-		t.Errorf("empty height: %d", h)
-	}
 	empty, err := BulkLoad(newFile(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty.Search(Rect{0, 0, 1, 1}, func(Entry) bool { t.Error("hit in empty"); return true })
+	if err := empty.Search(Rect{0, 0, 100, 100}, func(Entry) bool { t.Error("hit in empty"); return true }); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestEarlyStop(t *testing.T) {
-	f := newFile(t)
-	tr, _ := New(f)
-	for i := 0; i < 100; i++ {
-		tr.Insert(Point(float64(i%10), float64(i/10)), uint64(i))
+	pts := make([]Rect, 100)
+	for i := range pts {
+		pts[i] = Point(float64(i%10), float64(i/10))
 	}
+	tr := bulkLoad(t, pts)
 	count := 0
 	tr.Search(Rect{0, 0, 10, 10}, func(Entry) bool { count++; return count < 5 })
 	if count != 5 {
@@ -185,66 +127,18 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
-func TestPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rt.rdnt")
-	f, _ := pager.Create(path, 1024)
-	pts := randomPoints(1000, 13)
-	tr, _ := New(f)
-	for i, p := range pts {
-		tr.Insert(p, uint64(i))
-	}
-	f.MetaSet(7, uint64(tr.Root()))
-	f.Close()
-
-	f2, _ := pager.Open(path)
-	defer f2.Close()
-	tr2 := Open(f2, pager.PageID(f2.MetaGet(7)))
-	checkQueries(t, tr2, pts, 14)
-}
-
 func TestRectEntries(t *testing.T) {
 	// Non-point rects (trajectory bounding boxes).
-	f := newFile(t)
-	tr, _ := New(f)
-	boxes := []Rect{
+	tr := bulkLoad(t, []Rect{
 		{0, 0, 10, 10},
 		{5, 5, 15, 15},
 		{20, 20, 30, 30},
 		{0, 20, 10, 30},
-	}
-	for i, b := range boxes {
-		tr.Insert(b, uint64(i))
-	}
+	})
 	got := map[uint64]bool{}
 	tr.Search(Rect{8, 8, 9, 9}, func(e Entry) bool { got[e.Ref] = true; return true })
 	if !got[0] || !got[1] || got[2] || got[3] {
 		t.Errorf("box query: %v", got)
-	}
-}
-
-func TestHeightGrows(t *testing.T) {
-	f := newFile(t)
-	tr, _ := New(f)
-	for i := 0; i < 3000; i++ {
-		tr.Insert(Point(float64(i%100), float64(i/100)), uint64(i))
-	}
-	h, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 2 {
-		t.Errorf("3000 points must split 1KB nodes: height %d", h)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	f, _ := pager.Create(filepath.Join(b.TempDir(), "rt.rdnt"), 4096)
-	defer f.Close()
-	tr, _ := New(f)
-	r := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(Point(r.Float64()*100, r.Float64()*100), uint64(i))
 	}
 }
 

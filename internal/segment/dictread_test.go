@@ -76,7 +76,7 @@ func TestViewOverWarmPoolReusesLookbehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	viewAll := func() {
-		for b := 0; b < warm.NumBlocks(); b++ {
+		for b := 0; b < len(warm.meta.Blocks); b++ {
 			if _, err := warm.View(b); err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestViewOverWarmPoolReusesLookbehind(t *testing.T) {
 	}
 	viewAll() // fills the pool and sizes the reader's buffers
 	if allocs := testing.AllocsPerRun(5, viewAll); allocs != 0 {
-		t.Fatalf("View allocated %.1f times per scan of %d blocks", allocs, warm.NumBlocks())
+		t.Fatalf("View allocated %.1f times per scan of %d blocks", allocs, len(warm.meta.Blocks))
 	}
 	if st := pool.Stats(); st.Misses > uint64(r.meta.ExtentPages) {
 		t.Fatalf("pool was not warm: %d misses over %d pages", st.Misses, r.meta.ExtentPages)

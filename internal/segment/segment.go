@@ -269,9 +269,6 @@ func NewReader(file PageSource, meta Meta, spec Spec) (*Reader, error) {
 	return &Reader{file: file, meta: meta, spec: spec, codecs: codecs}, nil
 }
 
-// Meta returns the segment metadata.
-func (r *Reader) Meta() Meta { return r.meta }
-
 // Clone returns an independent reader over the same segment and page
 // source, for use by another goroutine (parallel scans clone one reader per
 // worker). Metadata and codecs are shared — both are immutable — while the
@@ -279,9 +276,6 @@ func (r *Reader) Meta() Meta { return r.meta }
 func (r *Reader) Clone() *Reader {
 	return &Reader{file: r.file, meta: r.meta, spec: r.spec, codecs: r.codecs}
 }
-
-// NumBlocks returns the number of blocks.
-func (r *Reader) NumBlocks() int { return len(r.meta.Blocks) }
 
 // readRangeInto appends [off, off+n) of the segment stream to out via
 // whole-page reads (View reuses one buffer across blocks). Over a
@@ -368,22 +362,4 @@ func (r *Reader) ReadBlock(i int, wantCols []int) ([][]value.Value, error) {
 		out[c] = vals
 	}
 	return out, nil
-}
-
-// BlockForRow returns the index of the block containing global row position
-// pos, via binary search over cumulative row counts.
-func (r *Reader) BlockForRow(pos int64) (int, error) {
-	if pos < 0 || pos >= r.meta.Rows {
-		return 0, fmt.Errorf("segment: row %d out of range [0,%d)", pos, r.meta.Rows)
-	}
-	lo, hi := 0, len(r.meta.Blocks)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if r.meta.Blocks[mid].RowStart <= pos {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nil
 }

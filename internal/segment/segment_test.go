@@ -88,7 +88,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	for b := 0; b < r.NumBlocks(); b++ {
+	for b := 0; b < len(r.meta.Blocks); b++ {
 		cols, err := r.ReadBlock(b, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -192,38 +192,6 @@ func TestCellsAndZoneMaps(t *testing.T) {
 	}
 }
 
-func TestBlockForRow(t *testing.T) {
-	f := newFile(t)
-	w, _ := NewWriter(f, traceSpec())
-	rows := traceRows(1000)
-	for i := 0; i < 1000; i += 100 {
-		writeRows(w, NoCell, rows[i:i+100])
-	}
-	meta, _ := w.Finish()
-	r, _ := NewReader(f, meta, traceSpec())
-	cases := []struct {
-		pos   int64
-		block int
-	}{
-		{0, 0}, {99, 0}, {100, 1}, {555, 5}, {999, 9},
-	}
-	for _, c := range cases {
-		got, err := r.BlockForRow(c.pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.block {
-			t.Errorf("BlockForRow(%d) = %d, want %d", c.pos, got, c.block)
-		}
-	}
-	if _, err := r.BlockForRow(-1); err == nil {
-		t.Error("negative row should fail")
-	}
-	if _, err := r.BlockForRow(1000); err == nil {
-		t.Error("out-of-range row should fail")
-	}
-}
-
 func TestSequentialScanCountsPagesOnce(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
@@ -235,7 +203,7 @@ func TestSequentialScanCountsPagesOnce(t *testing.T) {
 	r, _ := NewReader(f, meta, traceSpec())
 
 	f.ResetStats()
-	for b := 0; b < r.NumBlocks(); b++ {
+	for b := 0; b < len(r.meta.Blocks); b++ {
 		if _, err := r.ReadBlock(b, nil); err != nil {
 			t.Fatal(err)
 		}

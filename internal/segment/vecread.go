@@ -5,7 +5,7 @@ package segment
 // the column chunks for lazy per-column typed decoding. The scan layer uses
 // it for late materialization — decode predicate columns, filter, and only
 // then decode the projected columns, or skip them entirely when no row
-// survives. ReadBlockVec is the eager wrapper: one call, one Batch.
+// survives.
 //
 // The view and the reader's raw buffer are reused across calls: a view (and
 // any chunk slices it handed out) is valid only until the next View or
@@ -25,7 +25,6 @@ type BlockView struct {
 	r      *Reader
 	idx    int
 	nrows  int
-	cell   uint64
 	chunks [][]byte // per spec column, aliasing the reader's raw buffer
 }
 
@@ -54,8 +53,7 @@ func (r *Reader) View(i int) (*BlockView, error) {
 	if len(body) < 9 {
 		return nil, r.corrupt(i, fmt.Errorf("corrupt block header"))
 	}
-	cell := binary.LittleEndian.Uint64(body)
-	nrows, sz := binary.Uvarint(body[8:])
+	nrows, sz := binary.Uvarint(body[8:]) // after the u64 cell
 	if sz <= 0 {
 		return nil, r.corrupt(i, fmt.Errorf("bad row count"))
 	}
@@ -66,7 +64,7 @@ func (r *Reader) View(i int) (*BlockView, error) {
 	}
 	off := 8 + sz
 	bv := &r.view
-	bv.r, bv.idx, bv.nrows, bv.cell = r, i, int(nrows), cell
+	bv.r, bv.idx, bv.nrows = r, i, int(nrows)
 	bv.chunks = bv.chunks[:0]
 	for c := range r.spec.Fields {
 		if off+4 > len(body) {
@@ -86,9 +84,6 @@ func (r *Reader) View(i int) (*BlockView, error) {
 // Rows returns the block's row count (from segment metadata).
 func (bv *BlockView) Rows() int { return bv.nrows }
 
-// Cell returns the block's grid cell (NoCell when ungridded).
-func (bv *BlockView) Cell() uint64 { return bv.cell }
-
 // DecodeCol decodes column c into dst (which is Reset first), using the
 // codec's typed fast path when it has one. The decoded length is checked
 // against the block's metadata row count.
@@ -106,30 +101,4 @@ func (bv *BlockView) DecodeCol(c int, dst *vec.Vector) error {
 			r.spec.Fields[c].Name, dst.Len(), bv.nrows))
 	}
 	return nil
-}
-
-// ReadBlockVec decodes block i's wanted columns (nil = all) into dst, whose
-// schema must list the wanted fields in spec order. One range read per
-// block, typed decode per column; dst's buffers are reused across calls, so
-// pairing it with a vec.Pool gives allocation-free steady-state scans.
-func (r *Reader) ReadBlockVec(i int, wantCols []int, dst *vec.Batch) error {
-	bv, err := r.View(i)
-	if err != nil {
-		return err
-	}
-	if wantCols == nil {
-		wantCols = make([]int, len(r.spec.Fields))
-		for c := range wantCols {
-			wantCols[c] = c
-		}
-	}
-	if dst.Schema().Arity() != len(wantCols) {
-		return fmt.Errorf("segment: batch arity %d for %d wanted columns", dst.Schema().Arity(), len(wantCols))
-	}
-	for k, c := range wantCols {
-		if err := bv.DecodeCol(c, &dst.Cols[k]); err != nil {
-			return err
-		}
-	}
-	return dst.SetLen(bv.nrows)
 }

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"testing"
 
 	"rodentstore/internal/pager"
@@ -41,6 +42,31 @@ func writeTraceSegment(t *testing.T, codecs []string, n, perBlock int) (*Reader,
 	return r, rows
 }
 
+// ReadBlockVec decodes block i's wanted columns (nil = all) into dst, whose
+// schema must list the wanted fields in spec order: View plus one DecodeCol
+// per column, the eager form the tests compare against ReadBlock.
+func (r *Reader) ReadBlockVec(i int, wantCols []int, dst *vec.Batch) error {
+	bv, err := r.View(i)
+	if err != nil {
+		return err
+	}
+	if wantCols == nil {
+		wantCols = make([]int, len(r.spec.Fields))
+		for c := range wantCols {
+			wantCols[c] = c
+		}
+	}
+	if dst.Schema().Arity() != len(wantCols) {
+		return fmt.Errorf("segment: batch arity %d for %d wanted columns", dst.Schema().Arity(), len(wantCols))
+	}
+	for k, c := range wantCols {
+		if err := bv.DecodeCol(c, &dst.Cols[k]); err != nil {
+			return err
+		}
+	}
+	return dst.SetLen(bv.nrows)
+}
+
 // TestReadBlockVecMatchesReadBlock checks the batch read against the boxed
 // read, block by block, including I/O accounting.
 func TestReadBlockVecMatchesReadBlock(t *testing.T) {
@@ -53,7 +79,7 @@ func TestReadBlockVecMatchesReadBlock(t *testing.T) {
 		boxed := r.Clone()
 		schema := value.MustSchema(r.spec.Fields...)
 		batch := vec.NewBatch(schema)
-		for b := 0; b < r.NumBlocks(); b++ {
+		for b := 0; b < len(r.meta.Blocks); b++ {
 			batch.Reset(schema)
 			if err := r.ReadBlockVec(b, nil, batch); err != nil {
 				t.Fatalf("codecs %v block %d: %v", codecs, b, err)
@@ -84,7 +110,7 @@ func TestReadBlockVecProjection(t *testing.T) {
 	schema := value.MustSchema(r.spec.Fields[1]) // lat only
 	batch := vec.NewBatch(schema)
 	pos := 0
-	for b := 0; b < r.NumBlocks(); b++ {
+	for b := 0; b < len(r.meta.Blocks); b++ {
 		batch.Reset(schema)
 		if err := r.ReadBlockVec(b, []int{1}, batch); err != nil {
 			t.Fatal(err)

@@ -117,6 +117,8 @@ type harness struct {
 
 // Run executes one torture run and returns what it covered; a non-nil error
 // is a consistency violation (or a workload operation failing outright).
+//
+//lint:allow deadexport the campaign's entry point, which CI runs through TestTorture
 func Run(cfg Config) (Stats, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 100

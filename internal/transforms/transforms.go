@@ -50,22 +50,6 @@ func Project(rel Relation, fields []string) (Relation, error) {
 	return Relation{Schema: schema, Rows: rows}, nil
 }
 
-// Append attaches extra named values to every row (paper §3.5.1 append, the
-// reciprocal of project). compute receives the row and returns the new
-// field's value.
-func Append(rel Relation, field value.Field, compute func(value.Row) value.Value) (Relation, error) {
-	fields := append(append([]value.Field(nil), rel.Schema.Fields...), field)
-	schema, err := value.NewSchema(fields...)
-	if err != nil {
-		return Relation{}, err
-	}
-	rows := make([]value.Row, len(rel.Rows))
-	for i, row := range rel.Rows {
-		rows[i] = append(row.Clone(), compute(row))
-	}
-	return Relation{Schema: schema, Rows: rows}, nil
-}
-
 // Select keeps rows satisfying the predicate (paper §3.5.1 select).
 func Select(rel Relation, pred algebra.Predicate) (Relation, error) {
 	if err := pred.Validate(rel.Schema); err != nil {
@@ -78,23 +62,6 @@ func Select(rel Relation, pred algebra.Predicate) (Relation, error) {
 		}
 	}
 	return Relation{Schema: rel.Schema, Rows: rows}, nil
-}
-
-// Partition horizontally splits the relation by a predicate (paper §3.5.1
-// partition): matching rows first, the rest second.
-func Partition(rel Relation, pred algebra.Predicate) (Relation, Relation, error) {
-	if err := pred.Validate(rel.Schema); err != nil {
-		return Relation{}, Relation{}, err
-	}
-	var yes, no []value.Row
-	for _, row := range rel.Rows {
-		if pred.Eval(rel.Schema, row) {
-			yes = append(yes, row)
-		} else {
-			no = append(no, row)
-		}
-	}
-	return Relation{Schema: rel.Schema, Rows: yes}, Relation{Schema: rel.Schema, Rows: no}, nil
 }
 
 // OrderBy stably sorts rows by the keys (paper §3.5.3 orderby).
@@ -347,103 +314,6 @@ func Unfold(rel Relation, values []string, valueTypes []value.Kind) (Relation, e
 	return Relation{Schema: schema, Rows: out}, nil
 }
 
-// Prejoin denormalizes two relations on a join attribute (paper §3.5.2).
-// The joined attribute appears once; right-side name clashes get an r_
-// prefix (matching algebra.Infer).
-func Prejoin(left, right Relation, joinAttr string) (Relation, error) {
-	li := left.Schema.Index(joinAttr)
-	ri := right.Schema.Index(joinAttr)
-	if li < 0 || ri < 0 {
-		return Relation{}, fmt.Errorf("transforms: prejoin: attribute %q missing", joinAttr)
-	}
-	var fields []value.Field
-	fields = append(fields, left.Schema.Fields...)
-	var rightCols []int
-	for c, f := range right.Schema.Fields {
-		if c == ri {
-			continue
-		}
-		if left.Schema.Index(f.Name) >= 0 {
-			f.Name = "r_" + f.Name
-		}
-		fields = append(fields, f)
-		rightCols = append(rightCols, c)
-	}
-	schema, err := value.NewSchema(fields...)
-	if err != nil {
-		return Relation{}, err
-	}
-	// Hash join on the attribute.
-	buckets := make(map[uint64][]value.Row)
-	for _, rr := range right.Rows {
-		buckets[rr[ri].Hash()] = append(buckets[rr[ri].Hash()], rr)
-	}
-	var out []value.Row
-	for _, lr := range left.Rows {
-		for _, rr := range buckets[lr[li].Hash()] {
-			if !value.Equal(lr[li], rr[ri]) {
-				continue
-			}
-			nr := make(value.Row, 0, len(fields))
-			nr = append(nr, lr...)
-			for _, c := range rightCols {
-				nr = append(nr, rr[c])
-			}
-			out = append(out, nr)
-		}
-	}
-	return Relation{Schema: schema, Rows: out}, nil
-}
-
-// Transpose swaps the two outer levels of a nesting (paper §3.6):
-// transpose([[1,2,3],[4,5,6]]) = [[1,4],[2,5],[3,6]]. All inner lists must
-// have equal length.
-func Transpose(n value.Value) (value.Value, error) {
-	if n.Kind() != value.List {
-		return value.Value{}, fmt.Errorf("transforms: transpose: not a list")
-	}
-	rows := n.List()
-	if len(rows) == 0 {
-		return value.NewList(), nil
-	}
-	width := -1
-	for _, r := range rows {
-		if r.Kind() != value.List {
-			return value.Value{}, fmt.Errorf("transforms: transpose: element is %s", r.Kind())
-		}
-		if width < 0 {
-			width = r.Len()
-		} else if r.Len() != width {
-			return value.Value{}, fmt.Errorf("transforms: transpose: ragged matrix (%d vs %d)", r.Len(), width)
-		}
-	}
-	out := make([]value.Value, width)
-	for j := 0; j < width; j++ {
-		col := make([]value.Value, len(rows))
-		for i, r := range rows {
-			col[i] = r.List()[j]
-		}
-		out[j] = value.NewList(col...)
-	}
-	return value.NewList(out...), nil
-}
-
-// Chunk splits rows into consecutive chunks of n.
-func Chunk(rel Relation, n int) ([][]value.Row, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("transforms: chunk: size %d", n)
-	}
-	var out [][]value.Row
-	for i := 0; i < len(rel.Rows); i += n {
-		j := i + n
-		if j > len(rel.Rows) {
-			j = len(rel.Rows)
-		}
-		out = append(out, rel.Rows[i:j])
-	}
-	return out, nil
-}
-
 // GridBounds holds the discretization of one grid dimension: the value
 // interval and cell count (stride = (Max-Min)/Cells, the paper's grid
 // strides resolved against data statistics).
@@ -452,14 +322,6 @@ type GridBounds struct {
 	Col      int
 	Min, Max float64
 	Cells    int
-}
-
-// Stride returns the cell width along this dimension.
-func (b GridBounds) Stride() float64 {
-	if b.Cells == 0 {
-		return 0
-	}
-	return (b.Max - b.Min) / float64(b.Cells)
 }
 
 // CellOf maps a value to its cell index along this dimension, clamped to
@@ -476,11 +338,6 @@ func (b GridBounds) CellOf(v float64) int {
 		c = b.Cells - 1
 	}
 	return c
-}
-
-// CellRange returns the inclusive cell index interval overlapping [lo, hi].
-func (b GridBounds) CellRange(lo, hi float64) (int, int) {
-	return b.CellOf(lo), b.CellOf(hi)
 }
 
 // ComputeGridBounds derives per-dimension bounds from the data (min/max of

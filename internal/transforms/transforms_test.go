@@ -2,7 +2,6 @@ package transforms
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"rodentstore/internal/algebra"
@@ -41,28 +40,7 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestAppend(t *testing.T) {
-	rel := areasRel()
-	got, err := Append(rel, value.Field{Name: "flag", Type: value.Bool}, func(r value.Row) value.Value {
-		return value.NewBool(r[0].Int() == 617)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema.Arity() != 4 {
-		t.Fatalf("arity %d", got.Schema.Arity())
-	}
-	if !got.Rows[0][3].Bool() || got.Rows[1][3].Bool() {
-		t.Error("computed column wrong")
-	}
-	// Project then append is the identity modulo order (paper: append is
-	// project's reciprocal).
-	if _, err := Append(rel, value.Field{Name: "area", Type: value.Int}, nil); err == nil {
-		t.Error("duplicate field must fail")
-	}
-}
-
-func TestSelectAndPartition(t *testing.T) {
+func TestSelect(t *testing.T) {
 	rel := areasRel()
 	pred := algebra.True.And("area", algebra.OpEq, value.NewInt(617))
 	sel, err := Select(rel, pred)
@@ -72,18 +50,8 @@ func TestSelectAndPartition(t *testing.T) {
 	if len(sel.Rows) != 3 {
 		t.Errorf("select rows: %d", len(sel.Rows))
 	}
-	yes, no, err := Partition(rel, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(yes.Rows) != 3 || len(no.Rows) != 2 {
-		t.Errorf("partition: %d / %d", len(yes.Rows), len(no.Rows))
-	}
 	bad := algebra.True.And("nope", algebra.OpEq, value.NewInt(1))
 	if _, err := Select(rel, bad); err == nil {
-		t.Error("bad predicate should fail")
-	}
-	if _, _, err := Partition(rel, bad); err == nil {
 		t.Error("bad predicate should fail")
 	}
 }
@@ -256,112 +224,6 @@ func TestUnfoldErrors(t *testing.T) {
 	}
 }
 
-func TestPrejoin(t *testing.T) {
-	customers := Relation{
-		Schema: value.MustSchema(
-			value.Field{Name: "cid", Type: value.Int},
-			value.Field{Name: "name", Type: value.Str},
-		),
-		Rows: []value.Row{
-			{value.NewInt(1), value.NewString("alice")},
-			{value.NewInt(2), value.NewString("bob")},
-		},
-	}
-	orders := Relation{
-		Schema: value.MustSchema(
-			value.Field{Name: "oid", Type: value.Int},
-			value.Field{Name: "cid", Type: value.Int},
-		),
-		Rows: []value.Row{
-			{value.NewInt(100), value.NewInt(1)},
-			{value.NewInt(101), value.NewInt(1)},
-			{value.NewInt(102), value.NewInt(2)},
-			{value.NewInt(103), value.NewInt(9)}, // dangling
-		},
-	}
-	got, err := Prejoin(orders, customers, "cid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema.String() != "oid:int, cid:int, name:string" {
-		t.Errorf("schema: %s", got.Schema)
-	}
-	if len(got.Rows) != 3 {
-		t.Fatalf("rows: %d", len(got.Rows))
-	}
-	if got.Rows[0][2].Str() != "alice" || got.Rows[2][2].Str() != "bob" {
-		t.Errorf("join values wrong: %v", got.Rows)
-	}
-	if _, err := Prejoin(orders, customers, "nope"); err == nil {
-		t.Error("missing attribute should fail")
-	}
-	// fold over prejoined data (the paper's canonical pairing).
-	folded, err := FoldHash(got, []string{"oid"}, []string{"name"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folded.Rows) != 2 {
-		t.Errorf("folded groups: %d", len(folded.Rows))
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := value.NewList(
-		value.NewList(value.NewInt(1), value.NewInt(2), value.NewInt(3)),
-		value.NewList(value.NewInt(4), value.NewInt(5), value.NewInt(6)),
-	)
-	got, err := Transpose(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := value.NewList(
-		value.NewList(value.NewInt(1), value.NewInt(4)),
-		value.NewList(value.NewInt(2), value.NewInt(5)),
-		value.NewList(value.NewInt(3), value.NewInt(6)),
-	)
-	if !value.Equal(got, want) {
-		t.Errorf("transpose: %v", got)
-	}
-	// transpose ∘ transpose = id.
-	back, err := Transpose(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !value.Equal(back, m) {
-		t.Errorf("double transpose: %v", back)
-	}
-	// Errors.
-	if _, err := Transpose(value.NewInt(1)); err == nil {
-		t.Error("scalar transpose should fail")
-	}
-	ragged := value.NewList(value.NewList(value.NewInt(1)), value.NewList(value.NewInt(2), value.NewInt(3)))
-	if _, err := Transpose(ragged); err == nil {
-		t.Error("ragged transpose should fail")
-	}
-	empty, err := Transpose(value.NewList())
-	if err != nil || empty.Len() != 0 {
-		t.Error("empty transpose should be empty")
-	}
-}
-
-func TestChunk(t *testing.T) {
-	rel := areasRel()
-	chunks, err := Chunk(rel, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := make([]int, len(chunks))
-	for i, c := range chunks {
-		sizes[i] = len(c)
-	}
-	if !reflect.DeepEqual(sizes, []int{2, 2, 1}) {
-		t.Errorf("chunk sizes: %v", sizes)
-	}
-	if _, err := Chunk(rel, 0); err == nil {
-		t.Error("chunk 0 should fail")
-	}
-}
-
 func TestGridBoundsAndAssign(t *testing.T) {
 	s := value.MustSchema(
 		value.Field{Name: "x", Type: value.Float},
@@ -379,7 +241,7 @@ func TestGridBoundsAndAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bounds[0].Min != 0 || bounds[0].Max != 9 || bounds[0].Stride() != 1.8 {
+	if bounds[0].Min != 0 || bounds[0].Max != 9 || bounds[0].Cells != 5 {
 		t.Errorf("bounds[0]: %+v", bounds[0])
 	}
 	cells, err := GridAssign(rel, bounds)

@@ -4,17 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 )
 
-// Binary encoding of values and rows. Fixed-width kinds (Int, Float, Bool)
-// encode without a tag into their natural widths; variable-width kinds carry
-// a uvarint length prefix. Rows encode fields back-to-back with a leading
-// null bitmap so the decoder can restore Nulls in typed columns.
+// Binary encoding of values. Fixed-width kinds (Int, Float, Bool) encode
+// without a tag into their natural widths; variable-width kinds carry a
+// uvarint length prefix.
 
 // AppendValue appends the encoding of v (which must be of kind k, or Null)
 // to dst and returns the extended slice. Null is encoded as the kind's zero
-// value; callers that must distinguish Null use the row-level null bitmap.
+// value; callers that must distinguish Null keep a null bitmap of their own.
 func AppendValue(dst []byte, k Kind, v Value) []byte {
 	switch k {
 	case Int:
@@ -127,136 +125,5 @@ func DecodeValue(buf []byte, k Kind) (Value, int, error) {
 		return NullValue(), 0, nil
 	default:
 		return Value{}, 0, fmt.Errorf("value: cannot decode kind %s", k)
-	}
-}
-
-// AppendRow appends the row encoding (null bitmap + field encodings) to dst.
-func AppendRow(dst []byte, s *Schema, r Row) []byte {
-	nb := (len(s.Fields) + 7) / 8
-	start := len(dst)
-	for i := 0; i < nb; i++ {
-		dst = append(dst, 0)
-	}
-	for i, f := range s.Fields {
-		if r[i].IsNull() {
-			dst[start+i/8] |= 1 << (i % 8)
-		}
-		dst = AppendValue(dst, f.Type, r[i])
-	}
-	return dst
-}
-
-// DecodeRow decodes one row, returning it and the bytes consumed.
-func DecodeRow(buf []byte, s *Schema) (Row, int, error) {
-	nb := (len(s.Fields) + 7) / 8
-	if len(buf) < nb {
-		return nil, 0, fmt.Errorf("value: short buffer for null bitmap")
-	}
-	bitmap := buf[:nb]
-	off := nb
-	row := make(Row, len(s.Fields))
-	for i, f := range s.Fields {
-		v, used, err := DecodeValue(buf[off:], f.Type)
-		if err != nil {
-			return nil, 0, fmt.Errorf("value: field %q: %w", f.Name, err)
-		}
-		off += used
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			row[i] = NullValue()
-		} else {
-			row[i] = v
-		}
-	}
-	return row, off, nil
-}
-
-// EncodedRowSize returns the number of bytes AppendRow would write.
-func EncodedRowSize(s *Schema, r Row) int {
-	n := (len(s.Fields) + 7) / 8
-	for i, f := range s.Fields {
-		n += encodedValueSize(f.Type, r[i])
-	}
-	return n
-}
-
-func encodedValueSize(k Kind, v Value) int {
-	switch k {
-	case Int, Float:
-		return 8
-	case Bool:
-		return 1
-	case Str:
-		var l int
-		if !v.IsNull() {
-			l = len(v.Str())
-		}
-		return uvarintLen(uint64(l)) + l
-	case Bytes:
-		var l int
-		if !v.IsNull() {
-			l = len(v.Bytes())
-		}
-		return uvarintLen(uint64(l)) + l
-	case List:
-		var l []Value
-		if !v.IsNull() {
-			l = v.List()
-		}
-		n := uvarintLen(uint64(len(l)))
-		for _, c := range l {
-			n += 1 + encodedValueSize(c.Kind(), c)
-		}
-		return n
-	default:
-		return 0
-	}
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// Parse converts the textual form s into a value of kind k. It is used by
-// the CSV loader and the shell.
-func Parse(k Kind, s string) (Value, error) {
-	if s == "null" || s == "" {
-		return NullValue(), nil
-	}
-	switch k {
-	case Int:
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("value: parse int %q: %w", s, err)
-		}
-		return NewInt(i), nil
-	case Float:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("value: parse float %q: %w", s, err)
-		}
-		return NewFloat(f), nil
-	case Bool:
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return Value{}, fmt.Errorf("value: parse bool %q: %w", s, err)
-		}
-		return NewBool(b), nil
-	case Str:
-		if len(s) >= 2 && s[0] == '"' {
-			u, err := strconv.Unquote(s)
-			if err == nil {
-				return NewString(u), nil
-			}
-		}
-		return NewString(s), nil
-	case Bytes:
-		return NewBytes([]byte(s)), nil
-	default:
-		return Value{}, fmt.Errorf("value: cannot parse kind %s", k)
 	}
 }

@@ -3,7 +3,6 @@ package value
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestValueEncodeRoundtrip(t *testing.T) {
@@ -49,100 +48,6 @@ func TestDecodeValueShortBuffer(t *testing.T) {
 	buf := AppendValue(nil, Str, NewString("hello"))
 	if _, _, err := DecodeValue(buf[:3], Str); err == nil {
 		t.Error("expected error on truncated string")
-	}
-}
-
-func TestRowEncodeRoundtrip(t *testing.T) {
-	s := MustSchema(
-		Field{"t", Int},
-		Field{"lat", Float},
-		Field{"lon", Float},
-		Field{"id", Str},
-		Field{"ok", Bool},
-	)
-	rows := []Row{
-		{NewInt(1), NewFloat(42.36), NewFloat(-71.06), NewString("car-1"), NewBool(true)},
-		{NewInt(2), NullValue(), NewFloat(-71.0), NewString(""), NullValue()},
-		{NullValue(), NullValue(), NullValue(), NullValue(), NullValue()},
-	}
-	var buf []byte
-	for _, r := range rows {
-		if got, want := EncodedRowSize(s, r), len(AppendRow(nil, s, r)); got != want {
-			t.Errorf("EncodedRowSize=%d, actual=%d", got, want)
-		}
-		buf = AppendRow(buf, s, r)
-	}
-	off := 0
-	for i, want := range rows {
-		got, n, err := DecodeRow(buf[off:], s)
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		off += n
-		for j := range want {
-			if !Equal(got[j], want[j]) {
-				t.Errorf("row %d field %d: got %v want %v", i, j, got[j], want[j])
-			}
-		}
-	}
-	if off != len(buf) {
-		t.Errorf("consumed %d of %d bytes", off, len(buf))
-	}
-}
-
-func TestRowEncodeQuick(t *testing.T) {
-	s := MustSchema(Field{"a", Int}, Field{"b", Float}, Field{"c", Str})
-	f := func(a int64, b float64, c string) bool {
-		r := Row{NewInt(a), NewFloat(b), NewString(c)}
-		buf := AppendRow(nil, s, r)
-		got, n, err := DecodeRow(buf, s)
-		if err != nil || n != len(buf) {
-			return false
-		}
-		return got[0].Int() == a && got[2].Str() == c &&
-			(got[1].Float() == b || b != b) // NaN roundtrips as NaN
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParse(t *testing.T) {
-	cases := []struct {
-		k    Kind
-		in   string
-		want Value
-	}{
-		{Int, "42", NewInt(42)},
-		{Int, "-7", NewInt(-7)},
-		{Float, "2.5", NewFloat(2.5)},
-		{Bool, "true", NewBool(true)},
-		{Str, "plain", NewString("plain")},
-		{Str, `"quoted"`, NewString("quoted")},
-		{Bytes, "ab", NewBytes([]byte("ab"))},
-		{Int, "null", NullValue()},
-		{Float, "", NullValue()},
-	}
-	for i, c := range cases {
-		got, err := Parse(c.k, c.in)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !Equal(got, c.want) {
-			t.Errorf("case %d: Parse(%s,%q)=%v want %v", i, c.k, c.in, got, c.want)
-		}
-	}
-	if _, err := Parse(Int, "xyz"); err == nil {
-		t.Error("expected error parsing bad int")
-	}
-	if _, err := Parse(Float, "xyz"); err == nil {
-		t.Error("expected error parsing bad float")
-	}
-	if _, err := Parse(Bool, "xyz"); err == nil {
-		t.Error("expected error parsing bad bool")
-	}
-	if _, err := Parse(List, "[1]"); err == nil {
-		t.Error("expected error parsing list")
 	}
 }
 

@@ -82,19 +82,6 @@ func KindFromString(s string) (Kind, error) {
 	return Null, fmt.Errorf("value: unknown type %q", s)
 }
 
-// FixedSize reports the on-disk size of the kind's fixed-width encoding, or
-// 0 if the kind is variable-length.
-func (k Kind) FixedSize() int {
-	switch k {
-	case Int, Float:
-		return 8
-	case Bool:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Value is a tagged union holding one scalar or one nesting.
 // The zero Value is Null.
 type Value struct {

@@ -7,48 +7,14 @@
 //	zorder(N) ≡ [r' | \r ← N, \r' ← r,
 //	             r' orderby interleave(bin(pos(r)), bin(pos(r'))) ASC]
 //
-// Interleave2 is exactly that interleave(bin(x), bin(y)) helper. The package
-// also provides n-dimensional Morton codes and a Hilbert curve used by the
-// curve-ablation experiment (Ext-1 in DESIGN.md).
+// InterleaveN is that interleave(bin(x), bin(y)) helper, generalised to n
+// dimensions. The package also provides a Hilbert curve used by the
+// curve-ablation experiment (Ext-1 in DESIGN.md). The tests hold the 2-D
+// Morton code and the inverses, as oracles the live maps are checked
+// against.
 package zorder
 
 import "fmt"
-
-// Interleave2 interleaves the bits of x and y into a single Morton code.
-// Bit i of x maps to bit 2i of the result; bit i of y maps to bit 2i+1.
-// Nearby (x, y) pairs receive nearby codes, which is what lets the storage
-// backend co-locate spatially adjacent grid cells on disk.
-func Interleave2(x, y uint32) uint64 {
-	return spread(uint64(x)) | spread(uint64(y))<<1
-}
-
-// Deinterleave2 is the inverse of Interleave2.
-func Deinterleave2(z uint64) (x, y uint32) {
-	return uint32(compact(z)), uint32(compact(z >> 1))
-}
-
-// spread inserts a zero bit between each of the low 32 bits of v.
-func spread(v uint64) uint64 {
-	v &= 0xffffffff
-	v = (v | v<<16) & 0x0000ffff0000ffff
-	v = (v | v<<8) & 0x00ff00ff00ff00ff
-	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v<<2) & 0x3333333333333333
-	v = (v | v<<1) & 0x5555555555555555
-	return v
-}
-
-// compact drops the odd bits of v and packs the even bits together; it is
-// the inverse of spread.
-func compact(v uint64) uint64 {
-	v &= 0x5555555555555555
-	v = (v | v>>1) & 0x3333333333333333
-	v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v>>4) & 0x00ff00ff00ff00ff
-	v = (v | v>>8) & 0x0000ffff0000ffff
-	v = (v | v>>16) & 0x00000000ffffffff
-	return v
-}
 
 // InterleaveN computes an n-dimensional Morton code over coords, using bits
 // bits per dimension. It requires len(coords)*bits <= 64. Dimension 0
@@ -69,21 +35,6 @@ func InterleaveN(coords []uint32, bits int) (uint64, error) {
 		}
 	}
 	return z, nil
-}
-
-// DeinterleaveN is the inverse of InterleaveN.
-func DeinterleaveN(z uint64, n, bits int) ([]uint32, error) {
-	if n <= 0 || bits <= 0 || n*bits > 64 {
-		return nil, fmt.Errorf("zorder: invalid dims %d × bits %d", n, bits)
-	}
-	coords := make([]uint32, n)
-	for b := 0; b < bits; b++ {
-		for d := 0; d < n; d++ {
-			bit := (z >> (b*n + d)) & 1
-			coords[d] |= uint32(bit) << b
-		}
-	}
-	return coords, nil
 }
 
 // Hilbert2 maps (x, y) on a 2^order × 2^order grid to its distance along the
@@ -114,93 +65,4 @@ func Hilbert2(order uint, x, y uint32) uint64 {
 		}
 	}
 	return d
-}
-
-// Hilbert2Inverse maps a Hilbert distance back to (x, y) on a 2^order grid.
-func Hilbert2Inverse(order uint, d uint64) (x, y uint32) {
-	t := d
-	for s := uint32(1); s < 1<<order; s <<= 1 {
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & (uint32(t) ^ rx)
-		// Rotate quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
-			}
-			x, y = y, x
-		}
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}
-
-// Bin renders v in binary — the algebra's bin() helper, exposed for
-// debugging and for the algebra printer.
-func Bin(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [64]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = '0' + byte(v&1)
-		v >>= 1
-	}
-	return string(buf[i:])
-}
-
-// Range represents a contiguous run [Lo, Hi] of curve positions.
-type Range struct {
-	Lo, Hi uint64
-}
-
-// ZRangesForRect decomposes the axis-aligned cell rectangle
-// [x0,x1]×[y0,y1] into maximal contiguous z-code ranges. The storage backend
-// uses this to turn a spatial query into a minimal set of sequential page
-// runs (each range break is a potential disk seek). The implementation
-// recursively splits the quad-tree node whenever it straddles the rectangle;
-// adjacent resulting ranges are coalesced.
-func ZRangesForRect(order uint, x0, y0, x1, y1 uint32) []Range {
-	if x1 < x0 || y1 < y0 {
-		return nil
-	}
-	var out []Range
-	var rec func(qx, qy uint32, level uint)
-	rec = func(qx, qy uint32, level uint) {
-		size := uint32(1) << level
-		// Quad node [qx, qx+size) × [qy, qy+size).
-		if qx > x1 || qy > y1 || qx+size-1 < x0 || qy+size-1 < y0 {
-			return // disjoint
-		}
-		if qx >= x0 && qx+size-1 <= x1 && qy >= y0 && qy+size-1 <= y1 {
-			// Fully contained: one contiguous z-range of size².
-			lo := Interleave2(qx, qy)
-			out = append(out, Range{lo, lo + uint64(size)*uint64(size) - 1})
-			return
-		}
-		if level == 0 {
-			return
-		}
-		half := size / 2
-		// Children in z order: (0,0), (1,0), (0,1), (1,1).
-		rec(qx, qy, level-1)
-		rec(qx+half, qy, level-1)
-		rec(qx, qy+half, level-1)
-		rec(qx+half, qy+half, level-1)
-	}
-	rec(0, 0, order)
-	// Coalesce adjacent ranges (children visited in z order so out is sorted).
-	merged := out[:0]
-	for _, r := range out {
-		if n := len(merged); n > 0 && merged[n-1].Hi+1 == r.Lo {
-			merged[n-1].Hi = r.Hi
-		} else {
-			merged = append(merged, r)
-		}
-	}
-	return merged
 }

