@@ -160,6 +160,81 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestPoolNeverWritesPages drives every pool path (hits, misses,
+// eviction, Invalidate under a lease, the uncached fallback of a fully
+// pinned shard) and checks the pool is a read-only cache: it serves the
+// bytes on disk and writes no page.
+func TestPoolNeverWritesPages(t *testing.T) {
+	const frames, pages = 2, 8
+	p, f, start := newPoolT(t, frames, pages)
+	f.ResetStats()
+	check := func(i int, page []byte) {
+		t.Helper()
+		if page[0] != byte(i) {
+			t.Fatalf("page %d: got byte %d", i, page[0])
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < pages; i++ {
+			l, err := p.Lease(start + pager.PageID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(i, l.Data())
+			if i == 3 {
+				p.Invalidate()
+				check(i, l.Data())
+			}
+			if err := l.Release(); err != nil {
+				t.Fatal(err)
+			}
+			page, err := p.ReadPage(start + pager.PageID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(i, page)
+		}
+	}
+	var held []Lease
+	for i := 0; i < frames; i++ {
+		l, err := p.Lease(start + pager.PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, l)
+	}
+	page, err := p.ReadPage(start + frames)
+	if err != nil {
+		t.Fatalf("read with every frame pinned: %v", err)
+	}
+	check(frames, page)
+	for _, l := range held {
+		if err := l.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.Evictions == 0 {
+		t.Errorf("workload evicted nothing: %+v", s)
+	}
+	if w := f.Stats().PageWrites; w != 0 {
+		t.Errorf("pool wrote %d pages", w)
+	}
+}
+
+// TestStatsCountEvictions checks the counters on a one-shard pool: each
+// distinct page past capacity is a miss that evicts one frame, and a
+// resident page is a hit.
+func TestStatsCountEvictions(t *testing.T) {
+	p, _, start := newPoolT(t, 2, 8)
+	for i := 0; i < 5; i++ {
+		touch(t, p, start+pager.PageID(i))
+	}
+	touch(t, p, start+4)
+	if s := p.Stats(); s != (Stats{Hits: 1, Misses: 5, Evictions: 3}) {
+		t.Errorf("stats: %+v, want 1 hit, 5 misses, 3 evictions", s)
+	}
+}
+
 func TestClockSecondChance(t *testing.T) {
 	// A frequently touched page should survive a scan of cold pages.
 	p, _, start := newPoolT(t, 3, 16)

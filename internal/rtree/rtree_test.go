@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -102,6 +103,82 @@ func checkQueries(t *testing.T, tr *Tree, pts []Rect, seed int64) {
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(5000, 9)
 	checkQueries(t, bulkLoad(t, pts), pts, 10)
+}
+
+// TestBulkLoadSizes builds trees whose sizes straddle one node's fill and
+// a two-level tree's, plus one whose entries all share a point. Each must
+// hold every entry exactly once and find it by its own box.
+func TestBulkLoadSizes(t *testing.T) {
+	fill := maxEntries(newFile(t)) * 3 / 4
+	type input struct {
+		name string
+		pts  []Rect
+	}
+	same := input{"same point", make([]Rect, fill+1)}
+	for i := range same.pts {
+		same.pts[i] = Point(5, 5)
+	}
+	inputs := []input{same}
+	for _, n := range []int{1, fill, fill + 1, fill * fill, fill*fill + 1} {
+		inputs = append(inputs, input{fmt.Sprintf("n=%d", n), randomPoints(n, int64(n))})
+	}
+	for _, in := range inputs {
+		pts := in.pts
+		t.Run(in.name, func(t *testing.T) {
+			tr := bulkLoad(t, pts)
+			checkStructure(t, tr, fill)
+			seen := make([]int, len(pts))
+			if err := tr.Search(Rect{0, 0, 100, 100}, func(e Entry) bool { seen[e.Ref]++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			for ref, c := range seen {
+				if c != 1 {
+					t.Fatalf("entry %d found %d times by a query covering all", ref, c)
+				}
+			}
+			for i, p := range pts {
+				found := false
+				if err := tr.Search(p, func(e Entry) bool { found = e.Ref == uint64(i); return !found }); err != nil {
+					t.Fatal(err)
+				}
+				if !found {
+					t.Fatalf("entry %d not found by its own box %+v", i, p)
+				}
+			}
+			checkQueries(t, tr, pts, int64(len(pts))+1)
+		})
+	}
+}
+
+// checkStructure walks tr: every node holds 1..fill entries, every leaf is
+// at one depth, and each parent entry's box is exactly its child's cover.
+func checkStructure(t *testing.T, tr *Tree, fill int) {
+	t.Helper()
+	leafDepth := -1
+	var walk func(id uint64, depth int) Rect
+	walk = func(id uint64, depth int) Rect {
+		n, err := tr.readNode(pager.PageID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(n.entries) == 0 || len(n.entries) > fill {
+			t.Fatalf("node %d holds %d entries, want 1..%d", id, len(n.entries), fill)
+		}
+		if n.isLeaf {
+			if leafDepth >= 0 && depth != leafDepth {
+				t.Fatalf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			leafDepth = depth
+		} else {
+			for _, e := range n.entries {
+				if cover := walk(e.Ref, depth+1); cover != e.Rect {
+					t.Fatalf("node %d: entry box %+v, child covers %+v", id, e.Rect, cover)
+				}
+			}
+		}
+		return coverOf(n.entries)
+	}
+	walk(uint64(tr.root), 0)
 }
 
 func TestEmptyTree(t *testing.T) {

@@ -51,6 +51,32 @@ func TestDecodeValueShortBuffer(t *testing.T) {
 	}
 }
 
+// TestDecodeValueTruncated checks that no strict prefix of an encoding
+// decodes: a short buffer is an error, never a shorter value.
+func TestDecodeValueTruncated(t *testing.T) {
+	cases := []struct {
+		k Kind
+		v Value
+	}{
+		{Int, NewInt(-7)},
+		{Float, NewFloat(2.5)},
+		{Bool, NewBool(true)},
+		{Str, NewString("hello")},
+		{Bytes, NewBytes([]byte{1, 2, 3})},
+		{List, NewList(NewInt(1), NewString("x"), NewList(NewBool(false)))},
+	}
+	for _, c := range cases {
+		t.Run(c.k.String(), func(t *testing.T) {
+			buf := AppendValue(nil, c.k, c.v)
+			for n := 0; n < len(buf); n++ {
+				if v, _, err := DecodeValue(buf[:n], c.k); err == nil {
+					t.Errorf("%d of %d bytes decoded to %v", n, len(buf), v)
+				}
+			}
+		})
+	}
+}
+
 func TestEncodedValueFuzzRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 500; i++ {

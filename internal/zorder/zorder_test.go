@@ -146,6 +146,51 @@ func TestInterleaveN(t *testing.T) {
 	}
 }
 
+// TestInterleaveNDims round-trips InterleaveN through the DeinterleaveN
+// oracle for every dimension count, at the most bits per coordinate that
+// fit 64, with each coordinate's top bit set as well as at random.
+func TestInterleaveNDims(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		bits := min(64/n, 32)
+		t.Run(fmt.Sprintf("%dx%d", n, bits), func(t *testing.T) {
+			mask := uint32(uint64(1)<<bits - 1)
+			roundtrip := func(coords []uint32) bool {
+				z, err := InterleaveN(coords, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := DeinterleaveN(z, n, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range coords {
+					if back[d] != coords[d] {
+						return false
+					}
+				}
+				return true
+			}
+			top := make([]uint32, n)
+			for d := range top {
+				top[d] = mask
+			}
+			if !roundtrip(top) {
+				t.Errorf("all-ones coords do not round-trip")
+			}
+			f := func(seed [8]uint32) bool {
+				coords := make([]uint32, n)
+				for d := range coords {
+					coords[d] = seed[d] & mask
+				}
+				return roundtrip(coords)
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 func TestInterleaveNErrors(t *testing.T) {
 	if _, err := InterleaveN(nil, 8); err == nil {
 		t.Error("expected error for no coords")
