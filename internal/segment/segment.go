@@ -80,6 +80,34 @@ type Meta struct {
 	UsedBytes   uint64
 	Rows        int64
 	Blocks      []BlockMeta
+	// Runs are Blocks' cell runs (CellRuns), nil for an ungridded segment.
+	// They are derived wherever a Meta is built, never encoded.
+	Runs []CellRun
+}
+
+// CellRun is a maximal stretch of consecutive blocks that share a grid
+// cell, in stored order: Blocks[Start:End].
+type CellRun struct {
+	Cell       uint64
+	Start, End int
+}
+
+// CellRuns cuts blocks into cell runs; it returns nil when no block is
+// gridded. A gridded segment stores each cell's blocks together, so a plan
+// can test one cell per run instead of one per block.
+func CellRuns(blocks []BlockMeta) []CellRun {
+	if !slices.ContainsFunc(blocks, func(b BlockMeta) bool { return b.Cell != NoCell }) {
+		return nil
+	}
+	var runs []CellRun
+	for i := range blocks {
+		if n := len(runs); n > 0 && runs[n-1].Cell == blocks[i].Cell {
+			runs[n-1].End = i + 1
+		} else {
+			runs = append(runs, CellRun{Cell: blocks[i].Cell, Start: i, End: i + 1})
+		}
+	}
+	return runs
 }
 
 // Writer renders blocks into an in-memory stream and flushes them to a
@@ -217,6 +245,7 @@ func (w *Writer) Finish() (Meta, error) {
 		UsedBytes:   uint64(len(w.buf)),
 		Rows:        w.rows,
 		Blocks:      w.blocks,
+		Runs:        CellRuns(w.blocks),
 	}, nil
 }
 

@@ -1,8 +1,10 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -289,6 +291,13 @@ func (e *Engine) RowCount(name string) (int64, error) {
 type blockRef struct {
 	part  int
 	block int
+}
+
+func cmpBlockRef(a, b blockRef) int {
+	if c := cmp.Compare(a.part, b.part); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.block, b.block)
 }
 
 // part is one renderable unit: the main segments, one run or one tail batch.
@@ -980,10 +989,18 @@ func (plan *scanPlan) locate(tab *catalog.Table, index []int64) (bi, off int, er
 			}
 			cell = cell*uint64(b.Cells) + uint64(index[d])
 		}
-		for bi, ref := range plan.blocks {
-			p := plan.parts[ref.part]
-			if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
-				return bi, 0, nil
+		// The cell's first plan block: the first at or after the start of
+		// one of its runs and before that run's end (plan.blocks is in
+		// (part, block) order).
+		for pi, p := range plan.parts {
+			for _, r := range p.entries[firstReadSeg(p)].Meta.Runs {
+				if r.Cell != cell {
+					continue
+				}
+				bi, _ := slices.BinarySearchFunc(plan.blocks, blockRef{pi, r.Start}, cmpBlockRef)
+				if bi < len(plan.blocks) && cmpBlockRef(plan.blocks[bi], blockRef{pi, r.End}) < 0 {
+					return bi, 0, nil
+				}
 			}
 		}
 		return 0, 0, fmt.Errorf("table: grid cell %d holds no data", cell)
@@ -1103,14 +1120,10 @@ func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []stri
 	}
 
 	// Candidate blocks with grid/zone pruning.
-	prune := e.pruner(tab, pred, so.noZone)
+	prune := newPruner(tab, pred, so.noZone)
 	var blocks []blockRef
 	for pi, p := range parts {
-		for bi := range p.entries[firstReadSeg(p)].Meta.Blocks {
-			if !prune(p, bi) {
-				blocks = append(blocks, blockRef{part: pi, block: bi})
-			}
-		}
+		blocks = prune.appendBlocks(blocks, pi, p)
 	}
 
 	identity := len(outIdx) == decoded.Arity()
@@ -1179,81 +1192,141 @@ func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *valu
 	return p, nil
 }
 
-// pruner returns planScan's block-skip test: a block is skipped when the grid
-// cell or zone map of any of its decoded segments excludes the predicate.
-// The segments of a part share block boundaries, but each carries zone maps
-// for its own fields only.
-func (e *Engine) pruner(tab *catalog.Table, pred algebra.Predicate, noZone bool) func(p *part, block int) bool {
+// pruner is planScan's block selection, resolved once per plan: a block is
+// skipped when its grid cell or the zone map of any of its decoded segments
+// excludes the predicate. The segments of a part share block boundaries and
+// cells (render cuts each from the same cell runs), but each carries zone
+// maps for its own fields only.
+type pruner struct {
+	all   bool        // nothing can be pruned: every block is kept
+	dims  []cellRange // per grid dimension, first dimension first
+	zones []zoneBound
+}
+
+// cellRange is the cells [lo, hi] of one grid dimension of cells cells that
+// the predicate admits; an inactive one admits every cell.
+type cellRange struct {
+	cells  uint64
+	lo, hi int
+	active bool
+}
+
+// zoneBound is the predicate's range on one field, as zone-map floats.
+type zoneBound struct {
+	field        string
+	lo, hi       float64
+	hasLo, hasHi bool
+}
+
+func newPruner(tab *catalog.Table, pred algebra.Predicate, noZone bool) pruner {
 	if pred.IsTrue() {
-		return func(*part, int) bool { return false }
+		return pruner{all: true}
 	}
-	bounds := boundsOf(tab)
-	// Per-dimension cell ranges implied by the predicate.
-	type dimRange struct {
-		lo, hi int
-		active bool
+	pr := pruner{all: true, dims: make([]cellRange, len(tab.GridBounds))}
+	for d, b := range boundsOf(tab) {
+		r := cellRange{cells: uint64(b.Cells), hi: b.Cells - 1}
+		if lo, hi, _, _, found := pred.Bounds(b.Field); found {
+			r.active, pr.all = true, false
+			if !lo.IsNull() {
+				r.lo = b.CellOf(lo.Float())
+			}
+			if !hi.IsNull() {
+				r.hi = b.CellOf(hi.Float())
+			}
+		}
+		pr.dims[d] = r
 	}
-	dimRanges := make([]dimRange, len(bounds))
-	for d, b := range bounds {
-		lo, hi, _, _, found := pred.Bounds(b.Field)
+	if noZone {
+		return pr
+	}
+	for _, f := range pred.Fields() {
+		lo, hi, _, _, found := pred.Bounds(f)
 		if !found {
 			continue
 		}
-		cl, ch := 0, b.Cells-1
-		if !lo.IsNull() {
-			cl = b.CellOf(lo.Float())
+		// Only numeric fields carry zone maps, and only a numeric bound has
+		// a Float.
+		zb := zoneBound{field: f}
+		if zb.hasLo = numeric(lo); zb.hasLo {
+			zb.lo = lo.Float()
 		}
-		if !hi.IsNull() {
-			ch = b.CellOf(hi.Float())
+		if zb.hasHi = numeric(hi); zb.hasHi {
+			zb.hi = hi.Float()
 		}
-		dimRanges[d] = dimRange{lo: cl, hi: ch, active: true}
-	}
-	// Zone-map bounds for every predicate field.
-	type zbound struct {
-		field  string
-		lo, hi value.Value
-	}
-	var zbounds []zbound
-	if !noZone {
-		for _, f := range pred.Fields() {
-			lo, hi, _, _, found := pred.Bounds(f)
-			if found {
-				zbounds = append(zbounds, zbound{f, lo, hi})
-			}
+		if zb.hasLo || zb.hasHi {
+			pr.zones, pr.all = append(pr.zones, zb), false
 		}
 	}
-	excludes := func(bm segment.BlockMeta) bool {
-		if bm.Cell != segment.NoCell && len(bounds) > 0 {
-			coords := transforms.CellCoords(bm.Cell, bounds)
-			for d, dr := range dimRanges {
-				if dr.active && (coords[d] < dr.lo || coords[d] > dr.hi) {
-					return true
-				}
-			}
+	return pr
+}
+
+func numeric(v value.Value) bool { return v.Kind() == value.Int || v.Kind() == value.Float }
+
+// appendBlocks appends to dst the blocks of part p, the plan's part pi, that
+// the predicate admits, in stored order. A gridded part is tested one cell
+// run at a time, and only the blocks of admitted runs see the zone test; an
+// ungridded one (a tail) is one pass over its blocks.
+func (pr *pruner) appendBlocks(dst []blockRef, pi int, p *part) []blockRef {
+	meta := &p.entries[firstReadSeg(p)].Meta
+	if meta.Runs == nil || pr.all {
+		return pr.appendZoned(dst, pi, p, 0, len(meta.Blocks))
+	}
+	for _, r := range meta.Runs {
+		if pr.admitsCell(r.Cell) {
+			dst = pr.appendZoned(dst, pi, p, r.Start, r.End)
 		}
-		for _, zb := range zbounds {
-			for _, z := range bm.Zones {
+	}
+	return dst
+}
+
+// admitsCell decodes a row-major cell index one dimension at a time, last
+// dimension first, and stops at the first that falls outside its range.
+func (pr *pruner) admitsCell(cell uint64) bool {
+	if cell == segment.NoCell {
+		return true
+	}
+	for d := len(pr.dims) - 1; d >= 0; d-- {
+		r := &pr.dims[d]
+		c := int(cell % r.cells)
+		cell /= r.cells
+		if r.active && (c < r.lo || c > r.hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendZoned appends blocks [lo, hi) of part p that no decoded segment's
+// zone maps exclude.
+func (pr *pruner) appendZoned(dst []blockRef, pi int, p *part, lo, hi int) []blockRef {
+	for bi := lo; bi < hi; bi++ {
+		if len(pr.zones) == 0 || !pr.zonesExclude(p, bi) {
+			dst = append(dst, blockRef{part: pi, block: bi})
+		}
+	}
+	return dst
+}
+
+func (pr *pruner) zonesExclude(p *part, bi int) bool {
+	for si, r := range p.readers {
+		if r == nil {
+			continue
+		}
+		zones := p.entries[si].Meta.Blocks[bi].Zones
+		for i := range pr.zones {
+			zb := &pr.zones[i]
+			for j := range zones {
+				z := &zones[j]
 				if z.Field != zb.field {
 					continue
 				}
-				if !zb.lo.IsNull() && z.Max < zb.lo.Float() {
-					return true
-				}
-				if !zb.hi.IsNull() && z.Min > zb.hi.Float() {
+				if zb.hasLo && z.Max < zb.lo || zb.hasHi && z.Min > zb.hi {
 					return true
 				}
 			}
 		}
-		return false
 	}
-	return func(p *part, block int) bool {
-		for si, r := range p.readers {
-			if r != nil && excludes(p.entries[si].Meta.Blocks[block]) {
-				return true
-			}
-		}
-		return false
-	}
+	return false
 }
 
 // EstimateScan predicts the I/O footprint of a scan without reading pages

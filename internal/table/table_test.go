@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
+	"rodentstore/internal/segment"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
 )
@@ -319,6 +321,52 @@ func TestGetElementCell(t *testing.T) {
 	// Out-of-range cell.
 	if _, err := e.GetElement("Traces", nil, []int64{99, 0}); err == nil {
 		t.Error("cell index out of range should fail")
+	}
+
+	// Under chunk[8] a cell spans several blocks: the cursor starts at the
+	// first and reads every row of the cell before the next cell's.
+	e, _, _ = setup(t, "chunk[8](zorder(grid[lat,lon; 8,8](Traces)))", 2000)
+	tab, _ = e.cat.Get("Traces")
+	bounds = boundsOf(tab)
+	meta := tab.Segments[0].Meta
+	var span segment.CellRun
+	occupied := make(map[uint64]bool)
+	for _, r := range meta.Runs {
+		occupied[r.Cell] = true
+		if span.End-span.Start < 3 && r.End-r.Start >= 3 {
+			span = r
+		}
+	}
+	if span.End-span.Start < 3 {
+		t.Fatal("no cell spans three blocks")
+	}
+	cx, cy = int(span.Cell/8), int(span.Cell%8)
+	cur, err = e.GetElement("Traces", nil, []int64{int64(cx), int64(cy)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inCell := 0
+	for bi := span.Start; bi < span.End; bi++ {
+		inCell += meta.Blocks[bi].Rows
+	}
+	for i := 0; i <= inCell; i++ {
+		r, ok, err := cur.Next()
+		if err != nil || !ok {
+			t.Fatalf("row %d of the cell's cursor: ok=%v, %v", i, ok, err)
+		}
+		in := bounds[0].CellOf(r[1].Float()) == cx && bounds[1].CellOf(r[2].Float()) == cy
+		if in != (i < inCell) {
+			t.Fatalf("row %d in cell (%d,%d): %v; the cell holds %d rows", i, cx, cy, in, inCell)
+		}
+	}
+	// A cell no row falls in has no first block.
+	for cell := uint64(0); cell < 64; cell++ {
+		if !occupied[cell] {
+			if _, err := e.GetElement("Traces", nil, []int64{int64(cell / 8), int64(cell % 8)}); err == nil || !strings.Contains(err.Error(), "holds no data") {
+				t.Errorf("empty cell %d: %v", cell, err)
+			}
+			break
+		}
 	}
 }
 

@@ -325,19 +325,20 @@ type GridBounds struct {
 }
 
 // CellOf maps a value to its cell index along this dimension, clamped to
-// [0, Cells-1].
+// [0, Cells-1]. The clamp happens before the conversion to int, which is
+// undefined for a float out of int's range; NaN goes to cell 0.
 func (b GridBounds) CellOf(v float64) int {
 	if b.Max <= b.Min {
 		return 0
 	}
-	c := int(math.Floor((v - b.Min) / (b.Max - b.Min) * float64(b.Cells)))
-	if c < 0 {
-		c = 0
+	c := math.Floor((v - b.Min) / (b.Max - b.Min) * float64(b.Cells))
+	switch {
+	case math.IsNaN(c) || c < 0:
+		return 0
+	case c >= float64(b.Cells):
+		return b.Cells - 1
 	}
-	if c >= b.Cells {
-		c = b.Cells - 1
-	}
-	return c
+	return int(c)
 }
 
 // ComputeGridBounds derives per-dimension bounds from the data (min/max of

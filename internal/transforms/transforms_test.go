@@ -1,6 +1,7 @@
 package transforms
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -302,6 +303,26 @@ func TestGridEdgeCases(t *testing.T) {
 	b, err := ComputeGridBounds(relEmpty, []algebra.GridDim{{Field: "x", Cells: 2}})
 	if err != nil || b[0].Min != 0 || b[0].Max != 0 {
 		t.Errorf("empty bounds: %+v %v", b, err)
+	}
+}
+
+// TestCellOfClampsFarOutOfRange: a value far outside the grid clamps to the
+// nearest edge cell. Converting to int before clamping is undefined for a
+// float out of int's range (amd64 yields MinInt64, which clamped to cell 0
+// from either side); NaN goes to cell 0.
+func TestCellOfClampsFarOutOfRange(t *testing.T) {
+	b := GridBounds{Min: 0, Max: 10, Cells: 4}
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{
+		{1e20, 3}, {1e300, 3}, {math.MaxFloat64, 3}, {math.Inf(1), 3},
+		{-1e20, 0}, {-1e300, 0}, {-math.MaxFloat64, 0}, {math.Inf(-1), 0},
+		{math.NaN(), 0}, {9.99, 3}, {5, 2}, {0, 0},
+	} {
+		if got := b.CellOf(c.v); got != c.want {
+			t.Errorf("CellOf(%g) = %d, want %d", c.v, got, c.want)
+		}
 	}
 }
 
