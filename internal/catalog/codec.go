@@ -384,7 +384,7 @@ func (d *dec) segments() []SegmentEntry {
 			}
 			s.Meta.Blocks = append(s.Meta.Blocks, b)
 		}
-		s.Meta.Runs = segment.CellRuns(s.Meta.Blocks)
+		s.Meta.CellRuns = segment.CutCellRuns(s.Meta.Blocks)
 		out = append(out, s)
 	}
 	return out

@@ -80,9 +80,10 @@ type Meta struct {
 	UsedBytes   uint64
 	Rows        int64
 	Blocks      []BlockMeta
-	// Runs are Blocks' cell runs (CellRuns), nil for an ungridded segment.
-	// They are derived wherever a Meta is built, never encoded.
-	Runs []CellRun
+	// CellRuns are Blocks cut into cell runs (CutCellRuns), nil for an
+	// ungridded segment. They are derived wherever a Meta is built (Finish
+	// and the catalog decoder), never encoded.
+	CellRuns []CellRun
 }
 
 // CellRun is a maximal stretch of consecutive blocks that share a grid
@@ -92,10 +93,10 @@ type CellRun struct {
 	Start, End int
 }
 
-// CellRuns cuts blocks into cell runs; it returns nil when no block is
+// CutCellRuns cuts blocks into cell runs; it returns nil when no block is
 // gridded. A gridded segment stores each cell's blocks together, so a plan
 // can test one cell per run instead of one per block.
-func CellRuns(blocks []BlockMeta) []CellRun {
+func CutCellRuns(blocks []BlockMeta) []CellRun {
 	if !slices.ContainsFunc(blocks, func(b BlockMeta) bool { return b.Cell != NoCell }) {
 		return nil
 	}
@@ -245,7 +246,7 @@ func (w *Writer) Finish() (Meta, error) {
 		UsedBytes:   uint64(len(w.buf)),
 		Rows:        w.rows,
 		Blocks:      w.blocks,
-		Runs:        CellRuns(w.blocks),
+		CellRuns:    CutCellRuns(w.blocks),
 	}, nil
 }
 

@@ -149,7 +149,9 @@ func planWindows(rows []value.Row, n int) []algebra.Predicate {
 // rule keeps, in the same order, over gridded layouts of one to three
 // dimensions on each curve, with chunk[k] splitting cells across blocks,
 // with and without zone pruning, before and after Insert adds ungridded
-// tails beside the gridded main part.
+// tails beside the gridded main part, and after a reopen decodes the
+// catalog (cell runs are derived, not stored, so both the writer and the
+// decoder must cut them).
 func TestPlanMatchesPerBlockOracle(t *testing.T) {
 	layouts := []string{
 		"grid[lat; 16](Traces)",
@@ -163,9 +165,9 @@ func TestPlanMatchesPerBlockOracle(t *testing.T) {
 	}
 	for _, l := range layouts {
 		t.Run(l, func(t *testing.T) {
-			e, _, rows := setup(t, l, 2000)
+			e, f, rows := setup(t, l, 2000)
 			preds := planWindows(rows, 60)
-			check := func(stage string) {
+			check := func(e *Engine, stage string) {
 				t.Helper()
 				tab, err := e.cat.Get("Traces")
 				if err != nil {
@@ -185,9 +187,14 @@ func TestPlanMatchesPerBlockOracle(t *testing.T) {
 					}
 				}
 			}
-			check("loaded")
+			check(e, "loaded")
 			insertBatches(t, e, 2, 150, 5000)
-			check("with tails")
+			check(e, "with tails")
+			cat, err := catalog.Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(NewEngine(f, cat, nil), "reopened")
 		})
 	}
 }
@@ -209,46 +216,6 @@ func TestGridBoundFarOutsideAdmitsEveryCell(t *testing.T) {
 		}
 		if got := drain(t, cur); len(got) != len(rows) {
 			t.Errorf("%s: %d rows, want %d", pred, len(got), len(rows))
-		}
-	}
-}
-
-// TestLocateCellMatchesBlockWalk: a grid cell's first plan block, found
-// through the cell runs, is the first plan block holding that cell, for
-// every cell of the grid, occupied or empty, with tails beside the main
-// part — in the whole table's plan, and in one whose zone maps dropped the
-// leading blocks of some runs and every block of others.
-func TestLocateCellMatchesBlockWalk(t *testing.T) {
-	e, _, _ := setup(t, "chunk[8](zorder(grid[lat,lon; 8,8](Traces)))", 1000)
-	insertBatches(t, e, 2, 100, 2000)
-	tab, _ := e.cat.Get("Traces")
-	if len(tab.Tails) == 0 {
-		t.Fatal("want tails beside the main part")
-	}
-	for _, pred := range []algebra.Predicate{algebra.True, algebra.True.And("t", algebra.OpGe, value.NewInt(500))} {
-		plan, err := e.planScan(tab, tab.Parts(), nil, pred, storedScanOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cx := range int64(8) {
-			for cy := range int64(8) {
-				cell := uint64(cx*8 + cy)
-				want := -1
-				for bi, ref := range plan.blocks {
-					p := plan.parts[ref.part]
-					if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
-						want = bi
-						break
-					}
-				}
-				bi, _, err := plan.locate(tab, []int64{cx, cy})
-				switch {
-				case want < 0 && err == nil:
-					t.Errorf("%s: cell (%d,%d) has no plan block, locate found block %d", pred, cx, cy, bi)
-				case want >= 0 && (err != nil || bi != want):
-					t.Errorf("%s: cell (%d,%d): locate gave block %d (%v), want %d", pred, cx, cy, bi, err, want)
-				}
-			}
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package table
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -291,13 +289,6 @@ func (e *Engine) RowCount(name string) (int64, error) {
 type blockRef struct {
 	part  int
 	block int
-}
-
-func cmpBlockRef(a, b blockRef) int {
-	if c := cmp.Compare(a.part, b.part); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.block, b.block)
 }
 
 // part is one renderable unit: the main segments, one run or one tail batch.
@@ -989,18 +980,10 @@ func (plan *scanPlan) locate(tab *catalog.Table, index []int64) (bi, off int, er
 			}
 			cell = cell*uint64(b.Cells) + uint64(index[d])
 		}
-		// The cell's first plan block: the first at or after the start of
-		// one of its runs and before that run's end (plan.blocks is in
-		// (part, block) order).
-		for pi, p := range plan.parts {
-			for _, r := range p.entries[firstReadSeg(p)].Meta.Runs {
-				if r.Cell != cell {
-					continue
-				}
-				bi, _ := slices.BinarySearchFunc(plan.blocks, blockRef{pi, r.Start}, cmpBlockRef)
-				if bi < len(plan.blocks) && cmpBlockRef(plan.blocks[bi], blockRef{pi, r.End}) < 0 {
-					return bi, 0, nil
-				}
+		for bi, ref := range plan.blocks {
+			p := plan.parts[ref.part]
+			if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
+				return bi, 0, nil
 			}
 		}
 		return 0, 0, fmt.Errorf("table: grid cell %d holds no data", cell)
@@ -1198,7 +1181,6 @@ func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *valu
 // cells (render cuts each from the same cell runs), but each carries zone
 // maps for its own fields only.
 type pruner struct {
-	all   bool        // nothing can be pruned: every block is kept
 	dims  []cellRange // per grid dimension, first dimension first
 	zones []zoneBound
 }
@@ -1220,13 +1202,13 @@ type zoneBound struct {
 
 func newPruner(tab *catalog.Table, pred algebra.Predicate, noZone bool) pruner {
 	if pred.IsTrue() {
-		return pruner{all: true}
+		return pruner{}
 	}
-	pr := pruner{all: true, dims: make([]cellRange, len(tab.GridBounds))}
+	pr := pruner{dims: make([]cellRange, len(tab.GridBounds))}
 	for d, b := range boundsOf(tab) {
 		r := cellRange{cells: uint64(b.Cells), hi: b.Cells - 1}
 		if lo, hi, _, _, found := pred.Bounds(b.Field); found {
-			r.active, pr.all = true, false
+			r.active = true
 			if !lo.IsNull() {
 				r.lo = b.CellOf(lo.Float())
 			}
@@ -1254,7 +1236,7 @@ func newPruner(tab *catalog.Table, pred algebra.Predicate, noZone bool) pruner {
 			zb.hi = hi.Float()
 		}
 		if zb.hasLo || zb.hasHi {
-			pr.zones, pr.all = append(pr.zones, zb), false
+			pr.zones = append(pr.zones, zb)
 		}
 	}
 	return pr
@@ -1268,10 +1250,10 @@ func numeric(v value.Value) bool { return v.Kind() == value.Int || v.Kind() == v
 // ungridded one (a tail) is one pass over its blocks.
 func (pr *pruner) appendBlocks(dst []blockRef, pi int, p *part) []blockRef {
 	meta := &p.entries[firstReadSeg(p)].Meta
-	if meta.Runs == nil || pr.all {
+	if meta.CellRuns == nil {
 		return pr.appendZoned(dst, pi, p, 0, len(meta.Blocks))
 	}
-	for _, r := range meta.Runs {
+	for _, r := range meta.CellRuns {
 		if pr.admitsCell(r.Cell) {
 			dst = pr.appendZoned(dst, pi, p, r.Start, r.End)
 		}

@@ -10,7 +10,6 @@ import (
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
-	"rodentstore/internal/segment"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
 )
@@ -328,26 +327,32 @@ func TestGetElementCell(t *testing.T) {
 	e, _, _ = setup(t, "chunk[8](zorder(grid[lat,lon; 8,8](Traces)))", 2000)
 	tab, _ = e.cat.Get("Traces")
 	bounds = boundsOf(tab)
-	meta := tab.Segments[0].Meta
-	var span segment.CellRun
+	// The first stretch of at least three blocks that share a cell.
+	blocks := tab.Segments[0].Meta.Blocks
 	occupied := make(map[uint64]bool)
-	for _, r := range meta.Runs {
-		occupied[r.Cell] = true
-		if span.End-span.Start < 3 && r.End-r.Start >= 3 {
-			span = r
+	start, end := 0, 0
+	for lo := 0; lo < len(blocks); {
+		hi := lo + 1
+		for hi < len(blocks) && blocks[hi].Cell == blocks[lo].Cell {
+			hi++
 		}
+		occupied[blocks[lo].Cell] = true
+		if end-start < 3 && hi-lo >= 3 {
+			start, end = lo, hi
+		}
+		lo = hi
 	}
-	if span.End-span.Start < 3 {
+	if end-start < 3 {
 		t.Fatal("no cell spans three blocks")
 	}
-	cx, cy = int(span.Cell/8), int(span.Cell%8)
+	cx, cy = int(blocks[start].Cell/8), int(blocks[start].Cell%8)
 	cur, err = e.GetElement("Traces", nil, []int64{int64(cx), int64(cy)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inCell := 0
-	for bi := span.Start; bi < span.End; bi++ {
-		inCell += meta.Blocks[bi].Rows
+	for _, b := range blocks[start:end] {
+		inCell += b.Rows
 	}
 	for i := 0; i <= inCell; i++ {
 		r, ok, err := cur.Next()
@@ -360,13 +365,15 @@ func TestGetElementCell(t *testing.T) {
 		}
 	}
 	// A cell no row falls in has no first block.
-	for cell := uint64(0); cell < 64; cell++ {
-		if !occupied[cell] {
-			if _, err := e.GetElement("Traces", nil, []int64{int64(cell / 8), int64(cell % 8)}); err == nil || !strings.Contains(err.Error(), "holds no data") {
-				t.Errorf("empty cell %d: %v", cell, err)
-			}
-			break
-		}
+	empty := uint64(0)
+	for occupied[empty] {
+		empty++
+	}
+	if empty == 64 {
+		t.Fatal("want a cell that holds no rows")
+	}
+	if _, err := e.GetElement("Traces", nil, []int64{int64(empty / 8), int64(empty % 8)}); err == nil || !strings.Contains(err.Error(), "holds no data") {
+		t.Errorf("empty cell %d: %v", empty, err)
 	}
 }
 
