@@ -106,13 +106,6 @@ type Query struct {
 	// OrderBy requests a sort order, e.g. "t" or "lat desc, lon".
 	// Orders matching the stored order stream; others re-sort.
 	OrderBy string
-	// Parallel fans block fetch/decode out over a bounded worker pool.
-	// Results are identical to a serial scan (stored order is preserved);
-	// only the wall-clock changes.
-	Parallel bool
-	// Workers bounds the parallel worker pool (0 = GOMAXPROCS). Ignored
-	// unless Parallel is set.
-	Workers int
 	// Quarantine degrades gracefully on damaged data: extents that cannot
 	// be read (transient errors are retried first) are skipped instead of
 	// failing the scan, and Cursor.Report lists what was skipped. Off by
@@ -123,8 +116,8 @@ type Query struct {
 	// row per group (one row total without GroupBy) instead of matching
 	// rows, computed with the vectorized kernels — no input row is ever
 	// materialized. Mutually exclusive with Fields and OrderBy (groups come
-	// sorted by key). Results are bit-identical across serial and parallel
-	// executors, floats included.
+	// sorted by key). Blocks fold into per-block partials merged in stored
+	// block order, so results are bit-identical run to run, floats included.
 	Aggregate *AggregateSpec
 }
 
@@ -143,8 +136,6 @@ type AggregateSpec struct {
 func (q Query) toOptions() (table.ScanOptions, error) {
 	var opts table.ScanOptions
 	opts.Fields = q.Fields
-	opts.Parallel = q.Parallel
-	opts.Workers = q.Workers
 	opts.Quarantine = q.Quarantine
 	if strings.TrimSpace(q.Where) != "" {
 		pred, err := algebra.ParsePredicate(q.Where)
@@ -354,11 +345,24 @@ func (db *DB) Indexes(table string) ([]string, error) { return db.eng.Indexes(ta
 // data the index covers only the blocks holding matching rows are fetched;
 // data stored since is scanned with zone-map and grid pruning. The whole
 // predicate filters the result, which comes back in stored order — the rows
-// Scan returns for the same query.
+// Scan returns for the same query. Only Fields and Where apply: a query that
+// sets OrderBy, Aggregate or Quarantine is refused.
 func (db *DB) IndexScan(table string, q Query, indexField string) (*Cursor, error) {
 	opts, err := q.toOptions()
 	if err != nil {
 		return nil, err
+	}
+	var unsupported string
+	switch {
+	case len(opts.Order) > 0:
+		unsupported = "OrderBy"
+	case opts.Aggregate != nil:
+		unsupported = "Aggregate"
+	case opts.Quarantine:
+		unsupported = "Quarantine"
+	}
+	if unsupported != "" {
+		return nil, fmt.Errorf("rodentstore: IndexScan does not support Query.%s", unsupported)
 	}
 	cur, err := db.eng.IndexScan(table, opts.Fields, opts.Pred, indexField)
 	if err != nil {

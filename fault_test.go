@@ -109,33 +109,31 @@ func TestQuarantineSkipsCorruptExtent(t *testing.T) {
 	loadRows(t, db, 200)
 	ext := corruptTailExtent(t, db, fs)
 
-	for _, parallel := range []bool{false, true} {
-		cur, err := db.Scan("T", Query{Quarantine: true, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := cur.All()
-		if err != nil {
-			t.Fatalf("parallel=%v: quarantined scan failed: %v", parallel, err)
-		}
-		if len(rows) != 200 {
-			t.Fatalf("parallel=%v: got %d rows, want the 200 healthy ones", parallel, len(rows))
-		}
-		rep := cur.Report()
-		if len(rep.Skipped) != 1 {
-			t.Fatalf("parallel=%v: report lists %d extents, want 1", parallel, len(rep.Skipped))
-		}
-		sk := rep.Skipped[0]
-		if sk.Extent.Start != ext.Start {
-			t.Fatalf("parallel=%v: skipped extent %d, corrupted %d", parallel, sk.Extent.Start, ext.Start)
-		}
-		if sk.Rows != 2 {
-			t.Fatalf("parallel=%v: skipped %d rows, corrupted batch had 2", parallel, sk.Rows)
-		}
-		if sk.Err == nil {
-			t.Fatalf("parallel=%v: skipped extent carries no error", parallel)
-		}
-		cur.Close()
+	cur, err := db.Scan("T", Query{Quarantine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	rows, err := cur.All()
+	if err != nil {
+		t.Fatalf("quarantined scan failed: %v", err)
+	}
+	if len(rows) != 200 {
+		t.Fatalf("got %d rows, want the 200 healthy ones", len(rows))
+	}
+	rep := cur.Report()
+	if len(rep.Skipped) != 1 {
+		t.Fatalf("report lists %d extents, want 1", len(rep.Skipped))
+	}
+	sk := rep.Skipped[0]
+	if sk.Extent.Start != ext.Start {
+		t.Fatalf("skipped extent %d, corrupted %d", sk.Extent.Start, ext.Start)
+	}
+	if sk.Rows != 2 {
+		t.Fatalf("skipped %d rows, corrupted batch had 2", sk.Rows)
+	}
+	if sk.Err == nil {
+		t.Fatal("skipped extent carries no error")
 	}
 }
 

@@ -91,7 +91,7 @@ func parked(pool *vec.Pool, schema *value.Schema) int {
 
 // The single block stage: blockExec.run turns one block into a result value
 // that carries the decoded batch to whichever sink consumes it (cursor,
-// morsel promise, aggregate fold). These fixtures pin the handoff shapes.
+// aggregate fold). These fixtures pin the handoff shapes.
 type blockResult struct {
 	batch *vec.Batch
 	err   error

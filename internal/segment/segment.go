@@ -268,7 +268,7 @@ type PageAppender interface {
 // Reader decodes blocks of a rendered segment, counting page I/O through
 // the page source. A one-page lookbehind keeps sequential block reads from
 // double-counting shared boundary pages. Readers are not safe for
-// concurrent use; use Clone to give each goroutine its own.
+// concurrent use; each goroutine opens its own with NewReader.
 type Reader struct {
 	file     PageSource
 	meta     Meta
@@ -297,14 +297,6 @@ func NewReader(file PageSource, meta Meta, spec Spec) (*Reader, error) {
 		codecs[i] = c
 	}
 	return &Reader{file: file, meta: meta, spec: spec, codecs: codecs}, nil
-}
-
-// Clone returns an independent reader over the same segment and page
-// source, for use by another goroutine (parallel scans clone one reader per
-// worker). Metadata and codecs are shared — both are immutable — while the
-// per-reader lookbehind cache is not.
-func (r *Reader) Clone() *Reader {
-	return &Reader{file: r.file, meta: r.meta, spec: r.spec, codecs: r.codecs}
 }
 
 // readRangeInto appends [off, off+n) of the segment stream to out via

@@ -6,11 +6,12 @@ package table
 // no row is ever materialized, and a bare count(*) with no predicate reads
 // no data pages at all (block metadata carries the row counts).
 //
-// Determinism: serial and parallel scans produce bit-identical results,
-// floats included. The invariant that makes this true: each block folds
-// into its own partial state (blockExec.run), and partials merge into the
-// final state in stored block order (runAggregate), so float sums always
-// reduce in the same association whichever goroutine folded the block.
+// Determinism: an aggregation's result is bit-identical run to run, floats
+// included, and pinned to the boxed oracle of oracle_test.go. The invariant
+// that makes this true: each block folds into its own partial state
+// (blockExec.run), and partials merge into the final state in stored block
+// order (runAggregate), so float sums always reduce in the same
+// association.
 //
 // Null semantics are SQL-ish: count(*) counts rows; count/sum/min/max/avg
 // over an expression skip null inputs and return null (count: 0) when no
@@ -314,7 +315,7 @@ type aggScratch struct {
 // fresh partial state. Columns nothing needs are never decoded; when nothing
 // at all is needed (bare count(*), no predicate) the block's pages are never
 // read.
-func (ex *aggExec) observeBlock(p *part, readers []*segment.Reader, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch) (*aggState, error) {
+func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch) (*aggState, error) {
 	nrows := blockRowCount(p, block)
 	if cap(vs.views) < len(p.entries) {
 		vs.views = make([]*segment.BlockView, len(p.entries))
@@ -340,7 +341,7 @@ func (ex *aggExec) observeBlock(p *part, readers []*segment.Reader, block int, f
 		}
 		loc := p.fieldSeg[ex.decoded.Fields[di].Name]
 		if views[loc[0]] == nil {
-			bv, err := readers[loc[0]].View(block)
+			bv, err := p.readers[loc[0]].View(block)
 			if err != nil {
 				return err
 			}

@@ -5,12 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/catalog"
-	"rodentstore/internal/segment"
 	"rodentstore/internal/value"
 )
 
@@ -234,8 +231,8 @@ func approxEqual(a, b value.Value) bool {
 }
 
 // TestAggregateDifferential pins every aggregate kernel and typed
-// expression to two oracles across every executor variant (serial/morsel ×
-// quarantine) × zone-prune on/off: bit for bit
+// expression to two oracles with quarantine off/on × zone-prune on/off: bit
+// for bit
 // to the boxed block-partial executor of oracle_test.go (same per-block
 // partials, same merge order, floats included), and within float tolerance
 // to the independent row-order aggOracle.
@@ -335,7 +332,7 @@ func TestAggregateEmptyTable(t *testing.T) {
 	}
 
 	gspec := AggSpec{GroupBy: []string{"s"}, Items: []AggItem{{Func: AggCount}}}
-	cur, err = e.Scan("T", ScanOptions{Aggregate: &gspec, Parallel: true})
+	cur, err = e.Scan("T", ScanOptions{Aggregate: &gspec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,165 +401,5 @@ func TestAggregateCountReadsNoPages(t *testing.T) {
 	}
 	if reads := f.Stats().PageReads; reads != 0 {
 		t.Fatalf("bare count(*) read %d pages, want 0", reads)
-	}
-}
-
-// fakePart builds a part with just enough metadata for blockRowCount.
-func fakePart(blockRows ...int) *part {
-	var meta segment.Meta
-	for _, n := range blockRows {
-		meta.Blocks = append(meta.Blocks, segment.BlockMeta{Rows: n})
-	}
-	return &part{entries: []catalog.SegmentEntry{{Meta: meta}}}
-}
-
-// TestBuildMorsels checks the morsel queue construction: stored order
-// preserved, part boundaries respected, sizes near the row target.
-func TestBuildMorsels(t *testing.T) {
-	// One part, 100 blocks of 64 rows.
-	rowsPerBlock := make([]int, 100)
-	for i := range rowsPerBlock {
-		rowsPerBlock[i] = 64
-	}
-	p := fakePart(rowsPerBlock...)
-	var blocks []blockRef
-	for i := 0; i < 100; i++ {
-		blocks = append(blocks, blockRef{part: 0, block: i})
-	}
-	morsels := buildMorsels(blocks, []*part{p}, 4)
-	if len(morsels) < 2 {
-		t.Fatalf("expected multiple morsels, got %d", len(morsels))
-	}
-	var flat []blockRef
-	for _, m := range morsels {
-		if len(m) == 0 {
-			t.Fatal("empty morsel")
-		}
-		flat = append(flat, m...)
-	}
-	if len(flat) != len(blocks) {
-		t.Fatalf("morsels cover %d blocks, want %d", len(flat), len(blocks))
-	}
-	for i := range flat {
-		if flat[i] != blocks[i] {
-			t.Fatalf("morsel order diverges at %d: %v != %v", i, flat[i], blocks[i])
-		}
-	}
-	// Two parts: a morsel never spans parts.
-	blocks2 := append(append([]blockRef{}, blocks[:10]...), blockRef{part: 1, block: 0})
-	morsels2 := buildMorsels(blocks2, []*part{p, fakePart(64)}, 2)
-	for _, m := range morsels2 {
-		for _, ref := range m[1:] {
-			if ref.part != m[0].part {
-				t.Fatalf("morsel spans parts: %v", m)
-			}
-		}
-	}
-}
-
-// TestMorselSchedulerStress hammers the morsel queue under the race
-// detector: concurrent parallel scans and aggregations with worker counts
-// from 1 to far beyond the morsel count, plus early closes mid-stream.
-func TestMorselSchedulerStress(t *testing.T) {
-	e, _, _ := newEngine(t)
-	if err := e.Create("T", aggSchema(), "chunk[64](rows(T))"); err != nil {
-		t.Fatal(err)
-	}
-	rows := aggRows(rand.New(rand.NewSource(11)), 4000)
-	if err := e.Load("T", rows); err != nil {
-		t.Fatal(err)
-	}
-	pred := algebra.True.And("t", algebra.OpLt, value.NewInt(3000))
-	oracle, err := e.Scan("T", ScanOptions{Pred: pred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drain(t, oracle)
-	oracle.Close()
-	spec := AggSpec{GroupBy: []string{"s"}, Items: []AggItem{
-		{Func: AggCount}, {Func: AggSum, Expr: mustExpr(t, "t")},
-	}}
-	aggCur, err := e.Scan("T", ScanOptions{Pred: pred, Aggregate: &spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAgg := drain(t, aggCur)
-	aggCur.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	workerCounts := []int{1, 2, 3, 7, 64} // 64 >> morsel count: cap must bite
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g)))
-			for it := 0; it < 6; it++ {
-				workers := workerCounts[r.Intn(len(workerCounts))]
-				if g%4 == 0 {
-					// Aggregation through the morsel pipeline.
-					cur, err := e.Scan("T", ScanOptions{Pred: pred, Aggregate: &spec, Parallel: true, Workers: workers})
-					if err != nil {
-						errs <- err
-						return
-					}
-					got := make([]value.Row, 0, len(wantAgg))
-					for {
-						row, ok, err := cur.Next()
-						if err != nil {
-							errs <- err
-							return
-						}
-						if !ok {
-							break
-						}
-						got = append(got, row)
-					}
-					cur.Close()
-					if !rowsEqual(got, wantAgg) {
-						errs <- fmt.Errorf("goroutine %d: aggregate diverged", g)
-						return
-					}
-					continue
-				}
-				cur, err := e.Scan("T", ScanOptions{Pred: pred, Parallel: true, Workers: workers})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if it%3 == 2 {
-					// Early close mid-stream: workers must stop and join.
-					for i := 0; i < 100; i++ {
-						if _, ok, err := cur.Next(); err != nil || !ok {
-							break
-						}
-					}
-					cur.Close()
-					continue
-				}
-				got := make([]value.Row, 0, len(want))
-				for {
-					row, ok, err := cur.Next()
-					if err != nil {
-						errs <- err
-						return
-					}
-					if !ok {
-						break
-					}
-					got = append(got, row)
-				}
-				cur.Close()
-				if !rowsEqual(got, want) {
-					errs <- fmt.Errorf("goroutine %d: scan diverged (%d vs %d rows)", g, len(got), len(want))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }

@@ -3,10 +3,10 @@ package table
 // Differential property test for leveled run storage: a multi-level table
 // (main rendering + several organized runs + leftover tails) must be
 // value-identical to the same rows held in one compacted rendering, under
-// every layout × predicate × executor variant. The oracle is the boxed
+// every layout × predicate × scan variant. The oracle is the boxed
 // executor (oracle_test.go) over the single-rendering table; the subject is
-// every combination of {serial, parallel} × {zone prune on/off} ×
-// {quarantine on/off} over the leveled table. Aggregates are additionally
+// every combination of {zone prune on/off} × {quarantine on/off} over the
+// leveled table. Aggregates are additionally
 // pinned bit for bit to the boxed executor over the subject's own blocks
 // (float sums associate per block, so only the same block structure can be
 // bit-identical). Quarantine on clean data must be a no-op (damage paths are
@@ -100,12 +100,11 @@ func TestCompactDifferentialOracle(t *testing.T) {
 					agg.Items = append(agg.Items, item)
 				}
 
-				for variant := 0; variant < 8; variant++ {
+				for variant := 0; variant < 4; variant++ {
 					opts := ScanOptions{
 						Pred:        pred,
-						Parallel:    variant&1 != 0,
-						NoZonePrune: variant&2 != 0,
-						Quarantine:  variant&4 != 0,
+						NoZonePrune: variant&1 != 0,
+						Quarantine:  variant&2 != 0,
 					}
 					cur, err := subj.Scan("Traces", opts)
 					if err != nil {

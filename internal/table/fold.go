@@ -162,7 +162,7 @@ func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part, settled bool
 	for c := range rel.b.Cols {
 		rel.b.Cols[c].Grow(int(rows))
 	}
-	cur := newCursor(plan, false, 0)
+	cur := newCursor(plan)
 	defer cur.Close()
 	var sel []int32
 	for {

@@ -79,7 +79,7 @@ func (e *Engine) buildIndex(tab *catalog.Table, field string) (*btree.Tree, erro
 	if err != nil {
 		return nil, err
 	}
-	cur := newCursor(plan, false, 0)
+	cur := newCursor(plan)
 	defer cur.Close()
 	type entry struct {
 		lo, hi int // the key, in arena
@@ -217,7 +217,7 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		plan.blocks = kept
 		// Drained under the shared lock: nothing keeps a fold from freeing
 		// the blocks' extents once it is released.
-		cur = newCursor(plan, false, 0)
+		cur = newCursor(plan)
 		if err := cur.materialize(nil); err != nil {
 			cur.Close()
 			return err

@@ -301,18 +301,15 @@ func (st *boxedAggState) resultRows(ex *aggExec) []value.Row {
 	return rows
 }
 
-// scanVariants enumerates the production executor matrix: serial/morsel ×
+// scanVariants enumerates the production executor matrix: serial ×
 // quarantine off/on. Every variant must return exactly what oracleScan
 // returns.
 func scanVariants(base ScanOptions) []scanVariant {
 	var out []scanVariant
-	for _, exec := range []string{"serial", "morsel"} {
-		for _, quar := range []string{"", "-quarantine"} {
-			o := base
-			o.Parallel, o.Workers = exec == "morsel", 4
-			o.Quarantine = quar != ""
-			out = append(out, scanVariant{exec + quar, o})
-		}
+	for _, quar := range []string{"", "-quarantine"} {
+		o := base
+		o.Quarantine = quar != ""
+		out = append(out, scanVariant{"serial" + quar, o})
 	}
 	return out
 }
@@ -414,7 +411,7 @@ func oracleReadBack(t *testing.T, e *Engine, tab *catalog.Table, parts []catalog
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := newCursor(plan, false, 0)
+	cur := newCursor(plan)
 	defer cur.Close()
 	return transforms.Relation{Schema: cur.Schema(), Rows: drain(t, cur)}
 }

@@ -11,7 +11,6 @@ package table
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"rodentstore/internal/pager"
@@ -48,10 +47,9 @@ type ScanReport struct {
 	Skipped []SkippedExtent
 }
 
-// quarState is the shared quarantine bookkeeping of one cursor; parallel
-// scan workers record into it concurrently.
+// quarState is the quarantine bookkeeping of one cursor, used only by the
+// goroutine that drives it.
 type quarState struct {
-	mu      sync.Mutex
 	index   map[pager.PageID]int // extent start -> Skipped index
 	skipped []SkippedExtent
 }
@@ -97,9 +95,7 @@ func quarExtent(p *part, err error) pager.Extent {
 // failing. It reports whether the block was recorded as skipped; false
 // means a retry succeeded.
 func (q *quarState) handle(p *part, ref blockRef, err error, retry func() error) (skipped bool) {
-	q.mu.Lock()
 	_, known := q.index[quarExtent(p, err).Start]
-	q.mu.Unlock()
 	if !known && !isCorrupt(err) {
 		backoff := quarBackoff
 		for i := 0; i < quarRetries; i++ {
@@ -123,8 +119,6 @@ func (q *quarState) handle(p *part, ref blockRef, err error, retry func() error)
 func (q *quarState) record(p *part, ref blockRef, err error) {
 	ext := quarExtent(p, err)
 	rows := int64(blockRowCount(p, ref.block))
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	i, ok := q.index[ext.Start]
 	if !ok {
 		i = len(q.skipped)
@@ -140,8 +134,6 @@ func (q *quarState) report() ScanReport {
 	if q == nil {
 		return ScanReport{}
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	out := make([]SkippedExtent, len(q.skipped))
 	copy(out, q.skipped)
 	return ScanReport{Skipped: out}

@@ -2,9 +2,6 @@ package table
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
@@ -30,15 +27,6 @@ type ScanOptions struct {
 	// applies). Benchmarks use it to reproduce baselines that lack zone
 	// maps, such as the paper's raw heap scans.
 	NoZonePrune bool
-	// Parallel fans block fetch/decode/filter out over a bounded worker
-	// pool. Stored order is preserved (blocks are merged back in order), so
-	// results are identical to a serial scan. The paper-figure experiments
-	// keep Parallel off: the serial path's page/seek accounting is the
-	// measurement substrate and stays byte-identical.
-	Parallel bool
-	// Workers bounds the parallel worker pool (0 = GOMAXPROCS). Ignored
-	// unless Parallel is set.
-	Workers int
 	// Quarantine degrades gracefully on damaged data: blocks that cannot be
 	// read (after transient errors are retried with capped backoff) are
 	// skipped instead of aborting the scan, and the affected extents are
@@ -49,8 +37,8 @@ type ScanOptions struct {
 	// cursor yields one row per group instead of the matching rows, and no
 	// input row is ever materialized — blocks fold straight into typed
 	// accumulators. Mutually exclusive with Fields and Order (groups are
-	// always sorted by key). Results are bit-identical between serial and
-	// parallel scans.
+	// always sorted by key). Blocks fold into per-block partials merged in
+	// stored block order, so results are bit-identical run to run.
 	Aggregate *AggSpec
 }
 
@@ -94,7 +82,7 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 		if err != nil {
 			return err
 		}
-		cur = newCursor(plan, opts.Parallel, opts.Workers)
+		cur = newCursor(plan)
 		switch {
 		case plan.agg != nil:
 			err = cur.runAggregate()
@@ -217,7 +205,7 @@ func (e *Engine) GetElement(name string, fields []string, index []int64) (*Curso
 		if err != nil {
 			return err
 		}
-		cur = newCursor(plan, false, 0)
+		cur = newCursor(plan)
 		cur.cur = bi
 		if err := cur.advance(); err != nil {
 			return err
@@ -302,15 +290,15 @@ type part struct {
 	start int64
 }
 
-// batchPool recycles column batches across blocks, cursors and parallel
-// scan workers. sync.Pool-backed, so it is safe for concurrent use and
-// sheds memory under GC pressure.
+// batchPool recycles column batches across blocks and cursors.
+// sync.Pool-backed, so it is safe for concurrent use and sheds memory under
+// GC pressure.
 var batchPool = vec.NewPool()
 
 // The block pipeline. Every read path of the engine — streaming scans,
-// morsel workers, aggregation, positional access, index lookups, fold
-// read-back — is the same three stages over one block at a time, and the
-// cost estimates price the blocks the first stage chose:
+// aggregation, positional access, index lookups, fold read-back — is the
+// same three stages over one block at a time, and the cost estimates price
+// the blocks the first stage chose:
 //
 //	planScan          which blocks: parts, grid/zone pruning          (scanPlan)
 //	decodeBlockVec    fetch → typed decode → compiled filter → projection (batches)
@@ -321,13 +309,13 @@ var batchPool = vec.NewPool()
 // block, with a one-page lookbehind so blocks sharing a boundary page read
 // it once. There is no other way a scan gets bytes.
 //
-// blockExec.run is the one place the stages are chained. The serial cursor
-// calls it inline; each morsel worker owns a blockExec over cloned readers;
-// the sinks (rows, batches, aggregate state) consume its blockResults in
-// stored block order from Cursor.nextResult.
+// blockExec.run is the one place the stages are chained. The cursor calls
+// it inline, one block at a time in stored order on the caller's goroutine,
+// and the sinks (rows, batches, aggregate state) consume its blockResults
+// from Cursor.nextResult.
 
-// scanPlan is the immutable half of a scan, shared by the cursor and its
-// morsel workers: what to read and how to turn a block into output.
+// scanPlan is the immutable half of a scan: what to read and how to turn a
+// block into output.
 type scanPlan struct {
 	out      *value.Schema // output schema of decoded batches (projection applied)
 	decoded  *value.Schema // decoded schema (projection ∪ predicate fields)
@@ -353,33 +341,17 @@ type blockResult struct {
 	err   error
 }
 
-// blockExec is the per-goroutine half of a scan: the readers and scratch
-// one goroutine drives a plan's blocks through. Steady-state blocks
-// allocate nothing beyond pooled batches.
+// blockExec is the mutable half of a scan: the scratch a cursor drives its
+// plan's blocks through. Steady-state blocks allocate nothing beyond pooled
+// batches.
 type blockExec struct {
 	plan *scanPlan
-	// readers holds each part's readers as this goroutine uses them: the
-	// plan's own for the serial executor, private clones (made on a part's
-	// first block) for a morsel worker.
-	readers [][]*segment.Reader
-	clone   bool
-	vs      vecScratch
-	as      aggScratch
+	vs   vecScratch
+	as   aggScratch
 }
 
-func newBlockExec(plan *scanPlan, clone bool) *blockExec {
-	return &blockExec{plan: plan, readers: make([][]*segment.Reader, len(plan.parts)), clone: clone}
-}
-
-// cloneReaders gives a goroutine its own readers over a part's segments.
-func cloneReaders(readers []*segment.Reader) []*segment.Reader {
-	out := make([]*segment.Reader, len(readers))
-	for si, r := range readers {
-		if r != nil {
-			out[si] = r.Clone()
-		}
-	}
-	return out
+func newBlockExec(plan *scanPlan) *blockExec {
+	return &blockExec{plan: plan}
 }
 
 // run drives one block through the pipeline: fetch and decode/filter into
@@ -389,18 +361,11 @@ func cloneReaders(readers []*segment.Reader) []*segment.Reader {
 func (x *blockExec) run(ref blockRef) blockResult {
 	plan := x.plan
 	p := plan.parts[ref.part]
-	if x.readers[ref.part] == nil {
-		x.readers[ref.part] = p.readers
-		if x.clone {
-			x.readers[ref.part] = cloneReaders(p.readers)
-		}
-	}
-	readers := x.readers[ref.part]
 	load := func() (r blockResult) {
 		if plan.agg != nil {
-			r.agg, r.err = plan.agg.observeBlock(p, readers, ref.block, plan.filter, &x.vs, &x.as)
+			r.agg, r.err = plan.agg.observeBlock(p, ref.block, plan.filter, &x.vs, &x.as)
 		} else {
-			r.batch, r.err = decodeBlockVec(p, readers, ref.block, plan, &x.vs)
+			r.batch, r.err = decodeBlockVec(p, ref.block, plan, &x.vs)
 		}
 		return r
 	}
@@ -417,25 +382,20 @@ func (x *blockExec) run(ref blockRef) blockResult {
 }
 
 // Cursor iterates rows of a scan (paper §4.1 next). Cursors are not safe
-// for concurrent use (the parallel scanner parallelizes *inside* one
-// cursor; concurrent queries each open their own).
+// for concurrent use; concurrent queries each open their own.
 //
 // A cursor is a sink over the block pipeline: blocks decode into typed
 // column batches (internal/vec), filtered with a compiled predicate over a
 // selection vector, with only the projected columns of surviving rows
 // materialized. NextBatch hands those batches out directly; Next boxes the
 // current batch's rows a chunk at a time and hands them out one by one.
-// Serial and parallel scans issue the same page reads per block, and the
-// serial path issues them in stored order on the caller's goroutine — the
-// paper-figure page/seek accounting rests on that.
+// A scan issues its page reads block by block in stored order on the
+// caller's goroutine — the paper-figure page/seek accounting rests on that.
 type Cursor struct {
-	schema *value.Schema // output schema
-	plan   *scanPlan     // nil for a cursor over materialized rows only
-	// exec is the serial executor; par, when non-nil, replaces it with the
-	// ordered morsel pipeline.
+	schema    *value.Schema // output schema
+	plan      *scanPlan     // nil for a cursor over materialized rows only
 	exec      *blockExec
-	par       *parallelScan
-	cur       int        // next block of plan.blocks (serial path)
+	cur       int        // next block of plan.blocks
 	batch     *vec.Batch // current block's batch
 	batchPos  int        // next row of batch to hand out
 	exhausted bool
@@ -451,21 +411,9 @@ type Cursor struct {
 	sortedPos int
 }
 
-// newCursor starts a plan: the morsel pipeline when parallel is asked for
-// and there is work to share, the inline serial executor otherwise.
-func newCursor(plan *scanPlan, parallel bool, workers int) *Cursor {
-	c := &Cursor{schema: plan.out, plan: plan}
-	if parallel && len(plan.blocks) > 0 {
-		c.par = startParallel(plan, workers)
-		// The workers never reference the cursor: one abandoned without
-		// Close becomes unreachable, and this cancels the pipeline (workers
-		// otherwise block forever on the ticket semaphore once the consumer
-		// stops releasing). Close still joins deterministically.
-		runtime.AddCleanup(c, func(ps *parallelScan) { ps.cancel() }, c.par)
-		return c
-	}
-	c.exec = newBlockExec(plan, false)
-	return c
+// newCursor starts a plan at its first block.
+func newCursor(plan *scanPlan) *Cursor {
+	return &Cursor{schema: plan.out, plan: plan, exec: newBlockExec(plan)}
 }
 
 // Report returns what a quarantined scan has skipped so far. Complete only
@@ -480,13 +428,8 @@ func (c *Cursor) Report() ScanReport {
 // Schema returns the cursor's output schema.
 func (c *Cursor) Schema() *value.Schema { return c.schema }
 
-// Close releases cursor resources. Parallel workers are stopped and joined
-// before Close returns, so no goroutine of this cursor still touches the
-// pool or pager afterwards.
+// Close releases cursor resources.
 func (c *Cursor) Close() {
-	if c.par != nil {
-		c.par.shutdown()
-	}
 	c.exhausted = true
 	c.sorted = nil
 	batchPool.Put(c.batch)
@@ -588,14 +531,10 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 	}
 }
 
-// nextResult yields the next block's result in stored order: off the
-// ordered morsel pipeline, or by running the block inline on the caller's
+// nextResult runs the next block in stored order on the caller's
 // goroutine. ok=false ends the stream; a result carrying an error ends it
 // too.
 func (c *Cursor) nextResult() (blockResult, bool) {
-	if c.par != nil {
-		return c.par.next()
-	}
 	if c.cur >= len(c.plan.blocks) {
 		return blockResult{}, false
 	}
@@ -645,7 +584,7 @@ type vecScratch struct {
 // full-selection path copies nothing. The row count comes from block
 // metadata; a segment whose block holds any other count is an error, never
 // a silent truncation. The returned batch comes from batchPool.
-func decodeBlockVec(p *part, readers []*segment.Reader, block int, plan *scanPlan, vs *vecScratch) (*vec.Batch, error) {
+func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Batch, error) {
 	decoded, filter, outIdx := plan.decoded, plan.filter, plan.outIdx
 	nrows := blockRowCount(p, block)
 	// Fetch each needed segment's block bytes (views share the readers'
@@ -654,7 +593,7 @@ func decodeBlockVec(p *part, readers []*segment.Reader, block int, plan *scanPla
 		vs.views = make([]*segment.BlockView, len(p.entries))
 	}
 	views := vs.views[:len(p.entries)]
-	for si, r := range readers {
+	for si, r := range p.readers {
 		views[si] = nil
 		if r == nil {
 			continue
@@ -757,198 +696,6 @@ func decodeBlockVec(p *part, readers []*segment.Reader, block int, plan *scanPla
 		return nil, err
 	}
 	return out, nil
-}
-
-// parallelScan runs a plan's block list through a morsel-driven worker
-// pool: non-pruned blocks are coalesced into morsels (contiguous
-// row-count-targeted block ranges of one part) on a shared queue that
-// workers claim dynamically — a worker that drew cheap (pruned-thin,
-// well-compressed, cached) morsels simply claims more, so skewed layouts
-// no longer leave workers idle the way a fixed per-block hand-off could
-// when block costs diverge. Stored order is still preserved: each morsel
-// fulfills a buffered promise (results[i]), and the consumer awaits
-// promises in order. The ticket semaphore bounds how many morsels may be
-// in flight or undelivered ahead of the consumer, so workers cannot run
-// away decoding the whole table into memory.
-type parallelScan struct {
-	morsels [][]blockRef
-	results []chan []blockResult // per-morsel promise, buffered(1)
-	claim   atomic.Int64         // next unclaimed morsel index
-	tickets chan struct{}        // run-ahead bound: send=acquire, receive=release
-	done    chan struct{}
-	stop    sync.Once
-	wg      sync.WaitGroup
-	// Consumer state: the current morsel's results and position.
-	cur    int
-	buf    []blockResult
-	have   bool
-	bufPos int
-}
-
-// cancel stops the workers without draining.
-func (ps *parallelScan) cancel() {
-	ps.stop.Do(func() { close(ps.done) })
-}
-
-// shutdown cancels and then joins every pipeline goroutine, so no worker
-// still issues reads after it returns. It then recycles every batch the
-// consumer never took — the rest of the current morsel and any
-// delivered-but-unread morsel promises — so an error or an early Close
-// hands each pooled batch to exactly one owner.
-func (ps *parallelScan) shutdown() {
-	ps.cancel()
-	ps.wg.Wait()
-	if ps.have {
-		recycleResults(ps.buf[ps.bufPos:])
-		ps.buf, ps.have = nil, false
-	}
-	// Workers have exited: each promise channel holds at most one
-	// undelivered result slice, and nothing sends anymore.
-	for _, ch := range ps.results {
-		select {
-		case res := <-ch:
-			recycleResults(res)
-		default:
-		}
-	}
-}
-
-// recycleResults hands the batches of undelivered block results back to the
-// pool.
-func recycleResults(res []blockResult) {
-	for i := range res {
-		if res[i].batch != nil {
-			batchPool.Put(res[i].batch)
-			res[i].batch = nil
-		}
-	}
-}
-
-// next returns the next block's result in stored order, awaiting morsel
-// promises in queue order and stepping through each morsel's blocks. A
-// result carrying an error cancels the pipeline.
-func (ps *parallelScan) next() (blockResult, bool) {
-	for {
-		if ps.have {
-			if ps.bufPos < len(ps.buf) {
-				res := ps.buf[ps.bufPos]
-				ps.bufPos++
-				if res.err != nil {
-					ps.cancel()
-				}
-				return res, true
-			}
-			ps.have = false
-			ps.buf = nil
-			<-ps.tickets // morsel consumed: release its run-ahead slot
-			ps.cur++
-		}
-		if ps.cur >= len(ps.morsels) {
-			ps.cancel()
-			return blockResult{}, false
-		}
-		ps.buf, ps.bufPos, ps.have = <-ps.results[ps.cur], 0, true
-	}
-}
-
-// buildMorsels coalesces the ordered block list into morsels: runs of
-// same-part blocks up to a row-count target sized so each worker sees
-// several morsels (dynamic claiming needs slack to absorb skew) without
-// making them so small that claim/promise overhead shows.
-func buildMorsels(blocks []blockRef, parts []*part, workers int) [][]blockRef {
-	const minMorselRows, maxMorselRows = 1 << 10, 1 << 16
-	var total int64
-	for _, ref := range blocks {
-		total += int64(blockRowCount(parts[ref.part], ref.block))
-	}
-	target := total / int64(4*workers)
-	if target < minMorselRows {
-		target = minMorselRows
-	}
-	if target > maxMorselRows {
-		target = maxMorselRows
-	}
-	var morsels [][]blockRef
-	var cur []blockRef
-	var rows int64
-	for _, ref := range blocks {
-		if len(cur) > 0 && (cur[len(cur)-1].part != ref.part || rows >= target) {
-			morsels = append(morsels, cur)
-			cur, rows = nil, 0
-		}
-		cur = append(cur, ref)
-		rows += int64(blockRowCount(parts[ref.part], ref.block))
-	}
-	if len(cur) > 0 {
-		morsels = append(morsels, cur)
-	}
-	return morsels
-}
-
-// startParallel launches the morsel pipeline over a plan with at least one
-// block: workers claim morsels off a shared queue, run their blocks through
-// a blockExec of their own (cloned readers and scratch), and an ordered
-// merge preserves stored order. Workers are capped at the morsel count — a
-// small table or a heavily zone-pruned scan spawns only as many goroutines
-// as there is work to claim, instead of idle workers contending on the
-// merge.
-func startParallel(plan *scanPlan, workers int) *parallelScan {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	morsels := buildMorsels(plan.blocks, plan.parts, workers)
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	ps := &parallelScan{
-		morsels: morsels,
-		results: make([]chan []blockResult, len(morsels)),
-		tickets: make(chan struct{}, workers+2),
-		done:    make(chan struct{}),
-	}
-	for i := range ps.results {
-		ps.results[i] = make(chan []blockResult, 1)
-	}
-	ps.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go ps.work(newBlockExec(plan, true))
-	}
-	return ps
-}
-
-// work is one morsel worker: claim, run the morsel's blocks, fulfill its
-// promise, until the queue drains or the scan is canceled.
-func (ps *parallelScan) work(x *blockExec) {
-	defer ps.wg.Done()
-	for {
-		// Acquire a run-ahead ticket, then claim the next morsel.
-		select {
-		case ps.tickets <- struct{}{}:
-		case <-ps.done:
-			return
-		}
-		mi := int(ps.claim.Add(1)) - 1
-		if mi >= len(ps.morsels) {
-			return // queue drained; ticket is moot, nothing waits on it
-		}
-		res := make([]blockResult, 0, len(ps.morsels[mi]))
-		for _, ref := range ps.morsels[mi] {
-			select {
-			case <-ps.done:
-				// Canceled mid-morsel: the results decoded so far will
-				// never reach the consumer — recycle them.
-				recycleResults(res)
-				return
-			default:
-			}
-			r := x.run(ref)
-			res = append(res, r)
-			if r.err != nil {
-				break // the consumer cancels on this; skip the rest
-			}
-		}
-		ps.results[mi] <- res // buffered(1): never blocks
-	}
 }
 
 // span returns the stored positions [lo, hi) a block covers, counted from

@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"rodentstore/internal/algebra"
@@ -111,9 +110,9 @@ func vecProj(r *rand.Rand) []string {
 
 // TestScanDifferential is the differential property test of the block
 // pipeline: across layouts, codecs, projections, predicates, tails and zone
-// pruning, every executor variant (serial/morsel × quarantine) must return
-// exactly the boxed oracle's rows,
-// whether drained with Next, with NextBatch, or with the two interleaved.
+// pruning, the executor with quarantine off and on must return exactly the
+// boxed oracle's rows, whether drained with Next, with NextBatch, or with
+// the two interleaved.
 func TestScanDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	rows := vecRows(r, 3000)
@@ -231,84 +230,5 @@ func TestScanPagesMatchOracle(t *testing.T) {
 	}
 	if got.PageReads == 0 {
 		t.Fatal("measurement read no pages")
-	}
-}
-
-// TestPooledBatchStress hammers the shared batch pool from many concurrent
-// cursors — serial and parallel, Next and NextBatch — so the race detector
-// can see any cross-goroutine batch reuse bug.
-func TestPooledBatchStress(t *testing.T) {
-	e, _, _ := newEngine(t)
-	if err := e.Create("T", vecSchema(), "chunk[64](zorder(grid[x,y; 8,8](rows(T))))"); err != nil {
-		t.Fatal(err)
-	}
-	rows := vecRows(rand.New(rand.NewSource(21)), 4000)
-	if err := e.Load("T", rows); err != nil {
-		t.Fatal(err)
-	}
-	pred := algebra.True.And("x", algebra.OpLt, value.NewFloat(50))
-	oracle, err := e.Scan("T", ScanOptions{Pred: pred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drain(t, oracle)
-	oracle.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < 4; it++ {
-				opts := ScanOptions{Pred: pred, Parallel: g%2 == 0, Workers: 3}
-				cur, err := e.Scan("T", opts)
-				if err != nil {
-					errs <- err
-					return
-				}
-				n := 0
-				if g%3 == 0 {
-					for {
-						b, ok, err := cur.NextBatch()
-						if err != nil {
-							errs <- err
-							return
-						}
-						if !ok {
-							break
-						}
-						// Touch every cell so the race detector sees reads of
-						// pooled memory.
-						for i := 0; i < b.Len(); i++ {
-							_ = b.Row(i)
-							n++
-						}
-					}
-				} else {
-					for {
-						_, ok, err := cur.Next()
-						if err != nil {
-							errs <- err
-							return
-						}
-						if !ok {
-							break
-						}
-						n++
-					}
-				}
-				cur.Close()
-				if n != len(want) {
-					errs <- fmt.Errorf("goroutine %d: %d rows, want %d", g, n, len(want))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"rodentstore"
 	"rodentstore/internal/cartel"
-	"rodentstore/internal/value"
 )
 
 func newDB(t *testing.T, opts *rodentstore.Options) *rodentstore.DB {
@@ -152,16 +151,16 @@ func TestAggregateQuery(t *testing.T) {
 		t.Fatalf("count: got %v, want [[%d]]", got, want)
 	}
 
-	// Grouped sum over an expression, serial vs parallel bit-identical.
+	// Grouped sum over an expression, against a row-order oracle.
 	spec := &rodentstore.AggregateSpec{
 		GroupBy: []string{"id"},
 		Aggs:    []string{"count", "sum(lat + lon) as span"},
 	}
-	serial, err := db.Scan("Traces", rodentstore.Query{Aggregate: spec})
+	grouped, err := db.Scan("Traces", rodentstore.Query{Aggregate: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sRows, err := serial.All()
+	groups, err := grouped.All()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +174,10 @@ func TestAggregateQuery(t *testing.T) {
 		acc.sum += r[1].Float() + r[2].Float()
 		oracle[r[3].Str()] = acc
 	}
-	if len(sRows) != len(oracle) {
-		t.Fatalf("groups: got %d, want %d", len(sRows), len(oracle))
+	if len(groups) != len(oracle) {
+		t.Fatalf("groups: got %d, want %d", len(groups), len(oracle))
 	}
-	for _, r := range sRows {
+	for _, r := range groups {
 		acc, ok := oracle[r[0].Str()]
 		if !ok {
 			t.Fatalf("unexpected group %v", r[0])
@@ -190,25 +189,6 @@ func TestAggregateQuery(t *testing.T) {
 			t.Errorf("group %v sum: got %v, want %v", r[0], r[2].Float(), acc.sum)
 		}
 	}
-	parallel, err := db.Scan("Traces", rodentstore.Query{Aggregate: spec, Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pRows, err := parallel.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pRows) != len(sRows) {
-		t.Fatalf("parallel groups: got %d, want %d", len(pRows), len(sRows))
-	}
-	for i := range sRows {
-		for j := range sRows[i] {
-			if !value.Equal(sRows[i][j], pRows[i][j]) {
-				t.Fatalf("row %d col %d: serial %v, parallel %v", i, j, sRows[i][j], pRows[i][j])
-			}
-		}
-	}
-
 	// Aggregate is mutually exclusive with Fields and OrderBy.
 	if _, err := db.Scan("Traces", rodentstore.Query{
 		Fields:    []string{"lat"},
@@ -542,6 +522,37 @@ func TestIndexAPI(t *testing.T) {
 	if err := db.DropIndex("Traces", "t"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestIndexScanRefusesWhatItCannotServe: IndexScan serves Fields and Where
+// only. A query that also asks for an order, an aggregation or quarantine
+// must be refused by name, not answered as if those fields were unset.
+func TestIndexScanRefusesWhatItCannotServe(t *testing.T) {
+	db := newDB(t, nil)
+	loadTraces(t, db, "rows(Traces)", 500)
+	if err := db.CreateIndex("Traces", "t"); err != nil {
+		t.Fatal(err)
+	}
+	where := "t >= 50 and t < 60"
+	for field, q := range map[string]rodentstore.Query{
+		"OrderBy":    {Where: where, OrderBy: "t desc"},
+		"Aggregate":  {Where: where, Aggregate: &rodentstore.AggregateSpec{Aggs: []string{"count"}}},
+		"Quarantine": {Where: where, Quarantine: true},
+	} {
+		cur, err := db.IndexScan("Traces", q, "t")
+		if err == nil {
+			cur.Close()
+			t.Fatalf("IndexScan with %s set succeeded", field)
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Fatalf("IndexScan with %s set: error %q does not name the field", field, err)
+		}
+	}
+	cur, err := db.IndexScan("Traces", rodentstore.Query{Fields: []string{"t"}, Where: where}, "t")
+	if err != nil {
+		t.Fatalf("Fields and Where alone: %v", err)
+	}
+	cur.Close()
 }
 
 // TestPoolCoherentAcrossFoldAndReuse is the regression test for stale
