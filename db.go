@@ -116,8 +116,9 @@ type Query struct {
 	// row per group (one row total without GroupBy) instead of matching
 	// rows, computed with the vectorized kernels — no input row is ever
 	// materialized. Mutually exclusive with Fields and OrderBy (groups come
-	// sorted by key). Blocks fold into per-block partials merged in stored
-	// block order, so results are bit-identical run to run, floats included.
+	// sorted by key). Each sum is one running sum per group over the
+	// selected rows in stored order, so results are bit-identical run to
+	// run, floats included.
 	Aggregate *AggregateSpec
 }
 

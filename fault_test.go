@@ -135,6 +135,40 @@ func TestQuarantineSkipsCorruptExtent(t *testing.T) {
 	if sk.Err == nil {
 		t.Fatal("skipped extent carries no error")
 	}
+
+	// A grouped aggregate over the same damage folds the 200 healthy rows
+	// once each and reports the one extent.
+	groups, count, sum, rep := quarantinedGroupTotals(t, db)
+	if groups != 200 || count != 200 || sum != 199*200/2 {
+		t.Fatalf("aggregate: %d groups, count %d, sum(id) %d; want 200, 200, %d", groups, count, sum, 199*200/2)
+	}
+	if len(rep.Skipped) != 1 || rep.Skipped[0].Extent.Start != ext.Start {
+		t.Fatalf("aggregate report %v, want extent %d alone", rep.Skipped, ext.Start)
+	}
+}
+
+// quarantinedGroupTotals runs count and sum(id) grouped by p over T with
+// Quarantine on, and returns the number of groups, the counts and sums
+// added over them, and the scan's report.
+func quarantinedGroupTotals(t *testing.T, db *DB) (groups int, count, sum int64, rep ScanReport) {
+	t.Helper()
+	cur, err := db.Scan("T", Query{Quarantine: true, Aggregate: &AggregateSpec{
+		GroupBy: []string{"p"},
+		Aggs:    []string{"count", "sum(id)"},
+	}})
+	if err != nil {
+		t.Fatalf("quarantined aggregate failed: %v", err)
+	}
+	defer cur.Close()
+	rows, err := cur.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		count += r[1].Int()
+		sum += r[2].Int()
+	}
+	return len(rows), count, sum, cur.Report()
 }
 
 func TestCheckIntegrityReportsCorruptExtent(t *testing.T) {
@@ -207,6 +241,20 @@ func TestQuarantineRetriesTransientErrors(t *testing.T) {
 		t.Fatalf("got %d rows, want 200", len(rows))
 	}
 	if rep := cur.Report(); len(rep.Skipped) != 0 {
+		t.Fatalf("transient errors were quarantined: %v", rep.Skipped)
+	}
+
+	// The same transient failure under a grouped aggregate: the retried
+	// block folds once, so no group and no count is added twice.
+	failed = false
+	groups, count, sum, rep := quarantinedGroupTotals(t, db)
+	if !failed {
+		t.Fatal("the aggregate issued no read to fail")
+	}
+	if groups != 200 || count != 200 || sum != 199*200/2 {
+		t.Fatalf("aggregate: %d groups, count %d, sum(id) %d; want 200, 200, %d", groups, count, sum, 199*200/2)
+	}
+	if len(rep.Skipped) != 0 {
 		t.Fatalf("transient errors were quarantined: %v", rep.Skipped)
 	}
 }

@@ -7,11 +7,10 @@ package table
 // no data pages at all (block metadata carries the row counts).
 //
 // Determinism: an aggregation's result is bit-identical run to run, floats
-// included, and pinned to the boxed oracle of oracle_test.go. The invariant
-// that makes this true: each block folds into its own partial state
-// (blockExec.run), and partials merge into the final state in stored block
-// order (runAggregate), so float sums always reduce in the same
-// association.
+// included, and pinned to both oracles of the tests. The rule that makes
+// this true: a scan has one state, every block folds straight into it in
+// stored order (blockExec.run), and each sum is one running sum per group
+// over the selected rows in stored order.
 //
 // Null semantics are SQL-ish: count(*) counts rows; count/sum/min/max/avg
 // over an expression skip null inputs and return null (count: 0) when no
@@ -270,7 +269,8 @@ func zeroExtend[T any](s []T, n int) []T {
 	return append(s, make([]T, n-len(s))...)
 }
 
-// aggState is one aggregation state: a per-block partial or the final fold.
+// aggState is an aggregating scan's one state: runAggregate creates it and
+// every block of the scan folds into it, in stored order.
 type aggState struct {
 	// gt holds the typed group table (nil when ungrouped).
 	gt *vec.GroupTable
@@ -300,22 +300,23 @@ func (st *aggState) ngroups(ex *aggExec) int {
 	return st.gt.Len()
 }
 
-// aggScratch is one goroutine's reusable aggregation scratch.
+// aggScratch is a cursor's reusable aggregation scratch.
 type aggScratch struct {
 	es      algebra.ExprScratch
-	eval    vec.Vector
+	evals   []vec.Vector // per item: its expression over the selected rows
 	gids    []int32
-	mapping []int32
 	keyCols []*vec.Vector
 }
 
 // observeBlock is the aggregating block fold: decode predicate columns,
-// filter to a selection vector, decode only the key/input columns, assign
-// group ids with the typed hash table, and run the typed kernels into a
-// fresh partial state. Columns nothing needs are never decoded; when nothing
-// at all is needed (bare count(*), no predicate) the block's pages are never
-// read.
-func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch) (*aggState, error) {
+// filter to a selection vector, decode only the key/input columns, evaluate
+// every item's expression, then assign group ids with the typed hash table
+// and run the typed kernels into st. Columns nothing needs are never
+// decoded; when nothing at all is needed (bare count(*), no predicate) the
+// block's pages are never read. Every step that can fail comes before the
+// first write to st, so a block that quarantine retries or skips never adds
+// a group or a count twice.
+func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch, st *aggState) error {
 	nrows := blockRowCount(p, block)
 	if cap(vs.views) < len(p.entries) {
 		vs.views = make([]*segment.BlockView, len(p.entries))
@@ -359,7 +360,7 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 	}
 	for _, di := range filter.Columns() {
 		if err := decodeInto(di); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	nsel := nrows
@@ -372,25 +373,34 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 			sel = vs.sel
 		}
 	}
-	st := ex.newState()
 	if nsel == 0 {
-		return st, nil
+		return nil
 	}
 	for _, di := range ex.keyIdx {
 		if err := decodeInto(di); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	for i := range ex.items {
-		if ex.items[i].ce == nil {
+	// Evaluate every expression densely over the selection: slot k of
+	// evals[ii] belongs to selected row k, parallel to gids.
+	if len(as.evals) < len(ex.items) {
+		as.evals = make([]vec.Vector, len(ex.items))
+	}
+	for ii := range ex.items {
+		ce := ex.items[ii].ce
+		if ce == nil {
 			continue
 		}
-		for _, di := range ex.items[i].ce.Columns() {
+		for _, di := range ce.Columns() {
 			if err := decodeInto(di); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		if err := ce.EvalVec(dec, nrows, sel, &as.evals[ii], &as.es); err != nil {
+			return err
+		}
 	}
+	// Nothing below fails: the block folds into st.
 	var gids []int32
 	if len(ex.keyIdx) > 0 {
 		as.keyCols = as.keyCols[:0]
@@ -414,12 +424,7 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 			}
 			continue
 		}
-		// Evaluate the expression densely over the selection: slot k of the
-		// result belongs to selected row k, parallel to gids.
-		if err := it.ce.EvalVec(dec, nrows, sel, &as.eval, &as.es); err != nil {
-			return nil, err
-		}
-		ev := &as.eval
+		ev := &as.evals[ii]
 		isFloat := it.kind == value.Float
 		switch it.fn {
 		case AggCount:
@@ -431,8 +436,8 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 		case AggSum, AggAvg:
 			switch {
 			case gids == nil && isFloat:
-				s, n := vec.SumFloat64(ev.Float64s, &ev.Nulls, nil)
-				acc.sumF[0] += s
+				var n int64
+				acc.sumF[0], n = vec.SumFloat64(acc.sumF[0], ev.Float64s, &ev.Nulls, nil)
 				acc.count[0] += n
 			case gids == nil:
 				s, n := vec.SumInt64(ev.Int64s, &ev.Nulls, nil)
@@ -458,7 +463,7 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 			}
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // foldMinMaxI folds a (min, max, count) summary into group g.
@@ -498,66 +503,10 @@ func (a *aggAcc) foldMinMaxF(g int, mn, mx float64, n int64) {
 	a.count[g] += n
 }
 
-// merge folds a partial state into st. Partials must be merged in stored
-// block order — that order is what makes float sums deterministic across
-// executors.
-func (st *aggState) merge(ex *aggExec, part *aggState, as *aggScratch) {
-	if len(ex.keyIdx) == 0 {
-		for ii := range ex.items {
-			st.accs[ii].mergeGroup(&ex.items[ii], 0, &part.accs[ii], 0)
-		}
-		return
-	}
-	n := part.gt.Len()
-	if n == 0 {
-		return
-	}
-	// Re-key the partial's groups into the final table: the mapping from
-	// local to final group ids is just GroupIDs over the stored key tuples.
-	as.mapping = st.gt.GroupIDs(part.gt.KeyCols(), nil, n, as.mapping[:0])
-	ngroups := st.gt.Len()
-	for ii := range ex.items {
-		st.accs[ii].grow(&ex.items[ii], ngroups)
-		for lg, fg := range as.mapping {
-			st.accs[ii].mergeGroup(&ex.items[ii], int(fg), &part.accs[ii], lg)
-		}
-	}
-}
-
-// mergeGroup folds one partial group into one final group.
-func (a *aggAcc) mergeGroup(it *aggItemExec, fg int, p *aggAcc, lg int) {
-	if p.count[lg] == 0 {
-		return
-	}
-	switch it.fn {
-	case AggCount:
-		a.count[fg] += p.count[lg]
-	case AggSum, AggAvg:
-		if it.kind == value.Float {
-			a.sumF[fg] += p.sumF[lg]
-		} else {
-			a.sumI[fg] += p.sumI[lg]
-		}
-		a.count[fg] += p.count[lg]
-	case AggMin, AggMax:
-		if it.kind == value.Float {
-			a.foldMinMaxF(fg, p.minF[lg], p.maxF[lg], p.count[lg])
-		} else {
-			a.foldMinMaxI(fg, p.minI[lg], p.maxI[lg], p.count[lg])
-		}
-	}
-}
-
 // resultRows materializes the final state as boxed rows under ex.out,
 // sorted ascending by the group key columns.
 func (ex *aggExec) resultRows(st *aggState) []value.Row {
 	n := st.ngroups(ex)
-	if len(ex.keyIdx) > 0 {
-		// Late-created groups may not have grown every accumulator.
-		for ii := range ex.items {
-			st.accs[ii].grow(&ex.items[ii], n)
-		}
-	}
 	rows := make([]value.Row, 0, n)
 	for g := 0; g < n; g++ {
 		row := make(value.Row, ex.out.Arity())
@@ -622,28 +571,25 @@ func (it *aggItemExec) finalize(a *aggAcc, g int) value.Value {
 	return value.NullValue()
 }
 
-// runAggregate drains the cursor's block results into the final state and
-// replaces the cursor's stream with the (sorted) result rows. Partials
-// merge in stored block order whichever goroutine folded them; quarantined
-// blocks contribute nothing and are reported as usual.
+// runAggregate folds every block of the scan into one state and replaces
+// the cursor's stream with the (sorted) result rows. Quarantined blocks
+// contribute nothing and are reported as usual.
 func (c *Cursor) runAggregate() error {
 	ex := c.plan.agg
-	final := ex.newState()
-	var as aggScratch
+	st := ex.newState()
+	c.exec.agg = st
 	for {
-		res, ok := c.nextResult()
+		_, ok, err := c.nextResult()
+		if err != nil {
+			c.exhausted = true
+			return err
+		}
 		if !ok {
 			break
 		}
-		if res.err != nil {
-			c.exhausted = true
-			return res.err
-		}
-		if res.agg != nil {
-			final.merge(ex, res.agg, &as)
-		}
 	}
 	c.schema = ex.out
-	c.sorted, c.sortedPos = ex.resultRows(final), 0
+	c.sorted, c.sortedPos = ex.resultRows(st), 0
+	c.exec.agg = nil // a drained cursor does not pin the group table
 	return nil
 }

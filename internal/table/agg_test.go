@@ -90,8 +90,8 @@ func aggSpecs() []AggSpec {
 }
 
 // aggOracle computes the spec row-at-a-time over the scanned rows in stored
-// order — independent accumulation the engine variants are pinned to (float
-// sums within tolerance; everything else exact).
+// order — independent accumulation the engine variants are pinned to, bit
+// for bit.
 func aggOracle(t *testing.T, spec AggSpec, schema *value.Schema, rows []value.Row) []value.Row {
 	t.Helper()
 	type group struct {
@@ -215,27 +215,10 @@ func aggOracle(t *testing.T, spec AggSpec, schema *value.Schema, rows []value.Ro
 	return out
 }
 
-// approxEqual compares oracle cells: exact under value.Equal, or within
-// relative tolerance for floats (float sums reduce in a different
-// association in the block-partial executors than in the row-order oracle).
-func approxEqual(a, b value.Value) bool {
-	if value.Equal(a, b) {
-		return true
-	}
-	if a.Kind() != value.Float || b.Kind() != value.Float {
-		return false
-	}
-	af, bf := a.Float(), b.Float()
-	tol := 1e-9 * math.Max(1, math.Max(math.Abs(af), math.Abs(bf)))
-	return math.Abs(af-bf) <= tol
-}
-
 // TestAggregateDifferential pins every aggregate kernel and typed
-// expression to two oracles with quarantine off/on × zone-prune on/off: bit
-// for bit
-// to the boxed block-partial executor of oracle_test.go (same per-block
-// partials, same merge order, floats included), and within float tolerance
-// to the independent row-order aggOracle.
+// expression to two oracles with quarantine off/on × zone-prune on/off, bit
+// for bit, floats included: the boxed block executor of oracle_test.go and
+// the independent row-order aggOracle.
 func TestAggregateDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	rows := aggRows(r, 3000)
@@ -290,14 +273,7 @@ func TestAggregateDifferential(t *testing.T) {
 							cur.Close()
 							what := fmt.Sprintf("pred %d spec %d %s noZone=%v", pi, si, v.name, noZone)
 							requireRows(t, what, got, exact)
-							for i := range want {
-								for c := range want[i] {
-									if !approxEqual(got[i][c], want[i][c]) {
-										t.Fatalf("%s group %d col %d: %v, row-order oracle %v",
-											what, i, c, got[i][c], want[i][c])
-									}
-								}
-							}
+							requireRows(t, what+" row-order", got, want)
 						}
 					}
 				}

@@ -100,7 +100,8 @@ func TestAbandonedCursorHoldsNoPins(t *testing.T) {
 
 // TestCursorCloseEarly closes each kind of cursor — streaming, materialized
 // order-by and aggregation — after a few rows: it then reports the end on
-// Next and NextBatch, a second Close is harmless, and no pin is left.
+// Next and NextBatch, a second Close is harmless, and no pin is left. An
+// aggregation, drained when Scan returns, already holds no group table.
 func TestCursorCloseEarly(t *testing.T) {
 	e, pool := pooledGridEngine(t, 4000, 256)
 	spec := AggSpec{GroupBy: []string{"id"}, Items: []AggItem{{Func: AggCount}}}
@@ -116,6 +117,9 @@ func TestCursorCloseEarly(t *testing.T) {
 			cur, err := e.Scan("Traces", tc.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cur.exec.agg != nil {
+				t.Fatal("the drained cursor still holds its aggregate state")
 			}
 			for j := 0; j < 2; j++ {
 				if _, ok, err := cur.Next(); err != nil || !ok {

@@ -11,7 +11,8 @@ import (
 
 // dictRunAllocs loads a dict-coded table whose blocks hold rowsPerBlock
 // rows over `entries` distinct ids and returns the allocations of one
-// steady-state blockExec.run under opts, reading through a warm pool.
+// steady-state blockExec.run under opts, reading through a warm pool. An
+// aggregating scan's blocks fold into one state, as runAggregate's do.
 func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) float64 {
 	t.Helper()
 	e, _, _ := newEngine(t)
@@ -45,24 +46,27 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 	if len(blocks) != 4 {
 		t.Fatalf("%d blocks, want 4", len(blocks))
 	}
-	for _, b := range blocks { // fill the pool
-		if res := cur.exec.run(b); res.err != nil {
-			t.Fatal(res.err)
-		} else {
-			batchPool.Put(res.batch)
+	if cur.plan.agg != nil {
+		cur.exec.agg = cur.plan.agg.newState()
+	}
+	for _, ref := range blocks { // fill the pool
+		b, err := cur.exec.run(ref)
+		if err != nil {
+			t.Fatal(err)
 		}
+		batchPool.Put(b)
 	}
 	if st := pool.Stats(); st.Misses == 0 || st.Misses > uint64(pool.Capacity()) {
 		t.Fatalf("pool of %d pages cannot hold the table: %+v", pool.Capacity(), st)
 	}
 	i := 0
 	return testing.AllocsPerRun(40, func() {
-		res := cur.exec.run(blocks[i%len(blocks)])
+		b, err := cur.exec.run(blocks[i%len(blocks)])
 		i++
-		if res.err != nil {
-			t.Fatal(res.err)
+		if err != nil {
+			t.Fatal(err)
 		}
-		batchPool.Put(res.batch)
+		batchPool.Put(b)
 	})
 }
 
@@ -70,10 +74,9 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 // dictionary form over a warm pool: one block through blockExec.run
 // allocates neither per row, nor per dictionary entry, nor per page (a pool
 // hit copies its range out without a pin or a release func). The batch
-// paths (whole blocks and a filtered gather) allocate nothing; what the
-// aggregate path allocates is its fresh partial state, whose group table
-// grows by doubling, so a dictionary thirty times larger may add only those
-// doublings.
+// paths (whole blocks and a filtered gather) allocate nothing, and neither
+// does the aggregate path: a warm block folds into the scan's one state,
+// whose group table and accumulators already hold every group it names.
 func TestDictBlockRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts over sync.Pool are not steady under -race")
@@ -87,7 +90,7 @@ func TestDictBlockRunAllocations(t *testing.T) {
 	}{
 		{"batch", ScanOptions{}, 2, 2},
 		{"filtered batch", ScanOptions{Pred: algebra.True.And("x", algebra.OpLt, value.NewFloat(30))}, 2, 2},
-		{"aggregate", ScanOptions{Aggregate: &agg}, 64, 32},
+		{"aggregate", ScanOptions{Aggregate: &agg}, 2, 2},
 	} {
 		small := dictRunAllocs(t, rows, few, c.opts)
 		large := dictRunAllocs(t, rows, many, c.opts)

@@ -6,9 +6,9 @@ package table
 // (same parts, same pruning, so Report and page accounting questions stay
 // out of it) and nothing after it: blocks decode into boxed values through
 // segment.Reader.ReadBlock, rows filter through Predicate.Eval and project
-// one at a time, and aggregates fold row by row through EvalScalar into a
-// boxed group table — per block, merged in stored block order, which is
-// what makes float results bit-identical to production's.
+// one at a time, and aggregates fold row by row through EvalScalar into one
+// boxed group table, block by block in stored order — the running sums
+// production keeps, so float results are bit-identical to it.
 
 import (
 	"bytes"
@@ -71,11 +71,9 @@ func oracleScan(t testing.TB, e *Engine, name string, opts ScanOptions) []value.
 			out = append(out, rows...)
 			continue
 		}
-		st, err := observeBlockBoxed(plan.agg, rows)
-		if err != nil {
+		if err := final.observe(plan.agg, rows); err != nil {
 			t.Fatal(err)
 		}
-		final.merge(plan.agg, st)
 	}
 	if final != nil {
 		return final.resultRows(plan.agg)
@@ -162,10 +160,9 @@ func newBoxedAggState(ex *aggExec) *boxedAggState {
 	return st
 }
 
-// observeBlockBoxed folds one block's (already filtered) rows into a fresh
-// partial state, one row and one EvalScalar at a time.
-func observeBlockBoxed(ex *aggExec, rows []value.Row) (*boxedAggState, error) {
-	st := newBoxedAggState(ex)
+// observe folds one block's (already filtered) rows into st, one row and
+// one EvalScalar at a time.
+func (st *boxedAggState) observe(ex *aggExec, rows []value.Row) error {
 	var key value.Row
 	for _, row := range rows {
 		g := 0
@@ -186,7 +183,7 @@ func observeBlockBoxed(ex *aggExec, rows []value.Row) (*boxedAggState, error) {
 			}
 			v, err := algebra.EvalScalar(it.expr, ex.decoded, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if v.IsNull() {
 				continue
@@ -210,7 +207,7 @@ func observeBlockBoxed(ex *aggExec, rows []value.Row) (*boxedAggState, error) {
 			}
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // groupID finds or inserts a boxed key tuple. Hashing canonicalizes float
@@ -254,23 +251,6 @@ func boxedKeyHash(key value.Row) uint64 {
 		h = (h ^ cell) * 1099511628211
 	}
 	return h
-}
-
-// merge folds a partial into st; called in stored block order.
-func (st *boxedAggState) merge(ex *aggExec, part *boxedAggState) {
-	if len(ex.keyIdx) == 0 {
-		for ii := range ex.items {
-			st.accs[ii].mergeGroup(&ex.items[ii], 0, &part.accs[ii], 0)
-		}
-		return
-	}
-	for lg, key := range part.keys {
-		fg := st.groupID(key)
-		for ii := range ex.items {
-			st.accs[ii].grow(&ex.items[ii], fg+1)
-			st.accs[ii].mergeGroup(&ex.items[ii], fg, &part.accs[ii], lg)
-		}
-	}
 }
 
 // resultRows materializes the final state under ex.out, sorted by key.

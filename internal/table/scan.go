@@ -37,8 +37,9 @@ type ScanOptions struct {
 	// cursor yields one row per group instead of the matching rows, and no
 	// input row is ever materialized — blocks fold straight into typed
 	// accumulators. Mutually exclusive with Fields and Order (groups are
-	// always sorted by key). Blocks fold into per-block partials merged in
-	// stored block order, so results are bit-identical run to run.
+	// always sorted by key). Every block folds into the scan's one state in
+	// stored order, and each sum is one running sum per group over the
+	// selected rows in stored order, so results are bit-identical run to run.
 	Aggregate *AggSpec
 }
 
@@ -310,9 +311,9 @@ var batchPool = vec.NewPool()
 // it once. There is no other way a scan gets bytes.
 //
 // blockExec.run is the one place the stages are chained. The cursor calls
-// it inline, one block at a time in stored order on the caller's goroutine,
-// and the sinks (rows, batches, aggregate state) consume its blockResults
-// from Cursor.nextResult.
+// it inline, one block at a time in stored order on the caller's goroutine:
+// the row and batch sinks take each block's batch from Cursor.nextResult,
+// and an aggregating scan's blocks fold into its one state as they run.
 
 // scanPlan is the immutable half of a scan: what to read and how to turn a
 // block into output.
@@ -332,15 +333,6 @@ type scanPlan struct {
 	quar *quarState
 }
 
-// blockResult is what one block turns into: an output batch, a partial
-// aggregate state, an error, or — for a block quarantine recorded and
-// skipped — nothing at all.
-type blockResult struct {
-	batch *vec.Batch
-	agg   *aggState
-	err   error
-}
-
 // blockExec is the mutable half of a scan: the scratch a cursor drives its
 // plan's blocks through. Steady-state blocks allocate nothing beyond pooled
 // batches.
@@ -348,6 +340,9 @@ type blockExec struct {
 	plan *scanPlan
 	vs   vecScratch
 	as   aggScratch
+	// agg is the state an aggregating scan's blocks fold into; runAggregate
+	// sets it for the drain and drops it after.
+	agg *aggState
 }
 
 func newBlockExec(plan *scanPlan) *blockExec {
@@ -355,30 +350,28 @@ func newBlockExec(plan *scanPlan) *blockExec {
 }
 
 // run drives one block through the pipeline: fetch and decode/filter into
-// a batch or fold into aggregate state, with the quarantine policy applied
-// to whatever fails. A quarantined block comes back empty, never as an
-// error.
-func (x *blockExec) run(ref blockRef) blockResult {
+// a batch, or fold into x.agg (no batch), with the quarantine policy applied
+// to whatever fails. A quarantined block comes back as neither a batch nor
+// an error.
+func (x *blockExec) run(ref blockRef) (*vec.Batch, error) {
 	plan := x.plan
 	p := plan.parts[ref.part]
-	load := func() (r blockResult) {
+	load := func() (*vec.Batch, error) {
 		if plan.agg != nil {
-			r.agg, r.err = plan.agg.observeBlock(p, ref.block, plan.filter, &x.vs, &x.as)
-		} else {
-			r.batch, r.err = decodeBlockVec(p, ref.block, plan, &x.vs)
+			return nil, plan.agg.observeBlock(p, ref.block, plan.filter, &x.vs, &x.as, x.agg)
 		}
-		return r
+		return decodeBlockVec(p, ref.block, plan, &x.vs)
 	}
-	r := load()
-	if r.err != nil && plan.quar != nil {
-		if plan.quar.handle(p, ref, r.err, func() error {
-			r = load()
-			return r.err
+	b, err := load()
+	if err != nil && plan.quar != nil {
+		if plan.quar.handle(p, ref, err, func() error {
+			b, err = load()
+			return err
 		}) {
-			r = blockResult{} // recorded and skipped: no output, no error
+			return nil, nil // recorded and skipped: no output, no error
 		}
 	}
-	return r
+	return b, err
 }
 
 // Cursor iterates rows of a scan (paper §4.1 next). Cursors are not safe
@@ -532,15 +525,15 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 }
 
 // nextResult runs the next block in stored order on the caller's
-// goroutine. ok=false ends the stream; a result carrying an error ends it
-// too.
-func (c *Cursor) nextResult() (blockResult, bool) {
+// goroutine and returns its batch (nil for a skipped or folded block).
+// ok=false ends the stream; an error ends it too.
+func (c *Cursor) nextResult() (b *vec.Batch, ok bool, err error) {
 	if c.cur >= len(c.plan.blocks) {
-		return blockResult{}, false
+		return nil, false, nil
 	}
-	res := c.exec.run(c.plan.blocks[c.cur])
+	b, err = c.exec.run(c.plan.blocks[c.cur])
 	c.cur++
-	return res, true
+	return b, true, err
 }
 
 // advance makes the next block's batch current, marking the cursor
@@ -548,14 +541,14 @@ func (c *Cursor) nextResult() (blockResult, bool) {
 // leaves the (drained) current batch in place; the callers' loops advance
 // again.
 func (c *Cursor) advance() error {
-	res, ok := c.nextResult()
-	if !ok || res.err != nil {
+	b, ok, err := c.nextResult()
+	if !ok || err != nil {
 		c.exhausted = true
-		return res.err
+		return err
 	}
-	if res.batch != nil {
+	if b != nil {
 		batchPool.Put(c.batch)
-		c.batch, c.batchPos = res.batch, 0
+		c.batch, c.batchPos = b, 0
 		c.rows, c.rowPos = c.rows[:0], 0
 	}
 	return nil
@@ -567,7 +560,7 @@ func blockRowCount(p *part, block int) int {
 	return p.entries[firstReadSeg(p)].Meta.Blocks[block].Rows
 }
 
-// vecScratch is one goroutine's reusable decode state: the selection
+// vecScratch is a cursor's reusable decode state: the selection
 // buffer, the per-segment view pointers and the decoded-column marks.
 type vecScratch struct {
 	sel   []int32

@@ -56,9 +56,10 @@ func SumInt64(xs []int64, nulls *Bitmap, sel []int32) (sum, count int64) {
 	return sum, int64(len(sel))
 }
 
-// SumFloat64 returns the IEEE left-to-right float64 sum and the count of
-// non-null selected rows.
-func SumFloat64(xs []float64, nulls *Bitmap, sel []int32) (sum float64, count int64) {
+// SumFloat64 adds the non-null selected rows to the running sum, left to
+// right in IEEE float64, and returns it with the count of rows added.
+func SumFloat64(sum float64, xs []float64, nulls *Bitmap, sel []int32) (float64, int64) {
+	var count int64
 	if nulls != nil && nulls.Any() {
 		if sel == nil {
 			for i, x := range xs {
@@ -366,17 +367,6 @@ func (g *GroupTable) Len() int { return g.keys.Len() }
 // Keys returns the stored key tuples: row i of the batch is group i's key.
 // The batch belongs to the table; callers must not mutate it.
 func (g *GroupTable) Keys() *Batch { return g.keys }
-
-// KeyCols returns pointers to the stored key column vectors — the shape
-// GroupIDs takes, so one partial table's keys can be re-keyed into another
-// (the merge step of parallel aggregation).
-func (g *GroupTable) KeyCols() []*Vector {
-	out := make([]*Vector, len(g.keys.Cols))
-	for i := range g.keys.Cols {
-		out[i] = &g.keys.Cols[i]
-	}
-	return out
-}
 
 // GroupIDs assigns a group id to each selected row of the key columns
 // (cols parallel to the key schema, each of length n), creating groups on

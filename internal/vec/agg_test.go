@@ -75,6 +75,8 @@ func TestUngroupedKernels(t *testing.T) {
 		var wminI, wmaxI int64
 		var wminF, wmaxF float64
 		var icount, fcount int64
+		const running = 0.1 // the float sum continues a running sum
+		wsumF = running
 		for _, i := range idx {
 			if !inulls.Get(int(i)) {
 				if icount == 0 {
@@ -111,7 +113,7 @@ func TestUngroupedKernels(t *testing.T) {
 		if sum != wsumI || count != icount {
 			t.Fatalf("SumInt64(sel=%v): (%d,%d), want (%d,%d)", sel != nil, sum, count, wsumI, icount)
 		}
-		fsum, count := SumFloat64(fxs, fnulls, sel)
+		fsum, count := SumFloat64(running, fxs, fnulls, sel)
 		if count != fcount || (fsum != wsumF && !(math.IsNaN(fsum) && math.IsNaN(wsumF))) {
 			t.Fatalf("SumFloat64: (%v,%d), want (%v,%d)", fsum, count, wsumF, fcount)
 		}

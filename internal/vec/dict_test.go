@@ -183,8 +183,7 @@ func requireSameGroups(t *testing.T, what string, dg, fg *GroupTable, dcols, fco
 // TestGroupIDsDictionaryForm checks the by-code and per-entry-hash paths of
 // GroupIDs against row-by-row assignment over the flat twin: with and
 // without a selection, one and two key columns, nulls, an empty dictionary,
-// zero rows, a second block into a table that already has groups, and the
-// re-keying of one table's stored keys into another.
+// zero rows, and a second block into a table that already has groups.
 func TestGroupIDsDictionaryForm(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	one := value.MustSchema(value.Field{Name: "s", Type: value.Str})
@@ -212,11 +211,6 @@ func TestGroupIDsDictionaryForm(t *testing.T) {
 				// A second block into the same tables: groups found, not made.
 				next, nextFlat := dictTwin(r, value.Str, sh.entries, sh.rows, nulls)
 				requireSameGroups(t, what+" second block", dg, fg, []*Vector{next}, []*Vector{nextFlat}, sel, sh.rows)
-
-				// The parallel merge: a partial's stored keys re-keyed into a
-				// final table that saw other blocks first.
-				final, finalFlat := groupBoth(t, what+" final", one, []*Vector{next}, []*Vector{nextFlat}, nil, sh.rows)
-				requireSameGroups(t, what+" merge", final, finalFlat, dg.KeyCols(), fg.KeyCols(), nil, dg.Len())
 			}
 		}
 	}
