@@ -6,39 +6,48 @@ import (
 	"strings"
 )
 
-// poolLeaseFunc is the fully qualified name of the acquiring call
+// poolLeaseFunc is the fully qualified name of the buffer-lease call
 // leaselease tracks. Matching is by name rather than object identity because
 // the source importer type-checks its own instance of each dependency
 // package.
 const poolLeaseFunc = "(*rodentstore/internal/buffer.Pool).Lease"
 
-// LeaseLease builds the leaselease analyzer: every buffer lease must be
-// released on all paths, including error returns.
+// DefaultPinPackage is the package whose version pins leaselease tracks:
+// (*versions).pin acquires one, (*versionPin).release discharges it.
+const DefaultPinPackage = "rodentstore/internal/table"
+
+// LeaseLease builds the leaselease analyzer: every buffer lease and every
+// version pin taken in pinPkg must be released on all paths, including error
+// returns.
 //
-// The acquisition shape is l, err := pool.Lease(id): the obligation is the
-// Lease value; it is discharged by l.Release(), defer l.Release(), returning
-// l (ownership transfer), or passing l to any call.
-func LeaseLease() *Analyzer {
+// The acquisition shapes are l, err := pool.Lease(id) and p := v.pin(): the
+// obligation is the Lease (pin) value; it is discharged by l.Release()
+// (p.release()), a deferred release, returning it (ownership transfer),
+// storing it in a field, or passing it to any call.
+func LeaseLease(pinPkg string) *Analyzer {
 	a := &Analyzer{
 		Name: "leaselease",
-		Doc:  "buffer leases must be released on every path, including error returns",
+		Doc:  "buffer leases and version pins must be released on every path, including error returns",
 	}
+	pinFunc := "(*" + pinPkg + ".versions).pin"
 	spec := &obligSpec{
-		matchAcquire:   matchLeaseAcquire,
-		releaseMethods: map[string]bool{"Release": true},
+		matchAcquire: func(p *Pass, call *ast.CallExpr) (obligIdx, errIdx int, what string, ok bool) {
+			switch fn := p.CalleeFunc(call); {
+			case fn == nil:
+			case fn.FullName() == poolLeaseFunc:
+				return 0, 1, "buffer lease", true
+			case fn.FullName() == pinFunc:
+				return 0, -1, "version pin", true
+			}
+			return 0, 0, "", false
+		},
+		releaseMethods: map[string]bool{"Release": true, "release": true},
 	}
 	a.Run = func(pass *Pass) error {
 		checkObligations(pass, spec)
 		return nil
 	}
 	return a
-}
-
-func matchLeaseAcquire(p *Pass, call *ast.CallExpr) (obligIdx, errIdx int, what string, ok bool) {
-	if fn := p.CalleeFunc(call); fn != nil && fn.FullName() == poolLeaseFunc {
-		return 0, 1, "buffer lease", true
-	}
-	return 0, 0, "", false
 }
 
 // isErrorType reports whether t is the built-in error interface.

@@ -12,7 +12,8 @@ import (
 func fixture(name string) string { return filepath.Join("testdata", name) }
 
 func TestLeaseLease(t *testing.T) {
-	linttest.Run(t, lint.LeaseLease(), fixture("leaselease"))
+	dir := fixture("leaselease")
+	linttest.Run(t, lint.LeaseLease(linttest.FixturePath(dir)), dir)
 }
 
 func TestBatchLife(t *testing.T) {

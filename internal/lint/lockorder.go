@@ -17,30 +17,34 @@ type LockClass struct {
 }
 
 // DefaultLockOrder is the machine-readable form of the hierarchy documented
-// in DESIGN.md: table lock → catalog → table engine → merge registry →
-// merge queue → free queue → buffer shard → pager. Edit this table and
-// DESIGN.md together.
+// in DESIGN.md: fold latch → table lock → catalog → table engine → merge
+// registry → merge queue → pin state → buffer shard → pager. Edit this table
+// and DESIGN.md together.
 //
-// The table lock (Engine.withLock) is the outermost: every catalog
-// read-modify-write and every cursor construction runs under it, so it is
-// held while everything below is acquired. Its registry mutex only guards
-// the name → lock map and is released before the table lock is taken.
+// The fold latch (tableLock.fold) is held across a whole Compact or
+// Reorganize: it keeps folds of one table from overlapping while each reads
+// and renders with no table lock held, so the table lock and everything
+// below are taken under it. The table lock (Engine.withLock) is next: every
+// catalog read-modify-write and every cursor construction runs under it, so
+// it is held while everything below is acquired. Its registry mutex only
+// guards the name → lock map and is released before either the latch or the
+// lock is taken.
 //
-// The three compaction-worker classes sit between the engine's compile
-// cache and the buffer/pager layers: the merge registry (Engine.mergeMu)
-// publishes the pool, the merge queue (merger.mu) hands tables to workers,
-// and the free queue (Engine.freeMu) stages superseded run extents for the
-// next checkpoint. None of the three may be held while acquiring the other
-// two out of order, and all must be released before descending into the
-// pager.
+// The merge registry (Engine.mergeMu) publishes the pool and the merge queue
+// (merger.mu) hands tables to workers. The pin state (versions.mu) guards
+// the version pins and the free queue behind them, and is taken under the
+// catalog lock by the catalog's DeferFree hook. None of the three may be held
+// while acquiring the others out of order, and all must be released before
+// descending into the pager.
 var DefaultLockOrder = []LockClass{
+	{Path: "rodentstore/internal/table", Type: "tableLock", Field: "fold", Name: "fold-latch", Level: 2},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "tableMu", Name: "table-lock-registry", Level: 4},
 	{Path: "rodentstore/internal/table", Type: "tableLock", Field: "mu", Name: "table-lock", Level: 6},
 	{Path: "rodentstore/internal/catalog", Type: "Catalog", Field: "mu", Name: "catalog", Level: 10},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mu", Name: "table-engine", Level: 20},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mergeMu", Name: "merge-registry", Level: 22},
 	{Path: "rodentstore/internal/table", Type: "merger", Field: "mu", Name: "merge-queue", Level: 24},
-	{Path: "rodentstore/internal/table", Type: "Engine", Field: "freeMu", Name: "free-queue", Level: 26},
+	{Path: "rodentstore/internal/table", Type: "versions", Field: "mu", Name: "pin-state", Level: 26},
 	{Path: "rodentstore/internal/buffer", Type: "shard", Field: "mu", Name: "buffer-shard", Level: 30},
 	{Path: "rodentstore/internal/pager", Type: "File", Field: "mu", Name: "pager-meta", Level: 40},
 	{Path: "rodentstore/internal/pager", Type: "File", Field: "pageLocks", Name: "pager-stripe", Level: 50},

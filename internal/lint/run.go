@@ -75,10 +75,10 @@ func Check(root, modPath string, patterns []string, analyzers []*Analyzer) ([]*P
 
 // DefaultAnalyzers returns the production-configured suite: the six
 // repo-specific analyzers over RodentStore's real lock table, lease/batch
-// APIs and deterministic-path package list.
+// APIs, version pins and deterministic-path package list.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		LeaseLease(),
+		LeaseLease(DefaultPinPackage),
 		BatchLife(),
 		NewLockOrder(DefaultLockOrder, DefaultCatalogRMW),
 		ErrWrapped(),

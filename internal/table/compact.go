@@ -24,12 +24,14 @@ package table
 // mapping is inherently global (grid, fold, limit) are rejected with the
 // compaction directive at compile time.
 //
-// Durability is flip's (fold.go): new run segments are written before the
-// one copy-on-write catalog swap that ends a Compact, and everything the
-// folds superseded is reclaimed by that flip. A Compact changes how rows are
-// stored, never which rows or under what layout, so it leaves the flip's
-// durability to the next checkpoint, which persists the run and frees what
-// it replaced.
+// Each fold of a Compact reads its parts and renders its run with no table
+// lock held, from a pinned version of the record (version.go); only its
+// splice takes the exclusive lock. Durability is flip's (fold.go): the run's
+// segments are written before the copy-on-write catalog swap that splices
+// it in, and the parts it replaced are reclaimed by that flip. A Compact
+// changes how rows are stored, never which rows or under what layout, so it
+// leaves the flip's durability to the next checkpoint, which persists the
+// run and frees what it replaced.
 
 import (
 	"rodentstore/internal/algebra"
@@ -59,93 +61,53 @@ func (e *Engine) CompactStats() CompactStats {
 
 // Compact folds a table's accumulated tail batches into its run hierarchy
 // and cascades level folds until its compaction policy is satisfied. Tables
-// whose layout has no compaction directive (or with a pending lazy layout
-// change) fall back to a full Reorganize — Compact is always safe to call.
-// The background merge worker routes every triggered table through here.
+// whose layout has no compaction directive fold every part into one main
+// rendering, as Reorganize does; a pending lazy layout change is applied as
+// Reorganize applies it, durably. Compact is always safe to call. The
+// background merge worker routes every triggered table through here.
+//
+// Each fold runs off the table lock (planFold, runFold): inserts and scans
+// proceed while it reads and renders, and it holds the exclusive lock only
+// to splice its run in. The table's fold latch keeps folds of one table from
+// overlapping.
 //
 // With a log, a Compact that applies no pending layout change is durable at
 // the next checkpoint, not when it returns (flip). It runs one itself, off
 // the table lock, once the frees it queued are worth one (MaybeCheckpoint).
-// A pending layout change is applied as Reorganize applies it, durably.
 func (e *Engine) Compact(name string) error {
-	err := e.withLock(name, exclusive, func() error {
-		tab, err := e.cat.Get(name)
-		if err != nil {
-			return err
-		}
-		spec, err := e.compile(tab.LayoutExpr)
-		if err != nil {
-			return err
-		}
-		if tab.NeedsReorg || spec.Compaction == nil {
-			if err := e.reorganize(tab); err != nil || !tab.NeedsReorg {
-				return err
-			}
-			return e.checkpoint()
-		}
-		return e.compactLocked(tab, spec)
-	})
-	if err != nil || !e.durable() {
+	if err := e.foldOffLock(name, e.nextCompaction); err != nil || !e.durable() {
 		return err
 	}
 	return e.mgr.MaybeCheckpoint()
 }
 
-// compactLocked runs the fold loop. Caller holds the exclusive table lock
-// and has verified spec.Compaction is set.
-func (e *Engine) compactLocked(tab *catalog.Table, spec *layout.Spec) error {
-	e.dropInsertSnap(tab.Name)
-	// Copy-on-write: all mutation happens on a private copy with fresh
-	// slices; the one flip below swaps it in, so a concurrent checkpoint
-	// flush never encodes a half-folded table.
-	work := *tab
-	var superseded []catalog.Part
-	// foldInto folds work's parts [lo, hi) of one kind into one run at level
-	// and returns it.
-	foldInto := func(level int, kind catalog.PartKind, lo, hi int) (catalog.RunEntry, error) {
-		var chosen []catalog.Part
-		for _, p := range work.Parts() {
-			if p.Kind == kind && p.Index >= lo && p.Index < hi {
-				chosen = append(chosen, p)
-			}
-		}
-		// Every run was rendered under work's layout: a pending layout
-		// change reorganizes instead (Compact).
-		out, err := e.fold(&work, chosen, true)
-		superseded = append(superseded, chosen...)
-		return catalog.RunEntry{Level: level, Rows: out.rows, Segments: out.entries}, err
+// nextCompaction picks Compact's next fold from tab, or nil when there is
+// none: for a plain layout, every part into the main rendering, once; for a
+// compaction policy, first every tail into one level-1 run (the newest run,
+// so it appends at the end of the hierarchy), then whole levels into the
+// next until the policy holds. Tails published after the first fold wait
+// for the next Compact, so one call cannot chase a steady ingest forever.
+func (e *Engine) nextCompaction(tab *catalog.Table, first bool) (*foldJob, error) {
+	spec, err := e.compile(tab.LayoutExpr)
+	if err != nil {
+		return nil, err
 	}
-
-	// Level-0 fold: every current tail batch becomes one organized level-1
-	// run (the newest run, so it appends at the end of the hierarchy).
-	if len(work.Tails) > 0 {
-		run, err := foldInto(1, catalog.PartTail, 0, len(work.Tails))
-		if err != nil {
-			return err
-		}
-		work.Runs = append(append([]catalog.RunEntry(nil), work.Runs...), run)
-		work.Tails = nil
+	if spec.Compaction == nil {
+		return wholeTable(tab, first)
 	}
-
-	// Cascade: fold whole levels into the next until the policy holds.
-	for {
-		lo, hi, level, ok := pickFold(work.Runs, spec)
-		if !ok {
-			break
-		}
-		run, err := foldInto(level, catalog.PartRun, lo, hi)
-		if err != nil {
-			return err
-		}
-		runs := append([]catalog.RunEntry(nil), work.Runs[:lo]...)
-		runs = append(runs, run)
-		work.Runs = append(runs, work.Runs[hi:]...)
+	job := &foldJob{tab: tab, from: tab.LayoutExpr}
+	parts := tab.Parts()
+	if first && len(tab.Tails) > 0 {
+		job.parts, job.level = parts[len(parts)-len(tab.Tails):], 1
+		return job, nil
 	}
-
-	if len(superseded) == 0 {
-		return nil // nothing triggered; catalog untouched
+	lo, hi, level, ok := pickFold(tab.Runs, spec)
+	if !ok {
+		return nil, nil
 	}
-	return e.flip(&work, superseded)
+	runs := parts[len(parts)-len(tab.Tails)-len(tab.Runs):]
+	job.parts, job.level = runs[lo:hi], level
+	return job, nil
 }
 
 // pickFold selects the next fold: the contiguous range runs[lo:hi) to merge

@@ -2,11 +2,14 @@ package table
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/buffer"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vfs"
 )
 
 // gridEngine loads n trace rows into a gridded, chunked Traces table, so a
@@ -206,4 +209,53 @@ func TestMaterializedSortRestoresLoadOrder(t *testing.T) {
 		t.Fatalf("grid layout kept load order; the sort has nothing to do")
 	}
 	sameRows(t, drain(t, cur), traceRows(2000))
+}
+
+// TestDroppedCursorsReleasePins drops partly read cursors without Close and
+// supersedes every part they read with a Compact. Once the collector has
+// run, no version is pinned any more, and the next checkpoint frees the
+// superseded extents: no table extent is left in the free queue.
+func TestDroppedCursorsReleasePins(t *testing.T) {
+	e := openDurable(t, vfs.NewFault(44))
+	if err := e.Create("Traces", tracesSchema(), "chunk[64](rows(Traces))"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("Traces", traceRows(2000)); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		for i := 0; i < 3; i++ {
+			cur, err := e.Scan("Traces", ScanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := cur.NextBatch(); err != nil || !ok {
+				t.Fatalf("ok=%v err=%v", ok, err)
+			}
+			// Dropped: no Close.
+		}
+	}()
+	if n := e.vers.pinned(); n != 3 {
+		t.Fatalf("%d pins held by 3 open cursors", n)
+	}
+	if err := e.Compact("Traces"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.vers.pinned() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pins left after the cursors were collected", e.vers.pinned())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if err := e.mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.vers.mu.Lock()
+	defer e.vers.mu.Unlock()
+	for _, f := range slices.Concat(e.vers.waiting, e.vers.staged, e.vers.ready) {
+		if f.epoch > 0 { // not the old catalog extent the checkpoint's flush queued
+			t.Fatalf("superseded extent %+v still queued after the checkpoint", f.ext)
+		}
+	}
 }

@@ -13,11 +13,12 @@ import (
 
 // TestConcurrentCursorStress runs 16 goroutines over one gridded table,
 // each with cursors of its own: scans drained by Next, by NextBatch or by
-// the two in turn, grouped aggregations, and scans closed mid-stream. The
-// cursors share the batch pool and a sharded buffer pool, so under -race
-// (CI runs it with GOMAXPROCS=4, twice) a pooled batch or frame reused
-// across goroutines shows. Every result must equal what a lone cursor
-// returned, and no pin may outlive the cursors.
+// the two in turn, grouped aggregations, and scans closed mid-stream, while
+// one more goroutine loops Compact over the table. The cursors share the
+// batch pool and a sharded buffer pool, so under -race (CI runs it with
+// GOMAXPROCS=4, twice) a pooled batch or frame reused across goroutines
+// shows. Every result must equal what a lone cursor returned, and no pin —
+// on a frame or on a version — may outlive the cursors.
 func TestConcurrentCursorStress(t *testing.T) {
 	e, _, _ := newEngine(t)
 	if err := e.Create("T", aggSchema(), "chunk[64](zorder(grid[t,y; 8,8](rows(T))))"); err != nil {
@@ -108,7 +109,29 @@ func TestConcurrentCursorStress(t *testing.T) {
 
 	const goroutines = 16
 	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
+	errs := make(chan error, goroutines+1)
+	// Beside the cursors, Compact re-renders the table over and over: each
+	// one supersedes every part the open cursors read, whose pins keep those
+	// parts from being freed under them.
+	stop := make(chan struct{})
+	compactions := 0
+	var compactor sync.WaitGroup
+	compactor.Add(1)
+	go func() {
+		defer compactor.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.Compact("T"); err != nil {
+				errs <- fmt.Errorf("compact: %w", err)
+				return
+			}
+			compactions++
+		}
+	}()
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -122,15 +145,23 @@ func TestConcurrentCursorStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	compactor.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if compactions == 0 {
+		t.Error("no Compact ran beside the cursors")
 	}
 	if s := pool.Stats(); s.Hits == 0 || s.Misses == 0 {
 		t.Errorf("expected pool traffic, got %+v", s)
 	}
 	if n := pool.Pinned(); n != 0 {
 		t.Errorf("%d pins leaked", n)
+	}
+	if n := e.vers.pinned(); n != 0 {
+		t.Errorf("%d version pins leaked", n)
 	}
 }
 

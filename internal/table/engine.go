@@ -58,9 +58,9 @@ type Engine struct {
 
 	// tableMu guards tableLocks, the engine-owned table-level locks every
 	// catalog read-modify-write and every cursor construction runs under
-	// (withLock). They are intrinsic to the engine: foreground operations
-	// and the background merge pool exclude each other with or without a
-	// durability manager.
+	// (withLock), each with its table's fold latch. They are intrinsic to
+	// the engine: foreground operations and the background merge pool's
+	// splices exclude each other with or without a durability manager.
 	tableMu    sync.Mutex
 	tableLocks map[string]*tableLock
 
@@ -79,22 +79,13 @@ type Engine struct {
 	mergeMu sync.Mutex
 	merge   *merger
 
-	// freeMu guards the deferred-free queue. In durable (SyncInserts) mode,
-	// extents a catalog update stopped referencing are not freed inline:
-	// until the update is durable, a crash rolls the catalog back to a
-	// version that still references them, and a reallocated extent
-	// rewritten since would corrupt that old catalog's data. Queued extents
-	// are staged when a checkpoint begins and freed once it has synced the
-	// file and truncated the log (the AfterCheckpoint hook), so the worst
-	// crash outcome is a leaked extent.
-	freeMu        sync.Mutex
-	deferredFrees []pager.Extent // queued, awaiting a checkpoint
-	stagedFrees   []pager.Extent // covered by the in-progress checkpoint
-	// queuedPages counts the pages free() queued since the last checkpoint
-	// began (backlog). The catalog's own old extent is left out: every
-	// checkpoint's flush queues one again, so counting it could make each
-	// commit due for a checkpoint.
-	queuedPages uint64
+	// vers is the version pin state and the free queue (version.go): an
+	// extent a catalog update stopped referencing is freed only once the
+	// update is durable (in SyncInserts mode: until then a crash rolls the
+	// catalog back to a version that still references it, and a reallocated
+	// extent rewritten since would corrupt that old catalog's data) and no
+	// cursor or fold that may still read it remains.
+	vers *versions
 
 	// Fold counters, moved only by fold (see fold.go; the gating benchmark
 	// reports them as table.merges/merge_rows/merge_bytes).
@@ -118,68 +109,35 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine
 		tableLocks:  make(map[string]*tableLock),
 		specs:       make(map[string]*layout.Spec),
 		insertSnaps: make(map[string]insertSnapshot),
+		vers:        newVersions(file),
 	}
 	if mgr != nil {
-		// Stage the deferred-free queue before the catalog flush: everything
-		// queued by then had its catalog update already written, so this
+		// Stage the free queue before the catalog flush: everything queued
+		// by then had its catalog update already written, so this
 		// checkpoint's file sync makes those updates durable and the staged
-		// extents safe to free afterwards. Extents queued mid-checkpoint wait
-		// for the next one.
+		// extents safe to free afterwards, once unpinned. Extents queued
+		// mid-checkpoint wait for the next one.
 		mgr.BeforeCheckpoint = func() error {
-			e.freeMu.Lock()
-			e.stagedFrees = append(e.stagedFrees, e.deferredFrees...)
-			e.deferredFrees, e.queuedPages = nil, 0
-			e.freeMu.Unlock()
+			e.vers.stage()
 			return cat.Flush()
 		}
-		mgr.AfterCheckpoint = e.freeStaged
-		mgr.Backlog = e.backlog
+		mgr.AfterCheckpoint = e.vers.checkpointed
+		mgr.Backlog = e.vers.backlog
 		mgr.OnRecover = cat.ApplyTailAppend
 		cat.DeferFree = e.deferFree
 	}
 	return e
 }
 
-// deferFree queues an extent to be freed by the next checkpoint when the
-// engine runs durably; without durability there is no crash state to guard,
-// so it reports false and the caller frees inline.
+// deferFree queues a catalog extent to be freed by the next checkpoint when
+// the engine runs durably; without durability there is no crash state to
+// guard, so it reports false and the caller frees inline.
 func (e *Engine) deferFree(ext pager.Extent) bool {
 	if !e.durable() {
 		return false
 	}
-	e.freeMu.Lock()
-	e.deferredFrees = append(e.deferredFrees, ext)
-	e.freeMu.Unlock()
+	e.vers.queueCatalog(ext)
 	return true
-}
-
-// backlog reports the bytes of the extents free() queued for the next
-// checkpoint (the Manager's Backlog hook), so folds that only queue frees
-// still bring that checkpoint on.
-func (e *Engine) backlog() int64 {
-	e.freeMu.Lock()
-	defer e.freeMu.Unlock()
-	return int64(e.queuedPages) * int64(e.file.PageSize())
-}
-
-// freeStaged releases the extents staged by the checkpoint that just made
-// their catalog un-references durable (the Manager's AfterCheckpoint hook).
-func (e *Engine) freeStaged() error {
-	e.freeMu.Lock()
-	staged := e.stagedFrees
-	e.stagedFrees = nil
-	e.freeMu.Unlock()
-	for i, ext := range staged {
-		if err := e.file.FreeRun(ext.Start, ext.Count); err != nil {
-			// Re-queue what remains: freeing is retried by the next
-			// checkpoint; losing track of it would leak the pages for good.
-			e.freeMu.Lock()
-			e.stagedFrees = append(e.stagedFrees, staged[i:]...)
-			e.freeMu.Unlock()
-			return err
-		}
-	}
-	return nil
 }
 
 // checkpoint makes a flip durable before its caller returns, in durable
@@ -216,6 +174,11 @@ const (
 // the bypass is bounded: once maxReaderBypass readers have overtaken a
 // waiting writer, new readers wait for it. There is no timeout.
 type tableLock struct {
+	// fold is the table's fold latch: Compact and Reorganize hold it across
+	// a fold run off the lock, so folds of one table never overlap. It is
+	// taken before the lock itself, never while holding it.
+	fold sync.Mutex
+
 	mu      sync.Mutex
 	free    sync.Cond // signaled on every release; L is &mu
 	readers int
@@ -262,19 +225,26 @@ func (l *tableLock) release(exclusive bool) {
 }
 
 // withLock runs fn under the named table's lock. It is the outermost lock of
-// the hierarchy and is never nested — fn must not call withLock again.
+// the hierarchy below the fold latch and is never nested — fn must not call
+// withLock again.
 func (e *Engine) withLock(name string, mode lockMode, fn func() error) error {
+	lk := e.lockOf(name)
+	lk.acquire(bool(mode))
+	defer lk.release(bool(mode))
+	return fn()
+}
+
+// lockOf returns the named table's lock, creating it on first use.
+func (e *Engine) lockOf(name string) *tableLock {
 	e.tableMu.Lock()
+	defer e.tableMu.Unlock()
 	lk := e.tableLocks[name]
 	if lk == nil {
 		lk = &tableLock{}
 		lk.free.L = &lk.mu
 		e.tableLocks[name] = lk
 	}
-	e.tableMu.Unlock()
-	lk.acquire(bool(mode))
-	defer lk.release(bool(mode))
-	return fn()
+	return lk
 }
 
 // compile resolves a layout expression against the current catalog schemas,
@@ -405,14 +375,13 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 		if err != nil {
 			return err
 		}
-		// Render into a private copy; the flip swaps it in atomically so a
+		// Render first; the flip swaps the rendering in atomically, so a
 		// concurrent checkpoint flush never encodes a half-rendered table.
-		work := *tab
-		out, err := e.render(&work, rel)
+		out, err := e.render(tab, rel)
 		if err != nil {
 			return err
 		}
-		if err := e.installMain(tab, &work, out); err != nil {
+		if err := e.spliceIn(&foldJob{tab: tab, from: tab.LayoutExpr, parts: tab.Parts()}, out); err != nil {
 			return err
 		}
 		return e.checkpoint()
@@ -691,7 +660,7 @@ func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
 		work.PendingExpr = spec.Expr
 		work.NeedsReorg = true
 		if mode == ReorgEager {
-			err = e.reorganize(&work)
+			err = e.relayout(&work)
 		} else {
 			_, err = e.publish(&work)
 		}
@@ -703,18 +672,23 @@ func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
 }
 
 // Reorganize re-renders the table under its current (or pending) layout,
-// merging runs and tail batches into the main segments.
+// merging runs and tail batches into the main segments, and is durable on
+// return. With no layout change pending the fold runs off the table lock,
+// under the table's fold latch, as Compact's do. A pending change is applied
+// under the exclusive lock (reorganizeIfNeeded) and does not wait for the
+// latch: a fold in flight then finds its parts gone and discards its output.
 func (e *Engine) Reorganize(name string) error {
-	return e.withLock(name, exclusive, func() error {
-		tab, err := e.cat.Get(name)
-		if err != nil {
-			return err
-		}
-		if err := e.reorganize(tab); err != nil {
-			return err
-		}
-		return e.checkpoint()
-	})
+	tab, err := e.cat.Get(name)
+	if err != nil {
+		return err
+	}
+	if tab.NeedsReorg {
+		return e.reorganizeIfNeeded(name)
+	}
+	if err := e.foldOffLock(name, wholeTable); err != nil {
+		return err
+	}
+	return e.checkpoint()
 }
 
 // storedSchema reconstructs the final (stored) schema of the table from the

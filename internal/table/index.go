@@ -134,9 +134,11 @@ func (e *Engine) DropIndex(tableName, field string) error {
 		}
 		for i, idx := range tab.Indexes {
 			if idx.Field == field {
-				work := *tab
-				work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes[:i]...), tab.Indexes[i+1:]...)
-				if err := e.flip(&work, nil); err != nil {
+				err := e.flip(tableName, nil, func(work *catalog.Table) error {
+					work.Indexes = slices.Delete(slices.Clone(work.Indexes), i, i+1)
+					return nil
+				})
+				if err != nil {
 					return err
 				}
 				return e.checkpoint()
@@ -215,8 +217,8 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 			}
 		}
 		plan.blocks = kept
-		// Drained under the shared lock: nothing keeps a fold from freeing
-		// the blocks' extents once it is released.
+		// Drained under the shared lock. The cursor's pin would keep the
+		// blocks' extents from being freed after it (ROADMAP item 1(d)).
 		cur = newCursor(plan)
 		if err := cur.materialize(nil); err != nil {
 			cur.Close()

@@ -14,7 +14,9 @@ import (
 // the run hierarchy for layouts with a compaction policy (Engine.Compact,
 // which folds one level at a time instead of rewriting the table). The
 // worker pool lets compactions of different tables proceed concurrently;
-// per table, the inflight set keeps folds serialized.
+// per table, the inflight set keeps folds serialized (and the table's fold
+// latch does for explicit calls). A fold holds the table lock only for its
+// splice, so inserts and scans of the table run beside it.
 //
 // The pool is opt-in (EnableAutoMerge); without it the synchronous path —
 // calling Reorganize or Compact explicitly — is unchanged, which is what
@@ -26,7 +28,7 @@ const defaultMaxTails = 8
 
 // defaultMergeWorkers sizes the pool: enough to keep a few tables' merges
 // overlapping without competing with query threads for the whole machine.
-// A single table's merges always serialize on its exclusive lock.
+// A single table's merges always serialize on its fold latch.
 const defaultMergeWorkers = 4
 
 // merger is the engine-owned background worker pool. Tables are enqueued at

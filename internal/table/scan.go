@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"runtime"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
@@ -58,7 +59,7 @@ func (e *Engine) reorganizeIfNeeded(name string) error {
 		if !tab.NeedsReorg {
 			return nil // another reader already reorganized
 		}
-		if err := e.reorganize(tab); err != nil {
+		if err := e.relayout(tab); err != nil {
 			return err
 		}
 		return e.checkpoint()
@@ -331,6 +332,8 @@ type scanPlan struct {
 	// quar, when non-nil, enables corruption quarantine: unreadable blocks
 	// are recorded here and skipped instead of failing the scan.
 	quar *quarState
+	// vers is the engine's pin state, which a cursor over the plan pins.
+	vers *versions
 }
 
 // blockExec is the mutable half of a scan: the scratch a cursor drives its
@@ -402,11 +405,21 @@ type Cursor struct {
 	// scans, and the result rows of an aggregation).
 	sorted    []value.Row
 	sortedPos int
+	// pin holds the version the plan was made from until the block stream
+	// ends or the cursor closes (nil after); unpinGC releases it for a
+	// cursor collected without Close (version.go).
+	pin     *versionPin
+	unpinGC runtime.Cleanup
 }
 
-// newCursor starts a plan at its first block.
+// newCursor starts a plan at its first block and pins the version the plan
+// was made from. Callers make the plan and the cursor under one table lock,
+// so no flip of the table lands between the two; a fold's read-back, made
+// off the lock, reads parts its fold has pinned already.
 func newCursor(plan *scanPlan) *Cursor {
-	return &Cursor{schema: plan.out, plan: plan, exec: newBlockExec(plan)}
+	c := &Cursor{schema: plan.out, plan: plan, exec: newBlockExec(plan)}
+	c.pinCursor(plan.vers)
+	return c
 }
 
 // Report returns what a quarantined scan has skipped so far. Complete only
@@ -421,8 +434,9 @@ func (c *Cursor) Report() ScanReport {
 // Schema returns the cursor's output schema.
 func (c *Cursor) Schema() *value.Schema { return c.schema }
 
-// Close releases cursor resources.
+// Close releases cursor resources, the version pin among them.
 func (c *Cursor) Close() {
+	c.unpin()
 	c.exhausted = true
 	c.sorted = nil
 	batchPool.Put(c.batch)
@@ -526,9 +540,11 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 
 // nextResult runs the next block in stored order on the caller's
 // goroutine and returns its batch (nil for a skipped or folded block).
-// ok=false ends the stream; an error ends it too.
+// ok=false ends the stream and releases the version pin; an error ends it
+// too.
 func (c *Cursor) nextResult() (b *vec.Batch, ok bool, err error) {
 	if c.cur >= len(c.plan.blocks) {
+		c.unpin()
 		return nil, false, nil
 	}
 	b, err = c.exec.run(c.plan.blocks[c.cur])
@@ -543,6 +559,7 @@ func (c *Cursor) nextResult() (b *vec.Batch, ok bool, err error) {
 func (c *Cursor) advance() error {
 	b, ok, err := c.nextResult()
 	if !ok || err != nil {
+		c.unpin()
 		c.exhausted = true
 		return err
 	}
@@ -868,6 +885,7 @@ func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []stri
 		filter:   filter,
 		parts:    parts,
 		blocks:   blocks,
+		vers:     e.vers,
 	}
 	if so.agg != nil {
 		if plan.agg, err = buildAggExec(so.agg, decoded); err != nil {
