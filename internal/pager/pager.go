@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -573,8 +574,10 @@ func (p *File) noteReadRun(start PageID, npages uint64) {
 // single positional read, verifying each page's checksum and appending the
 // payloads to dst. It is the read-side twin of WriteRun: functionally
 // equivalent to a ReadPage loop over the run — identical page-read and seek
-// statistics — but paying one syscall for the whole run (catalog.Load reads
-// the catalog extent this way).
+// statistics — but paying one syscall for the whole run. The pages are read
+// straight into dst's spare capacity and each payload is then moved down
+// over the page headers, so a dst with room for npages whole pages makes the
+// call allocation-free (a segment reader's block fetch relies on this).
 //
 // On a checksum failure the payloads of the pages *before* the corrupt one
 // are still appended (a verified prefix callers may use) and the returned
@@ -590,69 +593,57 @@ func (p *File) ReadRunInto(dst []byte, start PageID, npages uint64) ([]byte, err
 	if err := p.checkID(start + PageID(npages-1)); err != nil {
 		return dst, err
 	}
-	need := int(npages) * p.pageSize
-	buf, _ := runBufPool.Get().([]byte)
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
+	base, ps, payload := len(dst), p.pageSize, p.pageSize-pageHeaderSize
+	buf := slices.Grow(dst, int(npages)*ps)[:base+int(npages)*ps]
+	raw := buf[base:]
 	// Share the read side of every stripe the run touches so no page in the
 	// run is observed mid-write; concurrent readers still proceed in parallel.
-	stripes := p.rlockRunStripes(start, npages)
-	_, err := p.f.ReadAt(buf, int64(start)*int64(p.pageSize))
-	for i := len(stripes) - 1; i >= 0; i-- {
-		stripes[i].RUnlock()
-	}
+	p.eachRunStripe(start, npages, (*sync.RWMutex).RLock)
+	_, err := p.f.ReadAt(raw, int64(start)*int64(ps))
+	p.eachRunStripe(start, npages, (*sync.RWMutex).RUnlock)
 	if err != nil {
-		runBufPool.Put(buf) //nolint:staticcheck // slice reuse is the point
 		return dst, fmt.Errorf("pager: read run [%d,%d): %w", start, uint64(start)+npages, err)
 	}
-	for i := uint64(0); i < npages; i++ {
-		page := buf[i*uint64(p.pageSize) : (i+1)*uint64(p.pageSize)]
-		want := binary.LittleEndian.Uint32(page)
-		if got := crc32.ChecksumIEEE(page[pageHeaderSize:]); got != want {
-			p.stats.pageReads.Add(i)
+	for i := 0; i < int(npages); i++ {
+		// Payloads before page i have moved down by at most 4*i bytes, so
+		// page i's raw bytes are still intact here.
+		page := raw[i*ps : (i+1)*ps]
+		if crc32.ChecksumIEEE(page[pageHeaderSize:]) != binary.LittleEndian.Uint32(page) {
+			p.stats.pageReads.Add(uint64(i))
 			if i > 0 {
-				p.noteReadRun(start, i)
+				p.noteReadRun(start, uint64(i))
 			}
-			runBufPool.Put(buf) //nolint:staticcheck // slice reuse is the point
-			return dst, &ErrCorruptPage{Page: start + PageID(i), Detail: "checksum mismatch (corrupt or never written)"}
+			return buf[:base+i*payload], &ErrCorruptPage{Page: start + PageID(i), Detail: "checksum mismatch (corrupt or never written)"}
 		}
-		dst = append(dst, page[pageHeaderSize:]...)
+		copy(buf[base+i*payload:], page[pageHeaderSize:])
 	}
-	runBufPool.Put(buf) //nolint:staticcheck // slice reuse is the point
 	p.stats.pageReads.Add(npages)
 	p.noteReadRun(start, npages)
-	return dst, nil
+	return buf[:base+int(npages)*payload], nil
 }
 
-// rlockRunStripes read-locks the distinct page-lock stripes covering the
-// run, in index order (consistent with lockRunStripes, so run readers and
-// run writers cannot deadlock against each other).
-func (p *File) rlockRunStripes(start PageID, npages uint64) []*sync.RWMutex {
-	n := npages
-	if n > pageStripes {
-		n = pageStripes
-	}
-	var hit [pageStripes]bool
-	for i := uint64(0); i < npages && i < pageStripes; i++ {
-		hit[(uint64(start)+i)%pageStripes] = true
-	}
+// eachRunStripe calls fn on every page-lock stripe the run [start,
+// start+npages) touches, once each and in index order: the one order every
+// run reader and run writer takes them in, so they cannot deadlock against
+// each other.
+func (p *File) eachRunStripe(start PageID, npages uint64, fn func(*sync.RWMutex)) {
 	if npages >= pageStripes {
-		for i := range hit {
-			hit[i] = true
+		for i := range p.pageLocks {
+			fn(&p.pageLocks[i])
 		}
+		return
 	}
-	out := make([]*sync.RWMutex, 0, n)
-	for i := range hit {
-		if hit[i] {
-			out = append(out, &p.pageLocks[i])
+	first := uint64(start) % pageStripes
+	end := first + npages
+	if end > pageStripes { // the run wraps: stripes [0, end-pageStripes) come first
+		for i := uint64(0); i < end-pageStripes; i++ {
+			fn(&p.pageLocks[i])
 		}
+		end = pageStripes
 	}
-	for _, lk := range out {
-		lk.RLock()
+	for i := first; i < end; i++ {
+		fn(&p.pageLocks[i])
 	}
-	return out
 }
 
 // WritePage writes payload (at most PayloadSize bytes) to page id.
@@ -701,12 +692,11 @@ func (p *File) WriteRun(start PageID, payload []byte) error {
 	if err := p.checkID(start + PageID(npages-1)); err != nil {
 		return err
 	}
-	need := int(npages) * p.pageSize
-	buf, _ := runBufPool.Get().([]byte)
-	if cap(buf) < need {
-		buf = make([]byte, need)
+	bp, _ := runBufPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	buf = buf[:need]
+	buf := slices.Grow((*bp)[:0], int(npages)*p.pageSize)[:int(npages)*p.pageSize]
 	for i := uint64(0); i < npages; i++ {
 		page := buf[i*uint64(p.pageSize) : (i+1)*uint64(p.pageSize)]
 		lo := int(i) * payloadSize
@@ -723,12 +713,11 @@ func (p *File) WriteRun(start PageID, payload []byte) error {
 	}
 	// Take every stripe the run touches, in order, so no reader of any page
 	// in the run observes a torn write.
-	stripes := p.lockRunStripes(start, npages)
+	p.eachRunStripe(start, npages, (*sync.RWMutex).Lock)
 	_, err := p.f.WriteAt(buf, int64(start)*int64(p.pageSize))
-	for i := len(stripes) - 1; i >= 0; i-- {
-		stripes[i].Unlock()
-	}
-	runBufPool.Put(buf) //nolint:staticcheck // slice reuse is the point
+	p.eachRunStripe(start, npages, (*sync.RWMutex).Unlock)
+	*bp = buf
+	runBufPool.Put(bp)
 	if err != nil {
 		return fmt.Errorf("pager: write run [%d,%d): %w", start, uint64(start)+npages, err)
 	}
@@ -738,36 +727,9 @@ func (p *File) WriteRun(start PageID, payload []byte) error {
 }
 
 // runBufPool recycles WriteRun's staging buffers (extent image with page
-// headers); bulk publishes would otherwise allocate tens of KB per call.
+// headers), as *[]byte so a Put allocates nothing; bulk publishes would
+// otherwise allocate tens of KB per call.
 var runBufPool sync.Pool
-
-// lockRunStripes write-locks the distinct page-lock stripes covering the
-// run, in index order (deadlock-free against concurrent run writers).
-func (p *File) lockRunStripes(start PageID, npages uint64) []*sync.RWMutex {
-	n := npages
-	if n > pageStripes {
-		n = pageStripes
-	}
-	var hit [pageStripes]bool
-	for i := uint64(0); i < npages && i < pageStripes; i++ {
-		hit[(uint64(start)+i)%pageStripes] = true
-	}
-	if npages >= pageStripes {
-		for i := range hit {
-			hit[i] = true
-		}
-	}
-	out := make([]*sync.RWMutex, 0, n)
-	for i := range hit {
-		if hit[i] {
-			out = append(out, &p.pageLocks[i])
-		}
-	}
-	for _, lk := range out {
-		lk.Lock()
-	}
-	return out
-}
 
 // ReplaceMetaExtent is the crash-safe "write new extent, flip pointers,
 // free old" pattern: it allocates a fresh extent for payload, writes it

@@ -371,6 +371,27 @@ func BenchmarkReadPageSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkReadRunIntoOnePage is BenchmarkReadPageSequential's pages read
+// as one-page runs into a reused buffer, the shape of a segment reader's
+// fetch of a block within one page: it should cost no more than ReadPage.
+func BenchmarkReadRunIntoOnePage(b *testing.B) {
+	dir := b.TempDir()
+	p, _ := Create(filepath.Join(dir, "bench.rdnt"), 1024)
+	defer p.Close()
+	const pages = 1024
+	start, _ := p.AllocateRun(pages)
+	payload := make([]byte, p.PayloadSize())
+	for i := 0; i < pages; i++ {
+		p.WritePage(start+PageID(i), payload)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = p.ReadRunInto(buf[:0], start+PageID(i%pages), 1)
+	}
+}
+
 // TestOpenRejectsForeignHeaders patches the header of a valid file into
 // shapes no writer of this package produces — among them the v1 magic
 // (no header checksum) and page sizes in [128, 256), both of which once

@@ -251,7 +251,9 @@ func (w *Writer) Finish() (Meta, error) {
 }
 
 // PageSource supplies page payloads to a Reader. *pager.File implements it
-// directly; *buffer.Pool implements it with caching in front of the pager.
+// (and RunReader); *buffer.Pool implements it with caching in front of the
+// pager (and PageAppender). A source that implements neither extension is
+// read one ReadPage per page.
 type PageSource interface {
 	ReadPage(pager.PageID) ([]byte, error)
 	PayloadSize() int
@@ -263,6 +265,15 @@ type PageSource interface {
 // so readers over it skip the full-page copy ReadPage pays per access.
 type PageAppender interface {
 	AppendPage(dst []byte, id pager.PageID, lo, hi int) ([]byte, error)
+}
+
+// RunReader is an optional PageSource extension: ReadRunInto appends the
+// payloads of npages consecutive pages from start to dst with one read,
+// each page's checksum verified, and counts the same page reads and seeks
+// as a ReadPage loop over them. *pager.File implements it; a reader over it
+// fetches a block's pages with one read.
+type RunReader interface {
+	ReadRunInto(dst []byte, start pager.PageID, npages uint64) ([]byte, error)
 }
 
 // Reader decodes blocks of a rendered segment, counting page I/O through
@@ -299,14 +310,18 @@ func NewReader(file PageSource, meta Meta, spec Spec) (*Reader, error) {
 	return &Reader{file: file, meta: meta, spec: spec, codecs: codecs}, nil
 }
 
-// readRangeInto appends [off, off+n) of the segment stream to out via
-// whole-page reads (View reuses one buffer across blocks). Over a
-// PageAppender source, bytes are copied straight out of the source's cached
-// page (no full-page copy per access); only the range's final page — the
-// one the next sequential block may share — is copied whole into the
-// one-page lookbehind, so sequential block reads never touch a shared
-// boundary page twice no matter how small the source's cache is. Over a
-// plain PageSource, whole pages are read with the same lookbehind.
+// readRangeInto appends [off, off+n) of the segment stream to out (View
+// reuses one buffer across blocks). Every page of the range is read once,
+// except one the one-page lookbehind already holds: the range's last page,
+// which the next sequential block may share, is kept whole in lastBuf, so
+// sequential block reads never touch a shared boundary page twice. How the
+// other pages are fetched depends on the source:
+//   - a PageAppender copies each page's part of the range straight out of
+//     its cache (no full-page copy per access);
+//   - a RunReader reads them all with one read, into out's spare capacity;
+//   - any other source is read one ReadPage per page.
+//
+// The page reads and seeks counted are the same on every path.
 func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error) {
 	if off+uint64(n) > r.meta.UsedBytes {
 		return nil, r.corrupt(-1, fmt.Errorf("range [%d,%d) beyond used bytes %d", off, off+uint64(n), r.meta.UsedBytes))
@@ -314,6 +329,9 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 	payload := uint64(r.file.PayloadSize())
 	first := off / payload
 	last := (off + uint64(n) - 1) / payload
+	if runs, ok := r.file.(RunReader); ok {
+		return r.readRunInto(runs, out, off, n, first, last)
+	}
 	appender, _ := r.file.(PageAppender)
 	for p := first; p <= last; p++ {
 		id := r.meta.ExtentStart + pager.PageID(p)
@@ -352,6 +370,33 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 		out = append(out, page[lo:hi]...)
 	}
 	return out, nil
+}
+
+// readRunInto is readRangeInto over a RunReader: pages [first, last] of the
+// extent hold the range, and every one the lookbehind lacks is read with one
+// ReadRunInto appended to out. The run's bytes before off are then moved
+// out of the way and those after the range cut off, once the last page has
+// been copied into lastBuf (the reader's own buffer, reused per block).
+func (r *Reader) readRunInto(runs RunReader, out []byte, off uint64, n uint32, first, last uint64) ([]byte, error) {
+	payload := uint64(r.file.PayloadSize())
+	base, lead := len(out), off-first*payload
+	lastID := r.meta.ExtentStart + pager.PageID(last)
+	if r.lastBuf != nil && r.lastPage == r.meta.ExtentStart+pager.PageID(first) {
+		if first == last {
+			return append(out, r.lastBuf[lead:lead+uint64(n)]...), nil
+		}
+		out = append(out, r.lastBuf[lead:]...)
+		first, lead = first+1, 0
+	}
+	out, err := runs.ReadRunInto(out, r.meta.ExtentStart+pager.PageID(first), last-first+1)
+	if err != nil {
+		return nil, r.classifyReadErr(-1, err)
+	}
+	r.lastPage, r.lastBuf = lastID, append(r.lastBuf[:0], out[uint64(len(out))-payload:]...)
+	if lead > 0 {
+		copy(out[base:], out[base+int(lead):])
+	}
+	return out[:base+int(n)], nil
 }
 
 // ReadBlock decodes block i into boxed column vectors. wantCols selects

@@ -1,7 +1,9 @@
 package segment
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"rodentstore/internal/pager"
@@ -184,5 +186,91 @@ func TestViewLateMaterialization(t *testing.T) {
 	}
 	if _, err := r2.View(0); err == nil {
 		t.Fatal("View accepted metadata/stream row-count mismatch")
+	}
+}
+
+// pageLoop hides a file's RunReader, so a reader over it fetches one
+// ReadPage per page.
+type pageLoop struct{ f *pager.File }
+
+func (s pageLoop) ReadPage(id pager.PageID) ([]byte, error) { return s.f.ReadPage(id) }
+func (s pageLoop) PayloadSize() int                         { return s.f.PayloadSize() }
+
+// TestRunFetchMatchesPageLoop holds a reader over a plain *pager.File (one
+// ReadRunInto per block) to a reader over the same file that reads page by
+// page: the same block bytes and the same page reads, seeks and seek
+// distance, over blocks within one page, blocks sharing boundary pages and
+// blocks spanning many, read in order, backwards and at random.
+func TestRunFetchMatchesPageLoop(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for _, perBlock := range []int{1, 7, 40, 100, 700} {
+		r, _ := writeTraceSegment(t, nil, 2000, perBlock)
+		file := r.file.(*pager.File)
+		nb := len(r.meta.Blocks)
+		orders := map[string][]int{"forward": nil, "backward": nil, "random": rnd.Perm(nb)}
+		for b := 0; b < nb; b++ {
+			orders["forward"] = append(orders["forward"], b)
+			orders["backward"] = append(orders["backward"], nb-1-b)
+		}
+		for name, order := range orders {
+			loop, err := NewReader(pageLoop{file}, r.meta, r.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := loop.file.(RunReader); ok {
+				t.Fatal("pageLoop exposes ReadRunInto")
+			}
+			run := reopen(t, r)
+			fetch := func(rd *Reader) ([][]byte, pager.Stats) {
+				file.ResetStats()
+				var raws [][]byte
+				for _, b := range order {
+					if _, err := rd.View(b); err != nil {
+						t.Fatalf("%d rows/block %s block %d: %v", perBlock, name, b, err)
+					}
+					raws = append(raws, bytes.Clone(rd.rawBuf))
+				}
+				return raws, file.Stats()
+			}
+			want, wantSt := fetch(loop)
+			got, gotSt := fetch(run)
+			for k := range want {
+				if !bytes.Equal(got[k], want[k]) {
+					t.Fatalf("%d rows/block %s: block %d bytes differ", perBlock, name, order[k])
+				}
+			}
+			if gotSt.PageReads != wantSt.PageReads || gotSt.Seeks != wantSt.Seeks || gotSt.SeekDistance != wantSt.SeekDistance {
+				t.Errorf("%d rows/block %s: run fetch counted %+v, page loop %+v", perBlock, name, gotSt, wantSt)
+			}
+		}
+	}
+}
+
+// TestViewColdFetchAllocations pins the cold fetch's memory: once a reader
+// over a plain *pager.File has seen its largest block, a View loop over
+// blocks of one to several pages allocates nothing per block (the run read
+// lands in the reader's own buffer, and the lookbehind is reused).
+func TestViewColdFetchAllocations(t *testing.T) {
+	for _, perBlock := range []int{40, 300} {
+		r, _ := writeTraceSegment(t, nil, 3000, perBlock)
+		payload := uint64(r.file.PayloadSize())
+		multi := false
+		for _, b := range r.meta.Blocks {
+			multi = multi || (b.Off+uint64(b.Len)-1)/payload > b.Off/payload+1
+		}
+		if perBlock == 300 && !multi {
+			t.Fatalf("%d rows per block: want blocks spanning three or more pages", perBlock)
+		}
+		view := func() {
+			for b := range r.meta.Blocks {
+				if _, err := r.View(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		view() // size the reader's buffers
+		if a := testing.AllocsPerRun(20, view) / float64(len(r.meta.Blocks)); a != 0 {
+			t.Errorf("%d rows per block: %.2f allocations per block, want 0", perBlock, a)
+		}
 	}
 }

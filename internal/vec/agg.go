@@ -17,6 +17,7 @@ package vec
 
 import (
 	"bytes"
+	"hash/maphash"
 	"math"
 	"slices"
 
@@ -374,13 +375,17 @@ func (g *GroupTable) Keys() *Batch { return g.keys }
 //
 // A dictionary-form key column is resolved per entry, not per row: a single
 // key column looks each entry up once and then assigns rows by code; with
-// several key columns each entry's bytes are hashed once.
+// several key columns each entry's bytes are hashed once. A single flat
+// Str/Bytes key column without nulls takes a loop of its own.
 func (g *GroupTable) GroupIDs(cols []*Vector, sel []int32, n int, gids []int32) []int32 {
 	rows := n
 	if sel != nil {
 		rows = len(sel)
 	}
 	gids = slices.Grow(gids, rows)
+	if len(cols) == 1 && native(cols[0].kind) == value.Bytes && len(cols[0].Codes) == 0 && !cols[0].Nulls.Any() {
+		return g.groupIDsFlat(cols[0], sel, n, gids)
+	}
 	byCode := len(cols) == 1 && len(cols[0].Codes) != 0 && cols[0].Entries() <= rows
 	g.entryHash = slices.Grow(g.entryHash[:0], len(cols))[:len(cols)]
 	for c, col := range cols {
@@ -447,6 +452,40 @@ func (g *GroupTable) groupIDsByCode(cols []*Vector, sel []int32, n int, gids []i
 	return gids
 }
 
+// groupIDsFlat is GroupIDs over one flat Str/Bytes key column with no
+// nulls: each key's bytes are hashed once and compared with the stored key
+// bytes directly. Its tuple hash is hashRow's for the same key, so one table
+// can be fed through this loop and the others in any mix.
+func (g *GroupTable) groupIDsFlat(col *Vector, sel []int32, n int, gids []int32) []int32 {
+	data, offs := col.Data, col.Offs
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			gids = append(gids, g.bytesID(data[offs[i]:offs[i+1]]))
+		}
+		return gids
+	}
+	for _, i := range sel {
+		gids = append(gids, g.bytesID(data[offs[i]:offs[i+1]]))
+	}
+	return gids
+}
+
+// bytesID finds or inserts the one-column key holding the non-null key.
+func (g *GroupTable) bytesID(key []byte) int32 {
+	h := mix64(tupleSeed, hashBytes(key))
+	kc := &g.keys.Cols[0]
+	mask := uint64(len(g.slots) - 1)
+	p := h & mask
+	for ; g.slots[p] != 0; p = (p + 1) & mask {
+		id := g.slots[p] - 1
+		if g.hashes[id] == h && bytes.Equal(kc.Data[kc.Offs[id]:kc.Offs[id+1]], key) && !kc.Nulls.Get(int(id)) {
+			return id
+		}
+	}
+	kc.AppendBytes(key)
+	return g.add(p, h)
+}
+
 // groupID finds or inserts the key tuple at row i.
 func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 	h := g.hashRow(cols, i)
@@ -457,7 +496,6 @@ func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 			return id
 		}
 	}
-	id := int32(g.keys.Len())
 	for c, col := range cols {
 		kc := &g.keys.Cols[c]
 		if col.Nulls.Get(i) {
@@ -476,12 +514,19 @@ func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 			kc.n++
 		}
 	}
+	return g.add(p, h)
+}
+
+// add makes the key just appended to every key column a new group with
+// tuple hash h, in empty slot p, and doubles the index once it is half full.
+func (g *GroupTable) add(p, h uint64) int32 {
+	id := int32(g.keys.Len())
 	g.keys.n++
 	g.hashes = append(g.hashes, h)
 	g.slots[p] = id + 1
 	if 2*len(g.hashes) > len(g.slots) {
 		g.slots = make([]int32, 2*len(g.slots))
-		mask = uint64(len(g.slots) - 1)
+		mask := uint64(len(g.slots) - 1)
 		for id, h := range g.hashes {
 			p := h & mask
 			for g.slots[p] != 0 {
@@ -496,7 +541,7 @@ func (g *GroupTable) groupID(cols []*Vector, i int) int32 {
 // hashRow hashes the key tuple at row i of cols. Cell hashes mirror the
 // equality rules: float -0 and NaN are canonicalized, nulls hash to a tag.
 func (g *GroupTable) hashRow(cols []*Vector, i int) uint64 {
-	var h uint64 = 14695981039346656037 // FNV-64 offset basis
+	h := tupleSeed
 	for c, col := range cols {
 		h = mix64(h, hashCell(col, i, g.entryHash[c]))
 	}
@@ -578,15 +623,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// tupleSeed starts a tuple hash (the FNV-64 offset basis).
+const tupleSeed uint64 = 14695981039346656037
+
 // mix64 folds a cell hash into a running tuple hash.
 func mix64(h, x uint64) uint64 { return splitmix64(h ^ x) }
 
-// hashBytes is FNV-1a over a byte string.
-func hashBytes(b []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
+// bytesSeed seeds hashBytes. Group ids never depend on hash values (groups
+// are numbered in first-seen order), so a per-process seed is safe.
+var bytesSeed = maphash.MakeSeed()
+
+// hashBytes hashes a byte string a word at a time. Every Str/Bytes cell
+// hash goes through it (dictionary entries, hashCell and groupIDsFlat), so
+// equal bytes hash alike whatever form their column is in.
+func hashBytes(b []byte) uint64 { return maphash.Bytes(bytesSeed, b) }

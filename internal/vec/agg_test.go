@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rodentstore/internal/value"
@@ -324,5 +326,175 @@ func TestCanonicalFloatBits(t *testing.T) {
 	}
 	if CanonicalFloatBits(1.5) == CanonicalFloatBits(-1.5) {
 		t.Error("1.5 and -1.5 collide")
+	}
+}
+
+// groupOracle numbers keys in first-seen order, as a map does: the
+// specification GroupIDs is held to. A null key is its own group.
+type groupOracle struct {
+	ids  map[oracleKey]int32
+	keys []oracleKey
+}
+
+type oracleKey struct {
+	null bool
+	s    string
+}
+
+func (o *groupOracle) id(k oracleKey) int32 {
+	if o.ids == nil {
+		o.ids = make(map[oracleKey]int32)
+	}
+	id, ok := o.ids[k]
+	if !ok {
+		id = int32(len(o.keys))
+		o.ids[k] = id
+		o.keys = append(o.keys, k)
+	}
+	return id
+}
+
+// randKeys draws n keys from a pool of distinct byte strings, among them
+// the empty key and keys longer than 32 bytes, so rows repeat keys.
+func randKeys(r *rand.Rand, n, distinct int) []string {
+	pool := []string{""}
+	for len(pool) < distinct {
+		b := make([]byte, r.Intn(70))
+		for i := range b {
+			b[i] = byte('a' + r.Intn(3))
+		}
+		pool = append(pool, string(b))
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = pool[r.Intn(len(pool))]
+	}
+	return keys
+}
+
+// flatKeys is a flat column of keys; a row is null where nulls says so.
+func flatKeys(k value.Kind, keys []string, nulls []bool) *Vector {
+	v := &Vector{}
+	v.Reset(k)
+	for i, s := range keys {
+		if nulls != nil && nulls[i] {
+			v.AppendNull()
+		} else {
+			v.AppendBytes([]byte(s))
+		}
+	}
+	return v
+}
+
+// dictKeys is a dictionary-form column of keys whose dictionary holds every
+// distinct key once plus `extra` unnamed entries.
+func dictKeys(k value.Kind, keys []string, extra int) *Vector {
+	v := &Vector{}
+	v.Reset(k)
+	v.Offs = append(v.Offs, 0)
+	entry := map[string]uint32{}
+	for _, s := range keys {
+		e, ok := entry[s]
+		if !ok {
+			e = uint32(len(v.Offs) - 1)
+			entry[s] = e
+			v.Data = append(v.Data, s...)
+			v.Offs = append(v.Offs, uint64(len(v.Data)))
+		}
+		v.Codes = append(v.Codes, e)
+	}
+	for x := 0; x < extra; x++ {
+		v.Data = append(v.Data, fmt.Sprint("unnamed-", x)...)
+		v.Offs = append(v.Offs, uint64(len(v.Data)))
+	}
+	v.SyncLen()
+	return v
+}
+
+// requireOracle feeds one block of keys to g and to the oracle and requires
+// the same ids, and the same stored keys in the same order.
+func requireOracle(t *testing.T, what string, g *GroupTable, o *groupOracle, col *Vector, keys []string, nulls []bool, sel []int32) {
+	t.Helper()
+	got := g.GroupIDs([]*Vector{col}, sel, len(keys), nil)
+	var want []int32
+	row := func(i int) {
+		k := oracleKey{s: keys[i]}
+		if nulls != nil && nulls[i] {
+			k = oracleKey{null: true}
+		}
+		want = append(want, o.id(k))
+	}
+	if sel == nil {
+		for i := range keys {
+			row(i)
+		}
+	} else {
+		for _, i := range sel {
+			row(int(i))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: group ids\n got %v\nwant %v", what, got, want)
+	}
+	kc := &g.Keys().Cols[0]
+	if g.Len() != len(o.keys) {
+		t.Fatalf("%s: %d groups, oracle %d", what, g.Len(), len(o.keys))
+	}
+	for id, k := range o.keys {
+		if kc.IsNull(id) != k.null || !k.null && string(kc.BytesAt(id)) != k.s {
+			t.Fatalf("%s: group %d stores (null %v) %q, oracle (null %v) %q", what, id, kc.IsNull(id), kc.BytesAt(id), k.null, k.s)
+		}
+	}
+}
+
+// TestGroupIDsFlatMatchesOracle holds GroupIDs over one Str/Bytes key
+// column, whose flat null-free form takes a loop of its own, to a
+// first-seen map: random keys (the empty key and keys over 32 bytes among
+// them), with and without a selection, a column with nulls (the row-by-row
+// path), and one table fed flat, dictionary-form and flat blocks of
+// overlapping keys in turn, so every path's key hash must agree.
+func TestGroupIDsFlatMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for _, k := range []value.Kind{value.Str, value.Bytes} {
+		schema := value.MustSchema(value.Field{Name: "k", Type: k})
+		for _, shape := range []struct{ rows, distinct int }{{0, 1}, {1, 1}, {50, 3}, {400, 40}, {3000, 900}} {
+			keys := randKeys(r, shape.rows, shape.distinct)
+			for si, sel := range sels(r, shape.rows) {
+				what := fmt.Sprintf("%v/%d rows/%d keys/sel#%d", k, shape.rows, shape.distinct, si)
+				requireOracle(t, what+" flat", NewGroupTable(schema), &groupOracle{}, flatKeys(k, keys, nil), keys, nil, sel)
+
+				nulls := make([]bool, len(keys))
+				for i := range nulls {
+					nulls[i] = r.Intn(5) == 0
+				}
+				requireOracle(t, what+" nulls", NewGroupTable(schema), &groupOracle{}, flatKeys(k, keys, nulls), keys, nulls, sel)
+
+				// One table, blocks of overlapping keys in each form: the
+				// by-code path (few entries), the per-row path over a
+				// dictionary larger than the block, and a null block between.
+				g, o := NewGroupTable(schema), &groupOracle{}
+				for b, form := range []string{"flat", "dict", "flat", "bigdict", "nulls", "flat"} {
+					bk := randKeys(r, shape.rows, shape.distinct)
+					copy(bk, keys[:len(bk)/2])
+					var col *Vector
+					var bn []bool
+					switch form {
+					case "flat":
+						col = flatKeys(k, bk, nil)
+					case "dict":
+						col = dictKeys(k, bk, 0)
+					case "bigdict":
+						col = dictKeys(k, bk, shape.rows+1)
+					case "nulls":
+						bn = make([]bool, len(bk))
+						for i := range bn {
+							bn[i] = r.Intn(3) == 0
+						}
+						col = flatKeys(k, bk, bn)
+					}
+					requireOracle(t, fmt.Sprintf("%s mixed block %d (%s)", what, b, form), g, o, col, bk, bn, sel)
+				}
+			}
+		}
 	}
 }
