@@ -2,9 +2,9 @@
 // references, int/float literals, unary minus and the four binary operators
 // + - * /. They back computed projections and aggregate inputs
 // (sum(a*b), avg(price - cost)) the same way Predicate backs filters:
-// a small AST with a boxed row-at-a-time evaluator (EvalScalar, the
-// oracle) and a compile-once typed evaluator (CompileExpr in vecexpr.go)
-// that runs the expression as loops over column vectors.
+// a small AST and a compile-once typed evaluator (CompileExpr in
+// vecexpr.go) that runs the expression as loops over column vectors. The
+// boxed row-at-a-time evaluator the tests hold it to is oracle.EvalScalar.
 //
 // Semantics, shared bit-for-bit by both evaluators:
 //
@@ -19,7 +19,6 @@ package algebra
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"rodentstore/internal/value"
@@ -113,104 +112,6 @@ func ExprType(e ScalarExpr, schema *value.Schema) (value.Kind, error) {
 		return value.Int, nil
 	}
 	return value.Null, fmt.Errorf("algebra: unknown expression node %T", e)
-}
-
-// EvalScalar evaluates e against one boxed row (the differential oracle for
-// CompileExpr). The row must conform to schema.
-func EvalScalar(e ScalarExpr, schema *value.Schema, row value.Row) (value.Value, error) {
-	kind, err := ExprType(e, schema)
-	if err != nil {
-		return value.NullValue(), err
-	}
-	v, null := evalScalar(e, schema, row)
-	if null {
-		return value.NullValue(), nil
-	}
-	if kind == value.Float {
-		return value.NewFloat(v.f), nil
-	}
-	return value.NewInt(v.i), nil
-}
-
-// scalarVal carries an unboxed intermediate: exactly one of i/f is live,
-// chosen by the node's static type.
-type scalarVal struct {
-	i int64
-	f float64
-}
-
-func evalScalar(e ScalarExpr, schema *value.Schema, row value.Row) (scalarVal, bool) {
-	switch e := e.(type) {
-	case *ColExpr:
-		v := row[schema.Index(e.Name)]
-		if v.IsNull() {
-			return scalarVal{}, true
-		}
-		if schema.Fields[schema.Index(e.Name)].Type == value.Float {
-			return scalarVal{f: v.Float()}, false
-		}
-		return scalarVal{i: v.Int()}, false
-	case *ConstExpr:
-		if e.Val.Kind() == value.Float {
-			return scalarVal{f: e.Val.Float()}, false
-		}
-		return scalarVal{i: e.Val.Int()}, false
-	case *BinExpr:
-		l, lnull := evalScalar(e.L, schema, row)
-		r, rnull := evalScalar(e.R, schema, row)
-		if lnull || rnull {
-			return scalarVal{}, true
-		}
-		lk, _ := ExprType(e.L, schema)
-		rk, _ := ExprType(e.R, schema)
-		if lk == value.Float || rk == value.Float {
-			lf, rf := l.f, r.f
-			if lk == value.Int {
-				lf = float64(l.i)
-			}
-			if rk == value.Int {
-				rf = float64(r.i)
-			}
-			return scalarVal{f: binFloat(e.Op, lf, rf)}, false
-		}
-		if e.Op == '/' && r.i == 0 {
-			return scalarVal{}, true
-		}
-		return scalarVal{i: binInt(e.Op, l.i, r.i)}, false
-	}
-	return scalarVal{}, true
-}
-
-func binInt(op byte, a, b int64) int64 {
-	switch op {
-	case '+':
-		return a + b
-	case '-':
-		return a - b
-	case '*':
-		return a * b
-	case '/':
-		// Go panics on MinInt64 / -1; define it to wrap like the other ops.
-		if a == math.MinInt64 && b == -1 {
-			return math.MinInt64
-		}
-		return a / b
-	}
-	return 0
-}
-
-func binFloat(op byte, a, b float64) float64 {
-	switch op {
-	case '+':
-		return a + b
-	case '-':
-		return a - b
-	case '*':
-		return a * b
-	case '/':
-		return a / b
-	}
-	return 0
 }
 
 // ParseScalarExpr parses an arithmetic expression:

@@ -138,49 +138,6 @@ func TestParsePredicate(t *testing.T) {
 	}
 }
 
-func TestPredicateEval(t *testing.T) {
-	s := value.MustSchema(
-		value.Field{Name: "lat", Type: value.Float},
-		value.Field{Name: "id", Type: value.Str},
-	)
-	row := value.Row{value.NewFloat(42.35), value.NewString("car-1")}
-	cases := []struct {
-		pred string
-		want bool
-	}{
-		{"lat > 42", true},
-		{"lat > 43", false},
-		{"lat >= 42.35", true},
-		{"lat < 42.35", false},
-		{"lat <= 42.35", true},
-		{`id = "car-1"`, true},
-		{`id != "car-1"`, false},
-		{`lat > 42 and id = "car-1"`, true},
-		{`lat > 42 and id = "car-2"`, false},
-		{"", true},
-	}
-	for _, c := range cases {
-		p, err := ParsePredicate(c.pred)
-		if err != nil {
-			t.Fatalf("%q: %v", c.pred, err)
-		}
-		if got := p.Eval(s, row); got != c.want {
-			t.Errorf("Eval(%q) = %v, want %v", c.pred, got, c.want)
-		}
-	}
-	// Null field never matches.
-	nullRow := value.Row{value.NullValue(), value.NewString("x")}
-	p, _ := ParsePredicate("lat > 0")
-	if p.Eval(s, nullRow) {
-		t.Error("null field should not satisfy a comparison")
-	}
-	// Unknown field never matches.
-	p2, _ := ParsePredicate("bogus = 1")
-	if p2.Eval(s, row) {
-		t.Error("unknown field should not satisfy a comparison")
-	}
-}
-
 func TestPredicateBounds(t *testing.T) {
 	p, _ := ParsePredicate("lat >= 42.3 and lat < 42.4 and lon > -71.2")
 	lo, hi, loOpen, hiOpen, found := p.Bounds("lat")

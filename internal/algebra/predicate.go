@@ -32,18 +32,6 @@ func (c Comparison) String() string {
 	return c.Field + " " + string(c.Op) + " " + c.Value.String()
 }
 
-// Eval evaluates the term against a row under the given schema. Null field
-// values never satisfy a comparison. The operator mapping is opOK — the
-// same one the vectorized loops use, so the executors share one
-// definition.
-func (c Comparison) Eval(schema *value.Schema, row value.Row) bool {
-	i := schema.Index(c.Field)
-	if i < 0 || row[i].IsNull() {
-		return false
-	}
-	return opOK(c.Op, value.Compare(row[i], c.Value))
-}
-
 // Predicate is a conjunction of comparisons. The zero Predicate is true.
 // This is the condition language C of the algebra's comprehensions and the
 // optional range predicate of the scan API (paper §4.1).
@@ -61,16 +49,6 @@ func (p Predicate) And(field string, op CmpOp, v value.Value) Predicate {
 
 // IsTrue reports whether the predicate has no terms.
 func (p Predicate) IsTrue() bool { return len(p.Terms) == 0 }
-
-// Eval evaluates the conjunction against a row.
-func (p Predicate) Eval(schema *value.Schema, row value.Row) bool {
-	for _, t := range p.Terms {
-		if !t.Eval(schema, row) {
-			return false
-		}
-	}
-	return true
-}
 
 // String renders the predicate in grammar form ("a = 1 and b < 2").
 func (p Predicate) String() string {

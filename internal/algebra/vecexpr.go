@@ -3,7 +3,7 @@ package algebra
 // Vectorized expression evaluation: CompileExpr lowers a ScalarExpr into a
 // postfix program over typed registers, evaluated column-at-a-time for the
 // selected rows of a vec.Batch — the CompilePred approach applied to
-// arithmetic. Results are identical to EvalScalar on every boxed row,
+// arithmetic. Results are identical to oracle.EvalScalar on every boxed row,
 // including the null rule (null operand -> null result), int wraparound and
 // the x/0 -> null int-division rule.
 

@@ -4,7 +4,7 @@ package algebra
 // sequence of typed comparison loops that run column-at-a-time over a
 // vec.Batch, compacting a selection vector — no schema lookup, interface
 // dispatch or value boxing per row. Results are identical to evaluating
-// Predicate.Eval on every boxed row, including the null rule (a null field
+// oracle.Eval on every boxed row, including the null rule (a null field
 // never satisfies a comparison) and value.Compare's numeric and NaN
 // ordering.
 

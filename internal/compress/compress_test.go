@@ -3,31 +3,51 @@ package compress
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
+// roundtrip encodes vals through EncodeVec and decodes the chunk through
+// DecodeVec, requiring the values it started from; it returns the chunk.
 func roundtrip(t *testing.T, c Codec, k value.Kind, vals []value.Value) []byte {
 	t.Helper()
-	buf, err := c.Encode(nil, k, vals)
+	buf, err := encodeVals(t, c, k, vals)
 	if err != nil {
 		t.Fatalf("%s encode: %v", c.Name(), err)
 	}
-	got, err := c.Decode(buf, k)
-	if err != nil {
+	var got vec.Vector
+	got.Reset(k)
+	if err := DecodeVec(c, buf, k, &got); err != nil {
 		t.Fatalf("%s decode: %v", c.Name(), err)
 	}
-	if len(got) != len(vals) {
-		t.Fatalf("%s: got %d values, want %d", c.Name(), len(got), len(vals))
+	if got.Len() != len(vals) {
+		t.Fatalf("%s: got %d values, want %d", c.Name(), got.Len(), len(vals))
 	}
 	for i := range vals {
-		if !value.Equal(got[i], vals[i]) {
-			t.Fatalf("%s: value %d: got %v want %v", c.Name(), i, got[i], vals[i])
+		if !value.Equal(got.Value(i), vals[i]) {
+			t.Fatalf("%s: value %d: got %v want %v", c.Name(), i, got.Value(i), vals[i])
 		}
 	}
 	return buf
+}
+
+// encodeVals is EncodeVec over the column of the boxed vals.
+func encodeVals(t testing.TB, c Codec, k value.Kind, vals []value.Value) ([]byte, error) {
+	return EncodeVec(c, nil, k, vectorOf(t, k, vals, false))
+}
+
+// ref returns c's boxed reference codec.
+func ref(c Codec) oracle.Codec {
+	r, err := oracle.LookupCodec(c.Name())
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 func ints(xs ...int64) []value.Value {
@@ -100,17 +120,19 @@ func TestDeltaCompressesTrajectories(t *testing.T) {
 		vals[i] = value.NewFloat(lat)
 	}
 	buf := roundtrip(t, Delta{}, value.Float, vals)
-	raw, _ := None{}.Encode(nil, value.Float, vals)
+	raw := roundtrip(t, None{}, value.Float, vals)
 	if len(buf) >= len(raw)*3/4 {
 		t.Errorf("delta on trajectory data should save >25%%: delta=%d raw=%d", len(buf), len(raw))
 	}
 }
 
 func TestDeltaRejectsStrings(t *testing.T) {
-	if _, err := (Delta{}).Encode(nil, value.Str, strs("a")); err == nil {
+	if _, err := encodeVals(t, Delta{}, value.Str, strs("a")); err == nil {
 		t.Error("expected error for string delta")
 	}
-	if _, err := (Delta{}).Decode([]byte{1}, value.Str); err == nil {
+	var v vec.Vector
+	v.Reset(value.Str)
+	if err := DecodeVec(Delta{}, []byte{1}, value.Str, &v); err == nil {
 		t.Error("expected error for string delta decode")
 	}
 }
@@ -121,20 +143,12 @@ func TestDeltaQuick(t *testing.T) {
 		for i, x := range xs {
 			vals[i] = value.NewInt(x)
 		}
-		buf, err := (Delta{}).Encode(nil, value.Int, vals)
+		buf, err := encodeVals(t, Delta{}, value.Int, vals)
 		if err != nil {
 			return false
 		}
-		got, err := (Delta{}).Decode(buf, value.Int)
-		if err != nil || len(got) != len(xs) {
-			return false
-		}
-		for i := range xs {
-			if got[i].Int() != xs[i] {
-				return false
-			}
-		}
-		return true
+		got, err := Delta{}.DecodeInt64s(buf, nil)
+		return err == nil && slices.Equal(got, xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -172,7 +186,7 @@ func TestDictCompressesLowCardinality(t *testing.T) {
 		vals[i] = value.NewString(cities[r.Intn(len(cities))])
 	}
 	buf := roundtrip(t, Dict{}, value.Str, vals)
-	raw, _ := None{}.Encode(nil, value.Str, vals)
+	raw := roundtrip(t, None{}, value.Str, vals)
 	if len(buf) >= len(raw)/4 {
 		t.Errorf("dict should save >75%% on 3-value column: dict=%d raw=%d", len(buf), len(raw))
 	}
@@ -182,12 +196,12 @@ func TestDictDeterministic(t *testing.T) {
 	// Same multiset in different arrival order produces the same sorted
 	// dictionary, so encodings have identical length, and re-encoding the
 	// same block is byte-identical.
-	a, _ := (Dict{}).Encode(nil, value.Str, strs("b", "a", "b"))
-	b, _ := (Dict{}).Encode(nil, value.Str, strs("b", "b", "a"))
+	a, _ := encodeVals(t, Dict{}, value.Str, strs("b", "a", "b"))
+	b, _ := encodeVals(t, Dict{}, value.Str, strs("b", "b", "a"))
 	if len(a) != len(b) {
 		t.Errorf("permuted blocks should encode to the same length: %d vs %d", len(a), len(b))
 	}
-	a2, _ := (Dict{}).Encode(nil, value.Str, strs("b", "a", "b"))
+	a2, _ := encodeVals(t, Dict{}, value.Str, strs("b", "a", "b"))
 	if string(a) != string(a2) {
 		t.Error("dict encoding must be deterministic")
 	}
@@ -207,16 +221,16 @@ func TestBitPackQuick(t *testing.T) {
 		for i, x := range xs {
 			vals[i] = value.NewInt(base + int64(x))
 		}
-		buf, err := (BitPack{}).Encode(nil, value.Int, vals)
+		buf, err := encodeVals(t, BitPack{}, value.Int, vals)
 		if err != nil {
 			return false
 		}
-		got, err := (BitPack{}).Decode(buf, value.Int)
+		got, err := BitPack{}.DecodeInt64s(buf, nil)
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
 		for i := range vals {
-			if got[i].Int() != vals[i].Int() {
+			if got[i] != vals[i].Int() {
 				return false
 			}
 		}
@@ -239,7 +253,7 @@ func TestBitPackCompressesNarrowRange(t *testing.T) {
 }
 
 func TestBitPackRejectsFloats(t *testing.T) {
-	if _, err := (BitPack{}).Encode(nil, value.Float, floats(1)); err == nil {
+	if _, err := encodeVals(t, BitPack{}, value.Float, floats(1)); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -247,7 +261,7 @@ func TestBitPackRejectsFloats(t *testing.T) {
 func TestNullsRejected(t *testing.T) {
 	withNull := []value.Value{value.NewInt(1), value.NullValue()}
 	for _, c := range []Codec{None{}, Delta{}, RLE{}, Dict{}, BitPack{}} {
-		if _, err := c.Encode(nil, value.Int, withNull); err == nil {
+		if _, err := encodeVals(t, c, value.Int, withNull); err == nil {
 			t.Errorf("%s: expected error on null value", c.Name())
 		}
 	}
@@ -263,8 +277,10 @@ func TestDecodeGarbage(t *testing.T) {
 					t.Errorf("%s: panicked on garbage: %v", c.Name(), r)
 				}
 			}()
-			c.Decode(garbage, value.Int)
-			c.Decode(nil, value.Int)
+			var v vec.Vector
+			v.Reset(value.Int)
+			DecodeVec(c, garbage, value.Int, &v)
+			DecodeVec(c, nil, value.Int, &v)
 		}()
 	}
 }
@@ -276,9 +292,10 @@ func BenchmarkDeltaEncodeFloat(b *testing.B) {
 		lat += 1e-5
 		vals[i] = value.NewFloat(lat)
 	}
+	col := vectorOf(b, value.Float, vals, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ := (Delta{}).Encode(nil, value.Float, vals)
+		buf, _ := EncodeVec(Delta{}, nil, value.Float, col)
 		_ = buf
 	}
 }
@@ -288,9 +305,10 @@ func BenchmarkDictEncode(b *testing.B) {
 	for i := range vals {
 		vals[i] = value.NewString([]string{"a", "bb", "ccc"}[i%3])
 	}
+	col := vectorOf(b, value.Str, vals, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ := (Dict{}).Encode(nil, value.Str, vals)
+		buf, _ := EncodeVec(Dict{}, nil, value.Str, col)
 		_ = buf
 	}
 }

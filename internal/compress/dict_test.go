@@ -25,15 +25,16 @@ var (
 	dictTruncatedEntry = []byte{1, 1, 10, 'a', 'b', 'c'}
 )
 
-// dictKinds are the kinds a dict chunk is decoded as; Bool has no typed
-// decoder and exercises DecodeVec's boxed adapter.
-var dictKinds = []value.Kind{value.Str, value.Bytes, value.Int, value.Float, value.Bool}
+// dictKinds are the kinds a dict chunk is decoded as: every kind Dict
+// stores.
+var dictKinds = []value.Kind{value.Str, value.Bytes, value.Int, value.Float, value.Bool, value.List}
 
-// decodeDictBothWays decodes one chunk through the boxed and the vector
-// path and requires one verdict: both fail, or both yield the same values.
+// decodeDictBothWays decodes one chunk through the boxed reference and the
+// vector path and requires one verdict: both fail, or both yield the same
+// values.
 func decodeDictBothWays(t *testing.T, chunk []byte, k value.Kind) error {
 	t.Helper()
-	boxed, boxedErr := Dict{}.Decode(chunk, k)
+	boxed, boxedErr := ref(Dict{}).Decode(chunk, k)
 	var v vec.Vector
 	v.Reset(k)
 	vecErr := DecodeVec(Dict{}, chunk, k, &v)
@@ -83,7 +84,7 @@ func TestDictCorruptChunksAreErrors(t *testing.T) {
 func FuzzDictDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(9))
 	for ki, k := range dictKinds {
-		chunk, err := Dict{}.Encode(nil, k, randVals(r, k, 40))
+		chunk, err := ref(Dict{}).Encode(nil, k, randVals(r, k, 40))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func FuzzDictDecode(f *testing.F) {
 // chunk's entries once in the arena, one code per row, nothing per row.
 func TestDictDecodesToDictionaryForm(t *testing.T) {
 	vals := randVals(rand.New(rand.NewSource(4)), value.Str, 500)
-	chunk, err := Dict{}.Encode(nil, value.Str, vals)
+	chunk, err := encodeVals(t, Dict{}, value.Str, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDictDecodesToDictionaryForm(t *testing.T) {
 		t.Fatalf("decoding into a warm vector allocated %.0f times", allocs)
 	}
 	// Zero rows decode to an empty column, not a dictionary without codes.
-	empty, err := Dict{}.Encode(nil, value.Str, nil)
+	empty, err := encodeVals(t, Dict{}, value.Str, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func wordSeries(r *rand.Rand, n int) []uint64 {
 	return out
 }
 
-// TestTypedDecodersMatchBoxed holds the rewritten Delta and None loops
-// (sized once, stored by index, first iterations peeled, one-byte varints
-// decoded in line) to the boxed decoders, which still walk the chunk value
-// by value through binary.Varint and append: same values on random series,
-// and the same verdict on every truncation.
+// TestTypedDecodersMatchBoxed holds the Delta and None loops (sized once,
+// stored by index, first iterations peeled, one-byte varints decoded in
+// line) to the boxed reference decoders, which walk the chunk value by value
+// through binary.Varint and append: same values on random series, and the
+// same verdict on every truncation.
 func TestTypedDecodersMatchBoxed(t *testing.T) {
 	r := rand.New(rand.NewSource(1609))
 	for _, c := range []Codec{Delta{}, None{}} {
@@ -174,13 +175,13 @@ func TestTypedDecodersMatchBoxed(t *testing.T) {
 						vals[i] = value.NewFloat(math.Float64frombits(w))
 					}
 				}
-				chunk, err := c.Encode(nil, k, vals)
+				chunk, err := ref(c).Encode(nil, k, vals)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for cut := 0; cut <= len(chunk) && cut <= 40; cut++ {
 					src := chunk[:len(chunk)-cut]
-					boxed, boxedErr := c.Decode(src, k)
+					boxed, boxedErr := ref(c).Decode(src, k)
 					got, typedErr := typedWords(t, c, k, src)
 					if (boxedErr == nil) != (typedErr == nil) {
 						t.Fatalf("%s/%s n=%d cut=%d: boxed error %v, typed error %v", c.Name(), k, n, cut, boxedErr, typedErr)

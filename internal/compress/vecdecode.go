@@ -1,12 +1,12 @@
 package compress
 
-// Typed decode fast paths: each codec can additionally decode a chunk
-// straight into an unboxed column vector — no value.Value allocation per
-// cell. DecodeVec is the single entry point the segment reader uses; it
-// dispatches to the codec's typed decoder for the column kind and falls
-// back to the boxed Decode (plus a per-value unboxing pass) for codecs or
-// kinds without one, so every registered codec works through the vector
-// path with identical results.
+// The typed decoders: each codec decodes a chunk straight into an unboxed
+// column vector — no value.Value allocation per cell, except in a List
+// column, whose vector holds boxed values. DecodeVec is the single entry
+// point the segment reader uses; it dispatches to the codec's decoder for
+// the column kind and refuses a kind the codec has none for. Every count a
+// chunk header claims is checked against the bytes left before anything is
+// sized by it, so forged or damaged chunks are errors, never panics.
 
 import (
 	"encoding/binary"
@@ -18,25 +18,25 @@ import (
 	"rodentstore/internal/vec"
 )
 
-// Int64Decoder is the typed fast path for Int columns.
+// Int64Decoder is the typed decoder for Int columns.
 type Int64Decoder interface {
 	// DecodeInt64s appends the chunk's values to dst.
 	DecodeInt64s(src []byte, dst []int64) ([]int64, error)
 }
 
-// Float64Decoder is the typed fast path for Float columns.
+// Float64Decoder is the typed decoder for Float columns.
 type Float64Decoder interface {
 	// DecodeFloat64s appends the chunk's values to dst.
 	DecodeFloat64s(src []byte, dst []float64) ([]float64, error)
 }
 
-// BoolDecoder is the typed fast path for Bool columns (0/1 into int64s).
+// BoolDecoder is the typed decoder for Bool columns (0/1 into int64s).
 type BoolDecoder interface {
 	// DecodeBools appends the chunk's values to dst as 0/1.
 	DecodeBools(src []byte, dst []int64) ([]int64, error)
 }
 
-// BytesDecoder is the typed fast path for Str and Bytes columns: values go
+// BytesDecoder is the typed decoder for Str and Bytes columns: values go
 // into the vector's byte arena without string allocation.
 type BytesDecoder interface {
 	// DecodeBytesVec decodes the chunk's values into dst, which holds no
@@ -44,9 +44,16 @@ type BytesDecoder interface {
 	DecodeBytesVec(src []byte, dst *vec.Vector) error
 }
 
+// ListDecoder is the typed decoder for List columns (the nestings a fold
+// produces), whose vectors hold boxed values.
+type ListDecoder interface {
+	// DecodeLists appends the chunk's values to dst.
+	DecodeLists(src []byte, dst []value.Value) ([]value.Value, error)
+}
+
 // DecodeVec decodes one chunk of kind k into dst, which must have been
-// Reset(k). Codecs implementing the typed decoder for k decode without
-// boxing; anything else routes through the boxed Decode adapter.
+// Reset(k), through c's typed decoder for k. A kind c has no decoder for is
+// refused.
 func DecodeVec(c Codec, src []byte, k value.Kind, dst *vec.Vector) error {
 	switch k {
 	case value.Int:
@@ -83,18 +90,18 @@ func DecodeVec(c Codec, src []byte, k value.Kind, dst *vec.Vector) error {
 		if d, ok := c.(BytesDecoder); ok {
 			return d.DecodeBytesVec(src, dst)
 		}
-	}
-	// Fallback adapter: boxed decode, then unbox into the vector.
-	vals, err := c.Decode(src, k)
-	if err != nil {
-		return err
-	}
-	for _, v := range vals {
-		if err := dst.AppendValue(v); err != nil {
-			return err
+	case value.List:
+		if d, ok := c.(ListDecoder); ok {
+			out, err := d.DecodeLists(src, dst.Boxed[:0])
+			if err != nil {
+				return err
+			}
+			dst.Boxed = out
+			dst.SyncLen()
+			return nil
 		}
 	}
-	return nil
+	return errKind(c, k)
 }
 
 // chunkHeader parses the leading uvarint row count shared by every codec.
@@ -183,6 +190,28 @@ func (None) DecodeBytesVec(src []byte, dst *vec.Vector) error {
 		off += int(l)
 	}
 	return nil
+}
+
+// DecodeLists implements ListDecoder.
+func (None) DecodeLists(src []byte, dst []value.Value) ([]value.Value, error) {
+	n, off, err := chunkHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	// A list takes at least the byte of its child count.
+	if uint64(len(src)-off) < n {
+		return nil, fmt.Errorf("compress: short list block")
+	}
+	dst, out := extend(dst, int(n))
+	for i := range out {
+		v, used, err := value.DecodeValue(src[off:], value.List)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+		off += used
+	}
+	return dst, nil
 }
 
 // --- Delta ---
@@ -346,6 +375,36 @@ func (RLE) DecodeBytesVec(src []byte, dst *vec.Vector) error {
 	})
 }
 
+// DecodeLists implements ListDecoder. It walks the runs as rleRuns does,
+// decoding each run's list once; a run longer than the rows left is refused
+// before it is appended.
+func (RLE) DecodeLists(src []byte, dst []value.Value) ([]value.Value, error) {
+	n, off, err := chunkHeader(src)
+	if err != nil {
+		return nil, fmt.Errorf("compress: bad rle header")
+	}
+	for total := uint64(0); total < n; {
+		run, used := binary.Uvarint(src[off:])
+		if used <= 0 {
+			return nil, fmt.Errorf("compress: bad rle run length")
+		}
+		off += used
+		if run > n-total {
+			return nil, fmt.Errorf("compress: rle runs exceed block size")
+		}
+		v, used, err := value.DecodeValue(src[off:], value.List)
+		if err != nil {
+			return nil, err
+		}
+		off += used
+		for r := uint64(0); r < run; r++ {
+			dst = append(dst, v)
+		}
+		total += run
+	}
+	return dst, nil
+}
+
 // --- Dict ---
 
 // dictHeader parses the row and dictionary counts and returns the offset of
@@ -398,6 +457,41 @@ func (Dict) DecodeFloat64s(src []byte, dst []float64) ([]float64, error) {
 	for i := range dict {
 		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
 		off += 8
+	}
+	return dictGather(src[off:], n, dict, dst)
+}
+
+// DecodeBools implements BoolDecoder. An entry is one byte, and dictHeader
+// has checked the chunk holds nd of them.
+func (Dict) DecodeBools(src []byte, dst []int64) ([]int64, error) {
+	n, nd, off, err := dictHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	dict := make([]int64, nd)
+	for i := range dict {
+		if src[off+i] != 0 {
+			dict[i] = 1
+		}
+	}
+	return dictGather(src[off+int(nd):], n, dict, dst)
+}
+
+// DecodeLists implements ListDecoder. Rows naming one entry share its
+// decoded list.
+func (Dict) DecodeLists(src []byte, dst []value.Value) ([]value.Value, error) {
+	n, nd, off, err := dictHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	dict := make([]value.Value, nd)
+	for i := range dict {
+		v, used, err := value.DecodeValue(src[off:], value.List)
+		if err != nil {
+			return nil, err
+		}
+		dict[i] = v
+		off += used
 	}
 	return dictGather(src[off:], n, dict, dst)
 }

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,9 +44,35 @@ func randVals(r *rand.Rand, k value.Kind, n int) []value.Value {
 			b := make([]byte, r.Intn(6))
 			r.Read(b)
 			out[i] = value.NewBytes(b)
+		case value.List:
+			out[i] = randList(r, 2)
 		}
 	}
 	return out
+}
+
+// randList returns a list of up to three children — small ints, strings,
+// nulls and, down to depth, lists — drawn from few values, so a column of
+// them repeats.
+func randList(r *rand.Rand, depth int) value.Value {
+	children := make([]value.Value, r.Intn(4))
+	for i := range children {
+		switch r.Intn(5) {
+		case 0:
+			children[i] = value.NullValue()
+		case 1:
+			children[i] = value.NewString(fmt.Sprintf("s%d", r.Intn(2)))
+		case 2:
+			if depth > 0 {
+				children[i] = randList(r, depth-1)
+				continue
+			}
+			fallthrough
+		default:
+			children[i] = value.NewInt(int64(r.Intn(3)))
+		}
+	}
+	return value.NewList(children...)
 }
 
 // kindsFor lists the kinds a codec accepts.
@@ -56,12 +83,12 @@ func kindsFor(name string) []value.Kind {
 	case "bitpack":
 		return []value.Kind{value.Int}
 	default:
-		return []value.Kind{value.Int, value.Float, value.Bool, value.Str, value.Bytes}
+		return []value.Kind{value.Int, value.Float, value.Bool, value.Str, value.Bytes, value.List}
 	}
 }
 
-// TestDecodeVecMatchesBoxed checks the typed fast paths (and the fallback
-// adapter) against the boxed Decode for every codec and kind.
+// TestDecodeVecMatchesBoxed checks the typed decoders against the boxed
+// reference decoder for every codec and kind.
 func TestDecodeVecMatchesBoxed(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, name := range Names() {
@@ -72,11 +99,11 @@ func TestDecodeVecMatchesBoxed(t *testing.T) {
 		for _, k := range kindsFor(name) {
 			for _, n := range []int{0, 1, 7, 300} {
 				vals := randVals(r, k, n)
-				chunk, err := c.Encode(nil, k, vals)
+				chunk, err := ref(c).Encode(nil, k, vals)
 				if err != nil {
 					t.Fatalf("%s/%s: encode: %v", name, k, err)
 				}
-				boxed, err := c.Decode(chunk, k)
+				boxed, err := ref(c).Decode(chunk, k)
 				if err != nil {
 					t.Fatalf("%s/%s: decode: %v", name, k, err)
 				}
@@ -101,61 +128,48 @@ func TestDecodeVecMatchesBoxed(t *testing.T) {
 	}
 }
 
-// boxedOnly wraps a codec hiding its typed decoders, forcing DecodeVec down
-// the fallback adapter.
-type boxedOnly struct{ c Codec }
-
-func (b boxedOnly) Name() string { return b.c.Name() }
-func (b boxedOnly) Encode(dst []byte, k value.Kind, vals []value.Value) ([]byte, error) {
-	return b.c.Encode(dst, k, vals)
-}
-func (b boxedOnly) Decode(src []byte, k value.Kind) ([]value.Value, error) {
-	return b.c.Decode(src, k)
-}
-
-func TestDecodeVecFallbackAdapter(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for _, k := range []value.Kind{value.Int, value.Float, value.Str, value.Bool, value.Bytes} {
-		vals := randVals(r, k, 50)
-		chunk, err := (None{}).Encode(nil, k, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v vec.Vector
-		v.Reset(k)
-		if err := DecodeVec(boxedOnly{None{}}, chunk, k, &v); err != nil {
-			t.Fatal(err)
-		}
-		if v.Len() != len(vals) {
-			t.Fatalf("%s: len %d want %d", k, v.Len(), len(vals))
-		}
-		for i := range vals {
-			if !value.Equal(v.Value(i), vals[i]) {
-				t.Fatalf("%s row %d: got %v want %v", k, i, v.Value(i), vals[i])
-			}
-		}
-	}
-}
-
-// TestDecodeVecCorruptInputs checks the typed paths error (rather than
-// panic or truncate) on the corrupt inputs the boxed paths reject.
+// TestDecodeVecCorruptInputs checks the typed decoders error (rather than
+// panic or truncate) on the corrupt inputs the boxed reference rejects.
 func TestDecodeVecCorruptInputs(t *testing.T) {
 	for _, name := range Names() {
 		c, _ := Lookup(name)
 		for _, k := range kindsFor(name) {
 			vals := randVals(rand.New(rand.NewSource(3)), k, 20)
-			chunk, err := c.Encode(nil, k, vals)
+			chunk, err := ref(c).Encode(nil, k, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for cut := 1; cut < len(chunk); cut += 3 {
 				truncated := chunk[:len(chunk)-cut]
-				_, boxedErr := c.Decode(truncated, k)
+				_, boxedErr := ref(c).Decode(truncated, k)
 				var v vec.Vector
 				v.Reset(k)
 				vecErr := DecodeVec(c, truncated, k, &v)
 				if boxedErr != nil && vecErr == nil && v.Len() == len(vals) {
 					t.Fatalf("%s/%s cut=%d: boxed errored (%v), vec decoded fully", name, k, cut, boxedErr)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeVecForgedRowCount gives every codec, as every kind it decodes,
+// a chunk claiming 1<<60 rows over a one-byte body: an error, never an
+// allocation sized by the claim (which used to panic for List columns with
+// "makeslice: cap out of range").
+func TestDecodeVecForgedRowCount(t *testing.T) {
+	for _, name := range Names() {
+		c, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range kindsFor(name) {
+			for _, body := range []byte{0, 1, 0x80} {
+				chunk := append(binary.AppendUvarint(nil, 1<<60), body)
+				var v vec.Vector
+				v.Reset(k)
+				if err := DecodeVec(c, chunk, k, &v); err == nil {
+					t.Errorf("%s/%s body %#x: forged row count decoded to %d rows", name, k, body, v.Len())
 				}
 			}
 		}

@@ -1,17 +1,19 @@
 package compress
 
-// Typed encode paths, the mirror of vecdecode.go: each codec can encode a
-// chunk straight from an unboxed column vector — no value.Value per cell.
-// EncodeVec is the single entry point the segment writer uses. Its bytes are
-// Encode's bytes over the boxed values, which fixes the equality and order
-// every typed encoder follows: value.Compare's (float NaNs equal each other
-// and sort first, -0 equals +0, the first value of a run or a dictionary
-// entry is the one stored).
+// The typed encoders: each codec encodes a chunk straight from an unboxed
+// column vector — no value.Value per cell, except in a List column, whose
+// vector holds boxed values. EncodeVec is the single entry point the segment
+// writer and the optimizer use. Its bytes are those of the boxed reference
+// codecs (internal/oracle), which fixes the equality and order every typed
+// encoder follows: value.Compare's (float NaNs equal each other and sort
+// first, -0 equals +0, the first value of a run or a dictionary entry is the
+// one stored).
 
 import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 
@@ -34,39 +36,83 @@ type (
 	bytesEncoder interface {
 		encodeBytesVec(dst []byte, src *vec.Vector) []byte
 	}
+	listEncoder interface {
+		encodeLists(dst []byte, xs []value.Value) []byte
+	}
 )
 
-// EncodeVec appends the encoding of src, a column of kind k, to dst. Codecs
-// with a typed encoder for k encode without boxing. A vector holding nulls,
-// or a kind the codec has no typed encoder for, goes through the boxed
-// Encode, so what is refused is refused with the codec's own error.
+// EncodeVec appends the encoding of src, a column of kind k, to dst through
+// c's typed encoder for k. A kind c has no encoder for is refused, and so
+// is a column holding a null: chunks store no nulls.
 func EncodeVec(c Codec, dst []byte, k value.Kind, src *vec.Vector) ([]byte, error) {
+	if src.Nulls.Any() {
+		if !encodes(c, k) {
+			return nil, errKind(c, k)
+		}
+		return nil, errNull(c)
+	}
 	n := src.Len()
-	if !src.Nulls.Any() {
-		switch k {
-		case value.Int:
-			if e, ok := c.(int64Encoder); ok {
-				return e.encodeInt64s(dst, src.Int64s[:n]), nil
-			}
-		case value.Float:
-			if e, ok := c.(float64Encoder); ok {
-				return e.encodeFloat64s(dst, src.Float64s[:n]), nil
-			}
-		case value.Bool:
-			if e, ok := c.(boolEncoder); ok {
-				return e.encodeBools(dst, src.Int64s[:n]), nil
-			}
-		case value.Str, value.Bytes:
-			if e, ok := c.(bytesEncoder); ok {
-				return e.encodeBytesVec(dst, src), nil
-			}
+	switch k {
+	case value.Int:
+		if e, ok := c.(int64Encoder); ok {
+			return e.encodeInt64s(dst, src.Int64s[:n]), nil
+		}
+	case value.Float:
+		if e, ok := c.(float64Encoder); ok {
+			return e.encodeFloat64s(dst, src.Float64s[:n]), nil
+		}
+	case value.Bool:
+		if e, ok := c.(boolEncoder); ok {
+			return e.encodeBools(dst, src.Int64s[:n]), nil
+		}
+	case value.Str, value.Bytes:
+		if e, ok := c.(bytesEncoder); ok {
+			return e.encodeBytesVec(dst, src), nil
+		}
+	case value.List:
+		if e, ok := c.(listEncoder); ok {
+			return e.encodeLists(dst, src.Boxed[:n]), nil
 		}
 	}
-	vals := make([]value.Value, n)
-	for i := range vals {
-		vals[i] = src.Value(i)
+	return nil, errKind(c, k)
+}
+
+// encodes reports whether c has a typed encoder for kind k.
+func encodes(c Codec, k value.Kind) bool {
+	var ok bool
+	switch k {
+	case value.Int:
+		_, ok = c.(int64Encoder)
+	case value.Float:
+		_, ok = c.(float64Encoder)
+	case value.Bool:
+		_, ok = c.(boolEncoder)
+	case value.Str, value.Bytes:
+		_, ok = c.(bytesEncoder)
+	case value.List:
+		_, ok = c.(listEncoder)
 	}
-	return c.Encode(dst, k, vals)
+	return ok
+}
+
+// errKind is c's refusal of a column kind it has no typed path for.
+func errKind(c Codec, k value.Kind) error {
+	switch c.(type) {
+	case Delta:
+		return fmt.Errorf("compress: delta requires int or float column, got %s", k)
+	case BitPack:
+		return fmt.Errorf("compress: bitpack requires int column, got %s", k)
+	}
+	return fmt.Errorf("compress: %s has no path for %s columns", c.Name(), k)
+}
+
+// errNull is c's refusal of a column holding a null: nulls must be isolated
+// (in the segment's null bitmap) before compression.
+func errNull(c Codec) error {
+	if _, ok := c.(None); ok {
+		return fmt.Errorf("compress: null value in block (nulls must be isolated before compression)")
+	}
+	return fmt.Errorf("compress: null value in %s block", c.Name())
 }
 
 // Plain value encodings, as value.AppendValue writes them.
@@ -88,6 +134,8 @@ func putBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
+
+func putList(dst []byte, x value.Value) []byte { return value.AppendValue(dst, value.List, x) }
 
 // floatEq is value.Equal on two floats.
 func floatEq(a, b float64) bool { return value.CompareFloats(a, b) == 0 }
@@ -134,10 +182,18 @@ func (None) encodeBytesVec(dst []byte, src *vec.Vector) []byte {
 	return dst
 }
 
+func (None) encodeLists(dst []byte, xs []value.Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	for _, x := range xs {
+		dst = putList(dst, x)
+	}
+	return dst
+}
+
 // --- Delta ---
 
-// deltaEncode is Delta.Encode over typed words: int64s as they are, float64s
-// by their IEEE-754 bit pattern.
+// deltaEncode writes the delta-of-delta stream of typed words: int64s as
+// they are, float64s by their IEEE-754 bit pattern.
 func deltaEncode[T int64 | float64](dst []byte, xs []T) []byte {
 	var zero T
 	_, isFloat := any(zero).(float64)
@@ -174,8 +230,8 @@ func (Delta) encodeFloat64s(dst []byte, xs []float64) []byte { return deltaEncod
 
 // --- RLE ---
 
-// rleEncode is RLE.Encode over typed values: eq is value.Equal for the
-// kind, and each run stores its first value.
+// rleEncode writes the row count, then (run length, first value of the run)
+// pairs: eq is value.Equal for the kind.
 func rleEncode[T any](dst []byte, xs []T, eq func(a, b T) bool, put func([]byte, T) []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(xs)))
 	for i := 0; i < len(xs); {
@@ -197,6 +253,10 @@ func (RLE) encodeFloat64s(dst []byte, xs []float64) []byte {
 }
 
 func (RLE) encodeBools(dst []byte, xs []int64) []byte { return rleEncode(dst, xs, intEq, putBool) }
+
+func (RLE) encodeLists(dst []byte, xs []value.Value) []byte {
+	return rleEncode(dst, xs, value.Equal, putList)
+}
 
 func (RLE) encodeBytesVec(dst []byte, src *vec.Vector) []byte {
 	dst = binary.AppendUvarint(dst, uint64(src.Len()))
@@ -239,8 +299,8 @@ func dictWrite[T any](dst []byte, distinct []T, codes []int32, order func(a, b T
 	return dst
 }
 
-// dictEncode is Dict.Encode over fixed-width values: key maps values equal
-// under value.Equal to one map key.
+// dictEncode is the dictionary encoder over fixed-width values: key maps
+// values equal under value.Equal to one map key.
 func dictEncode[T int64 | float64](dst []byte, xs []T, key func(T) uint64, order func(a, b T) int, put func([]byte, T) []byte) []byte {
 	var distinct []T
 	seen := make(map[uint64]int32)
@@ -267,6 +327,31 @@ func (Dict) encodeFloat64s(dst []byte, xs []float64) []byte {
 
 func (Dict) encodeBools(dst []byte, xs []int64) []byte {
 	return dictEncode(dst, xs, intKey, cmp.Compare[int64], putBool)
+}
+
+// encodeLists finds each list's entry through value.Hash, which is
+// consistent with value.Equal, and a chain of the entries sharing a hash.
+func (Dict) encodeLists(dst []byte, xs []value.Value) []byte {
+	var distinct []value.Value
+	seen := make(map[uint64][]int32)
+	codes := make([]int32, len(xs))
+	for i, x := range xs {
+		h := x.Hash()
+		c := int32(-1)
+		for _, e := range seen[h] {
+			if value.Equal(distinct[e], x) {
+				c = e
+				break
+			}
+		}
+		if c < 0 {
+			c = int32(len(distinct))
+			seen[h] = append(seen[h], c)
+			distinct = append(distinct, x)
+		}
+		codes[i] = c
+	}
+	return dictWrite(dst, distinct, codes, value.Compare, putList)
 }
 
 // encodeBytesVec looks each distinct byte string up once. A dictionary-form

@@ -11,9 +11,9 @@ import (
 	"rodentstore/internal/vec"
 )
 
-// encodeKinds are the column kinds EncodeVec is held to Encode over; the
-// codecs that refuse one refuse it through both paths alike.
-var encodeKinds = []value.Kind{value.Int, value.Float, value.Bool, value.Str, value.Bytes}
+// encodeKinds are the column kinds EncodeVec is held to the reference
+// encoder over; the codecs that refuse one refuse it through both alike.
+var encodeKinds = []value.Kind{value.Int, value.Float, value.Bool, value.Str, value.Bytes, value.List}
 
 // vectorOf builds the column a segment writer would encode for the boxed
 // vals: Int values of a Float column widened, nulls in the bitmap. With
@@ -64,13 +64,13 @@ func vectorOf(t testing.TB, k value.Kind, vals []value.Value, dictForm bool) *ve
 	return d
 }
 
-// encodeBothWays encodes vals through the boxed Encode and, as a vector,
-// through EncodeVec, each appending to the same prefix, and requires one
-// verdict: the same error, or the same bytes.
+// encodeBothWays encodes vals through the boxed reference encoder and, as a
+// vector, through EncodeVec, each appending to the same prefix, and requires
+// one verdict: the same error, or the same bytes.
 func encodeBothWays(t testing.TB, c Codec, k value.Kind, vals []value.Value, dictForm bool) {
 	t.Helper()
 	prefix := []byte{0xAB, 0xCD}
-	want, wantErr := c.Encode(slices.Clone(prefix), k, vals)
+	want, wantErr := ref(c).Encode(slices.Clone(prefix), k, vals)
 	got, gotErr := EncodeVec(c, slices.Clone(prefix), k, vectorOf(t, k, vals, dictForm))
 	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
 		t.Fatalf("%s/%s (dict form %v) over %v: Encode error %v, EncodeVec error %v", c.Name(), k, dictForm, vals, wantErr, gotErr)
@@ -112,15 +112,44 @@ func edgeVals(r *rand.Rand, k value.Kind, n int) []value.Value {
 			out[i] = value.NewString([]string{"", "a", "b", "ab", "\x00", "zz"}[r.Intn(6)])
 		case value.Bytes:
 			out[i] = value.NewBytes([]byte([]string{"", "a", "b", "ab", "\xff", "zz"}[r.Intn(6)]))
+		case value.List:
+			out[i] = edgeList(r, 2)
 		}
 	}
 	return out
 }
 
+// edgeList draws a list of up to two children whose values tie under
+// value.Equal in different bytes — Int and Float ones and zeros, both
+// zeros, NaN — beside nulls, bools, strings and, down to depth, lists.
+func edgeList(r *rand.Rand, depth int) value.Value {
+	children := make([]value.Value, r.Intn(3))
+	for i := range children {
+		switch r.Intn(6) {
+		case 0:
+			children[i] = value.NullValue()
+		case 1:
+			children[i] = value.NewInt(int64(r.Intn(2)))
+		case 2:
+			children[i] = value.NewFloat([]float64{0, math.Copysign(0, -1), 1, math.NaN()}[r.Intn(4)])
+		case 3:
+			children[i] = value.NewString([]string{"", "a"}[r.Intn(2)])
+		case 4:
+			children[i] = value.NewBool(r.Intn(2) == 0)
+		default:
+			if depth > 0 {
+				children[i] = edgeList(r, depth-1)
+			}
+		}
+	}
+	return value.NewList(children...)
+}
+
 // TestEncodeVecMatchesEncode is the encoder oracle: for every codec and
-// kind, EncodeVec over a vector appends exactly the bytes Encode appends
-// over the boxed values, flat or dictionary form, and refuses what Encode
-// refuses (a null row, a kind the codec cannot store) with the same error.
+// kind, EncodeVec over a vector appends exactly the bytes the reference
+// encoder appends over the boxed values, flat or dictionary form, and
+// refuses what it refuses (a null row, a kind the codec cannot store) with
+// the same error.
 func TestEncodeVecMatchesEncode(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for _, name := range Names() {
@@ -144,8 +173,8 @@ func TestEncodeVecMatchesEncode(t *testing.T) {
 }
 
 // FuzzEncodeVec reads a codec, a column kind, a dictionary-form switch and
-// the column's values out of arbitrary bytes, and requires EncodeVec and
-// Encode to agree on them.
+// the column's values out of arbitrary bytes, and requires EncodeVec and the
+// reference encoder to agree on them.
 func FuzzEncodeVec(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
 	for ci := range Names() {
@@ -200,8 +229,8 @@ func fuzzValues(k value.Kind, data []byte) []value.Value {
 		}
 		data = data[used:]
 		if as == value.Int && k == value.Float && math.Abs(float64(v.Int())) > 1<<53 {
-			// Beyond 2^53 two Ints Encode keeps apart widen to one float;
-			// the Float column holds the widened value.
+			// Beyond 2^53 two Ints the reference keeps apart widen to one
+			// float; the Float column holds the widened value.
 			v = value.NewFloat(float64(v.Int()))
 		}
 		out = append(out, v)

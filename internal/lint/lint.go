@@ -2,8 +2,9 @@
 // go/analysis-style framework plus repo-specific analyzers that mechanically
 // enforce the engine's concurrency and resource invariants — buffer-lease
 // release, pooled-batch lifetimes, the documented lock hierarchy, typed-error
-// wrapping, and wall-clock-free replay paths — and find exported code in
-// internal/ packages that nothing outside their own tests references.
+// wrapping, and wall-clock-free replay paths — find exported code in
+// internal/ packages that nothing outside their own tests references, and
+// keep test-support packages out of non-test files.
 //
 // Most analyzers look at one package at a time (Analyzer.Run). One that
 // needs the whole module (Analyzer.RunModule) runs after every package is

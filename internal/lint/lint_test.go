@@ -61,6 +61,12 @@ func TestDeadExport(t *testing.T) {
 	}
 }
 
+func TestTestOnly(t *testing.T) {
+	dir := fixture("testonly")
+	_, modPath := linttest.FixtureModule(t, dir)
+	linttest.RunModule(t, lint.NewTestOnly([]string{modPath + "/internal/oracle"}), dir)
+}
+
 // TestRepoClean is the smoke test behind `go run ./cmd/rslint ./...`: the
 // full production suite over every package of the module must report zero
 // findings (suppressions via //lint:allow are allowed and counted).

@@ -73,9 +73,10 @@ func Check(root, modPath string, patterns []string, analyzers []*Analyzer) ([]*P
 	return pkgs, diags, nil
 }
 
-// DefaultAnalyzers returns the production-configured suite: the six
+// DefaultAnalyzers returns the production-configured suite: the seven
 // repo-specific analyzers over RodentStore's real lock table, lease/batch
-// APIs, version pins and deterministic-path package list.
+// APIs, version pins, deterministic-path package list and test-only
+// packages.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		LeaseLease(DefaultPinPackage),
@@ -84,5 +85,6 @@ func DefaultAnalyzers() []*Analyzer {
 		ErrWrapped(),
 		NewNoWallClock(DefaultDeterministicPackages),
 		DeadExport(),
+		NewTestOnly(DefaultTestOnlyPackages),
 	}
 }

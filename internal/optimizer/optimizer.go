@@ -23,6 +23,7 @@ import (
 	"rodentstore/internal/cost"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 // Query is one workload entry: the fields it reads, its range predicate,
@@ -68,6 +69,7 @@ func CollectStats(rel transforms.Relation, sample int) TableStats {
 		RowCount: int64(len(rel.Rows)),
 		Fields:   make(map[string]*FieldStats, rel.Schema.Arity()),
 	}
+	var col vec.Vector
 	for ci, f := range rel.Schema.Fields {
 		fs := &FieldStats{Min: math.Inf(1), Max: math.Inf(-1), CodecRatio: 1}
 		fs.Numeric = f.Type == value.Int || f.Type == value.Float
@@ -96,15 +98,21 @@ func CollectStats(rel transforms.Relation, sample int) TableStats {
 		if !fs.Numeric {
 			fs.Min, fs.Max = 0, 0
 		}
-		// Measure codecs on the value-ordered sample.
+		// Measure codecs on the value-ordered sample, through the path the
+		// segment writer encodes with.
 		ordered := append([]value.Value(nil), vals...)
 		sort.Slice(ordered, func(a, b int) bool { return value.Compare(ordered[a], ordered[b]) < 0 })
+		col.Reset(f.Type)
+		fits := true // false when a value is not of the field's kind
+		for _, v := range ordered {
+			fits = fits && col.AppendValue(v) == nil
+		}
 		for _, name := range compress.Names() {
-			if name == "none" {
+			if name == "none" || !fits {
 				continue
 			}
 			c, _ := compress.Lookup(name)
-			enc, err := c.Encode(nil, f.Type, ordered)
+			enc, err := compress.EncodeVec(c, nil, f.Type, &col)
 			if err != nil {
 				continue
 			}

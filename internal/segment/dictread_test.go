@@ -52,7 +52,7 @@ func TestForgedDictHeaderIsCorruptExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ce *ErrCorruptExtent
-	if _, err := r.ReadBlock(0, nil); !errors.As(err, &ce) {
+	if _, err := r.ReadBlockBoxed(0, nil); !errors.As(err, &ce) {
 		t.Fatalf("boxed read: %v, want ErrCorruptExtent", err)
 	}
 	batch := vec.NewBatch(value.MustSchema(spec.Fields...))

@@ -147,8 +147,9 @@ func NewWriter(file *pager.File, spec Spec) (*Writer, error) {
 // WriteBlock appends one block belonging to the given cell (NoCell for
 // ungridded segments): rows, in the order given, of cols — one column per
 // spec field, of that field's kind. Each column chunk is encoded straight
-// from the typed vector (compress.EncodeVec); a null row is refused with the
-// codec's error.
+// from the typed vector by the codec's path for the field's kind
+// (compress.EncodeVec), which refuses a null row and a kind the codec
+// cannot store.
 func (w *Writer) WriteBlock(cell uint64, cols []*vec.Vector, rows []int32) error {
 	if len(rows) == 0 {
 		return nil
@@ -397,36 +398,4 @@ func (r *Reader) readRunInto(runs RunReader, out []byte, off uint64, n uint32, f
 		copy(out[base:], out[base+int(lead):])
 	}
 	return out[:base+int(n)], nil
-}
-
-// ReadBlock decodes block i into boxed column vectors. wantCols selects
-// columns by index (nil = all); unselected columns return nil vectors but
-// their bytes are still fetched with the block (they share its pages —
-// projecting saves CPU, not I/O; to save I/O, store the column in its own
-// segment). It is View plus an eager boxed decode of each wanted chunk, so
-// the block parser (and its metadata row-count check) exists exactly once.
-func (r *Reader) ReadBlock(i int, wantCols []int) ([][]value.Value, error) {
-	bv, err := r.View(i)
-	if err != nil {
-		return nil, err
-	}
-	want := make(map[int]bool, len(wantCols))
-	for _, c := range wantCols {
-		want[c] = true
-	}
-	out := make([][]value.Value, len(r.spec.Fields))
-	for c := range r.spec.Fields {
-		if wantCols != nil && !want[c] {
-			continue
-		}
-		vals, err := r.codecs[c].Decode(bv.chunks[c], r.spec.Fields[c].Type)
-		if err != nil {
-			return nil, r.corrupt(i, fmt.Errorf("field %q: %w", r.spec.Fields[c].Name, err))
-		}
-		if len(vals) != bv.nrows {
-			return nil, r.corrupt(i, fmt.Errorf("field %q: %d values, %d rows", r.spec.Fields[c].Name, len(vals), bv.nrows))
-		}
-		out[c] = vals
-	}
-	return out, nil
 }

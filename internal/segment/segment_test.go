@@ -89,7 +89,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 	got := 0
 	for b := 0; b < len(r.meta.Blocks); b++ {
-		cols, err := r.ReadBlock(b, nil)
+		cols, err := r.ReadBlockBoxed(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestCompressedColumns(t *testing.T) {
 	}
 
 	r, _ := NewReader(f, meta, spec)
-	cols, err := r.ReadBlock(0, nil)
+	cols, err := r.ReadBlockBoxed(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestColumnProjection(t *testing.T) {
 	meta, _ := w.Finish()
 
 	r, _ := NewReader(f, meta, traceSpec())
-	cols, err := r.ReadBlock(0, []int{1})
+	cols, err := r.ReadBlockBoxed(0, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSequentialScanCountsPagesOnce(t *testing.T) {
 
 	f.ResetStats()
 	for b := 0; b < len(r.meta.Blocks); b++ {
-		if _, err := r.ReadBlock(b, nil); err != nil {
+		if _, err := r.ReadBlockBoxed(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestEmptySegment(t *testing.T) {
 		t.Errorf("empty segment meta: %+v", meta)
 	}
 	r, _ := NewReader(f, meta, traceSpec())
-	if _, err := r.ReadBlock(0, nil); err == nil {
+	if _, err := r.ReadBlockBoxed(0, nil); err == nil {
 		t.Error("reading block of empty segment should fail")
 	}
 }
@@ -296,7 +296,7 @@ func TestFoldedListColumn(t *testing.T) {
 	}
 	meta, _ := w.Finish()
 	r, _ := NewReader(f, meta, spec)
-	cols, err := r.ReadBlock(0, nil)
+	cols, err := r.ReadBlockBoxed(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

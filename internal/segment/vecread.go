@@ -1,16 +1,16 @@
 package segment
 
-// Vectorized block reads: View fetches one block's bytes (a single
-// range read, so page/seek accounting is identical to ReadBlock) and exposes
-// the column chunks for lazy per-column typed decoding. The scan layer uses
-// it for late materialization — decode predicate columns, filter, and only
-// then decode the projected columns, or skip them entirely when no row
-// survives.
+// Block reads: View fetches one block's bytes (a single range read) and
+// exposes the column chunks for lazy per-column typed decoding. It is the
+// one block parser: scans, folds and CheckIntegrity all decode through it.
+// The scan layer uses it for late materialization — decode predicate
+// columns, filter, and only then decode the projected columns, or skip them
+// entirely when no row survives.
 //
 // The view and the reader's raw buffer are reused across calls: a view (and
-// any chunk slices it handed out) is valid only until the next View or
-// ReadBlock call on the same reader. Decoded vectors copy out of the raw
-// buffer, so batches outlive the view.
+// any chunk slices it handed out) is valid only until the next View call on
+// the same reader. Decoded vectors copy out of the raw buffer, so batches
+// outlive the view.
 
 import (
 	"encoding/binary"
@@ -28,10 +28,9 @@ type BlockView struct {
 	chunks [][]byte // per spec column, aliasing the reader's raw buffer
 }
 
-// View fetches block i (one contiguous range read, same I/O accounting as
-// ReadBlock) and parses its chunk directory. The returned view aliases the
-// reader's reusable buffer: it is invalidated by the next View or ReadBlock
-// on this reader.
+// View fetches block i (one contiguous range read) and parses its chunk
+// directory. The returned view aliases the reader's reusable buffer: it is
+// invalidated by the next View on this reader.
 func (r *Reader) View(i int) (*BlockView, error) {
 	if i < 0 || i >= len(r.meta.Blocks) {
 		return nil, fmt.Errorf("segment: block %d out of range", i)
@@ -84,8 +83,12 @@ func (r *Reader) View(i int) (*BlockView, error) {
 // Rows returns the block's row count (from segment metadata).
 func (bv *BlockView) Rows() int { return bv.nrows }
 
-// DecodeCol decodes column c into dst (which is Reset first), using the
-// codec's typed fast path when it has one. The decoded length is checked
+// Chunk returns column c's encoded chunk, aliasing the reader's buffer (valid
+// until the next View), for decoders other than DecodeCol.
+func (bv *BlockView) Chunk(c int) []byte { return bv.chunks[c] }
+
+// DecodeCol decodes column c into dst (which is Reset first) through the
+// codec's typed decoder for the field's kind. The decoded length is checked
 // against the block's metadata row count.
 func (bv *BlockView) DecodeCol(c int, dst *vec.Vector) error {
 	if c < 0 || c >= len(bv.chunks) {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vec"
@@ -46,7 +48,7 @@ func writeTraceSegment(t *testing.T, codecs []string, n, perBlock int) (*Reader,
 
 // ReadBlockVec decodes block i's wanted columns (nil = all) into dst, whose
 // schema must list the wanted fields in spec order: View plus one DecodeCol
-// per column, the eager form the tests compare against ReadBlock.
+// per column, the eager form the tests compare against ReadBlockBoxed.
 func (r *Reader) ReadBlockVec(i int, wantCols []int, dst *vec.Batch) error {
 	bv, err := r.View(i)
 	if err != nil {
@@ -69,6 +71,36 @@ func (r *Reader) ReadBlockVec(i int, wantCols []int, dst *vec.Batch) error {
 	return dst.SetLen(bv.nrows)
 }
 
+// ReadBlockBoxed decodes block i's wanted columns (nil = all) into boxed
+// values: View plus the boxed reference decoder of each wanted chunk, the
+// form the tests compare the typed path against. Unwanted columns come back
+// nil.
+func (r *Reader) ReadBlockBoxed(i int, wantCols []int) ([][]value.Value, error) {
+	bv, err := r.View(i)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]value.Value, len(r.spec.Fields))
+	for c, f := range r.spec.Fields {
+		if wantCols != nil && !slices.Contains(wantCols, c) {
+			continue
+		}
+		codec, err := oracle.LookupCodec(r.spec.Codecs[c])
+		if err != nil {
+			return nil, err
+		}
+		vals, err := codec.Decode(bv.Chunk(c), f.Type)
+		if err != nil {
+			return nil, r.corrupt(i, fmt.Errorf("field %q: %w", f.Name, err))
+		}
+		if len(vals) != bv.nrows {
+			return nil, r.corrupt(i, fmt.Errorf("field %q: %d values, %d rows", f.Name, len(vals), bv.nrows))
+		}
+		out[c] = vals
+	}
+	return out, nil
+}
+
 // reopen opens a second reader over r's segment, with a lookbehind of its
 // own.
 func reopen(t *testing.T, r *Reader) *Reader {
@@ -81,7 +113,7 @@ func reopen(t *testing.T, r *Reader) *Reader {
 }
 
 // TestReadBlockVecMatchesReadBlock checks the batch read against the boxed
-// read, block by block, including I/O accounting.
+// reference read, block by block.
 func TestReadBlockVecMatchesReadBlock(t *testing.T) {
 	for _, codecs := range [][]string{
 		{"", "", ""},
@@ -97,7 +129,7 @@ func TestReadBlockVecMatchesReadBlock(t *testing.T) {
 			if err := r.ReadBlockVec(b, nil, batch); err != nil {
 				t.Fatalf("codecs %v block %d: %v", codecs, b, err)
 			}
-			cols, err := boxed.ReadBlock(b, nil)
+			cols, err := boxed.ReadBlockBoxed(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,8 +174,8 @@ func TestReadBlockVecProjection(t *testing.T) {
 
 // TestViewLateMaterialization decodes one column, then another, from the
 // same view — the two-phase read the scan's late materialization performs —
-// and checks only one range fetch happened (page reads equal the eager
-// ReadBlock path).
+// and checks only one range fetch happened (page reads equal those of one
+// View on a fresh reader).
 func TestViewLateMaterialization(t *testing.T) {
 	r, rows := writeTraceSegment(t, nil, 500, 100)
 	file := r.file.(*pager.File)
@@ -161,7 +193,7 @@ func TestViewLateMaterialization(t *testing.T) {
 	}
 	viewReads := file.Stats().PageReads
 	file.ResetStats()
-	if _, err := reopen(t, r).ReadBlock(0, nil); err != nil {
+	if _, err := reopen(t, r).View(0); err != nil {
 		t.Fatal(err)
 	}
 	if eager := file.Stats().PageReads; viewReads != eager {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/value"
 )
 
@@ -161,7 +162,7 @@ func aggOracle(t *testing.T, spec AggSpec, schema *value.Schema, rows []value.Ro
 				acc.count[0]++
 				continue
 			}
-			v, err := algebra.EvalScalar(it.expr, schema, row)
+			v, err := oracle.EvalScalar(it.expr, schema, row)
 			if err != nil {
 				t.Fatal(err)
 			}

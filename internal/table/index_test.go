@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/value"
 )
 
@@ -29,7 +30,7 @@ func TestCreateIndexAndScan(t *testing.T) {
 	var want []int
 	schema := tracesSchema()
 	for _, r := range rows {
-		if pred.Eval(schema, r) {
+		if oracle.Eval(pred, schema, r) {
 			want = append(want, 1)
 		}
 	}

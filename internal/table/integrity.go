@@ -15,6 +15,7 @@ import (
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 // IntegrityIssue is one problem found by CheckIntegrity, addressed down to
@@ -98,9 +99,11 @@ func (e *Engine) CheckIntegrity() (*IntegrityReport, error) {
 	return rep, nil
 }
 
-// checkEntries walks one part's segment list, decoding every block of every
-// segment.
+// checkEntries walks one part's segment list, decoding every column of
+// every block of every segment the way scans do (View, then DecodeCol into
+// one reused vector).
 func (e *Engine) checkEntries(rep *IntegrityReport, table, part string, entries []catalog.SegmentEntry, stored *value.Schema) {
+	var col vec.Vector
 	for si, entry := range entries {
 		rep.Segments++
 		ext := pager.Extent{Start: entry.Meta.ExtentStart, Count: entry.Meta.ExtentPages}
@@ -130,9 +133,24 @@ func (e *Engine) checkEntries(rep *IntegrityReport, table, part string, entries 
 		}
 		for bi := range entry.Meta.Blocks {
 			rep.Blocks++
-			if _, err := r.ReadBlock(bi, nil); err != nil {
+			if err := decodeBlock(r, bi, len(fields), &col); err != nil {
 				issue(bi, err)
 			}
 		}
 	}
+}
+
+// decodeBlock fetches block bi of r and decodes each of its ncols columns
+// into col, stopping at the first that fails.
+func decodeBlock(r *segment.Reader, bi, ncols int, col *vec.Vector) error {
+	bv, err := r.View(bi)
+	if err != nil {
+		return err
+	}
+	for c := range ncols {
+		if err := bv.DecodeCol(c, col); err != nil {
+			return err
+		}
+	}
+	return nil
 }

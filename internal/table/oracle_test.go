@@ -4,9 +4,10 @@ package table
 // started with, kept here as the reference implementation every production
 // scan variant is compared against. It shares the planner with production
 // (same parts, same pruning, so Report and page accounting questions stay
-// out of it) and nothing after it: blocks decode into boxed values through
-// segment.Reader.ReadBlock, rows filter through Predicate.Eval and project
-// one at a time, and aggregates fold row by row through EvalScalar into one
+// out of it) and the block fetch (segment.Reader.View), and nothing after
+// them: chunks decode into boxed values through the reference codecs of
+// internal/oracle, rows filter through oracle.Eval and project one at a
+// time, and aggregates fold row by row through oracle.EvalScalar into one
 // boxed group table, block by block in stored order — the running sums
 // production keeps, so float results are bit-identical to it.
 
@@ -21,8 +22,8 @@ import (
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
-	"rodentstore/internal/compress"
 	"rodentstore/internal/layout"
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/segment"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
@@ -105,7 +106,7 @@ func decodeBlockRows(p *part, block int, decoded *value.Schema, pred algebra.Pre
 			continue
 		}
 		want := segColumns(p, si, decoded)
-		cols, err := r.ReadBlock(block, want)
+		cols, err := boxedBlock(r, p.entries[si], block, want, decoded)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +125,7 @@ func decodeBlockRows(p *part, block int, decoded *value.Schema, pred algebra.Pre
 			loc := p.fieldSeg[f.Name]
 			row[fi] = colsBySeg[loc[0]][loc[1]][i]
 		}
-		if !pred.IsTrue() && !pred.Eval(decoded, row) {
+		if !pred.IsTrue() && !oracle.Eval(pred, decoded, row) {
 			continue
 		}
 		if identity {
@@ -138,6 +139,28 @@ func decodeBlockRows(p *part, block int, decoded *value.Schema, pred algebra.Pre
 		rows = append(rows, out)
 	}
 	return rows, nil
+}
+
+// boxedBlock fetches one block of a segment and decodes its wanted columns
+// (indexes into entry's fields) with the reference codecs; the others come
+// back nil.
+func boxedBlock(r *segment.Reader, entry catalog.SegmentEntry, block int, want []int, decoded *value.Schema) ([][]value.Value, error) {
+	bv, err := r.View(block)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([][]value.Value, len(entry.Fields))
+	for _, c := range want {
+		codec, err := oracle.LookupCodec(entry.Codecs[c])
+		if err != nil {
+			return nil, err
+		}
+		f := decoded.Fields[decoded.Index(entry.Fields[c])]
+		if cols[c], err = codec.Decode(bv.Chunk(c), f.Type); err != nil {
+			return nil, fmt.Errorf("table: block %d: field %q: %w", block, f.Name, err)
+		}
+	}
+	return cols, nil
 }
 
 // boxedAggState is the oracle's aggregation state: distinct key tuples in
@@ -161,7 +184,7 @@ func newBoxedAggState(ex *aggExec) *boxedAggState {
 }
 
 // observe folds one block's (already filtered) rows into st, one row and
-// one EvalScalar at a time.
+// one oracle.EvalScalar at a time.
 func (st *boxedAggState) observe(ex *aggExec, rows []value.Row) error {
 	var key value.Row
 	for _, row := range rows {
@@ -181,7 +204,7 @@ func (st *boxedAggState) observe(ex *aggExec, rows []value.Row) error {
 				acc.count[g]++
 				continue
 			}
-			v, err := algebra.EvalScalar(it.expr, ex.decoded, row)
+			v, err := oracle.EvalScalar(it.expr, ex.decoded, row)
 			if err != nil {
 				return err
 			}
@@ -369,11 +392,12 @@ func requireRows(t testing.TB, what string, got, want []value.Row) {
 
 // The render oracle: the boxed fold the engine started with, kept as the
 // byte-identical reference for readBack + render. Rows are read back one
-// Cursor.Next at a time, the layout's steps run through transforms.* over
-// boxed rows, grid cells come from transforms.ComputeGridBounds/GridAssign,
-// and every block is encoded from boxed columns by the codecs' Encode, with
-// zone maps taken over boxed values. Only the cell order along the curve
-// (orderCells) is shared with production.
+// Cursor.Next at a time, the layout's steps run through oracle.* and
+// transforms.* over boxed rows, grid cells come from
+// transforms.ComputeGridBounds and oracle.GridAssign, and every block is
+// encoded from boxed columns by the reference codecs, with zone maps taken
+// over boxed values. Only the cell order along the curve (orderCells) is
+// shared with production.
 
 // oraclePart is one part as the boxed fold writes it: per segment, the
 // stream and its block metadata; the grid bounds; the rows in stored order.
@@ -403,19 +427,19 @@ func oracleSteps(rel transforms.Relation, spec *layout.Spec, tailOnly bool) (tra
 		var err error
 		switch st.Kind {
 		case layout.StepSelect:
-			rel, err = transforms.Select(rel, st.Pred)
+			rel, err = oracle.Select(rel, st.Pred)
 		case layout.StepProject:
-			rel, err = transforms.Project(rel, st.Fields)
+			rel, err = oracle.Project(rel, st.Fields)
 		case layout.StepOrderBy:
 			if !tailOnly {
-				rel, err = transforms.OrderBy(rel, st.Keys)
+				rel, err = oracle.OrderBy(rel, st.Keys)
 			}
 		case layout.StepGroupBy:
 			if !tailOnly {
-				rel, err = transforms.GroupBy(rel, st.Fields)
+				rel, err = oracle.GroupBy(rel, st.Fields)
 			}
 		case layout.StepLimit:
-			rel = transforms.Limit(rel, st.N)
+			rel = oracle.Limit(rel, st.N)
 		case layout.StepFold:
 			rel, err = transforms.FoldHash(rel, st.Fields, st.By)
 		case layout.StepUnfold:
@@ -453,7 +477,7 @@ func oracleRender(t *testing.T, e *Engine, tab *catalog.Table, rel transforms.Re
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, err := transforms.GridAssign(rel, bounds)
+		cells, err := oracle.GridAssign(rel, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +518,7 @@ func oracleRender(t *testing.T, e *Engine, tab *catalog.Table, rel transforms.Re
 					for i, row := range block {
 						col[i] = row[idx[c]]
 					}
-					codec, err := compress.Lookup(def.Codecs[c])
+					codec, err := oracle.LookupCodec(def.Codecs[c])
 					if err != nil {
 						t.Fatal(err)
 					}

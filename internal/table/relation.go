@@ -144,7 +144,7 @@ func (r *relation) applySteps(spec *layout.Spec, tailOnly bool) error {
 }
 
 // filter keeps the rows satisfying pred (paper §3.5.1 select), through the
-// compiled predicate the scans use: Predicate.Eval's verdict on every row.
+// compiled predicate the scans use: oracle.Eval's verdict on every row.
 func (r *relation) filter(pred algebra.Predicate) error {
 	if err := pred.Validate(r.b.Schema()); err != nil {
 		return err

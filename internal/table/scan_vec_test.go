@@ -200,7 +200,7 @@ func TestInterleavedNextAndNextBatch(t *testing.T) {
 
 // TestScanPagesMatchOracle checks the pipeline does not change I/O
 // accounting: a serial scan reads the same pages in the same seek pattern
-// as the boxed oracle's block-at-a-time ReadBlock loop — the invariant the
+// as the boxed oracle's block-at-a-time View loop — the invariant the
 // paper-figure experiments stand on.
 func TestScanPagesMatchOracle(t *testing.T) {
 	e, f, _ := newEngine(t)

@@ -12,6 +12,7 @@ import (
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
@@ -96,7 +97,7 @@ func TestNoZonePruneReadsEverything(t *testing.T) {
 // TestZoneMapsKeepNaNRows: predicates order NaN below every number, so a
 // zone map must never prune a block whose NaN rows a bound admits. Over a
 // block mixing NaN and numbers, an all-NaN block and NaN-free ones, a pruned
-// scan, a NoZonePrune scan and Predicate.Eval agree for every comparison
+// scan, a NoZonePrune scan and oracle.Eval agree for every comparison
 // against literals below, inside and above the data, of either numeric kind.
 func TestZoneMapsKeepNaNRows(t *testing.T) {
 	e, _, _ := newEngine(t)
@@ -120,7 +121,7 @@ func TestZoneMapsKeepNaNRows(t *testing.T) {
 			pred := algebra.True.And("lat", op, lit)
 			var want []value.Row
 			for _, row := range rows {
-				if pred.Eval(schema, row) {
+				if oracle.Eval(pred, schema, row) {
 					want = append(want, row)
 				}
 			}

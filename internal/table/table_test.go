@@ -9,6 +9,7 @@ import (
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
+	"rodentstore/internal/oracle"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
@@ -188,7 +189,7 @@ func TestPredicateScanMatchesBruteForce(t *testing.T) {
 			var want []value.Row
 			schema := tracesSchema()
 			for _, r := range rows {
-				if pred.Eval(schema, r) {
+				if oracle.Eval(pred, schema, r) {
 					want = append(want, r)
 				}
 			}

@@ -1,7 +1,9 @@
-// Package transforms implements the storage algebra's transforms (paper
-// §3.5-3.6) over in-memory relations. These are the reference semantics the
-// physical layout engine must agree with; the segment renderer uses them to
-// materialize nestings before writing pages.
+// Package transforms holds what the layout renderer and the optimizer share
+// of the storage algebra's transforms (paper §3.5-3.6) over in-memory
+// relations: the Relation itself, fold and unfold (the renderer materializes
+// nestings with them before writing pages) and the grid discretization. The
+// boxed row operators (select, project, order, group, limit, grid
+// assignment) are test reference code in internal/oracle.
 //
 // Fold is implemented twice, exactly as §4.2 discusses: FoldNestedLoop is
 // the paper's Algorithm 1 (two nested for-loops, O(n²)); FoldHash is the
@@ -22,119 +24,6 @@ import (
 type Relation struct {
 	Schema *value.Schema
 	Rows   []value.Row
-}
-
-// Clone returns a relation with a copied row spine (values are shared).
-func (r Relation) Clone() Relation {
-	rows := make([]value.Row, len(r.Rows))
-	for i, row := range r.Rows {
-		rows[i] = row.Clone()
-	}
-	return Relation{Schema: r.Schema, Rows: rows}
-}
-
-// Project isolates the named fields (paper §3.5.1 project).
-func Project(rel Relation, fields []string) (Relation, error) {
-	schema, idx, err := rel.Schema.Project(fields)
-	if err != nil {
-		return Relation{}, err
-	}
-	rows := make([]value.Row, len(rel.Rows))
-	for i, row := range rel.Rows {
-		nr := make(value.Row, len(idx))
-		for j, src := range idx {
-			nr[j] = row[src]
-		}
-		rows[i] = nr
-	}
-	return Relation{Schema: schema, Rows: rows}, nil
-}
-
-// Select keeps rows satisfying the predicate (paper §3.5.1 select).
-func Select(rel Relation, pred algebra.Predicate) (Relation, error) {
-	if err := pred.Validate(rel.Schema); err != nil {
-		return Relation{}, err
-	}
-	var rows []value.Row
-	for _, row := range rel.Rows {
-		if pred.Eval(rel.Schema, row) {
-			rows = append(rows, row)
-		}
-	}
-	return Relation{Schema: rel.Schema, Rows: rows}, nil
-}
-
-// OrderBy stably sorts rows by the keys (paper §3.5.3 orderby).
-func OrderBy(rel Relation, keys []algebra.OrderKey) (Relation, error) {
-	cols := make([]int, len(keys))
-	desc := make([]bool, len(keys))
-	for i, k := range keys {
-		c := rel.Schema.Index(k.Field)
-		if c < 0 {
-			return Relation{}, fmt.Errorf("transforms: orderby: unknown field %q", k.Field)
-		}
-		cols[i], desc[i] = c, k.Desc
-	}
-	out := rel.Clone()
-	value.SortRows(out.Rows, cols, desc)
-	return out, nil
-}
-
-// GroupBy clusters rows with equal key values contiguously, preserving the
-// first-appearance order of groups and the relative order within each group
-// (the paper's groupby clause on flat rows).
-func GroupBy(rel Relation, fields []string) (Relation, error) {
-	cols := make([]int, len(fields))
-	for i, f := range fields {
-		c := rel.Schema.Index(f)
-		if c < 0 {
-			return Relation{}, fmt.Errorf("transforms: groupby: unknown field %q", f)
-		}
-		cols[i] = c
-	}
-	key := func(row value.Row) value.Value {
-		ks := make([]value.Value, len(cols))
-		for i, c := range cols {
-			ks[i] = row[c]
-		}
-		return value.NewList(ks...)
-	}
-	type group struct {
-		k    value.Value
-		rows []value.Row
-	}
-	var groups []group
-	index := make(map[uint64][]int)
-	for _, row := range rel.Rows {
-		k := key(row)
-		h := k.Hash()
-		found := -1
-		for _, gi := range index[h] {
-			if value.Equal(groups[gi].k, k) {
-				found = gi
-				break
-			}
-		}
-		if found < 0 {
-			found = len(groups)
-			groups = append(groups, group{k: k})
-			index[h] = append(index[h], found)
-		}
-		groups[found].rows = append(groups[found].rows, row)
-	}
-	out := make([]value.Row, 0, len(rel.Rows))
-	for _, g := range groups {
-		out = append(out, g.rows...)
-	}
-	return Relation{Schema: rel.Schema, Rows: out}, nil
-}
-
-// Limit keeps the first n rows.
-func Limit(rel Relation, n int) Relation {
-	if n < 0 || n > len(rel.Rows) {
-		n = len(rel.Rows)
-	}
-	return Relation{Schema: rel.Schema, Rows: rel.Rows[:n]}
 }
 
 // foldOutputSchema builds the folded schema [by..., folded list].
@@ -374,34 +263,8 @@ func ComputeGridBounds(rel Relation, dims []algebra.GridDim) ([]GridBounds, erro
 	return out, nil
 }
 
-// GridAssign partitions rows into cells. The returned map is keyed by the
-// linearized row-major cell index; each cell keeps its rows in input order.
-func GridAssign(rel Relation, bounds []GridBounds) (map[uint64][]value.Row, error) {
-	cells := make(map[uint64][]value.Row)
-	for _, row := range rel.Rows {
-		idx, err := CellIndex(row, bounds)
-		if err != nil {
-			return nil, err
-		}
-		cells[idx] = append(cells[idx], row)
-	}
-	return cells, nil
-}
-
-// CellIndex linearizes the cell coordinates of a row in row-major order
-// (first dimension varies slowest).
-func CellIndex(row value.Row, bounds []GridBounds) (uint64, error) {
-	var idx uint64
-	for _, b := range bounds {
-		if row[b.Col].IsNull() {
-			return 0, fmt.Errorf("transforms: grid: null value in dimension %q", b.Field)
-		}
-		idx = idx*uint64(b.Cells) + uint64(b.CellOf(row[b.Col].Float()))
-	}
-	return idx, nil
-}
-
-// CellCoords inverts CellIndex back to per-dimension cell coordinates.
+// CellCoords inverts a row-major cell index (first dimension slowest) back
+// to per-dimension cell coordinates.
 func CellCoords(idx uint64, bounds []GridBounds) []int {
 	out := make([]int, len(bounds))
 	for i := len(bounds) - 1; i >= 0; i-- {

@@ -102,7 +102,9 @@ func DecodeValue(buf []byte, k Kind) (Value, int, error) {
 		return NewBytes(out), sz + int(n), nil
 	case List:
 		n, sz := binary.Uvarint(buf)
-		if sz <= 0 {
+		// Every child takes at least its kind byte, so a count the rest of
+		// buf cannot hold is refused before it sizes an allocation.
+		if sz <= 0 || uint64(len(buf)-sz) < n {
 			return Value{}, 0, fmt.Errorf("value: short buffer for list")
 		}
 		off := sz

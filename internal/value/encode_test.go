@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +49,12 @@ func TestDecodeValueShortBuffer(t *testing.T) {
 	buf := AppendValue(nil, Str, NewString("hello"))
 	if _, _, err := DecodeValue(buf[:3], Str); err == nil {
 		t.Error("expected error on truncated string")
+	}
+	// List claiming more children than it has bytes: an error, not a
+	// makeslice panic.
+	forged := append(binary.AppendUvarint(nil, 1<<60), byte(Int))
+	if _, _, err := DecodeValue(forged, List); err == nil {
+		t.Error("expected error on forged list count")
 	}
 }
 

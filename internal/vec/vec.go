@@ -262,8 +262,8 @@ func (v *Vector) AppendNull() {
 }
 
 // AppendValue appends one boxed value, unboxing into the native
-// representation. It is the adapter path for codecs without a typed decoder
-// and the bridge from row-at-a-time code (FromRows).
+// representation: the bridge from row-at-a-time code (FromRows, the
+// optimizer's codec probe).
 func (v *Vector) AppendValue(val value.Value) error {
 	if val.IsNull() {
 		v.AppendNull()
