@@ -90,7 +90,7 @@ func execute(db *rodentstore.DB, line string) error {
   layout <table> <expr> [lazy]         alter layout (eager by default)
   advise <table> fields a,b [where <pred>]   run the design optimizer
   orders <table>                       efficient orders (order_list)
-  check                                integrity walk (header, blocks, wal)
+  check                                integrity walk (header, blocks, extents, wal)
   schema <table> | tables | stats | reorg <table> | quit`)
 		return nil
 	case "tables":
@@ -172,7 +172,8 @@ func execute(db *rodentstore.DB, line string) error {
 	case "check":
 		rep, err := db.CheckIntegrity()
 		if rep != nil {
-			fmt.Printf("checked %d tables, %d segments, %d blocks\n", rep.Tables, rep.Segments, rep.Blocks)
+			fmt.Printf("checked %d tables, %d segments, %d blocks; %d pages owned, %d free\n",
+				rep.Tables, rep.Segments, rep.Blocks, rep.OwnedPages, rep.FreePages)
 			for _, issue := range rep.Issues {
 				fmt.Println("  CORRUPT:", issue.String())
 			}

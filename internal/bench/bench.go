@@ -94,7 +94,10 @@ func newEnv(cfg Config, name string) (*env, error) {
 		e.close()
 		return nil, err
 	}
-	e.eng = table.NewEngine(file, cat, txn.NewManager(file, e.log))
+	if e.eng, err = table.NewEngine(file, cat, txn.NewManager(file, e.log)); err != nil {
+		e.close()
+		return nil, err
+	}
 	return e, nil
 }
 

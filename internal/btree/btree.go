@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
@@ -45,14 +44,17 @@ type node struct {
 	vals   []uint64 // leaf: values; internal: child page ids
 }
 
-// Build writes a tree mapping keys[i] to vals[i] and returns it. keys must
-// be sorted (entries with equal keys in any order). Leaves are packed full,
-// left to right, then each internal level over the one below it: every node
-// is written once. Equal keys may straddle a leaf boundary; Range descends
-// left of a separator equal to its lower bound and walks the leaf chain
-// rightward from there.
-func Build(file *pager.File, keys [][]byte, vals []uint64) (*Tree, error) {
+// Build writes a tree mapping keys[i] to vals[i] and returns it with the
+// extents it wrote, one per level, leaves first: each level is one run, so
+// a caller that records them can free the tree without reading it. keys
+// must be sorted (entries with equal keys in any order). Leaves are packed
+// full, left to right, then each internal level over the one below it:
+// every node is written once. Equal keys may straddle a leaf boundary;
+// Range descends left of a separator equal to its lower bound and walks the
+// leaf chain rightward from there.
+func Build(file *pager.File, keys [][]byte, vals []uint64) (*Tree, []pager.Extent, error) {
 	t := &Tree{file: file}
+	var levels []pager.Extent
 	payload := file.PayloadSize()
 	var nodes []*node
 	var firsts [][]byte // each node's first key
@@ -63,7 +65,7 @@ func Build(file *pager.File, keys [][]byte, vals []uint64) (*Tree, error) {
 			hi++
 		}
 		if hi == lo && lo < len(keys) {
-			return nil, fmt.Errorf("btree: a %d-byte key does not fit a %d-byte page", len(keys[lo]), payload)
+			return nil, nil, fmt.Errorf("btree: a %d-byte key does not fit a %d-byte page", len(keys[lo]), payload)
 		}
 		var first []byte // nil for the one empty leaf of an empty tree
 		if hi > lo {
@@ -76,11 +78,12 @@ func Build(file *pager.File, keys [][]byte, vals []uint64) (*Tree, error) {
 	for {
 		start, err := t.writeLevel(nodes)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		levels = append(levels, pager.Extent{Start: start, Count: uint64(len(nodes))})
 		if len(nodes) == 1 {
 			t.root = start
-			return t, nil
+			return t, levels, nil
 		}
 		// An internal node's first child rides in next; each later child is
 		// keyed by its first key. A key that fit a leaf fits here beside
@@ -235,48 +238,10 @@ func (t *Tree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error 
 	return nil
 }
 
-// Extents returns every page of the tree as sorted, coalesced extents — what
-// a caller dropping the tree hands back to the pager. A node that cannot be
-// read is still listed (the parent that names it read cleanly, so the page
-// is the tree's) but not descended into; the first such error comes back
-// with the extents that were reached, so the caller can free those and leak
-// the rest rather than keep a damaged tree forever.
-func (t *Tree) Extents() ([]pager.Extent, error) {
-	var pages []pager.PageID
-	var firstErr error
-	var walk func(id pager.PageID)
-	walk = func(id pager.PageID) {
-		pages = append(pages, id)
-		n, err := t.readNode(id)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		if n.isLeaf {
-			return
-		}
-		walk(n.next)
-		for _, child := range n.vals {
-			walk(pager.PageID(child))
-		}
-	}
-	walk(t.root)
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	var out []pager.Extent
-	for _, id := range pages {
-		if n := len(out); n > 0 && out[n-1].Start+pager.PageID(out[n-1].Count) == id {
-			out[n-1].Count++
-		} else {
-			out = append(out, pager.Extent{Start: id, Count: 1})
-		}
-	}
-	return out, firstErr
-}
-
 // EncodeKey builds an order-preserving binary key from a typed value:
-// bytes.Compare on encoded keys agrees with value.Compare within a kind.
+// bytes.Compare on encoded keys agrees with value.Compare within a kind,
+// floats included: −0 encodes as +0, and every NaN as the lowest key, below
+// −Inf, as value.CompareFloats orders them.
 // Null encodes to nil, any other value (the empty string too) to a non-nil
 // key, so a bound of Range is never taken for "unbounded" by mistake.
 func EncodeKey(v value.Value) []byte {
@@ -293,12 +258,16 @@ func AppendKey(dst []byte, v value.Value) []byte {
 		// Flip the sign bit so two's complement orders lexicographically.
 		return binary.BigEndian.AppendUint64(dst, uint64(v.Int())^(1<<63))
 	case value.Float:
-		f := v.Float()
-		u := math.Float64bits(f)
-		if f >= 0 {
-			u ^= 1 << 63
-		} else {
-			u = ^u
+		// Flip the sign bit of a positive float and every bit of a negative
+		// one. No number then encodes to 0, which NaN takes.
+		var u uint64
+		switch f := v.Float(); {
+		case f == 0:
+			u = 1 << 63
+		case f > 0:
+			u = math.Float64bits(f) ^ 1<<63
+		case f < 0:
+			u = ^math.Float64bits(f)
 		}
 		return binary.BigEndian.AppendUint64(dst, u)
 	case value.Str:

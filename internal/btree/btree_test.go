@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -242,24 +243,22 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	// Float keys (excluding NaN, which has no order).
+	// Float keys, in value.CompareFloats' order: −0 equals +0, and every
+	// NaN equals every other and sorts below −Inf.
 	g := func(a, b float64) bool {
-		if a != a || b != b {
-			return true
-		}
 		ka, kb := EncodeKey(value.NewFloat(a)), EncodeKey(value.NewFloat(b))
-		cmp := bytes.Compare(ka, kb)
-		want := value.Compare(value.NewFloat(a), value.NewFloat(b))
-		return cmp == want
+		return bytes.Compare(ka, kb) == value.Compare(value.NewFloat(a), value.NewFloat(b))
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
 	}
-	// Mixed-sign specifics.
-	cases := [][2]float64{{-1, 1}, {-0.5, -0.25}, {0, 1e-300}, {-1e300, 1e300}}
-	for _, c := range cases {
-		if bytes.Compare(EncodeKey(value.NewFloat(c[0])), EncodeKey(value.NewFloat(c[1]))) >= 0 {
-			t.Errorf("EncodeKey order broken for %v", c)
+	specials := []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Inf(-1), -1e300, -1,
+		-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, 1e300, math.Inf(1)}
+	for _, a := range specials {
+		for _, b := range specials {
+			if !g(a, b) {
+				t.Errorf("EncodeKey orders %v and %v unlike value.Compare", a, b)
+			}
 		}
 	}
 	// Strings and bools.
@@ -314,46 +313,11 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-func TestExtentsCoverEveryAllocatedPage(t *testing.T) {
-	tr, f := newTree(t)
-	before := f.NumPages() - 1 // newTree allocated the root leaf
-	for _, i := range rand.New(rand.NewSource(3)).Perm(5000) {
-		if err := tr.Insert([]byte(fmt.Sprintf("k%08d", i)), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h, _ := tr.Height(); h < 3 {
-		t.Fatalf("height %d: want internal levels above the leaves", h)
-	}
-	exts, err := tr.Extents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pages uint64
-	for i, e := range exts {
-		pages += e.Count
-		if i > 0 && exts[i-1].Start+pager.PageID(exts[i-1].Count) >= e.Start {
-			t.Fatalf("extents %v and %v overlap or were left uncoalesced", exts[i-1], e)
-		}
-	}
-	if want := f.NumPages() - before; pages != want {
-		t.Fatalf("Extents lists %d pages, the tree allocated %d", pages, want)
-	}
-	// Handing them back leaves the file as it was before the tree existed.
-	for _, e := range exts {
-		if err := f.FreeRun(e.Start, e.Count); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := f.NumPages(); got != before {
-		t.Fatalf("after freeing the tree %d pages stay allocated, want %d", got, before)
-	}
-}
-
 // TestBuildAnswersLikeInsert: a bulk-built tree and an insert-built one over
 // the same entries — random keys with heavy duplicates, one key repeated
 // across many leaves — answer every Search and Range with the same entries
-// in key order, and Extents lists exactly the pages Build allocated.
+// in key order, and the levels Build returns are exactly the pages it
+// allocated, one run per level.
 func TestBuildAnswersLikeInsert(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	type kv struct {
@@ -392,23 +356,23 @@ func TestBuildAnswersLikeInsert(t *testing.T) {
 			keys[i], vals[i] = e.key, e.val
 		}
 		before := f.NumPages()
-		built, err := Build(f, keys, vals)
+		built, levels, err := Build(f, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h, _ := built.Height(); n == 5000 && h < 3 {
+		h, _ := built.Height()
+		if n == 5000 && h < 3 {
 			t.Fatalf("height %d: want internal levels above the leaves", h)
 		}
-		exts, err := built.Extents()
-		if err != nil {
-			t.Fatal(err)
+		if len(levels) != h || levels[h-1] != (pager.Extent{Start: built.Root(), Count: 1}) {
+			t.Fatalf("n=%d: levels %v for a tree of height %d rooted at %d", n, levels, h, built.Root())
 		}
 		var pages uint64
-		for _, e := range exts {
+		for _, e := range levels {
 			pages += e.Count
 		}
 		if want := f.NumPages() - before; pages != want {
-			t.Fatalf("n=%d: Extents lists %d pages, Build allocated %d", n, pages, want)
+			t.Fatalf("n=%d: levels hold %d pages, Build allocated %d", n, pages, want)
 		}
 
 		collect := func(tr *Tree, lo, hi []byte) []kv {

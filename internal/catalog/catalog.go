@@ -50,14 +50,17 @@ type GridBoundsMeta struct {
 }
 
 // IndexMeta records one secondary B+tree index: the indexed field, the
-// tree's root page, and how many stored rows (a prefix of stored order) the
-// tree covers. Inserts append rows beyond Rows without shifting positions;
-// a fold clamps Rows to the first position it replaced. Tree hits at or past
-// Rows are ignored; later parts are scanned with pruning.
+// tree's root page, how many stored rows (a prefix of stored order) the
+// tree covers, and the tree's pages, one extent per level (btree.Build
+// writes each level as one run). Inserts append rows beyond Rows without
+// shifting positions; a fold clamps Rows to the first position it replaced.
+// Tree hits at or past Rows are ignored; later parts are scanned with
+// pruning.
 type IndexMeta struct {
-	Field string
-	Root  uint64
-	Rows  int64
+	Field   string
+	Root    uint64
+	Rows    int64
+	Extents []pager.Extent
 }
 
 // SegmentEntry pairs a vertical partition's definition with its rendered
@@ -151,6 +154,23 @@ func (t *Table) Parts() []Part {
 		parts = append(parts, Part{Kind: PartTail, Index: i, Segments: batch})
 	}
 	return parts
+}
+
+// Extents lists the extents behind parts and index trees: what a table
+// owns through them, and what the pager gets back once they are dropped.
+func Extents(parts []Part, trees []IndexMeta) []pager.Extent {
+	var exts []pager.Extent
+	for _, p := range parts {
+		for _, s := range p.Segments {
+			if s.Meta.ExtentPages > 0 {
+				exts = append(exts, pager.Extent{Start: s.Meta.ExtentStart, Count: s.Meta.ExtentPages})
+			}
+		}
+	}
+	for _, ix := range trees {
+		exts = append(exts, ix.Extents...)
+	}
+	return exts
 }
 
 // Schema reconstructs the value.Schema of the table's logical schema.
@@ -250,6 +270,23 @@ func (c *Catalog) flush() error {
 	c.reflects = c.issued
 	c.dirty = false // a full flush persists buffered updates too
 	return nil
+}
+
+// Owned calls fn with every extent the catalog owns: its own extent and
+// every table's parts and index trees. It runs under the catalog lock, so
+// no flush or update moves them until fn returns; fn must not call into the
+// catalog.
+func (c *Catalog) Owned(fn func([]pager.Extent)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var exts []pager.Extent
+	if c.extent.ExtentPages > 0 {
+		exts = append(exts, pager.Extent{Start: c.extent.ExtentStart, Count: c.extent.ExtentPages})
+	}
+	for _, t := range c.tables {
+		exts = append(exts, Extents(t.Parts(), t.Indexes)...)
+	}
+	fn(exts)
 }
 
 // Get returns the table record, or an error if absent. Records are

@@ -315,6 +315,7 @@ func TestLoadRejectsForeignCatalog(t *testing.T) {
 		{name: "run-less version 1", payload: []byte{catMagic, 1, 0}, want: "bad catalog header"},
 		{name: "version 2, no reflected commit", payload: []byte{catMagic, 2, 0}, want: "bad catalog header"},
 		{name: "version 3, logs of page images", payload: []byte{catMagic, 3, 0}, want: "bad catalog header"},
+		{name: "version 4, index trees without extents", payload: []byte{catMagic, 4, 0}, want: "bad catalog header"},
 		{name: "magic only", payload: []byte{catMagic}, want: "bad catalog header"},
 		{name: "length past extent", payload: good, byteLen: 1 << 20, want: "bytes recorded"},
 	}

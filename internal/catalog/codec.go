@@ -19,11 +19,13 @@ import (
 // compaction policy). There is one record format; a payload carrying any
 // other version byte is refused. Version 3 went with the pager meta slot
 // that records the commit id the catalog reflects (slotReflects); version 4
-// goes with the tail record (EncodeTailAppend) its logs hold: a binary that
-// would skip those records in recovery must not open such a file.
+// with the tail record (EncodeTailAppend) its logs hold: a binary that
+// would skip those records in recovery must not open such a file. Version 5
+// records each index tree's extents, from which, with every part's, the
+// engine derives free space at open; its trees key floats by value order.
 const (
 	catMagic   = 0xC7
-	catVersion = 4
+	catVersion = 5
 )
 
 // encodeTables serializes the catalog's table list.
@@ -64,6 +66,11 @@ func encodeTablesInto(buf []byte, tables []*Table) []byte {
 			e.str(ix.Field)
 			e.u64(ix.Root)
 			e.i64(ix.Rows)
+			e.uvarint(uint64(len(ix.Extents)))
+			for _, x := range ix.Extents {
+				e.u64(uint64(x.Start))
+				e.u64(x.Count)
+			}
 		}
 		e.bool(t.NeedsReorg)
 		e.str(t.PendingExpr)
@@ -111,7 +118,12 @@ func decodeTables(buf []byte) ([]*Table, error) {
 		}
 		ni := d.uvarint()
 		for j := uint64(0); j < ni && d.err == nil; j++ {
-			t.Indexes = append(t.Indexes, IndexMeta{Field: d.str(), Root: d.u64(), Rows: d.i64()})
+			ix := IndexMeta{Field: d.str(), Root: d.u64(), Rows: d.i64()}
+			nx := d.uvarint()
+			for k := uint64(0); k < nx && d.err == nil; k++ {
+				ix.Extents = append(ix.Extents, pager.Extent{Start: pager.PageID(d.u64()), Count: d.u64()})
+			}
+			t.Indexes = append(t.Indexes, ix)
 		}
 		t.NeedsReorg = d.bool()
 		t.PendingExpr = d.str()

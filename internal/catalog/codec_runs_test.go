@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
 )
 
@@ -28,6 +29,7 @@ func runTable() *Table {
 			},
 		}}},
 	}
+	t.Indexes = []IndexMeta{{Field: "t", Root: 52, Rows: 80, Extents: []pager.Extent{{Start: 50, Count: 2}, {Start: 52, Count: 1}}}}
 	return t
 }
 
@@ -59,10 +61,10 @@ func TestCodecRunFreeRoundtrip(t *testing.T) {
 		t.Error("run-free roundtrip mismatch")
 	}
 
-	// A table whose runs were folded away re-encodes exactly like one that
-	// never had any.
+	// A table whose runs were folded away, and its index with them,
+	// re-encodes exactly like one that never had any.
 	rt := runTable()
-	rt.Runs = nil
+	rt.Runs, rt.Indexes = nil, nil
 	if !bytes.Equal(encodeTables([]*Table{rt}), encodeTables([]*Table{sampleTable()})) {
 		t.Error("table with cleared runs does not re-encode like a run-free one")
 	}
@@ -74,6 +76,26 @@ func TestCodecRunsTruncated(t *testing.T) {
 		if _, err := decodeTables(blob[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
+	}
+}
+
+// TestOwnedListsEveryExtent: the catalog owns its own extent and, through
+// every table, each part's segments and each index tree's levels.
+func TestOwnedListsEveryExtent(t *testing.T) {
+	f, _ := newFile(t)
+	c, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(runTable()); err != nil {
+		t.Fatal(err)
+	}
+	var got []pager.Extent
+	c.Owned(func(owned []pager.Extent) { got = owned })
+	self := pager.Extent{Start: pager.PageID(f.MetaGet(slotExtentStart)), Count: f.MetaGet(slotExtentPages)}
+	want := []pager.Extent{self, {Start: 5, Count: 10}, {Start: 30, Count: 6}, {Start: 40, Count: 2}, {Start: 50, Count: 2}, {Start: 52, Count: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Owned = %v, want %v", got, want)
 	}
 }
 

@@ -19,18 +19,24 @@
 // produce exactly the same Seeks/SeekDistance as the original serial pager.
 //
 // Layout: page 0 is the header (magic, page size, allocation cursor, meta
-// slots, persisted free extents); all other pages belong to callers. Each
+// slots and a crc32 of them: headerSize bytes, within one sector, so a torn
+// write cannot leave half of it); all other pages belong to callers. Each
 // page is [crc32 (4 B) | payload]. Dense-packing of data into payloads is
 // the segment layer's job (paper §3.1 "Data Reduction").
+//
+// Free space is not persisted: at open the caller hands over every extent
+// its durable metadata names (Reclaim), and the rest is free. Only Create,
+// Close and the catalog's flush (ReplaceMetaExtent) write the header.
 package pager
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -48,28 +54,23 @@ const (
 	// DefaultPageSize matches the case study's 1 KB pages (paper §6; see
 	// DESIGN.md for why "1000 KB" is read as 1 KB).
 	DefaultPageSize = 1024
-	// MinPageSize bounds how small new files' pages may be. The header
-	// page's fixed fields (magic, page size, next-page cursor, 16 meta
-	// slots, free-list count, leak counter) take 160 bytes, so 256 is the
-	// smallest power of two that holds them plus a few free extents (see
-	// freeListCap).
+	// MinPageSize bounds how small new files' pages may be: the smallest
+	// power of two that holds the header (headerSize bytes).
 	MinPageSize = 256
 	// MaxPageSize bounds how large pages may be.
 	MaxPageSize = 1 << 20
 
 	pageHeaderSize = 4 // crc32 of payload
-	// magic is the header magic: the header page carries a crc32 of its
-	// contents in its last 4 bytes, so a torn header write is detected as
-	// corruption instead of being silently interpreted.
-	magic = "RDNT0002"
+	// magic is the header magic; a file of any other format is refused.
+	magic = "RDNT0003"
 	// metaSlots is the number of uint64 metadata slots exposed to upper
 	// layers (catalog roots, WAL cursors, ...).
 	metaSlots = 16
-	// maxFreeExtents caps the persisted free list; further frees leak space
-	// (counted in Stats.LeakedPages) rather than complicating the format.
-	// The effective cap is the smaller of this and what fits in the header
-	// page (freeListCap) — small pages hold fewer extents.
-	maxFreeExtents = 128
+	// headerSize is the header's length: magic, page size u32, allocation
+	// cursor u64, the meta slots, and a crc32 of everything before it. It
+	// fits one vfs.SectorSize sector, so a crash keeps all of a header
+	// write or none of it.
+	headerSize = len(magic) + 4 + 8 + metaSlots*8 + 4
 	// pageStripes is the number of page-level RW locks. Distinct pages in
 	// different stripes never contend; same-page read/write pairs are
 	// serialized so checksums stay consistent.
@@ -89,7 +90,6 @@ type Stats struct {
 	SeekDistance uint64
 	Allocs       uint64
 	Frees        uint64
-	LeakedPages  uint64
 }
 
 // counters is the lock-free internal form of Stats.
@@ -100,7 +100,6 @@ type counters struct {
 	seekDistance atomic.Uint64
 	allocs       atomic.Uint64
 	frees        atomic.Uint64
-	leakedPages  atomic.Uint64
 }
 
 // Extent is a contiguous run of pages [Start, Start+Count).
@@ -128,13 +127,14 @@ type File struct {
 	f        vfs.File
 	path     string
 	pageSize int
-	readOnly bool
 
 	// mu guards allocation state: the free list, metadata slots and header
 	// writes. It is never held across page I/O issued by readers.
 	mu   sync.Mutex
-	free []Extent
-	meta [metaSlots]uint64
+	free []Extent // sorted by Start, coalesced
+	// freePages is the page total of free, so NumPages is O(1).
+	freePages uint64
+	meta      [metaSlots]uint64
 
 	// nextPage is the allocation cursor (== number of pages incl. header).
 	// Written under mu; read lock-free by checkID.
@@ -202,16 +202,15 @@ func Open(path string) (*File, error) {
 	return OpenAt(vfs.OS, path)
 }
 
-// OpenAt opens an existing page file on the given file system.
+// OpenAt opens an existing page file on the given file system. Nothing is
+// free until the caller hands over the extents its metadata owns (Reclaim).
 func OpenAt(fsys vfs.FS, path string) (*File, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
-	// Read a maximal header prefix; the true page size is in the header.
-	buf := make([]byte, MaxPageSize)
-	n, err := f.ReadAt(buf, 0)
-	if n < MinPageSize && err != nil {
+	buf := make([]byte, headerSize)
+	if _, err := f.ReadAt(buf, 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("pager: read header of %s: %w", path, err)
 	}
@@ -235,71 +234,39 @@ func OpenAt(fsys vfs.FS, path string) (*File, error) {
 	return p, nil
 }
 
-// freeListCap is how many free extents the header page can persist: the
-// page must hold the fixed fields (magic, page size, next-page cursor,
-// meta slots, extent count, trailing leak counter) plus 16 bytes per
-// extent, with the last 4 bytes of the page reserved for the header crc32.
-// freeLocked keeps len(p.free) within this, so writeHeader never overruns
-// the crc.
-func (p *File) freeListCap() int {
-	c := (p.pageSize - (len(magic) + 4 + 8 + metaSlots*8 + 4 + 8 + 4)) / 16
-	if c > maxFreeExtents {
-		c = maxFreeExtents
-	}
-	if c < 0 {
-		c = 0
-	}
-	return c
-}
-
-// header layout (after the 8-byte magic): pageSize u32, nextPage u64,
-// meta[16] u64, nfree u32, {start u64, count u64}*nfree, leaked u64, and a
-// crc32 of buf[:pageSize-4] in the page's last 4 bytes.
-// Caller holds p.mu.
+// writeHeader writes the header: the 8-byte magic, pageSize u32, nextPage
+// u64, meta[16] u64 and a crc32 of the bytes before it. Caller holds p.mu.
 func (p *File) writeHeader() error {
-	buf := make([]byte, p.pageSize)
-	copy(buf, magic)
-	off := 8
-	binary.LittleEndian.PutUint32(buf[off:], uint32(p.pageSize))
-	off += 4
-	binary.LittleEndian.PutUint64(buf[off:], p.nextPage.Load())
-	off += 8
+	buf := make([]byte, 0, headerSize)
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.pageSize))
+	buf = binary.LittleEndian.AppendUint64(buf, p.nextPage.Load())
 	for _, m := range p.meta {
-		binary.LittleEndian.PutUint64(buf[off:], m)
-		off += 8
+		buf = binary.LittleEndian.AppendUint64(buf, m)
 	}
-	binary.LittleEndian.PutUint32(buf[off:], uint32(len(p.free)))
-	off += 4
-	for _, e := range p.free {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(e.Start))
-		off += 8
-		binary.LittleEndian.PutUint64(buf[off:], e.Count)
-		off += 8
-	}
-	binary.LittleEndian.PutUint64(buf[off:], p.stats.leakedPages.Load())
-	binary.LittleEndian.PutUint32(buf[p.pageSize-4:], crc32.ChecksumIEEE(buf[:p.pageSize-4]))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	if _, err := p.f.WriteAt(buf, 0); err != nil {
 		return fmt.Errorf("pager: write header: %w", err)
 	}
 	return nil
 }
 
-// parseHeader validates a header page image — magic, page size, checksum,
-// free-list length — and restores the allocation state it records. Anything
-// else is a typed *ErrCorruptPage for page 0.
+// parseHeader validates a header image — magic, checksum, page size — and
+// restores the state it records. Anything else is a typed *ErrCorruptPage
+// for page 0.
 func (p *File) parseHeader(buf []byte) error {
-	if string(buf[:8]) != magic {
-		return &ErrCorruptPage{Page: 0, Detail: "bad magic (not a RodentStore file)"}
+	if string(buf[:len(magic)]) != magic {
+		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("bad magic %q (not a RodentStore file of format %s)", buf[:len(magic)], magic)}
 	}
-	off := 8
+	want := binary.LittleEndian.Uint32(buf[headerSize-4:])
+	if got := crc32.ChecksumIEEE(buf[:headerSize-4]); got != want {
+		return &ErrCorruptPage{Page: 0, Detail: "header checksum mismatch"}
+	}
+	off := len(magic)
 	p.pageSize = int(binary.LittleEndian.Uint32(buf[off:]))
 	off += 4
-	if p.pageSize < MinPageSize || p.pageSize > MaxPageSize || p.pageSize > len(buf) {
+	if p.pageSize < MinPageSize || p.pageSize > MaxPageSize {
 		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("header page size %d", p.pageSize)}
-	}
-	want := binary.LittleEndian.Uint32(buf[p.pageSize-4:])
-	if got := crc32.ChecksumIEEE(buf[:p.pageSize-4]); got != want {
-		return &ErrCorruptPage{Page: 0, Detail: "header checksum mismatch"}
 	}
 	p.nextPage.Store(binary.LittleEndian.Uint64(buf[off:]))
 	off += 8
@@ -307,27 +274,14 @@ func (p *File) parseHeader(buf []byte) error {
 		p.meta[i] = binary.LittleEndian.Uint64(buf[off:])
 		off += 8
 	}
-	nfree := binary.LittleEndian.Uint32(buf[off:])
-	off += 4
-	if int(nfree) > p.freeListCap() {
-		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("header lists %d free extents", nfree)}
-	}
-	p.free = make([]Extent, nfree)
-	for i := range p.free {
-		p.free[i].Start = PageID(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-		p.free[i].Count = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	p.stats.leakedPages.Store(binary.LittleEndian.Uint64(buf[off:]))
 	return nil
 }
 
-// CheckHeader re-reads and re-validates the header page from disk, including
-// its checksum. It is the integrity walker's entry point for page 0 (which
+// CheckHeader re-reads and re-validates the header from disk, including its
+// checksum. It is the integrity walker's entry point for page 0 (which
 // ReadPage never serves).
 func (p *File) CheckHeader() error {
-	buf := make([]byte, p.pageSize)
+	buf := make([]byte, headerSize)
 	p.mu.Lock() // header writes happen under mu; avoid reading one torn
 	_, err := p.f.ReadAt(buf, 0)
 	p.mu.Unlock()
@@ -349,11 +303,7 @@ func (p *File) PayloadSize() int { return p.pageSize - pageHeaderSize }
 func (p *File) NumPages() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.nextPage.Load() - 1
-	for _, e := range p.free {
-		n -= e.Count
-	}
-	return n
+	return p.nextPage.Load() - 1 - p.freePages
 }
 
 // MetaGet reads a persistent metadata slot.
@@ -363,12 +313,86 @@ func (p *File) MetaGet(slot int) uint64 {
 	return p.meta[slot]
 }
 
-// MetaSet writes a persistent metadata slot and flushes the header.
-func (p *File) MetaSet(slot int, v uint64) error {
+// MetaSet sets a metadata slot; the next header write (a catalog flush or
+// Close) persists it.
+func (p *File) MetaSet(slot int, v uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.meta[slot] = v
-	return p.writeHeader()
+}
+
+// Reclaim makes free space the complement of owned, the extents the
+// caller's durable metadata names, within [1, cursor), and lowers the
+// cursor to the end of the last owned extent: an extent nothing durable
+// names holds nothing a crash must preserve. Call it right after opening,
+// before the first allocation. Owned extents that overlap each other or
+// pass the cursor are refused, and nothing changes.
+func (p *File) Reclaim(owned []Extent) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if errs := audit(owned, nil, p.nextPage.Load()); len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+	owned = slices.SortedFunc(slices.Values(owned), func(a, b Extent) int { return cmp.Compare(a.Start, b.Start) })
+	p.free, p.freePages = nil, 0
+	next := PageID(1)
+	for _, e := range owned {
+		if e.Start > next {
+			p.free = append(p.free, Extent{Start: next, Count: uint64(e.Start - next)})
+			p.freePages += uint64(e.Start - next)
+		}
+		next = max(next, e.Start+PageID(e.Count)) // a zero-count extent may sit inside another
+	}
+	p.nextPage.Store(uint64(next))
+	return nil
+}
+
+// CheckExtents audits owned, the extents the caller's metadata names,
+// against the allocation state: it returns one error per owned extent that
+// overlaps another, touches free space or passes the cursor, and the free
+// page total.
+func (p *File) CheckExtents(owned []Extent) (freePages uint64, errs []error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.freePages, audit(owned, p.free, p.nextPage.Load())
+}
+
+// audit is CheckExtents over an explicit free list and cursor.
+func audit(owned, free []Extent, cursor uint64) []error {
+	type span struct {
+		Extent
+		free bool
+	}
+	spans := make([]span, 0, len(owned)+len(free))
+	for _, e := range owned {
+		if e.Count > 0 {
+			spans = append(spans, span{Extent: e})
+		}
+	}
+	for _, e := range free {
+		spans = append(spans, span{Extent: e, free: true})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.Start, b.Start) })
+	name := func(s span) string {
+		if s.free {
+			return fmt.Sprintf("free extent [%d,+%d)", s.Start, s.Count)
+		}
+		return fmt.Sprintf("owned extent [%d,+%d)", s.Start, s.Count)
+	}
+	var errs []error
+	var reach span // the span reaching furthest so far
+	for _, s := range spans {
+		if !s.free && (s.Start == InvalidPage || uint64(s.Start)+s.Count > cursor) {
+			errs = append(errs, fmt.Errorf("pager: %s is outside [1,%d)", name(s), cursor))
+		}
+		if s.Start < reach.Start+PageID(reach.Count) {
+			errs = append(errs, fmt.Errorf("pager: %s overlaps %s", name(reach), name(s)))
+		}
+		if s.Start+PageID(s.Count) > reach.Start+PageID(reach.Count) {
+			reach = s
+		}
+	}
+	return errs
 }
 
 // growTo extends the file to cover at least next pages, growing in batches
@@ -403,8 +427,7 @@ func (p *File) growTo(next uint64) error {
 }
 
 // allocateLocked carves n contiguous pages from a free extent (first fit)
-// or the end of the file, without persisting the header. Caller holds p.mu
-// and must writeHeader before releasing durability-relevant state.
+// or the end of the file. Caller holds p.mu.
 func (p *File) allocateLocked(n uint64) (PageID, error) {
 	p.stats.allocs.Add(1)
 	for i, e := range p.free {
@@ -415,6 +438,7 @@ func (p *File) allocateLocked(n uint64) (PageID, error) {
 			if p.free[i].Count == 0 {
 				p.free = append(p.free[:i], p.free[i+1:]...)
 			}
+			p.freePages -= n
 			return start, nil
 		}
 	}
@@ -435,51 +459,39 @@ func (p *File) AllocateRun(n uint64) (PageID, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	start, err := p.allocateLocked(n)
-	if err != nil {
-		return InvalidPage, err
-	}
-	return start, p.writeHeader()
+	return p.allocateLocked(n)
 }
 
 // Allocate allocates a single page.
 func (p *File) Allocate() (PageID, error) { return p.AllocateRun(1) }
 
 // freeLocked returns an extent to the free list, coalescing with
-// neighbours; the header is not persisted. Caller holds p.mu.
+// neighbours. Caller holds p.mu.
 func (p *File) freeLocked(start PageID, n uint64) {
 	p.stats.frees.Add(1)
-	p.free = append(p.free, Extent{start, n})
-	sort.Slice(p.free, func(i, j int) bool { return p.free[i].Start < p.free[j].Start })
-	merged := p.free[:0]
-	for _, e := range p.free {
-		if m := len(merged); m > 0 && merged[m-1].Start+PageID(merged[m-1].Count) == e.Start {
-			merged[m-1].Count += e.Count
-		} else {
-			merged = append(merged, e)
-		}
+	p.freePages += n
+	i, _ := slices.BinarySearchFunc(p.free, start, func(e Extent, id PageID) int { return cmp.Compare(e.Start, id) })
+	p.free = slices.Insert(p.free, i, Extent{start, n})
+	if i+1 < len(p.free) && start+PageID(n) == p.free[i+1].Start {
+		p.free[i].Count += p.free[i+1].Count
+		p.free = slices.Delete(p.free, i+1, i+2)
 	}
-	p.free = merged
-	if limit := p.freeListCap(); len(p.free) > limit {
-		for _, e := range p.free[limit:] {
-			p.stats.leakedPages.Add(e.Count)
-		}
-		p.free = p.free[:limit]
+	if i > 0 && p.free[i-1].Start+PageID(p.free[i-1].Count) == start {
+		p.free[i-1].Count += p.free[i].Count
+		p.free = slices.Delete(p.free, i, i+1)
 	}
 }
 
 // FreeRun returns an extent to the free list, coalescing with neighbours.
-// When the free list is full the pages leak (tracked in stats).
 func (p *File) FreeRun(start PageID, n uint64) error {
 	if start == InvalidPage || n == 0 {
 		return fmt.Errorf("pager: bad free of %d pages at %d", n, start)
 	}
 	p.mu.Lock()
 	p.freeLocked(start, n)
-	err := p.writeHeader()
 	p.mu.Unlock()
 	p.invalidate(start, n)
-	return err
+	return nil
 }
 
 // OnInvalidate registers fn to be told about every extent whose cached
@@ -648,9 +660,6 @@ func (p *File) eachRunStripe(start PageID, npages uint64, fn func(*sync.RWMutex)
 
 // WritePage writes payload (at most PayloadSize bytes) to page id.
 func (p *File) WritePage(id PageID, payload []byte) error {
-	if p.readOnly {
-		return fmt.Errorf("pager: file is read-only")
-	}
 	if err := p.checkID(id); err != nil {
 		return err
 	}
@@ -678,9 +687,6 @@ func (p *File) WritePage(id PageID, payload []byte) error {
 // renders, catalog flips) cheap. Page-write statistics count one write per
 // page, as the loop would.
 func (p *File) WriteRun(start PageID, payload []byte) error {
-	if p.readOnly {
-		return fmt.Errorf("pager: file is read-only")
-	}
 	payloadSize := p.pageSize - pageHeaderSize
 	npages := uint64(len(payload)+payloadSize-1) / uint64(payloadSize)
 	if npages == 0 {
@@ -732,21 +738,17 @@ func (p *File) WriteRun(start PageID, payload []byte) error {
 var runBufPool sync.Pool
 
 // ReplaceMetaExtent is the crash-safe "write new extent, flip pointers,
-// free old" pattern: it allocates a fresh extent for payload, writes it
-// (one positional write), points the three meta slots at it (start page,
-// page count, byte length), sets slotTag to tag, frees the old extent, and
-// persists the header once. The file is fsynced between the payload write
-// and the header write, so the header cannot reach disk ahead of the
-// payload or of any page written before the call. A crash before the
-// header write leaves the previous state fully intact; after it, the new
-// state — tag included, so a value describing the payload never pairs with
-// another payload. Compared to composing AllocateRun + WritePage* +
-// MetaSet*4 + FreeRun, this pays one header write instead of six — it is
-// the catalog's flush primitive.
+// free old" pattern, and the catalog's flush primitive: it allocates a fresh
+// extent for payload, writes it (one positional write), points the three
+// meta slots at it (start page, page count, byte length), sets slotTag to
+// tag, frees the old extent, and writes the header. The file is fsynced
+// between the payload write and the header write, so the header cannot
+// reach disk ahead of the payload or of any page written before the call.
+// A crash before the header write leaves the previous state fully intact;
+// after it, the new state — tag included, so a value describing the
+// payload never pairs with another payload. The header is one sector, so
+// no crash leaves part of it.
 func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag uint64, payload []byte, old Extent) (Extent, error) {
-	if p.readOnly {
-		return Extent{}, fmt.Errorf("pager: file is read-only")
-	}
 	payloadSize := uint64(p.pageSize - pageHeaderSize)
 	npages := (uint64(len(payload)) + payloadSize - 1) / payloadSize
 	if npages == 0 {
@@ -786,13 +788,8 @@ func (p *File) checkID(id PageID) error {
 	return nil
 }
 
-// Sync flushes the header and fsyncs the file.
+// Sync fsyncs the file.
 func (p *File) Sync() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.writeHeader(); err != nil {
-		return err
-	}
 	if err := p.f.Sync(); err != nil {
 		return fmt.Errorf("pager: sync: %w", err)
 	}
@@ -800,15 +797,19 @@ func (p *File) Sync() error {
 }
 
 // Close trims the file to the allocation cursor — growTo's preallocated
-// slack holds no page — then syncs and closes it. A crash between the trim
-// and the sync is harmless: the file still covers every allocated page, and
-// OpenAt re-extends one shorter than its header cursor.
+// slack holds no page — writes the header, then syncs and closes the file.
+// A crash between the trim and the sync is harmless: the file still covers
+// every allocated page, and OpenAt re-extends one shorter than its header
+// cursor.
 func (p *File) Close() error {
 	var err error
 	p.mu.Lock()
-	if next := p.nextPage.Load(); !p.readOnly && p.filePages > next {
+	if next := p.nextPage.Load(); p.filePages > next {
 		err = p.f.Truncate(int64(next) * int64(p.pageSize))
 		p.filePages = next
+	}
+	if err == nil {
+		err = p.writeHeader()
 	}
 	p.mu.Unlock()
 	if err == nil {
@@ -830,12 +831,11 @@ func (p *File) Stats() Stats {
 		SeekDistance: p.stats.seekDistance.Load(),
 		Allocs:       p.stats.allocs.Load(),
 		Frees:        p.stats.frees.Load(),
-		LeakedPages:  p.stats.leakedPages.Load(),
 	}
 }
 
-// ResetStats zeroes the read/write/seek counters (allocation counters and
-// leak accounting are preserved) and resets seek tracking, so each measured
+// ResetStats zeroes the read/write/seek counters (allocation counters are
+// preserved) and resets seek tracking, so each measured
 // query starts cold.
 func (p *File) ResetStats() {
 	p.seekMu.Lock()

@@ -213,24 +213,6 @@ func TestMetaPersistence(t *testing.T) {
 	}
 }
 
-func TestFreeListPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "free.rdnt")
-	p, _ := Create(path, 1024)
-	a, _ := p.AllocateRun(20)
-	p.FreeRun(a, 20)
-	p.Close()
-
-	q, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	b, _ := q.AllocateRun(20)
-	if b != a {
-		t.Errorf("free list not persisted: got %d want %d", b, a)
-	}
-}
-
 func TestOpenRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk")
 	if err := os.WriteFile(path, make([]byte, 4096), 0o644); err != nil {
@@ -301,14 +283,13 @@ func TestConcurrentReadWrite(t *testing.T) {
 	}
 }
 
-func TestFreeListBoundedByHeaderPage(t *testing.T) {
-	// A fragmented free pattern (free every other extent, so nothing
-	// coalesces) must never grow the persisted free list past what the
-	// header page can hold: overflow leaks (tracked in stats) instead of
-	// corrupting the header. Regression test — ingest workloads that merge
-	// many tail batches free hundreds of non-adjacent extents.
+// TestFragmentedFreesStayReusable: a fragmented free pattern (every other
+// extent, so nothing coalesces) of more extents than any header could list
+// keeps every freed page reusable; allocations land in them before the file
+// grows.
+func TestFragmentedFreesStayReusable(t *testing.T) {
 	p := newFile(t, MinPageSize)
-	const extents = 200
+	const extents = 400
 	starts := make([]PageID, extents)
 	for i := range starts {
 		id, err := p.AllocateRun(2)
@@ -322,24 +303,152 @@ func TestFreeListBoundedByHeaderPage(t *testing.T) {
 			t.Fatalf("free %d: %v", i, err)
 		}
 	}
-	if got, limit := len(p.free), p.freeListCap(); got > limit {
-		t.Errorf("free list %d entries exceeds header capacity %d", got, limit)
+	if got, want := p.NumPages(), uint64(extents); got != want {
+		t.Fatalf("NumPages %d after freeing half, want %d", got, want)
 	}
-	if p.Stats().LeakedPages == 0 {
-		t.Error("overflowing frees should leak (tracked), not vanish")
+	cursor := p.nextPage.Load()
+	for i := 0; i < extents; i += 2 {
+		id, err := p.AllocateRun(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != starts[i] {
+			t.Fatalf("allocation %d at page %d, want the freed extent at %d", i/2, id, starts[i])
+		}
 	}
-	// The header must survive a sync + reopen round trip.
-	path := p.path
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+	if got := p.nextPage.Load(); got != cursor {
+		t.Fatalf("the file grew from %d to %d pages with %d freed pages to reuse", cursor, got, extents)
 	}
-	p2, err := Open(path)
+}
+
+// TestReclaimDerivesFreeSpace: after a reopen, free space is the complement
+// of the extents the caller owns, the cursor drops to the last owned page,
+// and allocation reuses the gaps first fit.
+func TestReclaimDerivesFreeSpace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reclaim.rdnt")
+	p, err := Create(path, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p2.Close()
-	if got, limit := len(p2.free), p2.freeListCap(); got > limit || got == 0 {
-		t.Errorf("reopened free list = %d entries, want in [1, %d]", got, limit)
+	if _, err := p.AllocateRun(40); err != nil { // pages [1, 41)
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if got := q.NumPages(); got != 40 {
+		t.Fatalf("before Reclaim NumPages = %d, want all 40 (nothing is free)", got)
+	}
+	owned := []Extent{{Start: 20, Count: 5}, {Start: 3, Count: 2}, {Start: 25, Count: 3}}
+	if err := q.Reclaim(owned); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.NumPages(); got != 10 {
+		t.Errorf("NumPages = %d, want the 10 owned", got)
+	}
+	if got := q.nextPage.Load(); got != 28 {
+		t.Errorf("cursor %d, want 28 (the end of the last owned extent)", got)
+	}
+	if free, errs := q.CheckExtents(owned); free != 17 || len(errs) != 0 {
+		t.Errorf("CheckExtents: %d free pages, %v; want 17 and no issue", free, errs)
+	}
+	for _, a := range []struct {
+		n    uint64
+		want PageID
+	}{{2, 1}, {15, 5}, {1, 28}} {
+		got, err := q.AllocateRun(a.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != a.want {
+			t.Errorf("AllocateRun(%d) = %d, want %d", a.n, got, a.want)
+		}
+	}
+}
+
+// TestOwnedExtentsAudited: Reclaim refuses, and CheckExtents reports, owned
+// extents that overlap each other or pass the cursor; CheckExtents also
+// reports one that touches free space.
+func TestOwnedExtentsAudited(t *testing.T) {
+	p := newFile(t, 1024)
+	if _, err := p.AllocateRun(10); err != nil { // pages [1, 11)
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		owned []Extent
+	}{
+		{"overlap", []Extent{{Start: 1, Count: 4}, {Start: 4, Count: 2}}},
+		{"nested", []Extent{{Start: 1, Count: 8}, {Start: 6, Count: 1}, {Start: 9, Count: 1}}},
+		{"past the cursor", []Extent{{Start: 8, Count: 4}}},
+		{"header page", []Extent{{Start: 0, Count: 2}}},
+	} {
+		if err := p.Reclaim(tc.owned); err == nil {
+			t.Errorf("%s: Reclaim accepted %v", tc.name, tc.owned)
+		}
+		if _, errs := p.CheckExtents(tc.owned); len(errs) != 1 {
+			t.Errorf("%s: CheckExtents reported %v, want one issue", tc.name, errs)
+		}
+	}
+	if got := p.NumPages(); got != 10 {
+		t.Fatalf("a refused Reclaim changed the allocation state: NumPages %d", got)
+	}
+	if err := p.FreeRun(5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, errs := p.CheckExtents([]Extent{{Start: 1, Count: 5}}); len(errs) != 1 {
+		t.Errorf("an owned extent over free pages: CheckExtents reported %v, want one issue", errs)
+	}
+}
+
+// TestHeaderWrittenOnlyByFlushAndClose: allocations, frees and syncs write
+// no header; a meta-extent flip and Close write one each, of one sector.
+func TestHeaderWrittenOnlyByFlushAndClose(t *testing.T) {
+	fs := vfs.NewFault(1)
+	p, err := CreateAt(fs, "h.rdnt", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := 0
+	fs.OnOp = func(op vfs.Op) {
+		if op.Kind == vfs.OpWrite && op.Off == 0 {
+			headers++
+			if op.Len > vfs.SectorSize {
+				t.Errorf("a %d-byte header write spans more than one sector", op.Len)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		id, err := p.AllocateRun(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, p, id, 3)
+		if i%2 == 0 {
+			if err := p.FreeRun(id, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if headers != 0 {
+		t.Fatalf("allocations, frees and syncs wrote the header %d times", headers)
+	}
+	if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 7, []byte("catalog"), Extent{Start: InvalidPage}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if headers != 2 {
+		t.Fatalf("%d header writes from one flip and Close, want 2", headers)
 	}
 }
 
@@ -393,20 +502,18 @@ func BenchmarkReadRunIntoOnePage(b *testing.B) {
 }
 
 // TestOpenRejectsForeignHeaders patches the header of a valid file into
-// shapes no writer of this package produces — among them the v1 magic
-// (no header checksum) and page sizes in [128, 256), both of which once
-// opened — and checks Open and CheckHeader return a typed *ErrCorruptPage
-// for page 0, never a panic.
+// shapes no writer of this package produces — among them the v1 magic (no
+// header checksum), the v2 magic (a header that persisted a free list) and
+// page sizes in [128, 256), which once opened — and checks Open and CheckHeader return a typed
+// *ErrCorruptPage for page 0, never a panic.
 func TestOpenRejectsForeignHeaders(t *testing.T) {
-	reseal := func(raw []byte, pageSize int) {
-		binary.LittleEndian.PutUint32(raw[pageSize-4:], crc32.ChecksumIEEE(raw[:pageSize-4]))
+	reseal := func(raw []byte) {
+		binary.LittleEndian.PutUint32(raw[headerSize-4:], crc32.ChecksumIEEE(raw[:headerSize-4]))
 	}
 	setSize := func(size uint32) func(raw []byte) {
 		return func(raw []byte) {
 			binary.LittleEndian.PutUint32(raw[8:], size)
-			if int(size) <= len(raw) {
-				reseal(raw, int(size)) // a header that is self-consistent at its claimed size
-			}
+			reseal(raw) // a header that is self-consistent at its claimed size
 		}
 	}
 	cases := []struct {
@@ -414,11 +521,13 @@ func TestOpenRejectsForeignHeaders(t *testing.T) {
 		patch func(raw []byte)
 	}{
 		{"v1 magic", func(raw []byte) { copy(raw, "RDNT0001") }},
-		{"v1 magic, resealed", func(raw []byte) { copy(raw, "RDNT0001"); reseal(raw, 1024) }},
+		{"v1 magic, resealed", func(raw []byte) { copy(raw, "RDNT0001"); reseal(raw) }},
+		{"v2 magic", func(raw []byte) { copy(raw, "RDNT0002") }},
+		{"v2 magic, resealed", func(raw []byte) { copy(raw, "RDNT0002"); reseal(raw) }},
 		{"page size 128", setSize(128)},
 		{"page size 160", setSize(160)},
 		{"page size 255", setSize(255)},
-		{"page size past file", setSize(MaxPageSize)},
+		{"page size past the maximum", setSize(2 * MaxPageSize)},
 		{"torn header", func(raw []byte) { raw[40] ^= 0xff }},
 	}
 	for _, tc := range cases {
@@ -596,8 +705,8 @@ func TestCloseTrimsSlack(t *testing.T) {
 }
 
 // TestCloseTrimSurvivesPowerCut cuts power between Close's truncate and its
-// sync, under both crash modes: the image reopens with every synced page and
-// allocates past them.
+// sync, under both crash modes: the image reopens with every page the last
+// durable header covers and allocates past them.
 func TestCloseTrimSurvivesPowerCut(t *testing.T) {
 	for _, mode := range []vfs.CrashMode{vfs.CrashDrop, vfs.CrashKeep} {
 		fs := vfs.NewFault(1)
@@ -610,10 +719,14 @@ func TestCloseTrimSurvivesPowerCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		fillPages(t, p, start, 100)
+		// A flush makes the header name the cursor past them.
+		if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 1, []byte("meta"), Extent{}); err != nil {
+			t.Fatal(err)
+		}
 		if err := p.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		late, err := p.AllocateRun(5) // unsynced: lost under CrashDrop
+		late, err := p.AllocateRun(5) // no header names it before the cut
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -637,9 +750,11 @@ func TestCloseTrimSurvivesPowerCut(t *testing.T) {
 		if err := q.CheckHeader(); err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
+		// late's pages were allocated after the last header write: no
+		// durable header covers them, so they are past the cursor.
 		checkPages(t, q, start, 100)
-		if mode == vfs.CrashKeep {
-			checkPages(t, q, late, 5)
+		if _, err := q.ReadPage(late); err == nil {
+			t.Errorf("mode %d: page %d past the durable cursor reads back", mode, late)
 		}
 		id, err := q.AllocateRun(3)
 		if err != nil {

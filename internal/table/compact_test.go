@@ -326,7 +326,7 @@ func TestCompactPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(f, cat, nil)
+	e := mustEngine(t, f, cat, nil)
 	tab, err := e.cat.Get("Traces")
 	if err != nil {
 		t.Fatal(err)

@@ -94,13 +94,21 @@ type Engine struct {
 	statMergeBytes atomic.Int64
 }
 
-// NewEngine creates an engine over an open page file and catalog. mgr may
-// be nil to run without a log (no durable inserts, no deferred frees). With
-// a manager, the engine hooks the catalog into its checkpoint/recovery
-// protocol: buffered catalog updates flush before every checkpoint, and
-// logged tail records replay during recovery — so create the engine before
-// calling the manager's Recover.
-func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine {
+// NewEngine creates an engine over a page file and the catalog just loaded
+// from it. It hands the pager every extent the catalog owns, and free space
+// becomes the rest of the file (pager.Reclaim): pages a crash stranded, and
+// frees that never ran, are reused from here on. mgr may be nil to run
+// without a log (no durable inserts, no deferred frees). With a manager, the
+// engine hooks the catalog into its checkpoint/recovery protocol: buffered
+// catalog updates flush before every checkpoint, and logged tail records
+// replay during recovery — so create the engine before calling the
+// manager's Recover, whose replayed tails then land in reclaimed space.
+func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) (*Engine, error) {
+	var err error
+	cat.Owned(func(owned []pager.Extent) { err = file.Reclaim(owned) })
+	if err != nil {
+		return nil, fmt.Errorf("table: the catalog's extents: %w", err)
+	}
 	e := &Engine{
 		file:        file,
 		cat:         cat,
@@ -126,7 +134,7 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine
 		mgr.OnRecover = cat.ApplyTailAppend
 		cat.DeferFree = e.deferFree
 	}
-	return e
+	return e, nil
 }
 
 // deferFree queues a catalog extent to be freed by the next checkpoint when
@@ -339,7 +347,7 @@ func (e *Engine) Drop(name string) error {
 		if err != nil {
 			return err
 		}
-		exts := e.reclaimable(tab.Parts(), tab.Indexes)
+		exts := catalog.Extents(tab.Parts(), tab.Indexes)
 		e.invalidateSpecCache()
 		if err := e.cat.Delete(name); err != nil {
 			return err

@@ -39,7 +39,6 @@ import (
 	"slices"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/btree"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/layout"
 	"rodentstore/internal/pager"
@@ -432,27 +431,6 @@ func (e *Engine) relayout(tab *catalog.Table) error {
 	})
 }
 
-// reclaimable lists the extents behind superseded parts and index trees.
-// Walking a tree reads its pages, so this runs before anything is freed. A
-// tree that cannot be walked to the end is reclaimed as far as it could be
-// read and the rest leaks: an unreadable index page must not make a table
-// impossible to fold or drop.
-func (e *Engine) reclaimable(parts []catalog.Part, trees []catalog.IndexMeta) []pager.Extent {
-	var exts []pager.Extent
-	for _, p := range parts {
-		for _, s := range p.Segments {
-			if s.Meta.ExtentPages > 0 {
-				exts = append(exts, pager.Extent{Start: s.Meta.ExtentStart, Count: s.Meta.ExtentPages})
-			}
-		}
-	}
-	for _, ix := range trees {
-		reached, _ := btree.Open(e.file, pager.PageID(ix.Root)).Extents()
-		exts = append(exts, reached...)
-	}
-	return exts
-}
-
 // free puts superseded extents into the free queue (version.go): freed once
 // the update is durable and no older pin remains.
 func (e *Engine) free(exts []pager.Extent) error {
@@ -514,7 +492,7 @@ func (e *Engine) flip(name string, parts []catalog.Part, edit func(work *catalog
 			trees = append(trees, ix)
 		}
 	}
-	exts := e.reclaimable(parts, trees)
+	exts := catalog.Extents(parts, trees)
 	if _, err := e.publish(&work); err != nil {
 		return err
 	}

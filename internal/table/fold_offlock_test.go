@@ -17,8 +17,8 @@ import (
 // foldGate parks a fold in its render. Armed, it waits for the first read of
 // the page file (a fold's read-back: nothing else in these tests reads
 // pages) and then parks the first page write after it (the fold's first
-// output write) until open is closed. The header write at offset 0 is let
-// through: the allocation that issues it holds the pager's mutex.
+// output write) until open is closed. A header write at offset 0 is let
+// through: the catalog flush that issues it holds the pager's mutex.
 type foldGate struct {
 	state  atomic.Int32 // 0 idle, 1 armed, 2 fold reading, 3 parked or done
 	at     atomic.Int64 // offset of the parked write

@@ -53,7 +53,7 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		if stored.Fields[fi].Type == value.List {
 			return fmt.Errorf("table: cannot index folded field %q", field)
 		}
-		tree, err := e.buildIndex(tab, field)
+		tree, levels, err := e.buildIndex(tab, field)
 		if err != nil {
 			return err
 		}
@@ -62,7 +62,7 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		// half-updated table (see catalog.Catalog.Get).
 		work := *tab
 		work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes...), catalog.IndexMeta{
-			Field: field, Root: uint64(tree.Root()), Rows: tab.RowCount,
+			Field: field, Root: uint64(tree.Root()), Rows: tab.RowCount, Extents: levels,
 		})
 		if _, err := e.publish(&work); err != nil {
 			return err
@@ -74,10 +74,10 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 // buildIndex reads the field's column in stored order, batch by batch,
 // sorts its (key, position) entries and bulk-builds the tree over them. Null
 // values are not indexed.
-func (e *Engine) buildIndex(tab *catalog.Table, field string) (*btree.Tree, error) {
+func (e *Engine) buildIndex(tab *catalog.Table, field string) (*btree.Tree, []pager.Extent, error) {
 	plan, err := e.planScan(tab, tab.Parts(), []string{field}, algebra.True, storedScanOpts{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cur := newCursor(plan)
 	defer cur.Close()
@@ -91,7 +91,7 @@ func (e *Engine) buildIndex(tab *catalog.Table, field string) (*btree.Tree, erro
 	for {
 		b, ok, err := cur.NextBatch()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
 			break
@@ -238,16 +238,12 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 // compiled filter compares it: an Int bound on a Float field as its float;
 // a Float bound on an Int field rounded inward, ceil for lo and floor for
 // hi (the filter still applies the exact bound). none reports a bound no
-// value of k satisfies. A NaN sorts below every number: as lo it bounds
-// nothing; as hi it admits only NaN rows — none in an Int field, and none a
-// Float index's key order finds by range — so that end is left open there
-// for the filter to decide.
+// value of k satisfies. A NaN sorts below every number, and a Float tree
+// keys it lowest; on an Int field it bounds nothing as lo and admits
+// nothing as hi.
 func indexKey(k value.Kind, v value.Value, lower bool) (key []byte, none bool) {
 	if v.IsNull() {
 		return nil, false
-	}
-	if v.Kind() == value.Float && math.IsNaN(v.Float()) {
-		return nil, k == value.Int && !lower
 	}
 	switch {
 	case k == value.Float && v.Kind() == value.Int:
@@ -258,7 +254,7 @@ func indexKey(k value.Kind, v value.Value, lower bool) (key []byte, none bool) {
 			f = math.Ceil(v.Float())
 		}
 		switch {
-		case f < math.MinInt64:
+		case math.IsNaN(f), f < math.MinInt64:
 			return nil, !lower
 		case f >= math.MaxInt64: // 2^63: beyond every int64
 			return nil, lower

@@ -268,7 +268,10 @@ func indexPred(r *rand.Rand, field string, floats map[string][]float64) algebra.
 // of a column layout, dictionary-coded, both compaction policies), part
 // mixes (main only; main, runs and tails; inserts only) and the moment the
 // index was built (before the inserts, after them, after a Compact). An
-// index flip dropped must be refused, not answered.
+// index flip dropped must be refused, not answered. The loaded rows of the
+// Float index's case hold −0, +0 and NaN, which the tree must order as
+// value.CompareFloats does (−0 == +0, NaN below −Inf) under ranges bounded
+// below and above.
 func TestIndexScanDifferential(t *testing.T) {
 	layouts := []struct{ expr, field string }{
 		{"chunk[64](rows(Traces))", "t"},
@@ -283,6 +286,25 @@ func TestIndexScanDifferential(t *testing.T) {
 	for _, row := range traceRows(400) {
 		floats["lat"] = append(floats["lat"], row[1].Float())
 		floats["lon"] = append(floats["lon"], row[2].Float())
+	}
+	// −0, +0 and NaN rows each in 64-row blocks of their own, so a lookup
+	// that misses them cannot keep their block for another hit.
+	special := traceRows(400)
+	for i := 0; i < 60; i += 10 {
+		special[i][1] = value.NewFloat(math.Copysign(0, -1))
+		special[i+70][1] = value.NewFloat(0)
+		special[i+330][1] = value.NewFloat(math.NaN())
+	}
+	zeroBound := func(op algebra.CmpOp, v float64) algebra.Predicate {
+		return algebra.True.And("lat", op, value.NewFloat(v))
+	}
+	specialPreds := []algebra.Predicate{
+		zeroBound(algebra.OpGe, 0).And("lat", algebra.OpLt, value.NewFloat(1)),
+		zeroBound(algebra.OpEq, 0),
+		zeroBound(algebra.OpLt, 0),
+		zeroBound(algebra.OpLe, -1),
+		zeroBound(algebra.OpGt, -1).And("lat", algebra.OpLe, value.NewFloat(math.Copysign(0, -1))),
+		zeroBound(algebra.OpLe, math.NaN()),
 	}
 	r := rand.New(rand.NewSource(24))
 	for _, l := range layouts {
@@ -301,7 +323,11 @@ func TestIndexScanDifferential(t *testing.T) {
 						}
 					}
 					if mix != "inserts" {
-						if err := e.Load("Traces", traceRows(400)); err != nil {
+						rows := traceRows(400)
+						if l.field == "lat" {
+							rows = special
+						}
+						if err := e.Load("Traces", rows); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -318,6 +344,9 @@ func TestIndexScanDifferential(t *testing.T) {
 					indexed, _ := e.Indexes("Traces")
 					for trial := 0; trial < 10; trial++ {
 						pred := indexPred(r, l.field, floats)
+						if l.field == "lat" && trial < len(specialPreds) {
+							pred = specialPreds[trial]
+						}
 						fields := [][]string{nil, {l.field}, {"lat", "id"}}[r.Intn(3)]
 						cur, err := e.IndexScan("Traces", fields, pred, l.field)
 						if len(indexed) == 0 {

@@ -1,11 +1,13 @@
 package table
 
 // Offline integrity checking: CheckIntegrity walks every table's segments
-// and decodes every block, so damage is found before a query trips over it.
-// The walk is read-only and runs under each table's shared lock (writers are
-// excluded per table, readers are not). It never stops at the first problem:
-// every issue is collected, typed and extent-addressed, which is what the
-// quarantine path and an operator repairing a file both need.
+// and decodes every block, so damage is found before a query trips over it,
+// and audits extent accounting: the extents the catalog owns are disjoint,
+// inside the file and not free. The walk is read-only and runs under each
+// table's shared lock (writers are excluded per table, readers are not). It
+// never stops at the first problem: every issue is collected, typed and
+// extent-addressed, which is what the quarantine path and an operator
+// repairing a file both need.
 
 import (
 	"fmt"
@@ -58,7 +60,13 @@ type IntegrityReport struct {
 	Tables   int
 	Segments int
 	Blocks   int
-	// Issues lists everything that failed to read or decode.
+	// OwnedPages counts the pages the catalog owns (its own extent, every
+	// part and every index tree); FreePages the pages the pager holds free.
+	// Pages that are neither wait in the free queue, belong to work in
+	// flight, or were stranded since the store opened.
+	OwnedPages, FreePages uint64
+	// Issues lists everything that failed to read or decode, and every
+	// owned extent that overlaps another, is free or passes the cursor.
 	Issues []IntegrityIssue
 }
 
@@ -66,11 +74,13 @@ type IntegrityReport struct {
 func (r *IntegrityReport) OK() bool { return len(r.Issues) == 0 }
 
 // CheckIntegrity decodes every block of every table (every part, all
-// columns) and reports each one that cannot be read. Damage does not stop
-// the walk; only infrastructure failures (catalog unreadable) return a
+// columns) and reports each one that cannot be read, and audits the
+// extents the catalog owns against the pager's free space. Damage does not
+// stop the walk; only infrastructure failures (catalog unreadable) return a
 // non-nil error alongside the partial report.
 func (e *Engine) CheckIntegrity() (*IntegrityReport, error) {
 	rep := &IntegrityReport{}
+	e.checkExtents(rep)
 	names := e.cat.Names()
 	sort.Strings(names)
 	for _, name := range names {
@@ -97,6 +107,24 @@ func (e *Engine) CheckIntegrity() (*IntegrityReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// checkExtents audits extent accounting. A pin taken before the catalog is
+// read keeps every extent it names from being freed meanwhile, and the
+// catalog lock keeps its own extent in place.
+func (e *Engine) checkExtents(rep *IntegrityReport) {
+	pin := e.vers.pin()
+	defer pin.release()
+	e.cat.Owned(func(owned []pager.Extent) {
+		for _, x := range owned {
+			rep.OwnedPages += x.Count
+		}
+		var errs []error
+		rep.FreePages, errs = e.file.CheckExtents(owned)
+		for _, err := range errs {
+			rep.Issues = append(rep.Issues, IntegrityIssue{Part: "extents", Segment: -1, Block: -1, Err: err})
+		}
+	})
 }
 
 // checkEntries walks one part's segment list, decoding every column of

@@ -194,7 +194,7 @@ func TestPlanMatchesPerBlockOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(NewEngine(f, cat, nil), "reopened")
+			check(mustEngine(t, f, cat, nil), "reopened")
 		})
 	}
 }

@@ -29,7 +29,7 @@ func TestScanReadsEachPageOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(f, cat, nil)
+	e := mustEngine(t, f, cat, nil)
 	if err := e.Create("T", tracesSchema(), "chunk[128](rows(T))"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCorruptPageInsideBlockRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(f, cat, nil)
+	e := mustEngine(t, f, cat, nil)
 	if err := e.Create("T", tracesSchema(), "chunk[128](rows(T))"); err != nil {
 		t.Fatal(err)
 	}

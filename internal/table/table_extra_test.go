@@ -156,7 +156,7 @@ func TestConcurrentScansAndInserts(t *testing.T) {
 	}
 	defer log.Close()
 	cat, _ := catalog.Load(f)
-	e := NewEngine(f, cat, txn.NewManager(f, log))
+	e := mustEngine(t, f, cat, txn.NewManager(f, log))
 
 	if err := e.Create("Traces", tracesSchema(), "rows(Traces)"); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestScanAfterSegmentCorruption(t *testing.T) {
 		// Corruption may have landed in the catalog extent; also a pass.
 		return
 	}
-	e := NewEngine(f, cat, nil)
+	e := mustEngine(t, f, cat, nil)
 	cur, err := e.Scan("Traces", ScanOptions{})
 	if err != nil {
 		return // failing at open is acceptable
@@ -351,7 +351,7 @@ func TestConcurrentScansTriggerLazyReorgOnce(t *testing.T) {
 	}
 	defer log.Close()
 	cat, _ := catalog.Load(f)
-	e := NewEngine(f, cat, txn.NewManager(f, log))
+	e := mustEngine(t, f, cat, txn.NewManager(f, log))
 	if err := e.Create("Traces", tracesSchema(), "rows(Traces)"); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func durableEnv(t *testing.T, path string) (*Engine, *pager.File, *wal.Log, *txn
 		t.Fatal(err)
 	}
 	mgr := txn.NewManager(f, log)
-	e := NewEngine(f, cat, mgr)
+	e := mustEngine(t, f, cat, mgr)
 	e.SyncInserts = true
 	return e, f, log, mgr
 }

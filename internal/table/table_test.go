@@ -12,6 +12,7 @@ import (
 	"rodentstore/internal/oracle"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/transforms"
+	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
 )
 
@@ -27,7 +28,17 @@ func newEngine(t testing.TB) (*Engine, *pager.File, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(f, cat, nil), f, path
+	return mustEngine(t, f, cat, nil), f, path
+}
+
+// mustEngine is NewEngine for tests, failing t on an error.
+func mustEngine(t testing.TB, f *pager.File, cat *catalog.Catalog, mgr *txn.Manager) *Engine {
+	t.Helper()
+	e, err := NewEngine(f, cat, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func tracesSchema() *value.Schema {
@@ -642,7 +653,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(f, cat, nil)
+	e := mustEngine(t, f, cat, nil)
 	cur, err := e.Scan("Traces", ScanOptions{})
 	if err != nil {
 		t.Fatal(err)

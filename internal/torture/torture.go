@@ -26,25 +26,24 @@
 //     and rebuilt; every fold's flip decides how much of it stays valid), and
 //     a lookup over a random key range returns exactly the rows the predicate
 //     scan returns, which are the committed model's.
+//   - The recovered store passes CheckIntegrity: every block decodes, and
+//     the extents the catalog owns are disjoint, inside the file and not
+//     free.
 //
 // Between operations the harness also power-cuts the live store itself and
 // reopens it, verifying an exact match. Snapshot kills and live crashes
 // both cycle CrashDrop, CrashKeep and CrashTorn (a random sector-aligned
-// prefix of every unsynced write survives). A crash whose torn write left
-// the page-file header itself torn yields a store that does not open (a
-// known limitation, documented in DESIGN.md): such kill points are skipped
-// and counted, and such a live crash is replaced by a CrashDrop one.
+// prefix of every unsynced write survives; the page-file header is one
+// sector, so it survives whole or not at all). Every kill point is checked.
 package torture
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
 	"sort"
 
 	"rodentstore"
-	"rodentstore/internal/pager"
 	"rodentstore/internal/vfs"
 )
 
@@ -77,20 +76,10 @@ type Stats struct {
 	Indexes int
 	// KillPoints is how many write/sync points were crash-checked.
 	KillPoints int
-	// TornHeaders is how many kill points and live crashes were skipped
-	// because the crash tore the page-file header.
-	TornHeaders int
 }
 
 // crashModes is the cycle kill points and live crashes go through.
 var crashModes = [...]vfs.CrashMode{vfs.CrashDrop, vfs.CrashKeep, vfs.CrashTorn}
-
-// tornHeader reports whether err is a store failing to open because its
-// header page did not survive a torn write.
-func tornHeader(err error) bool {
-	var corrupt *pager.ErrCorruptPage
-	return errors.As(err, &corrupt) && corrupt.Page == 0
-}
 
 // inflight describes the operation whose I/O is currently executing, for the
 // atomicity rule at kill points.
@@ -388,27 +377,22 @@ func (h *harness) opCrashReopen() error {
 	open := func() (*rodentstore.DB, error) {
 		return rodentstore.OpenWithOptions(dbPath, &rodentstore.Options{FS: h.fs, DurableInserts: true})
 	}
-	var db *rodentstore.DB
-	var err error
 	if mode := crashModes[h.stats.Crashes%len(crashModes)]; mode == vfs.CrashTorn {
 		// A torn crash draws per-write prefixes: the store reopens on the
-		// snapshot of one, unless its header is the write that tore.
+		// snapshot of one.
 		h.fs = vfs.NewFaultFromImages(h.cfg.Seed+int64(h.stats.Crashes), live.SnapshotCrash(mode))
 		h.fs.OnOp = live.OnOp
-		if db, err = open(); tornHeader(err) {
-			h.stats.TornHeaders++
-			h.fs = live
-			live.Crash(vfs.CrashDrop)
-			db, err = open()
-		}
 	} else {
 		live.Crash(mode)
-		db, err = open()
 	}
+	db, err := open()
 	if err != nil {
 		return fmt.Errorf("reopen after crash: %w", err)
 	}
 	h.db = db
+	if err := checkIntegrity(db); err != nil {
+		return fmt.Errorf("after crash: %w", err)
+	}
 	for _, name := range h.tableNames() {
 		if _, ok := h.model[name]; !ok {
 			continue
@@ -443,9 +427,7 @@ func (h *harness) onOp(op vfs.Op) {
 	h.nextKill++
 	h.stats.KillPoints++
 	imgs := h.fs.SnapshotCrash(mode)
-	if err := h.verifySnapshot(imgs); mode == vfs.CrashTorn && tornHeader(err) {
-		h.stats.TornHeaders++
-	} else if err != nil {
+	if err := h.verifySnapshot(imgs); err != nil {
 		h.checkErr = fmt.Errorf("kill point at op %d (%v %s off=%d len=%d, mode=%d): %w",
 			op.N, op.Kind, op.Path, op.Off, op.Len, mode, err)
 	}
@@ -460,6 +442,9 @@ func (h *harness) verifySnapshot(imgs map[string]vfs.Image) error {
 		return fmt.Errorf("recovery failed: %w", err)
 	}
 	defer db.Close()
+	if err := checkIntegrity(db); err != nil {
+		return err
+	}
 	live := make(map[string]bool)
 	for _, t := range db.Tables() {
 		live[t] = true
@@ -492,6 +477,18 @@ func (h *harness) verifySnapshot(imgs map[string]vfs.Image) error {
 		if err := h.checkLayout(db, name); err != nil {
 			return fmt.Errorf("table %s: %w", name, err)
 		}
+	}
+	return nil
+}
+
+// checkIntegrity fails on any issue CheckIntegrity reports.
+func checkIntegrity(db *rodentstore.DB) error {
+	rep, err := db.CheckIntegrity()
+	if err != nil {
+		return fmt.Errorf("integrity: %w", err)
+	}
+	if !rep.OK() {
+		return fmt.Errorf("integrity: %v", rep.Issues)
 	}
 	return nil
 }

@@ -195,7 +195,12 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 		file.Close()
 		return nil, err
 	}
-	eng := table.NewEngine(file, cat, mgr)
+	eng, err := table.NewEngine(file, cat, mgr)
+	if err != nil {
+		log.Close()
+		file.Close()
+		return nil, err
+	}
 	if _, err := mgr.Recover(); err != nil {
 		log.Close()
 		file.Close()
