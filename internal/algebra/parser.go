@@ -34,15 +34,6 @@ func Parse(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse for statically known expressions; it panics on error.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type tokKind int
 
 const (

@@ -7,6 +7,15 @@ import (
 	"rodentstore/internal/value"
 )
 
+// mustParse is Parse for the tests' literal expressions; it panics on error.
+func mustParse(src string) Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 // canonical expressions: Parse(s).String() == s must hold for each.
 var canonical = []string{
 	"Traces",
@@ -59,8 +68,8 @@ func TestParsePrintRoundtrip(t *testing.T) {
 }
 
 func TestParseWhitespaceInsensitive(t *testing.T) {
-	a := MustParse("zorder( grid[ lat , lon ; 64 , 64 ]( Traces ) )")
-	b := MustParse("zorder(grid[lat,lon; 64,64](Traces))")
+	a := mustParse("zorder( grid[ lat , lon ; 64 , 64 ]( Traces ) )")
+	b := mustParse("zorder(grid[lat,lon; 64,64](Traces))")
 	if a.String() != b.String() {
 		t.Errorf("whitespace changed parse: %q vs %q", a.String(), b.String())
 	}
@@ -174,19 +183,19 @@ func TestPredicateAndFields(t *testing.T) {
 }
 
 func TestBaseOf(t *testing.T) {
-	e := MustParse("zorder(grid[a,b; 4,4](project[a,b](T)))")
+	e := mustParse("zorder(grid[a,b; 4,4](project[a,b](T)))")
 	name, err := BaseOf(e)
 	if err != nil || name != "T" {
 		t.Errorf("BaseOf: %q %v", name, err)
 	}
-	multi := MustParse("prejoin[k](A, B)")
+	multi := mustParse("prejoin[k](A, B)")
 	if _, err := BaseOf(multi); err == nil {
 		t.Error("BaseOf should fail on multi-table expressions")
 	}
 }
 
 func TestWalkOrder(t *testing.T) {
-	e := MustParse("zorder(grid[a; 4](T))")
+	e := mustParse("zorder(grid[a; 4](T))")
 	var names []string
 	Walk(e, func(x Expr) {
 		switch x.(type) {

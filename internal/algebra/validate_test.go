@@ -50,7 +50,7 @@ func TestInferValid(t *testing.T) {
 		{"delta[lat,lon](zorder(grid[lat,lon; 64,64](project[lat,lon](orderby[t](groupby[id](Traces))))))", "lat:float, lon:float"},
 	}
 	for _, c := range cases {
-		s, err := Infer(MustParse(c.src), schemas)
+		s, err := Infer(mustParse(c.src), schemas)
 		if err != nil {
 			t.Errorf("Infer(%q): %v", c.src, err)
 			continue
@@ -116,7 +116,7 @@ func TestInferCaseStudyLayouts(t *testing.T) {
 		"delta[lat,lon](zorder(grid[lat,lon; 64,64](project[lat,lon](orderby[t](groupby[id](Traces))))))",
 	}
 	for _, l := range layouts {
-		if _, err := Infer(MustParse(l), schemas); err != nil {
+		if _, err := Infer(mustParse(l), schemas); err != nil {
 			t.Errorf("case-study layout %q: %v", l, err)
 		}
 	}

@@ -21,8 +21,12 @@ func TestNumShards(t *testing.T) {
 
 func TestShardedCapacitySplit(t *testing.T) {
 	p, _, _ := newPoolT(t, 100, 4)
-	if p.Capacity() != 100 {
-		t.Errorf("Capacity = %d, want 100", p.Capacity())
+	frames := 0
+	for _, sh := range p.shards {
+		frames += len(sh.frames)
+	}
+	if frames != 100 {
+		t.Errorf("%d frames, want 100", frames)
 	}
 	if p.Shards() != numShards(100) {
 		t.Errorf("Shards = %d, want %d", p.Shards(), numShards(100))

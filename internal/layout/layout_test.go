@@ -26,7 +26,11 @@ func schemas() map[string]*value.Schema {
 
 func compile(t *testing.T, src string) *Spec {
 	t.Helper()
-	spec, err := Compile(algebra.MustParse(src), schemas())
+	expr, err := algebra.Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	spec, err := Compile(expr, schemas())
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", src, err)
 	}

@@ -16,10 +16,12 @@ import (
 //
 // A reference is a use from any non-test file loaded by the run (its own
 // package, the root package, cmd/, examples/, a nested module such as
-// benchmark/) or a mention from a _test.go file in another package
-// directory, so shared test support and reference oracles stay where they
-// are. Those test files are read syntactically: pkg.Name mentions a
-// package-level name, and any .Name mentions every method so named. A
+// benchmark/). For a declaration under internal/oracle, the shared test
+// support, a mention from a _test.go file in another package directory
+// counts too. Anything else that only tests need is deleted, or allowed
+// with a reason (//lint:allow deadexport). Those test files are read
+// syntactically: pkg.Name mentions a package-level name, and any .Name
+// mentions every method so named. A
 // method also counts as referenced when its type has, by name, every
 // method of an interface that names it. Matching is by name rather than
 // object identity, because the source importer type-checks its own
@@ -36,6 +38,10 @@ func DeadExport() *Analyzer {
 	}
 }
 
+// testSupportDir is the module directory of the shared test support: the
+// one package whose exports other packages' tests keep live.
+const testSupportDir = "internal/oracle"
+
 // exportKey names a package-level identifier (recv == "") or a method of
 // a named type.
 type exportKey struct{ pkg, recv, name string }
@@ -44,7 +50,9 @@ type exportDecl struct {
 	key   exportKey
 	ident *ast.Ident
 	dir   string
-	named *types.Named // the receiver type, for methods
+	// testSupport marks a declaration under testSupportDir.
+	testSupport bool
+	named       *types.Named // the receiver type, for methods
 	// own spans the declaration itself (and, for a type, its methods):
 	// references inside them do not keep it live.
 	own []ast.Node
@@ -64,7 +72,11 @@ func runDeadExport(pass *Pass) error {
 			return err
 		}
 		if rel = filepath.ToSlash(rel); rel == "internal" || strings.HasPrefix(rel, "internal/") {
-			decls = append(decls, exportedDecls(pkg, byKey)...)
+			support := rel == testSupportDir || strings.HasPrefix(rel, testSupportDir+"/")
+			for _, d := range exportedDecls(pkg, byKey) {
+				d.testSupport = support
+				decls = append(decls, d)
+			}
 		}
 	}
 	used := make(map[exportKey]bool)
@@ -85,7 +97,7 @@ func runDeadExport(pass *Pass) error {
 		if d.key.recv != "" {
 			mention, name = "."+d.key.name, d.key.recv+"."+d.key.name
 		}
-		if used[d.key] || mentionedElsewhere(mentions[mention], d.dir) || satisfiesNamingInterface(d, ifaces) {
+		if used[d.key] || d.testSupport && mentionedElsewhere(mentions[mention], d.dir) || satisfiesNamingInterface(d, ifaces) {
 			continue
 		}
 		pass.Reportf(d.ident.Pos(), "exported %s is referenced only by its own package's tests, if at all", name)

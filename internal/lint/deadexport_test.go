@@ -122,6 +122,22 @@ func TestG(t *testing.T) { a.G() }
 		{
 			name: "another package's test references it",
 			files: map[string]string{
+				"internal/oracle/oracle.go": "package oracle\n\nfunc F() {}\n",
+				"internal/b/b_test.go": `package b
+
+import (
+	"testing"
+
+	"m/internal/oracle"
+)
+
+func TestB(t *testing.T) { oracle.F() }
+`,
+			},
+		},
+		{
+			name: "another package's test references a name outside the test support",
+			files: map[string]string{
 				"internal/a/a.go": "package a\n\nfunc F() {}\n",
 				"internal/b/b_test.go": `package b
 
@@ -134,17 +150,18 @@ import (
 func TestB(t *testing.T) { a.F() }
 `,
 			},
+			want: []string{"F"},
 		},
 		{
 			name: "another package's test references it through a renamed import",
 			files: map[string]string{
-				"internal/a/a.go": "package a\n\nfunc F() {}\n",
+				"internal/oracle/oracle.go": "package oracle\n\nfunc F() {}\n",
 				"internal/b/b_test.go": `package b
 
 import (
 	"testing"
 
-	x "m/internal/a"
+	x "m/internal/oracle"
 )
 
 func TestB(t *testing.T) { x.F() }
@@ -154,16 +171,16 @@ func TestB(t *testing.T) { x.F() }
 		{
 			name: "another package's test names the method",
 			files: map[string]string{
-				"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n\nfunc (T) N() {}\n",
+				"internal/oracle/oracle.go": "package oracle\n\ntype T struct{}\n\nfunc (T) M() {}\n\nfunc (T) N() {}\n",
 				"internal/b/b_test.go": `package b
 
 import (
 	"testing"
 
-	"m/internal/a"
+	"m/internal/oracle"
 )
 
-func TestB(t *testing.T) { a.T{}.M() }
+func TestB(t *testing.T) { oracle.T{}.M() }
 `,
 			},
 			want: []string{"T.N"},

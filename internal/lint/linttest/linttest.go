@@ -33,6 +33,8 @@ func FixturePath(dir string) string {
 // Run loads the fixture package in dir, applies the analyzer, and reports
 // any mismatch between diagnostics and // want expectations as test
 // failures.
+//
+//lint:allow deadexport the fixture harness the analyzers' tests run through
 func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
 	loader := lint.NewLoader()
@@ -71,6 +73,8 @@ func FixtureModule(t *testing.T, dir string) (root, modPath string) {
 // the analyzer to every package of it ("./..."), module-wide check
 // included, and matches the diagnostics against the // want expectations
 // of the tree's non-test files.
+//
+//lint:allow deadexport the fixture harness the module-wide analyzers' tests run through
 func RunModule(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
 	root, modPath := FixtureModule(t, dir)

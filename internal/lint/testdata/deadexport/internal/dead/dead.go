@@ -18,8 +18,9 @@ func Recurse(n int) int { // want `exported Recurse is referenced only`
 	return Recurse(n - 1)
 }
 
-// Near-miss: another package's test references it.
-func UsedByOtherTest() {}
+// Positive: only another package's tests reference it, and this package is
+// not the shared test support.
+func UsedByOtherTest() {} // want `exported UsedByOtherTest is referenced only`
 
 // Near-miss: this package's own non-test code references it.
 func UsedHere() int { return 2 }

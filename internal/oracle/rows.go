@@ -5,6 +5,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/transforms"
@@ -117,6 +118,39 @@ func Limit(rel transforms.Relation, n int) transforms.Relation {
 		n = len(rel.Rows)
 	}
 	return transforms.Relation{Schema: rel.Schema, Rows: rel.Rows[:n]}
+}
+
+// GridBounds derives per-dimension bounds from the rows (min/max of each
+// grid attribute): the reference for the renderer's bounds over vectors.
+func GridBounds(rel transforms.Relation, dims []algebra.GridDim) ([]transforms.GridBounds, error) {
+	out := make([]transforms.GridBounds, len(dims))
+	for i, d := range dims {
+		c := rel.Schema.Index(d.Field)
+		if c < 0 {
+			return nil, fmt.Errorf("oracle: grid: unknown field %q", d.Field)
+		}
+		if t := rel.Schema.Fields[c].Type; t != value.Int && t != value.Float {
+			return nil, fmt.Errorf("oracle: grid: field %q is %s, not numeric", d.Field, t)
+		}
+		b := transforms.GridBounds{Field: d.Field, Col: c, Cells: d.Cells, Min: math.Inf(1), Max: math.Inf(-1)}
+		for _, row := range rel.Rows {
+			if row[c].IsNull() {
+				return nil, fmt.Errorf("oracle: grid: null value in dimension %q", d.Field)
+			}
+			v := row[c].Float()
+			if v < b.Min {
+				b.Min = v
+			}
+			if v > b.Max {
+				b.Max = v
+			}
+		}
+		if len(rel.Rows) == 0 {
+			b.Min, b.Max = 0, 0
+		}
+		out[i] = b
+	}
+	return out, nil
 }
 
 // GridAssign partitions rows into cells. The returned map is keyed by the

@@ -153,7 +153,7 @@ func TestGridBoundsAndAssign(t *testing.T) {
 		})
 	}
 	rel := transforms.Relation{Schema: s, Rows: rows}
-	bounds, err := transforms.ComputeGridBounds(rel, []algebra.GridDim{{Field: "x", Cells: 5}, {Field: "y", Cells: 5}})
+	bounds, err := GridBounds(rel, []algebra.GridDim{{Field: "x", Cells: 5}, {Field: "y", Cells: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestGridEdgeCases(t *testing.T) {
 	rel := transforms.Relation{Schema: s, Rows: []value.Row{
 		{value.NewFloat(5)}, {value.NewFloat(5)},
 	}}
-	bounds, err := transforms.ComputeGridBounds(rel, []algebra.GridDim{{Field: "x", Cells: 4}})
+	bounds, err := GridBounds(rel, []algebra.GridDim{{Field: "x", Cells: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +210,12 @@ func TestGridEdgeCases(t *testing.T) {
 	}
 	// Nulls rejected.
 	relNull := transforms.Relation{Schema: s, Rows: []value.Row{{value.NullValue()}}}
-	if _, err := transforms.ComputeGridBounds(relNull, []algebra.GridDim{{Field: "x", Cells: 2}}); err == nil {
+	if _, err := GridBounds(relNull, []algebra.GridDim{{Field: "x", Cells: 2}}); err == nil {
 		t.Error("null in grid dimension should fail")
 	}
 	// Empty relation is fine.
 	relEmpty := transforms.Relation{Schema: s}
-	b, err := transforms.ComputeGridBounds(relEmpty, []algebra.GridDim{{Field: "x", Cells: 2}})
+	b, err := GridBounds(relEmpty, []algebra.GridDim{{Field: "x", Cells: 2}})
 	if err != nil || b[0].Min != 0 || b[0].Max != 0 {
 		t.Errorf("empty bounds: %+v %v", b, err)
 	}

@@ -88,8 +88,6 @@ type Stats struct {
 	// this even when the seek count stays flat (nearby cells in space land
 	// nearby on disk), which is the paper's z-ordering argument.
 	SeekDistance uint64
-	Allocs       uint64
-	Frees        uint64
 }
 
 // counters is the lock-free internal form of Stats.
@@ -98,8 +96,6 @@ type counters struct {
 	pageWrites   atomic.Uint64
 	seeks        atomic.Uint64
 	seekDistance atomic.Uint64
-	allocs       atomic.Uint64
-	frees        atomic.Uint64
 }
 
 // Extent is a contiguous run of pages [Start, Start+Count).
@@ -125,7 +121,6 @@ func (e *ErrCorruptPage) Error() string {
 // for concurrent use; page reads and writes do not take any global lock.
 type File struct {
 	f        vfs.File
-	path     string
 	pageSize int
 
 	// mu guards allocation state: the free list, metadata slots and header
@@ -179,7 +174,7 @@ func CreateAt(fsys vfs.FS, path string, pageSize int) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pager: create %s: %w", path, err)
 	}
-	p := &File{f: f, path: path, pageSize: pageSize, filePages: 1}
+	p := &File{f: f, pageSize: pageSize, filePages: 1}
 	p.nextPage.Store(1)
 	p.mu.Lock()
 	err = p.writeHeader()
@@ -198,6 +193,8 @@ func CreateAt(fsys vfs.FS, path string, pageSize int) (*File, error) {
 
 // Open opens an existing page file on the OS file system and restores its
 // header state.
+//
+//lint:allow deadexport tests reopen a page file they wrote on disk; the engine opens through OpenAt
 func Open(path string) (*File, error) {
 	return OpenAt(vfs.OS, path)
 }
@@ -214,7 +211,7 @@ func OpenAt(fsys vfs.FS, path string) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("pager: read header of %s: %w", path, err)
 	}
-	p := &File{f: f, path: path}
+	p := &File{f: f}
 	if err := p.parseHeader(buf); err != nil {
 		f.Close()
 		return nil, err
@@ -288,8 +285,7 @@ func (p *File) CheckHeader() error {
 	if err != nil {
 		return fmt.Errorf("pager: read header: %w", err)
 	}
-	check := &File{path: p.path}
-	return check.parseHeader(buf)
+	return (&File{}).parseHeader(buf)
 }
 
 // PageSize returns the page size in bytes.
@@ -315,6 +311,8 @@ func (p *File) MetaGet(slot int) uint64 {
 
 // MetaSet sets a metadata slot; the next header write (a catalog flush or
 // Close) persists it.
+//
+//lint:allow deadexport tests forge header slots that no catalog flush writes
 func (p *File) MetaSet(slot int, v uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -429,7 +427,6 @@ func (p *File) growTo(next uint64) error {
 // allocateLocked carves n contiguous pages from a free extent (first fit)
 // or the end of the file. Caller holds p.mu.
 func (p *File) allocateLocked(n uint64) (PageID, error) {
-	p.stats.allocs.Add(1)
 	for i, e := range p.free {
 		if e.Count >= n {
 			start := e.Start
@@ -468,7 +465,6 @@ func (p *File) Allocate() (PageID, error) { return p.AllocateRun(1) }
 // freeLocked returns an extent to the free list, coalescing with
 // neighbours. Caller holds p.mu.
 func (p *File) freeLocked(start PageID, n uint64) {
-	p.stats.frees.Add(1)
 	p.freePages += n
 	i, _ := slices.BinarySearchFunc(p.free, start, func(e Extent, id PageID) int { return cmp.Compare(e.Start, id) })
 	p.free = slices.Insert(p.free, i, Extent{start, n})
@@ -829,13 +825,10 @@ func (p *File) Stats() Stats {
 		PageWrites:   p.stats.pageWrites.Load(),
 		Seeks:        p.stats.seeks.Load(),
 		SeekDistance: p.stats.seekDistance.Load(),
-		Allocs:       p.stats.allocs.Load(),
-		Frees:        p.stats.frees.Load(),
 	}
 }
 
-// ResetStats zeroes the read/write/seek counters (allocation counters are
-// preserved) and resets seek tracking, so each measured
+// ResetStats zeroes the counters and resets seek tracking, so each measured
 // query starts cold.
 func (p *File) ResetStats() {
 	p.seekMu.Lock()
@@ -846,6 +839,3 @@ func (p *File) ResetStats() {
 	p.lastRead, p.haveLast = 0, false
 	p.seekMu.Unlock()
 }
-
-// Path returns the backing file path.
-func (p *File) Path() string { return p.path }

@@ -85,6 +85,8 @@ func (bv *BlockView) Rows() int { return bv.nrows }
 
 // Chunk returns column c's encoded chunk, aliasing the reader's buffer (valid
 // until the next View), for decoders other than DecodeCol.
+//
+//lint:allow deadexport differential tests decode the raw chunk with the reference codecs
 func (bv *BlockView) Chunk(c int) []byte { return bv.chunks[c] }
 
 // DecodeCol decodes column c into dst (which is Reset first) through the

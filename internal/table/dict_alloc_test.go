@@ -32,7 +32,8 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 	if err := e.Load("T", rows); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := buffer.NewPool(e.file, 1024)
+	const poolPages = 1024
+	pool, err := buffer.NewPool(e.file, poolPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +57,8 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 		}
 		batchPool.Put(b)
 	}
-	if st := pool.Stats(); st.Misses == 0 || st.Misses > uint64(pool.Capacity()) {
-		t.Fatalf("pool of %d pages cannot hold the table: %+v", pool.Capacity(), st)
+	if st := pool.Stats(); st.Misses == 0 || st.Misses > poolPages {
+		t.Fatalf("pool of %d pages cannot hold the table: %+v", poolPages, st)
 	}
 	i := 0
 	return testing.AllocsPerRun(40, func() {

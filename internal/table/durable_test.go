@@ -76,9 +76,9 @@ func TestLateTailRecordAfterFoldFreeAndReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		pub, err := e.insertOnce("A", idRows(10, 10), false)
-		if err != nil || !pub.ok {
-			t.Fatalf("publish: ok=%v err=%v", pub.ok, err)
+		pub, err := e.insertTail("A", idRows(10, 10))
+		if err != nil {
+			t.Fatalf("publish: %v", err)
 		}
 		tab, _ := e.cat.Get("A")
 		late := tab.Tails[len(tab.Tails)-1][0].Meta

@@ -12,6 +12,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,14 +68,6 @@ type Engine struct {
 	mu    sync.Mutex
 	specs map[string]*layout.Spec // compile cache keyed by expr text
 
-	// snapMu guards insertSnaps, the per-table cache of the layout/schema
-	// snapshot Insert's prepare phase runs against. A hit skips the
-	// shared-lock round and schema rebuild per insert; staleness is caught
-	// by publish-time revalidation (the entry is dropped and the insert
-	// retried).
-	snapMu      sync.Mutex
-	insertSnaps map[string]insertSnapshot
-
 	// merge is the background tail-merge worker (nil until EnableAutoMerge).
 	mergeMu sync.Mutex
 	merge   *merger
@@ -110,14 +103,13 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) (*Engin
 		return nil, fmt.Errorf("table: the catalog's extents: %w", err)
 	}
 	e := &Engine{
-		file:        file,
-		cat:         cat,
-		mgr:         mgr,
-		Source:      file,
-		tableLocks:  make(map[string]*tableLock),
-		specs:       make(map[string]*layout.Spec),
-		insertSnaps: make(map[string]insertSnapshot),
-		vers:        newVersions(file),
+		file:       file,
+		cat:        cat,
+		mgr:        mgr,
+		Source:     file,
+		tableLocks: make(map[string]*tableLock),
+		specs:      make(map[string]*layout.Spec),
+		vers:       newVersions(file),
 	}
 	if mgr != nil {
 		// Stage the free queue before the catalog flush: everything queued
@@ -256,20 +248,23 @@ func (e *Engine) lockOf(name string) *tableLock {
 }
 
 // compile resolves a layout expression against the current catalog schemas,
-// with caching.
+// with caching. The plan goes into the cache map it missed in: a schema
+// change invalidates after updating the catalog, so a plan compiled against
+// the schemas before it lands in a map no later lookup sees.
 func (e *Engine) compile(exprText string) (*layout.Spec, error) {
 	e.mu.Lock()
-	if spec, ok := e.specs[exprText]; ok {
-		e.mu.Unlock()
+	specs := e.specs
+	spec, ok := specs[exprText]
+	e.mu.Unlock()
+	if ok {
 		return spec, nil
 	}
-	e.mu.Unlock()
 	spec, err := e.compileAs(exprText, "", nil)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.specs[exprText] = spec
+	specs[exprText] = spec
 	e.mu.Unlock()
 	return spec, nil
 }
@@ -298,19 +293,6 @@ func (e *Engine) invalidateSpecCache() {
 	e.mu.Lock()
 	e.specs = make(map[string]*layout.Spec)
 	e.mu.Unlock()
-	e.dropInsertSnap("")
-}
-
-// dropInsertSnap forgets the cached insert snapshot of one table ("" for
-// all).
-func (e *Engine) dropInsertSnap(name string) {
-	e.snapMu.Lock()
-	if name == "" {
-		e.insertSnaps = make(map[string]insertSnapshot)
-	} else {
-		delete(e.insertSnaps, name)
-	}
-	e.snapMu.Unlock()
 }
 
 // Create registers a table with its logical schema and layout expression.
@@ -329,12 +311,13 @@ func (e *Engine) Create(name string, schema *value.Schema, layoutExpr string) er
 		if spec.Table != name {
 			return fmt.Errorf("table: layout %q is for table %q, not %q", layoutExpr, spec.Table, name)
 		}
-		e.invalidateSpecCache()
-		return e.cat.Put(&catalog.Table{
+		err = e.cat.Put(&catalog.Table{
 			Name:       name,
 			Fields:     catalog.FieldsOf(schema),
 			LayoutExpr: spec.Expr,
 		})
+		e.invalidateSpecCache()
+		return err
 	})
 }
 
@@ -348,8 +331,9 @@ func (e *Engine) Drop(name string) error {
 			return err
 		}
 		exts := catalog.Extents(tab.Parts(), tab.Indexes)
+		err = e.cat.Delete(name)
 		e.invalidateSpecCache()
-		if err := e.cat.Delete(name); err != nil {
+		if err != nil {
 			return err
 		}
 		if err := e.free(exts); err != nil {
@@ -396,21 +380,18 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 	})
 }
 
-// insertRetries bounds optimistic staged-insert attempts before falling
-// back to preparing under the exclusive lock (only a concurrent AlterLayout
-// racing every attempt can exhaust them).
-const insertRetries = 4
-
 // Insert appends rows as an unorganized tail batch. The main layout is not
 // touched (the "reorganize only new data" strategy of §5); call Reorganize
 // to merge, or EnableAutoMerge to have tails folded in the background.
 //
 // Insert is staged: validation, the per-row pipeline steps and the segment
-// block encoding all run with no table lock held (concurrent inserters to
-// the same table overlap this work); only the publish phase — extent
-// allocation, page writes, tail append and catalog put — runs under a short
-// exclusive lock. If the table's layout changes between the two phases the
-// stage is thrown away and re-prepared.
+// block encoding all run with no table lock held, against the record the
+// catalog holds when the insert starts (records are copy-on-write, so it
+// stays whole while the table moves on); concurrent inserters to the same
+// table overlap this work. Only the publish phase — extent allocation, page
+// writes, tail append and catalog put — runs under the exclusive table
+// lock, taken once. If the table's layout or schema changed between the two
+// phases, the stage is re-prepared under that lock.
 //
 // With SyncInserts, durability also stays off the lock: the published
 // tail's record is logged to the WAL and fsync'd (group commit) after the
@@ -423,46 +404,35 @@ func (e *Engine) Insert(name string, rows []value.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
-		exclusive := attempt >= insertRetries // guaranteed-progress fallback
-		pub, err := e.insertOnce(name, rows, exclusive)
-		if err != nil {
+	pub, err := e.insertTail(name, rows)
+	if err != nil {
+		return err
+	}
+	if pub.streams != nil {
+		record := catalog.EncodeTailAppend(name, pub.batch, pub.rows, pub.streams)
+		if err := e.mgr.Commit(pub.id, record); err != nil {
 			return err
 		}
-		if pub.ok {
-			if pub.streams != nil {
-				record := catalog.EncodeTailAppend(name, pub.batch, pub.rows, pub.streams)
-				if err := e.mgr.Commit(pub.id, record); err != nil {
-					return err
-				}
-			}
-			e.maybeAutoMerge(name, pub.mergeNeeded)
-			return nil
-		}
-		e.dropInsertSnap(name) // layout moved; re-snapshot on retry
 	}
+	e.maybeAutoMerge(name, pub.mergeNeeded)
+	return nil
 }
 
-// insertSnapshot is the catalog state a staged insert was prepared against.
-type insertSnapshot struct {
-	layoutExpr string
-	schema     *value.Schema
-}
-
-// stagedTail is a fully encoded tail batch, ready to publish.
+// stagedTail is a fully encoded tail batch, ready to publish, with the
+// layout and schema of the record it was encoded under.
 type stagedTail struct {
-	writers []*segment.Writer
-	defs    []layout.SegmentDef
-	rows    int64
+	layoutExpr string
+	fields     []catalog.FieldMeta
+	writers    []*segment.Writer
+	defs       []layout.SegmentDef
+	rows       int64
 }
 
-// published is the outcome of one publish phase: whether it installed the
-// tail (ok=false means the layout moved and the caller must re-prepare),
-// whether the merge policy fired, and — in SyncInserts mode — what the
-// tail record is encoded from (the batch, its row count and the writers'
-// streams) and the commit id its catalog update got, for Manager.Commit.
+// published is the outcome of a publish: whether the merge policy fired,
+// and — in SyncInserts mode — what the tail record is encoded from (the
+// batch, its row count and the writers' streams) and the commit id its
+// catalog update got, for Manager.Commit.
 type published struct {
-	ok          bool
 	mergeNeeded bool
 	id          uint64
 	batch       []catalog.SegmentEntry
@@ -470,103 +440,51 @@ type published struct {
 	streams     [][]byte
 }
 
-// insertOnce runs one prepare/publish round. With exclusivePrepare the
-// whole round holds the exclusive table lock (the snapshot cannot go stale);
-// otherwise prepare runs lock-free and publish revalidates the layout,
-// returning ok=false when it moved. In SyncInserts mode the tail record
-// comes back to the caller, to be logged after the lock is released.
-func (e *Engine) insertOnce(name string, rows []value.Row, exclusivePrepare bool) (pub published, err error) {
-	if exclusivePrepare {
-		err = e.withLock(name, exclusive, func() error {
-			tab, err := e.cat.Get(name)
-			if err != nil {
-				return err
-			}
-			schema, err := tab.Schema()
-			if err != nil {
-				return err
-			}
-			snap := insertSnapshot{layoutExpr: tab.LayoutExpr, schema: schema}
-			st, err := e.prepareTail(snap, rows)
-			if err != nil {
-				return err
-			}
-			pub, err = e.publishTail(name, snap.layoutExpr, st, false)
-			return err
-		})
-		return pub, err
-	}
-
-	snap, err := e.snapshotForInsert(name)
+// insertTail runs Insert's one prepare/publish round. In SyncInserts mode
+// the tail record comes back to the caller, to be logged after the lock is
+// released.
+func (e *Engine) insertTail(name string, rows []value.Row) (pub published, err error) {
+	tab, err := e.cat.Get(name)
 	if err != nil {
 		return published{}, err
 	}
-	st, err := e.prepareTail(snap, rows)
+	st, err := e.prepareTail(tab, rows)
 	if err != nil {
 		return published{}, err
 	}
 	err = e.withLock(name, exclusive, func() error {
-		pub, err = e.publishTail(name, snap.layoutExpr, st, true)
+		pub, err = e.publishTail(name, st, rows)
 		return err
 	})
 	return pub, err
 }
 
-// snapshotForInsert returns the table's layout and schema for the prepare
-// phase: from the per-table cache when possible, else read under a brief
-// shared lock (concurrent inserters snapshot in parallel). A stale cached
-// snapshot is harmless — publish revalidates the layout and the insert
-// retries after dropping the entry.
-func (e *Engine) snapshotForInsert(name string) (insertSnapshot, error) {
-	e.snapMu.Lock()
-	snap, hit := e.insertSnaps[name]
-	e.snapMu.Unlock()
-	if hit {
-		return snap, nil
-	}
-	err := e.withLock(name, shared, func() error {
-		tab, err := e.cat.Get(name)
-		if err != nil {
-			return err
-		}
-		schema, err := tab.Schema()
-		if err != nil {
-			return err
-		}
-		snap = insertSnapshot{layoutExpr: tab.LayoutExpr, schema: schema}
-		return nil
-	})
-	if err != nil {
-		return snap, err
-	}
-	e.snapMu.Lock()
-	e.insertSnaps[name] = snap
-	e.snapMu.Unlock()
-	return snap, nil
-}
-
-// prepareTail validates rows, appends them into vectors, runs the per-row
-// pipeline steps (project, select — tails stay unorganized, see
-// relation.applySteps) and encodes the tail's segment blocks into memory.
-// No locks held, no page I/O.
-func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail, error) {
-	for i, r := range rows {
-		if err := snap.schema.Validate(r); err != nil {
-			return nil, fmt.Errorf("table: row %d: %w", i, err)
-		}
-	}
-	spec, err := e.compile(snap.layoutExpr)
+// prepareTail validates rows against tab's schema, appends them into
+// vectors, runs the per-row pipeline steps of tab's layout (project, select
+// — tails stay unorganized, see relation.applySteps) and encodes the tail's
+// segment blocks into memory. No locks held, no page I/O.
+func (e *Engine) prepareTail(tab *catalog.Table, rows []value.Row) (*stagedTail, error) {
+	schema, err := tab.Schema()
 	if err != nil {
 		return nil, err
 	}
-	rel, err := rowsRelation(snap.schema, rows)
+	for i, r := range rows {
+		if err := schema.Validate(r); err != nil {
+			return nil, fmt.Errorf("table: row %d: %w", i, err)
+		}
+	}
+	spec, err := e.compile(tab.LayoutExpr)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := rowsRelation(schema, rows)
 	if err != nil {
 		return nil, err
 	}
 	if err := rel.applySteps(spec, true); err != nil {
 		return nil, err
 	}
-	st := &stagedTail{rows: int64(len(rel.perm))}
+	st := &stagedTail{layoutExpr: tab.LayoutExpr, fields: tab.Fields, rows: int64(len(rel.perm))}
 	for _, def := range spec.Segments {
 		w, err := e.stageSegment(rel, def, spec.RowsPerBlock, nil)
 		if err != nil {
@@ -578,12 +496,13 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 	return st, nil
 }
 
-// publishTail installs a staged tail batch: allocate extents, write the
-// rendered pages in place, append the tail entry and bump the catalog. The
-// caller holds the exclusive table lock. With revalidate, a layout mismatch
-// against the prepare-time snapshot returns ok=false so the caller can
-// re-prepare. Tail-only appends shift no stored position, so secondary
-// indexes survive (IndexScan scans the parts past their coverage).
+// publishTail installs a staged tail batch of rows: allocate extents, write
+// the rendered pages in place, append the tail entry and bump the catalog.
+// The caller holds the exclusive table lock. A stage whose layout or schema
+// is no longer the table's is re-prepared from rows first: its writers were
+// never finished, so they hold no extents and dropping them leaks nothing.
+// Tail-only appends shift no stored position, so secondary indexes survive
+// (IndexScan scans the parts past their coverage).
 //
 // In SyncInserts mode the batch and its streams are also returned; the
 // caller encodes them as a tail record (catalog.EncodeTailAppend), logs it
@@ -591,13 +510,15 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 // wait off the table's critical section. The catalog itself is only updated in memory (publish) —
 // rewriting the whole catalog per insert is O(catalog size) of serialized
 // work, while the logged record is O(batch) and replays on recovery.
-func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate bool) (pub published, err error) {
+func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub published, err error) {
 	tab, err := e.cat.Get(name)
 	if err != nil {
 		return published{}, err
 	}
-	if revalidate && tab.LayoutExpr != layoutExpr {
-		return published{}, nil // layout moved between prepare and publish
+	if tab.LayoutExpr != st.layoutExpr || !slices.Equal(tab.Fields, st.fields) {
+		if st, err = e.prepareTail(tab, rows); err != nil {
+			return published{}, err
+		}
 	}
 	batch := make([]catalog.SegmentEntry, 0, len(st.writers))
 	for i, w := range st.writers {
@@ -628,7 +549,6 @@ func (e *Engine) publishTail(name, layoutExpr string, st *stagedTail, revalidate
 			pub.streams[i] = w.Buf()
 		}
 	}
-	pub.ok = true
 	return pub, nil
 }
 

@@ -411,7 +411,6 @@ func (e *Engine) discard(out rendered) error {
 // catalog until the flip, so a failed fold leaves the table exactly as it
 // was. The caller checkpoints before releasing the lock (Engine.checkpoint).
 func (e *Engine) relayout(tab *catalog.Table) error {
-	e.dropInsertSnap(tab.Name)
 	work := *tab
 	if work.PendingExpr != "" {
 		work.LayoutExpr = work.PendingExpr

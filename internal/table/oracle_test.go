@@ -394,7 +394,7 @@ func requireRows(t testing.TB, what string, got, want []value.Row) {
 // byte-identical reference for readBack + render. Rows are read back one
 // Cursor.Next at a time, the layout's steps run through oracle.* and
 // transforms.* over boxed rows, grid cells come from
-// transforms.ComputeGridBounds and oracle.GridAssign, and every block is
+// oracle.GridBounds and oracle.GridAssign, and every block is
 // encoded from boxed columns by the reference codecs, with zone maps taken
 // over boxed values. Only the cell order along the curve (orderCells) is
 // shared with production.
@@ -473,7 +473,7 @@ func oracleRender(t *testing.T, e *Engine, tab *catalog.Table, rel transforms.Re
 	runs := []cellRows{{segment.NoCell, rel.Rows}}
 	var out oraclePart
 	if spec.Grid != nil && !tail {
-		bounds, err := transforms.ComputeGridBounds(rel, spec.Grid.Dims)
+		bounds, err := oracle.GridBounds(rel, spec.Grid.Dims)
 		if err != nil {
 			t.Fatal(err)
 		}

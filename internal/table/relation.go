@@ -396,7 +396,7 @@ func (r *relation) grid(g *layout.GridSpec) ([]transforms.GridBounds, []cellRun,
 			} else {
 				x = float64(col.Int64s[i])
 			}
-			// Compared as transforms.ComputeGridBounds does: a NaN moves
+			// Compared as the reference (oracle.GridBounds) does: a NaN moves
 			// neither bound, and the first of -0 and +0 seen wins.
 			if x < b.Min {
 				b.Min = x

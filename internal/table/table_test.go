@@ -480,7 +480,13 @@ func TestEstimateScanMatchesActual(t *testing.T) {
 	pred, _ := algebra.ParsePredicate("lat >= 42.3598 and lat < 42.3602")
 	for _, l := range layouts {
 		t.Run(l, func(t *testing.T) {
-			e, f, _ := setup(t, l, 2000)
+			e, f, path := newEngine(t)
+			if err := e.Create("Traces", tracesSchema(), l); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Load("Traces", traceRows(2000)); err != nil {
+				t.Fatal(err)
+			}
 			for _, opts := range []ScanOptions{{}, {Pred: pred}, {Fields: []string{"lat"}}} {
 				est, err := e.EstimateScan("Traces", opts)
 				if err != nil {
@@ -495,7 +501,7 @@ func TestEstimateScanMatchesActual(t *testing.T) {
 				actual := f.Stats().PageReads
 				// Estimates count whole blocks; actual reads share boundary
 				// pages, so the estimate may exceed actual slightly.
-				if est.Pages < actual || est.Pages > actual+uint64(len(f.Path()))+16 {
+				if est.Pages < actual || est.Pages > actual+uint64(len(path))+16 {
 					t.Errorf("opts %+v: estimated %d pages, actual %d", opts, est.Pages, actual)
 				}
 			}

@@ -2,8 +2,8 @@
 // of the storage algebra's transforms (paper §3.5-3.6) over in-memory
 // relations: the Relation itself, fold and unfold (the renderer materializes
 // nestings with them before writing pages) and the grid discretization. The
-// boxed row operators (select, project, order, group, limit, grid
-// assignment) are test reference code in internal/oracle.
+// boxed row operators (select, project, order, group, limit, grid bounds
+// and assignment) are test reference code in internal/oracle.
 //
 // Fold is implemented twice, exactly as §4.2 discusses: FoldNestedLoop is
 // the paper's Algorithm 1 (two nested for-loops, O(n²)); FoldHash is the
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"rodentstore/internal/algebra"
 	"rodentstore/internal/value"
 )
 
@@ -228,39 +227,6 @@ func (b GridBounds) CellOf(v float64) int {
 		return b.Cells - 1
 	}
 	return int(c)
-}
-
-// ComputeGridBounds derives per-dimension bounds from the data (min/max of
-// each grid attribute).
-func ComputeGridBounds(rel Relation, dims []algebra.GridDim) ([]GridBounds, error) {
-	out := make([]GridBounds, len(dims))
-	for i, d := range dims {
-		c := rel.Schema.Index(d.Field)
-		if c < 0 {
-			return nil, fmt.Errorf("transforms: grid: unknown field %q", d.Field)
-		}
-		if t := rel.Schema.Fields[c].Type; t != value.Int && t != value.Float {
-			return nil, fmt.Errorf("transforms: grid: field %q is %s, not numeric", d.Field, t)
-		}
-		b := GridBounds{Field: d.Field, Col: c, Cells: d.Cells, Min: math.Inf(1), Max: math.Inf(-1)}
-		for _, row := range rel.Rows {
-			if row[c].IsNull() {
-				return nil, fmt.Errorf("transforms: grid: null value in dimension %q", d.Field)
-			}
-			v := row[c].Float()
-			if v < b.Min {
-				b.Min = v
-			}
-			if v > b.Max {
-				b.Max = v
-			}
-		}
-		if len(rel.Rows) == 0 {
-			b.Min, b.Max = 0, 0
-		}
-		out[i] = b
-	}
-	return out, nil
 }
 
 // CellCoords inverts a row-major cell index (first dimension slowest) back

@@ -223,6 +223,8 @@ func (f *Fault) SnapshotCrash(mode CrashMode) map[string]Image {
 // Corrupt XORs every byte in [off, off+n) of the named file with 0xA5, in
 // both the live and the durable image — simulating at-rest media corruption
 // that survives reopen. It reports how many bytes were in range.
+//
+//lint:allow deadexport at-rest corruption that the recovery and quarantine tests inject
 func (f *Fault) Corrupt(path string, off int64, n int) int {
 	f.mu.Lock()
 	mf := f.files[path]

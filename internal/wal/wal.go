@@ -149,6 +149,8 @@ type Log struct {
 // Fsyncs returns the number of physical fsync calls issued so far. With
 // group commit, concurrent committers share leaders' fsyncs, so this grows
 // more slowly than the commit count.
+//
+//lint:allow deadexport group-commit tests count the fsyncs that commits share
 func (l *Log) Fsyncs() uint64 { return l.fsyncs.Load() }
 
 // Open opens (or creates) the log at path on the OS file system.
