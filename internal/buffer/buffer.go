@@ -1,27 +1,24 @@
-// Package buffer implements RodentStore's shared buffer pool. The paper's
-// core motivation (§1) is that every new storage engine duplicates
-// "transaction, lock, and memory management facilities"; the buffer pool is
-// the memory-management facility shared by every layout RodentStore renders.
+// Package buffer implements a sharded page cache over the pager. The engine
+// no longer reads through it: its one cache holds decoded column chunks
+// (internal/table), so a warm scan neither copies pages nor decodes them.
+// The pool stays for the gating benchmark's layer probes
+// (benchmark/probes.go), which time Lease on a cold and a warm pool and
+// read a table through a Pool as a segment.PageSource.
 //
-// The pool is a read-only cache of page payloads above the pager, with
-// CLOCK (second-chance) eviction and pin counts. Every page write goes
-// through the pager, which tells the pool what it rewrote or freed
+// The pool is a read-only cache of page payloads with CLOCK
+// (second-chance) eviction and pin counts. Every page write goes through
+// the pager, which tells the pool what it rewrote or freed
 // (pager.File.OnInvalidate), so no frame is ever dirty and the pool never
-// writes: eviction and invalidation do no I/O. To scale with
-// concurrent readers, frames are split into lock-striped shards keyed by a
-// hash of the PageID: each shard has its own mutex, frame array, CLOCK hand
-// and atomic hit/miss counters, so scans on different goroutines contend
-// only when they touch pages in the same shard. A shard lock is never held
-// across a miss's disk read — the page is fetched outside the lock and the
-// insert race (two goroutines missing on the same page) is resolved by
-// adopting whichever frame was installed first.
-//
-// Logical I/O statistics for experiments are taken at the pager, so measured
-// scans run with a cold pool (or bypass it) to reproduce the paper's page
-// counts.
+// writes: eviction and invalidation do no I/O. Frames are split into
+// lock-striped shards keyed by a hash of the PageID: each shard has its own
+// mutex, frame array, CLOCK hand and atomic hit/miss counters. A shard lock
+// is never held across a miss's disk read — the page is fetched outside the
+// lock and the insert race (two goroutines missing on the same page) is
+// resolved by adopting whichever frame was installed first.
 package buffer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -226,7 +223,7 @@ func (p *Pool) Lease(id pager.PageID) (Lease, error) {
 	}
 }
 
-// load is the miss path of Lease and AppendPage. It claims a frame for id
+// load is the miss path of Lease. It claims a frame for id
 // and publishes it in the index (pinned once, read pending), reads the page
 // with the shard lock dropped, and returns the filled frame with sh.mu held
 // again. The caller holds sh.mu on entry; on error load returns with it
@@ -332,71 +329,21 @@ func (sh *shard) drop(f *frame) {
 	}
 }
 
-// Invalidate forgets every cached page, so the next access is a cold read.
-// Experiments call this between queries to reproduce the paper's
-// cold-cache page counts. It drops pages as discard does: an in-flight
-// read lands first, and a leased page keeps its bytes until Release.
-func (p *Pool) Invalidate() {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		ids := make([]pager.PageID, 0, len(sh.index))
-		for id := range sh.index {
-			ids = append(ids, id)
-		}
-		sh.mu.Unlock()
-		for _, id := range ids {
-			sh.discard(id)
-		}
-	}
-}
-
-// ReadPage returns a copy of the page payload, going through the cache. It
-// adapts the pool to segment.PageSource so table scans can run warm.
+// ReadPage returns a copy of page id's payload, going through the cache: a
+// lease copied out and released, so it leaves no pin behind. It adapts the
+// pool to segment.PageSource. If the page's shard is momentarily out of
+// evictable frames (every frame pinned by leases), the read degrades to an
+// uncached pager read instead of failing.
 func (p *Pool) ReadPage(id pager.PageID) ([]byte, error) {
-	n := p.file.PayloadSize()
-	return p.AppendPage(make([]byte, 0, n), id, 0, n)
-}
-
-// AppendPage appends bytes [lo, hi) of page id's payload to dst, going
-// through the cache; it is the pool's segment.PageAppender, the scan path's
-// fetch. A hit copies the range under the shard lock, so it takes no pin
-// and leaves nothing to release. A miss reads the page into a claimed frame
-// as Lease does, then copies the range and drops the claim's pin in the
-// same critical section. If the page's shard is momentarily out of
-// evictable frames (every frame pinned by concurrent leases), the read
-// degrades to an uncached pager read instead of failing the scan. On error
-// nothing is appended.
-func (p *Pool) AppendPage(dst []byte, id pager.PageID, lo, hi int) ([]byte, error) {
-	sh := p.shardOf(id)
-	for {
-		sh.mu.Lock()
-		if fi, ok := sh.index[id]; ok {
-			f := &sh.frames[fi]
-			if sh.awaitFresh(f) {
-				continue // another goroutine's read is in flight
-			}
-			sh.hits.Add(1)
-			f.refbit = true
-			dst = append(dst, f.data[lo:hi]...)
-			sh.mu.Unlock()
-			return dst, nil
+	l, err := p.Lease(id)
+	if err != nil {
+		if errors.Is(err, errShardPinned) {
+			return p.file.ReadPage(id)
 		}
-		f, err := p.load(sh, id)
-		if err == nil {
-			dst = append(dst, f.data[lo:hi]...)
-			sh.drop(f)
-			sh.mu.Unlock()
-			return dst, nil
-		}
-		if !errors.Is(err, errShardPinned) {
-			return dst, err
-		}
-		page, err := p.file.ReadPage(id)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, page[lo:hi]...), nil
+		return nil, err
 	}
+	page := bytes.Clone(l.data)
+	return page, l.Release()
 }
 
 // PayloadSize returns the underlying file's page payload size.
@@ -404,7 +351,7 @@ func (p *Pool) PayloadSize() int { return p.file.PayloadSize() }
 
 // Stats returns a snapshot of the counters aggregated over shards.
 //
-//lint:allow deadexport cursor and allocation tests assert the hits and misses a scan makes through the pool
+//lint:allow deadexport the pool's own tests check its hit and miss counts; the pool stays only for benchmark/probes.go
 func (p *Pool) Stats() Stats {
 	var s Stats
 	for _, sh := range p.shards {
@@ -418,7 +365,7 @@ func (p *Pool) Stats() Stats {
 // Pinned returns the number of pins held: leases not yet released and
 // misses whose read is in flight. An idle pool has none.
 //
-//lint:allow deadexport cursor tests assert that no frame pin outlives a cursor
+//lint:allow deadexport the pool's own tests check that no pin outlives a lease; the pool stays only for benchmark/probes.go
 func (p *Pool) Pinned() int {
 	n := 0
 	for _, sh := range p.shards {
@@ -433,5 +380,5 @@ func (p *Pool) Pinned() int {
 
 // Shards returns the number of lock stripes (for tests and diagnostics).
 //
-//lint:allow deadexport the cursor stress test checks that its pool is striped
+//lint:allow deadexport the pool's stress test checks that its pool is striped; the pool stays only for benchmark/probes.go
 func (p *Pool) Shards() int { return len(p.shards) }

@@ -69,7 +69,7 @@ func TestGetCachesPages(t *testing.T) {
 	}
 	l.Release()
 	before := f.Stats().PageReads
-	if _, err := p.AppendPage(nil, start, 0, 1); err != nil {
+	if _, err := p.ReadPage(start); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Stats().PageReads; got != before {
@@ -132,37 +132,8 @@ func TestUnpinErrors(t *testing.T) {
 	}
 }
 
-// TestInvalidate pins Invalidate's contract: every page is forgotten, and a
-// leased page keeps its bytes until Release, which drops it.
-func TestInvalidate(t *testing.T) {
-	p, _, start := newPoolT(t, 4, 4)
-	touch(t, p, start)
-	p.Invalidate()
-	if p.Resident(start) {
-		t.Error("page still resident after Invalidate")
-	}
-	l, err := p.Lease(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Invalidate()
-	if l.Data()[0] != 0 {
-		t.Error("leased page's bytes changed under Invalidate")
-	}
-	if err := l.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Resident(start) {
-		t.Error("invalidated leased page survived its Release")
-	}
-	if n := p.Pinned(); n != 0 {
-		t.Errorf("%d pins left", n)
-	}
-}
-
 // TestPoolNeverWritesPages drives every pool path (hits, misses,
-// eviction, Invalidate under a lease, the uncached fallback of a fully
-// pinned shard) and checks the pool is a read-only cache: it serves the
+// eviction, the uncached fallback of a fully pinned shard) and checks the pool is a read-only cache: it serves the
 // bytes on disk and writes no page.
 func TestPoolNeverWritesPages(t *testing.T) {
 	const frames, pages = 2, 8
@@ -181,10 +152,6 @@ func TestPoolNeverWritesPages(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(i, l.Data())
-			if i == 3 {
-				p.Invalidate()
-				check(i, l.Data())
-			}
 			if err := l.Release(); err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +226,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				id := start + pager.PageID(r.Intn(32))
 				if i%2 == 0 {
-					if _, err := p.AppendPage(nil, id, 0, 1); err != nil {
+					if _, err := p.ReadPage(id); err != nil {
 						done <- err
 						return
 					}

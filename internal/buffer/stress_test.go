@@ -57,11 +57,11 @@ func TestLeaseZeroCopy(t *testing.T) {
 	}
 }
 
-// TestAppendPage pins the scan fetch: a miss and a hit each append exactly
-// the asked range onto dst, a hit reads nothing from the pager, neither
-// leaves a pin behind, and a shard whose every frame is pinned degrades to
-// an uncached read.
-func TestAppendPage(t *testing.T) {
+// TestReadPage pins the probes' page source: a miss and a hit each return
+// the page's payload, a hit reads nothing from the pager, neither leaves a
+// pin behind, and a shard whose every frame is pinned degrades to an
+// uncached read.
+func TestReadPage(t *testing.T) {
 	p, f, start := newPoolT(t, 1, 4)
 	if err := f.WriteRun(start, []byte{7, 8, 9, 10}); err != nil {
 		t.Fatal(err)
@@ -69,12 +69,12 @@ func TestAppendPage(t *testing.T) {
 	read := func(wantReads uint64) {
 		t.Helper()
 		before := f.Stats().PageReads
-		got, err := p.AppendPage([]byte{1}, start, 1, 3)
+		got, err := p.ReadPage(start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, []byte{1, 8, 9}) {
-			t.Fatalf("AppendPage = %v, want [1 8 9]", got)
+		if !bytes.Equal(got[:4], []byte{7, 8, 9, 10}) || len(got) != f.PayloadSize() {
+			t.Fatalf("ReadPage = %v..., %d bytes; want [7 8 9 10]..., %d bytes", got[:4], len(got), f.PayloadSize())
 		}
 		if reads := f.Stats().PageReads - before; reads != wantReads {
 			t.Fatalf("%d pager reads, want %d", reads, wantReads)
@@ -86,7 +86,7 @@ func TestAppendPage(t *testing.T) {
 		t.Fatalf("stats %+v, want one hit and one miss", s)
 	}
 	if n := p.Pinned(); n != 0 {
-		t.Fatalf("AppendPage left %d pins", n)
+		t.Fatalf("ReadPage left %d pins", n)
 	}
 	// The one frame pinned by a lease: another page still reads, uncached.
 	l, err := p.Lease(start + 1)
@@ -94,19 +94,18 @@ func TestAppendPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Release()
-	got, err := p.AppendPage(nil, start+2, 0, 1)
+	got, err := p.ReadPage(start + 2)
 	if err != nil {
 		t.Fatalf("all-pinned shard: %v", err)
 	}
 	if got[0] != 2 || p.Resident(start+2) {
-		t.Fatalf("degraded read = %v, resident %v", got, p.Resident(start+2))
+		t.Fatalf("degraded read = %v, resident %v", got[:1], p.Resident(start+2))
 	}
 }
 
 // TestShardedPoolStress hammers a multi-shard pool from many goroutines
-// with reads (Lease/AppendPage), rewrites of private pages through the pager
-// (which the pool hears of through OnInvalidate), and an occasional
-// Invalidate.
+// with reads (Lease/ReadPage) and rewrites of private pages through the pager
+// (which the pool hears of through OnInvalidate).
 // Run under -race. Afterwards it checks stat consistency (every access is
 // exactly one hit or one miss), that no pins leaked, and that no read ever
 // saw a private page older than its owner's last rewrite.
@@ -154,10 +153,6 @@ func TestShardedPoolStress(t *testing.T) {
 				last[i] = byte(readPages + w*writePages + i)
 			}
 			for i := 0; i < iters; i++ {
-				if w == 0 && i%300 == 299 {
-					// Rare enough that the pool fills up and evicts in between.
-					p.Invalidate()
-				}
 				switch r.Intn(10) {
 				case 0: // rewrite a private page, then read it back
 					k := r.Intn(writePages)
@@ -169,7 +164,7 @@ func TestShardedPoolStress(t *testing.T) {
 					fallthrough
 				case 1: // read a private page: never older than the last rewrite
 					k := r.Intn(writePages)
-					d, err := p.AppendPage(nil, mine+pager.PageID(k), 0, 1)
+					d, err := p.ReadPage(mine + pager.PageID(k))
 					if err != nil {
 						errs <- err
 						return
@@ -179,9 +174,9 @@ func TestShardedPoolStress(t *testing.T) {
 						return
 					}
 					accesses[w]++
-				case 2, 3: // copied range, no pin
+				case 2, 3: // copied page, no pin
 					id := start + pager.PageID(r.Intn(readPages))
-					d, err := p.AppendPage(nil, id, 0, 1)
+					d, err := p.ReadPage(id)
 					if err != nil {
 						errs <- err
 						return
@@ -218,7 +213,7 @@ func TestShardedPoolStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every read access (Lease, AppendPage) counts exactly one hit or miss.
+	// Every read access (Lease, ReadPage) counts exactly one hit or miss.
 	var reads uint64
 	for _, a := range accesses {
 		reads += a

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
@@ -188,9 +189,12 @@ func (t *Table) Schema() (*value.Schema, error) {
 
 // Catalog is the in-memory catalog bound to a page file.
 type Catalog struct {
+	// mu serializes updates and flushes. Readers take no lock: tables is
+	// published copy-on-write, so a Get never waits for a flush's write and
+	// sync.
 	mu     sync.Mutex
 	file   *pager.File
-	tables map[string]*Table
+	tables atomic.Pointer[map[string]*Table]
 	extent segment.Meta // current catalog extent (reuses segment.Meta fields)
 	encBuf []byte       // reusable flush encode buffer (guarded by mu)
 	dirty  bool         // buffered updates not yet persisted (see PutBuffered)
@@ -213,7 +217,9 @@ type Catalog struct {
 
 // Load reads the catalog from the file (empty catalog if none yet).
 func Load(file *pager.File) (*Catalog, error) {
-	c := &Catalog{file: file, tables: make(map[string]*Table)}
+	c := &Catalog{file: file}
+	tables := make(map[string]*Table)
+	c.tables.Store(&tables)
 	start := pager.PageID(file.MetaGet(slotExtentStart))
 	pages := file.MetaGet(slotExtentPages)
 	byteLen := file.MetaGet(slotByteLen)
@@ -232,22 +238,49 @@ func Load(file *pager.File) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: %d bytes recorded in a %d-byte extent", byteLen, len(buf))
 	}
 	buf = buf[:byteLen]
-	tables, err := decodeTables(buf)
+	decoded, err := decodeTables(buf)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range tables {
-		c.tables[t.Name] = t
+	for _, t := range decoded {
+		tables[t.Name] = t
 	}
 	c.extent = segment.Meta{ExtentStart: start, ExtentPages: pages, UsedBytes: byteLen}
 	return c, nil
 }
 
-// flush serializes and writes the catalog, then flips the meta slots.
-// Caller holds c.mu.
-func (c *Catalog) flush() error {
-	tables := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
+// edited returns a copy of the published table map with name's record set
+// to t, or removed when t is nil. Caller holds c.mu.
+func (c *Catalog) edited(name string, t *Table) map[string]*Table {
+	old := *c.tables.Load()
+	m := make(map[string]*Table, len(old)+1)
+	for n, r := range old {
+		m[n] = r
+	}
+	if t == nil {
+		delete(m, name)
+	} else {
+		m[name] = t
+	}
+	return m
+}
+
+// flushPut persists m, a map edited from the published one, and publishes
+// it. A failed flush publishes nothing: the catalog keeps the records it
+// had. Caller holds c.mu.
+func (c *Catalog) flushPut(m map[string]*Table) error {
+	if err := c.flush(m); err != nil {
+		return err
+	}
+	c.tables.Store(&m)
+	return nil
+}
+
+// flush serializes and writes the catalog of records m, then flips the
+// meta slots. Caller holds c.mu.
+func (c *Catalog) flush(m map[string]*Table) error {
+	tables := make([]*Table, 0, len(m))
+	for _, t := range m {
 		tables = append(tables, t)
 	}
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
@@ -283,21 +316,19 @@ func (c *Catalog) Owned(fn func([]pager.Extent)) {
 	if c.extent.ExtentPages > 0 {
 		exts = append(exts, pager.Extent{Start: c.extent.ExtentStart, Count: c.extent.ExtentPages})
 	}
-	for _, t := range c.tables {
+	for _, t := range *c.tables.Load() {
 		exts = append(exts, Extents(t.Parts(), t.Indexes)...)
 	}
 	fn(exts)
 }
 
-// Get returns the table record, or an error if absent. Records are
-// treated as immutable once published: a flush (checkpoint) may encode any
-// record concurrently with engine work, so mutators copy the record,
-// update the copy, and swap it in with Put or PutBuffered rather than
-// writing through this pointer.
+// Get returns the table record, or an error if absent. It takes no lock.
+// Records are treated as immutable once published: a flush (checkpoint) may
+// encode any record concurrently with engine work, so mutators copy the
+// record, update the copy, and swap it in with Put or PutBuffered rather
+// than writing through this pointer.
 func (c *Catalog) Get(name string) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[name]
+	t, ok := (*c.tables.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("catalog: no table %q: %w", name, ErrNotFound)
 	}
@@ -306,30 +337,27 @@ func (c *Catalog) Get(name string) (*Table, error) {
 
 // Has reports whether the table exists.
 func (c *Catalog) Has(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.tables[name]
+	_, ok := (*c.tables.Load())[name]
 	return ok
 }
 
 // Names lists table names sorted.
 func (c *Catalog) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
+	tables := *c.tables.Load()
+	out := make([]string, 0, len(tables))
+	for n := range tables {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Put inserts or replaces a table record and persists the catalog.
+// Put inserts or replaces a table record and persists the catalog. If the
+// flush fails, the record is not published.
 func (c *Catalog) Put(t *Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tables[t.Name] = t
-	return c.flush()
+	return c.flushPut(c.edited(t.Name, t))
 }
 
 // PutBuffered inserts or replaces a table record in memory only and returns
@@ -343,7 +371,8 @@ func (c *Catalog) Put(t *Table) error {
 func (c *Catalog) PutBuffered(t *Table) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tables[t.Name] = t
+	m := c.edited(t.Name, t)
+	c.tables.Store(&m)
 	c.dirty = true
 	c.issued++
 	return c.issued
@@ -358,28 +387,27 @@ func (c *Catalog) Flush() error {
 	if !c.dirty {
 		return nil
 	}
-	return c.flush()
+	return c.flush(*c.tables.Load())
 }
 
-// Delete removes a table record and persists the catalog. The caller is
-// responsible for freeing the table's extents first.
+// Delete removes a table record and persists the catalog; if the flush
+// fails, the record stays. The caller frees the table's extents once it
+// succeeded.
 func (c *Catalog) Delete(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
+	if _, ok := (*c.tables.Load())[name]; !ok {
 		return fmt.Errorf("catalog: no table %q: %w", name, ErrNotFound)
 	}
-	delete(c.tables, name)
-	return c.flush()
+	return c.flushPut(c.edited(name, nil))
 }
 
 // Schemas returns the name→schema map of every table (the input the algebra
 // interpreter needs).
 func (c *Catalog) Schemas() (map[string]*value.Schema, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]*value.Schema, len(c.tables))
-	for n, t := range c.tables {
+	tables := *c.tables.Load()
+	out := make(map[string]*value.Schema, len(tables))
+	for n, t := range tables {
 		s, err := t.Schema()
 		if err != nil {
 			return nil, err

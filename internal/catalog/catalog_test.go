@@ -1,14 +1,18 @@
 package catalog
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vfs"
 )
 
 func newFile(t *testing.T) (*pager.File, string) {
@@ -337,5 +341,82 @@ func TestLoadRejectsForeignCatalog(t *testing.T) {
 				t.Fatalf("Load error %q, want one mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestGetDuringFlush parks a flush in its file sync and requires a Get of
+// another table, a Has and a Names to return meanwhile, with the records
+// published before the flush: readers take no lock, so a checkpoint's
+// catalog write never stalls them. A failed flush publishes nothing.
+func TestGetDuringFlush(t *testing.T) {
+	fs := vfs.NewFault(1)
+	var armed atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpSync && op.Path == "cat.rdnt" && armed.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+		return vfs.OK
+	}
+	f, err := pager.CreateAt(fs, "cat.rdnt", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	c, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(sampleTable()); err != nil {
+		t.Fatal(err)
+	}
+	other := sampleTable()
+	other.Name = "Other"
+	armed.Store(true)
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Put(other) }()
+	<-parked
+	got := make(chan error, 1)
+	go func() {
+		tab, err := c.Get("Traces")
+		if err == nil && (tab.RowCount != 42 || c.Has("Other") || len(c.Names()) != 1) {
+			err = fmt.Errorf("mid-flush reads: %d rows, Has(Other) %v, names %v", tab.RowCount, c.Has("Other"), c.Names())
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Get waited for a flush parked in its sync")
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if !c.Has("Other") {
+		t.Fatal("the flushed record is not published")
+	}
+
+	// A flush that fails leaves the catalog's records as they were.
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpSync {
+			return vfs.Fail
+		}
+		return vfs.OK
+	}
+	third := sampleTable()
+	third.Name = "Third"
+	if err := c.Put(third); err == nil {
+		t.Fatal("Put succeeded over a failing sync")
+	}
+	if err := c.Delete("Other"); err == nil {
+		t.Fatal("Delete succeeded over a failing sync")
+	}
+	if c.Has("Third") || !c.Has("Other") {
+		t.Fatalf("failed flushes changed the records: %v", c.Names())
 	}
 }

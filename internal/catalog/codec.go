@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
@@ -198,7 +199,7 @@ func (c *Catalog) ApplyTailAppend(id uint64, blob []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.issued = max(c.issued, id)
-	t, ok := c.tables[name]
+	t, ok := (*c.tables.Load())[name]
 	if id <= c.reflects || !ok || len(batch) == 0 {
 		return nil
 	}
@@ -218,8 +219,11 @@ func (c *Catalog) ApplyTailAppend(id uint64, blob []byte) error {
 		}
 		m.ExtentStart = start
 	}
-	t.Tails = append(t.Tails, batch)
-	t.RowCount += rows
+	work := *t
+	work.Tails = append(slices.Clip(t.Tails), batch)
+	work.RowCount += rows
+	m := c.edited(name, &work)
+	c.tables.Store(&m)
 	c.dirty = true
 	return nil
 }

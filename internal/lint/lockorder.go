@@ -18,8 +18,8 @@ type LockClass struct {
 
 // DefaultLockOrder is the machine-readable form of the hierarchy documented
 // in DESIGN.md: fold latch → table lock → catalog → table engine → merge
-// registry → merge queue → pin state → buffer shard → pager. Edit this table
-// and DESIGN.md together.
+// registry → merge queue → pin state → chunk cache (or buffer shard) →
+// pager. Edit this table and DESIGN.md together.
 //
 // The fold latch (tableLock.fold) is held across a whole Compact or
 // Reorganize: it keeps folds of one table from overlapping while each reads
@@ -45,6 +45,7 @@ var DefaultLockOrder = []LockClass{
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mergeMu", Name: "merge-registry", Level: 22},
 	{Path: "rodentstore/internal/table", Type: "merger", Field: "mu", Name: "merge-queue", Level: 24},
 	{Path: "rodentstore/internal/table", Type: "versions", Field: "mu", Name: "pin-state", Level: 26},
+	{Path: "rodentstore/internal/table", Type: "chunkCache", Field: "mu", Name: "chunk-cache", Level: 30},
 	{Path: "rodentstore/internal/buffer", Type: "shard", Field: "mu", Name: "buffer-shard", Level: 30},
 	{Path: "rodentstore/internal/pager", Type: "File", Field: "mu", Name: "pager-meta", Level: 40},
 	{Path: "rodentstore/internal/pager", Type: "File", Field: "pageLocks", Name: "pager-stripe", Level: 50},

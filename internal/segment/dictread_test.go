@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"rodentstore/internal/buffer"
-	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vec"
 )
@@ -58,35 +56,5 @@ func TestForgedDictHeaderIsCorruptExtent(t *testing.T) {
 	batch := vec.NewBatch(value.MustSchema(spec.Fields...))
 	if err := r.ReadBlockVec(0, nil, batch); !errors.As(err, &ce) {
 		t.Fatalf("vector read: %v, want ErrCorruptExtent", err)
-	}
-}
-
-// TestViewOverWarmPoolReusesLookbehind pins what a block fetch over a warm
-// pool allocates at nothing: the pool copies page ranges out without a pin
-// or a release func, and the one-page lookbehind is a buffer the reader
-// keeps, not one made per block.
-func TestViewOverWarmPoolReusesLookbehind(t *testing.T) {
-	r, _ := writeTraceSegment(t, []string{"delta", "delta", "dict"}, 4000, 256)
-	pool, err := buffer.NewPool(r.file.(*pager.File), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := NewReader(pool, r.meta, r.spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewAll := func() {
-		for b := 0; b < len(warm.meta.Blocks); b++ {
-			if _, err := warm.View(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	viewAll() // fills the pool and sizes the reader's buffers
-	if allocs := testing.AllocsPerRun(5, viewAll); allocs != 0 {
-		t.Fatalf("View allocated %.1f times per scan of %d blocks", allocs, len(warm.meta.Blocks))
-	}
-	if st := pool.Stats(); st.Misses > uint64(r.meta.ExtentPages) {
-		t.Fatalf("pool was not warm: %d misses over %d pages", st.Misses, r.meta.ExtentPages)
 	}
 }

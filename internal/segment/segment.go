@@ -18,6 +18,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -229,8 +230,9 @@ func (w *Writer) Rows() int64 { return w.rows }
 func (w *Writer) Buf() []byte { return w.buf }
 
 // Finish allocates a contiguous extent, writes the stream (one positional
-// write for the whole extent), and returns the segment metadata. The writer
-// must not be reused afterwards, but Buf stays valid.
+// write for the whole extent), and returns the segment metadata. A failed
+// write frees the extent again. The writer must not be reused afterwards,
+// but Buf stays valid.
 func (w *Writer) Finish() (Meta, error) {
 	payload := uint64(w.file.PayloadSize())
 	npages := max((uint64(len(w.buf))+payload-1)/payload, 1)
@@ -239,7 +241,7 @@ func (w *Writer) Finish() (Meta, error) {
 		return Meta{}, err
 	}
 	if err := w.file.WriteRun(start, w.buf); err != nil {
-		return Meta{}, err
+		return Meta{}, errors.Join(err, w.file.FreeRun(start, npages))
 	}
 	return Meta{
 		ExtentStart: start,
@@ -252,20 +254,11 @@ func (w *Writer) Finish() (Meta, error) {
 }
 
 // PageSource supplies page payloads to a Reader. *pager.File implements it
-// (and RunReader); *buffer.Pool implements it with caching in front of the
-// pager (and PageAppender). A source that implements neither extension is
-// read one ReadPage per page.
+// and RunReader, the engine's one fetch path; a source that does not
+// implement RunReader is read one ReadPage per page.
 type PageSource interface {
 	ReadPage(pager.PageID) ([]byte, error)
 	PayloadSize() int
-}
-
-// PageAppender is an optional PageSource extension: AppendPage appends
-// bytes [lo, hi) of a page's payload to dst and, on error, appends nothing.
-// *buffer.Pool implements it by copying the range out of its cached frame,
-// so readers over it skip the full-page copy ReadPage pays per access.
-type PageAppender interface {
-	AppendPage(dst []byte, id pager.PageID, lo, hi int) ([]byte, error)
 }
 
 // RunReader is an optional PageSource extension: ReadRunInto appends the
@@ -315,14 +308,10 @@ func NewReader(file PageSource, meta Meta, spec Spec) (*Reader, error) {
 // reuses one buffer across blocks). Every page of the range is read once,
 // except one the one-page lookbehind already holds: the range's last page,
 // which the next sequential block may share, is kept whole in lastBuf, so
-// sequential block reads never touch a shared boundary page twice. How the
-// other pages are fetched depends on the source:
-//   - a PageAppender copies each page's part of the range straight out of
-//     its cache (no full-page copy per access);
-//   - a RunReader reads them all with one read, into out's spare capacity;
-//   - any other source is read one ReadPage per page.
-//
-// The page reads and seeks counted are the same on every path.
+// sequential block reads never touch a shared boundary page twice. A
+// RunReader reads the other pages with one read, into out's spare capacity;
+// any other source is read one ReadPage per page. The page reads and seeks
+// counted are the same on both paths.
 func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error) {
 	if off+uint64(n) > r.meta.UsedBytes {
 		return nil, r.corrupt(-1, fmt.Errorf("range [%d,%d) beyond used bytes %d", off, off+uint64(n), r.meta.UsedBytes))
@@ -333,7 +322,6 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 	if runs, ok := r.file.(RunReader); ok {
 		return r.readRunInto(runs, out, off, n, first, last)
 	}
-	appender, _ := r.file.(PageAppender)
 	for p := first; p <= last; p++ {
 		id := r.meta.ExtentStart + pager.PageID(p)
 		lo := uint64(0)
@@ -344,30 +332,14 @@ func (r *Reader) readRangeInto(out []byte, off uint64, n uint32) ([]byte, error)
 		if p == last {
 			hi = off + uint64(n) - p*payload
 		}
-		if id == r.lastPage && r.lastBuf != nil {
-			out = append(out, r.lastBuf[lo:hi]...)
-			continue
-		}
-		if appender != nil && p != last {
+		page := r.lastBuf
+		if id != r.lastPage || page == nil {
 			var err error
-			if out, err = appender.AppendPage(out, id, int(lo), int(hi)); err != nil {
+			if page, err = r.file.ReadPage(id); err != nil {
 				return nil, r.classifyReadErr(-1, err)
 			}
-			continue
+			r.lastPage, r.lastBuf = id, page
 		}
-		var page []byte
-		var err error
-		if appender != nil {
-			// lastBuf is the reader's own on this path (ReadPage never runs
-			// over an appending source), so it is reused per block.
-			page, err = appender.AppendPage(r.lastBuf[:0], id, 0, int(payload))
-		} else {
-			page, err = r.file.ReadPage(id)
-		}
-		if err != nil {
-			return nil, r.classifyReadErr(-1, err)
-		}
-		r.lastPage, r.lastBuf = id, page
 		out = append(out, page[lo:hi]...)
 	}
 	return out, nil

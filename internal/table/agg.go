@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/segment"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vec"
 )
@@ -318,41 +317,17 @@ type aggScratch struct {
 // a group or a count twice.
 func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred, vs *vecScratch, as *aggScratch, st *aggState) error {
 	nrows := blockRowCount(p, block)
-	if cap(vs.views) < len(p.entries) {
-		vs.views = make([]*segment.BlockView, len(p.entries))
-	}
-	views := vs.views[:len(p.entries)]
-	for si := range views {
-		views[si] = nil
-	}
+	vs.startBlock(p, ex.decoded.Arity())
 	dec := batchPool.Get(ex.decoded)
 	defer batchPool.Put(dec)
-	if cap(vs.done) < ex.decoded.Arity() {
-		vs.done = make([]bool, ex.decoded.Arity())
-	}
-	done := vs.done[:ex.decoded.Arity()]
-	for i := range done {
-		done[i] = false
-	}
-	// decodeInto fetches the owning segment's block bytes on first use, so a
-	// fold that needs no columns performs no reads.
+	done := vs.done
+	// decodeInto decodes each needed column once; a segment is fetched on
+	// first use, so a fold that needs no columns performs no reads.
 	decodeInto := func(di int) error {
 		if done[di] {
 			return nil
 		}
-		loc := p.fieldSeg[ex.decoded.Fields[di].Name]
-		if views[loc[0]] == nil {
-			bv, err := p.readers[loc[0]].View(block)
-			if err != nil {
-				return err
-			}
-			if bv.Rows() != nrows {
-				return fmt.Errorf("table: block %d: segment %d holds %d rows, block metadata says %d",
-					block, loc[0], bv.Rows(), nrows)
-			}
-			views[loc[0]] = bv
-		}
-		if err := views[loc[0]].DecodeCol(loc[1], &dec.Cols[di]); err != nil {
+		if err := vs.decodeCol(p, block, nrows, ex.decoded.Fields[di].Name, &dec.Cols[di]); err != nil {
 			return err
 		}
 		done[di] = true

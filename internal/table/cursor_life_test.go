@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/buffer"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vfs"
 )
@@ -26,17 +25,13 @@ func gridEngine(t *testing.T, n int) *Engine {
 	return e
 }
 
-// pooledGridEngine is gridEngine reading through a buffer pool of the given
-// number of frames.
-func pooledGridEngine(t *testing.T, n, frames int) (*Engine, *buffer.Pool) {
+// cachedGridEngine is gridEngine with a chunk cache of the given number of
+// pages' worth of bytes.
+func cachedGridEngine(t *testing.T, n, pages int) *Engine {
 	t.Helper()
 	e := gridEngine(t, n)
-	pool, err := buffer.NewPool(e.file, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Source = pool
-	return e, pool
+	e.EnableCache(int64(pages) * int64(e.file.PageSize()))
+	return e
 }
 
 func sameRows(t *testing.T, got, want []value.Row) {
@@ -77,36 +72,12 @@ func TestScanStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestAbandonedCursorHoldsNoPins drops partly read cursors without Close:
-// between calls a cursor holds no buffer-pool pin, so nothing is left for
-// a finalizer to release.
-func TestAbandonedCursorHoldsNoPins(t *testing.T) {
-	e, pool := pooledGridEngine(t, 4000, 256)
-	for i := 0; i < 5; i++ {
-		cur, err := e.Scan("Traces", ScanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j <= 100*i; j++ {
-			if _, ok, err := cur.Next(); err != nil || !ok {
-				t.Fatalf("cursor %d row %d: ok=%v err=%v", i, j, ok, err)
-			}
-		}
-		if n := pool.Pinned(); n != 0 {
-			t.Fatalf("cursor %d: %d pins held between Next calls", i, n)
-		}
-	}
-	if s := pool.Stats(); s.Misses == 0 {
-		t.Fatalf("scans read nothing through the pool: %+v", s)
-	}
-}
-
 // TestCursorCloseEarly closes each kind of cursor — streaming, materialized
 // order-by and aggregation — after a few rows: it then reports the end on
-// Next and NextBatch, a second Close is harmless, and no pin is left. An
-// aggregation, drained when Scan returns, already holds no group table.
+// Next and NextBatch, and a second Close is harmless. An aggregation,
+// drained when Scan returns, already holds no group table.
 func TestCursorCloseEarly(t *testing.T) {
-	e, pool := pooledGridEngine(t, 4000, 256)
+	e := cachedGridEngine(t, 4000, 256)
 	spec := AggSpec{GroupBy: []string{"id"}, Items: []AggItem{{Func: AggCount}}}
 	for _, tc := range []struct {
 		name string
@@ -137,17 +108,14 @@ func TestCursorCloseEarly(t *testing.T) {
 				t.Fatalf("NextBatch after Close: ok=%v err=%v", ok, err)
 			}
 			cur.Close()
-			if n := pool.Pinned(); n != 0 {
-				t.Fatalf("%d pins after Close", n)
-			}
 		})
 	}
 }
 
-// TestWarmPoolScanReadsNoPage scans a table that fits the pool twice: the
-// second scan returns the same rows without a single miss.
+// TestWarmPoolScanReadsNoPage scans a table that fits the cache twice: the
+// second scan returns the same rows without a single miss or page read.
 func TestWarmPoolScanReadsNoPage(t *testing.T) {
-	e, pool := pooledGridEngine(t, 4000, 2048)
+	e := cachedGridEngine(t, 4000, 2048)
 	scan := func() []value.Row {
 		cur, err := e.Scan("Traces", ScanOptions{})
 		if err != nil {
@@ -160,15 +128,19 @@ func TestWarmPoolScanReadsNoPage(t *testing.T) {
 	if len(cold) != 4000 {
 		t.Fatalf("cold scan: %d rows", len(cold))
 	}
-	afterCold := pool.Stats()
-	if afterCold.Evictions != 0 {
-		t.Fatalf("table does not fit the pool: %+v", afterCold)
+	afterCold := e.cache.stats()
+	if afterCold.evictions != 0 {
+		t.Fatalf("table does not fit the cache: %+v", afterCold)
 	}
+	e.file.ResetStats()
 	warm := scan()
 	sameRows(t, warm, cold)
-	s := pool.Stats()
-	if s.Misses != afterCold.Misses || s.Hits == afterCold.Hits {
+	s := e.cache.stats()
+	if s.misses != afterCold.misses || s.hits == afterCold.hits {
 		t.Fatalf("warm scan: stats %+v after cold %+v, want hits only", s, afterCold)
+	}
+	if n := e.file.Stats().PageReads; n != 0 {
+		t.Fatalf("warm scan read %d pages", n)
 	}
 }
 

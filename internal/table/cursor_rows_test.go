@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/buffer"
 	"rodentstore/internal/value"
 )
 
@@ -127,7 +126,7 @@ func TestNextRowsOutliveCursor(t *testing.T) {
 }
 
 // cursorNextEngine is a one-block table of 4,096 rows (an Int, a Float and
-// a dictionary-coded Str column) read through a warm pool.
+// a dictionary-coded Str column) read through a warm chunk cache.
 func cursorNextEngine(t testing.TB) *Engine {
 	e, _, _ := newEngine(t)
 	schema := value.MustSchema(
@@ -145,11 +144,7 @@ func cursorNextEngine(t testing.TB) *Engine {
 	if err := e.Load("T", rows); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := buffer.NewPool(e.file, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Source = pool
+	e.EnableCache(256 * int64(e.file.PageSize()))
 	return e
 }
 
@@ -182,7 +177,7 @@ func TestCursorNextAllocations(t *testing.T) {
 		t.Skip("allocation counts over sync.Pool are not steady under -race")
 	}
 	e := cursorNextEngine(t)
-	if n := scanNext(t, e); n != 4096 { // also warms the pool
+	if n := scanNext(t, e); n != 4096 { // also warms the cache
 		t.Fatalf("%d rows", n)
 	}
 	allocs := testing.AllocsPerRun(20, func() { scanNext(t, e) })
@@ -193,7 +188,7 @@ func TestCursorNextAllocations(t *testing.T) {
 }
 
 // BenchmarkCursorNext times a full scan of one 4,096-row block drained
-// through Next over a warm pool.
+// through Next over a warm chunk cache.
 func BenchmarkCursorNext(b *testing.B) {
 	e := cursorNextEngine(b)
 	scanNext(b, e)

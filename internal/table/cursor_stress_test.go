@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/buffer"
 	"rodentstore/internal/value"
 )
 
@@ -15,10 +14,12 @@ import (
 // each with cursors of its own: scans drained by Next, by NextBatch or by
 // the two in turn, grouped aggregations, and scans closed mid-stream, while
 // one more goroutine loops Compact over the table. The cursors share the
-// batch pool and a sharded buffer pool, so under -race (CI runs it with
-// GOMAXPROCS=4, twice) a pooled batch or frame reused across goroutines
-// shows. Every result must equal what a lone cursor returned, and no pin —
-// on a frame or on a version — may outlive the cursors.
+// batch pool and the chunk cache, and every Compact frees extents the cache
+// holds chunks of, so under -race (CI runs it with GOMAXPROCS=4, twice) a
+// pooled batch reused across goroutines, or a cached chunk served after its
+// extent was freed, shows. Every result must equal what a lone cursor
+// returned, no version pin may outlive the cursors, and the cache stays
+// within its budget.
 func TestConcurrentCursorStress(t *testing.T) {
 	e, _, _ := newEngine(t)
 	if err := e.Create("T", aggSchema(), "chunk[64](zorder(grid[t,y; 8,8](rows(T))))"); err != nil {
@@ -27,14 +28,8 @@ func TestConcurrentCursorStress(t *testing.T) {
 	if err := e.Load("T", aggRows(rand.New(rand.NewSource(11)), 4000)); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := buffer.NewPool(e.file, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Shards() < 2 {
-		t.Fatalf("stress pool should be sharded, got %d shards", pool.Shards())
-	}
-	e.Source = pool
+	const budget = 256 << 10
+	e.EnableCache(budget)
 
 	pred := algebra.True.
 		And("t", algebra.OpLt, value.NewInt(3000)).
@@ -154,11 +149,8 @@ func TestConcurrentCursorStress(t *testing.T) {
 	if compactions == 0 {
 		t.Error("no Compact ran beside the cursors")
 	}
-	if s := pool.Stats(); s.Hits == 0 || s.Misses == 0 {
-		t.Errorf("expected pool traffic, got %+v", s)
-	}
-	if n := pool.Pinned(); n != 0 {
-		t.Errorf("%d pins leaked", n)
+	if s := e.cache.stats(); s.hits == 0 || s.misses == 0 || s.bytes > budget {
+		t.Errorf("expected cache hits and misses within %d bytes, got %+v", budget, s)
 	}
 	if n := e.vers.pinned(); n != 0 {
 		t.Errorf("%d version pins leaked", n)

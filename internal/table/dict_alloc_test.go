@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/buffer"
 	"rodentstore/internal/value"
 )
 
 // dictRunAllocs loads a dict-coded table whose blocks hold rowsPerBlock
 // rows over `entries` distinct ids and returns the allocations of one
-// steady-state blockExec.run under opts, reading through a warm pool. An
+// steady-state blockExec.run under opts, reading through a warm chunk cache. An
 // aggregating scan's blocks fold into one state, as runAggregate's do.
 func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) float64 {
 	t.Helper()
@@ -32,12 +31,8 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 	if err := e.Load("T", rows); err != nil {
 		t.Fatal(err)
 	}
-	const poolPages = 1024
-	pool, err := buffer.NewPool(e.file, poolPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Source = pool
+	const cachePages = 1024
+	e.EnableCache(cachePages * int64(e.file.PageSize()))
 	cur, err := e.Scan("T", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -50,15 +45,15 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 	if cur.plan.agg != nil {
 		cur.exec.agg = cur.plan.agg.newState()
 	}
-	for _, ref := range blocks { // fill the pool
+	for _, ref := range blocks { // fill the cache
 		b, err := cur.exec.run(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batchPool.Put(b)
 	}
-	if st := pool.Stats(); st.Misses == 0 || st.Misses > poolPages {
-		t.Fatalf("pool of %d pages cannot hold the table: %+v", poolPages, st)
+	if st := e.cache.stats(); st.misses == 0 || st.evictions > 0 {
+		t.Fatalf("cache of %d pages cannot hold the table: %+v", cachePages, st)
 	}
 	i := 0
 	return testing.AllocsPerRun(40, func() {
@@ -72,9 +67,9 @@ func dictRunAllocs(t *testing.T, rowsPerBlock, entries int, opts ScanOptions) fl
 }
 
 // TestDictBlockRunAllocations is the steady-state allocation check of the
-// dictionary form over a warm pool: one block through blockExec.run
-// allocates neither per row, nor per dictionary entry, nor per page (a pool
-// hit copies its range out without a pin or a release func). The batch
+// dictionary form over a warm chunk cache: one block through blockExec.run
+// allocates neither per row, nor per dictionary entry, nor per column (a
+// cache hit copies the decoded chunk into the pooled batch's buffers). The batch
 // paths (whole blocks and a filtered gather) allocate nothing, and neither
 // does the aggregate path: a warm block folds into the scan's one state,
 // whose group table and accumulators already hold every group it names.

@@ -11,6 +11,7 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -44,9 +45,10 @@ type Engine struct {
 	// hooks); nil runs the engine without a log. Table-level mutual
 	// exclusion does not depend on it — see tableLocks.
 	mgr *txn.Manager
-	// Source is where readers fetch pages: the pager itself (cold, exact
-	// page counts) or a buffer.Pool wrapped around it (warm).
-	Source segment.PageSource
+	// cache holds decoded column chunks for scans (chunkcache.go); nil
+	// (the default, see EnableCache) reads every block from the pager, so
+	// page-read statistics equal cold physical I/O.
+	cache *chunkCache
 	// SyncInserts makes Insert durable: the tail is WAL-logged as one tail
 	// record (catalog.EncodeTailAppend: its segment entries and stream
 	// bytes), and Insert returns only after the (group-committed) fsync. The
@@ -106,7 +108,6 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) (*Engin
 		file:       file,
 		cat:        cat,
 		mgr:        mgr,
-		Source:     file,
 		tableLocks: make(map[string]*tableLock),
 		specs:      make(map[string]*layout.Spec),
 		vers:       newVersions(file),
@@ -127,6 +128,23 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) (*Engin
 		cat.DeferFree = e.deferFree
 	}
 	return e, nil
+}
+
+// EnableCache gives scans a cache of decoded column chunks holding up to
+// budget bytes. Call it once, before the engine serves reads. Folds and
+// CheckIntegrity never use it: a fold's inputs are about to be freed, and an
+// integrity check must read the disk.
+func (e *Engine) EnableCache(budget int64) {
+	e.cache = newChunkCache(e.file, budget)
+}
+
+// InvalidateCache empties the chunk cache (no-op without one), so the next
+// scans read and decode every block again. A scan in flight keeps what it
+// decoded and caches nothing it fetched before the call.
+func (e *Engine) InvalidateCache() {
+	if e.cache != nil {
+		e.cache.clear()
+	}
 }
 
 // deferFree queues a catalog extent to be freed by the next checkpoint when
@@ -501,8 +519,9 @@ func (e *Engine) prepareTail(tab *catalog.Table, rows []value.Row) (*stagedTail,
 // The caller holds the exclusive table lock. A stage whose layout or schema
 // is no longer the table's is re-prepared from rows first: its writers were
 // never finished, so they hold no extents and dropping them leaks nothing.
-// Tail-only appends shift no stored position, so secondary indexes survive
-// (IndexScan scans the parts past their coverage).
+// A failure before the record is published frees the extents the batch
+// already wrote. Tail-only appends shift no stored position, so secondary
+// indexes survive (IndexScan scans the parts past their coverage).
 //
 // In SyncInserts mode the batch and its streams are also returned; the
 // caller encodes them as a tail record (catalog.EncodeTailAppend), logs it
@@ -521,6 +540,15 @@ func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub
 		}
 	}
 	batch := make([]catalog.SegmentEntry, 0, len(st.writers))
+	// Until publish succeeds no record names the batch's extents: a failure
+	// on the way frees those already written (a failed Finish frees its own).
+	defer func() {
+		if err != nil {
+			for _, en := range batch {
+				err = errors.Join(err, e.file.FreeRun(en.Meta.ExtentStart, en.Meta.ExtentPages))
+			}
+		}
+	}()
 	for i, w := range st.writers {
 		meta, err := w.Finish()
 		if err != nil {

@@ -158,9 +158,10 @@ func (e *Engine) stageSegment(rel *relation, def layout.SegmentDef, rowsPerBlock
 // relation in the table's stored schema: each block's batch appended to the
 // columns, no row boxed. Each part is one input of the relation; settled
 // says the parts were rendered under tab's current layout, so an organized
-// one is already in its order (see relation.orderBy).
+// one is already in its order (see relation.orderBy). It reads past the
+// chunk cache: the parts are about to be freed.
 func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part, settled bool) (*relation, error) {
-	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{})
+	plan, err := e.planScan(tab, parts, nil, algebra.True, storedScanOpts{uncached: true})
 	if err != nil {
 		return nil, err
 	}

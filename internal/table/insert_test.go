@@ -1,9 +1,11 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rodentstore/internal/value"
@@ -180,4 +182,56 @@ func TestInsertsRaceEagerAlterLayout(t *testing.T) {
 	}
 	requireIDs(t, e, inserters*batches*batchRows)
 	requireIntegrity(t, e)
+}
+
+// TestFailedTailPublishLeaksNoExtent fails the write of the second segment
+// of a cols(...) tail: the insert fails, the segments written before it and
+// the failed one's own extent go back to free space at once, and — with no
+// reopen, whose reclaim would hide a leak — the pages the catalog owns and
+// the pages the pager holds free account for every page below the cursor.
+// The table still scans back exactly its loaded rows.
+func TestFailedTailPublishLeaksNoExtent(t *testing.T) {
+	fs := vfs.NewFault(9)
+	e, f := faultEngine(t, fs)
+	if err := e.Create("T", tracesSchema(), "cols(T)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("T", traceRows(500)); err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	writes := 0
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpWrite && op.Path == "db.rdnt" && armed.Load() {
+			if writes++; writes == 2 {
+				return vfs.Fail
+			}
+		}
+		return vfs.OK
+	}
+	armed.Store(true)
+	err := e.Insert("T", traceRows(300))
+	armed.Store(false)
+	if !errors.Is(err, vfs.ErrInjected) || writes != 2 {
+		t.Fatalf("insert over a failing second segment write: %v after %d writes", err, writes)
+	}
+	rep, err := e.CheckIntegrity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("integrity issues: %v", rep.Issues)
+	}
+	if allocated := f.NumPages(); rep.OwnedPages != allocated {
+		t.Fatalf("%d pages below the cursor are neither owned nor free (%d owned, %d free)",
+			allocated-rep.OwnedPages, rep.OwnedPages, rep.FreePages)
+	}
+	cur, err := e.Scan("T", ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if n := len(drain(t, cur)); n != 500 {
+		t.Fatalf("%d rows after the failed insert, want 500", n)
+	}
 }

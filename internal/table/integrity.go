@@ -154,7 +154,7 @@ func (e *Engine) checkEntries(rep *IntegrityReport, table, part string, entries 
 		if bad {
 			continue
 		}
-		r, err := segment.NewReader(e.Source, entry.Meta, segment.Spec{Fields: fields, Codecs: entry.Codecs})
+		r, err := segment.NewReader(e.file, entry.Meta, segment.Spec{Fields: fields, Codecs: entry.Codecs})
 		if err != nil {
 			issue(-1, err)
 			continue

@@ -290,6 +290,8 @@ type part struct {
 	// start is the stored position of the part's first row, counted from the
 	// first part the plan opened.
 	start int64
+	// cache is the engine's chunk cache, nil when the plan bypasses it.
+	cache *chunkCache
 }
 
 // batchPool recycles column batches across blocks and cursors.
@@ -307,9 +309,12 @@ var batchPool = vec.NewPool()
 //	  or observeBlock fetch → typed decode → compiled filter → kernels    (aggregate state)
 //	quarState.handle  retry transient errors, skip damaged blocks      (quarantine.go)
 //
-// Fetch is segment.Reader.View: one range read per needed segment of the
-// block, with a one-page lookbehind so blocks sharing a boundary page read
-// it once. There is no other way a scan gets bytes.
+// Both decoders get a column through vecScratch.column: a hit in the
+// engine's chunk cache is copied into the batch, or only its selected rows
+// gathered; a miss fetches the owning segment's block on first use
+// (segment.Reader.View: one range read, with a one-page lookbehind so
+// blocks sharing a boundary page read it once), decodes it and caches a
+// copy. There is no other way a scan gets bytes.
 //
 // blockExec.run is the one place the stages are chained. The cursor calls
 // it inline, one block at a time in stored order on the caller's goroutine:
@@ -577,59 +582,106 @@ func blockRowCount(p *part, block int) int {
 	return p.entries[firstReadSeg(p)].Meta.Blocks[block].Rows
 }
 
-// vecScratch is a cursor's reusable decode state: the selection
-// buffer, the per-segment view pointers and the decoded-column marks.
+// vecScratch is a cursor's reusable decode state: the selection buffer,
+// the per-segment views of the current block, the decoded-column marks and
+// the cache generation the block started at.
 type vecScratch struct {
 	sel   []int32
 	views []*segment.BlockView
 	done  []bool
+	gen   uint64
 }
 
-// decodeBlockVec is the batch-producing block decoder: one range read per
-// segment, typed column decode with no per-cell boxing, selection-vector
-// filtering, and late materialization — predicate columns decode first, and
-// when no row survives the remaining columns are never decoded at all. When
-// every row survives, projected columns decode straight into the output
-// batch (and already-decoded predicate columns are swapped in), so the
-// full-selection path copies nothing. The row count comes from block
-// metadata; a segment whose block holds any other count is an error, never
-// a silent truncation. The returned batch comes from batchPool.
-func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Batch, error) {
-	decoded, filter, outIdx := plan.decoded, plan.filter, plan.outIdx
-	nrows := blockRowCount(p, block)
-	// Fetch each needed segment's block bytes (views share the readers'
-	// reusable buffers; all decoding below happens before the next block).
+// startBlock readies vs for a block of p whose decoded schema has ncols
+// columns: no segment fetched, no column decoded. The cache generation is
+// read before any fetch, so a block an invalidation overtakes is not cached.
+func (vs *vecScratch) startBlock(p *part, ncols int) {
 	if cap(vs.views) < len(p.entries) {
 		vs.views = make([]*segment.BlockView, len(p.entries))
 	}
-	views := vs.views[:len(p.entries)]
-	for si, r := range p.readers {
-		views[si] = nil
-		if r == nil {
-			continue
+	vs.views = vs.views[:len(p.entries)]
+	clear(vs.views)
+	if cap(vs.done) < ncols {
+		vs.done = make([]bool, ncols)
+	}
+	vs.done = vs.done[:ncols]
+	clear(vs.done)
+	if p.cache != nil {
+		vs.gen = p.cache.generation()
+	}
+}
+
+// column is the one fetch-and-decode step of both block decoders: it
+// returns field's column of block, nrows rows. A cache hit returns the
+// cached chunk itself, which callers read (copy or gather) and never keep
+// or change. A miss fetches the owning segment's block on first use (a
+// block whose columns all hit is never read), decodes the column into
+// scratch and returns scratch, caching a copy once the page checksums and
+// DecodeCol's row-count check have passed.
+func (vs *vecScratch) column(p *part, block, nrows int, field string, scratch *vec.Vector) (*vec.Vector, error) {
+	loc := p.fieldSeg[field]
+	si, ci := loc[0], loc[1]
+	key := chunkKey{ext: p.entries[si].Meta.ExtentStart, block: block, col: ci}
+	if p.cache != nil {
+		if v := p.cache.get(key); v != nil {
+			if v.Len() != nrows {
+				return nil, fmt.Errorf("table: block %d: segment %d holds %d rows, block metadata says %d",
+					block, si, v.Len(), nrows)
+			}
+			return v, nil
 		}
-		bv, err := r.View(block)
-		if err != nil {
+	}
+	bv := vs.views[si]
+	if bv == nil {
+		var err error
+		if bv, err = p.readers[si].View(block); err != nil {
 			return nil, err
 		}
 		if bv.Rows() != nrows {
 			return nil, fmt.Errorf("table: block %d: segment %d holds %d rows, block metadata says %d",
 				block, si, bv.Rows(), nrows)
 		}
-		views[si] = bv
+		vs.views[si] = bv
 	}
+	if err := bv.DecodeCol(ci, scratch); err != nil {
+		return nil, err
+	}
+	if p.cache != nil {
+		p.cache.put(key, vs.gen, scratch)
+	}
+	return scratch, nil
+}
+
+// decodeCol fills dst with field's column of block (column), copying a
+// cached chunk in.
+func (vs *vecScratch) decodeCol(p *part, block, nrows int, field string, dst *vec.Vector) error {
+	v, err := vs.column(p, block, nrows, field, dst)
+	if err == nil && v != dst {
+		dst.CopyFrom(v)
+	}
+	return err
+}
+
+// decodeBlockVec is the batch-producing block decoder: typed column decode
+// with no per-cell boxing, selection-vector filtering, and late
+// materialization — predicate columns decode first, and when no row
+// survives the remaining columns are never decoded (nor their segments
+// fetched) at all. When every row survives, projected columns decode
+// straight into the output batch (and already-decoded predicate columns are
+// swapped in), so the full-selection path gathers nothing; a partial
+// selection gathers its rows straight out of cached chunks. The row count
+// comes from block metadata; a segment whose block holds any other count is
+// an error, never a silent truncation. The returned batch comes from
+// batchPool.
+func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Batch, error) {
+	decoded, filter, outIdx := plan.decoded, plan.filter, plan.outIdx
+	nrows := blockRowCount(p, block)
+	vs.startBlock(p, decoded.Arity())
 	decodeInto := func(di int, dst *vec.Vector) error {
-		loc := p.fieldSeg[decoded.Fields[di].Name]
-		return views[loc[0]].DecodeCol(loc[1], dst)
+		return vs.decodeCol(p, block, nrows, decoded.Fields[di].Name, dst)
 	}
 	dec := batchPool.Get(decoded)
-	if cap(vs.done) < decoded.Arity() {
-		vs.done = make([]bool, decoded.Arity())
-	}
-	done := vs.done[:decoded.Arity()]
-	for i := range done {
-		done[i] = false
-	}
+	done := vs.done
 	// Phase 1: predicate columns only, then filter.
 	for _, di := range filter.Columns() {
 		if err := decodeInto(di, &dec.Cols[di]); err != nil {
@@ -691,13 +743,16 @@ func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Ba
 				return fail(err)
 			}
 		default:
+			// Gather the selected rows straight out of a cached chunk; only
+			// a miss decodes the whole column (into the scratch batch).
+			src := &dec.Cols[di]
 			if !done[di] {
-				if err := decodeInto(di, &dec.Cols[di]); err != nil {
+				var err error
+				if src, err = vs.column(p, block, nrows, decoded.Fields[di].Name, src); err != nil {
 					return fail(err)
 				}
-				done[di] = true
 			}
-			out.Cols[oi].AppendSel(&dec.Cols[di], sel)
+			out.Cols[oi].AppendSel(src, sel)
 		}
 	}
 	batchPool.Put(dec)
@@ -796,10 +851,11 @@ func boundsOf(tab *catalog.Table) []transforms.GridBounds {
 }
 
 // storedScanOpts are the internal knobs of planScan: noZone disables
-// zone-map pruning only, agg compiles an aggregation into the plan.
+// zone-map pruning only, uncached reads past the chunk cache (a fold's
+// read-back), agg compiles an aggregation into the plan.
 type storedScanOpts struct {
-	noZone, quarantine bool
-	agg                *AggSpec
+	noZone, quarantine, uncached bool
+	agg                          *AggSpec
 }
 
 // planScan is the planner stage and the only code that selects blocks: it
@@ -849,8 +905,12 @@ func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []stri
 	// order across the hierarchy.
 	parts := make([]*part, 0, len(from))
 	var start int64
+	cache := e.cache
+	if so.uncached {
+		cache = nil
+	}
 	for _, cp := range from {
-		p, err := e.buildPart(cp.Segments, stored, decoded)
+		p, err := e.buildPart(cp.Segments, stored, decoded, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -899,9 +959,9 @@ func (e *Engine) planScan(tab *catalog.Table, from []catalog.Part, fields []stri
 }
 
 // buildPart opens readers for the segments of one part that hold decoded
-// fields.
-func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *value.Schema) (*part, error) {
-	p := &part{entries: entries, readers: make([]*segment.Reader, len(entries)), fieldSeg: make(map[string][2]int)}
+// fields, decoding through cache (nil: none).
+func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *value.Schema, cache *chunkCache) (*part, error) {
+	p := &part{entries: entries, readers: make([]*segment.Reader, len(entries)), fieldSeg: make(map[string][2]int), cache: cache}
 	for si, entry := range entries {
 		needsRead := false
 		for ci, f := range entry.Fields {
@@ -921,7 +981,7 @@ func (e *Engine) buildPart(entries []catalog.SegmentEntry, stored, decoded *valu
 			}
 			segFields = append(segFields, stored.Fields[i])
 		}
-		r, err := segment.NewReader(e.Source, entry.Meta, segment.Spec{Fields: segFields, Codecs: entry.Codecs})
+		r, err := segment.NewReader(e.file, entry.Meta, segment.Spec{Fields: segFields, Codecs: entry.Codecs})
 		if err != nil {
 			return nil, err
 		}

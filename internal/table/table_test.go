@@ -480,7 +480,7 @@ func TestEstimateScanMatchesActual(t *testing.T) {
 	pred, _ := algebra.ParsePredicate("lat >= 42.3598 and lat < 42.3602")
 	for _, l := range layouts {
 		t.Run(l, func(t *testing.T) {
-			e, f, path := newEngine(t)
+			e, f, _ := newEngine(t)
 			if err := e.Create("Traces", tracesSchema(), l); err != nil {
 				t.Fatal(err)
 			}
@@ -500,9 +500,23 @@ func TestEstimateScanMatchesActual(t *testing.T) {
 				drain(t, cur)
 				actual := f.Stats().PageReads
 				// Estimates count whole blocks; actual reads share boundary
-				// pages, so the estimate may exceed actual slightly.
-				if est.Pages < actual || est.Pages > actual+uint64(len(path))+16 {
-					t.Errorf("opts %+v: estimated %d pages, actual %d", opts, est.Pages, actual)
+				// pages, so the estimate may exceed actual by at most a page
+				// per decoded segment.
+				tab, _ := e.cat.Get("Traces")
+				plan, err := e.planFor(tab, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs := uint64(0)
+				for _, p := range plan.parts {
+					for _, r := range p.readers {
+						if r != nil {
+							segs++
+						}
+					}
+				}
+				if est.Pages < actual || est.Pages > actual+segs {
+					t.Errorf("opts %+v: estimated %d pages, actual %d, %d decoded segments", opts, est.Pages, actual, segs)
 				}
 			}
 		})

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"rodentstore/internal/value"
 )
@@ -364,6 +365,29 @@ func (v *Vector) boxBytes(b []byte) value.Value {
 		return value.NewString(string(b))
 	}
 	return value.NewBytes(bytes.Clone(b))
+}
+
+// CopyFrom makes v a copy of src, in src's form, that shares no memory with
+// it; v's buffers are reused. A cache hands out its immutable vectors this
+// way, so no batch ever aliases what the cache holds.
+func (v *Vector) CopyFrom(src *Vector) {
+	v.kind, v.n = src.kind, src.n
+	v.Int64s = append(v.Int64s[:0], src.Int64s...)
+	v.Float64s = append(v.Float64s[:0], src.Float64s...)
+	v.Data = append(v.Data[:0], src.Data...)
+	v.Offs = append(v.Offs[:0], src.Offs...)
+	v.Codes = append(v.Codes[:0], src.Codes...)
+	v.Boxed = append(v.Boxed[:0], src.Boxed...)
+	v.memo = v.memo[:0]
+	v.Nulls.bits = append(v.Nulls.bits[:0], src.Nulls.bits...)
+	v.Nulls.set = src.Nulls.set
+}
+
+// Size returns the bytes v's rows occupy in their representation (a boxed
+// row counts its value.Value, not what the value points to).
+func (v *Vector) Size() int {
+	return 8*(len(v.Int64s)+len(v.Float64s)+len(v.Offs)+len(v.Nulls.bits)) +
+		len(v.Data) + 4*len(v.Codes) + int(unsafe.Sizeof(value.Value{}))*len(v.Boxed)
 }
 
 // AppendSel gathers the selected rows of src onto v (the gather step of

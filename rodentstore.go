@@ -30,7 +30,6 @@ package rodentstore
 import (
 	"fmt"
 
-	"rodentstore/internal/buffer"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/cost"
 	"rodentstore/internal/pager"
@@ -96,9 +95,13 @@ type Options struct {
 	// PageSize is the disk page size in bytes (default 1024, the page size
 	// of the paper's case study).
 	PageSize int
-	// CachePages enables a buffer pool with this many frames. 0 (default)
-	// bypasses caching so page-read statistics equal cold physical I/O,
-	// which is what the paper's experiments measure.
+	// CachePages sizes the cache every layout shares, in pages: scans keep
+	// decoded column chunks (one column of one block each) in up to
+	// CachePages × PageSize bytes, charged by decoded size and evicted with
+	// CLOCK, so a warm scan neither reads nor decodes a block again. Entries
+	// of an extent go when it is freed or rewritten. 0 (default) bypasses
+	// caching so page-read statistics equal cold physical I/O, which is what
+	// the paper's experiments measure.
 	CachePages int
 	// DurableInserts routes Insert's publish phase through the write-ahead
 	// log: each applied tail is logged as one tail record and
@@ -126,7 +129,6 @@ type DB struct {
 	mgr  *txn.Manager
 	cat  *catalog.Catalog
 	eng  *table.Engine
-	pool *buffer.Pool
 }
 
 // Create creates a new database file (truncating any existing one).
@@ -212,14 +214,7 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 		db.eng.EnableAutoMerge(o.AutoMergeTails)
 	}
 	if o.CachePages > 0 {
-		pool, err := buffer.NewPool(file, o.CachePages)
-		if err != nil {
-			log.Close()
-			file.Close()
-			return nil, err
-		}
-		db.pool = pool
-		db.eng.Source = pool
+		db.eng.EnableCache(int64(o.CachePages) * int64(file.PageSize()))
 	}
 	return db, nil
 }
@@ -307,13 +302,12 @@ func (db *DB) IOStats() IOStats {
 // ResetIOStats zeroes the counters (each measured query starts cold).
 func (db *DB) ResetIOStats() { db.file.ResetStats() }
 
-// InvalidateCache drops the buffer pool (no-op without one) so the next
-// reads hit disk. A scan in flight keeps the pages it holds and reads the
-// rest cold.
+// InvalidateCache empties the cache of decoded column chunks (no-op
+// without one), so the next scans read every block from disk and decode it
+// again. A scan in flight keeps what it already decoded, and nothing it
+// fetched before the call is cached.
 func (db *DB) InvalidateCache() error {
-	if db.pool != nil {
-		db.pool.Invalidate()
-	}
+	db.eng.InvalidateCache()
 	return nil
 }
 
