@@ -5,6 +5,8 @@ package rodentstore
 // strands is reused after the next open.
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"rodentstore/internal/pager"
@@ -139,5 +141,43 @@ func TestCrashStrandedPagesAreReused(t *testing.T) {
 	}
 	if len(stranded) > 0 {
 		t.Errorf("%d pages of the stranded runs were not reused", len(stranded))
+	}
+}
+
+// TestFailedHeaderWriteKeepsCatalogExtent fails the header write of a
+// durable checkpoint's catalog flush, then runs two more checkpoints, each
+// after an insert so that it flushes. The flush that failed freed nothing
+// and queued nothing; the catalog's live extent never reaches free space,
+// so no page is both owned and free, and the store reads back every row.
+func TestFailedHeaderWriteKeepsCatalogExtent(t *testing.T) {
+	fs := vfs.NewFault(43)
+	db := durableFaultDB(t, fs)
+	insert, _, acked := levelledL(t, db)
+	var armed atomic.Bool
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpWrite && op.Path == faultDBPath && op.Off == 0 && armed.CompareAndSwap(true, false) {
+			return vfs.Fail
+		}
+		return vfs.OK
+	}
+	for round := range 3 {
+		if err := insert(); err != nil {
+			t.Fatal(err)
+		}
+		armed.Store(round == 0)
+		err := db.Checkpoint()
+		if round == 0 && (!errors.Is(err, vfs.ErrInjected) || armed.Load()) {
+			t.Fatalf("checkpoint over a failing header write: %v", err)
+		}
+		if round > 0 && err != nil {
+			t.Fatalf("checkpoint %d: %v", round, err)
+		}
+	}
+	rep, err := db.CheckIntegrity()
+	if err != nil || !rep.OK() {
+		t.Fatalf("integrity: %v %v", err, rep.Issues)
+	}
+	if n, err := db.RowCount("L"); err != nil || n != *acked {
+		t.Fatalf("RowCount %d (err %v), want %d", n, err, *acked)
 	}
 }

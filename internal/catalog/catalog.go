@@ -205,8 +205,8 @@ type Catalog struct {
 	// the tail records of such commits (ApplyTailAppend).
 	issued, reflects uint64
 
-	// DeferFree, when set, is offered the previous catalog extent on every
-	// flush instead of it being freed inline with the meta-slot flip. A true
+	// DeferFree, when set, is offered the previous catalog extent after every
+	// flush instead of it being freed inline after the meta-slot flip. A true
 	// return means the hook took ownership (the engine queues it to be freed
 	// only after the flip is made durable by a checkpoint — reusing it
 	// earlier would let a crash roll back to a catalog whose bytes were
@@ -265,19 +265,9 @@ func (c *Catalog) edited(name string, t *Table) map[string]*Table {
 	return m
 }
 
-// flushPut persists m, a map edited from the published one, and publishes
-// it. A failed flush publishes nothing: the catalog keeps the records it
-// had. Caller holds c.mu.
-func (c *Catalog) flushPut(m map[string]*Table) error {
-	if err := c.flush(m); err != nil {
-		return err
-	}
-	c.tables.Store(&m)
-	return nil
-}
-
-// flush serializes and writes the catalog of records m, then flips the
-// meta slots. Caller holds c.mu.
+// flush persists the catalog of records m — serialized to a new extent,
+// then named by the meta slots — and publishes it. A failed flush publishes
+// nothing: the catalog keeps the records it had. Caller holds c.mu.
 func (c *Catalog) flush(m map[string]*Table) error {
 	tables := make([]*Table, 0, len(m))
 	for _, t := range m {
@@ -286,19 +276,22 @@ func (c *Catalog) flush(m map[string]*Table) error {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	buf := encodeTablesInto(c.encBuf, tables)
 	c.encBuf = buf
-	// Write the new extent, flip the meta slots and free the old extent
-	// with a single header write: a crash leaves either the whole previous
-	// catalog or the whole new one. With a DeferFree hook the old extent is
-	// handed off instead of freed here (see the field comment).
-	old := pager.Extent{Start: c.extent.ExtentStart, Count: c.extent.ExtentPages}
-	if old.Count > 0 && c.DeferFree != nil && c.DeferFree(old) {
-		old = pager.Extent{Start: pager.InvalidPage}
-	}
-	ext, err := c.file.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, c.issued,
-		buf, old)
+	// Write the new extent and flip the meta slots with a single header
+	// write: a crash leaves either the whole previous catalog or the whole
+	// new one. Only then is the old extent freed, or handed to the DeferFree
+	// hook (see the field comment); after a failed flush it stays the
+	// catalog's.
+	ext, err := c.file.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, c.issued, buf)
 	if err != nil {
 		return err
 	}
+	if old := (pager.Extent{Start: c.extent.ExtentStart, Count: c.extent.ExtentPages}); old.Count > 0 && (c.DeferFree == nil || !c.DeferFree(old)) {
+		// The flush has landed, so it reports success: the pager refuses
+		// only a free of pages already free, and those are no more the
+		// catalog's than the old extent is.
+		_ = c.file.FreeRun(old.Start, old.Count)
+	}
+	c.tables.Store(&m)
 	c.extent = segment.Meta{ExtentStart: ext.Start, ExtentPages: ext.Count, UsedBytes: uint64(len(buf))}
 	c.reflects = c.issued
 	c.dirty = false // a full flush persists buffered updates too
@@ -357,7 +350,7 @@ func (c *Catalog) Names() []string {
 func (c *Catalog) Put(t *Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushPut(c.edited(t.Name, t))
+	return c.flush(c.edited(t.Name, t))
 }
 
 // PutBuffered inserts or replaces a table record in memory only and returns
@@ -399,7 +392,7 @@ func (c *Catalog) Delete(name string) error {
 	if _, ok := (*c.tables.Load())[name]; !ok {
 		return fmt.Errorf("catalog: no table %q: %w", name, ErrNotFound)
 	}
-	return c.flushPut(c.edited(name, nil))
+	return c.flush(c.edited(name, nil))
 }
 
 // Schemas returns the name→schema map of every table (the input the algebra

@@ -326,7 +326,7 @@ func TestLoadRejectsForeignCatalog(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, _ := newFile(t)
-			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, 0, tc.payload, pager.Extent{})
+			_, err := f.ReplaceMetaExtent(slotExtentStart, slotExtentPages, slotByteLen, slotReflects, 0, tc.payload)
 			if err != nil {
 				t.Fatal(err)
 			}

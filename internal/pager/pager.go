@@ -462,30 +462,38 @@ func (p *File) AllocateRun(n uint64) (PageID, error) {
 // Allocate allocates a single page.
 func (p *File) Allocate() (PageID, error) { return p.AllocateRun(1) }
 
-// freeLocked returns an extent to the free list, coalescing with
-// neighbours. Caller holds p.mu.
-func (p *File) freeLocked(start PageID, n uint64) {
-	p.freePages += n
-	i, _ := slices.BinarySearchFunc(p.free, start, func(e Extent, id PageID) int { return cmp.Compare(e.Start, id) })
-	p.free = slices.Insert(p.free, i, Extent{start, n})
-	if i+1 < len(p.free) && start+PageID(n) == p.free[i+1].Start {
-		p.free[i].Count += p.free[i+1].Count
-		p.free = slices.Delete(p.free, i+1, i+2)
-	}
-	if i > 0 && p.free[i-1].Start+PageID(p.free[i-1].Count) == start {
-		p.free[i-1].Count += p.free[i].Count
-		p.free = slices.Delete(p.free, i, i+1)
-	}
-}
-
 // FreeRun returns an extent to the free list, coalescing with neighbours.
+// It refuses an extent that passes the cursor or overlaps free space:
+// freeing a page twice would let first fit hand it out twice.
 func (p *File) FreeRun(start PageID, n uint64) error {
 	if start == InvalidPage || n == 0 {
 		return fmt.Errorf("pager: bad free of %d pages at %d", n, start)
 	}
+	end := start + PageID(n)
 	p.mu.Lock()
-	p.freeLocked(start, n)
+	i, _ := slices.BinarySearchFunc(p.free, start, func(e Extent, id PageID) int { return cmp.Compare(e.Start, id) })
+	var err error
+	switch {
+	case uint64(end) > p.nextPage.Load() || end < start:
+		err = fmt.Errorf("pager: free of [%d,+%d) passes the cursor %d", start, n, p.nextPage.Load())
+	case i < len(p.free) && p.free[i].Start < end, i > 0 && p.free[i-1].Start+PageID(p.free[i-1].Count) > start:
+		err = fmt.Errorf("pager: free of [%d,+%d) overlaps free space", start, n)
+	default:
+		p.freePages += n
+		p.free = slices.Insert(p.free, i, Extent{start, n})
+		if i+1 < len(p.free) && end == p.free[i+1].Start {
+			p.free[i].Count += p.free[i+1].Count
+			p.free = slices.Delete(p.free, i+1, i+2)
+		}
+		if i > 0 && p.free[i-1].Start+PageID(p.free[i-1].Count) == start {
+			p.free[i-1].Count += p.free[i].Count
+			p.free = slices.Delete(p.free, i, i+1)
+		}
+	}
 	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	p.invalidate(start, n)
 	return nil
 }
@@ -733,45 +741,47 @@ func (p *File) WriteRun(start PageID, payload []byte) error {
 // otherwise allocate tens of KB per call.
 var runBufPool sync.Pool
 
-// ReplaceMetaExtent is the crash-safe "write new extent, flip pointers,
-// free old" pattern, and the catalog's flush primitive: it allocates a fresh
-// extent for payload, writes it (one positional write), points the three
-// meta slots at it (start page, page count, byte length), sets slotTag to
-// tag, frees the old extent, and writes the header. The file is fsynced
-// between the payload write and the header write, so the header cannot
-// reach disk ahead of the payload or of any page written before the call.
-// A crash before the header write leaves the previous state fully intact;
-// after it, the new state — tag included, so a value describing the
-// payload never pairs with another payload. The header is one sector, so
-// no crash leaves part of it.
-func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag uint64, payload []byte, old Extent) (Extent, error) {
+// ReplaceMetaExtent is the crash-safe "write new extent, flip pointers"
+// pattern, and the catalog's flush primitive: it allocates a fresh extent
+// for payload, writes it (one positional write), points the three meta
+// slots at it (start page, page count, byte length), sets slotTag to tag,
+// and writes the header. The file is fsynced between the payload write and
+// the header write, so the header cannot reach disk ahead of the payload or
+// of any page written before the call. A crash before the header write
+// leaves the previous state fully intact; after it, the new state — tag
+// included, so a value describing the payload never pairs with another
+// payload. The header is one sector, so no crash leaves part of it.
+//
+// The caller frees the extent the slots named before, once the call
+// succeeded. A failed payload write or sync frees the new extent. A failed
+// header write restores the slots and keeps the new extent allocated, as
+// well as the old one: the header on disk may name either, and the next
+// open's Reclaim frees the one its catalog does not.
+func (p *File) ReplaceMetaExtent(slotStart, slotPages, slotLen, slotTag int, tag uint64, payload []byte) (Extent, error) {
 	payloadSize := uint64(p.pageSize - pageHeaderSize)
-	npages := (uint64(len(payload)) + payloadSize - 1) / payloadSize
-	if npages == 0 {
-		npages = 1
-	}
+	npages := max((uint64(len(payload))+payloadSize-1)/payloadSize, 1)
 	p.mu.Lock()
 	start, err := p.allocateLocked(npages)
 	p.mu.Unlock()
 	if err != nil {
 		return Extent{}, err
 	}
-	if err := p.WriteRun(start, payload); err != nil {
-		return Extent{}, err
+	err = p.WriteRun(start, payload)
+	if err == nil {
+		err = p.Sync()
 	}
-	if err := p.f.Sync(); err != nil {
-		return Extent{}, fmt.Errorf("pager: sync: %w", err)
+	if err != nil {
+		return Extent{}, errors.Join(err, p.FreeRun(start, npages))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	prev := p.meta
 	p.meta[slotStart] = uint64(start)
 	p.meta[slotPages] = npages
 	p.meta[slotLen] = uint64(len(payload))
 	p.meta[slotTag] = tag
-	if old.Start != InvalidPage && old.Count > 0 {
-		p.freeLocked(old.Start, old.Count)
-	}
 	if err := p.writeHeader(); err != nil {
+		p.meta = prev
 		return Extent{}, err
 	}
 	return Extent{Start: start, Count: npages}, nil

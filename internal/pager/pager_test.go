@@ -132,6 +132,33 @@ func TestFreeCoalescing(t *testing.T) {
 	}
 }
 
+// TestFreeRunRefusesFreeSpace: a free that overlaps free space, or passes
+// the cursor, is refused and changes nothing, so first fit never hands one
+// page out twice.
+func TestFreeRunRefusesFreeSpace(t *testing.T) {
+	p := newFile(t, 1024)
+	a, _ := p.AllocateRun(12)
+	if err := p.FreeRun(a+4, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Extent{{a + 4, 4}, {a + 2, 3}, {a + 7, 2}, {a, 12}, {a + 10, 4}} {
+		if err := p.FreeRun(bad.Start, bad.Count); err == nil {
+			t.Errorf("free of [%d,+%d) beside free [%d,+4) was accepted", bad.Start, bad.Count, a+4)
+		}
+	}
+	if n := p.NumPages(); n != 8 {
+		t.Fatalf("NumPages %d after refused frees, want 8", n)
+	}
+	if err := p.FreeRun(a+8, 2); err != nil { // adjacent, not overlapping
+		t.Fatal(err)
+	}
+	b, _ := p.AllocateRun(6)
+	c, _ := p.AllocateRun(1)
+	if b != a+4 || c == b {
+		t.Fatalf("allocations at %d and %d, want the freed run at %d and then another page", b, c, a+4)
+	}
+}
+
 func TestNumPages(t *testing.T) {
 	p := newFile(t, 1024)
 	if n := p.NumPages(); n != 0 {
@@ -441,7 +468,7 @@ func TestHeaderWrittenOnlyByFlushAndClose(t *testing.T) {
 	if headers != 0 {
 		t.Fatalf("allocations, frees and syncs wrote the header %d times", headers)
 	}
-	if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 7, []byte("catalog"), Extent{Start: InvalidPage}); err != nil {
+	if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 7, []byte("catalog")); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -720,7 +747,7 @@ func TestCloseTrimSurvivesPowerCut(t *testing.T) {
 		}
 		fillPages(t, p, start, 100)
 		// A flush makes the header name the cursor past them.
-		if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 1, []byte("meta"), Extent{}); err != nil {
+		if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 1, []byte("meta")); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Sync(); err != nil {
@@ -793,7 +820,7 @@ func TestReplaceMetaExtentSyncFirst(t *testing.T) {
 			ops = append(ops, "payload")
 		}
 	}
-	if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 42, []byte("payload"), Extent{Start: InvalidPage}); err != nil {
+	if _, err := p.ReplaceMetaExtent(0, 1, 2, 3, 42, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	fs.OnOp = nil

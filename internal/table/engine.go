@@ -412,12 +412,13 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 // phases, the stage is re-prepared under that lock.
 //
 // With SyncInserts, durability also stays off the lock: the published
-// tail's record is logged to the WAL and fsync'd (group commit) after the
-// lock is released, so concurrent inserters' fsyncs coalesce. Insert then
-// returns only once the batch is redo-durable. Because records are logged
-// after the lock drops, two batches published in one order can commit in
-// the other; recovery then rebuilds the tails in commit order — a
-// permutation of unorganized batches, never a loss.
+// tail's record is logged to the WAL as one frame, its own commit, and
+// fsync'd (group commit) after the lock is released, so concurrent
+// inserters' fsyncs coalesce. Insert then returns only once the batch is
+// redo-durable. Because records are logged after the lock drops, two
+// batches published in one order can reach the log in the other; recovery
+// then rebuilds the tails in log order — a permutation of unorganized
+// batches, never a loss.
 func (e *Engine) Insert(name string, rows []value.Row) error {
 	if len(rows) == 0 {
 		return nil

@@ -371,9 +371,9 @@ func (e *Engine) planFold(name string, pick func(tab *catalog.Table) (*foldJob, 
 
 // runFold reads and renders a planned fold with no table lock held, then
 // takes the exclusive lock to splice the output in. A fold that lost its
-// parts to a concurrent Drop, AlterLayout or lazy reorganization frees its
-// output and reports only a vanished table (catalog.ErrNotFound). Caller
-// holds the table's fold latch, so folds of one table never overlap.
+// parts to a concurrent Drop, AlterLayout or lazy reorganization reports
+// only a vanished table (catalog.ErrNotFound); flip has freed its output.
+// Caller holds the table's fold latch, so folds of one table never overlap.
 func (e *Engine) runFold(job *foldJob) error {
 	defer job.pin.release()
 	out, err := e.fold(job)
@@ -381,27 +381,23 @@ func (e *Engine) runFold(job *foldJob) error {
 		return err
 	}
 	err = e.withLock(job.tab.Name, exclusive, func() error { return e.spliceIn(job, out) })
-	if errors.Is(err, errFoldLost) || errors.Is(err, catalog.ErrNotFound) {
-		if derr := e.discard(out); derr != nil {
-			return derr
-		}
-	}
 	if errors.Is(err, errFoldLost) {
 		return nil
 	}
 	return err
 }
 
-// discard frees the extents of an output no record ever named.
-func (e *Engine) discard(out rendered) error {
+// discard frees the extents of an output no record names, and returns err,
+// the reason none does (or the failed free's error instead).
+func (e *Engine) discard(out rendered, err error) error {
 	for _, s := range out.entries {
 		if s.Meta.ExtentPages > 0 {
-			if err := e.file.FreeRun(s.Meta.ExtentStart, s.Meta.ExtentPages); err != nil {
-				return err
+			if ferr := e.file.FreeRun(s.Meta.ExtentStart, s.Meta.ExtentPages); ferr != nil {
+				return ferr
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // relayout applies tab's pending layout change: every part folds into one
@@ -422,7 +418,7 @@ func (e *Engine) relayout(tab *catalog.Table) error {
 	if err != nil {
 		return err
 	}
-	return e.flip(tab.Name, job.parts, func(cur *catalog.Table) error {
+	return e.flip(tab.Name, job.parts, out, func(cur *catalog.Table) error {
 		if err := job.splice(cur, out); err != nil {
 			return err
 		}
@@ -459,14 +455,19 @@ func (e *Engine) free(exts []pager.Extent) error {
 // is dropped. Every tree the old record lists and the new one does not is
 // reclaimed with the superseded parts. Caller holds the exclusive table
 // lock, for the flip only: a fold reads and renders before it, unlocked.
-func (e *Engine) flip(name string, parts []catalog.Part, edit func(work *catalog.Table) error) error {
+//
+// out is the fold's output, which edit splices in (none for an index
+// drop). Until the publish lands no record names it, so a flip failing
+// before then frees it; one whose publish landed keeps it, even when
+// queueing the replaced parts fails.
+func (e *Engine) flip(name string, parts []catalog.Part, out rendered, edit func(work *catalog.Table) error) error {
 	old, err := e.cat.Get(name)
 	if err != nil {
-		return err
+		return e.discard(out, err)
 	}
 	work := *old
 	if err := edit(&work); err != nil {
-		return err
+		return e.discard(out, err)
 	}
 	replaced := make(map[pager.PageID]bool) // by a part's first extent
 	for _, p := range parts {
@@ -494,14 +495,14 @@ func (e *Engine) flip(name string, parts []catalog.Part, edit func(work *catalog
 	}
 	exts := catalog.Extents(parts, trees)
 	if _, err := e.publish(&work); err != nil {
-		return err
+		return e.discard(out, err)
 	}
 	return e.free(exts)
 }
 
 // spliceIn flips out in where job's parts are (foldJob.splice).
 func (e *Engine) spliceIn(job *foldJob, out rendered) error {
-	return e.flip(job.tab.Name, job.parts, func(work *catalog.Table) error { return job.splice(work, out) })
+	return e.flip(job.tab.Name, job.parts, out, func(work *catalog.Table) error { return job.splice(work, out) })
 }
 
 // publish swaps work in as its table's catalog record: buffered in durable

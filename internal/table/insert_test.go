@@ -235,3 +235,62 @@ func TestFailedTailPublishLeaksNoExtent(t *testing.T) {
 		t.Fatalf("%d rows after the failed insert, want 500", n)
 	}
 }
+
+// TestFailedFlipFreesFoldOutput fails the catalog flush that would publish
+// a fold's output, once for a Compact and once for a Load, on an engine
+// without a log (its publish is a flush). No record names the output, so
+// the fold frees it, as the flush frees its own new extent: with no reopen,
+// whose reclaim would hide a leak, the pages the catalog owns and the pages
+// the pager holds free account for every page below the cursor.
+func TestFailedFlipFreesFoldOutput(t *testing.T) {
+	fs := vfs.NewFault(10)
+	e, f := faultEngine(t, fs)
+	for _, name := range []string{"T", "U"} {
+		if err := e.Create(name, tracesSchema(), "cols("+name+")"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Load("T", traceRows(500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Insert("T", traceRows(300)); err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpSync && op.Path == "db.rdnt" && armed.CompareAndSwap(true, false) {
+			return vfs.Fail
+		}
+		return vfs.OK
+	}
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Compact", func() error { return e.Compact("T") }},
+		{"Load", func() error { return e.Load("U", traceRows(400)) }},
+	} {
+		armed.Store(true)
+		if err := step.run(); !errors.Is(err, vfs.ErrInjected) || armed.Load() {
+			t.Fatalf("%s over a failing catalog flush: %v", step.name, err)
+		}
+		rep, err := e.CheckIntegrity()
+		if err != nil || !rep.OK() {
+			t.Fatalf("after %s: integrity %v %v", step.name, err, rep.Issues)
+		}
+		if allocated := f.NumPages(); rep.OwnedPages != allocated {
+			t.Fatalf("after %s: %d pages below the cursor are neither owned nor free (%d owned, %d free)",
+				step.name, allocated-rep.OwnedPages, rep.OwnedPages, rep.FreePages)
+		}
+	}
+	for name, want := range map[string]int{"T": 800, "U": 0} {
+		cur, err := e.Scan(name, ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(drain(t, cur)); n != want {
+			t.Fatalf("%s: %d rows after the failed flip, want %d", name, n, want)
+		}
+		cur.Close()
+	}
+}

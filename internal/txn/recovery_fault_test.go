@@ -68,17 +68,14 @@ func TestRecoveryTornWALTail(t *testing.T) {
 	}
 
 	// Append a second transaction and tear its file write at the sector
-	// boundary: the begin frame fits in the surviving prefix, the tail
-	// record is cut mid-body.
+	// boundary: the tail record is cut mid-body.
 	img := make([]byte, 900)
 	for i := range img {
 		img[i] = byte(i)
 	}
 	_, id, rec := e.apply(t, string(img))
 	for _, r := range []wal.Record{
-		{Type: wal.RecBegin, TxnID: id},
 		{Type: wal.RecTail, TxnID: id, Payload: rec},
-		{Type: wal.RecCommit, TxnID: id},
 	} {
 		if err := e.l.Append(r); err != nil {
 			t.Fatal(err)

@@ -8,12 +8,12 @@
 // update to the in-memory catalog under its own higher-level lock (the
 // engine's table lock), taking a commit id from the catalog as it does;
 // releases that lock; then calls Commit, which appends the writer's logical
-// record (a tail record: no page ids) as one committed group under that id
-// and waits on the log's shared fsync ticket. Recovery hands each committed
-// record to OnRecover, which writes what it describes to freshly allocated
-// pages, so a record can never replay over a page a later write owns.
-// Mutual exclusion between writers is the caller's business — this package
-// holds no table locks.
+// record (a tail record: no page ids) as one log frame under that id and
+// waits on the log's shared fsync ticket. The frame's checksum is its
+// commit: recovery hands each intact tail frame to OnRecover, which writes
+// what it describes to freshly allocated pages, so a record can never
+// replay over a page a later write owns. Mutual exclusion between writers
+// is the caller's business — this package holds no table locks.
 package txn
 
 import (
@@ -71,8 +71,9 @@ type Manager struct {
 	OnRecover func(id uint64, record []byte) error
 
 	// ckptMu orders checkpoints against in-flight commits: Commit holds the
-	// read side across its appends, so a checkpoint (write side) never
-	// truncates half a record group.
+	// read side across its append, so a checkpoint (write side) never
+	// truncates a frame appended after its flush, whose commit id that flush
+	// did not reflect.
 	ckptMu sync.RWMutex
 }
 
@@ -111,7 +112,7 @@ func (m *Manager) checkpointLocked() error {
 }
 
 // Commit makes an applied write durable: record, the write's logical
-// description, is appended to the log as one committed group under id (the
+// description, is appended to the log as one tail frame under id (the
 // commit id the caller's catalog update got) and the log is synced, sharing
 // the group-commit fsync. Writers apply in place under their own lock,
 // release it, then call Commit, so concurrent callers' fsyncs coalesce.
@@ -119,13 +120,7 @@ func (m *Manager) checkpointLocked() error {
 // flush covers id), and recovery skips the record then.
 func (m *Manager) Commit(id uint64, record []byte) error {
 	m.ckptMu.RLock()
-	err := m.log.Append(wal.Record{Type: wal.RecBegin, TxnID: id})
-	if err == nil {
-		err = m.log.Append(wal.Record{Type: wal.RecTail, TxnID: id, Payload: record})
-	}
-	if err == nil {
-		err = m.log.Append(wal.Record{Type: wal.RecCommit, TxnID: id})
-	}
+	err := m.log.Append(wal.Record{Type: wal.RecTail, TxnID: id, Payload: record})
 	m.ckptMu.RUnlock()
 	if err != nil {
 		return err
@@ -164,10 +159,13 @@ func (m *Manager) checkpointDue() bool {
 	return m.Backlog()*backlogShare >= max(inUse, m.CheckpointBytes)
 }
 
-// Recover replays committed records from the log (each goes to OnRecover)
-// and truncates the log. It must run before the first commit, with the
-// hooks already set.
+// Recover replays the log's tail records (each goes to OnRecover), then
+// checkpoints: the catalog updates they rebuilt are flushed and the page
+// file synced before the log that could rebuild them again is truncated. It
+// must run before the first commit, with the hooks already set.
 func (m *Manager) Recover() (int, error) {
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
 	n, err := m.log.Replay(func(id uint64, record []byte) error {
 		if m.OnRecover == nil {
 			return nil
@@ -177,18 +175,5 @@ func (m *Manager) Recover() (int, error) {
 	if err != nil {
 		return n, err
 	}
-	if n > 0 {
-		// Persist the replayed state — the catalog updates rebuilt from
-		// records (BeforeCheckpoint flushes them) — before the log that
-		// could rebuild it again is discarded.
-		if m.BeforeCheckpoint != nil {
-			if err := m.BeforeCheckpoint(); err != nil {
-				return n, err
-			}
-		}
-		if err := m.file.Sync(); err != nil {
-			return n, err
-		}
-	}
-	return n, m.log.Truncate()
+	return n, m.checkpointLocked()
 }

@@ -137,15 +137,10 @@ func lose(t *testing.T, f *pager.File, id pager.PageID) {
 	}
 }
 
-// logTail appends a tail record group by hand; commit=false leaves it
-// without its commit record.
-func logTail(t *testing.T, l *wal.Log, id uint64, rec []byte, commit bool) {
+// logTail appends a tail record by hand, as Commit does, and syncs it.
+func logTail(t *testing.T, l *wal.Log, id uint64, rec []byte) {
 	t.Helper()
-	l.Append(wal.Record{Type: wal.RecBegin, TxnID: id})
 	l.Append(wal.Record{Type: wal.RecTail, TxnID: id, Payload: rec})
-	if commit {
-		l.Append(wal.Record{Type: wal.RecCommit, TxnID: id})
-	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +160,7 @@ func TestCrashRecovery(t *testing.T) {
 	// records directly, then recover into the persisted catalog.
 	e, _ := newEnv(t)
 	start, id, rec := e.apply(t, "after crash image")
-	logTail(t, e.l, id, rec, true)
+	logTail(t, e.l, id, rec)
 	lose(t, e.f, start)
 
 	back := attach(t, e.f, e.l)
@@ -183,22 +178,40 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
-func TestUncommittedNotRecovered(t *testing.T) {
+// TestRecoverGroupFormatLog recovers a log written when a commit was a
+// begin, a tail and a commit frame: the begin and commit frames are
+// skipped and the tail applies. A tail whose commit frame never made it
+// applies too: it was never acknowledged, so replaying it is the in-flight
+// case, all or nothing under its own checksum.
+func TestRecoverGroupFormatLog(t *testing.T) {
 	e, _ := newEnv(t)
-	keep, _ := e.f.Allocate()
-	e.f.WritePage(keep, []byte("keep me"))
-	_, id, rec := e.apply(t, "drop me")
-	logTail(t, e.l, id, rec, false)
+	const begin = wal.RecordType(1)
+	startA, idA, recA := e.apply(t, "committed group")
+	startB, idB, recB := e.apply(t, "tail without commit")
+	for _, r := range []wal.Record{
+		{Type: begin, TxnID: idA},
+		{Type: wal.RecTail, TxnID: idA, Payload: recA},
+		{Type: wal.RecCommit, TxnID: idA},
+		{Type: begin, TxnID: idB},
+		{Type: wal.RecTail, TxnID: idB, Payload: recB},
+	} {
+		e.l.Append(r)
+	}
+	if err := e.l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	lose(t, e.f, startA)
+	lose(t, e.f, startB)
 
 	back := attach(t, e.f, e.l)
-	if n, err := back.m.Recover(); err != nil || n != 0 {
-		t.Fatalf("n=%d err=%v", n, err)
+	n, err := back.m.Recover()
+	if err != nil {
+		t.Fatal(err)
 	}
-	back.wantTails(t)
-	got, _ := e.f.ReadPage(keep)
-	if string(got[:7]) != "keep me" {
-		t.Error("uncommitted record written over a page")
+	if n != 2 {
+		t.Errorf("recovered %d tail records, want 2", n)
 	}
+	back.wantTails(t, "committed group", "tail without commit")
 }
 
 func TestRecoveryAfterDeferredCheckpoint(t *testing.T) {

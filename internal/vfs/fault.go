@@ -383,13 +383,11 @@ func (h *faultFile) ReadAt(p []byte, off int64) (int, error) {
 		}
 		// Copy the written portion; the rest of the range is preallocated
 		// space that reads as zeros.
-		for i := 0; i < n; i++ {
-			if off+int64(i) < int64(len(mf.data)) {
-				p[i] = mf.data[off+int64(i)]
-			} else {
-				p[i] = 0
-			}
+		c := 0
+		if off < int64(len(mf.data)) {
+			c = copy(p[:n], mf.data[off:])
 		}
+		clear(p[c:n])
 	}
 	mf.mu.Unlock()
 	switch d {

@@ -4,21 +4,24 @@
 // under every layout the algebra can express.
 //
 // The log is redo-only and logical: a writer applies its pages to the main
-// page file in place, then appends one record describing what it applied —
-// a durable insert's tail, with the bytes of its segment streams — as a
-// committed record group, and waits for the fsync (see package txn).
-// Records name no page: recovery hands each committed payload, in log
-// order, to a callback that decides where it goes; uncommitted groups are
-// ignored. After a checkpoint (all applied pages durable) the log is
-// truncated.
+// page file in place, then appends one frame describing what it applied — a
+// durable insert's tail, with the bytes of its segment streams — and waits
+// for the fsync (see package txn). A frame is its own commit: its checksum
+// covers all of it, so a crash leaves it intact or torn, never half there.
+// Frames name no page: recovery hands the payload of every intact tail
+// frame, in log order, to a callback that decides where it goes. After a
+// checkpoint (all applied pages durable) the log is truncated.
+//
+// One frame walker reads the log from its start and stops at the first torn
+// or corrupt frame: Open finds the logical end with it, Replay applies what
+// it yields, and Verify reports what lies past the point where it stopped.
 //
 // Two mechanisms keep the append path cheap under concurrency:
 //
 //   - Appends are encoded into a pending in-memory buffer under the log
 //     mutex and written to the file in one positional write when durability
-//     is requested — a commit (begin + tail + commit) is a single
-//     write syscall, and the encode path reuses the buffer's capacity
-//     instead of allocating per record.
+//     is requested — a commit is a single write syscall, and the encode path
+//     reuses the buffer's capacity instead of allocating per record.
 //
 //   - Sync implements group commit: durability waits on a shared ticket.
 //     One caller becomes the sync leader, flushes the pending buffer and
@@ -42,11 +45,15 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,15 +94,14 @@ func (e *ErrCorruptRecord) Error() string {
 type RecordType uint8
 
 const (
-	// RecBegin marks the start of a transaction.
-	RecBegin RecordType = 1
 	// RecPageImage is written only by benchmark/probes.go, to time page-sized appends.
 	RecPageImage RecordType = 2
-	// RecCommit marks a transaction durable; its records must be replayed.
+	// RecCommit is written only by benchmark/probes.go, to close a timed
+	// round. Logs written when a commit was a begin/tail/commit group hold
+	// it too (beside begin frames, type 1); Replay skips both.
 	RecCommit RecordType = 3
 	// RecTail carries one durable insert's tail record (opaque here: the
-	// catalog encodes and replays it); Replay hands committed ones over in
-	// log order.
+	// catalog encodes and replays it). An intact one is committed.
 	RecTail RecordType = 6
 )
 
@@ -103,10 +109,17 @@ const (
 type Record struct {
 	Type  RecordType
 	TxnID uint64
-	// PageID is framed but unused by the engine; benchmark/probes.go sets it.
+	// PageID is framed but unused by the engine; only benchmark/probes.go sets it.
 	PageID  pager.PageID
 	Payload []byte
 }
+
+// Framing: [body length u32][crc32 of body u32][body], where the body is
+// [type u8][txn u64][page u64][payload].
+const (
+	frameHeader = 8
+	bodyHeader  = 17
+)
 
 // defaultBufCap pre-sizes the pending append buffer so a small commit
 // (records for about one page of payload) encodes without growing it.
@@ -116,15 +129,14 @@ const defaultBufCap = 4096
 // cursor. Appends into preallocated blocks make the commit fsync a pure
 // data sync (no block-allocation or size-change metadata in the journal),
 // which is most of its cost on ext4. The file's size is therefore larger
-// than its logical content; Open finds the logical end by scanning record
-// frames (the same torn-tail rule Scan applies).
+// than its logical content; Open finds the logical end with the frame
+// walker.
 const preallocBytes = 4 << 20
 
 // Log is an append-only record file. Methods are safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	f    vfs.File
-	path string
 	size int64  // bytes written to the file (excludes wbuf)
 	wbuf []byte // encoded records not yet written to the file
 	seq  uint64 // append ticket: incremented once per Append
@@ -158,72 +170,80 @@ func Open(path string) (*Log, error) {
 	return OpenAt(vfs.OS, path)
 }
 
-// OpenAt opens (or creates) the log at path on the given file system.
+// OpenAt opens (or creates) the log at path on the given file system. Its
+// logical end is where the frame walk stops; the next append overwrites
+// whatever lies beyond (preallocated zeros, or a crash's torn frame).
 func OpenAt(fsys vfs.FS, path string) (*Log, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	size, err := logicalSize(f)
-	if err != nil {
+	size, err := f.Size()
+	w := newWalker(f, size)
+	for err == nil && w.next() {
+	}
+	if err = cmp.Or(err, w.err); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path, size: size, wbuf: make([]byte, 0, defaultBufCap)}
+	l := &Log{f: f, size: w.off, wbuf: make([]byte, 0, defaultBufCap)}
 	l.gcond = sync.NewCond(&l.gmu)
 	// Best effort: without preallocation the log still works, each fsync
 	// just pays the journal metadata cost.
-	prealloc := int64(preallocBytes)
-	if size > prealloc {
-		prealloc = size
-	}
-	_ = f.Preallocate(prealloc)
+	_ = f.Preallocate(max(preallocBytes, w.off))
 	return l, nil
 }
 
-// logicalSize walks well-formed record frames from the start and returns
-// the offset where they stop — the log's logical end, which is shorter than
-// the file when space is preallocated (or when a crash left a torn tail;
-// the next append overwrites it, matching Scan's recovery rule). It reads
-// incrementally and stops at the first bad frame, so opening a log never
-// reads the (mostly zero) preallocated region into memory.
-func logicalSize(f vfs.File) (int64, error) {
-	size, err := f.Size()
-	if err != nil {
-		return 0, err
+// walker reads frames in order from the start of r, reusing one body
+// buffer, and stops at the first frame that is cut off or fails its
+// checksum: the torn-tail rule. Over a file it reads incrementally, so
+// walking a log never holds it in memory, nor its preallocated space.
+type walker struct {
+	r    io.Reader
+	size int64 // bytes the walk may read
+	off  int64 // end of the last intact frame: the logical end once next is false
+	hdr  [frameHeader]byte
+	body []byte
+	rec  Record // the frame next yielded; Payload aliases body
+	err  error  // a read failure, as opposed to the end of the frames
+}
+
+// newWalker walks the first size bytes of f.
+func newWalker(f vfs.File, size int64) *walker {
+	return &walker{r: bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10), size: size}
+}
+
+// next reads the frame at w.off into w.rec and reports whether it is intact.
+func (w *walker) next() bool {
+	if w.off+frameHeader > w.size {
+		return false
 	}
-	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
-	var off int64
-	var hdr [8]byte
-	var body []byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return off, nil // clean EOF or short header: logical end
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		// A length past the file's end is crash garbage, not a record to
-		// buffer.
-		if n < 17 || off+8+int64(n) > size {
-			return off, nil
-		}
-		if cap(body) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return off, nil // torn tail
-		}
-		if crc32.ChecksumIEEE(body) != crc {
-			return off, nil // corrupt tail
-		}
-		off += int64(8 + n)
+	if _, w.err = io.ReadFull(w.r, w.hdr[:]); w.err != nil {
+		return false
 	}
+	n := int64(binary.LittleEndian.Uint32(w.hdr[:]))
+	if n < bodyHeader || w.off+frameHeader+n > w.size {
+		return false
+	}
+	w.body = slices.Grow(w.body[:0], int(n))[:n]
+	if _, w.err = io.ReadFull(w.r, w.body); w.err != nil {
+		return false
+	}
+	if crc32.ChecksumIEEE(w.body) != binary.LittleEndian.Uint32(w.hdr[4:]) {
+		return false
+	}
+	w.off += frameHeader + n
+	w.rec = Record{
+		Type:    RecordType(w.body[0]),
+		TxnID:   binary.LittleEndian.Uint64(w.body[1:]),
+		PageID:  pager.PageID(binary.LittleEndian.Uint64(w.body[9:])),
+		Payload: w.body[bodyHeader:],
+	}
+	return true
 }
 
 // Append encodes one record into the pending buffer (not yet on disk; call
 // Sync for durability).
-// Framing: [total u32][crc u32][type u8][txn u64][page u64][payload].
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -233,7 +253,7 @@ func (l *Log) Append(r Record) error {
 	l.wbuf = binary.LittleEndian.AppendUint64(l.wbuf, r.TxnID)
 	l.wbuf = binary.LittleEndian.AppendUint64(l.wbuf, uint64(r.PageID))
 	l.wbuf = append(l.wbuf, r.Payload...)
-	body := l.wbuf[off+8:]
+	body := l.wbuf[off+frameHeader:]
 	binary.LittleEndian.PutUint32(l.wbuf[off:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(l.wbuf[off+4:], crc32.ChecksumIEEE(body))
 	l.seq++
@@ -354,47 +374,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Scan reads all well-formed records from the start of the log, stopping
-// silently at the first torn or corrupt record (the crash tail).
-func (l *Log) Scan() ([]Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.flushBufLocked(); err != nil {
-		return nil, err
-	}
-	// The logical log is [0, l.size); anything beyond is preallocated
-	// append space (or a previously abandoned tail the next append will
-	// overwrite), which the frame walk would stop at anyway.
-	data := make([]byte, l.size)
-	if _, err := io.ReadFull(io.NewSectionReader(l.f, 0, l.size), data); err != nil {
-		return nil, fmt.Errorf("wal: read: %w", err)
-	}
-	var out []Record
-	off := 0
-	for off+8 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n < 17 || off+8+n > len(data) {
-			break // torn tail
-		}
-		body := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(body) != crc {
-			break // corrupt tail
-		}
-		rec := Record{
-			Type:   RecordType(body[0]),
-			TxnID:  binary.LittleEndian.Uint64(body[1:]),
-			PageID: pager.PageID(binary.LittleEndian.Uint64(body[9:])),
-		}
-		if len(body) > 17 {
-			rec.Payload = append([]byte(nil), body[17:]...)
-		}
-		out = append(out, rec)
-		off += 8 + n
-	}
-	return out, nil
-}
-
 // VerifyReport summarizes a structural walk of the log file.
 type VerifyReport struct {
 	// Records is the number of well-formed frames from the start.
@@ -403,11 +382,12 @@ type VerifyReport struct {
 	LogicalEnd int64
 	// TailBytes is how many non-zero bytes follow LogicalEnd — a crash tail
 	// recovery ignores by the torn-tail rule. Nonzero is unremarkable after
-	// a crash; it only means the last append never committed.
+	// a crash; it only means the last append never reached the disk whole.
 	TailBytes int
 }
 
-// Verify walks the log's frames and reports its structure. It returns an
+// Verify walks the log's frames as Replay does and reports its structure,
+// and what lies past the point where the walk stops. It returns an
 // *ErrCorruptRecord only for mid-log corruption: a well-formed frame found
 // beyond the point where the frame walk stopped, which means the torn-tail
 // rule is silently dropping committed records. (A plain torn tail — garbage
@@ -424,28 +404,19 @@ func (l *Log) Verify() (VerifyReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("wal: verify: %w", err)
 	}
-	data := make([]byte, fileSize)
-	if _, err := io.ReadFull(io.NewSectionReader(l.f, 0, fileSize), data); err != nil {
+	w := newWalker(l.f, l.size)
+	for w.next() {
+		rep.Records++
+	}
+	if w.err != nil {
+		return rep, fmt.Errorf("wal: verify read: %w", w.err)
+	}
+	rep.LogicalEnd = w.off
+	tail := make([]byte, fileSize-w.off)
+	if _, err := l.f.ReadAt(tail, w.off); err != nil && !errors.Is(err, io.EOF) {
 		return rep, fmt.Errorf("wal: verify read: %w", err)
 	}
-	off := 0
-	for off+8 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n < 17 || off+8+n > len(data) {
-			break
-		}
-		if crc32.ChecksumIEEE(data[off+8:off+8+n]) != binary.LittleEndian.Uint32(data[off+4:]) {
-			break
-		}
-		rep.Records++
-		off += 8 + n
-	}
-	rep.LogicalEnd = int64(off)
-	for _, b := range data[off:] {
-		if b != 0 {
-			rep.TailBytes++
-		}
-	}
+	rep.TailBytes = len(tail) - bytes.Count(tail, []byte{0})
 	if rep.TailBytes == 0 {
 		return rep, nil
 	}
@@ -453,49 +424,48 @@ func (l *Log) Verify() (VerifyReport, error) {
 	// parseable behind it, so if a well-formed frame exists at any later
 	// offset the corruption is mid-log. Bound the search — this is an
 	// integrity check, not a recovery path.
-	limit := off + (1 << 20)
-	if limit > len(data) {
-		limit = len(data)
-	}
-	for cand := off + 1; cand+8 <= limit; cand++ {
-		n := int(binary.LittleEndian.Uint32(data[cand:]))
-		if n < 17 || cand+8+n > len(data) {
-			continue
-		}
-		if crc32.ChecksumIEEE(data[cand+8:cand+8+n]) == binary.LittleEndian.Uint32(data[cand+4:]) {
+	var br bytes.Reader
+	probe := walker{r: &br}
+	for cand := 1; cand+frameHeader <= min(len(tail), 1<<20); cand++ {
+		br.Reset(tail[cand:])
+		probe.size, probe.off = int64(len(tail)-cand), 0
+		if probe.next() {
 			return rep, &ErrCorruptRecord{
-				Off:    int64(off),
-				Detail: fmt.Sprintf("well-formed record at offset %d beyond corrupt region; committed records are being dropped", cand),
+				Off:    w.off,
+				Detail: fmt.Sprintf("well-formed record at offset %d beyond corrupt region; committed records are being dropped", w.off+int64(cand)),
 			}
 		}
 	}
 	return rep, nil
 }
 
-// Replay walks the log and calls apply with the RecTail payload of every
-// committed group, and the group's id, in commit order. It returns the
-// number of groups committed. A group with no commit record — the writer
-// died, or its fsync never happened — is skipped.
+// Replay walks the log and calls apply with the payload and id of every
+// intact RecTail frame, in log order, skipping frames of other types. It
+// returns the number of tail frames applied. payload is valid only during
+// the call: apply must copy what it keeps.
 func (l *Log) Replay(apply func(txn uint64, payload []byte) error) (int, error) {
-	recs, err := l.Scan()
+	l.mu.Lock()
+	err := l.flushBufLocked()
+	size := l.size
+	l.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	pending := make(map[uint64][]byte) // a group's one tail record
+	// The logical log is [0, size); beyond it lies preallocated append
+	// space, or an abandoned tail the next append overwrites.
+	w := newWalker(l.f, size)
 	replayed := 0
-	for _, r := range recs {
-		switch r.Type {
-		case RecTail:
-			pending[r.TxnID] = r.Payload
-		case RecCommit:
-			if payload, ok := pending[r.TxnID]; ok {
-				if err := apply(r.TxnID, payload); err != nil {
-					return replayed, fmt.Errorf("wal: replay txn %d: %w", r.TxnID, err)
-				}
-				delete(pending, r.TxnID)
-			}
-			replayed++
+	for w.next() {
+		if w.rec.Type != RecTail {
+			continue
 		}
+		if err := apply(w.rec.TxnID, w.rec.Payload); err != nil {
+			return replayed, fmt.Errorf("wal: replay txn %d: %w", w.rec.TxnID, err)
+		}
+		replayed++
+	}
+	if w.err != nil {
+		return replayed, fmt.Errorf("wal: read: %w", w.err)
 	}
 	return replayed, nil
 }

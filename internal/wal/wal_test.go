@@ -18,12 +18,54 @@ func newLog(t *testing.T) (*Log, string) {
 	return l, path
 }
 
-func TestAppendScanRoundtrip(t *testing.T) {
+// frames syncs l and returns a copy of every intact frame before its
+// logical end, as the frame walker yields them.
+func frames(t *testing.T, l *Log) []Record {
+	t.Helper()
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w := newWalker(l.f, l.Size())
+	var out []Record
+	for w.next() {
+		r := w.rec
+		r.Payload = append([]byte(nil), r.Payload...)
+		out = append(out, r)
+	}
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	return out
+}
+
+// tail is one applied RecTail frame.
+type tail struct {
+	id      uint64
+	payload string
+}
+
+// replay runs l.Replay and returns what it applied, in order.
+func replay(t *testing.T, l *Log) []tail {
+	t.Helper()
+	var got []tail
+	n, err := l.Replay(func(id uint64, payload []byte) error {
+		got = append(got, tail{id, string(payload)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(got) {
+		t.Fatalf("Replay reports %d frames applied, applied %d", n, len(got))
+	}
+	return got
+}
+
+func TestAppendWalkRoundtrip(t *testing.T) {
 	l, _ := newLog(t)
 	recs := []Record{
-		{Type: RecBegin, TxnID: 1},
 		{Type: RecTail, TxnID: 1, Payload: []byte("tail seven")},
-		{Type: RecTail, TxnID: 1, PageID: 8, Payload: []byte{}},
+		{Type: RecPageImage, TxnID: 1, PageID: 8, Payload: []byte{}},
 		{Type: RecCommit, TxnID: 1},
 	}
 	for _, r := range recs {
@@ -31,13 +73,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := l.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := frames(t, l)
 	if len(got) != len(recs) {
 		t.Fatalf("got %d records, want %d", len(got), len(recs))
 	}
@@ -52,10 +88,10 @@ func TestAppendScanRoundtrip(t *testing.T) {
 	}
 }
 
-func TestScanStopsAtTornTail(t *testing.T) {
+func TestWalkStopsAtTornTail(t *testing.T) {
 	l, path := newLog(t)
-	l.Append(Record{Type: RecBegin, TxnID: 1})
-	l.Append(Record{Type: RecCommit, TxnID: 1})
+	l.Append(Record{Type: RecTail, TxnID: 1, Payload: []byte("one")})
+	l.Append(Record{Type: RecTail, TxnID: 2, Payload: []byte("two")})
 	l.Sync()
 	// Simulate a torn write: append garbage half-record.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -70,71 +106,82 @@ func TestScanStopsAtTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got, err := l2.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
+	if got := frames(t, l2); len(got) != 2 {
 		t.Fatalf("torn tail should be dropped: got %d records", len(got))
 	}
 }
 
-func TestScanStopsAtCorruptRecord(t *testing.T) {
+func TestWalkStopsAtCorruptRecord(t *testing.T) {
 	l, path := newLog(t)
-	l.Append(Record{Type: RecBegin, TxnID: 1})
-	l.Append(Record{Type: RecTail, TxnID: 1, Payload: []byte("abcdef")})
-	l.Append(Record{Type: RecCommit, TxnID: 1})
+	l.Append(Record{Type: RecTail, TxnID: 1, Payload: []byte("abc")})
+	l.Append(Record{Type: RecTail, TxnID: 2, Payload: []byte("abcdef")})
 	l.Sync()
 	end := l.Size() // logical end: the file itself is preallocated longer
 	raw, _ := os.ReadFile(path)
-	raw[end-2] ^= 0xff // corrupt inside the commit record
+	raw[end-2] ^= 0xff // corrupt inside the second frame
 	os.WriteFile(path, raw, 0o644)
 
 	l2, _ := Open(path)
 	defer l2.Close()
-	got, _ := l2.Scan()
-	if len(got) != 2 {
-		t.Fatalf("corrupt record should stop the scan: got %d", len(got))
+	if got := replay(t, l2); len(got) != 1 || got[0] != (tail{1, "abc"}) {
+		t.Fatalf("a corrupt frame should end the walk: replayed %v", got)
 	}
 }
 
-func TestRecoverAppliesOnlyCommitted(t *testing.T) {
+// TestReplayAppliesEveryTailInLogOrder: every intact tail frame is a
+// commit, applied in log order whatever its id; frames of other types —
+// the begin and commit frames of logs written when a commit was a group,
+// the benchmark's page images — are skipped, and a tail with no commit
+// frame after it applies too.
+func TestReplayAppliesEveryTailInLogOrder(t *testing.T) {
 	l, _ := newLog(t)
-	// txn 1 commits; txns 2 and 3 never do.
-	l.Append(Record{Type: RecBegin, TxnID: 1})
-	l.Append(Record{Type: RecTail, TxnID: 1, Payload: []byte("one")})
-	l.Append(Record{Type: RecBegin, TxnID: 2})
-	l.Append(Record{Type: RecTail, TxnID: 2, Payload: []byte("two")})
-	l.Append(Record{Type: RecCommit, TxnID: 1})
-	l.Append(Record{Type: RecBegin, TxnID: 3})
+	l.Append(Record{Type: 1, TxnID: 5}) // a begin frame
+	l.Append(Record{Type: RecTail, TxnID: 5, Payload: []byte("five")})
+	l.Append(Record{Type: RecCommit, TxnID: 5})
 	l.Append(Record{Type: RecTail, TxnID: 3, Payload: []byte("three")})
+	l.Append(Record{Type: RecPageImage, TxnID: 4, PageID: 2, Payload: []byte("image")})
+	l.Append(Record{Type: 1, TxnID: 7})
+	l.Append(Record{Type: RecTail, TxnID: 7, Payload: []byte("seven")})
 	l.Sync()
+	want := []tail{{5, "five"}, {3, "three"}, {7, "seven"}}
+	got := replay(t, l)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("replayed %v, want %v", got, want)
+		}
+	}
+}
 
-	applied := map[uint64]string{}
-	n, err := l.Replay(func(txn uint64, payload []byte) error {
-		applied[txn] = string(payload)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestReplayAllocationsFlatInFrames: the walk reuses one body buffer and
+// hands apply a view of it, so a log of many frames replays in the
+// allocations of a log of a few.
+func TestReplayAllocationsFlatInFrames(t *testing.T) {
+	allocs := func(frames int) float64 {
+		l, _ := newLog(t)
+		payload := make([]byte, 300)
+		for i := range frames {
+			l.Append(Record{Type: RecTail, TxnID: uint64(i + 1), Payload: payload})
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if n, err := l.Replay(func(uint64, []byte) error { return nil }); err != nil || n != frames {
+				t.Fatalf("replayed %d of %d frames: %v", n, frames, err)
+			}
+		})
 	}
-	if n != 1 {
-		t.Errorf("replayed %d txns, want 1", n)
-	}
-	if applied[1] != "one" {
-		t.Error("committed record not applied")
-	}
-	if _, ok := applied[2]; ok {
-		t.Error("aborted record applied")
-	}
-	if _, ok := applied[3]; ok {
-		t.Error("unfinished record applied")
+	if few, many := allocs(4), allocs(2000); many > few {
+		t.Fatalf("Replay allocates %v times over 2000 frames, %v over 4", many, few)
 	}
 }
 
 func TestTruncate(t *testing.T) {
 	l, _ := newLog(t)
-	l.Append(Record{Type: RecBegin, TxnID: 1})
+	l.Append(Record{Type: RecTail, TxnID: 1})
 	l.Sync()
 	if l.Size() == 0 {
 		t.Fatal("log should be non-empty")
@@ -145,8 +192,7 @@ func TestTruncate(t *testing.T) {
 	if l.Size() != 0 {
 		t.Error("size after truncate should be 0")
 	}
-	got, _ := l.Scan()
-	if len(got) != 0 {
+	if got := frames(t, l); len(got) != 0 {
 		t.Error("records survive truncate")
 	}
 }
@@ -165,11 +211,7 @@ func TestGroupCommitConcurrentSync(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				id := uint64(w*rounds + i + 1)
-				if err := l.Append(Record{Type: RecBegin, TxnID: id}); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := l.Append(Record{Type: RecCommit, TxnID: id}); err != nil {
+				if err := l.Append(Record{Type: RecTail, TxnID: id}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -194,20 +236,17 @@ func TestGroupCommitConcurrentSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got, err := l2.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != writers*rounds*2 {
-		t.Fatalf("reopen found %d records, want %d", len(got), writers*rounds*2)
+	got := frames(t, l2)
+	if len(got) != writers*rounds {
+		t.Fatalf("reopen found %d records, want %d", len(got), writers*rounds)
 	}
 	seen := make(map[uint64]int)
 	for _, r := range got {
 		seen[r.TxnID]++
 	}
 	for id := uint64(1); id <= syncs; id++ {
-		if seen[id] != 2 {
-			t.Fatalf("txn %d: %d records survived, want 2", id, seen[id])
+		if seen[id] != 1 {
+			t.Fatalf("txn %d: %d records survived, want 1", id, seen[id])
 		}
 	}
 }
@@ -217,19 +256,15 @@ func TestSyncAbsorbsConcurrentAppends(t *testing.T) {
 	// landing during the fsync stay buffered for the next round and must not
 	// be lost or reordered.
 	l, _ := newLog(t)
-	l.Append(Record{Type: RecBegin, TxnID: 1})
+	l.Append(Record{Type: RecTail, TxnID: 1})
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(Record{Type: RecCommit, TxnID: 1})
+	l.Append(Record{Type: RecTail, TxnID: 2})
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Type != RecBegin || got[1].Type != RecCommit {
+	if got := frames(t, l); len(got) != 2 || got[0].TxnID != 1 || got[1].TxnID != 2 {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -237,8 +272,8 @@ func TestSyncAbsorbsConcurrentAppends(t *testing.T) {
 func TestReopenPreservesRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "re.wal")
 	l, _ := Open(path)
-	l.Append(Record{Type: RecBegin, TxnID: 9})
-	l.Append(Record{Type: RecCommit, TxnID: 9})
+	l.Append(Record{Type: RecTail, TxnID: 9, Payload: []byte("nine")})
+	l.Append(Record{Type: RecTail, TxnID: 10, Payload: []byte("ten")})
 	l.Sync()
 	l.Close()
 
@@ -247,14 +282,12 @@ func TestReopenPreservesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got, _ := l2.Scan()
-	if len(got) != 2 || got[0].TxnID != 9 {
+	if got := frames(t, l2); len(got) != 2 || got[0].TxnID != 9 {
 		t.Errorf("reopen lost records: %+v", got)
 	}
 	// Appending after reopen must not clobber existing records.
-	l2.Append(Record{Type: RecBegin, TxnID: 10})
-	got, _ = l2.Scan()
-	if len(got) != 3 {
+	l2.Append(Record{Type: RecTail, TxnID: 11})
+	if got := frames(t, l2); len(got) != 3 {
 		t.Errorf("append after reopen: got %d records", len(got))
 	}
 }
