@@ -327,7 +327,7 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 		if done[di] {
 			return nil
 		}
-		if err := vs.decodeCol(p, block, nrows, ex.decoded.Fields[di].Name, &dec.Cols[di]); err != nil {
+		if err := vs.readCol(p, block, nrows, ex.decoded.Fields[di].Name, dec, di); err != nil {
 			return err
 		}
 		done[di] = true

@@ -17,9 +17,11 @@ import (
 // reports both (pager.File.OnInvalidate).
 //
 // Entries are charged by decoded bytes against a fixed budget and evicted
-// with CLOCK (second chance). Readers copy an entry out (vec.Vector.CopyFrom)
-// or gather rows from it, and never hold it, so eviction and invalidation
-// only drop the cache's reference.
+// with CLOCK (second chance). Readers read an entry in place
+// (vec.Batch.Borrow), copy it out (vec.Vector.CopyFrom) or gather rows from
+// it, and hold it no longer than one block. Eviction and invalidation only
+// drop the cache's reference, and put fills every entry's buffers fresh, so
+// a reader's entry stays intact however long its block takes.
 type chunkCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -68,7 +70,7 @@ func newChunkCache(file *pager.File, budget int64) *chunkCache {
 func (c *chunkCache) generation() uint64 { return c.gen.Load() }
 
 // get returns the cached vector for k, or nil. The vector is immutable:
-// callers copy or gather from it and neither keep nor change it.
+// callers read, copy or gather from it for one block and never change it.
 func (c *chunkCache) get(k chunkKey) *vec.Vector {
 	c.mu.Lock()
 	defer c.mu.Unlock()

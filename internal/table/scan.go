@@ -310,11 +310,13 @@ var batchPool = vec.NewPool()
 //	quarState.handle  retry transient errors, skip damaged blocks      (quarantine.go)
 //
 // Both decoders get a column through vecScratch.column: a hit in the
-// engine's chunk cache is copied into the batch, or only its selected rows
-// gathered; a miss fetches the owning segment's block on first use
-// (segment.Reader.View: one range read, with a one-page lookbehind so
-// blocks sharing a boundary page read it once), decodes it and caches a
-// copy. There is no other way a scan gets bytes.
+// engine's chunk cache is read in place where the column is only read
+// (predicate, group key, aggregate input: vecScratch.readCol), copied where
+// it becomes output whole, or only its selected rows gathered; a miss
+// fetches the owning segment's block on first use (segment.Reader.View:
+// one range read, with a one-page lookbehind so blocks sharing a boundary
+// page read it once), decodes it and caches a copy. There is no other way
+// a scan gets bytes.
 //
 // blockExec.run is the one place the stages are chained. The cursor calls
 // it inline, one block at a time in stored order on the caller's goroutine:
@@ -653,11 +655,24 @@ func (vs *vecScratch) column(p *part, block, nrows int, field string, scratch *v
 }
 
 // decodeCol fills dst with field's column of block (column), copying a
-// cached chunk in.
+// cached chunk in: dst may become output.
 func (vs *vecScratch) decodeCol(p *part, block, nrows int, field string, dst *vec.Vector) error {
 	v, err := vs.column(p, block, nrows, field, dst)
 	if err == nil && v != dst {
 		dst.CopyFrom(v)
+	}
+	return err
+}
+
+// readCol makes column di of b field's column of block (column) for
+// reading only: a cached chunk is borrowed in place (vec.Batch.Borrow),
+// not copied, and a miss decodes into the column. b's views end when it
+// goes back to batchPool, or become copies where b becomes output.
+func (vs *vecScratch) readCol(p *part, block, nrows int, field string, b *vec.Batch, di int) error {
+	dst := &b.Cols[di]
+	v, err := vs.column(p, block, nrows, field, dst)
+	if err == nil && v != dst {
+		b.Borrow(di, v)
 	}
 	return err
 }
@@ -668,8 +683,9 @@ func (vs *vecScratch) decodeCol(p *part, block, nrows int, field string, dst *ve
 // survives the remaining columns are never decoded (nor their segments
 // fetched) at all. When every row survives, projected columns decode
 // straight into the output batch (and already-decoded predicate columns are
-// swapped in), so the full-selection path gathers nothing; a partial
-// selection gathers its rows straight out of cached chunks. The row count
+// swapped in, or copied if read in place), so the full-selection path
+// gathers nothing; a partial selection gathers its rows straight out of
+// cached chunks. The row count
 // comes from block metadata; a segment whose block holds any other count is
 // an error, never a silent truncation. The returned batch comes from
 // batchPool.
@@ -682,9 +698,9 @@ func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Ba
 	}
 	dec := batchPool.Get(decoded)
 	done := vs.done
-	// Phase 1: predicate columns only, then filter.
+	// Phase 1: predicate columns only, read in place, then filter.
 	for _, di := range filter.Columns() {
-		if err := decodeInto(di, &dec.Cols[di]); err != nil {
+		if err := vs.readCol(p, block, nrows, decoded.Fields[di].Name, dec, di); err != nil {
 			batchPool.Put(dec)
 			return nil, err
 		}
@@ -721,6 +737,7 @@ func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Ba
 			batchPool.Put(dec)
 			return nil, err
 		}
+		dec.OwnViews()
 		return dec, nil
 	}
 	// Phase 2: projected columns. Full selection decodes (or swaps) into
@@ -736,8 +753,8 @@ func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Ba
 		switch {
 		case full && done[di]:
 			// Already decoded for the filter; outIdx positions are distinct,
-			// so stealing the vector is safe.
-			out.Cols[oi], dec.Cols[di] = dec.Cols[di], out.Cols[oi]
+			// so stealing the vector (or copying a view) is safe.
+			dec.Move(di, &out.Cols[oi])
 		case full:
 			if err := decodeInto(di, &out.Cols[oi]); err != nil {
 				return fail(err)

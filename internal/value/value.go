@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the algebra's types.
@@ -82,43 +83,62 @@ func KindFromString(s string) (Kind, error) {
 	return Null, fmt.Errorf("value: unknown type %q", s)
 }
 
-// Value is a tagged union holding one scalar or one nesting.
-// The zero Value is Null.
+// Value is a tagged union holding one scalar or one nesting, in 32 bytes:
+// n holds an Int or Bool payload, a Float's bits, or the length of a Str,
+// Bytes or List; p points at the string, byte or child data; c holds the
+// capacity of Bytes and List. Rows, sort keys and group keys are slices of
+// values, so this size is what they move. Every exported accessor rebuilds
+// the Go value the Value was made from. The zero Value is Null.
 type Value struct {
+	// _ keeps Value non-comparable: == would compare data pointers, not
+	// contents. Compare and Equal are the equality.
+	_    [0]func()
 	kind Kind
-	i    int64   // Int, Bool (0/1)
-	f    float64 // Float
-	s    string  // Str
-	b    []byte  // Bytes
-	l    []Value // List
+	n    uint64
+	p    unsafe.Pointer
+	c    int
 }
 
 // NewInt returns an Int value.
-func NewInt(v int64) Value { return Value{kind: Int, i: v} }
+func NewInt(v int64) Value { return Value{kind: Int, n: uint64(v)} }
 
 // NewFloat returns a Float value.
-func NewFloat(v float64) Value { return Value{kind: Float, f: v} }
+func NewFloat(v float64) Value { return Value{kind: Float, n: math.Float64bits(v)} }
 
 // NewString returns a Str value.
-func NewString(v string) Value { return Value{kind: Str, s: v} }
+func NewString(v string) Value {
+	return Value{kind: Str, n: uint64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
+}
 
-// NewBytes returns a Bytes value. The slice is retained, not copied.
-func NewBytes(v []byte) Value { return Value{kind: Bytes, b: v} }
+// NewBytes returns a Bytes value. The slice is retained, not copied; a nil
+// slice stays nil and an empty one stays non-nil.
+func NewBytes(v []byte) Value {
+	return Value{kind: Bytes, n: uint64(len(v)), p: unsafe.Pointer(unsafe.SliceData(v)), c: cap(v)}
+}
 
 // NewBool returns a Bool value.
 func NewBool(v bool) Value {
-	var i int64
+	var i uint64
 	if v {
 		i = 1
 	}
-	return Value{kind: Bool, i: i}
+	return Value{kind: Bool, n: i}
 }
 
 // NewList returns a List value wrapping children. The slice is retained.
-func NewList(children ...Value) Value { return Value{kind: List, l: children} }
+func NewList(children ...Value) Value {
+	return Value{kind: List, n: uint64(len(children)), p: unsafe.Pointer(unsafe.SliceData(children)), c: cap(children)}
+}
 
 // NullValue returns the Null value.
 func NullValue() Value { return Value{} }
+
+// The unchecked payload accessors: callers know the kind.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) s() string  { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) b() []byte  { return unsafe.Slice((*byte)(v.p), v.c)[:v.n] }
+func (v Value) l() []Value { return unsafe.Slice((*Value)(v.p), v.c)[:v.n] }
 
 // Kind returns the value's type tag.
 func (v Value) Kind() Kind { return v.kind }
@@ -131,16 +151,16 @@ func (v Value) Int() int64 {
 	if v.kind != Int && v.kind != Bool {
 		panic(fmt.Sprintf("value: Int() on %s", v.kind))
 	}
-	return v.i
+	return v.i()
 }
 
 // Float returns the float payload; Int values are widened. Panics otherwise.
 func (v Value) Float() float64 {
 	switch v.kind {
 	case Float:
-		return v.f
+		return v.f()
 	case Int:
-		return float64(v.i)
+		return float64(v.i())
 	}
 	panic(fmt.Sprintf("value: Float() on %s", v.kind))
 }
@@ -150,15 +170,17 @@ func (v Value) Str() string {
 	if v.kind != Str {
 		panic(fmt.Sprintf("value: Str() on %s", v.kind))
 	}
-	return v.s
+	return v.s()
 }
 
-// Bytes returns the byte payload. Panics if the value is not Bytes.
+// Bytes returns the byte payload: the slice the value was made from, with
+// its length and capacity, aliasing it (not a copy). Panics if the value is
+// not Bytes.
 func (v Value) Bytes() []byte {
 	if v.kind != Bytes {
 		panic(fmt.Sprintf("value: Bytes() on %s", v.kind))
 	}
-	return v.b
+	return v.b()
 }
 
 // Bool returns the boolean payload. Panics if the value is not a Bool.
@@ -166,15 +188,16 @@ func (v Value) Bool() bool {
 	if v.kind != Bool {
 		panic(fmt.Sprintf("value: Bool() on %s", v.kind))
 	}
-	return v.i != 0
+	return v.n != 0
 }
 
-// List returns the child values. Panics if the value is not a List.
+// List returns the child values: the slice the value was made from, with
+// its length and capacity. Panics if the value is not a List.
 func (v Value) List() []Value {
 	if v.kind != List {
 		panic(fmt.Sprintf("value: List() on %s", v.kind))
 	}
-	return v.l
+	return v.l()
 }
 
 // Len returns the number of children of a List, the byte length of a
@@ -182,12 +205,8 @@ func (v Value) List() []Value {
 // count() helper.
 func (v Value) Len() int {
 	switch v.kind {
-	case List:
-		return len(v.l)
-	case Str:
-		return len(v.s)
-	case Bytes:
-		return len(v.b)
+	case List, Str, Bytes:
+		return int(v.n)
 	case Null:
 		return 0
 	default:
@@ -210,32 +229,28 @@ func Compare(a, b Value) int {
 	case Null:
 		return 0
 	case Bool:
-		return cmpInt(a.i, b.i)
+		return cmpInt(a.i(), b.i())
 	case Int:
 		if b.kind == Float {
-			return cmpFloat(float64(a.i), b.f)
+			return cmpFloat(float64(a.i()), b.f())
 		}
-		return cmpInt(a.i, b.i)
+		return cmpInt(a.i(), b.i())
 	case Float:
 		if b.kind == Int {
-			return cmpFloat(a.f, float64(b.i))
+			return cmpFloat(a.f(), float64(b.i()))
 		}
-		return cmpFloat(a.f, b.f)
-	case Str:
-		return strings.Compare(a.s, b.s)
-	case Bytes:
-		return strings.Compare(string(a.b), string(b.b))
+		return cmpFloat(a.f(), b.f())
+	case Str, Bytes:
+		return strings.Compare(a.s(), b.s())
 	case List:
-		n := len(a.l)
-		if len(b.l) < n {
-			n = len(b.l)
-		}
+		al, bl := a.l(), b.l()
+		n := min(len(al), len(bl))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.l[i], b.l[i]); c != 0 {
+			if c := Compare(al[i], bl[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt(int64(len(a.l)), int64(len(b.l)))
+		return cmpInt(int64(len(al)), int64(len(bl)))
 	}
 	return 0
 }
@@ -317,21 +332,22 @@ func (v Value) hashInto(h hasher) {
 	case Bool:
 		tag[0] = 1
 		h.Write(tag[:])
-		writeUint64(h, uint64(v.i))
+		writeUint64(h, v.n)
 	case Int:
 		tag[0] = 2
 		h.Write(tag[:])
-		writeUint64(h, uint64(v.i))
+		writeUint64(h, v.n)
 	case Float:
 		// Hash integral floats identically to ints, and every NaN alike, so
 		// Equal ⇒ same hash.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		f := v.f()
+		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			tag[0] = 2
 			h.Write(tag[:])
-			writeUint64(h, uint64(int64(v.f)))
+			writeUint64(h, uint64(int64(f)))
 		} else {
-			bits := math.Float64bits(v.f)
-			if math.IsNaN(v.f) {
+			bits := v.n
+			if math.IsNaN(f) {
 				bits = math.Float64bits(math.NaN())
 			}
 			tag[0] = 3
@@ -341,15 +357,15 @@ func (v Value) hashInto(h hasher) {
 	case Str:
 		tag[0] = 4
 		h.Write(tag[:])
-		h.Write([]byte(v.s))
+		h.Write(unsafe.Slice((*byte)(v.p), v.n))
 	case Bytes:
 		tag[0] = 5
 		h.Write(tag[:])
-		h.Write(v.b)
+		h.Write(v.b())
 	case List:
 		tag[0] = 6
 		h.Write(tag[:])
-		for _, c := range v.l {
+		for _, c := range v.l() {
 			c.hashInto(h)
 		}
 	}
@@ -369,22 +385,22 @@ func (v Value) String() string {
 	case Null:
 		return "null"
 	case Bool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case Str:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.s())
 	case Bytes:
-		return fmt.Sprintf("0x%x", v.b)
+		return fmt.Sprintf("0x%x", v.b())
 	case List:
 		var sb strings.Builder
 		sb.WriteByte('[')
-		for i, c := range v.l {
+		for i, c := range v.l() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}

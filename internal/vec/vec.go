@@ -105,6 +105,9 @@ type Vector struct {
 	memo []value.Value
 
 	n int
+	// view marks a column Batch.Borrow made: its buffers are another
+	// vector's, to be read and never written.
+	view bool
 }
 
 // Reset clears the vector for reuse as a column of kind k, keeping buffers.
@@ -322,13 +325,11 @@ func (v *Vector) Value(i int) value.Value {
 			return v.boxBytes(v.Entry(i))
 		}
 		c := v.Codes[i]
-		if len(v.memo) == 0 {
-			v.memo = append(v.memo, make([]value.Value, v.Entries())...)
+		memo := v.entryMemo()
+		if memo[c].IsNull() {
+			memo[c] = v.boxBytes(v.Entry(int(c)))
 		}
-		if v.memo[c].IsNull() {
-			v.memo[c] = v.boxBytes(v.Entry(int(c)))
-		}
-		return v.memo[c]
+		return memo[c]
 	default:
 		return v.Boxed[i]
 	}
@@ -353,10 +354,30 @@ func (v *Vector) boxInto(dst []value.Value, stride int, sel []int32) {
 			dst[k*stride] = value.NewFloat(v.Float64s[i])
 		}
 	default:
+		if len(v.Codes) == 0 {
+			for k, i := range sel {
+				dst[k*stride] = v.Value(int(i))
+			}
+			return
+		}
+		memo := v.entryMemo()
 		for k, i := range sel {
-			dst[k*stride] = v.Value(int(i))
+			c := v.Codes[i]
+			if memo[c].IsNull() {
+				memo[c] = v.boxBytes(v.Entry(int(c)))
+			}
+			dst[k*stride] = memo[c]
 		}
 	}
+}
+
+// entryMemo returns the memo of a dictionary-form column, sized to its
+// entries.
+func (v *Vector) entryMemo() []value.Value {
+	if len(v.memo) == 0 {
+		v.memo = append(v.memo, make([]value.Value, v.Entries())...)
+	}
+	return v.memo
 }
 
 // boxBytes boxes one arena slice as the column's kind, copying it.
@@ -368,8 +389,8 @@ func (v *Vector) boxBytes(b []byte) value.Value {
 }
 
 // CopyFrom makes v a copy of src, in src's form, that shares no memory with
-// it; v's buffers are reused. A cache hands out its immutable vectors this
-// way, so no batch ever aliases what the cache holds.
+// it; v's buffers are reused. A cached vector becomes output this way, so
+// no batch a caller receives aliases what the cache holds.
 func (v *Vector) CopyFrom(src *Vector) {
 	v.kind, v.n = src.kind, src.n
 	v.Int64s = append(v.Int64s[:0], src.Int64s...)
@@ -445,6 +466,66 @@ type Batch struct {
 	// Cols are the column vectors, parallel to schema.Fields.
 	Cols []Vector
 	n    int
+	// own holds the buffers of each view column (Borrow) until Pool.Put or
+	// OwnViews gives them back.
+	own []Vector
+}
+
+// Borrow makes column i a read-only view of src: it aliases src's buffers
+// instead of copying them, but keeps a memo of its own (boxing a
+// dictionary-form view writes only that), and the column's own buffers
+// wait aside. A view may be filtered, evaluated, grouped, gathered from
+// and boxed; nothing may append to, reset or swap it, and src must not
+// change while it lives. Pool.Put ends every view before the batch is
+// reused; OwnViews turns them into copies before the batch becomes output.
+func (b *Batch) Borrow(i int, src *Vector) {
+	if len(b.own) < len(b.Cols) {
+		b.own = append(b.own, make([]Vector, len(b.Cols)-len(b.own))...)
+	}
+	v := &b.Cols[i]
+	if !v.view {
+		b.own[i] = *v
+	}
+	memo := v.memo[:0]
+	*v = *src
+	v.memo, v.view = memo, true
+}
+
+// OwnViews turns every view column into a copy of what it borrows, so the
+// batch shares no memory with it.
+func (b *Batch) OwnViews() { b.endViews(true) }
+
+// dropViews gives every view column its own buffers back. Pool.Put calls
+// it: a pooled batch's columns are reset and appended to, which on a view
+// would write into the vector it borrows from.
+func (b *Batch) dropViews() { b.endViews(false) }
+
+// endViews gives every view column its own buffers back, holding a copy of
+// what it borrowed if copyRows is set.
+func (b *Batch) endViews(copyRows bool) {
+	for i := range b.Cols {
+		v := &b.Cols[i]
+		if !v.view {
+			continue
+		}
+		view := *v
+		*v, b.own[i] = b.own[i], Vector{}
+		v.memo = view.memo[:0]
+		if copyRows {
+			v.CopyFrom(&view)
+		}
+	}
+}
+
+// Move hands column i to dst: dst takes the column's buffers and the
+// column takes dst's, or, for a view, dst takes a copy of its rows.
+func (b *Batch) Move(i int, dst *Vector) {
+	v := &b.Cols[i]
+	if v.view {
+		dst.CopyFrom(v)
+		return
+	}
+	*v, *dst = *dst, *v
 }
 
 // NewBatch allocates a batch for the given schema.
@@ -552,9 +633,9 @@ func FromRows(schema *value.Schema, rows []value.Row) (*Batch, error) {
 
 // FillSel resets sel to the identity selection [0, n), reusing its buffer.
 func FillSel(sel []int32, n int) []int32 {
-	sel = sel[:0]
-	for i := 0; i < n; i++ {
-		sel = append(sel, int32(i))
+	sel = slices.Grow(sel[:0], n)[:n]
+	for i := range sel {
+		sel[i] = int32(i)
 	}
 	return sel
 }
@@ -577,9 +658,11 @@ func (p *Pool) Get(schema *value.Schema) *Batch {
 	return b
 }
 
-// Put recycles a batch. The caller must not touch it afterwards.
+// Put recycles a batch, ending its views first (Batch.Borrow). The caller
+// must not touch it afterwards.
 func (p *Pool) Put(b *Batch) {
 	if b != nil {
+		b.dropViews()
 		p.p.Put(b)
 	}
 }

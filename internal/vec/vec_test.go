@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math/rand"
 	"testing"
 
 	"rodentstore/internal/value"
@@ -185,5 +186,50 @@ func TestFillSel(t *testing.T) {
 	sel = FillSel(sel, 1)
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Fatalf("sel %v", sel)
+	}
+}
+
+// TestBorrowLeavesSourceUntouched holds a view (Batch.Borrow) to reading
+// its source: boxing a dictionary-form view fills the view's own memo, not
+// the source's; dropViews (what Pool.Put runs) hands the column its own
+// buffers back, so what the pool's next user appends lands there; OwnViews
+// and Move turn a view into a copy that shares no memory with the source.
+func TestBorrowLeavesSourceUntouched(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	src, flat := dictTwin(r, value.Str, 20, 300, true)
+	want := cloneVector(src)
+	schema := value.MustSchema(value.Field{Name: "s", Type: value.Str})
+	b := NewBatch(schema)
+	b.Cols[0].AppendBytes([]byte("own"))
+	own := &b.Cols[0].Data[0]
+
+	b.Borrow(0, src)
+	requireSameColumn(t, "view", &b.Cols[0], flat)
+	if len(src.memo) != 0 {
+		t.Fatal("boxing the view wrote the source's memo")
+	}
+	b.dropViews()
+	if &b.Cols[0].Data[0] != own {
+		t.Fatal("dropViews did not give the column its own buffers back")
+	}
+	b.Reset(schema)
+	for range 50 {
+		b.Cols[0].AppendBytes([]byte("scribble"))
+	}
+	requireSameColumn(t, "source after dropViews", src, want)
+
+	var moved Vector
+	for _, end := range []func() *Vector{
+		func() *Vector { b.OwnViews(); return &b.Cols[0] },
+		func() *Vector { b.Move(0, &moved); return &moved },
+	} {
+		b.Reset(schema)
+		b.Borrow(0, src)
+		c := end()
+		requireSameColumn(t, "copy", c, flat)
+		clear(c.Data)
+		clear(c.Codes)
+		requireSameColumn(t, "source after a copy was scribbled", src, want)
+		b.dropViews()
 	}
 }

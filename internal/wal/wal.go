@@ -208,9 +208,9 @@ type walker struct {
 	err  error  // a read failure, as opposed to the end of the frames
 }
 
-// newWalker walks the first size bytes of f.
+// newWalker walks the first size bytes of f, reading up to 64 KiB at a time.
 func newWalker(f vfs.File, size int64) *walker {
-	return &walker{r: bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10), size: size}
+	return &walker{r: bufio.NewReaderSize(io.NewSectionReader(f, 0, size), int(min(size, 64<<10))), size: size}
 }
 
 // next reads the frame at w.off into w.rec and reports whether it is intact.
@@ -412,31 +412,90 @@ func (l *Log) Verify() (VerifyReport, error) {
 		return rep, fmt.Errorf("wal: verify read: %w", w.err)
 	}
 	rep.LogicalEnd = w.off
-	tail := make([]byte, fileSize-w.off)
-	if _, err := l.f.ReadAt(tail, w.off); err != nil && !errors.Is(err, io.EOF) {
-		return rep, fmt.Errorf("wal: verify read: %w", err)
-	}
-	rep.TailBytes = len(tail) - bytes.Count(tail, []byte{0})
-	if rep.TailBytes == 0 {
-		return rep, nil
-	}
-	// Garbage after the logical end: a single torn append leaves nothing
-	// parseable behind it, so if a well-formed frame exists at any later
-	// offset the corruption is mid-log. Bound the search — this is an
-	// integrity check, not a recovery path.
-	var br bytes.Reader
-	probe := walker{r: &br}
-	for cand := 1; cand+frameHeader <= min(len(tail), 1<<20); cand++ {
-		br.Reset(tail[cand:])
-		probe.size, probe.off = int64(len(tail)-cand), 0
-		if probe.next() {
-			return rep, &ErrCorruptRecord{
-				Off:    w.off,
-				Detail: fmt.Sprintf("well-formed record at offset %d beyond corrupt region; committed records are being dropped", w.off+int64(cand)),
+	// Past the logical end lie preallocated zeros, or a crash's torn append.
+	// A single torn append leaves nothing parseable behind it, so a
+	// well-formed frame at any later offset means the corruption is
+	// mid-log. The region is read a chunk at a time through one buffer,
+	// with a frame header of lookahead; a chunk of zeros holds no frame
+	// header (a length is at least bodyHeader) and is not probed. The
+	// search is bounded to probeSpan: this is an integrity check, not a
+	// recovery path.
+	buf := make([]byte, min(verifyChunk, fileSize-w.off)+frameHeader)
+	var scratch []byte
+	found := int64(-1)
+	for off := w.off; off < fileSize; off += verifyChunk {
+		b := buf[:min(int64(len(buf)), fileSize-off)]
+		n, err := l.f.ReadAt(b, off)
+		if err != nil && !errors.Is(err, io.EOF) {
+			return rep, fmt.Errorf("wal: verify read: %w", err)
+		}
+		b = b[:n]
+		chunk := b[:min(n, verifyChunk)]
+		rep.TailBytes += len(chunk) - bytes.Count(chunk, []byte{0})
+		if found >= 0 || bytes.Count(b, []byte{0}) == len(b) {
+			continue
+		}
+		for i := range chunk {
+			cand := off + int64(i)
+			if cand-w.off+frameHeader > probeSpan || i+frameHeader > len(b) {
+				break
+			}
+			if cand == w.off {
+				continue
+			}
+			ok, err := l.frameAt(b[i:], cand, fileSize, &scratch)
+			if err != nil {
+				return rep, fmt.Errorf("wal: verify read: %w", err)
+			}
+			if ok {
+				found = cand
+				break
 			}
 		}
 	}
+	if found >= 0 {
+		return rep, &ErrCorruptRecord{
+			Off:    w.off,
+			Detail: fmt.Sprintf("well-formed record at offset %d beyond corrupt region; committed records are being dropped", found),
+		}
+	}
 	return rep, nil
+}
+
+// verifyChunk is how much of the region past the logical end Verify reads
+// at a time, and probeSpan how far past the logical end it looks for a
+// well-formed frame.
+const (
+	verifyChunk = 32 << 10
+	probeSpan   = 1 << 20
+)
+
+// frameAt reports whether a well-formed frame ending by end starts at off,
+// where b holds the file's bytes from off on (at least a frame header). A
+// body b does not hold is read in pieces through *scratch.
+func (l *Log) frameAt(b []byte, off, end int64, scratch *[]byte) (bool, error) {
+	n := int64(binary.LittleEndian.Uint32(b))
+	if n < bodyHeader || off+frameHeader+n > end {
+		return false, nil
+	}
+	want := binary.LittleEndian.Uint32(b[4:])
+	body := b[frameHeader:]
+	if int64(len(body)) >= n {
+		return crc32.ChecksumIEEE(body[:n]) == want, nil
+	}
+	crc := crc32.ChecksumIEEE(body)
+	if *scratch == nil {
+		*scratch = make([]byte, verifyChunk)
+	}
+	for pos, stop := off+frameHeader+int64(len(body)), off+frameHeader+n; pos < stop; {
+		piece := (*scratch)[:min(int64(len(*scratch)), stop-pos)]
+		if _, err := l.f.ReadAt(piece, pos); err != nil {
+			return false, err
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, piece)
+		pos += int64(len(piece))
+	}
+	return crc == want, nil
 }
 
 // Replay walks the log and calls apply with the payload and id of every

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -648,5 +649,50 @@ func TestPoolCoherentAcrossFoldAndReuse(t *testing.T) {
 	rows, err := cur.All()
 	if err != nil || len(rows) != batch*batches {
 		t.Fatalf("final scan: %d rows, err %v", len(rows), err)
+	}
+}
+
+// TestCheckIntegrityAllocations holds CheckIntegrity's memory to the store
+// it walks: on a one-row database the walk allocates on the order of a few
+// pages, not the megabytes the write-ahead log keeps preallocated past its
+// logical end (wal.Log.Verify reads that region a chunk at a time).
+func TestCheckIntegrityAllocations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "one.rdnt")
+	db, err := rodentstore.Create(path, &rodentstore.Options{DurableInserts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("Traces", tracesFields(), "rows(Traces)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Traces", cartel.Generate(cartel.DefaultConfig(1))); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() < 1<<20 {
+		t.Skipf("the file system did not preallocate the log (%d bytes)", st.Size())
+	}
+	check := func() {
+		rep, err := db.CheckIntegrity()
+		if err != nil || !rep.OK() {
+			t.Fatalf("CheckIntegrity: %v, %v", rep, err)
+		}
+	}
+	check()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("CheckIntegrity allocates %d bytes over a %d-byte log file, %d-byte pages", perRun, st.Size(), db.PageSize())
+	if limit := int64(128 << 10); perRun > limit {
+		t.Errorf("CheckIntegrity allocated %d bytes, want at most %d", perRun, limit)
 	}
 }
