@@ -272,6 +272,9 @@ func randCell(r *rand.Rand, k value.Kind, nullable bool) value.Value {
 // float loops against columns and constants of every special float.
 func TestCompiledPredMatchesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
+	// The sub-selections come from a source of their own, so the trials
+	// drawn from r are the same whatever checkCompiled draws.
+	subs := rand.New(rand.NewSource(98))
 	kinds := []value.Kind{value.Int, value.Float, value.Bool, value.Str, value.Bytes}
 	for trial := 0; trial < 600; trial++ {
 		nf := 1 + r.Intn(4)
@@ -305,7 +308,7 @@ func TestCompiledPredMatchesEval(t *testing.T) {
 			}
 			pred = pred.And(f.Name, vecPredOps[r.Intn(len(vecPredOps))], randCell(r, ck, false))
 		}
-		checkCompiled(t, fmt.Sprintf("trial %d", trial), schema, rows, pred)
+		checkCompiled(t, subs, fmt.Sprintf("trial %d", trial), schema, rows, pred)
 	}
 
 	negZero := math.Copysign(0, -1)
@@ -334,7 +337,7 @@ func TestCompiledPredMatchesEval(t *testing.T) {
 				if cp, err := algebra.CompilePred(pred, schema); err != nil || cp.TermKind(0) != col.term {
 					t.Fatalf("%q over %s: compiled to %+v (%v), want term kind %d", pred, col.kind, cp, err, col.term)
 				}
-				checkCompiled(t, "specials", schema, rows, pred)
+				checkCompiled(t, subs, "specials", schema, rows, pred)
 			}
 		}
 	}
@@ -343,7 +346,9 @@ func TestCompiledPredMatchesEval(t *testing.T) {
 // checkCompiled fails the test unless pred compiled for schema selects the
 // rows Eval accepts, with the batch's Str/Bytes columns flat and then in
 // dictionary form (comparisons there run per entry and select by code).
-func checkCompiled(t *testing.T, name string, schema *value.Schema, rows []value.Row, pred algebra.Predicate) {
+// Each form runs two ways: FilterRange over every row, and Filter over a
+// random order-preserving sub-selection drawn from r.
+func checkCompiled(t *testing.T, r *rand.Rand, name string, schema *value.Schema, rows []value.Row, pred algebra.Predicate) {
 	t.Helper()
 	batch, err := vec.FromRows(schema, rows)
 	if err != nil {
@@ -353,10 +358,17 @@ func checkCompiled(t *testing.T, name string, schema *value.Schema, rows []value
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []int32
+	var sub, want, wantSub []int32
 	for i, row := range rows {
+		in := r.Intn(2) == 0
+		if in {
+			sub = append(sub, int32(i))
+		}
 		if oracle.Eval(pred, schema, row) {
 			want = append(want, int32(i))
+			if in {
+				wantSub = append(wantSub, int32(i))
+			}
 		}
 	}
 	for _, form := range []string{"flat", "dictionary"} {
@@ -365,9 +377,11 @@ func checkCompiled(t *testing.T, name string, schema *value.Schema, rows []value
 				dictify(&batch.Cols[c])
 			}
 		}
-		sel := cp.Filter(batch, vec.FillSel(nil, len(rows)))
-		if !slices.Equal(sel, want) {
-			t.Fatalf("%s (%s form): pred %q over %s:\nvec=%v\nboxed=%v", name, form, pred, schema, sel, want)
+		if got := cp.FilterRange(batch, len(rows), nil); !slices.Equal(got, want) {
+			t.Fatalf("%s (%s form, dense): pred %q over %s:\nvec=%v\nboxed=%v", name, form, pred, schema, got, want)
+		}
+		if got := cp.Filter(batch, slices.Clone(sub)); !slices.Equal(got, wantSub) {
+			t.Fatalf("%s (%s form, selection %v): pred %q over %s:\nvec=%v\nboxed=%v", name, form, sub, pred, schema, got, wantSub)
 		}
 	}
 }

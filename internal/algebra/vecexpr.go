@@ -148,6 +148,16 @@ func (ce *CompiledExpr) emit(e ScalarExpr, schema *value.Schema, seen map[int]bo
 // first-use order — the set a scan must decode before evaluating.
 func (ce *CompiledExpr) Columns() []int { return ce.cols }
 
+// BareColumn returns the column index of an expression that is just a
+// column, such as `lat` in `avg(lat)`: its values over all rows are the
+// column itself, which a caller may read in place instead of evaluating.
+func (ce *CompiledExpr) BareColumn() (int, bool) {
+	if len(ce.prog) == 1 && (ce.prog[0].op == opLoadInt || ce.prog[0].op == opLoadFloat) {
+		return ce.prog[0].col, true
+	}
+	return 0, false
+}
+
 // EvalVec evaluates the expression for the selected rows of b (the first n
 // rows when sel is nil — n is explicit because lazily decoded batches do
 // not know their length), writing a dense result — slot k is the value for

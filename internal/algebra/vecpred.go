@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rodentstore/internal/value"
@@ -125,11 +126,29 @@ func (cp *CompiledPred) Columns() []int { return cp.cols }
 // Filter compacts sel down to the rows of b satisfying the conjunction,
 // reusing sel's backing array, and returns it.
 func (cp *CompiledPred) Filter(b *vec.Batch, sel []int32) []int32 {
-	for i := range cp.terms {
+	return filterTerms(cp.terms, b, sel)
+}
+
+// FilterRange returns the rows among the first n of b that satisfy the
+// conjunction, written into buf's backing array (grown to n entries if it
+// is shorter). The first term reads rows 0..n-1 directly and writes only
+// its survivors; later terms compact the selection in place, as Filter
+// does.
+func (cp *CompiledPred) FilterRange(b *vec.Batch, n int, buf []int32) []int32 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	if len(cp.terms) == 0 {
+		return vec.FillSel(buf, n)
+	}
+	return filterTerms(cp.terms[1:], b, cp.terms[0].filter(b, buf, true))
+}
+
+// filterTerms compacts sel by each of terms in turn.
+func filterTerms(terms []vecTerm, b *vec.Batch, sel []int32) []int32 {
+	for i := range terms {
 		if len(sel) == 0 {
 			return sel
 		}
-		sel = cp.terms[i].filter(b, sel)
+		sel = terms[i].filter(b, sel, false)
 	}
 	return sel
 }
@@ -157,11 +176,43 @@ func opOK(op CmpOp, cmp int) bool {
 // including -Inf) — shared, not copied, so the executors cannot drift.
 var cmpF = value.CompareFloats
 
-// filter compacts sel by this term's comparison.
-func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
+// filter keeps the rows satisfying this term and returns them in sel's
+// backing array. With dense set the rows are 0..len(sel)-1 and sel's
+// contents are not read; otherwise they are sel's, compacted in place. A
+// null-free fixed-width column against a constant that is not NaN, and a
+// null-free dictionary-form column, select without a branch per row; the
+// other cases build the identity selection first when dense, then compare
+// row by row.
+func (t *vecTerm) filter(b *vec.Batch, sel []int32, dense bool) []int32 {
 	v := &b.Cols[t.col]
-	out := sel[:0]
 	nulls := v.Nulls.Any()
+	// The verdicts of a dictionary-form column's entries: a bitset on the
+	// stack for any dictionary a 4,096-row block can carry (the compiled
+	// predicate is shared by every worker, so it holds no scratch).
+	var stack [64]uint64
+	var pass []uint64
+	if !nulls {
+		switch {
+		case t.kind == termIntInt:
+			return keepCmp(v.Int64s, t.op, t.i, sel, dense)
+		case t.kind == termIntFloat && !math.IsNaN(t.f):
+			return keepCmp(v.Int64s, t.op, t.f, sel, dense)
+		case t.kind == termFloatFloat && !math.IsNaN(t.f):
+			return keepCmp(v.Float64s, t.op, t.f, sel, dense)
+		}
+	}
+	if t.kind == termBytes && len(v.Codes) != 0 && v.Entries() <= len(sel) {
+		// Dictionary form: compare each entry once, then select rows by
+		// code.
+		pass = t.verdicts(v, stack[:])
+		if !nulls {
+			return keepCodes(v.Codes, pass, sel, dense)
+		}
+	}
+	if dense {
+		sel = vec.FillSel(sel, len(sel))
+	}
+	out := sel[:0]
 	switch t.kind {
 	case termIntInt:
 		xs, c := v.Int64s, t.i
@@ -182,9 +233,6 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 		}
 	case termIntFloat:
 		xs, c := v.Int64s, t.f
-		if !nulls && !math.IsNaN(c) {
-			return filterFloats(xs, t.op, c, sel, out)
-		}
 		for _, i := range sel {
 			if nulls && v.IsNull(int(i)) {
 				continue
@@ -195,9 +243,6 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 		}
 	case termFloatFloat:
 		xs, c := v.Float64s, t.f
-		if !nulls && !math.IsNaN(c) {
-			return filterFloats(xs, t.op, c, sel, out)
-		}
 		for _, i := range sel {
 			if nulls && v.IsNull(int(i)) {
 				continue
@@ -207,21 +252,7 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 			}
 		}
 	case termBytes:
-		if ne := v.Entries(); len(v.Codes) != 0 && ne <= len(sel) {
-			// Dictionary form: compare each entry once, then select rows by
-			// code. The verdicts are a bitset on the stack for any
-			// dictionary a 4,096-row block can carry (the compiled predicate
-			// is shared by every worker, so it holds no scratch).
-			var stack [64]uint64
-			pass := stack[:]
-			if words := (ne + 63) / 64; words > len(pass) {
-				pass = make([]uint64, words)
-			}
-			for e := 0; e < ne; e++ {
-				if opOK(t.op, bytes.Compare(v.Entry(e), t.b)) {
-					pass[e>>6] |= 1 << (e & 63)
-				}
-			}
+		if pass != nil {
 			for _, i := range sel {
 				if nulls && v.IsNull(int(i)) {
 					continue
@@ -254,49 +285,141 @@ func (t *vecTerm) filter(b *vec.Batch, sel []int32) []int32 {
 	return out
 }
 
-// filterFloats is the float comparison over a null-free column and a
-// constant that is not NaN: one loop per operator, with cmpF's order written
-// into the IEEE comparison. A NaN row sorts below every number, so it
-// satisfies <, <= and != and nothing else: `!(x >= c)` is `x < c || x != x`,
-// and `!(x > c)` is `x <= c || x != x`. −0 == +0 holds in both orders.
-func filterFloats[T int64 | float64](xs []T, op CmpOp, c float64, sel, out []int32) []int32 {
+// verdicts sets bit e of the zeroed bitset pass, replaced by a larger one
+// if it is too short, for each entry e of the dictionary-form column v that
+// satisfies the term.
+func (t *vecTerm) verdicts(v *vec.Vector, pass []uint64) []uint64 {
+	ne := v.Entries()
+	if words := (ne + 63) / 64; words > len(pass) {
+		pass = make([]uint64, words)
+	}
+	for e := 0; e < ne; e++ {
+		if opOK(t.op, bytes.Compare(v.Entry(e), t.b)) {
+			pass[e>>6] |= 1 << (e & 63)
+		}
+	}
+	return pass
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// keepCodes is the selection of a null-free dictionary-form column: a row
+// is kept when its code's bit is set in pass. Every row's index is stored
+// and the count advances by the verdict, so there is no branch per row.
+func keepCodes(codes []uint32, pass []uint64, sel []int32, dense bool) []int32 {
+	k := 0
+	if dense {
+		for i, c := range codes[:len(sel)] {
+			sel[k] = int32(i)
+			k += int(pass[c>>6] >> (c & 63) & 1)
+		}
+		return sel[:k]
+	}
+	for _, i := range sel {
+		c := codes[i]
+		sel[k] = i
+		k += int(pass[c>>6] >> (c & 63) & 1)
+	}
+	return sel[:k]
+}
+
+// keepCmp is the comparison of a null-free fixed-width column with a
+// constant that is not NaN, over the dense range or the selection: one loop
+// per operator, each storing every row's index and advancing the count by
+// the verdict (`sel[k] = i; k += b2i(cond)`), so there is no branch per
+// row. Int columns against float constants compare as floats. cmpF's order
+// is written into the IEEE comparison: a NaN row sorts below every number,
+// so it satisfies <, <= and != and nothing else — `!(x >= c)` is
+// `x < c || x != x`, and `!(x > c)` is `x <= c || x != x`. −0 == +0 holds
+// in both orders. Over ints the same expressions are the plain integer
+// comparisons.
+func keepCmp[T, C int64 | float64](xs []T, op CmpOp, c C, sel []int32, dense bool) []int32 {
+	if dense {
+		return cmpRange(xs[:len(sel)], op, c, sel)
+	}
+	return cmpSel(xs, op, c, sel)
+}
+
+// cmpRange is keepCmp over rows 0..len(xs)-1, writing into out (len(out)
+// >= len(xs)).
+func cmpRange[T, C int64 | float64](xs []T, op CmpOp, c C, out []int32) []int32 {
+	k := 0
+	switch op {
+	case OpLt:
+		for i, x := range xs {
+			out[k] = int32(i)
+			k += b2i(!(C(x) >= c))
+		}
+	case OpLe:
+		for i, x := range xs {
+			out[k] = int32(i)
+			k += b2i(!(C(x) > c))
+		}
+	case OpGt:
+		for i, x := range xs {
+			out[k] = int32(i)
+			k += b2i(C(x) > c)
+		}
+	case OpGe:
+		for i, x := range xs {
+			out[k] = int32(i)
+			k += b2i(C(x) >= c)
+		}
+	case OpEq:
+		for i, x := range xs {
+			out[k] = int32(i)
+			k += b2i(C(x) == c)
+		}
+	case OpNe:
+		for i, x := range xs {
+			out[k] = int32(i)
+			k += b2i(!(C(x) == c))
+		}
+	}
+	return out[:k]
+}
+
+// cmpSel is keepCmp over the rows of sel, compacted in place.
+func cmpSel[T, C int64 | float64](xs []T, op CmpOp, c C, sel []int32) []int32 {
+	k := 0
 	switch op {
 	case OpLt:
 		for _, i := range sel {
-			if !(float64(xs[i]) >= c) {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(!(C(xs[i]) >= c))
 		}
 	case OpLe:
 		for _, i := range sel {
-			if !(float64(xs[i]) > c) {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(!(C(xs[i]) > c))
 		}
 	case OpGt:
 		for _, i := range sel {
-			if float64(xs[i]) > c {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(C(xs[i]) > c)
 		}
 	case OpGe:
 		for _, i := range sel {
-			if float64(xs[i]) >= c {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(C(xs[i]) >= c)
 		}
 	case OpEq:
 		for _, i := range sel {
-			if float64(xs[i]) == c {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(C(xs[i]) == c)
 		}
 	case OpNe:
 		for _, i := range sel {
-			if !(float64(xs[i]) == c) {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(!(C(xs[i]) == c))
 		}
 	}
-	return out
+	return sel[:k]
 }

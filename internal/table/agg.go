@@ -301,8 +301,12 @@ func (st *aggState) ngroups(ex *aggExec) int {
 
 // aggScratch is a cursor's reusable aggregation scratch.
 type aggScratch struct {
-	es      algebra.ExprScratch
-	evals   []vec.Vector // per item: its expression over the selected rows
+	es    algebra.ExprScratch
+	evals []vec.Vector // per item: its expression over the selected rows
+	// ins is, per item, what its kernel reads: its evals slot, or the
+	// decoded column itself for a bare column under no partial selection.
+	// The kernels only read it; a column may be a borrowed cache chunk.
+	ins     []*vec.Vector
 	gids    []int32
 	keyCols []*vec.Vector
 }
@@ -341,8 +345,7 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 	nsel := nrows
 	var sel []int32
 	if !filter.Empty() {
-		vs.sel = vec.FillSel(vs.sel, nrows)
-		vs.sel = filter.Filter(dec, vs.sel)
+		vs.sel = filter.FilterRange(dec, nrows, vs.sel)
 		nsel = len(vs.sel)
 		if nsel < nrows {
 			sel = vs.sel
@@ -357,9 +360,11 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 		}
 	}
 	// Evaluate every expression densely over the selection: slot k of
-	// evals[ii] belongs to selected row k, parallel to gids.
+	// evals[ii] belongs to selected row k, parallel to gids. Under the full
+	// selection a bare column is already that.
 	if len(as.evals) < len(ex.items) {
 		as.evals = make([]vec.Vector, len(ex.items))
+		as.ins = make([]*vec.Vector, len(ex.items))
 	}
 	for ii := range ex.items {
 		ce := ex.items[ii].ce
@@ -371,6 +376,11 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 				return err
 			}
 		}
+		if di, ok := ce.BareColumn(); ok && sel == nil {
+			as.ins[ii] = &dec.Cols[di]
+			continue
+		}
+		as.ins[ii] = &as.evals[ii]
 		if err := ce.EvalVec(dec, nrows, sel, &as.evals[ii], &as.es); err != nil {
 			return err
 		}
@@ -399,7 +409,7 @@ func (ex *aggExec) observeBlock(p *part, block int, filter *algebra.CompiledPred
 			}
 			continue
 		}
-		ev := &as.evals[ii]
+		ev := as.ins[ii]
 		isFloat := it.kind == value.Float
 		switch it.fn {
 		case AggCount:

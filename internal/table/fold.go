@@ -176,7 +176,6 @@ func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part, settled bool
 	}
 	cur := newCursor(plan)
 	defer cur.Close()
-	var sel []int32
 	for {
 		b, ok, err := cur.NextBatch()
 		if err != nil {
@@ -185,9 +184,8 @@ func (e *Engine) readBack(tab *catalog.Table, parts []catalog.Part, settled bool
 		if !ok {
 			break
 		}
-		sel = vec.FillSel(sel, b.Len())
 		for c := range b.Cols {
-			rel.b.Cols[c].AppendSel(&b.Cols[c], sel)
+			rel.b.Cols[c].Append(&b.Cols[c])
 		}
 	}
 	if err := rel.b.SetLen(int(rows)); err != nil {

@@ -706,13 +706,11 @@ func decodeBlockVec(p *part, block int, plan *scanPlan, vs *vecScratch) (*vec.Ba
 		}
 		done[di] = true
 	}
-	// An empty predicate selects everything; only a real filter needs the
-	// identity selection materialized (the full-selection paths below never
-	// index sel).
+	// An empty predicate selects everything, and the full-selection paths
+	// below never index sel.
 	nsel := nrows
 	if !filter.Empty() {
-		vs.sel = vec.FillSel(vs.sel, nrows)
-		vs.sel = filter.Filter(dec, vs.sel)
+		vs.sel = filter.FilterRange(dec, nrows, vs.sel)
 		nsel = len(vs.sel)
 	}
 	sel := vs.sel

@@ -416,24 +416,12 @@ func (v *Vector) Size() int {
 func (v *Vector) AppendSel(src *Vector, sel []int32) {
 	switch native(src.kind) {
 	case value.Int:
-		for _, i := range sel {
-			v.Int64s = append(v.Int64s, src.Int64s[i])
-		}
+		gather(&v.Int64s, src.Int64s, sel)
 	case value.Float:
-		for _, i := range sel {
-			v.Float64s = append(v.Float64s, src.Float64s[i])
-		}
+		gather(&v.Float64s, src.Float64s, sel)
 	case value.Bytes:
-		if v.n == 0 && len(src.Codes) != 0 && len(sel) >= src.Entries() {
-			// The gather of a dictionary-form column into an empty one keeps
-			// the form: the dictionary is copied once and rows are gathered
-			// as codes. A selection smaller than the dictionary would copy
-			// entries no row names, so it takes the flat gather below.
-			v.Data = append(v.Data[:0], src.Data...)
-			v.Offs = append(v.Offs[:0], src.Offs...)
-			for _, i := range sel {
-				v.Codes = append(v.Codes, src.Codes[i])
-			}
+		if v.adoptDict(src, len(sel)) {
+			gather(&v.Codes, src.Codes, sel)
 			break
 		}
 		v.materialize()
@@ -445,9 +433,7 @@ func (v *Vector) AppendSel(src *Vector, sel []int32) {
 			v.Offs = append(v.Offs, uint64(len(v.Data)))
 		}
 	default:
-		for _, i := range sel {
-			v.Boxed = append(v.Boxed, src.Boxed[i])
-		}
+		gather(&v.Boxed, src.Boxed, sel)
 	}
 	if src.Nulls.Any() {
 		for k, i := range sel {
@@ -457,6 +443,66 @@ func (v *Vector) AppendSel(src *Vector, sel []int32) {
 		}
 	}
 	v.n += len(sel)
+}
+
+// Append appends every row of src onto v, with AppendSel's rule for the
+// dictionary form. v must have been Reset with src's kind.
+func (v *Vector) Append(src *Vector) {
+	switch native(src.kind) {
+	case value.Int:
+		v.Int64s = append(v.Int64s, src.Int64s...)
+	case value.Float:
+		v.Float64s = append(v.Float64s, src.Float64s...)
+	case value.Bytes:
+		if v.adoptDict(src, src.n) {
+			v.Codes = append(v.Codes, src.Codes...)
+			break
+		}
+		v.materialize()
+		if len(v.Offs) == 0 {
+			v.Offs = append(v.Offs, 0)
+		}
+		for i := 0; i < src.n; i++ {
+			v.Data = append(v.Data, src.BytesAt(i)...)
+			v.Offs = append(v.Offs, uint64(len(v.Data)))
+		}
+	default:
+		v.Boxed = append(v.Boxed, src.Boxed...)
+	}
+	if src.Nulls.Any() {
+		for i := 0; i < src.n; i++ {
+			if src.Nulls.Get(i) {
+				v.Nulls.Set(v.n + i)
+			}
+		}
+	}
+	v.n += src.n
+}
+
+// adoptDict copies the dictionary of the dictionary-form src into v and
+// reports true when appending rows rows of src onto v keeps the form; v then
+// needs only the rows' codes. It does for an empty v and at least as many
+// rows as the dictionary has entries: fewer would copy entries no row
+// names, and a v already holding rows would need the dictionaries merged.
+func (v *Vector) adoptDict(src *Vector, rows int) bool {
+	if v.n != 0 || len(src.Codes) == 0 || rows < src.Entries() {
+		return false
+	}
+	v.Data = append(v.Data[:0], src.Data...)
+	v.Offs = append(v.Offs[:0], src.Offs...)
+	return true
+}
+
+// gather appends src[i] for each i in sel to *dst: grown once, then stored
+// by index.
+func gather[T any](dst *[]T, src []T, sel []int32) {
+	base := len(*dst)
+	d := slices.Grow(*dst, len(sel))[:base+len(sel)]
+	out := d[base:]
+	for k, i := range sel {
+		out[k] = src[i]
+	}
+	*dst = d
 }
 
 // Batch is the decoded rows of one block: one Vector per schema field, all

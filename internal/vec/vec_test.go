@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -231,5 +232,84 @@ func TestBorrowLeavesSourceUntouched(t *testing.T) {
 		clear(c.Codes)
 		requireSameColumn(t, "source after a copy was scribbled", src, want)
 		b.dropViews()
+	}
+}
+
+// TestAppendMatchesAppendSel holds Append to AppendSel over the identity
+// selection, onto an empty and onto a non-empty column of every
+// representation, with and without nulls: the same rows, and for a
+// dictionary-form source the same form.
+func TestAppendMatchesAppendSel(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, k := range []value.Kind{value.Int, value.Bool, value.Float, value.Str, value.Bytes, value.List} {
+		for _, dictForm := range []bool{false, true} {
+			if dictForm && k != value.Str && k != value.Bytes {
+				continue
+			}
+			for _, nulls := range []bool{false, true} {
+				for _, rows := range []int{0, 3, 300} {
+					var src Vector
+					if dictForm {
+						dict, _ := dictTwin(r, k, 5, rows, nulls)
+						src = *dict
+					} else {
+						src.Reset(k)
+						for i := 0; i < rows; i++ {
+							if nulls && i%7 == 3 {
+								src.AppendNull()
+								continue
+							}
+							if err := src.AppendValue(randValue(r, k)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for _, prefilled := range []bool{false, true} {
+						var whole, gathered Vector
+						whole.Reset(k)
+						gathered.Reset(k)
+						if prefilled {
+							v := randValue(r, k)
+							for _, dst := range []*Vector{&whole, &gathered} {
+								if err := dst.AppendValue(v); err != nil {
+									t.Fatal(err)
+								}
+								dst.AppendNull()
+							}
+						}
+						whole.Append(&src)
+						gathered.AppendSel(&src, FillSel(nil, src.Len()))
+						what := fmt.Sprintf("%s dict=%v nulls=%v rows=%d prefilled=%v", k, dictForm, nulls, rows, prefilled)
+						if whole.Len() != gathered.Len() || len(whole.Codes) != len(gathered.Codes) {
+							t.Fatalf("%s: Append made %d rows (%d codes), AppendSel %d (%d codes)",
+								what, whole.Len(), len(whole.Codes), gathered.Len(), len(gathered.Codes))
+						}
+						for i := 0; i < whole.Len(); i++ {
+							if a, b := whole.Value(i), gathered.Value(i); !value.Equal(a, b) || whole.IsNull(i) != gathered.IsNull(i) {
+								t.Fatalf("%s: row %d is %v after Append, %v after AppendSel", what, i, a, b)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// randValue returns a random non-null value of kind k.
+func randValue(r *rand.Rand, k value.Kind) value.Value {
+	switch k {
+	case value.Int:
+		return value.NewInt(r.Int63n(100) - 50)
+	case value.Bool:
+		return value.NewBool(r.Intn(2) == 0)
+	case value.Float:
+		return value.NewFloat(r.NormFloat64())
+	case value.Str:
+		return value.NewString(fmt.Sprint("s", r.Intn(9)))
+	case value.Bytes:
+		return value.NewBytes([]byte(fmt.Sprint("b", r.Intn(9))))
+	default:
+		return value.NewList(value.NewInt(r.Int63n(3)))
 	}
 }
