@@ -69,7 +69,7 @@ func (db *DB) Reorganize(name string) error { return db.eng.Reorganize(name) }
 // The background merge worker (Options.AutoMergeTails) calls this
 // automatically when a policy table accumulates fanout tail batches.
 //
-// With DurableInserts, Compact does not wait for its result to be durable:
+// Compact does not wait for its result to be durable:
 // the new runs become durable, and the space of what they replaced free, at
 // the next checkpoint — the size trigger (which counts that space, and which
 // Compact checks on its way out), Checkpoint or Close. A crash before it

@@ -62,12 +62,6 @@ func TestFailedEagerAlterLeavesTableUntouched(t *testing.T) {
 	}
 }
 
-// durableFaultDB is faultDB with the write-ahead log in the loop.
-func durableFaultDB(t *testing.T, fs *vfs.Fault) *DB {
-	t.Helper()
-	return faultDBWith(t, &Options{FS: fs, DurableInserts: true})
-}
-
 // dropKeep cycles the two crash modes that keep or lose every unsynced write.
 var dropKeep = []vfs.CrashMode{vfs.CrashDrop, vfs.CrashKeep}
 
@@ -84,7 +78,7 @@ func atEveryKillPoint(t *testing.T, fs *vfs.Fault, modes []vfs.CrashMode, op fun
 		kill++
 		mode := modes[kill%len(modes)]
 		snap := vfs.NewFaultFromImages(1, fs.SnapshotCrash(mode))
-		db, err := OpenWithOptions(faultDBPath, &Options{FS: snap, DurableInserts: true})
+		db, err := OpenWithOptions(faultDBPath, &Options{FS: snap})
 		if err != nil {
 			t.Errorf("kill point %d (%v %s): recovery failed: %v", kill, o.Kind, o.Path, err)
 			return
@@ -104,7 +98,7 @@ func atEveryKillPoint(t *testing.T, fs *vfs.Fault, modes []vfs.CrashMode, op fun
 
 func TestEagerAlterIsCrashAtomic(t *testing.T) {
 	fs := vfs.NewFault(12)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	// Payloads whose sort order is nothing like insert order.
 	var rows []Row
 	for i := 0; i < 120; i++ {
@@ -162,14 +156,14 @@ func TestEagerAlterIsCrashAtomic(t *testing.T) {
 	}
 }
 
-// TestReclaimedIndexTreeLeaksNeverCorrupts: in durable mode a dropped tree's
+// TestReclaimedIndexTreeLeaksNeverCorrupts: a dropped tree's
 // pages are freed only after the catalog that stopped naming it is durable.
 // A power cut anywhere in DropIndex or in the inserts and fold that follow
 // (which reuse freed pages) recovers a store whose index, if still listed,
 // still answers correctly.
 func TestReclaimedIndexTreeLeaksNeverCorrupts(t *testing.T) {
 	fs := vfs.NewFault(13)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	loadRows(t, db, 2000)
 	if err := db.CreateIndex("T", "id"); err != nil {
 		t.Fatal(err)
@@ -298,7 +292,7 @@ func partPages(t *testing.T, db *DB) map[pager.PageID]bool {
 // replaced stays allocated until the next checkpoint frees it.
 func TestCompactLeavesItsDurabilityToACheckpoint(t *testing.T) {
 	fs := vfs.NewFault(14)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	insert, _, _ := levelledL(t, db)
 	var old map[pager.PageID]bool // L's pages while a Compact runs
 	freed := 0
@@ -387,7 +381,7 @@ func TestBufferedCompactRecoversEveryRowOnce(t *testing.T) {
 
 func bufferedCompactAtEveryKillPoint(t *testing.T, modes []vfs.CrashMode) {
 	fs := vfs.NewFault(15)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	insert, next, acked := levelledL(t, db)
 	op := func() error {
 		for round := 0; round < 3; round++ {
@@ -460,7 +454,7 @@ func TestTornCatalogFlushRecovers(t *testing.T) {
 	for seed := int64(21); seed <= 25; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			fs := vfs.NewFault(seed)
-			db := durableFaultDB(t, fs)
+			db := faultDB(t, fs)
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,7 @@ import (
 // frees and checkpoint syncs write none.
 func TestHeaderWrittenOnlyByCatalogFlush(t *testing.T) {
 	fs := vfs.NewFault(41)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	insert, _, _ := levelledL(t, db)
 	var ops []vfs.Op
 	fs.OnOp = func(op vfs.Op) {
@@ -67,7 +67,7 @@ func TestHeaderWrittenOnlyByCatalogFlush(t *testing.T) {
 // pages before the file grows.
 func TestCrashStrandedPagesAreReused(t *testing.T) {
 	fs := vfs.NewFault(42)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	loadRows(t, db, 2000) // T: pages the drop below frees
 	insert, _, acked := levelledL(t, db)
 	for range 8 {
@@ -98,7 +98,7 @@ func TestCrashStrandedPagesAreReused(t *testing.T) {
 	}
 	fs.Crash(vfs.CrashKeep) // the runs' pages reached disk; no header names them
 
-	back, err := OpenWithOptions(faultDBPath, &Options{FS: fs, DurableInserts: true})
+	back, err := OpenWithOptions(faultDBPath, &Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCrashStrandedPagesAreReused(t *testing.T) {
 // so no page is both owned and free, and the store reads back every row.
 func TestFailedHeaderWriteKeepsCatalogExtent(t *testing.T) {
 	fs := vfs.NewFault(43)
-	db := durableFaultDB(t, fs)
+	db := faultDB(t, fs)
 	insert, _, acked := levelledL(t, db)
 	var armed atomic.Bool
 	fs.Inject = func(op vfs.Op) vfs.Decision {

@@ -205,14 +205,13 @@ type Catalog struct {
 	// the tail records of such commits (ApplyTailAppend).
 	issued, reflects uint64
 
-	// DeferFree, when set, is offered the previous catalog extent after every
-	// flush instead of it being freed inline after the meta-slot flip. A true
-	// return means the hook took ownership (the engine queues it to be freed
-	// only after the flip is made durable by a checkpoint — reusing it
-	// earlier would let a crash roll back to a catalog whose bytes were
-	// overwritten). A false return keeps the inline free. Set before first use; the
-	// hook is called with the catalog lock held and must not reenter it.
-	DeferFree func(pager.Extent) bool
+	// DeferFree, when set, takes the previous catalog extent after every
+	// flush instead of it being freed inline after the meta-slot flip (the
+	// engine queues it to be freed only after the flip is made durable by a
+	// checkpoint — reusing it earlier would let a crash roll back to a
+	// catalog whose bytes were overwritten). Set before first use; the hook
+	// is called with the catalog lock held and must not reenter it.
+	DeferFree func(pager.Extent)
 }
 
 // Load reads the catalog from the file (empty catalog if none yet).
@@ -285,11 +284,15 @@ func (c *Catalog) flush(m map[string]*Table) error {
 	if err != nil {
 		return err
 	}
-	if old := (pager.Extent{Start: c.extent.ExtentStart, Count: c.extent.ExtentPages}); old.Count > 0 && (c.DeferFree == nil || !c.DeferFree(old)) {
-		// The flush has landed, so it reports success: the pager refuses
-		// only a free of pages already free, and those are no more the
-		// catalog's than the old extent is.
-		_ = c.file.FreeRun(old.Start, old.Count)
+	if old := (pager.Extent{Start: c.extent.ExtentStart, Count: c.extent.ExtentPages}); old.Count > 0 {
+		if c.DeferFree != nil {
+			c.DeferFree(old)
+		} else {
+			// The flush has landed, so it reports success: the pager refuses
+			// only a free of pages already free, and those are no more the
+			// catalog's than the old extent is.
+			_ = c.file.FreeRun(old.Start, old.Count)
+		}
 	}
 	c.tables.Store(&m)
 	c.extent = segment.Meta{ExtentStart: ext.Start, ExtentPages: ext.Count, UsedBytes: uint64(len(buf))}
@@ -345,8 +348,10 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// Put inserts or replaces a table record and persists the catalog. If the
-// flush fails, the record is not published.
+// Put inserts or replaces a table record and flushes the catalog. If the
+// flush fails, the record is not published. The flush's header write is
+// durable only once the file is synced again (the engine's DDL checkpoints
+// right after).
 func (c *Catalog) Put(t *Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -356,7 +361,7 @@ func (c *Catalog) Put(t *Table) error {
 // PutBuffered inserts or replaces a table record in memory only and returns
 // a fresh commit id; the change is persisted by the next Flush (or by any
 // full flush from Put/Delete), which syncs the file first, so pages the
-// record names need no sync of their own. Durable tail inserts log their
+// record names need no sync of their own. Tail inserts log their
 // record under the id (EncodeTailAppend): each insert's catalog rewrite
 // would be O(catalog size), the single largest serialized cost on the
 // ingest path, while the tail record is O(batch). Folds publish through it

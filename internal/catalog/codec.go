@@ -146,7 +146,7 @@ func decodeTables(buf []byte) ([]*Table, error) {
 // the full-catalog magic so a mixed-up payload fails loudly.
 const tailMagic = 0xC8
 
-// EncodeTailAppend serializes one durable insert as a tail record for redo
+// EncodeTailAppend serializes one insert as a tail record for redo
 // logging: "append this tail batch to table name, adding rows to its
 // count", with each segment's stream bytes. The record is O(one batch), not
 // O(catalog), and names no page: recovery replays it with ApplyTailAppend,

@@ -157,6 +157,13 @@ type File struct {
 	seekMu   sync.Mutex
 	lastRead PageID
 	haveLast bool
+
+	// syncErr latches the first failed fsync, under syncMu (held across
+	// each fsync): a failed fsync may drop the writes it did not make
+	// durable, so a later one must not report them durable (the fsyncgate
+	// rule of internal/wal). Every Sync after it fails until a reopen.
+	syncMu  sync.Mutex
+	syncErr error
 }
 
 // Create creates a new page file at path on the OS file system with the
@@ -794,12 +801,17 @@ func (p *File) checkID(id PageID) error {
 	return nil
 }
 
-// Sync fsyncs the file.
+// Sync fsyncs the file. Once one fsync has failed, every Sync returns that
+// failure without syncing (see syncErr).
 func (p *File) Sync() error {
-	if err := p.f.Sync(); err != nil {
-		return fmt.Errorf("pager: sync: %w", err)
+	p.syncMu.Lock()
+	defer p.syncMu.Unlock()
+	if p.syncErr == nil {
+		if err := p.f.Sync(); err != nil {
+			p.syncErr = fmt.Errorf("pager: sync failed, file unusable until reopen: %w", err)
+		}
 	}
-	return nil
+	return p.syncErr
 }
 
 // Close trims the file to the allocation cursor — growTo's preallocated

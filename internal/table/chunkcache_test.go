@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
 	"rodentstore/internal/value"
@@ -17,7 +16,7 @@ import (
 	"rodentstore/internal/vfs"
 )
 
-// faultEngine is an engine with no log over a fresh page file on fs.
+// faultEngine is an engine over a fresh page file and its log on fs.
 func faultEngine(t *testing.T, fs *vfs.Fault) (*Engine, *pager.File) {
 	t.Helper()
 	f, err := pager.CreateAt(fs, "db.rdnt", 1024)
@@ -25,11 +24,7 @@ func faultEngine(t *testing.T, fs *vfs.Fault) (*Engine, *pager.File) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	cat, err := catalog.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mustEngine(t, f, cat, nil), f
+	return engineOn(t, fs, "db.rdnt", f), f
 }
 
 // TestCacheRefusesInsertOvertakenByInvalidation drives the generation guard

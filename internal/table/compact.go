@@ -71,11 +71,11 @@ func (e *Engine) CompactStats() CompactStats {
 // to splice its run in. The table's fold latch keeps folds of one table from
 // overlapping.
 //
-// With a log, a Compact that applies no pending layout change is durable at
-// the next checkpoint, not when it returns (flip). It runs one itself, off
-// the table lock, once the frees it queued are worth one (MaybeCheckpoint).
+// A Compact that applies no pending layout change is durable at the next
+// checkpoint, not when it returns (flip). It runs one itself, off the table
+// lock, once the frees it queued are worth one (MaybeCheckpoint).
 func (e *Engine) Compact(name string) error {
-	if err := e.foldOffLock(name, e.nextCompaction); err != nil || !e.durable() {
+	if err := e.foldOffLock(name, e.nextCompaction); err != nil {
 		return err
 	}
 	return e.mgr.MaybeCheckpoint()

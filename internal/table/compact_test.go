@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"rodentstore/internal/algebra"
-	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vfs"
 )
 
 // insertBatches appends n batches of size rows each, with distinct t keys
@@ -322,11 +322,7 @@ func TestCompactPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cat, err := catalog.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustEngine(t, f, cat, nil)
+	e := engineOn(t, vfs.OS, path, f)
 	tab, err := e.cat.Get("Traces")
 	if err != nil {
 		t.Fatal(err)

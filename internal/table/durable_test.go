@@ -41,7 +41,6 @@ func openDurable(t *testing.T, fs vfs.FS) *Engine {
 	if _, err := mgr.Recover(); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	e.SyncInserts = true
 	return e
 }
 

@@ -42,28 +42,23 @@ type Engine struct {
 	file *pager.File
 	cat  *catalog.Catalog
 	// mgr is the durability manager (WAL logging, checkpoints, recovery
-	// hooks); nil runs the engine without a log. Table-level mutual
-	// exclusion does not depend on it — see tableLocks.
+	// hooks). Every Insert commits through it: the tail is logged as one
+	// tail record (catalog.EncodeTailAppend: its segment entries and stream
+	// bytes), and Insert returns only after the (group-committed) fsync. The
+	// catalog is updated in memory only; recovery writes each logged tail
+	// to a fresh extent and appends it, so an acknowledged insert survives a
+	// crash without the publish phase ever rewriting the whole catalog.
+	// Table-level mutual exclusion does not depend on it — see tableLocks.
 	mgr *txn.Manager
 	// cache holds decoded column chunks for scans (chunkcache.go); nil
 	// (the default, see EnableCache) reads every block from the pager, so
 	// page-read statistics equal cold physical I/O.
 	cache *chunkCache
-	// SyncInserts makes Insert durable: the tail is WAL-logged as one tail
-	// record (catalog.EncodeTailAppend: its segment entries and stream
-	// bytes), and Insert returns only after the (group-committed) fsync. The
-	// catalog is updated in memory only; recovery writes each logged tail
-	// to a fresh extent and appends it, so an acknowledged insert survives a
-	// crash without the publish phase ever rewriting the whole catalog. It
-	// also makes every flip buffered (flip). Requires a durability manager;
-	// ignored without one.
-	SyncInserts bool
-
 	// tableMu guards tableLocks, the engine-owned table-level locks every
 	// catalog read-modify-write and every cursor construction runs under
 	// (withLock), each with its table's fold latch. They are intrinsic to
 	// the engine: foreground operations and the background merge pool's
-	// splices exclude each other with or without a durability manager.
+	// splices exclude each other.
 	tableMu    sync.Mutex
 	tableLocks map[string]*tableLock
 
@@ -76,10 +71,10 @@ type Engine struct {
 
 	// vers is the version pin state and the free queue (version.go): an
 	// extent a catalog update stopped referencing is freed only once the
-	// update is durable (in SyncInserts mode: until then a crash rolls the
-	// catalog back to a version that still references it, and a reallocated
-	// extent rewritten since would corrupt that old catalog's data) and no
-	// cursor or fold that may still read it remains.
+	// update is durable (until then a crash rolls the catalog back to a
+	// version that still references it, and a reallocated extent rewritten
+	// since would corrupt that old catalog's data) and no cursor or fold
+	// that may still read it remains.
 	vers *versions
 
 	// Fold counters, moved only by fold (see fold.go; the gating benchmark
@@ -92,12 +87,12 @@ type Engine struct {
 // NewEngine creates an engine over a page file and the catalog just loaded
 // from it. It hands the pager every extent the catalog owns, and free space
 // becomes the rest of the file (pager.Reclaim): pages a crash stranded, and
-// frees that never ran, are reused from here on. mgr may be nil to run
-// without a log (no durable inserts, no deferred frees). With a manager, the
-// engine hooks the catalog into its checkpoint/recovery protocol: buffered
-// catalog updates flush before every checkpoint, and logged tail records
-// replay during recovery — so create the engine before calling the
-// manager's Recover, whose replayed tails then land in reclaimed space.
+// frees that never ran, are reused from here on. The engine hooks the
+// catalog into mgr's checkpoint/recovery protocol: buffered catalog updates
+// flush before every checkpoint, the catalog's replaced extents wait for
+// one, and logged tail records replay during recovery — so create the
+// engine before calling the manager's Recover, whose replayed tails then
+// land in reclaimed space.
 func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) (*Engine, error) {
 	var err error
 	cat.Owned(func(owned []pager.Extent) { err = file.Reclaim(owned) })
@@ -112,21 +107,16 @@ func NewEngine(file *pager.File, cat *catalog.Catalog, mgr *txn.Manager) (*Engin
 		specs:      make(map[string]*layout.Spec),
 		vers:       newVersions(file),
 	}
-	if mgr != nil {
-		// Stage the free queue before the catalog flush: everything queued
-		// by then had its catalog update already written, so this
-		// checkpoint's file sync makes those updates durable and the staged
-		// extents safe to free afterwards, once unpinned. Extents queued
-		// mid-checkpoint wait for the next one.
-		mgr.BeforeCheckpoint = func() error {
-			e.vers.stage()
-			return cat.Flush()
-		}
-		mgr.AfterCheckpoint = e.vers.checkpointed
-		mgr.Backlog = e.vers.backlog
-		mgr.OnRecover = cat.ApplyTailAppend
-		cat.DeferFree = e.deferFree
-	}
+	// Stage the free queue before the catalog flush: everything queued by
+	// then had its catalog update already written, so this checkpoint's file
+	// sync makes those updates durable and the staged extents safe to free
+	// afterwards, once unpinned. Table extents queued mid-checkpoint wait for
+	// the next one.
+	mgr.BeforeCheckpoint = func() error { return e.vers.stage(cat.Flush) }
+	mgr.AfterCheckpoint = e.vers.checkpointed
+	mgr.Backlog = e.vers.backlog
+	mgr.OnRecover = cat.ApplyTailAppend
+	cat.DeferFree = e.vers.queueCatalog
 	return e, nil
 }
 
@@ -147,31 +137,12 @@ func (e *Engine) InvalidateCache() {
 	}
 }
 
-// deferFree queues a catalog extent to be freed by the next checkpoint when
-// the engine runs durably; without durability there is no crash state to
-// guard, so it reports false and the caller frees inline.
-func (e *Engine) deferFree(ext pager.Extent) bool {
-	if !e.durable() {
-		return false
-	}
-	e.vers.queueCatalog(ext)
-	return true
-}
-
-// checkpoint makes a flip durable before its caller returns, in durable
-// mode: it persists the buffered record and drains the frees the flip
-// queued. A flip that moves the layout must call it before releasing the
-// table lock, so no tail rendered under the new layout is logged while the
-// persisted catalog still holds the old one.
-func (e *Engine) checkpoint() error {
-	if !e.durable() {
-		return nil
-	}
-	return e.mgr.Checkpoint()
-}
-
-// durable reports whether inserts and catalog flips go through the WAL.
-func (e *Engine) durable() bool { return e.SyncInserts && e.mgr != nil }
+// checkpoint makes a flip durable before its caller returns: it persists
+// the buffered record and drains the frees the flip queued. A flip that
+// moves the layout must call it before releasing the table lock, so no tail
+// rendered under the new layout is logged while the persisted catalog still
+// holds the old one.
+func (e *Engine) checkpoint() error { return e.mgr.Checkpoint() }
 
 // lockMode is how withLock takes a table's lock.
 type lockMode bool
@@ -313,8 +284,10 @@ func (e *Engine) invalidateSpecCache() {
 	e.mu.Unlock()
 }
 
-// Create registers a table with its logical schema and layout expression.
-// Nothing is rendered until Load.
+// Create registers a table with its logical schema and layout expression,
+// durably: the flush's header write is synced by a checkpoint before Create
+// returns, since the inserts that follow sync only the log. Nothing is
+// rendered until Load.
 func (e *Engine) Create(name string, schema *value.Schema, layoutExpr string) error {
 	return e.withLock(name, exclusive, func() error {
 		if e.cat.Has(name) {
@@ -335,7 +308,10 @@ func (e *Engine) Create(name string, schema *value.Schema, layoutExpr string) er
 			LayoutExpr: spec.Expr,
 		})
 		e.invalidateSpecCache()
-		return err
+		if err != nil {
+			return err
+		}
+		return e.checkpoint()
 	})
 }
 
@@ -354,9 +330,7 @@ func (e *Engine) Drop(name string) error {
 		if err != nil {
 			return err
 		}
-		if err := e.free(exts); err != nil {
-			return err
-		}
+		e.vers.queue(exts)
 		return e.checkpoint()
 	})
 }
@@ -411,14 +385,15 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 // lock, taken once. If the table's layout or schema changed between the two
 // phases, the stage is re-prepared under that lock.
 //
-// With SyncInserts, durability also stays off the lock: the published
-// tail's record is logged to the WAL as one frame, its own commit, and
-// fsync'd (group commit) after the lock is released, so concurrent
-// inserters' fsyncs coalesce. Insert then returns only once the batch is
-// redo-durable. Because records are logged after the lock drops, two
-// batches published in one order can reach the log in the other; recovery
-// then rebuilds the tails in log order — a permutation of unorganized
-// batches, never a loss.
+// Durability also stays off the lock: the catalog update is buffered, and
+// the published tail's record is logged to the WAL as one frame, its own
+// commit, and fsync'd (group commit) after the lock is released, so
+// concurrent inserters' fsyncs coalesce. Insert returns only once the batch
+// is redo-durable; the page file is synced by the next checkpoint, not per
+// insert. Because records are logged after the lock drops, two batches
+// published in one order can reach the log in the other; recovery then
+// rebuilds the tails in log order — a permutation of unorganized batches,
+// never a loss.
 func (e *Engine) Insert(name string, rows []value.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -427,11 +402,9 @@ func (e *Engine) Insert(name string, rows []value.Row) error {
 	if err != nil {
 		return err
 	}
-	if pub.streams != nil {
-		record := catalog.EncodeTailAppend(name, pub.batch, pub.rows, pub.streams)
-		if err := e.mgr.Commit(pub.id, record); err != nil {
-			return err
-		}
+	record := catalog.EncodeTailAppend(name, pub.batch, pub.rows, pub.streams)
+	if err := e.mgr.Commit(pub.id, record); err != nil {
+		return err
 	}
 	e.maybeAutoMerge(name, pub.mergeNeeded)
 	return nil
@@ -448,9 +421,9 @@ type stagedTail struct {
 }
 
 // published is the outcome of a publish: whether the merge policy fired,
-// and — in SyncInserts mode — what the tail record is encoded from (the
-// batch, its row count and the writers' streams) and the commit id its
-// catalog update got, for Manager.Commit.
+// what the tail record is encoded from (the batch, its row count and the
+// writers' streams) and the commit id its catalog update got, for
+// Manager.Commit.
 type published struct {
 	mergeNeeded bool
 	id          uint64
@@ -459,9 +432,8 @@ type published struct {
 	streams     [][]byte
 }
 
-// insertTail runs Insert's one prepare/publish round. In SyncInserts mode
-// the tail record comes back to the caller, to be logged after the lock is
-// released.
+// insertTail runs Insert's one prepare/publish round. The tail record comes
+// back to the caller, to be logged after the lock is released.
 func (e *Engine) insertTail(name string, rows []value.Row) (pub published, err error) {
 	tab, err := e.cat.Get(name)
 	if err != nil {
@@ -524,12 +496,13 @@ func (e *Engine) prepareTail(tab *catalog.Table, rows []value.Row) (*stagedTail,
 // already wrote. Tail-only appends shift no stored position, so secondary
 // indexes survive (IndexScan scans the parts past their coverage).
 //
-// In SyncInserts mode the batch and its streams are also returned; the
-// caller encodes them as a tail record (catalog.EncodeTailAppend), logs it
-// and fsyncs once the lock is dropped, keeping the copy and the durability
-// wait off the table's critical section. The catalog itself is only updated in memory (publish) —
-// rewriting the whole catalog per insert is O(catalog size) of serialized
-// work, while the logged record is O(batch) and replays on recovery.
+// The batch and its streams are returned with the commit id; the caller
+// encodes them as a tail record (catalog.EncodeTailAppend), logs it and
+// fsyncs once the lock is dropped, keeping the copy and the durability wait
+// off the table's critical section. The catalog itself is only updated in
+// memory (publish): rewriting the whole catalog per insert is O(catalog
+// size) of serialized work, while the logged record is O(batch) and
+// replays on recovery.
 func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub published, err error) {
 	tab, err := e.cat.Get(name)
 	if err != nil {
@@ -568,15 +541,11 @@ func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub
 	work.Tails = append(work.Tails, batch)
 	work.RowCount += st.rows
 	pub.mergeNeeded = e.mergeTrigger(len(work.Tails), work.LayoutExpr)
-	if pub.id, err = e.publish(&work); err != nil {
-		return published{}, err
-	}
-	if e.durable() {
-		pub.batch, pub.rows = batch, st.rows
-		pub.streams = make([][]byte, len(st.writers))
-		for i, w := range st.writers {
-			pub.streams[i] = w.Buf()
-		}
+	pub.id = e.publish(&work)
+	pub.batch, pub.rows = batch, st.rows
+	pub.streams = make([][]byte, len(st.writers))
+	for i, w := range st.writers {
+		pub.streams[i] = w.Buf()
 	}
 	return pub, nil
 }
@@ -617,12 +586,11 @@ func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
 		work.PendingExpr = spec.Expr
 		work.NeedsReorg = true
 		if mode == ReorgEager {
-			err = e.relayout(&work)
+			if err := e.relayout(&work); err != nil {
+				return err
+			}
 		} else {
-			_, err = e.publish(&work)
-		}
-		if err != nil {
-			return err
+			e.publish(&work)
 		}
 		return e.checkpoint()
 	})

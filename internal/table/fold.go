@@ -425,19 +425,13 @@ func (e *Engine) relayout(tab *catalog.Table) error {
 	})
 }
 
-// free puts superseded extents into the free queue (version.go): freed once
-// the update is durable and no older pin remains.
-func (e *Engine) free(exts []pager.Extent) error {
-	return e.vers.queue(exts, e.durable())
-}
-
 // flip publishes edit's rewrite of the table's current record and reclaims
 // the parts it supersedes: get, edit, publish, then free. The Get is the
 // splice's: a fold run off the lock edits the record as it is now, not the
-// version it read. Without a log the publish is a Put. With one it is
-// buffered, and the next checkpoint, whatever triggers it, persists the
-// record — its flush syncs the new parts before the header write that names
-// them — and only then may the replaced parts be freed. A crash before that
+// version it read. The publish is buffered, and the next checkpoint,
+// whatever triggers it, persists the record — its flush syncs the new parts
+// before the header write that names them — and only then may the replaced
+// parts be freed. A crash before that
 // checkpoint recovers the replaced parts, still allocated, and the log's
 // tail records replay onto them; a catalog flushed in between records the
 // commits it reflects, and recovery skips those records, so tails a fold
@@ -455,9 +449,8 @@ func (e *Engine) free(exts []pager.Extent) error {
 // lock, for the flip only: a fold reads and renders before it, unlocked.
 //
 // out is the fold's output, which edit splices in (none for an index
-// drop). Until the publish lands no record names it, so a flip failing
-// before then frees it; one whose publish landed keeps it, even when
-// queueing the replaced parts fails.
+// drop). Until the publish no record names it, so a flip whose table is
+// gone or whose edit fails frees it. The publish itself cannot fail.
 func (e *Engine) flip(name string, parts []catalog.Part, out rendered, edit func(work *catalog.Table) error) error {
 	old, err := e.cat.Get(name)
 	if err != nil {
@@ -491,11 +484,9 @@ func (e *Engine) flip(name string, parts []catalog.Part, out rendered, edit func
 			trees = append(trees, ix)
 		}
 	}
-	exts := catalog.Extents(parts, trees)
-	if _, err := e.publish(&work); err != nil {
-		return e.discard(out, err)
-	}
-	return e.free(exts)
+	e.publish(&work)
+	e.vers.queue(catalog.Extents(parts, trees))
+	return nil
 }
 
 // spliceIn flips out in where job's parts are (foldJob.splice).
@@ -503,12 +494,6 @@ func (e *Engine) spliceIn(job *foldJob, out rendered) error {
 	return e.flip(job.tab.Name, job.parts, out, func(work *catalog.Table) error { return job.splice(work, out) })
 }
 
-// publish swaps work in as its table's catalog record: buffered in durable
-// mode, where it returns the commit id the update got (the next checkpoint
-// persists it), and flushed now otherwise.
-func (e *Engine) publish(work *catalog.Table) (uint64, error) {
-	if e.durable() {
-		return e.cat.PutBuffered(work), nil
-	}
-	return 0, e.cat.Put(work)
-}
+// publish swaps work in as its table's catalog record, buffered, and returns
+// the commit id the update got; the next checkpoint persists it.
+func (e *Engine) publish(work *catalog.Table) uint64 { return e.cat.PutBuffered(work) }

@@ -64,9 +64,7 @@ func (e *Engine) CreateIndex(tableName, field string) error {
 		work.Indexes = append(append([]catalog.IndexMeta(nil), tab.Indexes...), catalog.IndexMeta{
 			Field: field, Root: uint64(tree.Root()), Rows: tab.RowCount, Extents: levels,
 		})
-		if _, err := e.publish(&work); err != nil {
-			return err
-		}
+		e.publish(&work)
 		return e.checkpoint()
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
 	"rodentstore/internal/vfs"
 )
@@ -236,61 +237,107 @@ func TestFailedTailPublishLeaksNoExtent(t *testing.T) {
 	}
 }
 
-// TestFailedFlipFreesFoldOutput fails the catalog flush that would publish
-// a fold's output, once for a Compact and once for a Load, on an engine
-// without a log (its publish is a flush). No record names the output, so
-// the fold frees it, as the flush frees its own new extent: with no reopen,
-// whose reclaim would hide a leak, the pages the catalog owns and the pages
-// the pager holds free account for every page below the cursor.
+// TestFailedFlipFreesFoldOutput fails the closing checkpoint of a fold, of a
+// Reorganize and of a Load, at the catalog flush's page-file sync. A flip's
+// publish is buffered and cannot fail, so the flip stays published in
+// memory and its fold's output is the table's: nothing is freed, and the
+// parts it replaced wait in the free queue. With no reopen, whose reclaim
+// would hide a leak, the pages the catalog owns, the pages queued and the
+// pages the pager holds free account for every page below the cursor. The
+// failed fsync may have dropped the output's writes, so it is latched: no
+// later checkpoint persists the flip, and a power cut recovers the table as
+// the last checkpoint and the log left it, never half applied.
 func TestFailedFlipFreesFoldOutput(t *testing.T) {
-	fs := vfs.NewFault(10)
-	e, f := faultEngine(t, fs)
-	for _, name := range []string{"T", "U"} {
-		if err := e.Create(name, tracesSchema(), "cols("+name+")"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Load("T", traceRows(500)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Insert("T", traceRows(300)); err != nil {
-		t.Fatal(err)
-	}
-	var armed atomic.Bool
-	fs.Inject = func(op vfs.Op) vfs.Decision {
-		if op.Kind == vfs.OpSync && op.Path == "db.rdnt" && armed.CompareAndSwap(true, false) {
-			return vfs.Fail
-		}
-		return vfs.OK
-	}
 	for _, step := range []struct {
-		name string
-		run  func() error
+		name      string
+		run       func(e *Engine) error
+		published map[string]int // rows in memory after the failure
+		tails     int            // T's tails in memory after the failure
 	}{
-		{"Compact", func() error { return e.Compact("T") }},
-		{"Load", func() error { return e.Load("U", traceRows(400)) }},
+		{"Reorganize", func(e *Engine) error { return e.Reorganize("T") }, map[string]int{"T": 800, "U": 0}, 0},
+		{"Load", func(e *Engine) error { return e.Load("U", traceRows(400)) }, map[string]int{"T": 800, "U": 400}, 1},
 	} {
-		armed.Store(true)
-		if err := step.run(); !errors.Is(err, vfs.ErrInjected) || armed.Load() {
-			t.Fatalf("%s over a failing catalog flush: %v", step.name, err)
-		}
-		rep, err := e.CheckIntegrity()
-		if err != nil || !rep.OK() {
-			t.Fatalf("after %s: integrity %v %v", step.name, err, rep.Issues)
-		}
-		if allocated := f.NumPages(); rep.OwnedPages != allocated {
-			t.Fatalf("after %s: %d pages below the cursor are neither owned nor free (%d owned, %d free)",
-				step.name, allocated-rep.OwnedPages, rep.OwnedPages, rep.FreePages)
+		t.Run(step.name, func(t *testing.T) {
+			fs := vfs.NewFault(10)
+			e, f := faultEngine(t, fs)
+			for _, name := range []string{"T", "U"} {
+				if err := e.Create(name, tracesSchema(), "cols("+name+")"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Load("T", traceRows(500)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Insert("T", traceRows(300)); err != nil {
+				t.Fatal(err)
+			}
+			var armed atomic.Bool
+			fs.Inject = func(op vfs.Op) vfs.Decision {
+				if op.Kind == vfs.OpSync && op.Path == "db.rdnt" && armed.CompareAndSwap(true, false) {
+					return vfs.Fail
+				}
+				return vfs.OK
+			}
+			armed.Store(true)
+			if err := step.run(e); !errors.Is(err, vfs.ErrInjected) || armed.Load() {
+				t.Fatalf("%s over a failing checkpoint: %v", step.name, err)
+			}
+			accounted := func(stage string) uint64 {
+				t.Helper()
+				rep, err := e.CheckIntegrity()
+				if err != nil || !rep.OK() {
+					t.Fatalf("after %s: integrity %v %v", stage, err, rep.Issues)
+				}
+				q := queuedPages(e)
+				if allocated := f.NumPages(); rep.OwnedPages+q != allocated {
+					t.Fatalf("after %s: %d pages below the cursor are neither owned, queued nor free (%d owned, %d queued, %d free)",
+						stage, allocated-rep.OwnedPages-q, rep.OwnedPages, q, rep.FreePages)
+				}
+				return q
+			}
+			queued := accounted("the failed checkpoint")
+			if tab, _ := e.cat.Get("T"); len(tab.Tails) != step.tails {
+				t.Fatalf("T has %d tails in memory, want %d", len(tab.Tails), step.tails)
+			}
+			requireCounts(t, e, "published", step.published)
+
+			if err := e.mgr.Checkpoint(); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("a checkpoint after the failed fsync: %v", err)
+			}
+			if accounted("a second checkpoint") != queued {
+				t.Fatal("a failed checkpoint freed replaced parts")
+			}
+			snap := vfs.NewFaultFromImages(1, fs.SnapshotCrash(vfs.CrashDrop))
+			back, err := pager.OpenAt(snap, "db.rdnt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { back.Close() })
+			reopened := engineOn(t, snap, "db.rdnt", back)
+			requireIntegrity(t, reopened)
+			requireCounts(t, reopened, "after a power cut", map[string]int{"T": 800, "U": 0})
+		})
+	}
+}
+
+// queuedPages counts the pages waiting in e's free queue.
+func queuedPages(e *Engine) (pages uint64) {
+	e.vers.mu.Lock()
+	defer e.vers.mu.Unlock()
+	for _, q := range [][]pendingFree{e.vers.waiting, e.vers.staged, e.vers.ready} {
+		for _, p := range q {
+			pages += p.ext.Count
 		}
 	}
-	for name, want := range map[string]int{"T": 800, "U": 0} {
-		cur, err := e.Scan(name, ScanOptions{})
-		if err != nil {
-			t.Fatal(err)
+	return pages
+}
+
+// requireCounts fails t unless each named table scans back its row count.
+func requireCounts(t *testing.T, e *Engine, stage string, want map[string]int) {
+	t.Helper()
+	for name, n := range want {
+		if got := countRows(t, e, name); got != n {
+			t.Fatalf("%s: %s has %d rows, want %d", stage, name, got, n)
 		}
-		if n := len(drain(t, cur)); n != want {
-			t.Fatalf("%s: %d rows after the failed flip, want %d", name, n, want)
-		}
-		cur.Close()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"rodentstore/internal/segment"
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vfs"
 )
 
 // oraclePlanBlocks is the per-block rule planScan selected blocks by before
@@ -165,7 +166,14 @@ func TestPlanMatchesPerBlockOracle(t *testing.T) {
 	}
 	for _, l := range layouts {
 		t.Run(l, func(t *testing.T) {
-			e, f, rows := setup(t, l, 2000)
+			e, f, path := newEngine(t)
+			if err := e.Create("Traces", tracesSchema(), l); err != nil {
+				t.Fatal(err)
+			}
+			rows := traceRows(2000)
+			if err := e.Load("Traces", rows); err != nil {
+				t.Fatal(err)
+			}
 			preds := planWindows(rows, 60)
 			check := func(e *Engine, stage string) {
 				t.Helper()
@@ -190,11 +198,12 @@ func TestPlanMatchesPerBlockOracle(t *testing.T) {
 			check(e, "loaded")
 			insertBatches(t, e, 2, 150, 5000)
 			check(e, "with tails")
-			cat, err := catalog.Load(f)
-			if err != nil {
+			// The checkpoint persists the buffered tails, so the reopened
+			// engine decodes them from the catalog.
+			if err := e.mgr.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			check(mustEngine(t, f, cat, nil), "reopened")
+			check(engineOn(t, vfs.OS, path, f), "reopened")
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"rodentstore/internal/catalog"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/segment"
 	"rodentstore/internal/vfs"
@@ -25,11 +24,7 @@ func TestScanReadsEachPageOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	cat, err := catalog.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustEngine(t, f, cat, nil)
+	e := engineOn(t, fs, "db.rdnt", f)
 	if err := e.Create("T", tracesSchema(), "chunk[128](rows(T))"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +110,7 @@ func TestCorruptPageInsideBlockRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	cat, err := catalog.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustEngine(t, f, cat, nil)
+	e := engineOn(t, fs, "db.rdnt", f)
 	if err := e.Create("T", tracesSchema(), "chunk[128](rows(T))"); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"rodentstore/internal/pager"
 	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vfs"
 	"rodentstore/internal/wal"
 )
 
@@ -246,12 +247,11 @@ func TestScanAfterSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cat, err := catalog.Load(f)
-	if err != nil {
+	if _, err := catalog.Load(f); err != nil {
 		// Corruption may have landed in the catalog extent; also a pass.
 		return
 	}
-	e := mustEngine(t, f, cat, nil)
+	e := engineOn(t, vfs.OS, path, f)
 	cur, err := e.Scan("Traces", ScanOptions{})
 	if err != nil {
 		return // failing at open is acceptable
@@ -407,7 +407,7 @@ func TestConcurrentScansTriggerLazyReorgOnce(t *testing.T) {
 	}
 }
 
-// durableEnv builds an engine with SyncInserts over real files, returning
+// durableEnv builds an engine over real files, returning
 // the pieces so a test can simulate a crash by closing them without a
 // checkpoint.
 func durableEnv(t *testing.T, path string) (*Engine, *pager.File, *wal.Log, *txn.Manager) {
@@ -429,7 +429,6 @@ func durableEnv(t *testing.T, path string) (*Engine, *pager.File, *wal.Log, *txn
 	}
 	mgr := txn.NewManager(f, log)
 	e := mustEngine(t, f, cat, mgr)
-	e.SyncInserts = true
 	return e, f, log, mgr
 }
 

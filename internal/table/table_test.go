@@ -14,6 +14,8 @@ import (
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vfs"
+	"rodentstore/internal/wal"
 )
 
 func newEngine(t testing.TB) (*Engine, *pager.File, string) {
@@ -24,11 +26,30 @@ func newEngine(t testing.TB) (*Engine, *pager.File, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
+	return engineOn(t, vfs.OS, path, f), f, path
+}
+
+// engineOn opens the write-ahead log beside the page file f, which lives at
+// path on fs, and builds an engine over both from the catalog f holds,
+// recovering what the log has: what a database open does. The log closes
+// when t ends.
+func engineOn(t testing.TB, fs vfs.FS, path string, f *pager.File) *Engine {
+	t.Helper()
+	log, err := wal.OpenAt(fs, path+".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
 	cat, err := catalog.Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mustEngine(t, f, cat, nil), f, path
+	mgr := txn.NewManager(f, log)
+	e := mustEngine(t, f, cat, mgr)
+	if _, err := mgr.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // mustEngine is NewEngine for tests, failing t on an error.
@@ -669,11 +690,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cat, err := catalog.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := mustEngine(t, f, cat, nil)
+	e := engineOn(t, vfs.OS, path, f)
 	cur, err := e.Scan("Traces", ScanOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,7 @@ package table
 // Every extent a flip or Drop supersedes goes into one queue and is freed
 // once two predicates hold:
 //
-//	durable   the checkpoint that made the update durable has run (durable
-//	          mode only; without a log there is no older catalog on disk
-//	          that could still name the extent)
+//	durable   the checkpoint that made the update durable has run
 //	unpinned  no pin older than the update remains
 //
 // Versions are numbered by an engine-wide epoch that every queueing bumps.
@@ -45,10 +43,12 @@ type versions struct {
 	mu    sync.Mutex
 	epoch uint64
 	pins  map[uint64]int // live pins by the epoch they were taken at
-	// waiting extents were queued since the last checkpoint began (durable
-	// mode); staged ones are covered by the checkpoint in progress; ready
-	// ones are durably unreferenced and wait on pins alone.
+	// waiting extents were queued since the last checkpoint began; staged
+	// ones are covered by the checkpoint in progress; ready ones are durably
+	// unreferenced and wait on pins alone.
 	waiting, staged, ready []pendingFree
+	// flushing is set while a checkpoint flushes the catalog (stage).
+	flushing bool
 	// queuedPages counts the table pages queued since the last checkpoint
 	// began (backlog). The catalog's own old extent is left out: every
 	// checkpoint's flush queues one again, so counting it could make each
@@ -101,45 +101,48 @@ func (v *versions) unpinLocked(epoch uint64) {
 	}
 }
 
-// queue puts the extents an update just superseded into the free queue: in
-// durable mode behind the next checkpoint, otherwise straight behind the
-// pins, and frees what is already unpinned. Callers queue after publishing
-// the update, so every pin taken from here on read the new record.
-func (v *versions) queue(exts []pager.Extent, durable bool) error {
+// queue puts the extents an update just superseded into the free queue,
+// behind the next checkpoint. Callers queue after publishing the update, so
+// every pin taken from here on read the new record.
+func (v *versions) queue(exts []pager.Extent) {
 	v.mu.Lock()
 	v.epoch++
 	for _, ext := range exts {
-		f := pendingFree{ext: ext, epoch: v.epoch}
-		if durable {
-			v.waiting = append(v.waiting, f)
-			v.queuedPages += ext.Count
-		} else {
-			v.ready = append(v.ready, f)
-		}
+		v.waiting = append(v.waiting, pendingFree{ext: ext, epoch: v.epoch})
+		v.queuedPages += ext.Count
 	}
 	v.mu.Unlock()
-	if durable {
-		return nil
-	}
-	return v.freeReady()
 }
 
 // queueCatalog queues a catalog extent a flush replaced (the catalog's
-// DeferFree hook, durable mode only): it waits for the next checkpoint but
-// on no pin.
+// DeferFree hook): it waits for a checkpoint's sync but on no pin.
 func (v *versions) queueCatalog(ext pager.Extent) {
+	f := pendingFree{ext: ext}
 	v.mu.Lock()
-	v.waiting = append(v.waiting, pendingFree{ext: ext})
+	if v.flushing {
+		v.staged = append(v.staged, f)
+	} else {
+		v.waiting = append(v.waiting, f)
+	}
 	v.mu.Unlock()
 }
 
 // stage moves everything queued so far behind the checkpoint that is about
-// to flush the catalog: their updates are in that flush.
-func (v *versions) stage() {
+// to flush the catalog (their updates are in that flush), then runs the
+// flush. A catalog extent replaced while it runs — by that flush, or by a
+// DDL flush it waited for — is staged too: the header that stopped naming
+// it is written before the checkpoint's sync.
+func (v *versions) stage(flush func() error) error {
 	v.mu.Lock()
 	v.staged = append(v.staged, v.waiting...)
 	v.waiting, v.queuedPages = nil, 0
+	v.flushing = true
 	v.mu.Unlock()
+	err := flush()
+	v.mu.Lock()
+	v.flushing = false
+	v.mu.Unlock()
+	return err
 }
 
 // checkpointed marks what stage staged as durably unreferenced and frees

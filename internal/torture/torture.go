@@ -145,7 +145,7 @@ func Run(cfg Config) (Stats, error) {
 }
 
 func (h *harness) setup() error {
-	db, err := rodentstore.Create(dbPath, &rodentstore.Options{FS: h.fs, DurableInserts: true})
+	db, err := rodentstore.Create(dbPath, &rodentstore.Options{FS: h.fs})
 	if err != nil {
 		return err
 	}
@@ -155,12 +155,6 @@ func (h *harness) setup() error {
 		if err := h.createTable(name); err != nil {
 			return err
 		}
-	}
-	// Make the empty schema durable: Create/CreateTable write without
-	// syncing, and the harness only guarantees what a checkpoint or a
-	// durable insert acknowledged.
-	if err := h.db.Checkpoint(); err != nil {
-		return err
 	}
 	for _, name := range names {
 		h.model[name] = make(map[int64]string)
@@ -375,7 +369,7 @@ func (h *harness) opCrashReopen() error {
 	h.stats.Crashes++
 	live := h.fs
 	open := func() (*rodentstore.DB, error) {
-		return rodentstore.OpenWithOptions(dbPath, &rodentstore.Options{FS: h.fs, DurableInserts: true})
+		return rodentstore.OpenWithOptions(dbPath, &rodentstore.Options{FS: h.fs})
 	}
 	if mode := crashModes[h.stats.Crashes%len(crashModes)]; mode == vfs.CrashTorn {
 		// A torn crash draws per-write prefixes: the store reopens on the
@@ -437,7 +431,7 @@ func (h *harness) onOp(op vfs.Op) {
 // committed-state invariants.
 func (h *harness) verifySnapshot(imgs map[string]vfs.Image) error {
 	snapFS := vfs.NewFaultFromImages(h.cfg.Seed, imgs)
-	db, err := rodentstore.OpenWithOptions(dbPath, &rodentstore.Options{FS: snapFS, DurableInserts: true})
+	db, err := rodentstore.OpenWithOptions(dbPath, &rodentstore.Options{FS: snapFS})
 	if err != nil {
 		return fmt.Errorf("recovery failed: %w", err)
 	}

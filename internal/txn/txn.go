@@ -23,8 +23,8 @@ import (
 	"rodentstore/internal/wal"
 )
 
-// DefaultCheckpointBytes is the log size at which a commit schedules a
-// checkpoint (page-file sync + log truncate) off its own durability path.
+// DefaultCheckpointBytes is the log size at which a commit, once its record
+// is durable, runs a checkpoint (page-file sync + log truncate).
 const DefaultCheckpointBytes = 4 << 20
 
 // backlogShare bounds the space extents waiting on a checkpoint to be freed
@@ -39,9 +39,11 @@ type Manager struct {
 	log  *wal.Log
 
 	// CheckpointBytes triggers a checkpoint when the log grows past it (0
-	// disables the triggers, the Backlog's included). Checkpoints run
-	// opportunistically after a commit has already acknowledged, never on
-	// the commit's durability path.
+	// disables the triggers, the Backlog's included). A commit checks them
+	// once its record is durable, and Commit runs the checkpoint it trips
+	// (MaybeCheckpoint) before returning: that committer waits for the
+	// whole checkpoint, and other commits' appends wait on ckptMu while it
+	// runs.
 	CheckpointBytes int64
 
 	// Backlog, when set, reports the bytes of the extents queued to be freed

@@ -103,11 +103,11 @@ type Options struct {
 	// caching so page-read statistics equal cold physical I/O, which is what
 	// the paper's experiments measure.
 	CachePages int
-	// DurableInserts routes Insert's publish phase through the write-ahead
-	// log: each applied tail is logged as one tail record and
-	// group-committed (one fsync absorbs concurrent inserters) before Insert
-	// returns. Off by default — the paper's experiments measure non-durable
-	// bulk ingest.
+	// DurableInserts is ignored: every Insert is logged to the write-ahead
+	// log as one tail record and waits for the group-commit fsync (one fsync
+	// absorbs concurrent inserters) before it returns.
+	//
+	// Deprecated: inserts are always durable; the field has no effect.
 	DurableInserts bool
 	// AutoMergeTails enables the background tail-merge worker: when a table
 	// accumulates this many unorganized tail batches they are folded into
@@ -139,7 +139,6 @@ func Create(path string, opts *Options) (*DB, error) {
 			o.PageSize = opts.PageSize
 		}
 		o.CachePages = opts.CachePages
-		o.DurableInserts = opts.DurableInserts
 		o.AutoMergeTails = opts.AutoMergeTails
 		o.FS = opts.FS
 	}
@@ -154,17 +153,15 @@ func Create(path string, opts *Options) (*DB, error) {
 }
 
 // Open opens an existing database, replaying the write-ahead log. Runtime
-// options (durable inserts, background merging, caching) default to off;
-// use OpenWithOptions to re-enable them — they are per-session knobs, not
+// options (background merging, caching) default to off; use
+// OpenWithOptions to re-enable them — they are per-session knobs, not
 // properties stored in the file.
 func Open(path string) (*DB, error) {
 	return OpenWithOptions(path, nil)
 }
 
 // OpenWithOptions opens an existing database with runtime options. The
-// page size always comes from the file; Options.PageSize is ignored. A
-// database created with DurableInserts must be reopened with it set, or
-// subsequent inserts are acknowledged without WAL logging.
+// page size always comes from the file; Options.PageSize is ignored.
 func OpenWithOptions(path string, opts *Options) (*DB, error) {
 	o := Options{}
 	if opts != nil {
@@ -209,7 +206,6 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 		return nil, fmt.Errorf("rodentstore: recovery: %w", err)
 	}
 	db := &DB{file: file, log: log, mgr: mgr, cat: cat, eng: eng}
-	db.eng.SyncInserts = o.DurableInserts
 	if o.AutoMergeTails > 0 {
 		db.eng.EnableAutoMerge(o.AutoMergeTails)
 	}

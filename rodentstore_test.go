@@ -14,6 +14,7 @@ import (
 
 	"rodentstore"
 	"rodentstore/internal/cartel"
+	"rodentstore/internal/vfs"
 )
 
 func newDB(t *testing.T, opts *rodentstore.Options) *rodentstore.DB {
@@ -383,40 +384,108 @@ func TestClosedFileEndsAtAllocationCursor(t *testing.T) {
 	requireTrimmed()
 }
 
-func TestOpenWithOptionsDurableInserts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "durable.rdnt")
-	db, err := rodentstore.Create(path, &rodentstore.Options{DurableInserts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.CreateTable("Traces", tracesFields(), "rows(Traces)")
-	rows := cartel.Generate(cartel.DefaultConfig(100))
-	if err := db.Insert("Traces", rows[:50]); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+// batchFields is the schema of the power-cut tests' table: each row names
+// its insert batch and its place in it.
+func batchFields() []rodentstore.Field {
+	return []rodentstore.Field{{Name: "b", Type: rodentstore.Int}, {Name: "i", Type: rodentstore.Int}}
+}
 
-	// Reopening with the option keeps inserts durable across sessions.
-	db2, err := rodentstore.OpenWithOptions(path, &rodentstore.Options{DurableInserts: true})
-	if err != nil {
-		t.Fatal(err)
+func batchRows(b, n int) []rodentstore.Row {
+	rows := make([]rodentstore.Row, n)
+	for i := range rows {
+		rows[i] = rodentstore.Row{rodentstore.IntValue(int64(b)), rodentstore.IntValue(int64(i))}
 	}
-	if err := db2.Insert("Traces", rows[50:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return rows
+}
 
-	db3, err := rodentstore.Open(path)
+// TestAcknowledgedInsertsSurvivePowerCut makes acknowledged inserts with
+// the default options, cuts the power without a Close and reopens: every
+// acknowledged batch is back, whole, under every crash mode.
+func TestAcknowledgedInsertsSurvivePowerCut(t *testing.T) {
+	const batches, size = 6, 20
+	for _, mode := range []vfs.CrashMode{vfs.CrashDrop, vfs.CrashKeep, vfs.CrashTorn} {
+		fs := vfs.NewFault(int64(mode) + 5)
+		db, err := rodentstore.Create("db.rdnt", &rodentstore.Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := db.CreateTable("B", batchFields(), "rows(B)"); err != nil {
+			t.Fatal(err)
+		}
+		for b := range batches {
+			if err := db.Insert("B", batchRows(b, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		back, err := rodentstore.OpenWithOptions("db.rdnt", &rodentstore.Options{FS: vfs.NewFaultFromImages(1, fs.SnapshotCrash(mode))})
+		if err != nil {
+			t.Fatalf("mode %d: reopen: %v", mode, err)
+		}
+		cur, err := back.Scan("B", rodentstore.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := cur.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int64]int)
+		for _, r := range rows {
+			got[r[0].Int()]++
+		}
+		for b := range batches {
+			if got[int64(b)] != size {
+				t.Errorf("mode %d: batch %d has %d of its %d acknowledged rows", mode, b, got[int64(b)], size)
+			}
+		}
+		if len(rows) != batches*size {
+			t.Errorf("mode %d: %d rows after the power cut, want %d", mode, len(rows), batches*size)
+		}
+		if err := back.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestInsertSyncsOnlyTheLog counts fsyncs across small inserts that stay
+// below every checkpoint trigger: an insert waits for the log's group-commit
+// fsync and nothing else, so the page file is never synced.
+func TestInsertSyncsOnlyTheLog(t *testing.T) {
+	const inserts = 50
+	fs := vfs.NewFault(3)
+	db, err := rodentstore.Create("db.rdnt", &rodentstore.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db3.Close()
-	if n, _ := db3.RowCount("Traces"); n != 100 {
-		t.Errorf("rows after reopen: %d, want 100", n)
+	t.Cleanup(func() { db.Close() })
+	if err := db.CreateTable("B", batchFields(), "rows(B)"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	syncs := make(map[string]int)
+	fs.Inject = func(op vfs.Op) vfs.Decision {
+		if op.Kind == vfs.OpSync {
+			mu.Lock()
+			syncs[op.Path]++
+			mu.Unlock()
+		}
+		return vfs.OK
+	}
+	for b := range inserts {
+		if err := db.Insert("B", batchRows(b, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.Inject = nil
+	if n := syncs["db.rdnt"]; n != 0 {
+		t.Errorf("%d inserts synced the page file %d times, want 0", inserts, n)
+	}
+	if n := syncs["db.rdnt.wal"]; n != inserts {
+		t.Errorf("%d serial inserts synced the log %d times, want one group commit each", inserts, n)
+	}
+	if len(syncs) > 2 {
+		t.Errorf("syncs by file: %v", syncs)
 	}
 }
 
@@ -566,7 +635,7 @@ func TestIndexScanRefusesWhatItCannotServe(t *testing.T) {
 // table's shared lock and cannot race a fold for its extents — whatever it
 // reads wrong, it read from the pool.
 func TestPoolCoherentAcrossFoldAndReuse(t *testing.T) {
-	db := newDB(t, &rodentstore.Options{CachePages: 48, DurableInserts: true, AutoMergeTails: 2})
+	db := newDB(t, &rodentstore.Options{CachePages: 48, AutoMergeTails: 2})
 	if err := db.CreateTable("Obs", tracesFields(), "leveled[2](chunk[64](orderby[t](Obs)))"); err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +727,7 @@ func TestPoolCoherentAcrossFoldAndReuse(t *testing.T) {
 // logical end (wal.Log.Verify reads that region a chunk at a time).
 func TestCheckIntegrityAllocations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "one.rdnt")
-	db, err := rodentstore.Create(path, &rodentstore.Options{DurableInserts: true})
+	db, err := rodentstore.Create(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
