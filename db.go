@@ -69,12 +69,12 @@ func (db *DB) Reorganize(name string) error { return db.eng.Reorganize(name) }
 // The background merge worker (Options.AutoMergeTails) calls this
 // automatically when a policy table accumulates fanout tail batches.
 //
-// Compact does not wait for its result to be durable:
-// the new runs become durable, and the space of what they replaced free, at
-// the next checkpoint — the size trigger (which counts that space, and which
-// Compact checks on its way out), Checkpoint or Close. A crash before it
-// recovers the table as it was stored before: the same rows. A pending lazy
-// layout change is applied as Reorganize applies it, durably.
+// Under a compaction policy Compact does not wait for its result to be
+// durable: the new runs become durable, and the space of what they replaced
+// free, at the next checkpoint — the size trigger (which counts that space,
+// and which Compact checks on its way out), Checkpoint or Close. A crash
+// before it recovers the table as it was stored before: the same rows. A
+// pending lazy layout change is applied as Reorganize applies it, durably.
 func (db *DB) Compact(name string) error { return db.eng.Compact(name) }
 
 // CompactStats reports fold work done since open: merge count, rows and
@@ -85,8 +85,13 @@ type CompactStats = table.CompactStats
 func (db *DB) CompactionStats() CompactStats { return db.eng.CompactStats() }
 
 // AlterLayout switches the table to a new layout expression. With
-// eager=true the data is rewritten immediately; otherwise lazily on next
-// access (paper §5's reorganization strategies).
+// eager=true the data is rewritten now, otherwise on the next access (paper
+// §5's reorganization strategies). Either way the rewrite renders with no
+// table lock held, so inserts and scans go on beside it; rows inserted
+// meanwhile are re-encoded under the new layout when it lands, and the
+// change is durable once it has. It waits for a fold already running on the
+// table, and an eager alter whose table is dropped meanwhile fails with the
+// error of a missing table, never success.
 func (db *DB) AlterLayout(name, layout string, eager bool) error {
 	mode := table.ReorgLazy
 	if eager {

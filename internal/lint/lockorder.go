@@ -21,10 +21,11 @@ type LockClass struct {
 // registry → merge queue → pin state → chunk cache (or buffer shard) →
 // pager. Edit this table and DESIGN.md together.
 //
-// The fold latch (tableLock.fold) is held across a whole Compact or
-// Reorganize: it keeps folds of one table from overlapping while each reads
-// and renders with no table lock held, so the table lock and everything
-// below are taken under it. The table lock (Engine.withLock) is next: every
+// The fold latch (tableLock.fold) is held across a whole Compact,
+// Reorganize, AlterLayout (eager or lazy), lazy change applied by a reader,
+// and Load: it keeps folds and layout changes of one table from overlapping
+// while each fold reads and renders with no table lock held, so the table
+// lock and everything below are taken under it. The table lock (Engine.withLock) is next: every
 // catalog read-modify-write and every cursor construction runs under it, so
 // it is held while everything below is acquired. Its registry mutex only
 // guards the name → lock map and is released before either the latch or the

@@ -24,14 +24,11 @@ package table
 // mapping is inherently global (grid, fold, limit) are rejected with the
 // compaction directive at compile time.
 //
-// Each fold of a Compact reads its parts and renders its run with no table
-// lock held, from a pinned version of the record (version.go); only its
-// splice takes the exclusive lock. Durability is flip's (fold.go): the run's
-// segments are written before the copy-on-write catalog swap that splices
-// it in, and the parts it replaced are reclaimed by that flip. A Compact
-// changes how rows are stored, never which rows or under what layout, so it
-// leaves the flip's durability to the next checkpoint, which persists the
-// run and frees what it replaced.
+// Each fold of a Compact is one of fold.go's: rendered off the table lock
+// from a pinned version, spliced in by a flip. A run changes how rows are
+// stored, never which rows or under what layout, so a fold into one leaves
+// the flip's durability to the next checkpoint, which persists the run and
+// frees what it replaced.
 
 import (
 	"rodentstore/internal/algebra"
@@ -62,18 +59,15 @@ func (e *Engine) CompactStats() CompactStats {
 // Compact folds a table's accumulated tail batches into its run hierarchy
 // and cascades level folds until its compaction policy is satisfied. Tables
 // whose layout has no compaction directive fold every part into one main
-// rendering, as Reorganize does; a pending lazy layout change is applied as
-// Reorganize applies it, durably. Compact is always safe to call. The
-// background merge worker routes every triggered table through here.
+// rendering, as Reorganize does, and so does a pending lazy layout change,
+// durably. The background merge worker routes every triggered table through
+// here. Each fold runs off the table lock (foldOffLock): inserts and scans
+// proceed while it reads and renders.
 //
-// Each fold runs off the table lock (planFold, runFold): inserts and scans
-// proceed while it reads and renders, and it holds the exclusive lock only
-// to splice its run in. The table's fold latch keeps folds of one table from
-// overlapping.
-//
-// A Compact that applies no pending layout change is durable at the next
-// checkpoint, not when it returns (flip). It runs one itself, off the table
-// lock, once the frees it queued are worth one (MaybeCheckpoint).
+// A Compact that folds into runs is durable at the next checkpoint, not
+// when it returns (flip); one into the main rendering is durable on return,
+// as Reorganize is (land). It runs a checkpoint itself, off the table lock,
+// once the frees it queued are worth one (MaybeCheckpoint).
 func (e *Engine) Compact(name string) error {
 	if err := e.foldOffLock(name, e.nextCompaction); err != nil {
 		return err
@@ -82,17 +76,18 @@ func (e *Engine) Compact(name string) error {
 }
 
 // nextCompaction picks Compact's next fold from tab, or nil when there is
-// none: for a plain layout, every part into the main rendering, once; for a
-// compaction policy, first every tail into one level-1 run (the newest run,
-// so it appends at the end of the hierarchy), then whole levels into the
-// next until the policy holds. Tails published after the first fold wait
-// for the next Compact, so one call cannot chase a steady ingest forever.
+// none: for a plain layout or a pending change, every part into the main
+// rendering, once; for a compaction policy, first every tail into one
+// level-1 run (the newest, so it appends at the end of the hierarchy), then
+// whole levels into the next until the policy holds. Tails published after
+// the first fold wait for the next Compact, so one call cannot chase a
+// steady ingest forever.
 func (e *Engine) nextCompaction(tab *catalog.Table, first bool) (*foldJob, error) {
 	spec, err := e.compile(tab.LayoutExpr)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Compaction == nil {
+	if spec.Compaction == nil || tab.NeedsReorg {
 		return wholeTable(tab, first)
 	}
 	job := &foldJob{tab: tab, from: tab.LayoutExpr}

@@ -11,7 +11,6 @@
 package table
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -42,13 +41,10 @@ type Engine struct {
 	file *pager.File
 	cat  *catalog.Catalog
 	// mgr is the durability manager (WAL logging, checkpoints, recovery
-	// hooks). Every Insert commits through it: the tail is logged as one
-	// tail record (catalog.EncodeTailAppend: its segment entries and stream
-	// bytes), and Insert returns only after the (group-committed) fsync. The
-	// catalog is updated in memory only; recovery writes each logged tail
-	// to a fresh extent and appends it, so an acknowledged insert survives a
-	// crash without the publish phase ever rewriting the whole catalog.
-	// Table-level mutual exclusion does not depend on it — see tableLocks.
+	// hooks). Every Insert logs its tail through it as one tail record
+	// (catalog.EncodeTailAppend), which recovery writes to a fresh extent
+	// and appends, so the catalog is updated in memory only. Table-level
+	// mutual exclusion does not depend on it — see tableLocks.
 	mgr *txn.Manager
 	// cache holds decoded column chunks for scans (chunkcache.go); nil
 	// (the default, see EnableCache) reads every block from the pager, so
@@ -163,9 +159,10 @@ const (
 // the bypass is bounded: once maxReaderBypass readers have overtaken a
 // waiting writer, new readers wait for it. There is no timeout.
 type tableLock struct {
-	// fold is the table's fold latch: Compact and Reorganize hold it across
-	// a fold run off the lock, so folds of one table never overlap. It is
-	// taken before the lock itself, never while holding it.
+	// fold is the table's fold latch (Engine.latch): Load, Compact,
+	// Reorganize and AlterLayout hold it, so folds and layout changes of one
+	// table never overlap. It is taken before the lock itself, never while
+	// holding it.
 	fold sync.Mutex
 
 	mu      sync.Mutex
@@ -338,6 +335,7 @@ func (e *Engine) Drop(name string) error {
 // Load bulk-loads rows into an empty table, rendering the layout. Rows must
 // match the logical schema. Use Insert to add data afterwards.
 func (e *Engine) Load(name string, rows []value.Row) error {
+	defer e.latch(name)()
 	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
@@ -346,16 +344,7 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 		if tab.RowCount > 0 {
 			return fmt.Errorf("table: %q already loaded (%d rows); use Insert or Reorganize", name, tab.RowCount)
 		}
-		schema, err := tab.Schema()
-		if err != nil {
-			return err
-		}
-		for i, r := range rows {
-			if err := schema.Validate(r); err != nil {
-				return fmt.Errorf("table: row %d: %w", i, err)
-			}
-		}
-		rel, err := rowsRelation(schema, rows)
+		rel, err := validRows(tab, rows)
 		if err != nil {
 			return err
 		}
@@ -365,10 +354,7 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 		if err != nil {
 			return err
 		}
-		if err := e.spliceIn(&foldJob{tab: tab, from: tab.LayoutExpr, parts: tab.Parts()}, out); err != nil {
-			return err
-		}
-		return e.checkpoint()
+		return e.land(&foldJob{tab: tab, from: tab.LayoutExpr, parts: tab.Parts()}, out)
 	})
 }
 
@@ -377,23 +363,19 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 // to merge, or EnableAutoMerge to have tails folded in the background.
 //
 // Insert is staged: validation, the per-row pipeline steps and the segment
-// block encoding all run with no table lock held, against the record the
-// catalog holds when the insert starts (records are copy-on-write, so it
-// stays whole while the table moves on); concurrent inserters to the same
-// table overlap this work. Only the publish phase — extent allocation, page
-// writes, tail append and catalog put — runs under the exclusive table
-// lock, taken once. If the table's layout or schema changed between the two
-// phases, the stage is re-prepared under that lock.
+// block encoding run with no table lock held, against the (copy-on-write)
+// record the catalog holds when the insert starts, so concurrent inserters
+// overlap this work. Only the publish — extent allocation, page writes, tail
+// append, catalog put — runs under the exclusive table lock, re-preparing
+// the stage if the layout or schema moved meanwhile.
 //
-// Durability also stays off the lock: the catalog update is buffered, and
-// the published tail's record is logged to the WAL as one frame, its own
-// commit, and fsync'd (group commit) after the lock is released, so
-// concurrent inserters' fsyncs coalesce. Insert returns only once the batch
-// is redo-durable; the page file is synced by the next checkpoint, not per
-// insert. Because records are logged after the lock drops, two batches
-// published in one order can reach the log in the other; recovery then
-// rebuilds the tails in log order — a permutation of unorganized batches,
-// never a loss.
+// The published tail's record is then logged to the WAL as one frame, its
+// own commit, and fsync'd (group commit) off the lock, so concurrent
+// inserters' fsyncs coalesce; Insert returns once the batch is
+// redo-durable, and the page file is synced by the next checkpoint. Two
+// batches may reach the log in the other order than they were published;
+// recovery then rebuilds the tails in log order — a permutation of
+// unorganized batches, never a loss.
 func (e *Engine) Insert(name string, rows []value.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -455,6 +437,20 @@ func (e *Engine) insertTail(name string, rows []value.Row) (pub published, err e
 // — tails stay unorganized, see relation.applySteps) and encodes the tail's
 // segment blocks into memory. No locks held, no page I/O.
 func (e *Engine) prepareTail(tab *catalog.Table, rows []value.Row) (*stagedTail, error) {
+	rel, err := validRows(tab, rows)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := e.compile(tab.LayoutExpr)
+	if err != nil {
+		return nil, err
+	}
+	return e.encodeTail(tab, rel, spec)
+}
+
+// validRows validates rows against tab's logical schema and appends them
+// into vectors.
+func validRows(tab *catalog.Table, rows []value.Row) (*relation, error) {
 	schema, err := tab.Schema()
 	if err != nil {
 		return nil, err
@@ -464,14 +460,12 @@ func (e *Engine) prepareTail(tab *catalog.Table, rows []value.Row) (*stagedTail,
 			return nil, fmt.Errorf("table: row %d: %w", i, err)
 		}
 	}
-	spec, err := e.compile(tab.LayoutExpr)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := rowsRelation(schema, rows)
-	if err != nil {
-		return nil, err
-	}
+	return rowsRelation(schema, rows)
+}
+
+// encodeTail runs spec's per-row steps over rel and encodes the result's
+// segment blocks into memory, a stage for tab's record. No page I/O.
+func (e *Engine) encodeTail(tab *catalog.Table, rel *relation, spec *layout.Spec) (*stagedTail, error) {
 	if err := rel.applySteps(spec, true); err != nil {
 		return nil, err
 	}
@@ -487,22 +481,31 @@ func (e *Engine) prepareTail(tab *catalog.Table, rows []value.Row) (*stagedTail,
 	return st, nil
 }
 
-// publishTail installs a staged tail batch of rows: allocate extents, write
-// the rendered pages in place, append the tail entry and bump the catalog.
-// The caller holds the exclusive table lock. A stage whose layout or schema
-// is no longer the table's is re-prepared from rows first: its writers were
-// never finished, so they hold no extents and dropping them leaks nothing.
-// A failure before the record is published frees the extents the batch
-// already wrote. Tail-only appends shift no stored position, so secondary
-// indexes survive (IndexScan scans the parts past their coverage).
-//
-// The batch and its streams are returned with the commit id; the caller
-// encodes them as a tail record (catalog.EncodeTailAppend), logs it and
-// fsyncs once the lock is dropped, keeping the copy and the durability wait
-// off the table's critical section. The catalog itself is only updated in
-// memory (publish): rewriting the whole catalog per insert is O(catalog
-// size) of serialized work, while the logged record is O(batch) and
-// replays on recovery.
+// writeTail finishes a stage's writers — allocating extents and writing
+// pages — and returns the tail's segment entries; a failure frees those
+// already written (a failed Finish frees its own).
+func (e *Engine) writeTail(st *stagedTail) ([]catalog.SegmentEntry, error) {
+	var batch []catalog.SegmentEntry
+	for i, w := range st.writers {
+		meta, err := w.Finish()
+		if err != nil {
+			return nil, e.discard(rendered{entries: batch}, err)
+		}
+		batch = append(batch, catalog.SegmentEntry{
+			Fields: st.defs[i].Fields, Codecs: st.defs[i].Codecs, Meta: meta,
+		})
+	}
+	return batch, nil
+}
+
+// publishTail installs a staged tail batch of rows: write it (writeTail),
+// append the tail entry and publish the record in memory. The caller holds
+// the exclusive table lock, and logs the returned batch and streams as a
+// tail record once it is dropped: the record is O(batch), a catalog rewrite
+// O(catalog). A stage whose layout or schema is no longer the table's is
+// re-prepared from rows first; its unfinished writers hold no extents.
+// Tail-only appends shift no stored position, so secondary indexes survive
+// (IndexScan scans the parts past their coverage).
 func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub published, err error) {
 	tab, err := e.cat.Get(name)
 	if err != nil {
@@ -513,24 +516,9 @@ func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub
 			return published{}, err
 		}
 	}
-	batch := make([]catalog.SegmentEntry, 0, len(st.writers))
-	// Until publish succeeds no record names the batch's extents: a failure
-	// on the way frees those already written (a failed Finish frees its own).
-	defer func() {
-		if err != nil {
-			for _, en := range batch {
-				err = errors.Join(err, e.file.FreeRun(en.Meta.ExtentStart, en.Meta.ExtentPages))
-			}
-		}
-	}()
-	for i, w := range st.writers {
-		meta, err := w.Finish()
-		if err != nil {
-			return published{}, err
-		}
-		batch = append(batch, catalog.SegmentEntry{
-			Fields: st.defs[i].Fields, Codecs: st.defs[i].Codecs, Meta: meta,
-		})
+	batch, err := e.writeTail(st)
+	if err != nil {
+		return published{}, err
 	}
 	// Copy-on-write: the append builds a new record and publish swaps it in
 	// under the catalog lock, so a concurrent checkpoint flush never encodes
@@ -550,71 +538,69 @@ func (e *Engine) publishTail(name string, st *stagedTail, rows []value.Row) (pub
 	return pub, nil
 }
 
-// AlterLayout changes the table's layout expression. ReorgEager re-renders
-// immediately; ReorgLazy defers to the next access (paper §5). Either way
-// the expression must be one the table's stored form can be re-rendered
-// under — a layout that needs an attribute the current one dropped is
-// refused here, before anything is recorded, not at the fold that would
-// otherwise fail on every later access.
+// AlterLayout changes the table's layout expression (paper §5). ReorgEager
+// re-renders now, as a fold off the table lock; ReorgLazy records the change
+// durably and the next access applies it as one. Either waits for a fold in
+// flight (the fold latch). A layout the stored form cannot be re-rendered
+// under is refused before anything is recorded (checkLayout).
 func (e *Engine) AlterLayout(name, layoutExpr string, mode ReorgMode) error {
 	if mode != ReorgEager && mode != ReorgLazy {
 		return fmt.Errorf("table: unknown reorg mode %q", mode)
 	}
+	if mode == ReorgEager {
+		return e.foldOffLock(name, func(tab *catalog.Table, first bool) (*foldJob, error) {
+			if !first {
+				return nil, nil
+			}
+			expr, err := e.checkLayout(tab, layoutExpr)
+			if err != nil {
+				return nil, err
+			}
+			return layoutChange(tab, expr), nil
+		})
+	}
+	defer e.latch(name)()
 	return e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
 		}
-		spec, err := e.compile(layoutExpr)
+		expr, err := e.checkLayout(tab, layoutExpr)
 		if err != nil {
 			return err
 		}
-		if spec.Table != name {
-			return fmt.Errorf("table: layout %q is for table %q, not %q", layoutExpr, spec.Table, name)
-		}
-		stored, err := storedSchema(tab)
-		if err != nil {
-			return err
-		}
-		if _, err := e.specFor(tab, spec.Expr, stored); err != nil {
-			return err
-		}
-		// Both modes record the change the same way, on a private copy; eager
-		// folds that copy now (one flip, no intermediate Put), lazy publishes
-		// the mark and the next access folds.
 		work := *tab
-		work.PendingExpr = spec.Expr
-		work.NeedsReorg = true
-		if mode == ReorgEager {
-			if err := e.relayout(&work); err != nil {
-				return err
-			}
-		} else {
-			e.publish(&work)
-		}
+		work.PendingExpr, work.NeedsReorg = expr, true
+		e.publish(&work)
 		return e.checkpoint()
 	})
 }
 
-// Reorganize re-renders the table under its current (or pending) layout,
-// merging runs and tail batches into the main segments, and is durable on
-// return. With no layout change pending the fold runs off the table lock,
-// under the table's fold latch, as Compact's do. A pending change is applied
-// under the exclusive lock (reorganizeIfNeeded) and does not wait for the
-// latch: a fold in flight then finds its parts gone and discards its output.
-func (e *Engine) Reorganize(name string) error {
-	tab, err := e.cat.Get(name)
+// checkLayout compiles layoutExpr for tab and returns its canonical text, or
+// why tab cannot take it: it names another table, or needs an attribute
+// tab's stored form dropped, which no fold could then render it from.
+func (e *Engine) checkLayout(tab *catalog.Table, layoutExpr string) (string, error) {
+	spec, err := e.compile(layoutExpr)
 	if err != nil {
-		return err
+		return "", err
 	}
-	if tab.NeedsReorg {
-		return e.reorganizeIfNeeded(name)
+	if spec.Table != tab.Name {
+		return "", fmt.Errorf("table: layout %q is for table %q, not %q", layoutExpr, spec.Table, tab.Name)
 	}
-	if err := e.foldOffLock(name, wholeTable); err != nil {
-		return err
+	stored, err := storedSchema(tab)
+	if err != nil {
+		return "", err
 	}
-	return e.checkpoint()
+	if _, err := e.specFor(tab, spec.Expr, stored); err != nil {
+		return "", err
+	}
+	return spec.Expr, nil
 }
+
+// Reorganize folds every part into one main rendering under the table's
+// layout, or the pending one, off the table lock, and is durable on return
+// (land).
+func (e *Engine) Reorganize(name string) error { return e.foldOffLock(name, wholeTable) }
 
 // storedSchema reconstructs the final (stored) schema of the table from the
 // segment list of its oldest organized part — the main rendering, or for a

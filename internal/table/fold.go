@@ -7,24 +7,22 @@ package table
 //	render   layout pipeline → optional grid → one segment per vertical partition
 //	readBack the rows of a chosen set of parts, in stored order
 //	flip     get the current record → splice the output in where the parts it
-//	         replaces are → copy-on-write catalog put → free what was
-//	         superseded; with a log the put is buffered and the frees queued
-//	         for the next checkpoint, which DDL callers run before they return
+//	         replaces are → buffered copy-on-write catalog put → queue what
+//	         was superseded, freed after the next checkpoint
 //
 // flip is the only statement of that ordering besides Drop (which deletes the
 // record instead of replacing it). A plain layout is the degenerate policy
 // "fold every part into one main rendering"; a compaction policy folds a few
 // parts at a time and installs the result as a run.
 //
-// Compact, and Reorganize with no layout change pending, read back and
-// render with no table lock held: they pin the version they read, under the
-// shared lock, and take the exclusive lock only for the flip (planFold,
-// runFold). The splice finds the parts a fold consumed by first extent in the
-// record as it is then, so tails published meanwhile stay; a fold whose
-// parts are gone frees its output. A table's fold latch keeps its folds from
-// overlapping. Folds that change the layout — eager AlterLayout, a lazy
-// change applied, Load — render under the exclusive lock, because tails
-// published meanwhile would carry the old segmentation.
+// Every fold of stored parts, a layout change included, picks its parts and
+// pins the version it reads under the exclusive lock (planFold), reads back
+// and renders with no table lock held, and takes that lock again to splice
+// (foldOffLock, land). The splice finds the consumed parts by first extent, so tails
+// published meanwhile stay — re-encoded under the new layout when the fold
+// changes it (catchUp). A change to a layout that refuses inserts (refusal)
+// could not take them, so planFold runs it whole under its lock. A table's
+// fold latch keeps its folds, layout changes and Loads from overlapping.
 //
 // readBack and render work on column vectors end to end (relation.go): the
 // parts' blocks are read back as batches, the layout's steps reorder a row
@@ -205,12 +203,9 @@ type foldJob struct {
 	// record whose layout has moved since.
 	from  string
 	parts []catalog.Part // consumed, in stored order
-	// level is the output run's level; 0 makes the output the main
-	// rendering.
-	level int
-	// pin, for a fold run off the lock, holds the parts it reads until its
-	// splice has landed: none of their extents is freed, and so none reused,
-	// before the splice looks for them by first extent.
+	level int            // of the output run; 0 makes the output the main rendering
+	// pin, for a fold run off the lock, keeps the extents of the parts it
+	// reads from being freed, and so reused, before its splice finds them.
 	pin *versionPin
 }
 
@@ -250,11 +245,11 @@ func (e *Engine) fold(job *foldJob) (rendered, error) {
 
 // splice rewrites work, a copy of the table's current record, so that out
 // stands where the job's parts stand in it, found by first extent: a run at
-// the job's level, or the main rendering. Everything else the record holds
-// stays — tails published since the fold read its parts, indexes, the rows
-// they count, a lazy layout mark. It returns errFoldLost when the layout
-// moved, a consumed part is gone, or the output does not fit where the parts
-// were.
+// the job's level, or the main rendering. The record takes the layout the
+// output was rendered under, with job.tab's lazy mark. Everything else it
+// holds stays — tails published since the fold read its parts, indexes, the
+// rows they count. It returns errFoldLost when the layout moved, a consumed
+// part is gone, or the output does not fit where the parts were.
 func (job *foldJob) splice(work *catalog.Table, out rendered) error {
 	if work.LayoutExpr != job.from {
 		return errFoldLost
@@ -301,6 +296,7 @@ func (job *foldJob) splice(work *catalog.Table, out rendered) error {
 	if kind == catalog.PartMain {
 		work.GridBounds = out.bounds
 	}
+	work.LayoutExpr, work.NeedsReorg, work.PendingExpr = job.tab.LayoutExpr, job.tab.NeedsReorg, job.tab.PendingExpr
 	return nil
 }
 
@@ -310,76 +306,107 @@ func sameExtent(a, b catalog.Part) bool {
 	return a.Segments[0].Meta.ExtentStart == b.Segments[0].Meta.ExtentStart
 }
 
-// errRelayout reports a pending layout change. It is applied under the
-// exclusive lock (reorganizeIfNeeded), never by a fold off the lock: tails
-// published meanwhile would carry the old segmentation.
-var errRelayout = errors.New("table: layout change pending")
-
-// foldOffLock runs the folds pick chooses, one after another, with no table
-// lock held while each reads and renders (planFold, runFold), under the
-// table's fold latch so that folds of one table never overlap. pick sees the
-// current record before each fold (first: before the first) and returns nil
-// when there is nothing more to fold. A pending layout change is applied
-// instead, under the exclusive lock.
+// foldOffLock runs the folds pick chooses, one after another, under the
+// table's fold latch, so that folds of one table never overlap: each is
+// planned and pinned (planFold), read back and rendered with no table lock
+// held, and landed under the exclusive lock. pick sees the current record
+// before each fold (first: before the first) and returns nil when there is
+// nothing more to fold.
 func (e *Engine) foldOffLock(name string, pick func(tab *catalog.Table, first bool) (*foldJob, error)) error {
-	latch := &e.lockOf(name).fold
-	latch.Lock()
-	defer latch.Unlock()
+	defer e.latch(name)()
 	for first := true; ; first = false {
 		job, err := e.planFold(name, func(tab *catalog.Table) (*foldJob, error) { return pick(tab, first) })
-		if errors.Is(err, errRelayout) {
-			return e.reorganizeIfNeeded(name)
-		}
 		if err != nil || job == nil {
 			return err
 		}
-		if err := e.runFold(job); err != nil {
+		out, err := e.fold(job)
+		if err == nil {
+			err = e.withLock(name, exclusive, func() error { return e.land(job, out) })
+		}
+		job.pin.release()
+		if err != nil {
 			return err
 		}
 	}
 }
 
+// latch takes the named table's fold latch and returns its release: Load,
+// Compact, Reorganize and AlterLayout hold it.
+func (e *Engine) latch(name string) (release func()) {
+	l := &e.lockOf(name).fold
+	l.Lock()
+	return l.Unlock
+}
+
+// layoutChange returns the fold of every part of tab into one main rendering
+// under layout expr, over a private copy of tab that no reader sees before
+// the splice: a fold that fails leaves the table as it was.
+func layoutChange(tab *catalog.Table, expr string) *foldJob {
+	work := *tab
+	work.LayoutExpr, work.NeedsReorg, work.PendingExpr = expr, false, ""
+	return &foldJob{tab: &work, from: tab.LayoutExpr, parts: tab.Parts()}
+}
+
 // wholeTable picks, once, the fold of every part of tab into one main
-// rendering under its current layout (a foldOffLock pick).
+// rendering under its layout — the pending one when a lazy change is marked
+// (a foldOffLock pick).
 func wholeTable(tab *catalog.Table, first bool) (*foldJob, error) {
 	if !first {
 		return nil, nil
 	}
-	return &foldJob{tab: tab, from: tab.LayoutExpr, parts: tab.Parts()}, nil
+	expr := tab.LayoutExpr
+	if tab.NeedsReorg {
+		expr = tab.PendingExpr
+	}
+	return layoutChange(tab, expr), nil
 }
 
-// planFold picks a fold from the table's current record under the shared
-// lock and pins the version it reads. A nil job means nothing to fold.
+// planFold picks a fold from the table's current record and pins the
+// version it reads, briefly holding the exclusive lock. A nil job means
+// nothing to fold. The one fold it runs itself, under that lock, is a change
+// to a layout that refuses inserts (refusal): catchUp could not encode rows
+// inserted while it rendered, so none may be. That is always its call's
+// last fold, so planFold returns no job after it.
 func (e *Engine) planFold(name string, pick func(tab *catalog.Table) (*foldJob, error)) (job *foldJob, err error) {
-	err = e.withLock(name, shared, func() error {
+	err = e.withLock(name, exclusive, func() error {
 		tab, err := e.cat.Get(name)
 		if err != nil {
 			return err
 		}
-		if tab.NeedsReorg {
-			return errRelayout
+		if job, err = pick(tab); err != nil || job == nil {
+			return err
 		}
-		if job, err = pick(tab); job != nil {
-			job.pin = e.vers.pin()
+		if spec, err := e.compile(job.tab.LayoutExpr); err == nil && job.tab.LayoutExpr != job.from && refusal(spec) != nil {
+			locked := job
+			job = nil
+			out, err := e.fold(locked)
+			if err != nil {
+				return err
+			}
+			return e.land(locked, out)
 		}
-		return err
+		job.pin = e.vers.pin()
+		return nil
 	})
 	return job, err
 }
 
-// runFold reads and renders a planned fold with no table lock held, then
-// takes the exclusive lock to splice the output in. A fold that lost its
-// parts to a concurrent Drop, AlterLayout or lazy reorganization reports
-// only a vanished table (catalog.ErrNotFound); flip has freed its output.
-// Caller holds the table's fold latch, so folds of one table never overlap.
-func (e *Engine) runFold(job *foldJob) error {
-	defer job.pin.release()
-	out, err := e.fold(job)
-	if err != nil {
-		return err
+// land splices a fold's output in (spliceIn). A fold into the main
+// rendering then checkpoints, so that it is durable on return — and a
+// layout change must, before the lock is released (Engine.checkpoint). A
+// fold that lost its parts reports only a vanished table
+// (catalog.ErrNotFound), and a layout change always does; flip has freed
+// the output. Caller holds the exclusive lock.
+func (e *Engine) land(job *foldJob, out rendered) error {
+	moves := job.tab.LayoutExpr != job.from
+	err := e.spliceIn(job, out)
+	if err == nil && job.level == 0 {
+		err = e.checkpoint()
 	}
-	err = e.withLock(job.tab.Name, exclusive, func() error { return e.spliceIn(job, out) })
-	if errors.Is(err, errFoldLost) {
+	switch {
+	case errors.Is(err, errFoldLost) && moves:
+		return fmt.Errorf("table: %q was replaced during its layout change: %w", job.tab.Name, catalog.ErrNotFound)
+	case errors.Is(err, errFoldLost):
 		return nil
 	}
 	return err
@@ -398,66 +425,32 @@ func (e *Engine) discard(out rendered, err error) error {
 	return err
 }
 
-// relayout applies tab's pending layout change: every part folds into one
-// main rendering under the new layout, all under the exclusive table lock,
-// which the caller holds — tails published while it rendered would carry
-// the old segmentation. tab may be a private copy carrying a pending
-// expression no reader has seen (eager AlterLayout): nothing reaches the
-// catalog until the flip, so a failed fold leaves the table exactly as it
-// was. The caller checkpoints before releasing the lock (Engine.checkpoint).
-func (e *Engine) relayout(tab *catalog.Table) error {
-	work := *tab
-	if work.PendingExpr != "" {
-		work.LayoutExpr = work.PendingExpr
-	}
-	work.NeedsReorg, work.PendingExpr = false, ""
-	job := &foldJob{tab: &work, from: tab.LayoutExpr, parts: tab.Parts()}
-	out, err := e.fold(job)
-	if err != nil {
-		return err
-	}
-	return e.flip(tab.Name, job.parts, out, func(cur *catalog.Table) error {
-		if err := job.splice(cur, out); err != nil {
-			return err
-		}
-		cur.LayoutExpr, cur.NeedsReorg, cur.PendingExpr = work.LayoutExpr, false, ""
-		return nil
-	})
-}
-
-// flip publishes edit's rewrite of the table's current record and reclaims
-// the parts it supersedes: get, edit, publish, then free. The Get is the
-// splice's: a fold run off the lock edits the record as it is now, not the
-// version it read. The publish is buffered, and the next checkpoint,
-// whatever triggers it, persists the record — its flush syncs the new parts
-// before the header write that names them — and only then may the replaced
-// parts be freed. A crash before that
-// checkpoint recovers the replaced parts, still allocated, and the log's
-// tail records replay onto them; a catalog flushed in between records the
-// commits it reflects, and recovery skips those records, so tails a fold
-// absorbed do not come back beside its run. Either way a replaced part is
-// freed only once no pin older than the flip remains (version.go). A caller
-// that must be durable on return checkpoints (Engine.checkpoint) before
-// releasing the table lock.
+// flip publishes edit's rewrite of the table's current record (get, edit,
+// publish, free): a fold edits the record as it is now, not the version it
+// read. The publish is buffered; the next checkpoint persists the record
+// (its flush syncs the new parts before the header write naming them), and
+// only then, once no older pin remains (version.go), are the replaced parts
+// freed. A crash before it recovers them, still allocated, with the log's
+// tail records replaying onto them, less those a flushed catalog already
+// reflects, so tails a fold absorbed do not come back beside its run.
+// Caller holds the exclusive table lock.
 //
 // flip alone decides which indexes stay valid. A fold replaces a contiguous
-// range of parts in place, so every stored position before the first part it
-// replaced still holds the row an index tree maps it to: each index's
-// coverage (Rows) is clamped to that position, and an index covering nothing
-// is dropped. Every tree the old record lists and the new one does not is
-// reclaimed with the superseded parts. Caller holds the exclusive table
-// lock, for the flip only: a fold reads and renders before it, unlocked.
+// range of parts in place, so each index's coverage (Rows) is clamped to
+// the first position it replaced, and an index covering nothing is
+// dropped; every tree the new record no longer lists is reclaimed too.
 //
-// out is the fold's output, which edit splices in (none for an index
-// drop). Until the publish no record names it, so a flip whose table is
-// gone or whose edit fails frees it. The publish itself cannot fail.
-func (e *Engine) flip(name string, parts []catalog.Part, out rendered, edit func(work *catalog.Table) error) error {
+// out is the output edit splices in (none for an index drop); edit returns
+// the parts it replaced. A flip whose table is gone or whose edit fails
+// frees out, which no record names yet. The publish cannot fail.
+func (e *Engine) flip(name string, out rendered, edit func(work *catalog.Table) ([]catalog.Part, error)) error {
 	old, err := e.cat.Get(name)
 	if err != nil {
 		return e.discard(out, err)
 	}
 	work := *old
-	if err := edit(&work); err != nil {
+	parts, err := edit(&work)
+	if err != nil {
 		return e.discard(out, err)
 	}
 	replaced := make(map[pager.PageID]bool) // by a part's first extent
@@ -489,9 +482,48 @@ func (e *Engine) flip(name string, parts []catalog.Part, out rendered, edit func
 	return nil
 }
 
-// spliceIn flips out in where job's parts are (foldJob.splice).
+// spliceIn flips out in where job's parts are (foldJob.splice). A fold that
+// changes the layout also replaces the tails published since its pin, in
+// the old segmentation, with one tail under the new layout (catchUp).
 func (e *Engine) spliceIn(job *foldJob, out rendered) error {
-	return e.flip(job.tab.Name, job.parts, out, func(work *catalog.Table) error { return job.splice(work, out) })
+	return e.flip(job.tab.Name, out, func(work *catalog.Table) ([]catalog.Part, error) {
+		old := *work
+		if err := job.splice(work, out); err != nil {
+			return nil, err
+		}
+		if job.tab.LayoutExpr == job.from || len(work.Tails) == 0 {
+			return job.parts, nil
+		}
+		late := old.Parts()[len(old.Parts())-len(work.Tails):]
+		return slices.Concat(job.parts, late), e.catchUp(&old, work, late)
+	})
+}
+
+// catchUp replaces late, the tails old gained while a layout change
+// rendered, with one tail in work, the record the change was spliced into:
+// read back, compiled against what they store, and encoded as Insert
+// encodes one, O(rows since the pin). Caller holds the exclusive lock.
+func (e *Engine) catchUp(old, work *catalog.Table, late []catalog.Part) error {
+	rel, err := e.readBack(old, late, false)
+	if err != nil {
+		return err
+	}
+	read := int64(len(rel.perm))
+	spec, err := e.specFor(work, work.LayoutExpr, rel.b.Schema())
+	if err != nil {
+		return err
+	}
+	st, err := e.encodeTail(work, rel, spec)
+	if err != nil {
+		return fmt.Errorf("table: %q: rows inserted during the layout change: %w", work.Name, err)
+	}
+	tail, err := e.writeTail(st)
+	if err != nil {
+		return err
+	}
+	work.Tails = [][]catalog.SegmentEntry{tail}
+	work.RowCount += st.rows - read
+	return nil
 }
 
 // publish swaps work in as its table's catalog record, buffered, and returns

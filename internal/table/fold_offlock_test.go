@@ -3,6 +3,8 @@ package table
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,41 +177,204 @@ func TestInsertsDoNotWaitForFold(t *testing.T) {
 	requireIntegrity(t, e)
 }
 
+// TestInsertsDoNotWaitForLayoutChange parks a layout change in its render —
+// an eager AlterLayout, or a Scan applying a lazy mark — and issues 8
+// durable inserts beside it: every one is acknowledged while the fold is
+// still parked, because a layout change, like every fold, holds no table
+// lock until its splice. Once it lands, every row is there exactly once, the
+// tails published meanwhile carry the new layout's segments (the splice
+// re-encoded them), and no pin is left.
+func TestInsertsDoNotWaitForLayoutChange(t *testing.T) {
+	const target = "cols(Traces)"
+	for _, tc := range []struct {
+		name   string
+		mark   func(e *Engine) error // before the gate is armed
+		change func(e *Engine) error // parked in its render
+	}{
+		{"eager", func(*Engine) error { return nil }, func(e *Engine) error { return e.AlterLayout("Traces", target, ReorgEager) }},
+		{"lazy", func(e *Engine) error { return e.AlterLayout("Traces", target, ReorgLazy) }, func(e *Engine) error {
+			cur, err := e.Scan("Traces", ScanOptions{})
+			if err == nil {
+				cur.Close()
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, gate := gatedEngine(t)
+			if err := tc.mark(e); err != nil {
+				t.Fatal(err)
+			}
+			gate.state.Store(1)
+			changed := make(chan error, 1)
+			go func() { changed <- tc.change(e) }()
+			gate.await(t)
+
+			const inserts = 8
+			acks := make(chan error, inserts)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range inserts {
+					acks <- e.Insert("Traces", idRows(20+10*i, 10))
+				}
+			}()
+			deadline := time.After(10 * time.Second)
+			for i := 0; i < inserts; i++ {
+				select {
+				case err := <-acks:
+					if err != nil {
+						t.Fatal(err)
+					}
+					continue
+				case <-deadline:
+					t.Errorf("%d of %d inserts acknowledged while the layout change was parked", i, inserts)
+				}
+				break
+			}
+			close(gate.open)
+			wg.Wait()
+			if err := <-changed; err != nil {
+				t.Fatal(err)
+			}
+			want := [][]string{{"t"}, {"lat"}, {"lon"}, {"id"}}
+			if got := lastTailFields(t, e, "Traces"); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Errorf("tail segments %v, want the new layout's %v", got, want)
+			}
+			requireIDs(t, e, 20+10*inserts)
+			requireIntegrity(t, e)
+			if n := e.vers.pinned(); n != 0 {
+				t.Fatalf("%d pins after the layout change landed", n)
+			}
+		})
+	}
+}
+
+// TestChangeToInsertRefusingLayoutBlocksInserts parks a change to a layout
+// that refuses inserts (limit[]) in its render — an eager AlterLayout, or a
+// Scan applying a lazy mark — and issues an insert beside it. The rows it
+// would add could not be re-encoded under that layout, so the change renders
+// under the exclusive lock: the insert waits for it, and then fails as any
+// insert into that layout does, while the change lands with every row it
+// read.
+func TestChangeToInsertRefusingLayoutBlocksInserts(t *testing.T) {
+	const target = "limit[100](orderby[t](Traces))"
+	for _, tc := range []struct {
+		name   string
+		mark   func(e *Engine) error // before the gate is armed
+		change func(e *Engine) error // parked in its render
+	}{
+		{"eager", func(*Engine) error { return nil }, func(e *Engine) error { return e.AlterLayout("Traces", target, ReorgEager) }},
+		{"lazy", func(e *Engine) error { return e.AlterLayout("Traces", target, ReorgLazy) }, func(e *Engine) error {
+			cur, err := e.Scan("Traces", ScanOptions{})
+			if err == nil {
+				cur.Close()
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, gate := gatedEngine(t)
+			if err := tc.mark(e); err != nil {
+				t.Fatal(err)
+			}
+			gate.state.Store(1)
+			changed := make(chan error, 1)
+			go func() { changed <- tc.change(e) }()
+			gate.await(t)
+
+			inserted := make(chan error, 1)
+			go func() { inserted <- e.Insert("Traces", idRows(20, 10)) }()
+			select {
+			case err := <-inserted:
+				t.Errorf("an insert returned %v while the change was parked", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(gate.open)
+			if err := <-changed; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-inserted; err == nil || !strings.Contains(err.Error(), "cannot Insert into a limit[] layout") {
+				t.Errorf("insert after the change landed: %v", err)
+			}
+			if tab, err := e.cat.Get("Traces"); err != nil || tab.LayoutExpr != target || tab.NeedsReorg {
+				t.Fatalf("layout after the change: %+v %v", tab, err)
+			}
+			requireIDs(t, e, 20)
+			requireIntegrity(t, e)
+			if n := e.vers.pinned(); n != 0 {
+				t.Fatalf("%d pins after the layout change landed", n)
+			}
+		})
+	}
+}
+
 // TestFoldLosesRace parks a background fold in its render, and meanwhile a
-// Drop, an eager AlterLayout or a lazy mark that Reorganize applies replaces
-// the parts it read. The fold then finds them gone at its splice: it frees
-// its output (the parked write's page is free again) and latches no merge
-// error. The store reopens with the right rows, and a further Compact works.
+// Drop replaces the parts it read: the fold finds them gone at its splice,
+// frees its output (the parked write's page is free again) and latches no
+// merge error. An eager AlterLayout, or a lazy mark that Reorganize applies,
+// waits for the parked fold instead — a layout change holds the fold latch —
+// and re-renders its output under the new layout once it has spliced. A Drop
+// while an eager alter's own render is parked makes the alter return
+// catalog.ErrNotFound and free its output. The store reopens with the right
+// rows, and a further Compact works.
 func TestFoldLosesRace(t *testing.T) {
-	const relayout = "sizetiered[3](orderby[t](Traces))"
+	const newLayout = "sizetiered[3](orderby[t](Traces))"
 	for _, tc := range []struct {
 		name string
 		race func(e *Engine) error
 	}{
 		{"drop", func(e *Engine) error { return e.Drop("Traces") }},
-		{"eager-alter", func(e *Engine) error { return e.AlterLayout("Traces", relayout, ReorgEager) }},
+		{"eager-alter", func(e *Engine) error { return e.AlterLayout("Traces", newLayout, ReorgEager) }},
 		{"lazy-reorganize", func(e *Engine) error {
-			if err := e.AlterLayout("Traces", relayout, ReorgLazy); err != nil {
+			if err := e.AlterLayout("Traces", newLayout, ReorgLazy); err != nil {
 				return err
 			}
 			return e.Reorganize("Traces")
 		}},
+		{"drop-during-layout-change", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, fs, gate := gatedEngine(t)
-			parkBackgroundFold(t, e, gate)
-			if err := tc.race(e); err != nil {
+			dropped := tc.race == nil || tc.name == "drop"
+			switch {
+			case tc.race == nil:
+				gate.state.Store(1)
+				altered := make(chan error, 1)
+				go func() { altered <- e.AlterLayout("Traces", newLayout, ReorgEager) }()
+				gate.await(t)
+				if err := e.Drop("Traces"); err != nil {
+					close(gate.open)
+					t.Fatal(err)
+				}
 				close(gate.open)
-				t.Fatal(err)
+				if err := <-altered; !errors.Is(err, catalog.ErrNotFound) {
+					t.Fatalf("an eager alter whose table was dropped returned %v", err)
+				}
+			case dropped:
+				parkBackgroundFold(t, e, gate)
+				if err := tc.race(e); err != nil {
+					close(gate.open)
+					t.Fatal(err)
+				}
+				close(gate.open)
+			default:
+				parkBackgroundFold(t, e, gate)
+				raced := make(chan error, 1)
+				go func() { raced <- tc.race(e) }()
+				close(gate.open)
+				if err := <-raced; err != nil {
+					t.Fatal(err)
+				}
 			}
-			close(gate.open)
 			e.WaitMerges()
 			if err := e.MergeErr(); err != nil {
-				t.Fatalf("the fold that lost its parts latched %v", err)
+				t.Fatalf("the background fold latched %v", err)
 			}
 			// Probed before anything else allocates: the checkpoint below
 			// may reuse the page for the catalog.
-			if page := pager.PageID(gate.at.Load() / int64(e.file.PageSize())); !pageFree(t, e.file, page) {
+			if page := pager.PageID(gate.at.Load() / int64(e.file.PageSize())); dropped && !pageFree(t, e.file, page) {
 				t.Errorf("the lost fold's output page %d is still allocated", page)
 			}
 			e.DisableAutoMerge()
@@ -217,12 +382,15 @@ func TestFoldLosesRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			back := openDurable(t, vfs.NewFaultFromImages(1, fs.SnapshotCrash(vfs.CrashDrop)))
-			if tc.name == "drop" {
+			if dropped {
 				if _, err := back.RowCount("Traces"); !errors.Is(err, catalog.ErrNotFound) {
 					t.Fatalf("dropped table after reopen: %v", err)
 				}
 			} else {
 				requireIDs(t, back, 30)
+				if tab, err := back.cat.Get("Traces"); err != nil || tab.LayoutExpr != newLayout || tab.NeedsReorg {
+					t.Fatalf("layout after reopen: %+v %v", tab, err)
+				}
 				if err := back.Compact("Traces"); err != nil {
 					t.Fatal(err)
 				}

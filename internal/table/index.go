@@ -132,9 +132,9 @@ func (e *Engine) DropIndex(tableName, field string) error {
 		}
 		for i, idx := range tab.Indexes {
 			if idx.Field == field {
-				err := e.flip(tableName, nil, rendered{}, func(work *catalog.Table) error {
+				err := e.flip(tableName, rendered{}, func(work *catalog.Table) ([]catalog.Part, error) {
 					work.Indexes = slices.Delete(slices.Clone(work.Indexes), i, i+1)
-					return nil
+					return nil, nil
 				})
 				if err != nil {
 					return err

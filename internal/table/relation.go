@@ -90,12 +90,29 @@ func settledOrder(spec *layout.Spec) int {
 	return -1
 }
 
+// refused names the steps that map the whole table at once, so that an
+// incremental insert under them is ill-defined.
+var refused = map[layout.StepKind]string{layout.StepLimit: "a limit[]", layout.StepFold: "a folded", layout.StepUnfold: "an unfold"}
+
+// refusal returns why rows cannot be inserted under spec, or nil.
+func refusal(spec *layout.Spec) error {
+	for _, st := range spec.Steps {
+		if what, ok := refused[st.Kind]; ok {
+			return fmt.Errorf("table: cannot Insert into %s layout; Reorganize instead", what)
+		}
+	}
+	return nil
+}
+
 // applySteps runs the layout pipeline over the stream. When tailOnly is
 // true, only per-row steps run (project/select/fold would corrupt tail
 // semantics differently: project and select apply; reordering steps are
 // skipped because tails are unorganized by design; fold/unfold/limit make
 // incremental inserts ill-defined and are rejected).
 func (r *relation) applySteps(spec *layout.Spec, tailOnly bool) error {
+	if err := refusal(spec); tailOnly && err != nil {
+		return err
+	}
 	settled := settledOrder(spec)
 	for i, st := range spec.Steps {
 		var err error
@@ -115,21 +132,12 @@ func (r *relation) applySteps(spec *layout.Spec, tailOnly bool) error {
 			}
 			err = r.groupBy(st.Fields)
 		case layout.StepLimit:
-			if tailOnly {
-				return fmt.Errorf("table: cannot Insert into a limit[] layout; Reorganize instead")
-			}
 			r.limit(st.N)
 		case layout.StepFold:
-			if tailOnly {
-				return fmt.Errorf("table: cannot Insert into a folded layout; Reorganize instead")
-			}
 			err = r.boxed(func(rel transforms.Relation) (transforms.Relation, error) {
 				return transforms.FoldHash(rel, st.Fields, st.By)
 			})
 		case layout.StepUnfold:
-			if tailOnly {
-				return fmt.Errorf("table: cannot Insert into an unfold layout; Reorganize instead")
-			}
 			err = r.boxed(func(rel transforms.Relation) (transforms.Relation, error) {
 				return transforms.Unfold(rel, st.Fields, st.Kinds)
 			})

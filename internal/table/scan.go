@@ -44,42 +44,40 @@ type ScanOptions struct {
 	Aggregate *AggSpec
 }
 
-// reorganizeIfNeeded applies a pending lazy reorganization under the
-// exclusive table lock. Readers that find NeedsReorg set under their shared
-// lock release it and call this instead of reorganizing in place: two
-// shared holders reorganizing concurrently would each render and free the
-// same old extents (a double free). The re-check under the exclusive lock
-// makes the losers of that race no-ops.
-func (e *Engine) reorganizeIfNeeded(name string) error {
-	return e.withLock(name, exclusive, func() error {
-		tab, err := e.cat.Get(name)
+// current runs fn on the table's current record under the shared lock. A
+// lazy layout change is applied first: a reader that finds the mark
+// releases the lock, applies it as a fold under the fold latch, unless a
+// reader racing to it already has, and reads again.
+func (e *Engine) current(name string, fn func(tab *catalog.Table) error) error {
+	for {
+		var marked bool
+		err := e.withLock(name, shared, func() error {
+			tab, err := e.cat.Get(name)
+			if err != nil {
+				return err
+			}
+			if marked = tab.NeedsReorg; marked {
+				return nil
+			}
+			return fn(tab)
+		})
+		if err != nil || !marked {
+			return err
+		}
+		err = e.foldOffLock(name, func(tab *catalog.Table, first bool) (*foldJob, error) {
+			return wholeTable(tab, first && tab.NeedsReorg)
+		})
 		if err != nil {
 			return err
 		}
-		if !tab.NeedsReorg {
-			return nil // another reader already reorganized
-		}
-		if err := e.relayout(tab); err != nil {
-			return err
-		}
-		return e.checkpoint()
-	})
+	}
 }
 
-// Scan opens a cursor over the table (paper §4.1 scan). Lazy-reorganization
-// marks are honored before the scan runs.
+// Scan opens a cursor over the table (paper §4.1 scan), once a lazy layout
+// change is applied (current).
 func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 	var cur *Cursor
-	var needsReorg bool
-	err := e.withLock(name, shared, func() error {
-		tab, err := e.cat.Get(name)
-		if err != nil {
-			return err
-		}
-		if tab.NeedsReorg {
-			needsReorg = true // reorganize needs the exclusive lock; retry below
-			return nil
-		}
+	err := e.current(name, func(tab *catalog.Table) error {
 		plan, err := e.planFor(tab, opts)
 		if err != nil {
 			return err
@@ -98,12 +96,6 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if needsReorg {
-		if err := e.reorganizeIfNeeded(name); err != nil {
-			return nil, err
-		}
-		return e.Scan(name, opts) // NeedsReorg is now clear; at most one retry
 	}
 	return cur, nil
 }
@@ -189,16 +181,7 @@ func (e *Engine) orderMatchesStored(tab *catalog.Table, order []algebra.OrderKey
 // continue in stored order, which is what the API's next() specifies.
 func (e *Engine) GetElement(name string, fields []string, index []int64) (*Cursor, error) {
 	var cur *Cursor
-	var needsReorg bool
-	err := e.withLock(name, shared, func() error {
-		tab, err := e.cat.Get(name)
-		if err != nil {
-			return err
-		}
-		if tab.NeedsReorg {
-			needsReorg = true // reorganize needs the exclusive lock; retry below
-			return nil
-		}
+	err := e.current(name, func(tab *catalog.Table) error {
 		plan, err := e.planScan(tab, tab.Parts(), fields, algebra.True, storedScanOpts{})
 		if err != nil {
 			return err
@@ -217,12 +200,6 @@ func (e *Engine) GetElement(name string, fields []string, index []int64) (*Curso
 	})
 	if err != nil {
 		return nil, err
-	}
-	if needsReorg {
-		if err := e.reorganizeIfNeeded(name); err != nil {
-			return nil, err
-		}
-		return e.GetElement(name, fields, index)
 	}
 	return cur, nil
 }

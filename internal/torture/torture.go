@@ -171,9 +171,8 @@ func (h *harness) tableNames() []string {
 	return names
 }
 
-// createTable registers the table; the caller adds it to the model only
-// once a checkpoint has committed it (kill points before then may recover a
-// state without it).
+// createTable registers the table, durably; the caller adds it to the model
+// once it returns (kill points before then may recover a state without it).
 func (h *harness) createTable(name string) error {
 	return h.db.CreateTable(name, []rodentstore.Field{
 		{Name: "id", Type: rodentstore.Int},
@@ -349,13 +348,10 @@ func (h *harness) opDrop(name string) error {
 		return err
 	}
 	delete(h.model, name)
-	// Recreate immediately. Until the checkpoint commits the new table,
-	// kill points may recover a state without it, so it re-enters the model
-	// only afterwards.
+	// Recreate immediately. CreateTable is durable on return, so the table
+	// re-enters the model as soon as it returns: every kill point from then
+	// on must recover it. Until then, one may recover a state without it.
 	if err := h.createTable(name); err != nil {
-		return err
-	}
-	if err := h.db.Checkpoint(); err != nil {
 		return err
 	}
 	h.model[name] = make(map[int64]string)
